@@ -20,7 +20,9 @@ device API onto every work-item the GPU starts.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.coalescing import CoalescingConfig, Coalescer
 from repro.core.invocation import Granularity, SyscallRequest, WaitMode
@@ -42,6 +44,45 @@ from repro.sim.engine import Event, Simulator, _TimerHandle
 #: not a tuning choice.
 MAX_WINDOW_NS = 10_000_000_000.0
 MAX_BATCH = 65536
+#: Ceiling for the completion-log ring: far beyond any run's call count.
+MAX_LOG_LIMIT = 1 << 32
+
+#: The sysfs knobs (Section VI: "GENESYS uses Linux's sysfs interface
+#: to communicate coalescing parameters"), one row each:
+#: ``(path under /sys/genesys, type, lo, hi, target)``.  ``target`` is
+#: a dotted attribute path from the Genesys object; a ``set_<attr>``
+#: target names a method called with the validated value (for writes
+#: with side effects) while ``<attr>`` is what reads back.
+Knob = Tuple[str, Callable[[bytes], Any], int, float, str]
+SYSFS_KNOBS: Tuple[Knob, ...] = (
+    ("coalescing_window_ns", float, 0, MAX_WINDOW_NS, "coalescing.window_ns"),
+    ("coalescing_max_batch", int, 1, MAX_BATCH, "coalescing.max_batch"),
+    ("completion_log_limit", int, 0, MAX_LOG_LIMIT, "set_completion_log_limit"),
+    ("watchdog_period_ns", float, 0, MAX_WINDOW_NS, "set_watchdog_period_ns"),
+    ("slot_timeout_ns", float, 0, MAX_WINDOW_NS, "slot_timeout_ns"),
+    ("worker_timeout_ns", float, 0, MAX_WINDOW_NS, "worker_timeout_ns"),
+    ("qos/deadline_ns", float, 0, MAX_WINDOW_NS, "qos_deadline_ns"),
+    ("qos/admission", float, 0, MAX_WINDOW_NS, "linux.net.sojourn_budget_ns"),
+    ("qos/brownout", int, 0, 1, "qos_brownout_enabled"),
+)
+
+
+def parse_knob(
+    name: str, kind: Callable[[bytes], Any], lo: int, hi: float, raw: bytes
+) -> Any:
+    """Parse one sysfs write, failing with EINVAL exactly as a real
+    sysfs store would on malformed or out-of-range input."""
+    text = raw.strip()
+    try:
+        value = kind(text)
+    except (ValueError, UnicodeDecodeError):
+        what = "an integer" if kind is int else "a number"
+        raise OsError(Errno.EINVAL, f"{name}: not {what}: {text!r}") from None
+    if value != value or value < lo:  # NaN or below the floor
+        raise OsError(Errno.EINVAL, f"{name}: must be >= {lo}, got {value!r}")
+    if value > hi:
+        raise OsError(Errno.EINVAL, f"{name}: {value!r} exceeds {hi:.0f}")
+    return value
 
 
 class GenesysError(RuntimeError):
@@ -277,174 +318,47 @@ class Genesys:
         self._register_sysfs()
 
     def _register_sysfs(self) -> None:
-        """Expose the coalescing knobs through sysfs (Section VI:
-        "GENESYS uses Linux's sysfs interface to communicate coalescing
-        parameters") — readable and writable as ordinary files.
+        """Bind every :data:`SYSFS_KNOBS` row as a readable, writable
+        file under /sys/genesys.
 
-        The knobs are clients of the ``coalesce.window`` /
-        ``coalesce.batch`` policy hooks: a validated write updates the
-        default those decision points start from, and any attached
-        policy program may still override it per bundle.  Malformed
-        writes fail with EINVAL exactly as a real sysfs store would.
+        The coalescing knobs are clients of the ``coalesce.window`` /
+        ``coalesce.batch`` policy hooks (and the recovery/QoS knobs of
+        theirs): a validated write updates the default those decision
+        points start from, and any attached policy program may still
+        override it.  Checkpoint restore calls this again to rebind the
+        file functions the snapshot dropped.
         """
         fs = self.linux.fs
-        if not fs.exists("/sys/genesys"):
-            fs.mkdir("/sys/genesys")
-        coalescing = self.coalescing
+        for row in SYSFS_KNOBS:
+            path = f"/sys/genesys/{row[0]}"
+            parent = path.rpartition("/")[0]
+            if not fs.exists(parent):
+                fs.mkdir(parent)
+            fs.bind_dynamic_file(
+                path,
+                partial(self._read_knob, row),
+                write_fn=partial(self._write_knob, row),
+            )
 
-        def set_window(raw: bytes) -> None:
-            text = raw.strip()
-            try:
-                value = float(text)
-            except (ValueError, UnicodeDecodeError):
-                raise OsError(
-                    Errno.EINVAL, f"coalescing_window_ns: not a number: {text!r}"
-                ) from None
-            if value != value or value < 0:  # NaN or negative
-                raise OsError(
-                    Errno.EINVAL, f"coalescing_window_ns: must be >= 0, got {value!r}"
-                )
-            if value > MAX_WINDOW_NS:
-                raise OsError(
-                    Errno.EINVAL,
-                    f"coalescing_window_ns: {value!r} exceeds {MAX_WINDOW_NS:.0f}",
-                )
-            coalescing.window_ns = value
+    def _read_knob(self, row: Knob) -> bytes:
+        return b"%d\n" % int(attrgetter(row[4].removeprefix("set_"))(self))
 
-        def set_batch(raw: bytes) -> None:
-            text = raw.strip()
-            try:
-                value = int(text)
-            except (ValueError, UnicodeDecodeError):
-                raise OsError(
-                    Errno.EINVAL, f"coalescing_max_batch: not an integer: {text!r}"
-                ) from None
-            if value < 1:
-                raise OsError(
-                    Errno.EINVAL, f"coalescing_max_batch: must be >= 1, got {value}"
-                )
-            if value > MAX_BATCH:
-                raise OsError(
-                    Errno.EINVAL, f"coalescing_max_batch: {value} exceeds {MAX_BATCH}"
-                )
-            coalescing.max_batch = value
+    def _write_knob(self, row: Knob, raw: bytes) -> None:
+        name, kind, lo, hi, target = row
+        value = parse_knob(name, kind, lo, hi, raw)
+        if target.startswith("set_"):
+            getattr(self, target)(value)
+        else:
+            owner, _, attr = target.rpartition(".")
+            setattr(attrgetter(owner)(self) if owner else self, attr, value)
 
-        fs.bind_dynamic_file(
-            "/sys/genesys/coalescing_window_ns",
-            lambda: b"%d\n" % int(coalescing.window_ns),
-            write_fn=set_window,
-        )
-        fs.bind_dynamic_file(
-            "/sys/genesys/coalescing_max_batch",
-            lambda: b"%d\n" % coalescing.max_batch,
-            write_fn=set_batch,
-        )
-
-        def set_log_limit(raw: bytes) -> None:
-            text = raw.strip()
-            try:
-                value = int(text)
-            except (ValueError, UnicodeDecodeError):
-                raise OsError(
-                    Errno.EINVAL, f"completion_log_limit: not an integer: {text!r}"
-                ) from None
-            if value < 0:
-                raise OsError(
-                    Errno.EINVAL, f"completion_log_limit: must be >= 0, got {value}"
-                )
-            self.set_completion_log_limit(value)
-
-        fs.bind_dynamic_file(
-            "/sys/genesys/completion_log_limit",
-            lambda: b"%d\n" % self.completion_log_limit,
-            write_fn=set_log_limit,
-        )
-
-        def _parse_period(knob: str, raw: bytes) -> float:
-            text = raw.strip()
-            try:
-                value = float(text)
-            except (ValueError, UnicodeDecodeError):
-                raise OsError(Errno.EINVAL, f"{knob}: not a number: {text!r}") from None
-            if value != value or value < 0:  # NaN or negative
-                raise OsError(Errno.EINVAL, f"{knob}: must be >= 0, got {value!r}")
-            if value > MAX_WINDOW_NS:
-                raise OsError(
-                    Errno.EINVAL, f"{knob}: {value!r} exceeds {MAX_WINDOW_NS:.0f}"
-                )
-            return value
-
-        def set_watchdog(raw: bytes) -> None:
-            self.watchdog_period_ns = _parse_period("watchdog_period_ns", raw)
-            # Start supervising immediately if work is already in flight
-            # (otherwise the next submission arms the timer).
-            if self.outstanding > 0 or self.linux.workqueue.outstanding > 0:
-                self._arm_watchdog()
-
-        def set_slot_timeout(raw: bytes) -> None:
-            self.slot_timeout_ns = _parse_period("slot_timeout_ns", raw)
-
-        def set_worker_timeout(raw: bytes) -> None:
-            self.worker_timeout_ns = _parse_period("worker_timeout_ns", raw)
-
-        fs.bind_dynamic_file(
-            "/sys/genesys/watchdog_period_ns",
-            lambda: b"%d\n" % int(self.watchdog_period_ns),
-            write_fn=set_watchdog,
-        )
-        fs.bind_dynamic_file(
-            "/sys/genesys/slot_timeout_ns",
-            lambda: b"%d\n" % int(self.slot_timeout_ns),
-            write_fn=set_slot_timeout,
-        )
-        fs.bind_dynamic_file(
-            "/sys/genesys/worker_timeout_ns",
-            lambda: b"%d\n" % int(self.worker_timeout_ns),
-            write_fn=set_worker_timeout,
-        )
-
-        # QoS knobs live in their own directory; same validation
-        # discipline as the coalescing knobs above.
-        if not fs.exists("/sys/genesys/qos"):
-            fs.mkdir("/sys/genesys/qos")
-
-        def set_qos_deadline(raw: bytes) -> None:
-            self.qos_deadline_ns = _parse_period("qos/deadline_ns", raw)
-
-        def set_qos_admission(raw: bytes) -> None:
-            self.linux.net.sojourn_budget_ns = _parse_period("qos/admission", raw)
-
-        def set_qos_brownout(raw: bytes) -> None:
-            text = raw.strip()
-            try:
-                value = float(text)
-            except (ValueError, UnicodeDecodeError):
-                raise OsError(
-                    Errno.EINVAL, f"qos/brownout: not a number: {text!r}"
-                ) from None
-            if value != value or value < 0:  # NaN or negative
-                raise OsError(
-                    Errno.EINVAL, f"qos/brownout: must be 0 or 1, got {value!r}"
-                )
-            if value > 1:
-                raise OsError(Errno.EINVAL, f"qos/brownout: {value!r} exceeds 1")
-            self.qos_brownout_enabled = int(value)
-
-        fs.bind_dynamic_file(
-            "/sys/genesys/qos/deadline_ns",
-            lambda: b"%d\n" % int(self.qos_deadline_ns),
-            write_fn=set_qos_deadline,
-        )
-        fs.bind_dynamic_file(
-            "/sys/genesys/qos/admission",
-            lambda: b"%d\n" % int(self.linux.net.sojourn_budget_ns),
-            write_fn=set_qos_admission,
-        )
-        fs.bind_dynamic_file(
-            "/sys/genesys/qos/brownout",
-            lambda: b"%d\n" % self.qos_brownout_enabled,
-            write_fn=set_qos_brownout,
-        )
+    def set_watchdog_period_ns(self, period_ns: float) -> None:
+        """Set the watchdog period, and start supervising immediately if
+        work is already in flight (otherwise the next submission arms
+        the timer)."""
+        self.watchdog_period_ns = period_ns
+        if self.outstanding > 0 or self.linux.workqueue.outstanding > 0:
+            self._arm_watchdog()
 
     # -- GPU-side hooks -----------------------------------------------------
 
@@ -538,6 +452,15 @@ class Genesys:
             return None
         return self.sim.now + float(delta)
 
+    def _dispatch(self, slot: Slot) -> SyscallRequest:
+        """Flip a READY slot to PROCESSING (firing ``syscall.dispatch``)."""
+        request = slot.start_processing()
+        if self.tp_dispatch.enabled:
+            self.tp_dispatch.fire(
+                request.name, slot.index // self.area.width, request.invocation_id
+            )
+        return request
+
     def _shed_slot(self, slot: Slot, stage: str, reason: str) -> None:
         """Complete a READY slot with -ETIME instead of servicing it.
 
@@ -546,23 +469,7 @@ class Genesys:
         sees a legal, exactly-once completion — just with zero service
         time and a dead-on-arrival result.
         """
-        request = slot.start_processing()
-        hw_id = slot.index // self.area.width
-        if self.tp_dispatch.enabled:
-            self.tp_dispatch.fire(request.name, hw_id, request.invocation_id)
-        if not slot.finish(-int(Errno.ETIME), expected=request):
-            return
-        self.syscalls_shed += 1
-        self.sheds_by_stage[stage] = self.sheds_by_stage.get(stage, 0) + 1
-        self._note_completion()
-        if self.tp_shed.enabled:
-            self.tp_shed.fire(
-                stage, reason, request.invocation_id, request.name, slot.index
-            )
-        if self.tp_complete.enabled:
-            self.tp_complete.fire(
-                request.name, hw_id, 0.0, request.invocation_id, request.blocking
-            )
+        self.retire(slot, self._dispatch(slot), -int(Errno.ETIME), stage, reason)
 
     def _shed_expired(self, hw_wavefront_id: int, stage: str) -> Tuple[int, int]:
         """Shed every expired READY slot of one wavefront.
@@ -578,16 +485,82 @@ class Genesys:
             if slot.state is not SlotState.READY:
                 continue
             request = slot.request
-            if (
-                request is not None
-                and request.deadline_ns is not None
-                and now > request.deadline_ns
-            ):
+            if request is not None and request.expired(now):
                 self._shed_slot(slot, stage, "deadline")
                 shed += 1
                 continue
             live += 1
         return shed, live
+
+    def retire(
+        self,
+        slot: Slot,
+        request: Optional[SyscallRequest],
+        result: Any,
+        cause: str,
+        reason: str = "",
+    ) -> bool:
+        """The one way a slot leaves the pipeline with a definite status.
+
+        ``cause`` is ``"complete"`` (a worker serviced ``request``),
+        ``"reclaim"`` (the watchdog forces the stuck slot, whatever its
+        request) or the stage that shed ``request`` (``"coalesce"``,
+        ``"pickup"`` or ``"dispatch"``, with ``reason`` ``"deadline"`` or
+        ``"priority"``).  Retire owns the exactly-once slot write, the
+        chaos-invariant counters (``issued == completed + reclaimed +
+        shed``) and the cause's tracepoints.  Returns False when the
+        slot refused: a finish whose slot the watchdog already reclaimed
+        (the reclaim did the bookkeeping), or a reclaim of a slot that
+        was not stuck.
+        """
+        hw_id = slot.index // self.area.width
+        if cause == "reclaim":
+            was_state = slot.state.value
+            request = slot.reclaim(result)
+            if request is None:
+                return False
+            self.slots_reclaimed += 1
+            # A reclaimed READY slot usually means its interrupt was
+            # lost; drop the suppression so the wavefront's next call
+            # raises a fresh one instead of waiting on a ghost scan.
+            self._scan_suppressed.discard(hw_id)
+            self._note_completion()
+            if self.tp_reclaim.enabled:
+                self.tp_reclaim.fire(
+                    request.invocation_id, request.name, slot.index, was_state
+                )
+            return True
+        assert request is not None
+        # PROCESSING began at the slot's last transition: nothing else
+        # moves a slot that still holds the request we expect.
+        started_at = slot.last_transition_ns
+        if not slot.finish(result, expected=request):
+            return False
+        if cause == "complete":
+            self.syscalls_completed += 1
+            if self.completion_log_limit and (
+                len(self.completion_log) >= self.completion_log_limit
+            ):
+                self.completion_log.popleft()
+                self.completion_log_dropped += 1
+            self.completion_log.append((request.name, hw_id, started_at, self.sim.now))
+        else:
+            self.syscalls_shed += 1
+            self.sheds_by_stage[cause] = self.sheds_by_stage.get(cause, 0) + 1
+        self._note_completion()
+        if cause != "complete" and self.tp_shed.enabled:
+            self.tp_shed.fire(
+                cause, reason, request.invocation_id, request.name, slot.index
+            )
+        if self.tp_complete.enabled:
+            self.tp_complete.fire(
+                request.name,
+                hw_id,
+                self.sim.now - started_at,
+                request.invocation_id,
+                request.blocking,
+            )
+        return True
 
     # -- CPU-side path ------------------------------------------------------
 
@@ -645,19 +618,13 @@ class Genesys:
                 # raised the priority floor since submission.
                 pending = slot.request
                 if pending is not None:
-                    if (
-                        pending.deadline_ns is not None
-                        and self.sim.now > pending.deadline_ns
-                    ):
+                    if pending.expired(self.sim.now):
                         self._shed_slot(slot, "dispatch", "deadline")
                         continue
                     if pending.priority < self.qos_priority_floor:
                         self._shed_slot(slot, "dispatch", "priority")
                         continue
-                request = slot.start_processing()
-                started_at = self.sim.now
-                if self.tp_dispatch.enabled:
-                    self.tp_dispatch.fire(request.name, hw_id, request.invocation_id)
+                request = self._dispatch(slot)
                 yield from cpu.run(self.config.syscall_base_ns)
                 injected_errno: Any = None
                 if self.hook_fault_errno.active:
@@ -682,16 +649,14 @@ class Genesys:
                     slot_action = self.hook_fault_slot.decide(
                         None, hw_id, slot.index, request.name
                     )
+                if slot_action in ("wedge", "corrupt") and self.tp_fault_slot.enabled:
+                    self.tp_fault_slot.fire(slot_action, slot.index, request.name)
                 if slot_action == "wedge":
                     # The completion write never lands: the slot stays
                     # PROCESSING until the watchdog reclaims it with
                     # -ETIMEDOUT and surfaces that to the wavefront.
-                    if self.tp_fault_slot.enabled:
-                        self.tp_fault_slot.fire("wedge", slot.index, request.name)
                     continue
                 if slot_action == "corrupt":
-                    if self.tp_fault_slot.enabled:
-                        self.tp_fault_slot.fire("corrupt", slot.index, request.name)
                     result = -int(Errno.EIO)
                 # Write the result back through the shared memory path.
                 yield from self.memsystem.dram.cpu_access(self.config.cacheline_bytes)
@@ -703,30 +668,7 @@ class Genesys:
                     self.memsystem.l2.invalidate(
                         slot.addr // self.config.cacheline_bytes
                     )
-                if not slot.finish(result, expected=request):
-                    # The watchdog reclaimed (and possibly reused) the
-                    # slot while we were servicing it; the reclaim did
-                    # the completion bookkeeping, so a second completion
-                    # here would double-count.
-                    continue
-                self._note_completion()
-                self.syscalls_completed += 1
-                if self.completion_log_limit and (
-                    len(self.completion_log) >= self.completion_log_limit
-                ):
-                    self.completion_log.popleft()
-                    self.completion_log_dropped += 1
-                self.completion_log.append(
-                    (request.name, hw_id, started_at, self.sim.now)
-                )
-                if self.tp_complete.enabled:
-                    self.tp_complete.fire(
-                        request.name,
-                        hw_id,
-                        self.sim.now - started_at,
-                        request.invocation_id,
-                        request.blocking,
-                    )
+                self.retire(slot, request, result, "complete")
 
     def _note_completion(self) -> None:
         """One invocation reached a definite status (serviced or reclaimed)."""
@@ -738,12 +680,6 @@ class Genesys:
             event.succeed()
 
     # -- watchdog / recovery -------------------------------------------------
-
-    def _effective_watchdog_period(self) -> float:
-        period = self.watchdog_period_ns
-        if self.hook_watchdog.active:
-            period = self.hook_watchdog.decide(period)
-        return period
 
     def _arm_watchdog(self) -> None:
         """Schedule the next watchdog tick (no-op while disabled).
@@ -757,7 +693,9 @@ class Genesys:
         """
         if self._watchdog_handle is not None:
             return
-        period = self._effective_watchdog_period()
+        period = self.watchdog_period_ns
+        if self.hook_watchdog.active:
+            period = self.hook_watchdog.decide(period)
         if not period or period <= 0:
             return
         self._watchdog_handle = self.sim.call_later(period, self._watchdog_tick)
@@ -785,7 +723,7 @@ class Genesys:
         if progress == self._last_progress and not requeued and not reclaimed:
             # A whole period with no movement anywhere: assume a lost
             # interrupt and scan READY slots directly (degraded mode).
-            self._degraded_rescan()
+            self._scan_ready(degraded=True)
         self._last_progress = progress
         self._arm_watchdog()
 
@@ -811,57 +749,21 @@ class Genesys:
             if slot.state not in (SlotState.READY, SlotState.PROCESSING):
                 continue
             pending = slot.request
-            expired = (
-                pending is not None
-                and pending.deadline_ns is not None
-                and now > pending.deadline_ns
-            )
+            expired = pending is not None and pending.expired(now)
             aged = aged_enabled and now - slot.last_transition_ns >= timeout
             if not expired and not aged:
                 continue
-            was_state = slot.state.value
             retval = -int(Errno.ETIME) if expired else -int(Errno.ETIMEDOUT)
-            request = slot.reclaim(retval)
-            if request is None:
-                continue
-            count += 1
-            self.slots_reclaimed += 1
-            # A reclaimed READY slot usually means its interrupt was
-            # lost; drop the suppression so the wavefront's next call
-            # raises a fresh one instead of waiting on a ghost scan.
-            self._scan_suppressed.discard(slot.index // self.area.width)
-            self._note_completion()
-            if self.tp_reclaim.enabled:
-                self.tp_reclaim.fire(
-                    request.invocation_id, request.name, slot.index, was_state
-                )
+            count += self.retire(slot, pending, retval, "reclaim")
         return count
 
-    def _degraded_rescan(self) -> int:
-        """Missed-interrupt fallback: enqueue scans for every wavefront
-        with READY slots, bypassing the interrupt path entirely."""
-        hw_ids = sorted(
-            {
-                slot.index // self.area.width
-                for slot in self.area.materialized()
-                if slot.state is SlotState.READY
-            }
-        )
-        if not hw_ids:
-            return 0
-        self.degraded += 1
-        if self.tp_degraded.enabled:
-            self.tp_degraded.fire(tuple(hw_ids))
-        self._enqueue_scan(hw_ids)
-        return len(hw_ids)
+    def _scan_ready(self, degraded: bool) -> int:
+        """Enqueue one scan covering every wavefront with READY slots,
+        bypassing the interrupt path; returns how many it covers.
 
-    def poll_scan(self) -> int:
-        """Polling-mode servicing pass: enqueue one scan covering every
-        wavefront with READY slots, bypassing the interrupt path.
-
-        The brownout controller's interrupt->polling degradation (the
-        paper's Fig 9/13 tradeoff made dynamic) calls this on its tick
-        while the ``irq.mode`` hook suppresses top halves.
+        ``degraded`` marks the watchdog's missed-interrupt fallback
+        (counted in ``degraded``, fires ``recover.degraded``); otherwise
+        it is a polling-mode pass (counted in ``polled_scans``).
         """
         hw_ids = sorted(
             {
@@ -872,9 +774,23 @@ class Genesys:
         )
         if not hw_ids:
             return 0
-        self.polled_scans += 1
+        if degraded:
+            self.degraded += 1
+            if self.tp_degraded.enabled:
+                self.tp_degraded.fire(tuple(hw_ids))
+        else:
+            self.polled_scans += 1
         self._enqueue_scan(hw_ids)
         return len(hw_ids)
+
+    def poll_scan(self) -> int:
+        """Polling-mode servicing pass over every READY wavefront.
+
+        The brownout controller's interrupt->polling degradation (the
+        paper's Fig 9/13 tradeoff made dynamic) calls this on its tick
+        while the ``irq.mode`` hook suppresses top halves.
+        """
+        return self._scan_ready(degraded=False)
 
     # -- GPU-side retry policy ----------------------------------------------
 
@@ -917,11 +833,7 @@ class Genesys:
                 self.completion_log_dropped += 1
 
     def _when_no_outstanding(self) -> Event:
-        """An event that fires when ``outstanding`` next reaches zero."""
-        if self.outstanding == 0:
-            event = self.sim.event(name="genesys-drained")
-            event.succeed()
-            return event
+        """An event that fires when ``outstanding`` (> 0) next reaches zero."""
         if self._all_complete is None:
             self._all_complete = self.sim.event(name="genesys-drained")
         return self._all_complete
@@ -950,24 +862,21 @@ class Genesys:
         deadline = None if timeout is None else sim.now + timeout
         next_tick = sim.now
         while self.outstanding > 0 or workqueue.outstanding > 0:
-            if deadline is None:
-                if self.outstanding > 0:
-                    yield self._when_no_outstanding()
-                else:
-                    yield workqueue.when_idle()
-            else:
-                if sim.now >= deadline:
-                    raise DrainTimeout(
-                        f"drain: {self.outstanding} invocation(s) and "
-                        f"{workqueue.outstanding} workqueue task(s) still in "
-                        f"flight after {timeout:.0f}ns",
-                        stuck=self.stuck_report(),
-                    )
-                pending = (
-                    self._when_no_outstanding()
-                    if self.outstanding > 0
-                    else workqueue.when_idle()
+            if deadline is not None and sim.now >= deadline:
+                raise DrainTimeout(
+                    f"drain: {self.outstanding} invocation(s) and "
+                    f"{workqueue.outstanding} workqueue task(s) still in "
+                    f"flight after {timeout:.0f}ns",
+                    stuck=self.stuck_report(),
                 )
+            pending = (
+                self._when_no_outstanding()
+                if self.outstanding > 0
+                else workqueue.when_idle()
+            )
+            if deadline is None:
+                yield pending
+            else:
                 yield AnyOf([pending, sim.wake_at(deadline, name="drain-deadline")])
             while next_tick < sim.now:
                 next_tick += 1000.0
@@ -1006,10 +915,7 @@ class Genesys:
             "watchdog_ticks": self.watchdog_ticks,
             "syscall_retries": self.syscall_retries,
             "syscalls_shed": self.syscalls_shed,
-            "sheds_by_stage": {
-                stage: self.sheds_by_stage[stage]
-                for stage in sorted(self.sheds_by_stage)
-            },
+            "sheds_by_stage": dict(sorted(self.sheds_by_stage.items())),
             "qos_fast_fails": self.qos_fast_fails,
             "polled_scans": self.polled_scans,
             "slot_protocol_errors": self.area.protocol_errors,

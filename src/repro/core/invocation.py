@@ -131,6 +131,10 @@ class SyscallRequest:
         #: Priority class; higher values shed *later* under brownout.
         self.priority = priority
 
+    def expired(self, now: float) -> bool:
+        """Whether the QoS deadline (if any) has passed at ``now``."""
+        return self.deadline_ns is not None and now > self.deadline_ns
+
     def __repr__(self) -> str:
         mode = "blocking" if self.blocking else "non-blocking"
         return f"SyscallRequest({self.name!r}, {len(self.args)} args, {mode})"

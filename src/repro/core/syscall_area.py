@@ -17,7 +17,7 @@ the false-sharing ablation can quantify why the paper did not do that.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.invocation import SyscallRequest
 from repro.machine import MachineConfig
@@ -36,15 +36,18 @@ class SlotState(Enum):
     FINISHED = "finished"
 
 
-#: Legal transitions and which side drives them (Figure 6: green = GPU,
-#: blue = CPU).
-_TRANSITIONS = {
-    (SlotState.FREE, SlotState.POPULATING): "gpu",
-    (SlotState.POPULATING, SlotState.READY): "gpu",
-    (SlotState.READY, SlotState.PROCESSING): "cpu",
-    (SlotState.PROCESSING, SlotState.FINISHED): "cpu",
-    (SlotState.PROCESSING, SlotState.FREE): "cpu",  # non-blocking completion
-    (SlotState.FINISHED, SlotState.FREE): "gpu",  # result consumed
+#: Legal transitions and the agents allowed to drive them (Figure 6:
+#: green = GPU, blue = CPU; the watchdog's reclaim edges force a stuck
+#: READY/PROCESSING slot to completion).
+_TRANSITIONS: Dict[Tuple[SlotState, SlotState], Tuple[str, ...]] = {
+    (SlotState.FREE, SlotState.POPULATING): ("gpu",),
+    (SlotState.POPULATING, SlotState.READY): ("gpu",),
+    (SlotState.READY, SlotState.PROCESSING): ("cpu",),
+    (SlotState.PROCESSING, SlotState.FINISHED): ("cpu", "watchdog"),
+    (SlotState.PROCESSING, SlotState.FREE): ("cpu", "watchdog"),  # non-blocking
+    (SlotState.READY, SlotState.FINISHED): ("watchdog",),
+    (SlotState.READY, SlotState.FREE): ("watchdog",),
+    (SlotState.FINISHED, SlotState.FREE): ("gpu",),  # result consumed
 }
 
 
@@ -103,18 +106,19 @@ class Slot:
 
     def _transition(self, new_state: SlotState, actor: str, op: str = "transition") -> None:
         edge = (self.state, new_state)
-        owner = _TRANSITIONS.get(edge)
-        if owner is None:
+        owners = _TRANSITIONS.get(edge)
+        if owners is None:
             detail = (
                 f"slot {self.index}: illegal transition {self.state.value} -> "
                 f"{new_state.value} by {actor}"
             )
             self._protocol_error(op, detail, actor)
             raise SlotStateError(detail)
-        if owner != actor:
+        if actor not in owners:
+            owner = "/".join(owners).upper()
             detail = (
                 f"slot {self.index}: transition {self.state.value} -> "
-                f"{new_state.value} belongs to the {owner.upper()}, not {actor.upper()}"
+                f"{new_state.value} belongs to the {owner}, not {actor.upper()}"
             )
             self._protocol_error(op, detail, actor)
             raise SlotStateError(detail)
@@ -198,17 +202,22 @@ class Slot:
             detail = f"slot {self.index}: finish without a request"
             self._protocol_error("finish", detail, "cpu")
             raise SlotStateError(detail)
-        blocking = self.request.blocking
+        self._complete(result, "cpu", "finish")
+        return True
+
+    def _complete(self, result: Any, actor: str, op: str) -> None:
+        """Publish ``result``: FINISHED for a blocking request (the
+        waiter consumes it), straight to FREE otherwise."""
+        blocking = self.request is not None and self.request.blocking
         self.result = result
         completion = self.completion
-        if blocking:
-            self._transition(SlotState.FINISHED, "cpu", op="finish")
-        else:
-            self._transition(SlotState.FREE, "cpu", op="finish")
+        self._transition(
+            SlotState.FINISHED if blocking else SlotState.FREE, actor, op=op
+        )
+        if not blocking:
             self.request = None
         if completion is not None and not completion.triggered:
             completion.succeed(result)
-        return True
 
     def reclaim(self, result: Any) -> Optional[SyscallRequest]:
         """Watchdog recovery edge: force a stuck READY/PROCESSING slot
@@ -228,25 +237,7 @@ class Slot:
             )
             return None
         request = self.request
-        blocking = request.blocking if request is not None else False
-        old_state = self.state
-        self.result = result
-        self.state = SlotState.FINISHED if blocking else SlotState.FREE
-        self.last_transition_ns = self.sim.now
-        completion = self.completion
-        if not blocking:
-            self.request = None
-        if self.tp_transition.enabled:
-            self.tp_transition.fire(
-                self.index, old_state.value, self.state.value, "watchdog"
-            )
-        if self.on_occupancy is not None and self.state is SlotState.FREE:
-            # READY/PROCESSING -> FREE: the slot just emptied.
-            self.on_occupancy(False)
-        if self.on_transition is not None:
-            self.on_transition(self.sim.now, self, old_state, self.state, "watchdog")
-        if completion is not None and not completion.triggered:
-            completion.succeed(result)
+        self._complete(result, "watchdog", "reclaim")
         return request
 
     def __repr__(self) -> str:

@@ -1,12 +1,22 @@
 """Tests for the GENESYS runtime: interrupts, scans, coalescing wiring,
-drain, and the packed-slot false-sharing ablation."""
+drain, the packed-slot false-sharing ablation, and the single retire
+path."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import repro.core
+
 from repro.core.coalescing import CoalescingConfig
 from repro.core.invocation import Granularity
+from repro.faults.chaos import check_invariants
 from repro.machine import small_machine
+from repro.oskernel.errors import Errno
 from repro.oskernel.fs import O_RDWR
+from repro.probes import policy
+from repro.sanitizers.gsan import GSan
 from repro.system import System
 
 
@@ -171,3 +181,98 @@ class TestPackedSlotAblation:
         packed_traffic, packed_time = run(16)
         assert packed_traffic > linear_traffic
         assert packed_time >= linear_time
+
+
+def completion_calls(node):
+    """The ``.finish(`` / ``.reclaim(`` calls anywhere under ``node``."""
+    return [
+        sub.func.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and sub.func.attr in ("finish", "reclaim")
+    ]
+
+
+class TestRetirePath:
+    def test_slot_completion_only_inside_retire(self):
+        """Every ``.finish(`` / ``.reclaim(`` call in the core lives in
+        ``Genesys.retire``: one place owns the exactly-once slot write
+        and the chaos-invariant counters."""
+        sites = []
+        for path in sorted(Path(repro.core.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            in_methods = 0
+            for klass in ast.walk(tree):
+                if not isinstance(klass, ast.ClassDef):
+                    continue
+                for method in klass.body:
+                    calls = completion_calls(method)
+                    in_methods += len(calls)
+                    sites += [(f"{klass.name}.{getattr(method, 'name', '?')}", c) for c in calls]
+            assert len(completion_calls(tree)) == in_methods, path.name
+        assert sorted(sites) == [
+            ("Genesys.retire", "finish"),
+            ("Genesys.retire", "reclaim"),
+        ]
+
+    def test_finish_after_reclaim_is_refused_and_uncounted(self):
+        """The watchdog reclaims a slot mid-service (a cold 64 KiB pread
+        runs ~1.2 ms, past a 100 us slot timeout); the worker's late
+        finish is refused and counts nothing, so the call settles once."""
+        system = System(config=small_machine())
+        gsan = GSan().install(system.probes)
+        genesys = system.genesys
+        genesys.watchdog_period_ns = 20_000.0
+        genesys.slot_timeout_ns = 100_000.0
+        system.kernel.fs.create_file("/data/f", b"t" * 65536, on_disk=True)
+        system.kernel.fs.resolve("/data/f").cached_pages.clear()
+        buf = system.memsystem.alloc_buffer(65536)
+        completed = []
+        system.probes.attach(
+            "syscall.complete",
+            lambda name, hw_id, service_ns, invocation_id, blocking: completed.append(
+                name
+            ),
+        )
+        results = []
+
+        def kern(ctx):
+            fd = yield from ctx.sys.open("/data/f")
+            results.append((yield from ctx.sys.pread(fd, buf, 65536, 0)))
+
+        run_kernel(system, kern, 1, 1)
+        assert results == [-int(Errno.ETIMEDOUT)]
+        assert completed == ["open"]
+        assert genesys.syscalls_completed == 1
+        assert genesys.slots_reclaimed == 1
+        assert genesys.area.protocol_errors == 1  # the refused finish
+        assert check_invariants(system) == []
+        assert gsan.finish() == []
+        assert gsan.defended_races == 1
+
+
+class TestPollingMode:
+    def test_poll_scan_services_absorbed_interrupts(self):
+        """With top halves absorbed (brownout polling mode), a READY
+        request waits until a polling pass scans it."""
+        system = System(config=small_machine())
+        genesys = system.genesys
+        system.probes.attach_policy("irq.mode", policy.fixed("poll"))
+        results = []
+
+        def kern(ctx):
+            results.append((yield from ctx.sys.getrusage()))
+
+        def body():
+            kernel = system.launch(kern, 1, 1)
+            yield system.sim.timeout(100_000)
+            assert genesys.outstanding == 1 and genesys.syscalls_completed == 0
+            assert genesys.poll_scan() == 1
+            yield kernel
+
+        system.run_to_completion(body())
+        assert genesys.polled_scans == 1
+        assert genesys.degraded == 0
+        assert genesys.syscalls_completed == 1
+        assert results[0] != -int(Errno.ETIME)

@@ -1,15 +1,12 @@
-"""Tests for policy hooks: the chain contract, the sysfs knobs as hook
-clients, and the three decision points (coalescing, workqueue, page
-cache).  Includes the Figure 10 sensitivity-point reproduction through
-the hook path."""
+"""Tests for policy hooks: the chain contract and the three decision
+points (coalescing, workqueue, page cache).  Includes the Figure 10
+sensitivity-point reproduction through the hook path.  The sysfs knobs
+that feed the hook defaults are covered by test_sysfs_knobs.py."""
 
 import pytest
 
-from repro.core.coalescing import CoalescingConfig
 from repro.experiments.fig10_coalescing import COALESCE, latency_per_byte
 from repro.machine import MachineConfig, small_machine
-from repro.oskernel.errors import Errno, OsError
-from repro.oskernel.fs import O_RDWR
 from repro.oskernel.workqueue import WorkQueue
 from repro.probes.policy import PolicyHook, choose, fixed
 from repro.sim.engine import Simulator
@@ -60,75 +57,6 @@ class TestPolicyHook:
 
     def test_fixed_is_introspectable(self):
         assert fixed(99).policy_value == 99
-
-
-# -- sysfs knobs: validated clients of the coalescing hooks ---------------
-
-
-def make_system():
-    return System(
-        config=small_machine(),
-        coalescing=CoalescingConfig(window_ns=5000, max_batch=4),
-    )
-
-
-def write_sysfs(system, path, payload: bytes):
-    mem = system.memsystem
-    proc = system.host
-
-    def body():
-        fd = yield from system.kernel.call(proc, "open", path, O_RDWR)
-        buf = mem.alloc_buffer(max(len(payload), 1))
-        buf.data[: len(payload)] = payload
-        yield from system.kernel.call(proc, "write", fd, buf, len(payload))
-        yield from system.kernel.call(proc, "close", fd)
-
-    system.sim.run_process(body())
-
-
-WINDOW = "/sys/genesys/coalescing_window_ns"
-BATCH = "/sys/genesys/coalescing_max_batch"
-
-
-class TestSysfsValidation:
-    @pytest.mark.parametrize(
-        "path,payload",
-        [
-            (WINDOW, b"not-a-number"),
-            (WINDOW, b"-1"),
-            (WINDOW, b"nan"),
-            (WINDOW, b"1e18"),  # beyond MAX_WINDOW_NS
-            (BATCH, b"0"),
-            (BATCH, b"-3"),
-            (BATCH, b"2.5"),  # batch is an integer knob
-            (BATCH, b"999999999"),  # beyond MAX_BATCH
-        ],
-    )
-    def test_bad_writes_fail_einval(self, path, payload):
-        system = make_system()
-        with pytest.raises(OsError) as exc:
-            write_sysfs(system, path, payload)
-        assert exc.value.errno == Errno.EINVAL
-
-    def test_bad_write_leaves_config_untouched(self):
-        system = make_system()
-        with pytest.raises(OsError):
-            write_sysfs(system, WINDOW, b"-5")
-        assert system.genesys.coalescing.window_ns == 5000
-
-    def test_valid_writes_update_hook_defaults(self):
-        system = make_system()
-        write_sysfs(system, WINDOW, b"20000")
-        write_sysfs(system, BATCH, b"16")
-        assert system.genesys.coalescing.window_ns == 20000
-        assert system.genesys.coalescing.max_batch == 16
-        # The coalescer decides from the same config object.
-        assert system.genesys.coalescer.config.max_batch == 16
-
-    def test_whitespace_tolerated(self):
-        system = make_system()
-        write_sysfs(system, WINDOW, b" 7500\n")
-        assert system.genesys.coalescing.window_ns == 7500
 
 
 # -- wq.worker: pin tasks to one worker -----------------------------------

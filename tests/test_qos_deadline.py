@@ -1,38 +1,17 @@
 """Deadline propagation and shedding across the syscall stack: minting
 at submission, the per-stage shed points (coalesce admit, workqueue
-pickup, dispatch), the priority floor, the /sys/genesys/qos knobs, and
-the watchdog x deadline exactly-once reclaim."""
-
-import pytest
+pickup, dispatch), the priority floor, and the watchdog x deadline
+exactly-once reclaim.  The /sys/genesys/qos knobs are covered by
+test_sysfs_knobs.py."""
 
 from repro.core.coalescing import CoalescingConfig
 from repro.faults.chaos import check_invariants
 from repro.machine import small_machine
-from repro.oskernel.errors import Errno, OsError
-from repro.oskernel.fs import O_RDWR
+from repro.oskernel.errors import Errno
 from repro.probes import policy
 from repro.qos import DeadlinePolicy, EDEADLINE
 from repro.sanitizers.gsan import GSan
 from repro.system import System
-
-
-def write_sysfs(system, path, payload: bytes):
-    mem = system.memsystem
-    proc = system.host
-
-    def body():
-        fd = yield from system.kernel.call(proc, "open", path, O_RDWR)
-        buf = mem.alloc_buffer(max(len(payload), 1))
-        buf.data[: len(payload)] = payload
-        yield from system.kernel.call(proc, "write", fd, buf, len(payload))
-        yield from system.kernel.call(proc, "close", fd)
-
-    system.sim.run_process(body())
-
-
-DEADLINE = "/sys/genesys/qos/deadline_ns"
-ADMISSION = "/sys/genesys/qos/admission"
-BROWNOUT = "/sys/genesys/qos/brownout"
 
 
 class TestMinting:
@@ -125,6 +104,39 @@ class TestShedding:
         assert stats["sheds_by_stage"] == {"dispatch": 1}
         assert check_invariants(system) == []
 
+    def test_bundle_service_sheds_the_next_call_at_dispatch(self):
+        """Two calls share one scan: both are live at coalesce admit and
+        at pickup, but servicing the first advances the clock past the
+        second's deadline, so the second is shed at dispatch.
+
+        Both claim at 20 us; the scan picks up at ~30.4 us, dispatches
+        the first at ~31.6 us and reaches the second at ~33.2 us.  A
+        12.5 us budget lands both deadlines at 32.5 us, in between.
+        """
+        system = System(config=small_machine())
+        system.genesys.qos_deadline_ns = 12_500.0
+        sheds = []
+        system.probes.attach(
+            "qos.shed",
+            lambda stage, reason, invocation_id, name, slot_index: sheds.append(
+                (stage, reason, invocation_id)
+            ),
+        )
+        results = {}
+
+        def kern(ctx):
+            results[ctx.global_id] = yield from ctx.sys.getrusage()
+
+        system.run_kernel(kern, 2, 2, name="shed-dispatch-deadline")
+        stats = system.genesys.stats()
+        assert stats["bundles"] == 1
+        assert results[0] != -int(Errno.ETIME)  # served
+        assert results[1] == -int(Errno.ETIME)
+        assert sheds == [("dispatch", "deadline", 2)]
+        assert stats["sheds_by_stage"] == {"dispatch": 1}
+        assert stats["syscalls_completed"] == 1
+        assert check_invariants(system) == []
+
     def test_high_priority_survives_the_floor(self):
         system = System(config=small_machine())
         system.genesys.qos_priority_floor = 1
@@ -214,48 +226,6 @@ class TestWatchdogDeadline:
         assert system.genesys.slots_reclaimed == 1
         assert check_invariants(system) == []
         assert gsan.finish() == []
-
-
-class TestQosSysfs:
-    @pytest.mark.parametrize("path", [DEADLINE, ADMISSION, BROWNOUT])
-    @pytest.mark.parametrize("payload", [b"not-a-number", b"nan", b"-1"])
-    def test_malformed_writes_fail_einval(self, path, payload):
-        system = System(config=small_machine())
-        with pytest.raises(OsError) as exc:
-            write_sysfs(system, path, payload)
-        assert exc.value.errno == Errno.EINVAL
-
-    @pytest.mark.parametrize(
-        "path,payload",
-        [(DEADLINE, b"1e18"), (ADMISSION, b"1e18"), (BROWNOUT, b"2")],
-    )
-    def test_over_ceiling_writes_fail_einval(self, path, payload):
-        system = System(config=small_machine())
-        with pytest.raises(OsError) as exc:
-            write_sysfs(system, path, payload)
-        assert exc.value.errno == Errno.EINVAL
-
-    def test_bad_write_leaves_state_untouched(self):
-        system = System(config=small_machine())
-        with pytest.raises(OsError):
-            write_sysfs(system, DEADLINE, b"nan")
-        assert system.genesys.qos_deadline_ns == 0.0
-
-    def test_valid_writes_update_the_knobs(self):
-        system = System(config=small_machine())
-        write_sysfs(system, DEADLINE, b"250000")
-        write_sysfs(system, ADMISSION, b" 200000\n")
-        write_sysfs(system, BROWNOUT, b"0")
-        assert system.genesys.qos_deadline_ns == 250_000.0
-        assert system.kernel.net.sojourn_budget_ns == 200_000.0
-        assert system.genesys.qos_brownout_enabled == 0
-
-    def test_knobs_read_back(self):
-        system = System(config=small_machine())
-        system.genesys.qos_deadline_ns = 7_000.0
-        fs = system.kernel.fs
-        assert fs.read_whole(DEADLINE).strip() == b"7000"
-        assert fs.read_whole(BROWNOUT).strip() == b"1"
 
 
 class TestDormancy:

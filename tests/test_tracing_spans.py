@@ -4,7 +4,7 @@ Covers the tracer's stage reconstruction and telescoping-reconciliation
 guarantee, the halt/resume accounting agreement with the wavefront
 scheduler's own tracepoints, the analysis statistics, the Perfetto span
 export (pid 4, flow arrows, metadata), the latency-regression gate, the
-completion-log ring buffer + sysfs knob, and the
+completion-log ring buffer, and the
 ``python -m repro.tracing`` CLI.
 """
 
@@ -14,8 +14,6 @@ import pytest
 
 from repro.core.invocation import WaitMode
 from repro.machine import small_machine
-from repro.oskernel.errors import Errno, OsError
-from repro.oskernel.fs import O_RDWR
 from repro.system import System
 from repro.tracing import STAGE_ORDER, InvocationTrace, SpanTracer, span_tracers
 from repro.tracing import analysis, gate
@@ -439,43 +437,6 @@ class TestCompletionLogRing:
         system.genesys.set_completion_log_limit(1)
         run_rw_workload(system)
         assert system.genesys.stats()["completion_log_dropped"] > 0
-
-
-def write_sysfs(system, path, payload: bytes):
-    mem = system.memsystem
-    proc = system.host
-
-    def body():
-        fd = yield from system.kernel.call(proc, "open", path, O_RDWR)
-        buf = mem.alloc_buffer(max(len(payload), 1))
-        buf.data[: len(payload)] = payload
-        yield from system.kernel.call(proc, "write", fd, buf, len(payload))
-        yield from system.kernel.call(proc, "close", fd)
-
-    system.sim.run_process(body())
-
-
-LOG_LIMIT = "/sys/genesys/completion_log_limit"
-
-
-class TestCompletionLogSysfs:
-    def test_knob_exists_and_reads_default(self):
-        system = System(config=small_machine())
-        assert system.kernel.fs.read_whole(LOG_LIMIT).strip() == b"0"
-
-    def test_write_updates_limit(self):
-        system = System(config=small_machine())
-        write_sysfs(system, LOG_LIMIT, b"16\n")
-        assert system.genesys.completion_log_limit == 16
-        assert system.kernel.fs.read_whole(LOG_LIMIT).strip() == b"16"
-
-    @pytest.mark.parametrize("payload", [b"not-a-number", b"-1", b"2.5"])
-    def test_bad_writes_fail_einval(self, payload):
-        system = System(config=small_machine())
-        with pytest.raises(OsError) as exc:
-            write_sysfs(system, LOG_LIMIT, payload)
-        assert exc.value.errno == Errno.EINVAL
-        assert system.genesys.completion_log_limit == 0
 
 
 class TestTracingCli:
