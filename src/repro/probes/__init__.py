@@ -12,8 +12,10 @@ Guarantees (tested):
 
 * observer probes never perturb simulated results — experiment outputs
   are byte-identical attached vs. detached;
-* a detached tracepoint costs one attribute check — under ~2% on the
-  ``benchmarks/perf`` end-to-end drivers.
+* a detached tracepoint costs one attribute check and a branch;
+* observers attached from outside a run compose on one ordered stack:
+  ``with attached(plan_a, plan_b): ...`` applies both, in that order,
+  to every System built inside the block.
 
 See the "Probes & policy hooks" section of ``docs/architecture.md``.
 """
@@ -37,6 +39,7 @@ from repro.probes.tracepoints import (
     ProbeRegistry,
     Tracepoint,
     apply_global_plan,
+    attached,
     clear_global_plan,
     install_global_plan,
 )
@@ -52,6 +55,7 @@ __all__ = [
     "RateMeter",
     "Tracepoint",
     "apply_global_plan",
+    "attached",
     "choose",
     "clear_global_plan",
     "fixed",

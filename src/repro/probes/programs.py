@@ -27,6 +27,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.probes.tracepoints import ProbeRegistry, Tracepoint
 
 
+def log2_bucket(value: float) -> int:
+    """The log2 bucket holding ``value``: ``floor(log2(value))``, with
+    everything below 1.0 in bucket 0."""
+    return int(math.floor(math.log2(value))) if value >= 1.0 else 0
+
+
 def percentile_from_log2_buckets(buckets: Dict[int, int], q: float) -> float:
     """Nearest-rank percentile over log2 buckets; 0.0 when empty.
 
@@ -144,7 +150,7 @@ class LatencyHistogram(ProbeProgram):
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        bucket = int(math.floor(math.log2(value))) if value >= 1.0 else 0
+        bucket = log2_bucket(value)
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     @property

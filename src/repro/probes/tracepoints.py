@@ -15,7 +15,7 @@ them at runtime.  Two properties are load-bearing:
   simulator handle, cannot yield, and must not mutate simulated state —
   so attaching any number of observer programs leaves every simulated
   timestamp and result byte-identical (enforced by
-  ``tests/test_probes_determinism.py``).  Policy hooks
+  ``tests/test_observer_neutrality.py``).  Policy hooks
   (:mod:`repro.probes.policy`) are the one sanctioned way to *change*
   behaviour, and they are separate objects at separate sites.
 
@@ -26,7 +26,8 @@ make a private registry so their tracepoints always exist.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.probes.policy import PolicyHook
 
@@ -265,29 +266,44 @@ class StreamRecorder:
         return self
 
 
-# -- global attach plan --------------------------------------------------
+# -- the global attach stack ---------------------------------------------
 #
-# Experiments construct their Systems internally, so the probes CLI
-# cannot attach to them directly.  Instead it installs a *plan*: a
-# callable applied to every ProbeRegistry a System creates while the
-# plan is installed.  This is the only piece of module-global state in
-# the subsystem; tests and the CLI always clear it in a finally block.
+# Experiments construct their Systems internally, so observers cannot
+# attach to them directly.  Instead they push *plans*: callables applied,
+# in push order, to every ProbeRegistry a System creates while they are
+# on the stack.  Plans compose by listing — ``attached(tracer, hub, gsan)``
+# — and the stack is the only piece of module-global state in the
+# subsystem.
 
-_GLOBAL_PLAN: Optional[Callable[["ProbeRegistry"], None]] = None
+Plan = Callable[["ProbeRegistry"], Any]
+
+_PLANS: List[Plan] = []
 
 
-def install_global_plan(plan: Callable[["ProbeRegistry"], None]) -> None:
-    """Apply ``plan(registry)`` to every subsequently-built System."""
-    global _GLOBAL_PLAN
-    _GLOBAL_PLAN = plan
+def install_global_plan(plan: Plan) -> Plan:
+    """Push ``plan``: apply it to every subsequently-built System."""
+    _PLANS.append(plan)
+    return plan
 
 
 def clear_global_plan() -> None:
-    global _GLOBAL_PLAN
-    _GLOBAL_PLAN = None
+    """Empty the attach stack."""
+    _PLANS.clear()
 
 
 def apply_global_plan(registry: "ProbeRegistry") -> None:
     """Called by ``System.__init__`` once all tracepoints exist."""
-    if _GLOBAL_PLAN is not None:
-        _GLOBAL_PLAN(registry)
+    for plan in _PLANS:
+        plan(registry)
+
+
+@contextmanager
+def attached(*plans: Plan) -> Iterator[Tuple[Plan, ...]]:
+    """Push ``plans`` for the body of a ``with`` block; on exit, even by
+    an exception, pop exactly those plans and leave any others."""
+    depth = len(_PLANS)
+    _PLANS.extend(plans)
+    try:
+        yield plans
+    finally:
+        del _PLANS[depth:depth + len(plans)]

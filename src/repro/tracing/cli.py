@@ -9,8 +9,8 @@ Usage::
                                  [--tolerance 0.10] [--abs-ns 1.0]
 
 ``report`` runs one experiment with a :class:`SpanTracer` attached to
-every System it builds (the same global-attach-plan mechanism the
-probes CLI uses) and prints per-stage p50/p95/p99, critical-path
+every System it builds (pushed on the global attach stack, as the
+probes CLI does) and prints per-stage p50/p95/p99, critical-path
 attribution, Figure-7/8 axis splits, and the slowest invocations.
 ``record`` writes the per-stage distributions as committed baselines;
 ``gate`` re-runs and fails (exit 1) when a stage's percentile drifts
@@ -24,14 +24,10 @@ import json
 import sys
 from typing import List, Tuple
 
-from repro.probes.tracepoints import (
-    ProbeRegistry,
-    clear_global_plan,
-    install_global_plan,
-)
+from repro.probes.tracepoints import attached
 from repro.tracing import analysis, gate as gate_mod
 from repro.tracing.export import tef_dict
-from repro.tracing.spans import SpanTracer, InvocationTrace
+from repro.tracing.spans import InvocationTrace, SpanTracer, install_tracer
 
 
 def run_traced(experiment: str) -> Tuple[object, List[SpanTracer]]:
@@ -39,15 +35,8 @@ def run_traced(experiment: str) -> Tuple[object, List[SpanTracer]]:
     from repro import experiments
 
     tracers: List[SpanTracer] = []
-
-    def plan(registry: ProbeRegistry) -> None:
-        tracers.append(SpanTracer(registry).install())
-
-    install_global_plan(plan)
-    try:
+    with attached(lambda registry: tracers.append(install_tracer(registry))):
         result = experiments.run(experiment)
-    finally:
-        clear_global_plan()
     return result, tracers
 
 

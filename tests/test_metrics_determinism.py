@@ -1,44 +1,26 @@
-"""The metrics plane's load-bearing guarantee: a fully attached
-MetricsHub leaves every simulated output byte-identical, detached runs
-schedule zero metrics events, and exports are seed-deterministic."""
+"""The metrics plane's load-bearing guarantees beyond suite neutrality
+(``tests/test_observer_neutrality.py``): detached runs schedule zero
+metrics events, attached runs only weak ones, a serving point is
+byte-identical with the hub, and exports are seed-deterministic."""
 
 import json
-
-import pytest
 
 from repro import experiments
 from repro.metrics import MetricsHubPlan
 from repro.metrics.export import csv_text, prometheus_text, series_payload
-from repro.probes.tracepoints import clear_global_plan, install_global_plan
+from repro.probes.tracepoints import attached
 
 
 def run_attached(name, **plan_kwargs):
-    plan = MetricsHubPlan(**plan_kwargs)
-    install_global_plan(plan)
-    try:
+    with attached(MetricsHubPlan(**plan_kwargs)) as (plan,):
         return experiments.run(name).render(), plan
-    finally:
-        clear_global_plan()
 
 
 class TestAttachedVersusBare:
-    @pytest.mark.parametrize("name", experiments.all_names())
-    def test_every_experiment_byte_identical(self, name):
-        bare = experiments.run(name).render()
-        attached, plan = run_attached(name)
-        assert attached == bare
-        # Not every experiment builds a System (some drive the raw
-        # machine models); the ones that do must have received a hub.
-        if name == "fig2":
-            assert plan.hubs, "plan never saw a System"
-
     def test_detached_runs_schedule_zero_metrics_ticks(self):
         registries = []
-        install_global_plan(registries.append)  # observe only, no hub
-        try:
+        with attached(registries.append):  # observe only, no hub
             experiments.run("fig2")
-        finally:
-            clear_global_plan()
         assert registries[0].sim.weak_scheduled == 0
 
     def test_attached_run_uses_only_weak_ticks(self):
@@ -55,13 +37,9 @@ class TestAttachedVersusBare:
             warmup_ns=50_000.0, measure_ns=100_000.0,
         )
         bare = json.dumps(run_point(config, 30_000), sort_keys=True)
-        plan = MetricsHubPlan()
-        install_global_plan(plan)
-        try:
-            attached = json.dumps(run_point(config, 30_000), sort_keys=True)
-        finally:
-            clear_global_plan()
-        assert attached == bare
+        with attached(MetricsHubPlan()) as (plan,):
+            attached_run = json.dumps(run_point(config, 30_000), sort_keys=True)
+        assert attached_run == bare
         assert plan.hubs
 
 
@@ -83,18 +61,8 @@ class TestGSanComposition:
         from repro.faults.chaos import run_one
         from repro.sanitizers.gsan import GSanPlan
 
-        gsan_plan = GSanPlan()
-        metrics_plan = MetricsHubPlan()
-
-        def both(registry):
-            gsan_plan(registry)
-            metrics_plan(registry)
-
-        install_global_plan(both)
-        try:
+        with attached(GSanPlan(), MetricsHubPlan()) as (gsan_plan, metrics_plan):
             report = run_one("serving", seed=7)
-        finally:
-            clear_global_plan()
         assert report.ok, report.violations
         violations = gsan_plan.finish()
         assert violations == [], "\n".join(v.render() for v in violations)
