@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.probes.programs import CounterProbe, LatencyHistogram, RateMeter
+from repro.metrics.series import WindowedLog2Histogram
+from repro.probes.programs import CounterProbe, LatencyHistogram, RateMeter, log2_bucket
 from repro.probes.tracepoints import ProbeRegistry
 
 
@@ -46,6 +47,37 @@ class TestCounterProbe:
         registry.tracepoint("wq.enqueue")
         probe = registry.attach("wq.enqueue", CounterProbe(registry))
         assert probe.name == "wq.enqueue"
+
+
+#: (value, bucket) pairs at and around the power-of-two edges.
+LOG2_BUCKETS = [
+    (-3.0, 0),
+    (0.0, 0),
+    (0.5, 0),
+    (1.0, 0),
+    (1.999, 0),
+    (2.0, 1),
+    (3.0, 1),
+    (4.0, 2),
+    (1023.0, 9),
+    (1024.0, 10),
+    (1025.0, 10),
+    (2.0**40, 40),
+]
+
+
+class TestLog2Bucket:
+    @pytest.mark.parametrize("value, bucket", LOG2_BUCKETS)
+    def test_bucket_is_floor_log2_with_sub_one_in_zero(self, value, bucket):
+        assert log2_bucket(value) == bucket
+
+    @pytest.mark.parametrize("value, bucket", LOG2_BUCKETS)
+    def test_probe_and_windowed_histograms_share_it(self, registry, value, bucket):
+        probe = LatencyHistogram(registry)
+        probe(value)
+        windowed = WindowedLog2Histogram(10.0)
+        windowed.observe(1.0, value)
+        assert probe.buckets == windowed.lifetime_buckets == {bucket: 1}
 
 
 class TestLatencyHistogram:
