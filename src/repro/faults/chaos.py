@@ -15,11 +15,12 @@ faulty network.
 
 Invariants checked after every run (:func:`check_invariants`):
 
-* **definite status** — every issued invocation either completed or was
-  reclaimed with ``-ETIMEDOUT``; nothing is left outstanding,
+* **definite status** — every issued invocation completed, was
+  reclaimed with ``-ETIMEDOUT``, or was shed with ``-ETIME``; nothing
+  is left outstanding,
 * **no slot leaks** — every materialized syscall-area slot is FREE,
 * **no duplicate or lost completions** — ``issued ==
-  syscalls_completed + slots_reclaimed`` exactly,
+  syscalls_completed + slots_reclaimed + syscalls_shed`` exactly,
 * **drained queues** — the workqueue has no backlog or in-flight tasks,
 * **bounded termination** — the run finishes under a simulated-time
   drain deadline (enforced by ``System.drain_timeout_ns``; a wedge the

@@ -29,6 +29,7 @@ from repro.metrics.collectors import (
 )
 from repro.metrics.series import WindowedSeries
 from repro.probes.tracepoints import ProbeRegistry
+from repro.traceviz import Counter, Thread
 
 __all__ = ["DEFAULT_WINDOW_NS", "MetricsHub", "MetricsHubPlan", "metrics_hubs"]
 
@@ -40,6 +41,8 @@ DEFAULT_WINDOW_NS = 10_000.0
 
 class MetricsHub:
     """Windowed metric estimators for one System's probe registry."""
+
+    trace_process = "metrics"
 
     def __init__(
         self,
@@ -181,11 +184,20 @@ class MetricsHub:
             "last_window": last,
         }
 
-    def series(self) -> list:
-        """Probe-program protocol stub: hubs export their windows under
-        their own Perfetto process (pid 5, ``metrics_counter_events``),
-        so the pid-3 probe-counter export sees nothing here."""
-        return []
+    def trace_tracks(self) -> list:
+        """One ``metric:<key>`` counter track per exported series;
+        ``<label>:`` prefixes the key when the registry has several
+        hubs.  ``[]`` while no window has closed."""
+        self.finalize()
+        exported = self.export_series()
+        if not any(exported.values()):
+            return []
+        multi = len(metrics_hubs(self.registry)) > 1
+        prefix = f"{self.label}:" if multi and self.label else ""
+        return [Thread(0, "windowed metrics")] + [
+            Counter(f"metric:{prefix}{key}", "metric", series)
+            for key, series in sorted(exported.items())
+        ]
 
     # -- pickling -----------------------------------------------------------
 
@@ -244,7 +256,7 @@ class MetricsHubPlan:
 
 def metrics_hubs(registry: Optional[ProbeRegistry]) -> List[MetricsHub]:
     """All hubs installed on ``registry`` (discovery via the program
-    list, like ``span_tracers``)."""
+    list)."""
     if registry is None:
         return []
     return [p for p in registry.programs if isinstance(p, MetricsHub)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.probes.programs import log2_bucket, percentile_from_log2_buckets
+from repro.probes.programs import Log2Histogram
 
 __all__ = [
     "EwmaRate",
@@ -334,10 +334,10 @@ class WindowedGauge(WindowedSeries):
 class WindowedLog2Histogram(WindowedSeries):
     """Log2-bucketed value distribution with windowed percentiles.
 
-    Window value is a compact dict ``{count, mean, p50, p95, p99, max}``
-    computed from the window's buckets at close time (percentiles are
-    bucket upper edges — see :func:`percentile_from_log2_buckets`).  Whole-run
-    buckets are kept too, so lifetime percentiles remain available.
+    The open window is one :class:`~repro.probes.programs.Log2Histogram`;
+    it closes to that histogram's ``summary()``, a compact dict
+    ``{count, mean, p50, p95, p99, max}`` (percentiles are bucket upper
+    edges).  ``lifetime_count`` counts every observation.
     """
 
     kind = "histogram"
@@ -348,52 +348,20 @@ class WindowedLog2Histogram(WindowedSeries):
         self, window_ns: float, name: str = "", max_windows: int = 4096
     ) -> None:
         super().__init__(window_ns, name=name, max_windows=max_windows)
-        self._buckets: Dict[int, int] = {}
-        self._sum = 0.0
-        self._count = 0
-        self._max = 0.0
-        self.lifetime_buckets: Dict[int, int] = {}
+        self._hist = Log2Histogram()
         self.lifetime_count = 0
 
     def observe(self, t_ns: float, value: float) -> None:
         self._note(self.index_of(t_ns))
-        value = float(value)
-        bucket = log2_bucket(value)
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
-        self._sum += value
-        self._count += 1
-        if value > self._max:
-            self._max = value
-        self.lifetime_buckets[bucket] = self.lifetime_buckets.get(bucket, 0) + 1
+        self._hist.add(float(value))
         self.lifetime_count += 1
 
     def _close(self) -> object:
-        if self._count == 0:
-            value = self._empty_value()
-        else:
-            value = {
-                "count": self._count,
-                "mean": self._sum / self._count,
-                "p50": percentile_from_log2_buckets(self._buckets, 50.0),
-                "p95": percentile_from_log2_buckets(self._buckets, 95.0),
-                "p99": percentile_from_log2_buckets(self._buckets, 99.0),
-                "max": self._max,
-            }
-        self._buckets = {}
-        self._sum = 0.0
-        self._count = 0
-        self._max = 0.0
-        return value
+        summary, self._hist = self._hist.summary(), Log2Histogram()
+        return summary
 
     def _empty_value(self) -> Optional[object]:
-        return {
-            "count": 0, "mean": 0.0, "p50": 0.0,
-            "p95": 0.0, "p99": 0.0, "max": 0.0,
-        }
-
-    def percentile(self, q: float) -> float:
-        """Lifetime nearest-rank percentile (0.0 when empty)."""
-        return percentile_from_log2_buckets(self.lifetime_buckets, q)
+        return Log2Histogram().summary()
 
     def read(self, last: int = 1, mode: str = "p95") -> float:
         rows = self.closed(last)
@@ -419,7 +387,7 @@ class WindowedLog2Histogram(WindowedSeries):
 
     def export_series(self) -> Dict[str, List[Tuple[float, float]]]:
         out: Dict[str, List[Tuple[float, float]]] = {}
-        for field in ("count", "mean", "p50", "p95", "p99", "max"):
+        for field in self.FIELDS:
             out[field] = [
                 (t0, float(v[field]))  # type: ignore[index]
                 for t0, v in self.windows

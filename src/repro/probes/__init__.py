@@ -4,9 +4,11 @@ The subsystem in one breath: the simulated stack declares static
 **tracepoints** (observe) and **policy hooks** (decide) in a per-System
 :class:`ProbeRegistry`; user **programs** — counters, latency
 histograms, rate meters, fixed/choice policies — attach at runtime;
-**exporters** turn attached state into JSON snapshots and Perfetto
-counter tracks; and ``python -m repro.probes run <experiment>
---attach ...`` does all of it from the command line.
+an **exporter** turns attached state into a JSON snapshot, rate meters
+draw Perfetto counter tracks through :mod:`repro.traceviz`, and
+``python -m repro.probes run <experiment> --attach ...`` does all of it
+from the command line.  :class:`Log2Histogram` is the one log2
+histogram, shared with the metrics plane.
 
 Guarantees (tested):
 
@@ -20,19 +22,14 @@ Guarantees (tested):
 See the "Probes & policy hooks" section of ``docs/architecture.md``.
 """
 
-from repro.probes.exporters import (
-    PID_PROBES,
-    metrics_snapshot,
-    probe_counter_events,
-    write_metrics_snapshot,
-)
+from repro.probes.exporters import metrics_snapshot, write_metrics_snapshot
 from repro.probes.policy import PolicyHook, choose, fixed
 from repro.probes.programs import (
     CounterProbe,
     LatencyHistogram,
+    Log2Histogram,
     ProbeProgram,
     RateMeter,
-    percentile_from_log2_buckets,
 )
 from repro.probes.tracepoints import (
     NULL_TRACEPOINT,
@@ -46,9 +43,9 @@ from repro.probes.tracepoints import (
 
 __all__ = [
     "NULL_TRACEPOINT",
-    "PID_PROBES",
     "CounterProbe",
     "LatencyHistogram",
+    "Log2Histogram",
     "PolicyHook",
     "ProbeProgram",
     "ProbeRegistry",
@@ -61,7 +58,5 @@ __all__ = [
     "fixed",
     "install_global_plan",
     "metrics_snapshot",
-    "percentile_from_log2_buckets",
-    "probe_counter_events",
     "write_metrics_snapshot",
 ]

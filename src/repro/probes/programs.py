@@ -13,10 +13,13 @@ Each program implements:
 * ``bind(tracepoint)`` — called by ``ProbeRegistry.attach``; lets the
   program remember what it measures and registers it for export;
 * ``__call__(*fire_args)`` — the observer body;
-* ``snapshot()`` — a JSON-ready dict for the metrics exporter;
-* ``series()`` — optional ``[(t_ns, value), ...]`` samples for the
-  Perfetto counter-track merge (empty when the program has no
-  time dimension).
+* ``snapshot()`` — a JSON-ready dict for the metrics exporter.
+
+The rate meter, the one program with a time dimension, also draws a
+Perfetto counter track through ``trace_tracks()`` (see
+:mod:`repro.traceviz`).  :class:`Log2Histogram` is the one log2
+histogram: ``LatencyHistogram`` keeps one for the whole run, and the
+metrics plane's windowed histogram keeps one per open window.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.probes.tracepoints import ProbeRegistry, Tracepoint
+from repro.traceviz import Counter, Thread
 
 
 def log2_bucket(value: float) -> int:
@@ -33,26 +37,61 @@ def log2_bucket(value: float) -> int:
     return int(math.floor(math.log2(value))) if value >= 1.0 else 0
 
 
-def percentile_from_log2_buckets(buckets: Dict[int, int], q: float) -> float:
-    """Nearest-rank percentile over log2 buckets; 0.0 when empty.
+class Log2Histogram:
+    """Log2-bucketed value distribution: count, sum, extremes, buckets.
 
-    Bucket *b* holds values in ``[2^b, 2^(b+1))`` (bucket 0 also absorbs
-    sub-1.0 values); the reported percentile is the holding bucket's
-    upper edge — a conservative bound, exact to within one power of two.
-    A single-sample histogram answers every ``q`` with that sample's
-    bucket edge rather than raising.
+    Bucket *b* holds values in ``[2^b, 2^(b+1))`` (bucket 0 also takes
+    everything below 1.0) — the bpftrace ``hist()`` shape, which stays
+    small at any latency scale.  Percentiles are the holding bucket's
+    upper edge: a conservative bound, exact to within one power of two.
     """
-    total = sum(buckets.values())
-    if total == 0:
-        return 0.0
-    q = min(max(q, 0.0), 100.0)
-    rank = max(1, int(math.ceil(q / 100.0 * total)))
-    seen = 0
-    for bucket in sorted(buckets):
-        seen += buckets[bucket]
-        if seen >= rank:
-            return float(2 ** (bucket + 1))
-    return float(2 ** (max(buckets) + 1))
+
+    __slots__ = ("count", "total", "min", "max", "buckets")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
+        self.buckets: Dict[int, int] = {}
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        bucket = log2_bucket(value)
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def percentile(self, q: float) -> float:
+        """Nearest-rank percentile, ``q`` clamped to [0, 100]; 0.0 when
+        empty, and a single sample answers every ``q`` with its edge."""
+        if not self.count:
+            return 0.0
+        rank = max(1, math.ceil(min(max(q, 0.0), 100.0) / 100.0 * self.count))
+        seen = 0
+        for bucket in sorted(self.buckets):
+            seen += self.buckets[bucket]
+            if seen >= rank:
+                break
+        return float(2 ** (bucket + 1))
+
+    def summary(self) -> Dict[str, float]:
+        """``{count, mean, p50, p95, p99, max}``, all zero when empty."""
+        return {
+            "count": self.count,
+            "mean": self.mean,
+            "p50": self.percentile(50.0),
+            "p95": self.percentile(95.0),
+            "p99": self.percentile(99.0),
+            "max": self.max if self.max is not None else 0.0,
+        }
 
 
 class ProbeProgram:
@@ -79,9 +118,6 @@ class ProbeProgram:
             "name": self.name,
             "tracepoint": self.tracepoint.name if self.tracepoint else None,
         }
-
-    def series(self) -> List[Tuple[float, float]]:
-        return []
 
 
 class CounterProbe(ProbeProgram):
@@ -116,12 +152,8 @@ class CounterProbe(ProbeProgram):
 
 
 class LatencyHistogram(ProbeProgram):
-    """Log2-bucketed histogram over one numeric fire argument.
-
-    Bucket *i* holds values in ``[2^i, 2^(i+1))`` ns (bucket 0 also
-    takes everything below 1 ns) — the familiar bpftrace ``hist()``
-    shape, which keeps the snapshot small at any latency scale.
-    """
+    """A whole-run :class:`Log2Histogram` over one numeric fire argument
+    (``value_arg``); fires without a number there are skipped."""
 
     kind = "histogram"
 
@@ -133,45 +165,26 @@ class LatencyHistogram(ProbeProgram):
     ):
         super().__init__(registry, name)
         self.value_arg = value_arg
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.buckets: Dict[int, int] = {}
+        self.hist = Log2Histogram()
 
     def __call__(self, *values: Any) -> None:
         if self.value_arg >= len(values):
             return
         value = values[self.value_arg]
-        if not isinstance(value, (int, float)):
-            return
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        bucket = log2_bucket(value)
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile (bucket upper edge); 0.0 when the
-        histogram is empty, well-defined for a single sample."""
-        return percentile_from_log2_buckets(self.buckets, q)
+        if isinstance(value, (int, float)):
+            self.hist.add(float(value))
 
     def snapshot(self) -> dict:
+        hist = self.hist
         out = super().snapshot()
         out.update(
-            count=self.count,
-            mean=self.mean,
-            min=self.min,
-            max=self.max,
+            count=hist.count,
+            mean=hist.mean,
+            min=hist.min,
+            max=hist.max,
             buckets={
                 f"[{2**b if b else 0}, {2**(b+1)})": n
-                for b, n in sorted(self.buckets.items())
+                for b, n in sorted(hist.buckets.items())
             },
         )
         return out
@@ -182,11 +195,12 @@ class RateMeter(ProbeProgram):
 
     Samples the registry clock at each fire and buckets counts into
     ``bin_ns``-wide bins; ``series()`` reports the *rate* (fires per
-    second of simulated time) at each bin start, which the exporter
-    turns into a Perfetto "C" counter track.
+    second of simulated time) at each bin start, and ``trace_tracks()``
+    draws it as a ``probe:<name>`` Perfetto counter track.
     """
 
     kind = "rate"
+    trace_process = "probes"
 
     def __init__(
         self,
@@ -207,32 +221,26 @@ class RateMeter(ProbeProgram):
         self.bins[index] = self.bins.get(index, 0) + 1
 
     def series(self) -> List[Tuple[float, float]]:
+        """``(bin start, fires/s)`` per populated bin, plus a 0.0 sample
+        at the first empty bin after each run of populated ones: a
+        counter track holds its value until the next sample, so without
+        it an idle stretch would read as the last busy rate."""
         scale = 1e9 / self.bin_ns  # events per simulated second
+        out = []
+        for index in sorted(self.bins):
+            out.append((index * self.bin_ns, self.bins[index] * scale))
+            if index + 1 not in self.bins:
+                out.append(((index + 1) * self.bin_ns, 0.0))
+        return out
+
+    def trace_tracks(self) -> list:
+        series = self.series()
+        if not series:
+            return []
         return [
-            (index * self.bin_ns, count * scale)
-            for index, count in sorted(self.bins.items())
+            Thread(0, "probe counters"),
+            Counter(f"probe:{self.name}", "probe", series),
         ]
-
-    def rate_at(self, t_ns: float) -> float:
-        """Rate (fires/second) of the bin containing ``t_ns``; 0.0 for
-        bins that saw no fires (including before/after the run)."""
-        count = self.bins.get(int(t_ns // self.bin_ns), 0)
-        return count * 1e9 / self.bin_ns
-
-    def rate_between(self, t0_ns: float, t1_ns: float) -> float:
-        """Mean rate over ``[t0_ns, t1_ns)``; zero-duration (or
-        inverted) intervals report 0.0 instead of raising.  Partial
-        bins at the edges are pro-rated by overlap."""
-        duration = t1_ns - t0_ns
-        if duration <= 0:
-            return 0.0
-        fires = 0.0
-        for index, count in self.bins.items():
-            bin_lo = index * self.bin_ns
-            overlap = min(bin_lo + self.bin_ns, t1_ns) - max(bin_lo, t0_ns)
-            if overlap > 0:
-                fires += count * (overlap / self.bin_ns)
-        return fires * 1e9 / duration
 
     def snapshot(self) -> dict:
         out = super().snapshot()

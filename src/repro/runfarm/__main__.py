@@ -12,10 +12,6 @@ Subcommands
     Shard the test suite's files round-robin across workers, each an
     independent ``python -m pytest`` subprocess; exits nonzero if any
     shard fails.  Used by CI to run tier-1 on 4 workers.
-
-``matrix-bench``
-    Time the same chaos matrix serial vs farmed (the perf harness's
-    matrix rows use the same machinery in-process).
 """
 
 from __future__ import annotations
@@ -139,23 +135,6 @@ def _cmd_pytest(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _cmd_matrix_bench(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    serial = run_chaos_matrix(args.experiments, args.seeds, workers=1)
-    serial_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    farmed = run_chaos_matrix(args.experiments, args.seeds, workers=args.workers)
-    farmed_wall = time.perf_counter() - start
-    identical = serial == farmed
-    speedup = serial_wall / farmed_wall if farmed_wall > 0 else float("inf")
-    print(
-        f"matrix ({len(serial)} cells): serial {serial_wall:.2f}s, "
-        f"{args.workers}-worker {farmed_wall:.2f}s — {speedup:.2f}x, "
-        f"merge identical: {identical}"
-    )
-    return 0 if identical else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runfarm", description=__doc__.split("\n", 1)[0]
@@ -184,15 +163,6 @@ def main(argv=None) -> int:
     )
     pytest_p.add_argument("pytest_args", nargs="*", default=[])
     pytest_p.set_defaults(fn=_cmd_pytest)
-
-    bench_p = sub.add_parser("matrix-bench", help="serial vs farmed matrix wall time")
-    bench_p.add_argument(
-        "--experiments", type=lambda t: [e for e in t.split(",") if e],
-        default=["fig2", "grep"],
-    )
-    bench_p.add_argument("--seeds", type=_parse_seeds, default=list(range(1, 7)))
-    bench_p.add_argument("--workers", type=int, default=4)
-    bench_p.set_defaults(fn=_cmd_matrix_bench)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -5,9 +5,10 @@ attaches pure observers that join each syscall's ``invocation_id``
 across every pipeline stage (submit, signal, interrupt, coalesce,
 workqueue, dispatch, service, resume), :mod:`repro.tracing.analysis`
 turns the collected traces into the paper's latency-composition views,
-:mod:`repro.tracing.export` renders them as Perfetto span tracks, and
-:mod:`repro.tracing.gate` compares fresh runs against committed
-baselines (``python -m repro.tracing report|record|gate``).
+``SpanTracer.trace_tracks`` draws them as Perfetto span tracks through
+:mod:`repro.traceviz`, and :mod:`repro.tracing.gate` compares fresh
+runs against committed baselines (``python -m repro.tracing
+report|record|gate``).
 """
 
 from repro.tracing.spans import (
@@ -16,7 +17,6 @@ from repro.tracing.spans import (
     InvocationTrace,
     SpanTracer,
     install_tracer,
-    span_tracers,
 )
 
 __all__ = [
@@ -25,5 +25,4 @@ __all__ = [
     "InvocationTrace",
     "SpanTracer",
     "install_tracer",
-    "span_tracers",
 ]

@@ -19,17 +19,9 @@ from typing import Callable, Dict, Iterable, List, Sequence
 from repro.tracing.spans import STAGE_ORDER, InvocationTrace
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (need not be sorted)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def summarize(values: Sequence[float]) -> dict:
-    """count/total/mean/p50/p95/p99/max of a duration sample."""
+    """count/total/mean/p50/p95/p99/max of a duration sample, with
+    exact nearest-rank percentiles."""
     if not values:
         return {
             "count": 0, "total": 0.0, "mean": 0.0,

@@ -25,8 +25,8 @@ import sys
 from typing import List, Tuple
 
 from repro.probes.tracepoints import attached
+from repro.traceviz import chrome_trace, program_tracks
 from repro.tracing import analysis, gate as gate_mod
-from repro.tracing.export import tef_dict
 from repro.tracing.spans import InvocationTrace, SpanTracer, install_tracer
 
 
@@ -60,8 +60,13 @@ def _cmd_report(args) -> int:
             fh.write("\n")
         print(f"wrote {args.json}")
     if args.tef:
+        document = chrome_trace(
+            program_tracks(tracers),
+            {"generator": "repro.tracing (GENESYS reproduction)",
+             "invocations": len(traces)},
+        )
         with open(args.tef, "w") as fh:
-            json.dump(tef_dict(tracers), fh)
+            json.dump(document, fh)
         print(f"wrote {args.tef}")
     return 0 if traces else 1
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.probes.tracepoints import ProbeRegistry
+from repro.traceviz import Flow, Slice, Thread
 
 #: Canonical stage order (also the order marks arrive in sim time).
 STAGE_ORDER: Tuple[str, ...] = (
@@ -59,6 +60,10 @@ STAGE_ORDER: Tuple[str, ...] = (
     "timeout",
     "retry",
 )
+
+#: Stage -> Perfetto tid, in pipeline order so the tracks sort
+#: top-to-bottom in execution order.
+STAGE_TIDS = {stage: tid for tid, stage in enumerate(STAGE_ORDER, start=1)}
 
 #: Schema version of :meth:`SpanTracer.snapshot` (and of the span
 #: sections the probes metrics exporter embeds).  2 added the fault/
@@ -185,14 +190,15 @@ class InvocationTrace:
 class SpanTracer:
     """Reconstructs per-invocation timelines from span tracepoints.
 
-    Duck-types the probe-program protocol (``snapshot``/``series``) so
-    the metrics exporter and Perfetto merge pick it up from
+    Duck-types the probe-program protocol (``snapshot``/``trace_tracks``)
+    so the metrics exporter and :mod:`repro.traceviz` pick it up from
     ``registry.programs`` like any other attached program.
     """
 
     kind = "spans"
     name = "spans"
     tracepoint = None
+    trace_process = "spans"
 
     def __init__(self, registry: ProbeRegistry):
         self.registry = registry
@@ -346,8 +352,40 @@ class SpanTracer:
             "end_to_end": e2e_stats(self.completed),
         }
 
-    def series(self) -> List[Tuple[float, float]]:
-        return []
+    def trace_tracks(self) -> list:
+        """One track per stage holding each invocation's stage spans, and
+        a flow arrow from the GPU-side submit (slot READY) to the start
+        of CPU-side service; ``[]`` until an invocation completes."""
+        if not self.completed:
+            return []
+        tracks: list = [
+            Thread(tid, f"stage: {stage}", sort_index=tid)
+            for stage, tid in STAGE_TIDS.items()
+        ]
+        for trace in self.completed:
+            args = {
+                "invocation_id": trace.invocation_id,
+                "syscall": trace.name,
+                "hw_wavefront": trace.hw_id,
+                "granularity": trace.granularity,
+                "blocking": trace.blocking,
+                "wait": trace.wait,
+            }
+            t_ns = trace.t0
+            for stage, duration in trace.spans():
+                tracks.append(Slice(
+                    STAGE_TIDS.get(stage, 0), f"{trace.name}:{stage}", "span",
+                    t_ns, max(duration, 1.0), {**args, "stage": stage},
+                ))
+                t_ns += duration
+            marks = dict(trace.marks)
+            if "submit" in marks and "service" in marks:
+                tracks.append(Flow(
+                    trace.invocation_id, "gpu-to-cpu",
+                    STAGE_TIDS["submit"], marks["submit"],
+                    STAGE_TIDS["service"], marks.get("dispatch", marks["service"]),
+                ))
+        return tracks
 
     def __repr__(self) -> str:
         return (
@@ -359,10 +397,3 @@ class SpanTracer:
 def install_tracer(registry: ProbeRegistry) -> SpanTracer:
     """Plan-compatible helper: build and install a tracer on ``registry``."""
     return SpanTracer(registry).install()
-
-
-def span_tracers(registry) -> List[SpanTracer]:
-    """All SpanTracers installed on ``registry`` (``None``-safe)."""
-    if registry is None:
-        return []
-    return [p for p in registry.programs if isinstance(p, SpanTracer)]

@@ -8,14 +8,10 @@ import pytest
 
 from repro import experiments
 from repro.metrics import MetricsHub, MetricsHubPlan, metrics_hubs
-from repro.metrics.export import (
-    csv_text,
-    metrics_counter_events,
-    prometheus_text,
-    series_payload,
-)
+from repro.metrics.export import csv_text, prometheus_text, series_payload
 from repro.probes.tracepoints import attached
 from repro.system import System
+from repro.traceviz import PROCESSES, program_tracks, trace_events
 
 
 def run_with_hub(name, window_ns=10_000.0):
@@ -165,10 +161,10 @@ class TestExporters:
 
     def test_tef_events_valid(self):
         _result, plan = run_with_hub("fig2")
-        events = metrics_counter_events(plan.hub.registry)
+        events = trace_events(program_tracks(plan.hub.registry.programs))
         assert events, "fig2 with a hub must export counter tracks"
         assert events[0]["ph"] == "M"
-        assert all(e["pid"] == 5 for e in events)
+        assert all(e["pid"] == PROCESSES["metrics"][0] for e in events)
         for event in events:
             assert event["ph"] in ("M", "C")
             if event["ph"] == "C":
@@ -177,8 +173,8 @@ class TestExporters:
                 assert isinstance(event["args"]["value"], (int, float))
         json.dumps(events)  # serializable as-is
 
-    def test_tef_events_none_registry(self):
-        assert metrics_counter_events(None) == []
+    def test_idle_hub_draws_no_tracks(self):
+        assert MetricsHub().install(System().probes).trace_tracks() == []
 
     def test_traceviz_merges_metrics_process(self):
         from repro.serving.sweep import ServingConfig, build_target, run_point_on

@@ -1,5 +1,5 @@
-"""Unit tests for the windowed estimator primitives (repro.metrics.series)
-and the probe-program edge-case APIs that ride along this PR."""
+"""Unit tests for the windowed estimator primitives (repro.metrics.series),
+the shared Log2Histogram, and probe-program edge cases."""
 
 import pickle
 
@@ -13,11 +13,7 @@ from repro.metrics.series import (
     WindowedLog2Histogram,
     WindowedRatio,
 )
-from repro.probes.programs import (
-    LatencyHistogram,
-    RateMeter,
-    percentile_from_log2_buckets,
-)
+from repro.probes.programs import Log2Histogram, RateMeter
 from repro.probes.tracepoints import ProbeRegistry
 
 
@@ -135,13 +131,11 @@ class TestWindowedLog2Histogram:
         # the bucket's upper edge.
         for mode in ("p50", "p95", "p99"):
             assert h.read(mode=mode) == 4096.0
-        assert h.percentile(99.0) == 4096.0
 
     def test_empty_reads_are_zero(self):
         h = WindowedLog2Histogram(10.0)
         assert h.read() == 0.0
         assert h.read(mode="count") == 0.0
-        assert h.percentile(50.0) == 0.0
 
     def test_window_dict_shape(self):
         h = WindowedLog2Histogram(10.0)
@@ -167,12 +161,13 @@ class TestWindowedLog2Histogram:
         assert h.windows[4][1] == zeros
         assert h.windows[3][1]["count"] == 1
 
-    def test_lifetime_percentile_spans_windows(self):
+    def test_lifetime_count_spans_windows(self):
         h = WindowedLog2Histogram(10.0)
         for t, v in ((1.0, 2.0), (11.0, 2.0), (21.0, 1000.0)):
             h.observe(t, v)
-        assert h.percentile(50.0) == 4.0
-        assert h.percentile(99.0) == 1024.0
+        h.flush(3)
+        assert [stats["count"] for _, stats in h.windows] == [1, 1, 1]
+        assert h.lifetime_count == 3
 
 
 class TestWindowedRatio:
@@ -240,56 +235,49 @@ class TestValidationAndPickle:
         assert c2.total == c.total
 
 
-class TestPercentileFromBuckets:
+class TestLog2Histogram:
+    """The one log2 histogram behind LatencyHistogram and the windowed
+    histogram: percentile edge cases and the summary dict."""
+
     def test_empty(self):
-        assert percentile_from_log2_buckets({}, 99.0) == 0.0
+        h = Log2Histogram()
+        assert h.percentile(99.0) == 0.0
+        assert h.summary() == dict.fromkeys(WindowedLog2Histogram.FIELDS, 0)
+
+    def test_single_sample_answers_every_q(self):
+        h = Log2Histogram()
+        h.add(500.0)
+        assert h.percentile(50.0) == 512.0
+        assert h.percentile(99.9) == 512.0
 
     def test_out_of_range_q_is_clamped(self):
-        assert percentile_from_log2_buckets({3: 1}, 150.0) == 16.0
-        assert percentile_from_log2_buckets({3: 1}, -5.0) == 16.0
+        h = Log2Histogram()
+        h.add(8.0)  # bucket 3: [8, 16)
+        assert h.percentile(150.0) == 16.0
+        assert h.percentile(-5.0) == 16.0
+
+    def test_nearest_rank_walks_buckets(self):
+        h = Log2Histogram()
+        for value in (2.0, 2.0, 3.0, 1000.0):
+            h.add(value)
+        assert h.percentile(75.0) == 4.0  # rank 3 of 4 is still in [2, 4)
+        assert h.percentile(76.0) == 1024.0
+
+    def test_summary(self):
+        h = Log2Histogram()
+        for value in (10.0, 100.0):
+            h.add(value)
+        assert h.summary() == {
+            "count": 2, "mean": 55.0, "p50": 16.0,
+            "p95": 128.0, "p99": 128.0, "max": 100.0,
+        }
+        assert (h.min, h.max, h.total) == (10.0, 100.0, 110.0)
 
 
 class TestProbeProgramEdgeCases:
-    """Satellite: rate-meter and log2-histogram edge cases in
-    repro.probes.programs must not raise."""
-
-    def test_histogram_percentile_empty(self):
-        h = LatencyHistogram(ProbeRegistry(None))
-        assert h.percentile(99.0) == 0.0
-
-    def test_histogram_percentile_single_sample(self):
-        h = LatencyHistogram(ProbeRegistry(None))
-        h(500.0)
-        assert h.percentile(50.0) == 512.0
-        assert h.percentile(99.9) == 512.0
+    """Rate-meter edge cases in repro.probes.programs must not raise."""
 
     def test_rate_meter_empty_reads(self):
         m = RateMeter(ProbeRegistry(None), bin_ns=100.0)
         assert m.series() == []
-        assert m.rate_at(0.0) == 0.0
-        assert m.rate_between(0.0, 1000.0) == 0.0
-
-    def test_rate_meter_zero_duration_window_is_zero(self):
-        m = RateMeter(ProbeRegistry(None), bin_ns=100.0)
-        m()
-        assert m.rate_between(50.0, 50.0) == 0.0
-        assert m.rate_between(100.0, 50.0) == 0.0
-
-    def test_rate_meter_rate_at_and_between(self):
-        class FakeClock:
-            def __init__(self):
-                self.now = 0.0
-
-        registry = ProbeRegistry(FakeClock())
-        m = RateMeter(registry, bin_ns=100.0)
-        for t in (10.0, 20.0, 150.0):
-            registry.sim.now = t
-            m()
-        # bin [0,100): 2 fires -> 2e7/s; bin [100,200): 1 fire -> 1e7/s
-        assert m.rate_at(50.0) == pytest.approx(2e7)
-        assert m.rate_at(150.0) == pytest.approx(1e7)
-        assert m.rate_at(950.0) == 0.0
-        # full span: 3 fires over 200 ns
-        assert m.rate_between(0.0, 200.0) == pytest.approx(1.5e7)
-        # half-bin overlap pro-rates the counts
-        assert m.rate_between(0.0, 50.0) == pytest.approx(2e7)
+        assert m.trace_tracks() == []

@@ -1,5 +1,5 @@
-"""Tests for the metrics-snapshot exporter, the Perfetto counter-track
-merge, and the ``python -m repro.probes`` CLI."""
+"""Tests for the metrics-snapshot exporter, the rate meters' Perfetto
+counter tracks, and the ``python -m repro.probes`` CLI."""
 
 import json
 
@@ -8,16 +8,14 @@ import pytest
 from repro.machine import small_machine
 from repro.probes import cli
 from repro.probes.cli import SpecError, apply_attach_spec, apply_policy_spec
-from repro.probes.exporters import (
-    PID_PROBES,
-    metrics_snapshot,
-    probe_counter_events,
-    write_metrics_snapshot,
-)
+from repro.probes.exporters import metrics_snapshot, write_metrics_snapshot
 from repro.probes.policy import fixed
 from repro.probes.programs import CounterProbe, RateMeter
 from repro.probes.tracepoints import ProbeRegistry
 from repro.system import System
+from repro.traceviz import PROCESSES, program_tracks, trace_events
+
+PROBES_PID = PROCESSES["probes"][0]
 
 
 def ran_system():
@@ -73,15 +71,15 @@ class TestMetricsSnapshot:
         assert loaded == written
 
 
-class TestProbeCounterEvents:
-    def test_none_registry_is_empty(self):
-        assert probe_counter_events(None) == []
+class TestProbeCounterTracks:
+    def test_no_programs_no_events(self):
+        assert trace_events(program_tracks(ProbeRegistry().programs)) == []
 
     def test_no_series_programs_no_events(self):
         reg = ProbeRegistry()
         reg.tracepoint("t")
         reg.attach("t", CounterProbe(reg))
-        assert probe_counter_events(reg) == []
+        assert program_tracks(reg.programs) == []
 
     def test_rate_meter_becomes_counter_track(self):
         class Clock:
@@ -92,16 +90,17 @@ class TestProbeCounterEvents:
         meter = reg.attach("irq.raised", RateMeter(reg, bin_ns=1000.0))
         meter()
         meter()
-        events = probe_counter_events(reg)
+        events = trace_events(program_tracks(reg.programs))
         assert events[0]["ph"] == "M"
-        assert events[0]["pid"] == PID_PROBES
+        assert events[0]["pid"] == PROBES_PID
         counters = [e for e in events if e["ph"] == "C"]
-        assert len(counters) == 1
-        event = counters[0]
-        assert event["name"] == "probe:irq.raised"
-        assert event["pid"] == PID_PROBES
-        assert event["args"]["value"] == 2e6  # 2 fires / 1000 ns
-        assert event["ts"] == 0.0
+        # 2 fires / 1000 ns, then the idle bin after it drops to zero.
+        assert [(e["ts"], e["args"]["value"]) for e in counters] == [
+            (0.0, 2e6), (1.0, 0.0)
+        ]
+        for event in counters:
+            assert event["name"] == "probe:irq.raised"
+            assert event["pid"] == PROBES_PID
 
 
 class TestAttachSpecs:

@@ -77,38 +77,41 @@ class TestLog2Bucket:
         probe(value)
         windowed = WindowedLog2Histogram(10.0)
         windowed.observe(1.0, value)
-        assert probe.buckets == windowed.lifetime_buckets == {bucket: 1}
+        windowed.flush(1)
+        assert probe.hist.buckets == {bucket: 1}
+        edge = float(2 ** (bucket + 1))
+        assert probe.hist.percentile(50.0) == windowed.windows[0][1]["p50"] == edge
 
 
 class TestLatencyHistogram:
     def test_log2_buckets(self, registry):
-        hist = LatencyHistogram(registry)
+        probe = LatencyHistogram(registry)
         for value in (0.25, 1, 1.5, 2, 3, 1000):
-            hist(value)
+            probe(value)
         # [0,2) -> bucket 0 for <1 and [1,2); [2,4) -> bucket 1; 1000 -> bucket 9.
-        assert hist.buckets == {0: 3, 1: 2, 9: 1}
+        assert probe.hist.buckets == {0: 3, 1: 2, 9: 1}
 
     def test_stats(self, registry):
-        hist = LatencyHistogram(registry)
-        hist(10)
-        hist(30)
-        assert hist.count == 2
-        assert hist.mean == pytest.approx(20.0)
-        assert hist.min == 10
-        assert hist.max == 30
+        probe = LatencyHistogram(registry)
+        probe(10)
+        probe(30)
+        assert probe.hist.count == 2
+        assert probe.hist.mean == pytest.approx(20.0)
+        assert probe.hist.min == 10
+        assert probe.hist.max == 30
 
     def test_non_numeric_and_missing_args_skipped(self, registry):
-        hist = LatencyHistogram(registry, value_arg=1)
-        hist("name-only")  # no arg 1
-        hist("name", "not-a-number")
-        assert hist.count == 0
-        assert hist.mean == 0.0
+        probe = LatencyHistogram(registry, value_arg=1)
+        probe("name-only")  # no arg 1
+        probe("name", "not-a-number")
+        assert probe.hist.count == 0
+        assert probe.hist.mean == 0.0
 
     def test_value_arg_selects_position(self, registry):
-        hist = LatencyHistogram(registry, value_arg=2)
-        hist("pread", 7, 4096.0)
-        assert hist.count == 1
-        assert hist.max == 4096.0
+        probe = LatencyHistogram(registry, value_arg=2)
+        probe("pread", 7, 4096.0)
+        assert probe.hist.count == 1
+        assert probe.hist.max == 4096.0
 
     def test_snapshot_bucket_labels(self, registry):
         hist = LatencyHistogram(registry)
@@ -131,8 +134,25 @@ class TestRateMeter:
         sim.now = 2500.0
         meter()
         # bin 0 holds 2 fires, bin 2 holds 1; rate = count * 1e9 / bin_ns.
-        assert meter.series() == [(0.0, 2e6), (2000.0, 1e6)]
+        # The empty bin after each populated run reads 0.
+        assert meter.series() == [
+            (0.0, 2e6), (1000.0, 0.0), (2000.0, 1e6), (3000.0, 0.0)
+        ]
         assert meter.count == 3
+
+    def test_idle_bins_drop_to_zero_once(self, registry):
+        """A Perfetto counter holds its value until the next sample, so
+        the first idle bin after a busy run must read 0 (and only the
+        first: a run of busy bins stays one unbroken track)."""
+        meter = RateMeter(registry, bin_ns=100.0)
+        for t in (10.0, 120.0, 130.0, 250.0, 940.0):
+            registry.sim.now = t
+            meter()
+        assert meter.series() == [
+            (0.0, 1e7), (100.0, 2e7), (200.0, 1e7), (300.0, 0.0),
+            (900.0, 1e7), (1000.0, 0.0),
+        ]
+        assert meter.snapshot()["bins"] == 4  # the zeros are not bins
 
     def test_snapshot(self, registry):
         meter = RateMeter(registry, bin_ns=500.0)
@@ -143,6 +163,6 @@ class TestRateMeter:
         assert snap["bin_ns"] == 500.0
         assert snap["bins"] == 1
 
-    def test_counter_and_hist_have_no_series(self, registry):
-        assert CounterProbe(registry).series() == []
-        assert LatencyHistogram(registry).series() == []
+    def test_counter_and_hist_draw_no_tracks(self, registry):
+        assert not hasattr(CounterProbe(registry), "trace_tracks")
+        assert not hasattr(LatencyHistogram(registry), "trace_tracks")

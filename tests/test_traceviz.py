@@ -1,17 +1,23 @@
-"""Tests for the Chrome-trace exporter."""
+"""Tests for the Chrome-trace exporter, the one Trace Event Format writer."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.machine import small_machine
+from repro.metrics import MetricsHub
+from repro.probes.programs import RateMeter
 from repro.system import System
-from repro.traceviz import export_chrome_trace, write_chrome_trace
+from repro.traceviz import PROCESSES, export_chrome_trace, write_chrome_trace
+from repro.tracing import SpanTracer
+
+SRC = Path(repro.__file__).parent
 
 
-@pytest.fixture
-def ran_system():
-    system = System(config=small_machine())
+def run_rw(system):
     system.kernel.fs.create_file("/data/f", b"t" * 8192, on_disk=True)
     system.kernel.fs.resolve("/data/f").cached_pages.clear()
     buf = system.memsystem.alloc_buffer(64)
@@ -26,6 +32,11 @@ def ran_system():
 
     system.run_to_completion(body())
     return system
+
+
+@pytest.fixture
+def ran_system():
+    return run_rw(System(config=small_machine()))
 
 
 class TestExport:
@@ -116,36 +127,26 @@ class TestTraceEventFormat:
 
 class TestProbeCounterTracks:
     def test_rate_meter_appears_as_probe_track(self):
-        from repro.probes.exporters import PID_PROBES
-        from repro.probes.programs import RateMeter
-
         system = System(config=small_machine())
-        system.probes.attach(
+        meter = system.probes.attach(
             "syscall.complete", RateMeter(system.probes, bin_ns=5000.0)
         )
-        system.kernel.fs.create_file("/data/f", b"t" * 4096, on_disk=True)
-        buf = system.memsystem.alloc_buffer(64)
-
-        def kern(ctx):
-            fd = yield from ctx.sys.open("/data/f")
-            yield from ctx.sys.pread(fd, buf, 64, 0)
-            yield from ctx.sys.close(fd)
-
-        def body():
-            yield system.launch(kern, 2, 2)
-
-        system.run_to_completion(body())
+        run_rw(system)
         trace = export_chrome_trace(system)
         probe_events = [
             e
             for e in trace["traceEvents"]
             if e.get("ph") == "C" and e["name"].startswith("probe:")
         ]
-        assert probe_events
+        assert [(e["ts"] * 1000.0, e["args"]["value"]) for e in probe_events] == [
+            (t, round(v, 4)) for t, v in meter.series()
+        ]
         for event in probe_events:
             assert event["name"] == "probe:syscall.complete"
-            assert event["pid"] == PID_PROBES
-            assert event["args"]["value"] > 0
+            assert event["pid"] == PROCESSES["probes"][0]
+        # Idle time after the last busy bin reads as idle, not busy.
+        assert probe_events[-1]["args"]["value"] == 0.0
+        assert max(e["args"]["value"] for e in probe_events) > 0
 
     def test_no_probes_no_probe_tracks(self, ran_system):
         trace = export_chrome_trace(ran_system)
@@ -154,3 +155,91 @@ class TestProbeCounterTracks:
             for e in trace["traceEvents"]
             if e.get("ph") == "C"
         )
+
+
+def _module_nodes():
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        yield rel, ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
+class TestOneWriter:
+    """traceviz is the only TEF writer, over the one pid table."""
+
+    def test_only_traceviz_builds_trace_events(self):
+        writers = set()
+        for rel, nodes in _module_nodes():
+            for node in nodes:
+                keyed = isinstance(node, ast.Dict) and any(
+                    isinstance(k, ast.Constant) and k.value == "ph"
+                    for k in node.keys
+                )
+                called = isinstance(node, ast.Call) and any(
+                    kw.arg == "ph" for kw in node.keywords
+                )
+                if keyed or called:
+                    writers.add(rel)
+        assert writers == {"traceviz.py"}
+
+    def test_no_pid_constants(self):
+        found = [
+            (rel, target.id)
+            for rel, nodes in _module_nodes()
+            for node in nodes
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.startswith("PID_")
+        ]
+        assert found == []
+
+    def test_only_log2histogram_buckets(self):
+        """One histogram: the package calls ``log2_bucket`` once, inside
+        Log2Histogram."""
+
+        def calls(nodes):
+            return sum(
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)
+                and n.func.id == "log2_bucket"
+                for n in nodes
+            )
+
+        total = sum(calls(nodes) for _, nodes in _module_nodes())
+        tree = ast.parse((SRC / "probes" / "programs.py").read_text())
+        (hist,) = [
+            n for n in tree.body
+            if isinstance(n, ast.ClassDef) and n.name == "Log2Histogram"
+        ]
+        assert total == calls(ast.walk(hist)) == 1
+
+    def test_shared_processes_and_threads_are_named_once(self):
+        system = System(config=small_machine())
+        registry = system.probes
+        registry.attach("syscall.complete", RateMeter(registry, bin_ns=5000.0))
+        registry.attach("irq.raised", RateMeter(registry, bin_ns=2000.0))
+        SpanTracer(registry).install()
+        MetricsHub(label="a").install(registry)
+        MetricsHub(label="b").install(registry)
+        run_rw(system)
+        events = export_chrome_trace(system)["traceEvents"]
+
+        used = {e["pid"] for e in events if e["ph"] != "M"}
+        assert used == {pid for pid, _ in PROCESSES.values()}
+        process_names = [
+            (e["pid"], e["args"]["name"])
+            for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+        ]
+        assert sorted(process_names) == sorted(PROCESSES.values())
+        threads = [
+            (e["pid"], e["tid"])
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        ]
+        assert len(threads) == len(set(threads))
+
+        tracks = {e["name"] for e in events if e["ph"] == "C"}
+        assert {"probe:syscall.complete", "probe:irq.raised"} <= tracks
+        metric_tracks = {t for t in tracks if t.startswith("metric:")}
+        assert {t.split(":")[1] for t in metric_tracks} == {"a", "b"}
+        assert "metric:a:syscall.rate" in metric_tracks

@@ -15,9 +15,16 @@ import pytest
 from repro.core.invocation import WaitMode
 from repro.machine import small_machine
 from repro.system import System
-from repro.tracing import STAGE_ORDER, InvocationTrace, SpanTracer, span_tracers
+from repro.traceviz import PROCESSES, chrome_trace, program_tracks, trace_events
+from repro.tracing import STAGE_ORDER, InvocationTrace, SpanTracer
 from repro.tracing import analysis, gate
-from repro.tracing.export import PID_SPANS, STAGE_TIDS, span_events, tef_dict
+from repro.tracing.spans import STAGE_TIDS
+
+SPANS_PID = PROCESSES["spans"][0]
+
+
+def span_events(tracer):
+    return trace_events(program_tracks([tracer]))
 
 
 def traced_system():
@@ -132,7 +139,7 @@ class TestSpanReconstruction:
         system = System(config=small_machine())
         system.kernel.fs.create_file("/data/f", b"t" * 8192, on_disk=True)
         run_rw_workload(system)
-        assert span_tracers(system.probes) == []
+        assert system.probes.programs == []
         assert system.genesys._next_invocation_id == system.genesys.syscalls_completed
 
 
@@ -197,11 +204,10 @@ class TestHaltResumeAccounting:
 
 
 class TestAnalysis:
-    def test_percentile_nearest_rank(self):
-        values = [10.0, 20.0, 30.0, 40.0]
-        assert analysis.percentile(values, 50) == 20.0
-        assert analysis.percentile(values, 95) == 40.0
-        assert analysis.percentile([], 50) == 0.0
+    def test_summarize_nearest_rank(self):
+        stats = analysis.summarize([40.0, 10.0, 30.0, 20.0])
+        assert (stats["p50"], stats["p95"], stats["max"]) == (20.0, 40.0, 40.0)
+        assert stats["mean"] == 25.0
 
     def test_summarize_empty(self):
         stats = analysis.summarize([])
@@ -254,9 +260,9 @@ class TestSpanExport:
     def test_span_events_pid_and_tids(self):
         system, tracer = traced_system()
         run_rw_workload(system)
-        events = span_events([tracer])
+        events = span_events(tracer)
         assert events
-        assert {e["pid"] for e in events} == {PID_SPANS}
+        assert {e["pid"] for e in events} == {SPANS_PID}
         spans = [e for e in events if e["ph"] == "X"]
         assert len(spans) == sum(len(t.spans()) for t in tracer.completed)
         for event in spans:
@@ -265,7 +271,7 @@ class TestSpanExport:
     def test_flow_arrows_pair_up(self):
         system, tracer = traced_system()
         run_rw_workload(system)
-        events = span_events([tracer])
+        events = span_events(tracer)
         starts = [e for e in events if e["ph"] == "s"]
         finishes = [e for e in events if e["ph"] == "f"]
         assert len(starts) == len(finishes) == len(tracer.completed)
@@ -276,7 +282,7 @@ class TestSpanExport:
     def test_metadata_names_every_stage_track(self):
         system, tracer = traced_system()
         run_rw_workload(system)
-        events = span_events([tracer])
+        events = span_events(tracer)
         named = {
             e["tid"]
             for e in events
@@ -286,8 +292,8 @@ class TestSpanExport:
 
     def test_no_traces_no_events(self):
         system, tracer = traced_system()
-        assert span_events([tracer]) == []
-        assert tef_dict([tracer])["traceEvents"] == []
+        assert tracer.trace_tracks() == []
+        assert chrome_trace(program_tracks([tracer]), {})["traceEvents"] == []
 
     def test_traceviz_merges_span_process(self):
         from repro.traceviz import export_chrome_trace
@@ -296,7 +302,7 @@ class TestSpanExport:
         run_rw_workload(system)
         trace = export_chrome_trace(system)
         events = trace["traceEvents"]
-        assert any(e["pid"] == PID_SPANS for e in events)
+        assert any(e["pid"] == SPANS_PID for e in events)
         named = {
             e["pid"]
             for e in events
@@ -449,7 +455,7 @@ class TestTracingCli:
         out = capsys.readouterr().out
         assert "stage latency" in out
         doc = json.loads(tef.read_text())
-        assert any(e.get("pid") == PID_SPANS for e in doc["traceEvents"])
+        assert any(e.get("pid") == SPANS_PID for e in doc["traceEvents"])
 
     def test_record_then_gate(self, capsys, tmp_path):
         from repro.tracing.cli import main
