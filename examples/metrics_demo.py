@@ -17,7 +17,7 @@ Run:  python examples/metrics_demo.py
 
 from repro import experiments
 from repro.metrics import MetricsHubPlan
-from repro.metrics.cli import render_frame
+from repro.metrics.gtop import render_frame
 from repro.metrics.export import prometheus_text
 from repro.probes.tracepoints import attached
 

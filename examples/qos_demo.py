@@ -107,7 +107,7 @@ def act3_overload():
         print(f"-> the plan holds {gain:.1f}x the bare goodput at 2x the knee")
     print()
     print("full curves (0.5x..3x, with the CI gate):")
-    print("  python -m repro.serving overload --check")
+    print("  python -m repro overload --check")
 
 
 def main():

@@ -1,0 +1,1150 @@
+"""``python -m repro <verb>``: the one command line.
+
+Every verb is built from the same option groups:
+
+* experiment names, checked against ``repro.experiments.REGISTRY``;
+* the serving group (``--workload``, ``--clients``, ``--measure-us``,
+  ...), whose defaults are ``ServingConfig()``'s;
+* the observer specs, ``--attach SPEC`` and ``--policy HOOK=VALUE``,
+  applied by one attach plan to every System a run builds;
+* ``--seeds`` (``1,2,5`` or ``1:6``) and ``--workers`` (default: the
+  CPUs this process may run on for chaos, overload and pytest; 1 for
+  the verbs that farming does not speed up).
+
+Verbs::
+
+    list [experiments|tracepoints|profiles|scenarios]
+    run NAME...|--all [--attach SPEC]... [--policy HOOK=VALUE]...
+    serve --rps N [--attach SPEC]...      one fixed-RPS serving point
+    gtop NAME|serving                     live metrics frames
+    record NAME... / gate [NAME...]       latency baselines and the gate
+    check / lint                          GSan sweep, static lint
+    corpus [gsan|gmc]                     the seeded-bug corpora
+    explore / replay                      schedule model checking
+    chaos [--workers N] [--gsan]          the fault-injection matrix
+    pytest                                the test suite, sharded
+    sweep / overload / report             serving curves and their gates
+
+Attach specs (``--attach``, repeatable)::
+
+    counter:PATTERN[:key=N]   count fires; PATTERN is a name, prefix*
+                              glob, or *; key=N also counts per value
+                              of fire argument N
+    hist:NAME[:value=N]       log2 latency histogram over argument N
+                              (default 0) of tracepoint NAME
+    rate:NAME[:bin_ns]        fires/second time series in bin_ns bins
+    spans                     per-invocation span tracer; prints the
+                              span report (--spans-json, --tef)
+    metrics[:window_us]       windowed metrics hub; prints the final
+                              gtop frame (--hub-json, --prom, --csv)
+
+``--policy coalesce.window=20000`` pins a policy hook to a constant,
+the command-line twin of writing ``/sys/genesys/coalesce_window_ns``.
+
+Bad input exits 2 with an ``error:`` line; a failed check exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import subprocess
+import sys
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
+
+from repro import experiments
+from repro.faults.chaos import PROFILES
+from repro.metrics.export import csv_text, prometheus_text, series_payload
+from repro.metrics.gtop import GtopRenderer, render_frame, series_lines
+from repro.metrics.hub import DEFAULT_WINDOW_NS, MetricsHub, MetricsHubPlan
+from repro.modelcheck.certificate import (
+    load_certificate,
+    make_certificate,
+    render_certificate,
+    replay,
+    save_certificate,
+    shrink,
+)
+from repro.modelcheck.corpus import check_corpus
+from repro.modelcheck.explore import Bounds, explore
+from repro.modelcheck.scenarios import build_scenario, resolve_plan, scenario_names
+from repro.probes.exporters import metrics_snapshot
+from repro.probes.policy import fixed
+from repro.probes.programs import CounterProbe, LatencyHistogram, RateMeter
+from repro.probes.tracepoints import ProbeRegistry, attached
+from repro.runfarm import default_workers, merge_reports, run_chaos_matrix, shard
+from repro.sanitizers.corpus import ENTRIES, distinct_rules, run_corpus
+from repro.sanitizers.gsan import GSanPlan
+from repro.sanitizers.lint import run_lint
+from repro.serving import report as serving_report
+from repro.serving.arrivals import KINDS, ArrivalSpec
+from repro.serving.sweep import (
+    DEFAULT_MULTIPLIERS,
+    WORKLOADS,
+    ServingConfig,
+    build_target,
+    default_grid,
+    default_knee,
+    default_overload_plan,
+    memcached_reply_check,
+    overload_curve,
+    run_point_on,
+    sweep,
+)
+from repro.system import System
+from repro.traceviz import chrome_trace, program_tracks
+from repro.tracing import analysis
+from repro.tracing.gate import (
+    DEFAULT_ABS_NS,
+    DEFAULT_DIR,
+    DEFAULT_TOLERANCE,
+    baseline_path,
+    build_baseline,
+    gate_experiment,
+    recorded_experiments,
+    write_baseline,
+)
+from repro.tracing.spans import InvocationTrace, SpanTracer
+
+#: The package root the default lint run covers (``src/repro``).
+LINT_ROOT = Path(__file__).resolve().parent
+
+Args = argparse.Namespace
+N = TypeVar("N", int, float)
+
+
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """Bad command-line input.  Raised by an argparse ``type`` or by a
+    verb; either way the user sees an ``error:`` line and exit code 2."""
+
+
+# -- value parsers (argparse ``type=``) --------------------------------------
+
+
+def _bounded(cast: Callable[[str], N], low: N, strict: bool = False) -> Callable[[str], N]:
+    """``cast(text)``, at least ``low`` (above it when ``strict``)."""
+
+    def parse(text: str) -> N:
+        try:
+            value = cast(text)
+        except ValueError:
+            raise UsageError(f"{text!r} is not a number") from None
+        if not (value > low if strict else value >= low):  # NaN fails too
+            raise UsageError(f"{text!r} must be {'>' if strict else '>='} {low}")
+        return value
+
+    return parse
+
+
+POSITIVE_INT = _bounded(int, 0, strict=True)
+NON_NEGATIVE_INT = _bounded(int, 0)
+POSITIVE = _bounded(float, 0.0, strict=True)
+NON_NEGATIVE = _bounded(float, 0.0)
+
+
+def _one_of(what: str, known: Sequence[str]) -> Callable[[str], str]:
+    """A name from ``known``."""
+
+    def parse(name: str) -> str:
+        if name not in known:
+            raise UsageError(f"unknown {what} {name!r}; choose from {', '.join(known)}")
+        return name
+
+    return parse
+
+
+def _list_of(item: Callable[[str], str]) -> Callable[[str], List[str]]:
+    """A comma-separated list, each entry parsed by ``item``."""
+
+    def parse(text: str) -> List[str]:
+        return [item(name.strip()) for name in text.split(",") if name.strip()]
+
+    return parse
+
+
+experiment_name = _one_of("experiment", experiments.all_names())
+
+
+def seeds(text: str) -> List[int]:
+    """``1,2,5`` or ``1:6`` (half-open range), or a mix of both."""
+    out: List[int] = []
+    try:
+        for part in filter(None, map(str.strip, text.split(","))):
+            lo, sep, hi = part.partition(":")
+            out.extend(range(int(lo), int(hi)) if sep else [int(lo)])
+    except ValueError:
+        raise UsageError(f"bad seeds {text!r}: expected e.g. 1,2,5 or 1:6") from None
+    if not out:
+        raise UsageError(f"no seeds in {text!r}")
+    return out
+
+
+def _existing(test: Callable[[str], bool], what: str) -> Callable[[str], str]:
+    """A path that ``test`` accepts.  Called by the verb, not by argparse,
+    so documented commands parse before their input files exist."""
+
+    def check(path: str) -> str:
+        if not test(path):
+            raise UsageError(f"no such {what}: {path!r}")
+        return path
+
+    return check
+
+
+existing_file = _existing(os.path.isfile, "file")
+existing_path = _existing(os.path.exists, "file or directory")
+
+
+@dataclass(frozen=True)
+class AttachSpec:
+    """One parsed ``--attach`` value (grammar in the module docstring)."""
+
+    text: str
+    kind: str
+    target: str = ""
+    #: key=N (counter), value=N (hist), bin_ns (rate), window_ns (metrics).
+    number: Optional[float] = None
+
+
+def attach_spec(text: str) -> AttachSpec:
+    try:
+        return _parse_attach(text)
+    except UsageError as err:
+        raise UsageError(f"{text!r}: {err}") from None
+
+
+def _parse_attach(text: str) -> AttachSpec:
+    kind, _, rest = text.partition(":")
+    target, _, option = rest.partition(":")
+    if kind == "spans":
+        if rest not in ("", "*"):
+            raise UsageError("spans takes no target")
+        return AttachSpec(text, kind)
+    if kind == "metrics":
+        return AttachSpec(text, kind, number=POSITIVE(rest) * 1000.0 if rest else None)
+    if kind not in ("counter", "hist", "rate"):
+        raise UsageError(f"unknown kind {kind!r} (counter|hist|rate|spans|metrics)")
+    if not target:
+        raise UsageError(f"expected {kind}:TARGET")
+    if kind == "rate":
+        return AttachSpec(text, kind, target, POSITIVE_INT(option) if option else None)
+    key = "key=" if kind == "counter" else "value="
+    if option and not option.startswith(key):
+        raise UsageError(f"{kind} option must be {key}N")
+    return AttachSpec(
+        text, kind, target, NON_NEGATIVE_INT(option[len(key):]) if option else None
+    )
+
+
+def policy_spec(text: str) -> Tuple[str, float]:
+    hook, sep, raw = text.partition("=")
+    if not hook or not sep or not raw:
+        raise UsageError(f"{text!r}: expected HOOK=VALUE")
+    try:
+        value: float = float(raw) if ("." in raw or "e" in raw.lower()) else int(raw)
+    except ValueError:
+        raise UsageError(f"{text!r}: VALUE must be numeric") from None
+    return hook, value
+
+
+# -- the attach plan ---------------------------------------------------------
+
+
+class AttachPlan:
+    """Every ``--attach``/``--policy`` spec of one run as one attach plan.
+
+    Each System built under ``with attached(plan):`` gets all of them in
+    command-line order; the plan keeps each registry for the report.
+    A spec naming an unknown tracepoint or hook raises
+    :class:`UsageError` at the first System, before it runs.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[AttachSpec] = (),
+        policies: Sequence[Tuple[str, float]] = (),
+        listener: Optional[Callable[[MetricsHub, float], None]] = None,
+    ) -> None:
+        self.specs = list(specs)
+        self.policies = list(policies)
+        self.kinds = {spec.kind for spec in self.specs}
+        self.hub_plans = {
+            spec: MetricsHubPlan(
+                window_ns=spec.number or DEFAULT_WINDOW_NS, listener=listener
+            )
+            for spec in self.specs
+            if spec.kind == "metrics"
+        }
+        self.registries: List[ProbeRegistry] = []
+
+    def __call__(self, registry: ProbeRegistry) -> None:
+        self.registries.append(registry)
+        for spec in self.specs:
+            try:
+                self._attach(registry, spec)
+            except KeyError as err:
+                raise UsageError(f"--attach {spec.text!r}: {err.args[0]}") from None
+        for hook, value in self.policies:
+            try:
+                registry.attach_policy(hook, fixed(value))
+            except KeyError as err:
+                raise UsageError(f"--policy {hook}={value}: {err.args[0]}") from None
+
+    def _attach(self, registry: ProbeRegistry, spec: AttachSpec) -> None:
+        if spec.kind == "spans":
+            SpanTracer(registry).install()
+        elif spec.kind == "metrics":
+            self.hub_plans[spec](registry)
+        elif spec.kind == "counter":
+            key_arg = None if spec.number is None else int(spec.number)
+            # A glob that matches nothing is refused like an unknown name.
+            for tp in registry.match(spec.target) or [registry.get(spec.target)]:
+                registry.attach(tp.name, CounterProbe(registry, key_arg=key_arg))
+        elif spec.kind == "hist":
+            value_arg = int(spec.number or 0)
+            registry.attach(spec.target, LatencyHistogram(registry, value_arg=value_arg))
+        else:
+            bin_ns = spec.number or 10_000.0
+            registry.attach(spec.target, RateMeter(registry, bin_ns=bin_ns))
+
+    @property
+    def hubs(self) -> List[MetricsHub]:
+        return [hub for plan in self.hub_plans.values() for hub in plan.hubs]
+
+    @property
+    def traces(self) -> List[InvocationTrace]:
+        return [
+            trace
+            for registry in self.registries
+            for program in registry.programs
+            if isinstance(program, SpanTracer)
+            for trace in program.completed
+        ]
+
+
+#: Report outputs and the observer each one reads.
+_OUTPUT_NEEDS = {
+    "spans_json": "spans",
+    "hub_json": "metrics",
+    "prom": "metrics",
+    "csv": "metrics",
+    "series": "metrics",
+}
+
+
+def _plan(args: Args, policies: Sequence[Tuple[str, float]] = ()) -> AttachPlan:
+    plan = AttachPlan(args.attach, policies)
+    for dest, kind in _OUTPUT_NEEDS.items():
+        if getattr(args, dest) and kind not in plan.kinds:
+            raise UsageError(f"--{dest.replace('_', '-')} needs --attach {kind}")
+    return plan
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
+def _report(args: Args, plan: AttachPlan, title: str) -> None:
+    """Print what the attached observers saw; write the files asked for."""
+    traces = plan.traces
+    if "spans" in plan.kinds:
+        print(analysis.render_report(traces, title=title, slowest_n=args.slowest))
+    hubs = plan.hubs
+    for hub in hubs:
+        hub.finalize()
+        print(render_frame(hub, hub.now(), title))
+        print()
+    if hubs and args.series:
+        lines = series_lines(hubs[-1], args.series)
+        if not lines:
+            raise UsageError(f"--series {args.series!r}: no such series")
+        print("\n".join(lines))
+    if args.probes_json:
+        snapshot = {
+            "schema": 1,
+            "experiment": title,
+            "num_systems": len(plan.registries),
+            "systems": [metrics_snapshot(r, experiment=title) for r in plan.registries],
+        }
+        _write(args.probes_json, json.dumps(snapshot, indent=2) + "\n")
+    if args.spans_json:
+        document = build_baseline(title, traces)
+        document["by_syscall"] = analysis.by_key(traces, lambda t: t.name)
+        document["critical_path"] = analysis.critical_path(traces)
+        _write(args.spans_json, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    if args.tef:
+        programs = [p for registry in plan.registries for p in registry.programs]
+        document = chrome_trace(
+            program_tracks(programs),
+            {"generator": "repro.tracing (GENESYS reproduction)",
+             "invocations": len(traces)},
+        )
+        _write(args.tef, json.dumps(document))
+    if hubs and args.prom:
+        _write(args.prom, prometheus_text(hubs[-1], title))
+    if hubs and args.csv:
+        _write(args.csv, csv_text(hubs[-1]))
+    if args.hub_json:
+        doc = {"experiment": title, "hubs": [series_payload(hub) for hub in hubs]}
+        _write(args.hub_json, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+# -- verbs -------------------------------------------------------------------
+
+
+def _cmd_list(args: Args) -> int:
+    if args.target == "experiments":
+        print("available experiments:")
+        for name in experiments.all_names():
+            print(f"  {name:<18} {getattr(experiments.load(name), 'TITLE', '')}")
+    elif args.target == "tracepoints":
+        for name, info in System().probes.catalogue().items():
+            tag = "hook" if info["kind"] == "hook" else "tp  "
+            print(f"{tag} {name:<26} ({', '.join(info['args'])})  {info['doc']}")
+    elif args.target == "profiles":
+        print(f"{'experiment':<12} {'fault classes':<52} recovery")
+        print("-" * 100)
+        for name, plan in PROFILES.items():
+            classes = ",".join(plan.active_classes()) or "-"
+            watchdog = (
+                f"watchdog={plan.watchdog_period_ns:g}ns"
+                if plan.watchdog_period_ns else "watchdog=off"
+            )
+            slot = (
+                f"slot_timeout={plan.slot_timeout_ns:g}ns"
+                if plan.slot_timeout_ns else "slot_timeout=off"
+            )
+            print(f"{name:<12} {classes:<52} {watchdog} {slot}")
+    else:
+        print("\n".join(scenario_names()))
+    return 0
+
+
+def _cmd_run(args: Args) -> int:
+    names = experiments.all_names() if args.all else args.names
+    if not names:
+        raise UsageError("name one or more experiments, or pass --all")
+    for name in names:
+        plan = _plan(args, args.policy)
+        start = time.time()
+        with attached(plan):
+            result = experiments.run(name)
+        if not args.quiet:
+            print(result.render())
+        if (plan.specs or plan.policies) and not plan.registries:
+            print(f"warning: {name} built no System; nothing was observed",
+                  file=sys.stderr)
+        _report(args, plan, name)
+        print(f"[{name}: {time.time() - start:.1f}s wall]\n")
+    return 0
+
+
+def _serving_config(args: Args) -> ServingConfig:
+    try:
+        return _build_serving_config(args)
+    except ValueError as err:  # ArrivalSpec/ServingConfig validation
+        raise UsageError(str(err)) from None
+
+
+def _build_serving_config(args: Args) -> ServingConfig:
+    return ServingConfig(
+        workload=args.workload,
+        arrival=ArrivalSpec(
+            kind=args.arrival,
+            on_fraction=args.on_fraction,
+            period_ns=args.period_ns,
+        ),
+        zipf_s=args.zipf_s,
+        seed=args.seed,
+        num_clients=args.clients,
+        timeout_ns=args.timeout_us * 1e3,
+        warmup_ns=args.warmup_us * 1e3,
+        measure_ns=args.measure_us * 1e3,
+        report_window_ns=args.window_us * 1e3,
+        num_workgroups=args.workgroups,
+        workgroup_size=args.workgroup_size,
+        rx_backlog=args.rx_backlog or None,
+        slo_p99_ns=args.slo_p99_us * 1e3,
+        slo_completion=args.slo_completion,
+    )
+
+
+def _serve_point(args: Args, plan: AttachPlan) -> Tuple[str, dict]:
+    """Run one fixed-RPS point under ``plan``: its summary line and stats."""
+    config = _serving_config(args)
+    with attached(plan):
+        system, workload = build_target(config)
+    check = memcached_reply_check(workload) if config.workload == "memcached" else None
+    point = run_point_on(system, workload, config, args.rps, check_reply=check)
+    latency = point["latency_ns"]
+    return (
+        f"{config.workload} @ {args.rps} RPS ({config.arrival.kind}): "
+        f"offered {point['offered_rps']:.0f}, achieved "
+        f"{point['achieved_rps']:.0f} ({point['completion']:.3f}), "
+        f"p50/p95/p99 = {latency['p50'] / 1e3:.1f}/"
+        f"{latency['p95'] / 1e3:.1f}/{latency['p99'] / 1e3:.1f} us, "
+        f"SLO {'ok' if point['slo_ok'] else 'MISS'}"
+    ), point
+
+
+def _cmd_serve(args: Args) -> int:
+    plan = _plan(args)
+    summary, point = _serve_point(args, plan)
+    if not args.quiet:
+        print(summary)
+    _report(args, plan, "serving")
+    if args.json:
+        _write(args.json, json.dumps(point, sort_keys=True, indent=2) + "\n")
+    return 0
+
+
+def _cmd_gtop(args: Args) -> int:
+    serving = args.target == "serving"
+    title = f"serving {args.workload} @{args.rps}rps" if serving else args.target
+    renderer = GtopRenderer(
+        title, every=args.every, follow=args.follow, max_frames=args.max_frames
+    )
+    if len(args.attach) > 1 or any(spec.kind != "metrics" for spec in args.attach):
+        texts = " ".join(spec.text for spec in args.attach)
+        raise UsageError(f"--attach {texts!r}: gtop takes one metrics[:window_us]")
+    plan = AttachPlan(args.attach or [attach_spec("metrics")], listener=renderer)
+    if serving:
+        summary, _point = _serve_point(args, plan)
+    else:
+        with attached(plan):
+            rendered = experiments.run(args.target).render()
+        summary = rendered.splitlines()[0] if rendered else ""
+    for hub in plan.hubs:
+        hub.finalize()
+        print(render_frame(hub, hub.now(), f"{title} (final)"))
+        print()
+    if summary:
+        print(summary)
+    if args.prom_stdout and plan.hubs:
+        print()
+        print(prometheus_text(plan.hubs[-1], title), end="")
+    return 0
+
+
+def _traces(name: str) -> List[InvocationTrace]:
+    plan = AttachPlan([attach_spec("spans")])
+    with attached(plan):
+        experiments.run(name)
+    return plan.traces
+
+
+def _cmd_record(args: Args) -> int:
+    for name in args.names:
+        traces = _traces(name)
+        if not traces:
+            raise UsageError(f"{name!r} traced no invocations; nothing to record")
+        baseline = build_baseline(name, traces)
+        path = write_baseline(args.dir, baseline)
+        print(f"recorded {name}: {baseline['invocations']} invocations -> {path}")
+    return 0
+
+
+def _cmd_gate(args: Args) -> int:
+    names = args.names or recorded_experiments(args.dir)
+    if not names:
+        raise UsageError(f"no baselines under {args.dir!r}; run `record` first")
+    for name in names:
+        if not os.path.isfile(baseline_path(args.dir, name)):
+            raise UsageError(f"no baseline for {name!r} under {args.dir!r}")
+    passed = True
+    for name in names:
+        result = gate_experiment(
+            name, _traces(name), args.dir,
+            tolerance=args.tolerance, abs_ns=args.abs_ns,
+        )
+        print(result.render())
+        passed = passed and result.passed
+    print("gate:", "PASS" if passed else "FAIL")
+    return 0 if passed else 1
+
+
+def _cmd_check(args: Args) -> int:
+    rows = []
+    failed = False
+    for name in args.experiments or experiments.all_names():
+        bare = experiments.run(name).render()
+        plan = GSanPlan()
+        with attached(plan):
+            rendered = experiments.run(name).render()
+        violations = plan.finish()
+        identical = rendered == bare
+        rows.append({
+            "experiment": name,
+            "byte_identical": identical,
+            "events": plan.events,
+            "violations": len(violations),
+            "systems": len(plan.sanitizers),
+        })
+        if not identical or violations:
+            failed = True
+            if not args.json:
+                print(f"FAIL {name}: identical={identical} "
+                      f"violations={len(violations)}")
+                for violation in violations:
+                    print(violation.render())
+        elif not args.json:
+            print(
+                f"ok   {name}: byte-identical, {plan.events} events, "
+                f"0 violations ({len(plan.sanitizers)} system(s))"
+            )
+    if args.json:
+        print(json.dumps({"experiments": rows, "ok": not failed}, indent=2))
+    elif not failed:
+        print(f"GSan sweep: {len(rows)} experiment(s) byte-identical, clean")
+    return 1 if failed else 0
+
+
+def _cmd_lint(args: Args) -> int:
+    paths = [Path(existing_path(p)) for p in args.paths] or [LINT_ROOT]
+    findings = run_lint(paths)
+    if args.json:
+        print(json.dumps({
+            "findings": [
+                {"code": f.code, "path": f.path, "line": f.line, "message": f.message}
+                for f in findings
+            ],
+            "ok": not findings,
+        }, indent=2))
+    else:
+        for finding in findings:
+            print(finding.render())
+        label = ", ".join(str(p) for p in paths)
+        if findings:
+            print(f"repro.lint: {len(findings)} finding(s) in {label}")
+        else:
+            print(f"repro.lint: clean ({label})")
+    return 1 if findings else 0
+
+
+def _gsan_corpus(args: Args) -> Tuple[bool, dict]:
+    results = run_corpus(args.entries)
+    missed = [result for result in results if not result.detected]
+    if not args.json:
+        for result in results:
+            print(result.render())
+            print()
+        print(
+            f"violation corpus: {len(results) - len(missed)}/{len(results)} "
+            f"seeded bugs detected across {len(distinct_rules())} rules"
+        )
+    return not missed, {
+        "entries": [
+            {
+                "name": result.entry.name,
+                "expected_rule": result.entry.expected_rule,
+                "detected": result.detected,
+                "rules_hit": result.sanitizer.rules_hit(),
+            }
+            for result in results
+        ],
+        "distinct_rules": distinct_rules(),
+        "ok": not missed,
+    }
+
+
+def _write_cert(cert: dict, cert_dir: str, stem: str) -> str:
+    os.makedirs(cert_dir, exist_ok=True)
+    path = os.path.join(cert_dir, f"{stem}.json")
+    save_certificate(cert, path)
+    return path
+
+
+def _gmc_corpus(args: Args) -> Tuple[bool, dict]:
+    reports = check_corpus(workers=args.workers)
+    ok = True
+    for report in reports:
+        passed = bool(
+            report["fifo_clean"]
+            and report["found"]
+            and report.get("replay_hits_rule", False)
+        )
+        ok = ok and passed
+        if report["certificate"] is not None:
+            report["certificate_path"] = _write_cert(
+                report["certificate"], args.cert_dir, report["bug"]
+            )
+        if not args.json:
+            print(
+                f"{'ok  ' if passed else 'FAIL'} {report['bug']}: "
+                f"fifo_clean={report['fifo_clean']} "
+                f"found={report['found']} rule={report['expected_rule']} "
+                f"schedules={report['schedules']} pruned={report['pruned']}"
+            )
+            if report["certificate"] is not None:
+                choices = report["certificate"]["choices"]
+                print(
+                    f"     minimal certificate ({len(choices)} choice(s)) "
+                    f"-> {report['certificate_path']}"
+                )
+    if ok and not args.json:
+        print(
+            f"gmc corpus: {len(reports)}/{len(reports)} seeded ordering bugs "
+            f"found with minimal replayable certificates"
+        )
+    return ok, {"bugs": reports, "ok": ok}
+
+
+CORPORA: Dict[str, Callable[[Args], Tuple[bool, dict]]] = {
+    "gsan": _gsan_corpus,
+    "gmc": _gmc_corpus,
+}
+
+
+def _cmd_corpus(args: Args) -> int:
+    kinds = [args.target] if args.target else list(CORPORA)
+    results = {kind: CORPORA[kind](args) for kind in kinds}
+    if args.json:
+        docs = {kind: doc for kind, (_ok, doc) in results.items()}
+        print(json.dumps(docs[kinds[0]] if len(kinds) == 1 else docs, indent=2))
+    return 0 if all(ok for ok, _doc in results.values()) else 1
+
+
+def _cmd_explore(args: Args) -> int:
+    plan = resolve_plan(profile=args.profile, seed=args.seed)
+    plan_doc = plan.as_dict() if plan is not None else None
+    try:
+        build_scenario(args.scenario, plan=plan_doc, seed=args.seed)
+    except ValueError as err:  # a micro scenario takes no fault profile
+        raise UsageError(str(err)) from None
+    bounds = Bounds(
+        max_schedules=args.schedules,
+        max_depth=args.depth,
+        max_preemptions=args.preemptions,
+        dpor=not args.no_dpor,
+    )
+    report = explore(
+        args.scenario, plan=plan_doc, seed=args.seed, bounds=bounds,
+        workers=args.workers,
+    )
+    if args.json:
+        print(json.dumps(report.as_dict(), indent=2))
+    else:
+        print(
+            f"gmc explore {args.scenario}: {report.schedules} schedule(s) "
+            f"visited, {report.pruned} pruned"
+            f"{' (budget truncated)' if report.truncated else ''}, "
+            f"{len(report.violating)} violating"
+        )
+    if not report.violating:
+        return 0
+    for number, finding in enumerate(report.violating):
+        cert = make_certificate(
+            args.scenario,
+            finding["choices"],
+            plan=plan_doc,
+            profile=args.profile,
+            seed=args.seed,
+            rules=finding["rules"],
+            violations=finding["violations"],
+        )
+        rules = set(finding["rules"])
+        if args.shrink and rules:
+            shrunk, _attempts = shrink(
+                args.scenario, finding["choices"], rules,
+                plan=plan_doc, seed=args.seed,
+            )
+            cert["choices"] = [list(pair) for pair in shrunk]
+        path = _write_cert(cert, args.cert_dir, f"{args.scenario}-{number}")
+        if not args.json:
+            print(f"violating schedule -> {path}")
+            for line in finding["violations"]:
+                print(line)
+    return 1
+
+
+def _cmd_replay(args: Args) -> int:
+    existing_file(args.certificate)
+    try:
+        cert = load_certificate(args.certificate)
+    except json.JSONDecodeError as err:
+        raise UsageError(f"{args.certificate!r} is not JSON: {err}") from None
+    except ValueError as err:  # names the path: not a certificate, or a newer one
+        raise UsageError(str(err)) from None
+    result = replay(cert)
+    if args.json:
+        out = dict(result)
+        out["choices"] = [list(pair) for pair in out["choices"]]
+        print(json.dumps(out, indent=2, default=str))
+    else:
+        print(render_certificate(cert, result))
+    return 2 if result["ok"] else 0  # 0: bug reproduced; 2: clean run
+
+
+def _cmd_chaos(args: Args) -> int:
+    start = time.perf_counter()
+    results = run_chaos_matrix(
+        args.experiments, args.seeds, workers=args.workers,
+        intensity=args.intensity, gsan=args.gsan,
+    )
+    wall = time.perf_counter() - start
+    summary = merge_reports(results)
+    summary["wall_s"] = round(wall, 3)
+    summary["workers"] = args.workers
+    for (name, seed), report in results:
+        line = (
+            f"  {name:<10} seed={seed:<4} {'ok' if report['ok'] else 'FAIL':<5} "
+            f"injected={report['injected']}"
+        )
+        if "gsan" in report:
+            line += f" gsan_events={report['gsan']['events']}"
+        print(line)
+        for violation in report["violations"]:
+            print(f"      {violation}")
+    print(
+        f"chaos matrix: {summary['cells']} cells, {summary['ok']} ok, "
+        f"{summary['failed']} failed on {args.workers} worker(s) in {wall:.2f}s"
+    )
+    if args.json:
+        cells = [report for _, report in results]
+        _write(args.json, json.dumps({"summary": summary, "cells": cells}, indent=2))
+    return 0 if summary["failed"] == 0 else 1
+
+
+def _cmd_pytest(args: Args) -> int:
+    files = sorted(glob.glob(os.path.join(args.tests, "test_*.py")))
+    if not files:
+        raise UsageError(f"no test files under {args.tests!r}")
+    shards = [s for s in shard(files, args.workers) if s]
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.path.abspath("src") + (os.pathsep + existing if existing else "")
+    start = time.perf_counter()
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", *args.pytest_args, *shard_files],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
+        )
+        for shard_files in shards
+    ]
+    failed = 0
+    for index, proc in enumerate(procs):
+        output, _ = proc.communicate()
+        tail = [line for line in output.strip().splitlines() if line.strip()][-1:]
+        status = "ok" if proc.returncode == 0 else f"FAIL rc={proc.returncode}"
+        print(f"shard {index}/{len(procs)} ({len(shards[index])} files): {status}"
+              f" — {tail[0] if tail else ''}")
+        if proc.returncode != 0:
+            failed += 1
+            print(output)
+    wall = time.perf_counter() - start
+    print(
+        f"pytest farm: {len(procs)} shard(s), {failed} failed, "
+        f"{wall:.1f}s wall on {args.workers} worker(s)"
+    )
+    if args.budget_s and wall > args.budget_s:
+        print(f"wall-time budget exceeded: {wall:.1f}s > {args.budget_s:.1f}s")
+        return 3
+    return 0 if failed == 0 else 1
+
+
+def _cmd_sweep(args: Args) -> int:
+    config = _serving_config(args)
+    doc = sweep(config, args.rps or default_grid(config), workers=args.workers)
+    print(serving_report.render(doc))
+    _write(args.out, serving_report.to_json(doc))
+    return 0
+
+
+def _cmd_overload(args: Args) -> int:
+    config = _serving_config(args)
+    plan = default_overload_plan(config)
+    if args.sojourn_budget_us is not None:
+        plan = plan.scaled(sojourn_budget_ns=args.sojourn_budget_us * 1e3)
+    if args.no_brownout:
+        plan = plan.scaled(brownout=False)
+    doc = overload_curve(
+        config,
+        plan=plan,
+        knee_rps=args.knee or default_knee(config),
+        multipliers=args.multipliers,
+        workers=args.workers,
+    )
+    print(serving_report.render_overload(doc))
+    _write(args.out, serving_report.to_json(doc))
+    if args.check:
+        problems = serving_report.check_overload(doc)
+        for problem in problems:
+            print(f"OVERLOAD: {problem}", file=sys.stderr)
+        if problems:
+            return 1
+        print("overload gate ok")
+    return 0
+
+
+def _cmd_report(args: Args) -> int:
+    with open(existing_file(args.path)) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise UsageError(f"{args.path!r} is not JSON: {err}") from None
+    problems = serving_report.check_report(doc)
+    if args.check:
+        for problem in problems:
+            print(f"SCHEMA: {problem}", file=sys.stderr)
+        if problems:
+            return 1
+        print(f"{args.path}: schema ok "
+              f"({len(doc['points'])} points, "
+              f"{len(doc['bisection'])} bisection probes)")
+        return 0
+    for problem in problems:
+        print(f"warning: {problem}", file=sys.stderr)
+    try:
+        print(serving_report.render(doc))
+    except (KeyError, TypeError):  # a field render needs is missing
+        raise UsageError(f"{args.path!r} is not a serving report") from None
+    return 0
+
+
+# -- the parser --------------------------------------------------------------
+
+
+Group = Callable[[argparse.ArgumentParser], None]
+
+
+def _workers(default: int) -> Group:
+    """``--workers``.  Verbs whose farmed run is no faster than a serial
+    one on two CPUs (sweep, explore, corpus) default to 1."""
+
+    def group(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--workers", type=POSITIVE_INT, default=default,
+                       help=f"farm the work over N processes (default: {default})")
+
+    return group
+
+
+def _attach(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--attach", type=attach_spec, action="append", default=[],
+                   metavar="SPEC",
+                   help="counter:PATTERN[:key=N] | hist:NAME[:value=N] | "
+                        "rate:NAME[:bin_ns] | spans | metrics[:window_us]")
+
+
+def _policy(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", type=policy_spec, action="append", default=[],
+                   metavar="HOOK=VALUE",
+                   help="pin a policy hook to a constant (e.g. coalesce.window=20000)")
+
+
+def _reports(p: argparse.ArgumentParser) -> None:
+    group = p.add_argument_group("reports")
+    group.add_argument("--quiet", action="store_true",
+                       help="skip the run's own tables or summary line")
+    group.add_argument("--slowest", type=NON_NEGATIVE_INT, default=5, metavar="N",
+                       help="slowest invocations the span report lists")
+    group.add_argument("--series", metavar="METRIC",
+                       help="print this metric's windows as CSV rows")
+    for flag, what in (
+        ("--probes-json", "the probe snapshot (every registry) as JSON"),
+        ("--spans-json", "the span statistics as JSON"),
+        ("--tef", "a Perfetto trace of every attached program's tracks"),
+        ("--hub-json", "the metrics series payload as JSON"),
+        ("--prom", "Prometheus text of the last hub"),
+        ("--csv", "per-window CSV of the last hub"),
+    ):
+        group.add_argument(flag, metavar="PATH", help=f"write {what}")
+
+
+def _serving(p: argparse.ArgumentParser) -> None:
+    d = ServingConfig()
+    group = p.add_argument_group("serving")
+    group.add_argument("--workload", choices=WORKLOADS, default=d.workload)
+    group.add_argument("--arrival", choices=KINDS, default=d.arrival.kind,
+                       help="arrival process")
+    group.add_argument("--on-fraction", type=float, default=d.arrival.on_fraction,
+                       help="ON/OFF: fraction of time in the ON phase")
+    group.add_argument("--period-ns", type=POSITIVE, default=d.arrival.period_ns,
+                       help="ON/OFF: mean ON+OFF cycle length")
+    group.add_argument("--zipf-s", type=NON_NEGATIVE, default=d.zipf_s,
+                       help="key popularity exponent (0 = uniform)")
+    group.add_argument("--seed", type=int, default=d.seed)
+    group.add_argument("--clients", type=POSITIVE_INT, default=d.num_clients,
+                       help="number of simulated client sockets")
+    group.add_argument("--timeout-us", type=POSITIVE, default=d.timeout_ns / 1e3,
+                       help="per-request deadline")
+    group.add_argument("--warmup-us", type=NON_NEGATIVE, default=d.warmup_ns / 1e3)
+    group.add_argument("--measure-us", type=POSITIVE, default=d.measure_ns / 1e3)
+    group.add_argument("--window-us", type=POSITIVE, default=d.report_window_ns / 1e3,
+                       help="report window of each point's time series "
+                            "(the metrics hub window is --attach metrics:W)")
+    group.add_argument("--workgroups", type=POSITIVE_INT, default=d.num_workgroups)
+    group.add_argument("--workgroup-size", type=POSITIVE_INT, default=d.workgroup_size)
+    group.add_argument("--rx-backlog", type=NON_NEGATIVE_INT, default=d.rx_backlog or 0,
+                       help="server receive-queue bound (0 = unbounded)")
+    group.add_argument("--slo-p99-us", type=POSITIVE, default=d.slo_p99_ns / 1e3)
+    group.add_argument("--slo-completion", type=float, default=d.slo_completion)
+
+
+def _point(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rps", type=POSITIVE_INT, default=100_000, help="offered RPS")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="GENESYS reproduction: experiments, observers, gates.",
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+
+    def verb(name: str, fn: Callable[[Args], int], text: str,
+             *groups: Group) -> argparse.ArgumentParser:
+        p = verbs.add_parser(name, help=text, description=text)
+        p.set_defaults(fn=fn, verb_parser=p)
+        for group in groups:
+            group(p)
+        return p
+
+    p = verb("list", _cmd_list, "list experiments, tracepoints, chaos profiles or scenarios")
+    p.add_argument("target", nargs="?", default="experiments",
+                   choices=("experiments", "tracepoints", "profiles", "scenarios"))
+
+    p = verb("run", _cmd_run, "run experiments, optionally observed",
+             _attach, _policy, _reports)
+    p.add_argument("names", nargs="*", type=experiment_name, metavar="NAME")
+    p.add_argument("--all", action="store_true", help="run every experiment")
+
+    p = verb("serve", _cmd_serve, "one fixed-RPS serving point, optionally observed",
+             _serving, _point, _attach, _reports)
+    p.add_argument("--json", metavar="PATH", help="write the point stats here")
+
+    p = verb("gtop", _cmd_gtop, "top-like metrics view of an experiment or serving point",
+             _serving, _point)
+    p.add_argument("target", type=_one_of("target", [*experiments.all_names(), "serving"]),
+                   metavar="NAME|serving")
+    p.add_argument("--attach", type=attach_spec, action="append", default=[],
+                   metavar="metrics[:window_us]",
+                   help="the metrics hub and its window "
+                        f"(default: metrics:{DEFAULT_WINDOW_NS / 1e3:g})")
+    p.add_argument("--every", type=POSITIVE_INT, default=25,
+                   help="render a frame every N windows")
+    p.add_argument("--follow", action="store_true", help="redraw in place with ANSI clears")
+    p.add_argument("--max-frames", type=NON_NEGATIVE_INT, default=40,
+                   help="cap on intermediate frames")
+    p.add_argument("--prom-stdout", action="store_true",
+                   help="print Prometheus text after the final frame")
+
+    p = verb("record", _cmd_record, "record latency baselines")
+    p.add_argument("names", nargs="+", type=experiment_name, metavar="NAME")
+    p.add_argument("--dir", default=DEFAULT_DIR, help="baseline directory")
+
+    p = verb("gate", _cmd_gate, "re-run experiments against their latency baselines")
+    p.add_argument("names", nargs="*", type=experiment_name, metavar="NAME",
+                   help="experiments to gate (default: every recorded baseline)")
+    p.add_argument("--dir", default=DEFAULT_DIR, help="baseline directory")
+    p.add_argument("--tolerance", type=NON_NEGATIVE, default=DEFAULT_TOLERANCE,
+                   help="relative tolerance band")
+    p.add_argument("--abs-ns", type=NON_NEGATIVE, default=DEFAULT_ABS_NS,
+                   help="absolute tolerance floor in ns")
+
+    p = verb("check", _cmd_check, "GSan sweep: experiments byte-identical and clean")
+    p.add_argument("--experiments", type=_list_of(experiment_name), metavar="A,B",
+                   help="comma-separated experiments (default: all)")
+    p.add_argument("--json", action="store_true")
+
+    p = verb("lint", _cmd_lint, "static determinism and registry lint")
+    p.add_argument("paths", nargs="*", help="files or directories (default: src/repro)")
+    p.add_argument("--json", action="store_true")
+
+    p = verb("corpus", _cmd_corpus, "prove every seeded bug is caught", _workers(1))
+    p.add_argument("target", nargs="?", choices=tuple(CORPORA),
+                   help="GSan violations or model-check ordering bugs (default: both)")
+    p.add_argument("--entries", metavar="A,B",
+                   type=_list_of(_one_of("corpus entry", [e.name for e in ENTRIES])),
+                   help="comma-separated GSan entries (default: all)")
+    p.add_argument("--cert-dir", default="gmc_certs")
+    p.add_argument("--json", action="store_true")
+
+    p = verb("explore", _cmd_explore, "walk a scenario's schedule space", _workers(1))
+    p.add_argument("--scenario", required=True, type=_one_of("scenario", scenario_names()))
+    p.add_argument("--profile", type=_one_of("fault profile", list(PROFILES)),
+                   help="chaos fault profile")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--schedules", type=POSITIVE_INT, default=256, help="run budget")
+    p.add_argument("--depth", type=NON_NEGATIVE_INT, default=12,
+                   help="branchable decisions")
+    p.add_argument("--preemptions", type=NON_NEGATIVE_INT, default=4)
+    p.add_argument("--no-dpor", action="store_true", help="disable pruning")
+    p.add_argument("--no-shrink", dest="shrink", action="store_false")
+    p.add_argument("--cert-dir", default="gmc_certs")
+    p.add_argument("--json", action="store_true")
+
+    p = verb("replay", _cmd_replay, "re-run a schedule certificate")
+    p.add_argument("certificate", help="gmc-certificate JSON")
+    p.add_argument("--json", action="store_true")
+
+    p = verb("chaos", _cmd_chaos, "the fault-injection invariant matrix",
+             _workers(default_workers()))
+    p.add_argument("--experiments", type=_list_of(_one_of("chaos experiment", list(PROFILES))),
+                   default=list(PROFILES), metavar="A,B",
+                   help="comma-separated chaos profiles (default: all)")
+    p.add_argument("--seeds", type=seeds, default=[1, 2, 3],
+                   help="fault-plan seeds: 1,2,5 or 1:6 (default 1,2,3)")
+    p.add_argument("--intensity", type=NON_NEGATIVE, default=1.0,
+                   help="scale every fault rate (clamped to 1.0)")
+    p.add_argument("--gsan", action="store_true",
+                   help="run every cell under GSan; a violation fails the cell")
+    p.add_argument("--json", metavar="PATH", help="write the cells and summary here")
+
+    p = verb("pytest", _cmd_pytest, "shard the test suite over processes",
+             _workers(default_workers()))
+    p.add_argument("--tests", default="tests")
+    p.add_argument("--budget-s", type=NON_NEGATIVE, default=0.0,
+                   help="fail if total wall time exceeds this many seconds")
+    p.add_argument("pytest_args", nargs="*", default=[])
+
+    p = verb("sweep", _cmd_sweep, "RPS grid + SLO bisection", _serving, _workers(1))
+    p.add_argument("--rps", type=POSITIVE_INT, nargs="*", default=[],
+                   help="explicit grid (default: workload preset)")
+    p.add_argument("--out", default="BENCH_serving.json")
+
+    p = verb("overload", _cmd_overload,
+             "offered-vs-goodput through the knee, bare vs QoS",
+             _serving, _workers(default_workers()))
+    p.add_argument("--knee", type=NON_NEGATIVE_INT, default=0,
+                   help="knee RPS (0 = workload preset)")
+    p.add_argument("--multipliers", type=POSITIVE, nargs="+",
+                   default=list(DEFAULT_MULTIPLIERS),
+                   help="offered-load multiples of the knee")
+    p.add_argument("--sojourn-budget-us", type=POSITIVE,
+                   help="override the plan's receive-queue sojourn budget")
+    p.add_argument("--no-brownout", action="store_true",
+                   help="disable the brownout controller in the plan")
+    p.add_argument("--out", default="BENCH_overload.json")
+    p.add_argument("--check", action="store_true",
+                   help="exit 1 unless the no-collapse goodput gate holds")
+
+    p = verb("report", _cmd_report, "render or validate a BENCH_serving.json")
+    p.add_argument("path")
+    p.add_argument("--check", action="store_true",
+                   help="exit 1 unless the schema validates")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    verb_parser: argparse.ArgumentParser = args.verb_parser
+    try:
+        code: int = args.fn(args)
+    except UsageError as err:
+        verb_parser.error(str(err))
+    return code

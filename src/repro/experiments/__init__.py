@@ -3,7 +3,7 @@
 Every module exposes ``NAME``, ``TITLE``, and ``run() ->
 ExperimentResult``; the registry below maps names to modules.  The
 ``benchmarks/`` tree wraps these with pytest-benchmark and shape
-assertions; ``python -m repro.experiments`` runs them standalone and
+assertions; ``python -m repro run NAME`` runs them standalone and
 prints the paper-style tables.
 """
 

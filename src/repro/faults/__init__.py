@@ -10,7 +10,7 @@ The subsystem has two halves:
   and :func:`check_invariants`, the liveness/safety postconditions every
   faulted run must satisfy.
 
-``python -m repro.faults chaos`` runs the invariant matrix from the
+``python -m repro chaos`` runs the invariant matrix from the
 command line; with no plan installed the stack's behaviour (and every
 experiment's output) is byte-identical to a build without this package.
 """

@@ -16,7 +16,8 @@ runs stay byte-identical and detached runs schedule zero metrics events.
 ``hub.read(name, window)`` is the API ROADMAP item 3's feedback
 controllers will consume; :mod:`repro.metrics.export` feeds Prometheus
 text, CSV, Perfetto counter tracks, and the serving report's
-per-window time-series.
+per-window time-series; :mod:`repro.metrics.gtop` draws the
+``python -m repro gtop`` terminal frames.
 """
 
 from repro.metrics.hub import MetricsHub, MetricsHubPlan, metrics_hubs

@@ -17,9 +17,9 @@ Perfetto counter tracks come from ``MetricsHub.trace_tracks()`` through
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.metrics.hub import MetricsHub, metrics_hubs
+from repro.metrics.hub import MetricsHub
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -108,19 +108,3 @@ def series_payload(hub: MetricsHub) -> Dict[str, Any]:
         },
     }
 
-
-def write_prometheus(
-    hub: MetricsHub, path: str, experiment: str = ""
-) -> None:
-    with open(path, "w") as fh:
-        fh.write(prometheus_text(hub, experiment))
-
-
-def write_csv(hub: MetricsHub, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(csv_text(hub))
-
-
-def merged_hub_payloads(registry: Optional[Any]) -> List[Dict[str, Any]]:
-    """Per-hub series payloads for multi-System reports."""
-    return [series_payload(hub) for hub in metrics_hubs(registry)]

@@ -22,7 +22,8 @@ that gap with stateless model checking in the Verisoft/CHESS style:
   :func:`repro.runfarm.run_frontier` worker processes without changing
   the set of schedules visited.
 
-CLI: ``python -m repro.modelcheck {explore,corpus,replay,scenarios}``.
+Command line: ``python -m repro explore|replay``, ``python -m repro
+corpus gmc`` and ``python -m repro list scenarios``.
 """
 
 from repro.modelcheck.certificate import (

@@ -8,7 +8,7 @@ machinery — a choice map plus FIFO continuation is fully
 deterministic — so a certificate written by a 4-worker farmed
 exploration replays byte-identically in a bare interpreter:
 
-    python -m repro.modelcheck replay gmc_certs/lost-doorbell.json
+    python -m repro replay gmc_certs/lost-doorbell.json
 
 Violating schedules are *shrunk* before certification: greedy
 1-minimal reduction, repeatedly dropping any single choice whose

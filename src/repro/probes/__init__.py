@@ -6,7 +6,7 @@ The subsystem in one breath: the simulated stack declares static
 histograms, rate meters, fixed/choice policies — attach at runtime;
 an **exporter** turns attached state into a JSON snapshot, rate meters
 draw Perfetto counter tracks through :mod:`repro.traceviz`, and
-``python -m repro.probes run <experiment> --attach ...`` does all of it
+``python -m repro run <experiment> --attach ...`` does all of it
 from the command line.  :class:`Log2Histogram` is the one log2
 histogram, shared with the metrics plane.
 

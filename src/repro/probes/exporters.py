@@ -2,8 +2,8 @@
 
 :func:`metrics_snapshot` is a JSON-ready dict of every tracepoint's hit
 count, every hook's decision/override counts, and every attached
-program's snapshot.  The CLI writes this with
-:func:`write_metrics_snapshot`; CI asserts on it.  Perfetto tracks come
+program's snapshot.  ``python -m repro run --probes-json`` writes one
+per System; CI asserts on it.  Perfetto tracks come
 from the programs' own ``trace_tracks()`` through :mod:`repro.traceviz`.
 """
 

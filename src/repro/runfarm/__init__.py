@@ -24,8 +24,8 @@ shared copy-on-write; each job still builds its own fresh ``System`` —
 simulated machines are never shipped between processes, only job specs
 in and picklable results out.
 
-CLI: ``python -m repro.runfarm --help`` (chaos matrix, pytest sharding,
-matrix timing).
+Command line: ``python -m repro chaos`` (the farmed chaos matrix) and
+``python -m repro pytest`` (the test suite sharded over processes).
 """
 
 from __future__ import annotations
@@ -62,7 +62,11 @@ class Job:
 
 
 def default_workers() -> int:
-    """Number of workers to use when unspecified: the CPU count."""
+    """Number of workers to use when unspecified: the CPUs this process
+    may run on (its affinity set where the platform has one, else the
+    CPU count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

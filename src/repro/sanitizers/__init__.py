@@ -18,8 +18,9 @@ Two checkers guard the stack:
   validating ``Errno`` constants, and enforcing ``__slots__`` on the
   hot-path classes.
 
-Both ship under ``python -m repro.sanitizers check|lint|report``; the
-seeded violation corpus (:mod:`repro.sanitizers.corpus`) proves the
+Both have a verb, ``python -m repro check`` and ``python -m repro
+lint``; the seeded violation corpus (:mod:`repro.sanitizers.corpus`,
+``python -m repro corpus gsan``) proves the
 sanitizer actually fires on wedged slots, killed workers, dropped
 IRQs, and hand-reordered event streams.
 """

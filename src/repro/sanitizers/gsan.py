@@ -29,7 +29,7 @@ workqueue task / wavefront:
 
 GSan is an *observer*, never a policy: it sees fire arguments and the
 registry clock only, so attaching it cannot perturb the simulation —
-``repro.sanitizers check`` re-runs every experiment attached and
+``python -m repro check`` re-runs every experiment attached and
 asserts the rendered output is byte-identical to the bare run.
 
 A ``slot.protocol_error`` for a *stale finish* is the defended

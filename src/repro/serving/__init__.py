@@ -17,7 +17,7 @@ package is the missing half of that methodology:
 * :mod:`repro.serving.report` — the schema-versioned
   ``BENCH_serving.json`` trajectory file and its structural checker.
 
-CLI: ``python -m repro.serving run|sweep|report``.
+Command line: ``python -m repro serve|sweep|overload|report``.
 """
 
 from repro.serving.arrivals import ArrivalSpec, arrival_times

@@ -7,8 +7,8 @@ workqueue, dispatch, service, resume), :mod:`repro.tracing.analysis`
 turns the collected traces into the paper's latency-composition views,
 ``SpanTracer.trace_tracks`` draws them as Perfetto span tracks through
 :mod:`repro.traceviz`, and :mod:`repro.tracing.gate` compares fresh
-runs against committed baselines (``python -m repro.tracing
-report|record|gate``).
+runs against committed baselines (``python -m repro run NAME --attach
+spans``, ``python -m repro record|gate``).
 """
 
 from repro.tracing.spans import (

@@ -1,10 +1,10 @@
 """The latency-regression gate: recorded baselines + banded comparison.
 
-``python -m repro.tracing record fig7`` runs an experiment with tracing
+``python -m repro record fig7`` runs an experiment with tracing
 attached and writes the per-stage latency distribution (count, p50,
 p95, p99, mean, max — nearest-rank, hence deterministic) to
-``benchmarks/latency/<experiment>.json``.  ``python -m repro.tracing
-gate`` re-runs the experiment and fails if any stage's percentile
+``benchmarks/latency/<experiment>.json``.  ``python -m repro gate``
+re-runs the experiment and fails if any stage's percentile
 exceeds its recorded value by more than the tolerance band — so a PR
 that regresses, say, the workqueue stage's p95 fails CI visibly instead
 of silently shifting the paper's latency composition.

@@ -1,0 +1,472 @@
+"""``python -m repro``: the one command line.
+
+Covers bad input (exit 2, an ``error:`` line naming the value, no
+traceback), one cheap run of every verb, the ``--attach``/``--policy``
+spec language and the seeds parser, every documented command parsing,
+and the single entry point.
+"""
+
+import ast
+import json
+import os
+import pathlib
+import re
+import runpy
+import shlex
+import subprocess
+import sys
+
+import pytest
+
+from repro.cli import (
+    AttachPlan,
+    UsageError,
+    attach_spec,
+    build_parser,
+    main,
+    policy_spec,
+    seeds,
+)
+from repro.machine import small_machine
+from repro.probes.tracepoints import ProbeRegistry, attached
+from repro.system import System
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+LATENCY_DIR = str(REPO / "benchmarks" / "latency")
+
+#: Input files that exist but are not what the verb reads.
+NOT_JSON = REPO / "pyproject.toml"
+OTHER_JSON = REPO / "benchmarks" / "latency" / "fig2.json"  # a latency baseline
+
+#: A serving point small enough for a unit test.
+TINY_SERVING = [
+    "--clients", "8", "--warmup-us", "20", "--measure-us", "50", "--window-us", "50",
+]
+
+
+def run_cli(capsys, *argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# -- bad input ---------------------------------------------------------------
+
+BAD_INPUT = [
+    (["run", "nope"], "'nope'"),
+    (["check", "--experiments", "fig2,nope"], "'nope'"),
+    (["record", "nope"], "'nope'"),
+    (["record", "table2"], "'table2'"),
+    (["gate", "nope"], "'nope'"),
+    (["gtop", "nope"], "'nope'"),
+    (["explore", "--scenario", "nope"], "'nope'"),
+    (["explore", "--scenario", "fig2", "--schedules", "0"], "'0'"),
+    (["explore", "--scenario", "slot-commute", "--profile", "fig2"], "'slot-commute'"),
+    (["chaos", "--experiments", "nope"], "'nope'"),
+    (["chaos", "--seeds", "1,x"], "'1,x'"),
+    (["run", "fig2", "--attach", "metrics:0"], "'metrics:0'"),
+    (["run", "fig2", "--attach", "bogus:thing"], "'bogus:thing'"),
+    (["run", "fig2", "--attach", "hist:nope"], "'hist:nope'"),
+    (["run", "fig2", "--policy", "nope=3"], "nope=3"),
+    (["serve", "--rps", "0"], "'0'"),
+    (["gate", "--tolerance", "-1"], "'-1'"),
+    (["run"], "--all"),
+    (["run", "fig2", "--prom", "m.prom"], "--prom"),
+    (["run", "fig2", "--attach", "counter:nope*"], "'counter:nope*'"),
+    (["serve", "--policy", "coalesce.window=1"], "--policy"),
+    (["gtop", "fig2", "--policy", "coalesce.window=1"], "--policy"),
+    (["gtop", "fig2", "--attach", "spans"], "'spans'"),
+    (["gtop", "fig2", "--attach", "metrics", "--attach", "metrics:20"], "'metrics metrics:20'"),
+    (["replay", "no-such-certificate.json"], "no-such-certificate.json"),
+    (["replay", str(NOT_JSON)], str(NOT_JSON)),
+    (["replay", str(OTHER_JSON)], str(OTHER_JSON)),
+    (["report", "no-such-bench.json"], "no-such-bench.json"),
+    (["report", str(NOT_JSON)], str(NOT_JSON)),
+    (["report", str(OTHER_JSON)], str(OTHER_JSON)),
+    (["lint", "no/such/path"], "no/such/path"),
+    (["serve", "--arrival", "onoff", "--on-fraction", "2"], "on_fraction"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, bad", BAD_INPUT,
+    ids=[" ".join(argv).replace(f"{REPO}{os.sep}", "") for argv, _ in BAD_INPUT],
+)
+def test_bad_input_exits_2(capsys, argv, bad):
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 2, err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors and bad in errors[0], err
+    assert "Traceback" not in err
+
+
+def test_zero_tolerances_stay_legal(capsys):
+    code, out, _err = run_cli(
+        capsys, "gate", "fig2", "--dir", LATENCY_DIR,
+        "--tolerance", "0", "--abs-ns", "0",
+    )
+    assert code == 0
+    assert "gate: PASS" in out
+
+
+def test_module_entry_point_exits_2_without_traceback():
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "nope"],
+        capture_output=True, text=True, cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.returncode == 2
+    assert "error:" in result.stderr and "'nope'" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+# -- every verb, once --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ([], ("available experiments", "fig8")),
+        (["experiments"], ("table2",)),
+        (["tracepoints"], ("syscall.complete", "coalesce.window")),
+        (["profiles"], ("memcached",)),
+        (["scenarios"], ("slot-commute",)),
+    ],
+)
+def test_list(capsys, argv, expected):
+    code, out, _err = run_cli(capsys, "list", *argv)
+    assert code == 0
+    for text in expected:
+        assert text in out
+
+
+def test_run_one(capsys):
+    code, out, _err = run_cli(capsys, "run", "table4")
+    assert code == 0
+    assert "Table IV" in out and "cmp-swap" in out
+    assert "[table4: " in out
+
+
+def test_run_writes_probe_snapshot(tmp_path, capsys):
+    path = tmp_path / "probes.json"
+    code, _out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "counter:*",
+        "--attach", "rate:irq.raised:5000", "--probes-json", str(path), "--quiet",
+    )
+    assert code == 0
+    snapshot = json.loads(path.read_text())
+    assert snapshot["experiment"] == "fig2"
+    assert snapshot["num_systems"] >= 1
+    tracepoints = snapshot["systems"][0]["tracepoints"]
+    assert tracepoints
+    assert sum(tp["hits"] for tp in tracepoints.values()) > 0
+
+
+def test_run_prints_span_report_and_metrics_frame(capsys):
+    code, out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "spans", "--attach", "metrics:20",
+        "--quiet", "--series", "syscall.rate",
+    )
+    assert code == 0
+    assert "stage latency" in out
+    assert "gtop — fig2" in out and "window=20us" in out
+    assert re.search(r"^syscall\.rate,\d+,", out, re.M)
+
+
+def test_serve(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    code, out, _err = run_cli(
+        capsys, "serve", "--rps", "20000", *TINY_SERVING, "--json", str(path),
+    )
+    assert code == 0
+    assert "memcached @ 20000 RPS" in out and "achieved" in out
+    assert json.loads(path.read_text())["rps_target"] == 20000
+
+
+def test_gtop_experiment(capsys):
+    code, out, _err = run_cli(capsys, "gtop", "fig2", "--every", "1", "--prom-stdout")
+    assert code == 0
+    assert "gtop — fig2 (final)" in out and "window=10us" in out
+    assert "# HELP repro_" in out
+
+
+def test_gtop_hub_window_is_an_attach_spec(capsys):
+    code, out, _err = run_cli(capsys, "gtop", "fig2", "--attach", "metrics:20")
+    assert code == 0
+    assert "gtop — fig2 (final)" in out and "window=20us" in out
+    assert "window=10us" not in out
+
+
+def test_gtop_of_a_run_without_a_system(capsys):
+    code, out, err = run_cli(capsys, "gtop", "table2", "--prom-stdout")
+    assert code == 0, err
+    assert "classification of Linux system calls" in out and "# HELP" not in out
+
+
+def test_check(capsys):
+    code, out, _err = run_cli(capsys, "check", "--experiments", "fig2")
+    assert code == 0
+    assert "ok   fig2: byte-identical" in out
+
+
+def test_lint(capsys):
+    code, out, _err = run_cli(capsys, "lint", str(SRC / "metrics" / "gtop.py"))
+    assert code == 0
+    assert "repro.lint: clean" in out
+
+
+def test_corpus_gsan(capsys):
+    code, out, _err = run_cli(capsys, "corpus", "gsan", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] and all(entry["detected"] for entry in doc["entries"])
+
+
+def test_explore(tmp_path, capsys):
+    code, out, _err = run_cli(
+        capsys, "explore", "--scenario", "slot-commute", "--schedules", "4",
+        "--workers", "1", "--cert-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert "gmc explore slot-commute:" in out
+
+
+def test_chaos(tmp_path, capsys):
+    path = tmp_path / "chaos.json"
+    code, out, _err = run_cli(
+        capsys, "chaos", "--experiments", "fig2", "--seeds", "1",
+        "--workers", "1", "--json", str(path),
+    )
+    assert code == 0
+    assert "chaos matrix: 1 cells, 1 ok, 0 failed" in out
+    assert [cell["seed"] for cell in json.loads(path.read_text())["cells"]] == [1]
+
+
+def test_pytest(tmp_path, capsys):
+    (tmp_path / "test_trivial.py").write_text("def test_ok():\n    assert True\n")
+    code, out, _err = run_cli(capsys, "pytest", "--tests", str(tmp_path), "--workers", "1")
+    assert code == 0
+    assert "pytest farm: 1 shard(s), 0 failed" in out
+
+
+def test_sweep_then_report(tmp_path, capsys):
+    path = tmp_path / "BENCH_serving.json"
+    code, _out, _err = run_cli(
+        capsys, "sweep", "--rps", "20000", *TINY_SERVING,
+        "--workers", "1", "--out", str(path),
+    )
+    assert code == 0
+    code, out, _err = run_cli(capsys, "report", str(path), "--check")
+    assert code == 0
+    assert "schema ok" in out
+
+
+def test_overload_carries_the_plan(tmp_path, capsys):
+    path = tmp_path / "BENCH_overload.json"
+    code, out, _err = run_cli(
+        capsys, "overload", "--knee", "20000", "--multipliers", "1", *TINY_SERVING,
+        "--workers", "1", "--out", str(path),
+    )
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert doc["knee_rps"] == 20000 and doc["plan"]["brownout"] is True
+    assert len(doc["baseline"]) == len(doc["qos"]) == 1
+
+
+# -- the spec language -------------------------------------------------------
+
+
+def spec_registry():
+    registry = ProbeRegistry()
+    for name in ("irq.raised", "irq.serviced", "wq.enqueue"):
+        registry.tracepoint(name)
+    registry.hook("coalesce.window")
+    return registry
+
+
+class TestAttachSpecs:
+    def test_counter_glob(self):
+        registry = spec_registry()
+        AttachPlan([attach_spec("counter:irq.*")])(registry)
+        assert len(registry.programs) == 2
+        assert registry.get("irq.raised").enabled
+        assert registry.get("irq.serviced").enabled
+        assert not registry.get("wq.enqueue").enabled
+
+    def test_counter_with_key(self):
+        registry = spec_registry()
+        AttachPlan([attach_spec("counter:wq.enqueue:key=0")])(registry)
+        assert registry.programs[0].key_arg == 0
+
+    def test_hist_and_rate(self):
+        registry = spec_registry()
+        AttachPlan(
+            [attach_spec("hist:irq.raised:value=1"), attach_spec("rate:irq.raised:2500")]
+        )(registry)
+        assert [p.kind for p in registry.programs] == ["histogram", "rate"]
+        assert registry.programs[0].value_arg == 1
+        assert registry.programs[1].bin_ns == 2500.0
+
+    def test_metrics_window(self):
+        plan = AttachPlan([attach_spec("metrics:20")])
+        with attached(plan):
+            System(config=small_machine())
+        assert [hub.window_ns for hub in plan.hubs] == [20_000.0]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "counter",  # no target
+            "bogus:irq.raised",  # unknown kind
+            "counter:irq.raised:keys=0",  # bad option
+            "hist:irq.raised:value=x",  # non-integer
+            "rate:irq.raised:abc",  # non-integer bin
+            "rate:irq.raised:0",  # empty bin
+            "spans:irq.raised",  # spans takes no target
+            "metrics:0",  # empty window
+            "metrics:x",  # non-numeric window
+            "metrics:nan",  # not a window at all
+        ],
+    )
+    def test_bad_attach_specs(self, spec):
+        with pytest.raises(UsageError, match=re.escape(repr(spec))):
+            attach_spec(spec)
+
+    def test_policy_spec(self):
+        registry = spec_registry()
+        AttachPlan(policies=[policy_spec("coalesce.window=20000")])(registry)
+        hook = registry.get_hook("coalesce.window")
+        assert hook.active
+        assert hook.decide(0.0) == 20000
+
+    @pytest.mark.parametrize("spec", ["coalesce.window", "coalesce.window=", "h=abc", "=3"])
+    def test_bad_policy_specs(self, spec):
+        with pytest.raises(UsageError):
+            policy_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["hist:no.such.tp", "counter:no.such.*"])
+    def test_unknown_tracepoint_is_refused(self, spec):
+        with pytest.raises(UsageError, match="no.such"):
+            AttachPlan([attach_spec(spec)])(spec_registry())
+
+    def test_unknown_hook_is_refused(self):
+        with pytest.raises(UsageError, match="no.such.hook"):
+            AttachPlan(policies=[policy_spec("no.such.hook=1")])(spec_registry())
+
+
+class TestSeeds:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("1,2,5", [1, 2, 5]), ("1:6", [1, 2, 3, 4, 5]), ("1:3, 7", [1, 2, 7]), ("4", [4])],
+    )
+    def test_lists_and_ranges(self, text, expected):
+        assert seeds(text) == expected
+
+    @pytest.mark.parametrize("text", ["", ",", "1,x", "1:", "a:3", "5:1"])
+    def test_refused(self, text):
+        with pytest.raises(UsageError):
+            seeds(text)
+
+
+# -- documented commands -----------------------------------------------------
+
+DOCS = [
+    REPO / "README.md",
+    REPO / "EXPERIMENTS.md",
+    REPO / "DESIGN.md",
+    REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+    *sorted((REPO / "docs").glob("*.md")),
+]
+CI = REPO / ".github" / "workflows" / "ci.yml"
+COMMAND = "python -m repro "
+OLD_FORM = re.compile(r"python3?\s+-m\s+repro\.[a-z]")  # prose may wrap
+SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>", "2>&1"}
+
+
+def commands_in(snippet):
+    """Argument lists of every ``python -m repro`` command in a shell
+    snippet, with backslash continuations joined."""
+    found = []
+    for line in re.sub(r"\\\n\s*", " ", snippet).splitlines():
+        _, sep, rest = line.partition(COMMAND)
+        if not sep:
+            continue
+        argv = []
+        for token in shlex.split(rest, comments=True):
+            if token in SHELL_BREAKS:
+                break
+            argv.append(token)
+        found.append(argv)
+    return found
+
+
+def documented_commands():
+    commands = []
+    for path in DOCS:
+        for block in re.findall(r"^\s*```[^\n]*\n(.*?)^\s*```", path.read_text(), re.M | re.S):
+            commands += [(path.name, argv) for argv in commands_in(block)]
+    commands += [(CI.name, argv) for argv in commands_in(CI.read_text())]
+    return commands
+
+
+def test_documented_commands_parse():
+    commands = documented_commands()
+    assert len(commands) >= 50, commands
+    assert {name for name, _ in commands} >= {"README.md", "ci.yml", "architecture.md"}
+    parser = build_parser()
+    for name, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{name}: `python -m repro {' '.join(argv)}` does not parse")
+
+
+@pytest.mark.parametrize("path", [*DOCS, CI], ids=lambda path: path.name)
+def test_no_per_package_command_remains(path):
+    assert not OLD_FORM.findall(path.read_text()), path
+
+
+# -- one entry point ---------------------------------------------------------
+
+OLD_ENTRY_POINTS = (
+    "experiments", "probes", "tracing", "metrics", "sanitizers",
+    "faults", "qos", "serving", "modelcheck", "runfarm",
+)
+
+
+def test_one_entry_point_and_one_parser():
+    assert [p.relative_to(SRC) for p in SRC.rglob("__main__.py")] == [
+        pathlib.Path("__main__.py")
+    ]
+    assert [p.relative_to(SRC) for p in SRC.rglob("cli.py")] == [pathlib.Path("cli.py")]
+    for path in SRC.rglob("*.py"):
+        if path == SRC / "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "argparse" not in names, f"{path} imports argparse"
+
+
+@pytest.mark.parametrize("package", OLD_ENTRY_POINTS)
+def test_old_module_paths_are_gone(package):
+    with pytest.raises(ImportError, match="No module named"):
+        runpy.run_module(f"repro.{package}", run_name="__main__")
+
+
+def test_import_repro_does_not_import_cli():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('repro.cli' in sys.modules)"],
+        capture_output=True, text=True, cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.stdout.strip() == "False", result.stderr

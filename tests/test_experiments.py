@@ -1,5 +1,5 @@
-"""Tests for the experiments package: registry, rendering, CLI, and a
-couple of fast end-to-end experiment runs."""
+"""Tests for the experiments package: registry, rendering, and a couple
+of fast end-to-end experiment runs (the command line is in test_cli.py)."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.experiments import (
     load,
     run,
 )
-from repro.experiments.__main__ import main as cli_main
 
 
 class TestRegistry:
@@ -71,21 +70,3 @@ class TestFastExperiments:
         result = run("ablation-buffers")
         assert result.data["flush_ns"] < result.data["atomics_ns"]
 
-
-class TestCli:
-    def test_list(self, capsys):
-        assert cli_main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig8" in out and "table2" in out
-
-    def test_no_args_lists(self, capsys):
-        assert cli_main([]) == 0
-        assert "available experiments" in capsys.readouterr().out
-
-    def test_run_one(self, capsys):
-        assert cli_main(["table4"]) == 0
-        out = capsys.readouterr().out
-        assert "Table IV" in out and "cmp-swap" in out
-
-    def test_unknown_experiment_errors(self, capsys):
-        assert cli_main(["not-an-experiment"]) == 2

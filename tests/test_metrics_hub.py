@@ -201,7 +201,7 @@ class TestExporters:
 
 class TestGtopRendering:
     def test_render_frame_lists_catalog(self):
-        from repro.metrics.cli import render_frame
+        from repro.metrics.gtop import render_frame
 
         _result, plan = run_with_hub("fig2")
         hub = plan.hub
@@ -211,15 +211,15 @@ class TestGtopRendering:
         assert "TREND" in frame
 
     def test_cli_report_fig2(self, capsys):
-        from repro.metrics.cli import main
+        from repro.cli import main
 
-        assert main(["report", "fig2", "--quiet"]) == 0
+        assert main(["run", "fig2", "--attach", "metrics", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "gtop — fig2" in out
         assert "syscall.rate" in out
 
     def test_cli_gtop_serving_point(self, capsys):
-        from repro.metrics.cli import main
+        from repro.cli import main
 
         rc = main([
             "gtop", "serving", "--workload", "udp-echo",
@@ -234,14 +234,14 @@ class TestGtopRendering:
         assert "achieved" in out
 
     def test_cli_run_writes_exports(self, tmp_path, capsys):
-        from repro.metrics.cli import main
+        from repro.cli import main
 
         prom = tmp_path / "m.prom"
         csv = tmp_path / "m.csv"
         payload = tmp_path / "m.json"
         rc = main([
-            "run", "fig2", "--quiet",
-            "--prom", str(prom), "--csv", str(csv), "--json", str(payload),
+            "run", "fig2", "--attach", "metrics", "--quiet",
+            "--prom", str(prom), "--csv", str(csv), "--hub-json", str(payload),
         ])
         assert rc == 0
         assert prom.read_text().startswith("# HELP")

@@ -280,16 +280,16 @@ class TestCertificates:
 
 class TestCLI:
     def test_scenarios_subcommand_lists_everything(self, capsys):
-        from repro.modelcheck.cli import main
+        from repro.cli import main
 
-        assert main(["scenarios"]) == 0
+        assert main(["list", "scenarios"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert set(scenario_names()) <= set(out)
 
     def test_explore_writes_certificates_and_exits_nonzero(
         self, tmp_path, capsys
     ):
-        from repro.modelcheck.cli import main
+        from repro.cli import main
 
         code = main(
             [
@@ -298,6 +298,8 @@ class TestCLI:
                 "ready-publish-race",
                 "--schedules",
                 "64",
+                "--workers",
+                "1",
                 "--cert-dir",
                 str(tmp_path),
             ]
@@ -310,7 +312,7 @@ class TestCLI:
         assert len(cert["choices"]) == 1
 
     def test_replay_exit_codes(self, tmp_path, capsys):
-        from repro.modelcheck.cli import main
+        from repro.cli import main
 
         buggy = make_certificate(
             "ready-publish-race", self.fifty_fifty(), rules={}

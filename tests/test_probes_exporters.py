@@ -1,13 +1,9 @@
-"""Tests for the metrics-snapshot exporter, the rate meters' Perfetto
-counter tracks, and the ``python -m repro.probes`` CLI."""
+"""Tests for the metrics-snapshot exporter and the rate meters' Perfetto
+counter tracks (attach specs and ``run --attach`` are in test_cli.py)."""
 
 import json
 
-import pytest
-
 from repro.machine import small_machine
-from repro.probes import cli
-from repro.probes.cli import SpecError, apply_attach_spec, apply_policy_spec
 from repro.probes.exporters import metrics_snapshot, write_metrics_snapshot
 from repro.probes.policy import fixed
 from repro.probes.programs import CounterProbe, RateMeter
@@ -102,102 +98,3 @@ class TestProbeCounterTracks:
             assert event["name"] == "probe:irq.raised"
             assert event["pid"] == PROBES_PID
 
-
-class TestAttachSpecs:
-    def make_registry(self):
-        reg = ProbeRegistry()
-        for name in ("irq.raised", "irq.serviced", "wq.enqueue"):
-            reg.tracepoint(name)
-        reg.hook("coalesce.window")
-        return reg
-
-    def test_counter_glob(self):
-        reg = self.make_registry()
-        assert apply_attach_spec(reg, "counter:irq.*") == 2
-        assert reg.get("irq.raised").enabled
-        assert reg.get("irq.serviced").enabled
-        assert not reg.get("wq.enqueue").enabled
-
-    def test_counter_with_key(self):
-        reg = self.make_registry()
-        apply_attach_spec(reg, "counter:wq.enqueue:key=0")
-        assert reg.programs[0].key_arg == 0
-
-    def test_hist_and_rate(self):
-        reg = self.make_registry()
-        assert apply_attach_spec(reg, "hist:irq.raised:value=1") == 1
-        assert apply_attach_spec(reg, "rate:irq.raised:2500") == 1
-        kinds = [p.kind for p in reg.programs]
-        assert kinds == ["histogram", "rate"]
-        assert reg.programs[1].bin_ns == 2500.0
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "counter",  # no target
-            "bogus:irq.raised",  # unknown kind
-            "counter:irq.raised:keys=0",  # bad option
-            "hist:irq.raised:value=x",  # non-integer
-            "rate:irq.raised:abc",  # non-integer bin
-        ],
-    )
-    def test_bad_attach_specs(self, spec):
-        with pytest.raises(SpecError):
-            apply_attach_spec(self.make_registry(), spec)
-
-    def test_policy_spec(self):
-        reg = self.make_registry()
-        apply_policy_spec(reg, "coalesce.window=20000")
-        hook = reg.get_hook("coalesce.window")
-        assert hook.active
-        assert hook.decide(0.0) == 20000
-
-    @pytest.mark.parametrize("spec", ["coalesce.window", "coalesce.window=", "h=abc"])
-    def test_bad_policy_specs(self, spec):
-        with pytest.raises(SpecError):
-            apply_policy_spec(self.make_registry(), spec)
-
-    def test_unknown_tracepoint_is_keyerror(self):
-        with pytest.raises(KeyError):
-            apply_attach_spec(self.make_registry(), "hist:no.such.tp")
-
-
-class TestCli:
-    def test_list_prints_catalogue(self, capsys):
-        assert cli.main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "syscall.complete" in out
-        assert "coalesce.window" in out
-
-    def test_run_writes_metrics(self, tmp_path, capsys):
-        path = tmp_path / "metrics.json"
-        rc = cli.main(
-            [
-                "run",
-                "fig2",
-                "--attach",
-                "counter:*",
-                "--attach",
-                "rate:irq.raised:5000",
-                "--metrics",
-                str(path),
-                "--quiet",
-            ]
-        )
-        assert rc == 0
-        snapshot = json.loads(path.read_text())
-        assert snapshot["experiment"] == "fig2"
-        assert snapshot["num_systems"] >= 1
-        tracepoints = snapshot["systems"][0]["tracepoints"]
-        assert tracepoints  # catalogue exported
-        assert sum(tp["hits"] for tp in tracepoints.values()) > 0
-        capsys.readouterr()  # swallow the "wrote ..." line
-
-    def test_run_unknown_experiment(self, capsys):
-        assert cli.main(["run", "no-such-experiment"]) == 2
-        capsys.readouterr()
-
-    def test_run_bad_spec_exits_with_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["run", "fig2", "--attach", "bogus:thing"])
-        capsys.readouterr()

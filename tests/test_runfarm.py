@@ -7,6 +7,8 @@ reproduces the serial ``repro.faults.chaos.run_matrix`` fault streams
 exactly.
 """
 
+import os
+
 import pytest
 
 from repro.faults import chaos
@@ -79,6 +81,16 @@ class TestRunJobs:
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
+
+    def test_default_workers_honours_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_workers() == 1
+
+    def test_default_workers_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_workers() == 3
 
 
 def _frontier_cell(item):

@@ -4,8 +4,8 @@ Covers the tracer's stage reconstruction and telescoping-reconciliation
 guarantee, the halt/resume accounting agreement with the wavefront
 scheduler's own tracepoints, the analysis statistics, the Perfetto span
 export (pid 4, flow arrows, metadata), the latency-regression gate, the
-completion-log ring buffer, and the
-``python -m repro.tracing`` CLI.
+completion-log ring buffer, and the span verbs of
+``python -m repro`` (``run --attach spans``, ``record``, ``gate``).
 """
 
 import json
@@ -16,7 +16,7 @@ from repro.core.invocation import WaitMode
 from repro.machine import small_machine
 from repro.system import System
 from repro.traceviz import PROCESSES, chrome_trace, program_tracks, trace_events
-from repro.tracing import STAGE_ORDER, InvocationTrace, SpanTracer
+from repro.tracing import STAGE_ORDER, InvocationTrace, SpanTracer, install_tracer
 from repro.tracing import analysis, gate
 from repro.tracing.spans import STAGE_TIDS
 
@@ -84,10 +84,13 @@ class TestSpanReconstruction:
         """ISSUE acceptance: on fig7, per-invocation stage sums match
         end-to-end latency within 1 ns, and the per-stage stats carry
         p50/p95/p99."""
-        from repro.tracing.cli import collect_traces, run_traced
+        from repro import experiments
+        from repro.probes import attached
 
-        _, tracers = run_traced("fig7")
-        traces = collect_traces(tracers)
+        tracers = []
+        with attached(lambda registry: tracers.append(install_tracer(registry))):
+            experiments.run("fig7")
+        traces = [trace for tracer in tracers for trace in tracer.completed]
         assert traces
         for trace in traces:
             assert analysis.reconciliation_error(trace) < 1.0
@@ -393,15 +396,9 @@ class TestGate:
         directory = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "latency")
         recorded = gate.recorded_experiments(directory)
         assert recorded, "no committed baselines under benchmarks/latency"
-        from repro.tracing.cli import collect_traces, run_traced
+        from repro.cli import main
 
-        name = recorded[0]
-        _, tracers = run_traced(name)
-        result = gate.compare(
-            gate.load_baseline(directory, name),
-            gate.build_baseline(name, collect_traces(tracers)),
-        )
-        assert result.passed, result.render()
+        assert main(["gate", recorded[0], "--dir", directory]) == 0
 
 
 class TestCompletionLogRing:
@@ -447,10 +444,10 @@ class TestCompletionLogRing:
 
 class TestTracingCli:
     def test_report_runs_fig2(self, capsys, tmp_path):
-        from repro.tracing.cli import main
+        from repro.cli import main
 
         tef = tmp_path / "spans.trace.json"
-        code = main(["report", "fig2", "--quiet", "--tef", str(tef)])
+        code = main(["run", "fig2", "--attach", "spans", "--quiet", "--tef", str(tef)])
         assert code == 0
         out = capsys.readouterr().out
         assert "stage latency" in out
@@ -458,24 +455,27 @@ class TestTracingCli:
         assert any(e.get("pid") == SPANS_PID for e in doc["traceEvents"])
 
     def test_record_then_gate(self, capsys, tmp_path):
-        from repro.tracing.cli import main
+        from repro.cli import main
 
         assert main(["record", "fig2", "--dir", str(tmp_path)]) == 0
         assert (tmp_path / "fig2.json").exists()
         assert main(["gate", "--dir", str(tmp_path)]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_gate_without_baselines_errors(self, tmp_path):
-        from repro.tracing.cli import main
+    def test_gate_without_baselines_errors(self, tmp_path, capsys):
+        from repro.cli import main
 
-        assert main(["gate", "--dir", str(tmp_path / "none")]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gate", "--dir", str(tmp_path / "none")])
+        assert exit_info.value.code == 2
+        assert "no baselines under" in capsys.readouterr().err
 
     def test_probes_cli_spans_attach(self, capsys, tmp_path):
-        from repro.probes.cli import main
+        from repro.cli import main
 
         metrics = tmp_path / "m.json"
         code = main(
-            ["run", "fig2", "--attach", "spans", "--quiet", "--metrics", str(metrics)]
+            ["run", "fig2", "--attach", "spans", "--quiet", "--probes-json", str(metrics)]
         )
         assert code == 0
         snapshot = json.loads(metrics.read_text())
