@@ -9,7 +9,7 @@ Section-V design axes::
                                  blocking=True,
                                  wait=WaitMode.POLL)
 
-All methods are sub-generators composed of the primitive GPU ops, so
+Every method returns a sub-generator composed of the primitive GPU ops, so
 claiming the slot costs a cmp-swap, populating it costs real stores, the
 state change costs a swap, polling costs atomic-loads against the L2,
 and halting costs the resume latency — the Table-IV / Figure-9 effects
@@ -150,11 +150,14 @@ class DeviceApi:
         wait: WaitMode = WaitMode.POLL,
         priority: int = 0,
     ) -> Generator[Any, Any, Any]:
-        """Sub-generator: invoke syscall ``name`` with the given strategy.
+        """Invoke syscall ``name`` with the given strategy.
 
-        Returns the call's result for blocking invocations reaching this
-        work-item (see below), a :class:`SyscallHandle` for non-blocking
-        ones, and ``None`` for work-items that merely cooperate:
+        Returns the strategy's sub-generator: ``invoke`` and the POSIX
+        wrappers are plain functions, so every lane resume skips their
+        frames.  The generator's value is the call's result for blocking
+        invocations reaching this work-item (see below), a
+        :class:`SyscallHandle` for non-blocking ones, and ``None`` for
+        work-items that merely cooperate:
 
         * WORK_ITEM — every work-item invokes for itself (implies strong
           ordering: the caller itself is ordered around its own call).
@@ -165,22 +168,14 @@ class DeviceApi:
         * KERNEL — the kernel leader (global id 0) invokes for the whole
           launch; requires relaxed ordering (strong would deadlock).
         """
-        kind = syscall_kind(name)
         if granularity is Granularity.WORK_ITEM:
-            result = yield from self._raw_invoke(
-                name, args, blocking, wait, granularity, priority
-            )
-            return result
+            return self._raw_invoke(name, args, blocking, wait, granularity, priority)
         if granularity is Granularity.WORK_GROUP:
-            result = yield from self._workgroup_invoke(
-                name, args, kind, ordering, blocking, wait, priority
+            return self._workgroup_invoke(
+                name, args, syscall_kind(name), ordering, blocking, wait, priority
             )
-            return result
         if granularity is Granularity.KERNEL:
-            result = yield from self._kernel_invoke(
-                name, args, ordering, blocking, wait, priority
-            )
-            return result
+            return self._kernel_invoke(name, args, ordering, blocking, wait, priority)
         raise ValueError(f"unknown granularity {granularity!r}")
 
     # -- granularity strategies ---------------------------------------------
@@ -359,69 +354,52 @@ class DeviceApi:
     # -- POSIX-named conveniences ------------------------------------------------
 
     def open(self, path: str, flags: int = 0, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("open", path, flags, **opts)
-        return result
+        return self.invoke("open", path, flags, **opts)
 
     def close(self, fd: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("close", fd, **opts)
-        return result
+        return self.invoke("close", fd, **opts)
 
     def read(self, fd: int, buf: Buffer, count: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("read", fd, buf, count, **opts)
-        return result
+        return self.invoke("read", fd, buf, count, **opts)
 
     def write(self, fd: int, buf: Buffer, count: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("write", fd, buf, count, **opts)
-        return result
+        return self.invoke("write", fd, buf, count, **opts)
 
     def pread(self, fd: int, buf: Buffer, count: int, offset: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("pread", fd, buf, count, offset, **opts)
-        return result
+        return self.invoke("pread", fd, buf, count, offset, **opts)
 
     def pwrite(self, fd: int, buf: Buffer, count: int, offset: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("pwrite", fd, buf, count, offset, **opts)
-        return result
+        return self.invoke("pwrite", fd, buf, count, offset, **opts)
 
     def lseek(self, fd: int, offset: int, whence: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("lseek", fd, offset, whence, **opts)
-        return result
+        return self.invoke("lseek", fd, offset, whence, **opts)
 
     def socket(self, host: str = "localhost", **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("socket", host, **opts)
-        return result
+        return self.invoke("socket", host, **opts)
 
     def bind(self, fd: int, port: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("bind", fd, port, **opts)
-        return result
+        return self.invoke("bind", fd, port, **opts)
 
     def sendto(self, fd: int, buf: Buffer, count: int, dest: Tuple[str, int], **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("sendto", fd, buf, count, dest, **opts)
-        return result
+        return self.invoke("sendto", fd, buf, count, dest, **opts)
 
     def recvfrom(self, fd: int, buf: Buffer, count: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("recvfrom", fd, buf, count, **opts)
-        return result
+        return self.invoke("recvfrom", fd, buf, count, **opts)
 
     def mmap(self, length: int, fd: Optional[int] = None, offset: int = 0, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("mmap", length, fd, offset, **opts)
-        return result
+        return self.invoke("mmap", length, fd, offset, **opts)
 
     def munmap(self, addr: int, length: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("munmap", addr, length, **opts)
-        return result
+        return self.invoke("munmap", addr, length, **opts)
 
     def madvise(self, addr: int, length: int, advice: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("madvise", addr, length, advice, **opts)
-        return result
+        return self.invoke("madvise", addr, length, advice, **opts)
 
     def getrusage(self, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("getrusage", **opts)
-        return result
+        return self.invoke("getrusage", **opts)
 
     def rt_sigqueueinfo(self, pid: int, signo: int, value: int, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("rt_sigqueueinfo", pid, signo, value, **opts)
-        return result
+        return self.invoke("rt_sigqueueinfo", pid, signo, value, **opts)
 
     def ioctl(self, fd: int, cmd: int, arg: Any = None, **opts: Any) -> Generator[Any, Any, Any]:
-        result = yield from self.invoke("ioctl", fd, cmd, arg, **opts)
-        return result
+        return self.invoke("ioctl", fd, cmd, arg, **opts)

@@ -25,6 +25,7 @@ from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.coalescing import CoalescingConfig, Coalescer
+from repro.core.device_api import DeviceApi
 from repro.core.invocation import Granularity, SyscallRequest, WaitMode
 from repro.core.syscall_area import Slot, SlotState, SyscallArea
 from repro.gpu.device import Gpu
@@ -363,8 +364,6 @@ class Genesys:
     # -- GPU-side hooks -----------------------------------------------------
 
     def _bind_workitem(self, ctx: WorkItemCtx, wavefront: Wavefront) -> None:
-        from repro.core.device_api import DeviceApi
-
         ctx.sys = DeviceApi(self, ctx, wavefront)
 
     def begin_invocation(

@@ -297,6 +297,8 @@ class SyscallArea:
         # untouched slot is indistinguishable from a FREE one.  Addresses
         # are a pure function of the index, so laziness is unobservable.
         self._slots: List[Optional[Slot]] = [None] * self.num_slots
+        #: Each wavefront's row of slots, built on its first scan.
+        self._rows: Dict[int, Tuple[Slot, ...]] = {}
 
     @property
     def slots(self) -> List[Slot]:
@@ -347,10 +349,15 @@ class SyscallArea:
             raise IndexError(f"lane {lane} out of range")
         return self._slot_at(hw_wavefront_id * self.width + lane)
 
-    def slots_of(self, hw_wavefront_id: int) -> List[Slot]:
+    def slots_of(self, hw_wavefront_id: int) -> Tuple[Slot, ...]:
         """The 64 (wavefront-width) slots one CPU scan task examines."""
-        start = hw_wavefront_id * self.width
-        return [self._slot_at(i) for i in range(start, start + self.width)]
+        row = self._rows.get(hw_wavefront_id)
+        if row is None:
+            start = hw_wavefront_id * self.width
+            row = self._rows[hw_wavefront_id] = tuple(
+                self._slot_at(i) for i in range(start, start + self.width)
+            )
+        return row
 
     def shares_cacheline(self, slot: Slot) -> bool:
         """Whether this slot's line holds other slots (packed layout)."""

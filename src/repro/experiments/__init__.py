@@ -9,6 +9,7 @@ prints the paper-style tables.
 
 from __future__ import annotations
 
+import gc
 import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -87,8 +88,16 @@ def load(name: str):
 
 
 def run(name: str) -> ExperimentResult:
-    """Run one experiment by registry name."""
-    return load(name).run()
+    """Run one experiment by registry name.
+
+    An experiment's machines become cyclic garbage when it returns.
+    Collecting here, at the experiment boundary, frees them before the
+    next experiment allocates, so peak memory does not depend on when
+    the cyclic collector happens to run.
+    """
+    result = load(name).run()
+    gc.collect()
+    return result
 
 
 def all_names() -> List[str]:

@@ -125,11 +125,6 @@ class Gpu:
         when every work-group has retired, yielding the KernelInstance."""
         return self.sim.process(self._launch_body(launch), name=f"launch:{launch.name}")
 
-    def launch_and_wait(self, launch: KernelLaunch) -> Generator:
-        """Process body: launch and wait for completion inline."""
-        kernel = yield self.launch(launch)
-        return kernel
-
     # -- dispatch ----------------------------------------------------------
 
     def _launch_body(self, launch: KernelLaunch) -> Generator:

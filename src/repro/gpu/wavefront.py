@@ -2,9 +2,10 @@
 
 Each wavefront is one simulation process driving up to
 ``wavefront_width`` work-item generators.  Per step, every runnable lane
-yields one op; the executor charges a combined cost (max for compute,
-serialised unique-line traffic for memory, serialised atomics) so SIMD
-lockstep and coalescing behaviour are reflected in timing.  Lanes block
+yields one op; the executor charges a combined cost so SIMD lockstep is
+reflected in timing: the max for compute, and every lane's memory
+access and atomic serialised in lane order (no coalescing: a line read
+by all 64 lanes costs one miss plus 63 L1 hits).  Lanes block
 individually on barriers and halt-waits; the wavefront as a whole only
 sleeps when no lane can make progress — so a single blocked work-item
 stalls its wavefront, the paper's motivation for non-blocking syscalls.
@@ -29,7 +30,7 @@ from repro.gpu.ops import (
     Sleep,
     WaitAll,
 )
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import AnyOf, Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Gpu
@@ -90,8 +91,6 @@ class Wavefront:
         cu_id: int,
         slot_id: int,
     ):
-        if not ctxs:
-            raise ValueError("wavefront needs at least one work-item")
         self.sim = sim
         self.gpu = gpu
         self.group = group
@@ -106,23 +105,21 @@ class Wavefront:
         self.divergent_steps = 0
 
     @property
-    def simd_efficiency(self) -> float:
-        """Mean fraction of lanes active per step (1.0 = no divergence)."""
-        if self.steps == 0:
-            return 1.0
-        return self.lane_ops / (self.steps * self.width)
-
-    @property
     def width(self) -> int:
         return len(self.lanes)
 
     def run(self) -> Generator:
         """Process body: drive all lanes to completion."""
-        cfg = self.gpu.config
-        mem = self.gpu.memsystem
+        gpu = self.gpu
+        cycle_ns = gpu.config.gpu_cycle_ns
+        mem = gpu.memsystem
+        cu_id = self.cu_id
+        group = self.group
         # Live/runnable lane lists are maintained incrementally (in lane
-        # order) and only rebuilt when a lane finishes, blocks, or wakes —
-        # the steady-state step loop allocates no per-step lane lists.
+        # order) and only rebuilt when a lane finishes, blocks, or wakes.
+        # Nearly every step has a single runnable lane (a work-group
+        # syscall's leader while the rest wait at its barrier), so the
+        # step allocates nothing until a lane yields a deferred op.
         live = [lane for lane in self.lanes if not lane.finished]
         runnable = [lane for lane in live if lane.blocked_on is None]
         try:
@@ -130,7 +127,7 @@ class Wavefront:
                 if not runnable:
                     yield from self._wait_for_wake(live)
                     runnable = [lane for lane in live if lane.blocked_on is None]
-                    tp_runnable = self.gpu.tp_lanes_runnable
+                    tp_runnable = gpu.tp_lanes_runnable
                     if tp_runnable.enabled:
                         tp_runnable.fire(self.hw_id, len(runnable), len(live))
                     continue
@@ -140,34 +137,57 @@ class Wavefront:
                 if len(runnable) < len(live):
                     self.divergent_steps += 1
                 compute_ns = 0.0
-                mem_ops: List[Op] = []
-                atomic_ops: List[Atomic] = []
-                flush_ops: List[L1Flush] = []
-                lds_ops: List[Op] = []
+                mem_ops: Optional[List[Op]] = None
+                atomic_ops: Optional[List[Atomic]] = None
+                flush_ops: Optional[List[L1Flush]] = None
+                lds_ops: Optional[List[Op]] = None
                 lanes_changed = False
                 for lane in runnable:
-                    op = self._step_lane(lane)
-                    if op is None:
-                        lanes_changed = True  # lane finished
-                        continue
-                    if isinstance(op, Compute):
-                        compute_ns = max(compute_ns, op.cycles * cfg.gpu_cycle_ns)
-                    elif isinstance(op, Sleep):
-                        compute_ns = max(compute_ns, op.duration)
-                    elif isinstance(op, (MemRead, MemWrite)):
-                        mem_ops.append(op)
-                    elif isinstance(op, Do):
-                        lane.inbox = op.action()
-                    elif isinstance(op, Atomic):
-                        atomic_ops.append(op)
-                    elif isinstance(op, (LdsRead, LdsWrite)):
-                        lds_ops.append(op)
-                    elif isinstance(op, L1Flush):
-                        flush_ops.append(op)
-                    elif isinstance(op, Barrier):
-                        lane.blocked_on = self.group.arrive_barrier()
+                    try:
+                        op = lane.gen.send(lane.inbox)
+                    except StopIteration:
+                        lane.finished = True
+                        lane.inbox = None
+                        group.work_item_finished()
                         lanes_changed = True
-                    elif isinstance(op, WaitAll):
+                        continue
+                    # Exact-class dispatch, most frequent first.
+                    cls = op.__class__
+                    if cls is Do:
+                        lane.inbox = op.action()
+                        continue
+                    lane.inbox = None
+                    if cls is Atomic:
+                        if atomic_ops is None:
+                            atomic_ops = [op]
+                        else:
+                            atomic_ops.append(op)
+                    elif cls is Sleep:
+                        if op.duration > compute_ns:
+                            compute_ns = op.duration
+                    elif cls is Barrier:
+                        lane.blocked_on = group.arrive_barrier()
+                        lanes_changed = True
+                    elif cls is Compute:
+                        ns = op.cycles * cycle_ns
+                        if ns > compute_ns:
+                            compute_ns = ns
+                    elif cls is MemRead or cls is MemWrite:
+                        if mem_ops is None:
+                            mem_ops = [op]
+                        else:
+                            mem_ops.append(op)
+                    elif cls is LdsRead or cls is LdsWrite:
+                        if lds_ops is None:
+                            lds_ops = [op]
+                        else:
+                            lds_ops.append(op)
+                    elif cls is L1Flush:
+                        if flush_ops is None:
+                            flush_ops = [op]
+                        else:
+                            flush_ops.append(op)
+                    elif cls is WaitAll:
                         lane.blocked_on = all_events(self.sim, op.events)
                         lane.needs_resume = True
                         lanes_changed = True
@@ -176,25 +196,28 @@ class Wavefront:
 
                 if compute_ns:
                     yield compute_ns
-                if lds_ops:
+                if lds_ops is not None:
                     yield self._lds_time(lds_ops)
-                for op in mem_ops:
-                    if isinstance(op, MemRead):
-                        yield from mem.gpu_load(self.cu_id, op.addr, op.size)
-                    else:
-                        yield from mem.gpu_store(self.cu_id, op.addr, op.size)
-                for aop in atomic_ops:
-                    yield from mem.gpu_atomic(aop.kind, aop.addr)
-                for fop in flush_ops:
-                    yield from mem.gpu_l1_flush_range(self.cu_id, fop.addr, fop.size)
+                if mem_ops is not None:
+                    for op in mem_ops:
+                        if op.__class__ is MemRead:
+                            yield from mem.gpu_load(cu_id, op.addr, op.size)
+                        else:
+                            yield from mem.gpu_store(cu_id, op.addr, op.size)
+                if atomic_ops is not None:
+                    for aop in atomic_ops:
+                        yield from mem.gpu_atomic(aop.kind, aop.addr)
+                if flush_ops is not None:
+                    for fop in flush_ops:
+                        yield from mem.gpu_l1_flush_range(cu_id, fop.addr, fop.size)
                 if lanes_changed:
                     live = [lane for lane in live if not lane.finished]
                     runnable = [lane for lane in live if lane.blocked_on is None]
-                    tp_runnable = self.gpu.tp_lanes_runnable
+                    tp_runnable = gpu.tp_lanes_runnable
                     if tp_runnable.enabled:
                         tp_runnable.fire(self.hw_id, len(runnable), len(live))
         finally:
-            self.gpu.wavefront_finished(self)
+            gpu.wavefront_finished(self)
 
     # -- internals ---------------------------------------------------------
 
@@ -226,17 +249,6 @@ class Wavefront:
             degree = max(degree, bank_degree)
         return degree * cfg.lds_access_ns
 
-    def _step_lane(self, lane: _Lane) -> Optional[Op]:
-        try:
-            op = lane.gen.send(lane.inbox)
-        except StopIteration:
-            lane.finished = True
-            lane.inbox = None
-            self.group.work_item_finished()
-            return None
-        lane.inbox = None
-        return op
-
     def _wait_for_wake(self, live: List[_Lane]) -> Generator:
         """All lanes blocked: sleep until at least one can progress."""
         gpu = self.gpu
@@ -257,8 +269,6 @@ class Wavefront:
             yield events[0]
         else:
             # Wake on the first of them; re-check the rest next iteration.
-            from repro.sim.engine import AnyOf
-
             yield AnyOf(events)
         resume = False
         for lane in live:

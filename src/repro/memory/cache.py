@@ -89,7 +89,11 @@ class Cache:
         self.stats = CacheStats()
 
     def _set_for(self, line: int) -> OrderedDict:
-        return self._sets.setdefault(line % self.num_sets, OrderedDict())
+        key = line % self.num_sets
+        cache_set = self._sets.get(key)
+        if cache_set is None:
+            cache_set = self._sets[key] = OrderedDict()
+        return cache_set
 
     def contains(self, line: int) -> bool:
         return line in self._set_for(line)

@@ -24,6 +24,7 @@ records.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -121,8 +122,14 @@ class ServingConfig:
 
 
 def build_target(config: ServingConfig, system: Optional[System] = None):
-    """Fresh (or caller-provided) machine plus a warm serving workload."""
+    """Fresh (or caller-provided) machine plus a warm serving workload.
+
+    A fresh machine is built only after a full collection: the previous
+    point's machine is cyclic garbage by now, and freeing it here keeps
+    peak memory flat however many points one process runs.
+    """
     if system is None:
+        gc.collect()
         system = System()
     if config.workload == "memcached":
         from repro.workloads.memcachedwl import MemcachedWorkload

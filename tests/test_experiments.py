@@ -1,6 +1,8 @@
 """Tests for the experiments package: registry, rendering, and a couple
 of fast end-to-end experiment runs (the command line is in test_cli.py)."""
 
+import gc
+
 import pytest
 
 from repro.experiments import (
@@ -70,3 +72,9 @@ class TestFastExperiments:
         result = run("ablation-buffers")
         assert result.data["flush_ns"] < result.data["atomics_ns"]
 
+    def test_run_leaves_no_cyclic_garbage(self):
+        # An experiment's machines are reference cycles; run() collects
+        # them at the boundary, so peak memory does not depend on when
+        # the cyclic collector next happens to run.
+        run("fig2")
+        assert gc.collect() == 0

@@ -64,6 +64,10 @@ class TestComputeUnit:
         with pytest.raises(ValueError):
             ComputeUnit(0, 2).alloc_slots(0)
 
+    def test_cu_without_slots_rejected(self):
+        with pytest.raises(ValueError):
+            ComputeUnit(0, 0)
+
 
 class TestLaunch:
     def test_all_work_items_execute(self):
@@ -271,6 +275,27 @@ class TestWavefrontOps:
         launch_and_run(sim, gpu, kern, 1, 1)
         assert woke_at[0] >= 50_000 + config.halt_resume_ns
 
+    def test_failed_wait_event_fails_the_wavefront(self):
+        sim, config, _, gpu = make_system()
+        bad, late = sim.event(), sim.event()
+
+        def kern(ctx):
+            yield WaitAll([bad, late])
+            yield Compute(1)
+
+        gpu.launch(KernelLaunch(kern, 2, 2))
+        start = config.kernel_launch_ns
+        sim.call_later(start + 10, lambda: bad.fail(RuntimeError("boom")))
+        sim.call_later(start + 20, late.succeed)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        # The wavefront still retired, and the late success is ignored
+        # by the already-failed combined events.
+        assert gpu.live_wavefronts == 0
+        assert gpu.wavefront_stats["steps"] == 1
+        sim.run()
+        assert late.triggered
+
     def test_bad_yield_type_raises(self):
         sim, _, _, gpu = make_system()
 
@@ -292,3 +317,19 @@ class TestWavefrontOps:
 
         launch_and_run(sim, gpu, kern, 8, 8)
         assert sorted(done) == [1, 3, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Compute(-1),
+        lambda: MemRead(0, -1),
+        lambda: MemWrite(0, -1),
+        lambda: Sleep(-0.5),
+        lambda: L1Flush(0, -1),
+    ],
+    ids=["Compute", "MemRead", "MemWrite", "Sleep", "L1Flush"],
+)
+def test_negative_op_arguments_rejected(make):
+    with pytest.raises(ValueError):
+        make()

@@ -8,6 +8,7 @@ and bounded-backlog drops, not as a throttled arrival clock.
 """
 
 import json
+import weakref
 
 import pytest
 
@@ -20,7 +21,13 @@ from repro.serving.clients import (
     unpack_reqid,
 )
 from repro.serving import report
-from repro.serving.sweep import ServingConfig, run_point, sweep
+from repro.serving.sweep import (
+    ServingConfig,
+    build_target,
+    run_point,
+    run_point_on,
+    sweep,
+)
 from repro.workloads.base import DeterministicRandom
 
 #: Small-but-real serving shape shared by the tests: ~0.05 s wall per
@@ -184,6 +191,18 @@ def test_overload_drops_and_misses_slo():
     assert point["offered_rps"] > 400_000
     # The backlog bound held: peak depth never exceeded capacity.
     assert point["net"]["rx_backlog_peak"] <= 64
+
+
+def test_fresh_target_frees_the_previous_machine():
+    # Machines are reference cycles; build_target collects before it
+    # builds, so serving many points in one process keeps memory flat.
+    config = ServingConfig(seed=1, **SMALL)
+    system, workload = build_target(config)
+    run_point_on(system, workload, config, 100_000)
+    previous = weakref.ref(system)
+    del system, workload
+    build_target(config)
+    assert previous() is None
 
 
 def test_udp_echo_point():
