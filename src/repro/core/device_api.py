@@ -18,7 +18,7 @@ arise from the same code path the workloads use.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, NoReturn, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.invocation import (
     Granularity,
@@ -113,12 +113,6 @@ class _SlotOps:
         request, self.pending_request = self.pending_request, None
         self.slot.populate(request)
 
-    def __getstate__(self) -> NoReturn:
-        raise TypeError(
-            "_SlotOps is a per-work-item op cache and is never pickled: "
-            "DeviceApi.__getstate__ drops it and the next invoke rebuilds it"
-        )
-
 
 class DeviceApi:
     def __init__(
@@ -130,13 +124,6 @@ class DeviceApi:
         self._config = genesys.config
         self._seq = 0
         self._ops: Optional[_SlotOps] = None
-
-    def __getstate__(self) -> dict:
-        # _SlotOps caches per-granularity closures (unpicklable); it is a
-        # pure cache, rebuilt lazily by the next _raw_invoke.
-        state = self.__dict__.copy()
-        state["_ops"] = None
-        return state
 
     # -- the generic entry point ----------------------------------------------
 

@@ -326,8 +326,7 @@ class Genesys:
         ``coalesce.batch`` policy hooks (and the recovery/QoS knobs of
         theirs): a validated write updates the default those decision
         points start from, and any attached policy program may still
-        override it.  Checkpoint restore calls this again to rebind the
-        file functions the snapshot dropped.
+        override it.
         """
         fs = self.linux.fs
         for row in SYSFS_KNOBS:
@@ -335,7 +334,7 @@ class Genesys:
             parent = path.rpartition("/")[0]
             if not fs.exists(parent):
                 fs.mkdir(parent)
-            fs.bind_dynamic_file(
+            fs.add_dynamic_file(
                 path,
                 partial(self._read_knob, row),
                 write_fn=partial(self._write_knob, row),
@@ -584,9 +583,7 @@ class Genesys:
         scan_id = self._next_scan_id
         if self.tp_scan_enqueue.enabled:
             self.tp_scan_enqueue.fire(scan_id, tuple(hw_ids))
-        # Transient task record: the backlog must drain before a
-        # checkpoint is legal, so this closure never reaches a pickle.
-        self.linux.workqueue.submit(  # lint: allow(SLOT002)
+        self.linux.workqueue.submit(
             lambda: self._scan_task(scan_id, list(hw_ids))
         )
 

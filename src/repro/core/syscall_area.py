@@ -60,7 +60,7 @@ class Slot:
 
     __slots__ = (
         "index", "addr", "state", "request", "result", "completion", "sim",
-        "on_transition", "on_occupancy", "on_protocol_error", "protocol_errors",
+        "on_occupancy", "on_protocol_error", "protocol_errors",
         "last_transition_ns", "tp_transition", "_done_name",
     )
 
@@ -75,11 +75,6 @@ class Slot:
         self.request: Optional[SyscallRequest] = None
         self.result: Any = None
         self.completion: Optional[Event] = None
-        #: Optional callback(time_ns, slot, old_state, new_state, actor)
-        #: for tracing the Figure-6 walk.
-        self.on_transition: Optional[
-            Callable[[float, "Slot", SlotState, SlotState, str], None]
-        ] = None
         #: Optional callback(became_occupied) fired whenever the slot
         #: crosses the FREE boundary in either direction — the area uses
         #: it to maintain its ``slot.occupancy`` gauge.
@@ -133,8 +128,6 @@ class Slot:
             (old_state is SlotState.FREE) != (new_state is SlotState.FREE)
         ):
             self.on_occupancy(old_state is SlotState.FREE)
-        if self.on_transition is not None:
-            self.on_transition(self.sim.now, self, old_state, new_state, actor)
 
     # -- GPU side --------------------------------------------------------
 
@@ -299,16 +292,6 @@ class SyscallArea:
         self._slots: List[Optional[Slot]] = [None] * self.num_slots
         #: Each wavefront's row of slots, built on its first scan.
         self._rows: Dict[int, Tuple[Slot, ...]] = {}
-
-    @property
-    def slots(self) -> List[Slot]:
-        """All slots, materialising any not yet touched.
-
-        Intended for whole-area instrumentation and invariant checks;
-        the simulation paths use :meth:`slot_for` / :meth:`slots_of`,
-        which only materialise what they return.
-        """
-        return [self._slot_at(i) for i in range(self.num_slots)]
 
     def _slot_at(self, index: int) -> Slot:
         slot = self._slots[index]

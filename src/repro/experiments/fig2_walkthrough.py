@@ -27,12 +27,10 @@ def run_walkthrough() -> Tuple[List[tuple], float, int]:
     log: List[tuple] = []
     got = {}
 
-    def recorder(when, slot, old, new, actor):
-        log.append((when, old.value, new.value, actor))
+    def recorder(slot_index, old, new, actor):
+        log.append((system.now, old, new, actor))
 
-    # Trace every slot the (single) wavefront may use.
-    for slot in system.genesys.area.slots:
-        slot.on_transition = recorder
+    system.probes.attach("slot.transition", recorder)
 
     def kern(ctx):
         fd = yield from ctx.sys.open("/tmp/one")

@@ -21,7 +21,6 @@ from repro.faults.chaos import (
     PROFILES,
     ChaosReport,
     check_invariants,
-    record_fault_stream,
     recovery_stats,
     run_matrix,
     run_one,
@@ -46,7 +45,6 @@ __all__ = [
     "FaultPlan",
     "check_invariants",
     "install_plan",
-    "record_fault_stream",
     "recovery_stats",
     "run_matrix",
     "run_one",

@@ -34,7 +34,6 @@ from typing import Dict, Generator, List, Optional
 
 from repro.core.syscall_area import SlotState
 from repro.gpu.hierarchy import WorkItemCtx
-from repro.probes.tracepoints import ProbeRegistry
 from repro.faults.plan import FaultInjector, FaultPlan, install_plan
 from repro.oskernel.workqueue import DrainTimeout
 from repro.system import System
@@ -442,28 +441,6 @@ _SCENARIOS = {
     "serving": _run_serving,
     "qos": _run_qos,
 }
-
-#: Tracepoints that make up the fault/recovery event stream (prefix
-#: match plus the two named singles).
-FAULT_STREAM_PREFIXES = ("fault.", "recover.")
-FAULT_STREAM_NAMES = ("slot.protocol_error", "syscall.retry")
-
-
-def record_fault_stream(registry: ProbeRegistry) -> List[tuple]:
-    """Attach observers that append ``(t_ns, tracepoint, args)`` for
-    every fault/recovery tracepoint; returns the (live) event list.
-    Two runs with the same plan seed must produce equal streams — the
-    determinism property ``tests/test_chaos.py`` asserts."""
-    events: List[tuple] = []
-    for name in registry.tracepoints:
-        if name.startswith(FAULT_STREAM_PREFIXES) or name in FAULT_STREAM_NAMES:
-
-            def observer(*args: object, _name: str = name) -> None:
-                events.append((registry.now(), _name, args))
-
-            registry.attach(name, observer)
-    return events
-
 
 def run_scenario(experiment: str, system: System) -> Dict[str, object]:
     """Run one chaos scenario body against an already-built ``system``

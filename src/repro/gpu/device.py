@@ -137,6 +137,7 @@ class Gpu:
             launch.workgroup_size,
             launch.args,
             name=launch.name,
+            kernel_id=self.kernels_launched,
         )
         kernel.start_time = self.sim.now
         self.kernels_launched += 1

@@ -132,9 +132,8 @@ class WorkGroup:
 
 
 class KernelInstance:
-    """One launched kernel: its work-groups plus kernel-wide scratch."""
-
-    _next_id = 0
+    """One launched kernel: its work-groups plus kernel-wide scratch.
+    ``kernel_id`` is numbered by the :class:`Gpu` that launches it."""
 
     def __init__(
         self,
@@ -145,6 +144,7 @@ class KernelInstance:
         workgroup_size: int,
         args: tuple,
         name: str = "",
+        kernel_id: int = 0,
     ):
         if global_size < 1:
             raise ValueError("global_size must be >= 1")
@@ -157,8 +157,7 @@ class KernelInstance:
         self.workgroup_size = workgroup_size
         self.args = args
         self.name = name or getattr(func, "__name__", "kernel")
-        self.kernel_id = KernelInstance._next_id
-        KernelInstance._next_id += 1
+        self.kernel_id = kernel_id
         self.shared: Dict[str, Any] = {}
         self.completion = sim.event(name=f"kernel{self.kernel_id}-done")
         self.start_time: Optional[float] = None

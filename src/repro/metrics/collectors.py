@@ -2,10 +2,9 @@
 
 A *feed* is a pure observer: attached to one tracepoint, it timestamps
 the fire via the hub and folds the arguments into a windowed estimator.
-Feeds are closure-free classes (SLOT002) so a System carrying an
-installed hub stays checkpointable, and they never touch simulator
-state — the only side effect beyond their own accumulators is asking
-the hub to (weakly) arm its flush tick.
+Feeds never touch simulator state — the only side effect beyond
+their own accumulators is asking the hub to (weakly) arm its flush
+tick.
 
 The catalog below is the wiring table the issue calls for: utilization
 and occupancy accounting over the existing syscall/fs/net/dram stream

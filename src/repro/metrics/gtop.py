@@ -84,8 +84,7 @@ def series_lines(hub: MetricsHub, name: str) -> List[str]:
 
 
 class GtopRenderer:
-    """Tick listener that prints a frame every N windows (closure-free
-    so an attached hub stays picklable if a run checkpoints)."""
+    """Tick listener that prints a frame every N windows."""
 
     def __init__(
         self, title: str, every: int, follow: bool, max_frames: int

@@ -64,7 +64,7 @@ class MetricsHub:
         self._tick_handle: Optional[object] = None
         self._next_boundary = 0.0
         #: Live-view listeners, called as ``listener(hub, boundary_ns)``
-        #: after each flush tick.  Transient (not checkpointed).
+        #: after each flush tick.
         self._listeners: List[Callable[["MetricsHub", float], None]] = []
 
     # -- installation -------------------------------------------------------
@@ -198,17 +198,6 @@ class MetricsHub:
             Counter(f"metric:{prefix}{key}", "metric", series)
             for key, series in sorted(exported.items())
         ]
-
-    # -- pickling -----------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # Listeners are live-view callbacks (stdout writers); the tick
-        # handle belongs to the old simulator's heap.  Both are
-        # transient: a restored hub re-arms on its next fire.
-        state["_listeners"] = []
-        state["_tick_handle"] = None
-        return state
 
 
 class MetricsHubPlan:

@@ -9,8 +9,7 @@ the hub's (weak, droppable) flush tick ever ran.  The tick exists only
 to close windows promptly for live ``gtop`` output and to carry gauge
 levels forward across idle windows.
 
-All estimators are closure-free and hold no simulator handle, so a
-System carrying them stays snapshot-safe, and all read paths tolerate
+All estimators hold no simulator handle, and all read paths tolerate
 the awkward cases called out in the issue: empty-window reads,
 single-sample percentiles, and zero-duration intervals return zeros
 instead of raising.

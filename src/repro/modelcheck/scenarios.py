@@ -92,31 +92,12 @@ class ModelScenario:
         self._build = build
 
     def build(self) -> ScenarioRun:
-        """A fresh instance: new machine, new sanitizer, virgin clocks."""
-        _reset_identity_counters()
+        """A fresh instance: new machine, new sanitizer, virgin clocks.
+
+        Every machine numbers its own pids, inodes, sockets and kernels,
+        so a build is the same world however many ran before it in the
+        process, and a certificate's streams replay byte-identically."""
         return self._build()
-
-
-def _reset_identity_counters() -> None:
-    """Model checking is *stateless*: every explored schedule re-runs
-    its scenario from scratch, and a certificate's streams must be
-    byte-identical no matter how many runs preceded it in the process.
-    The simulated OS hands out pids, inode numbers, socket ids, and
-    kernel ids from class-level counters (continued across checkpoints
-    by ``repro.sim.snapshot``); left alone they accumulate across
-    in-process runs and leak schedule-independent noise into tracepoint
-    streams (``net.backlog``'s ``sock_id``, for one).  Rewind them to
-    their import-time values so each build really is a virgin world.
-    """
-    from repro.gpu.hierarchy import KernelInstance
-    from repro.oskernel.fs import Inode
-    from repro.oskernel.net import UdpSocket
-    from repro.oskernel.process import OsProcess
-
-    Inode._next_ino = 1
-    UdpSocket._next_id = 0
-    OsProcess._next_pid = 100
-    KernelInstance._next_id = 0
 
 
 def deadlock_audit(procs: Sequence[Process]) -> List[str]:

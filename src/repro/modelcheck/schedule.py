@@ -221,7 +221,6 @@ class FifoTieBreak:
     Installing it must leave every run bit-identical to the default
     ``tie_break = None`` fast path — the neutrality contract the
     determinism tests assert across the whole experiment suite.
-    Picklable, so it survives checkpoints.
     """
 
     def __call__(self, sim: Simulator, ready: List[HeapEntry]) -> int:

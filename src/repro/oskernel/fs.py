@@ -13,6 +13,7 @@ Timed operations are process bodies; functional data really moves.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, Generator, Optional, TYPE_CHECKING
 
 from repro.machine import MachineConfig
@@ -39,18 +40,20 @@ SEEK_END = 2
 
 
 class Inode:
-    _next_ino = 1
+    """Base of every file-like object; ``ino`` is numbered by the
+    :class:`FileSystem` that creates it, in creation order."""
 
-    def __init__(self):
-        self.ino = Inode._next_ino
-        Inode._next_ino += 1
+    def __init__(self, ino: int):
+        self.ino = ino
 
 
 class FileInode(Inode):
     """A regular file; ``backing`` selects tmpfs (None) or a disk."""
 
-    def __init__(self, data: bytes = b"", backing: Optional[BlockDevice] = None):
-        super().__init__()
+    def __init__(
+        self, ino: int, data: bytes = b"", backing: Optional[BlockDevice] = None
+    ):
+        super().__init__(ino)
         self.data = bytearray(data)
         self.backing = backing
         #: Pages currently in the page cache (disk-backed files only).
@@ -71,22 +74,13 @@ class DynamicFileInode(Inode):
 
     def __init__(
         self,
+        ino: int,
         content_fn: Callable[[], bytes],
         write_fn: Optional[Callable[[bytes], None]] = None,
     ):
-        super().__init__()
+        super().__init__(ino)
         self.content_fn = content_fn
         self.write_fn = write_fn
-
-    def __getstate__(self):
-        # The content/write functions are closures over kernel and
-        # GENESYS objects; the restore path rebinds them via
-        # ``FileSystem.bind_dynamic_file`` (see LinuxKernel
-        # ``rebind_dynamic_files`` / Genesys ``_register_sysfs``).
-        state = self.__dict__.copy()
-        state["content_fn"] = None
-        state["write_fn"] = None
-        return state
 
 
 class PipeInode(Inode):
@@ -97,8 +91,8 @@ class PipeInode(Inode):
     closed); writes wake blocked readers.
     """
 
-    def __init__(self, sim: Simulator):
-        super().__init__()
+    def __init__(self, ino: int, sim: Simulator):
+        super().__init__(ino)
         self.sim = sim
         self._data = bytearray()
         self.readers = 1
@@ -147,8 +141,8 @@ class PipeInode(Inode):
 
 
 class DirInode(Inode):
-    def __init__(self):
-        super().__init__()
+    def __init__(self, ino: int):
+        super().__init__(ino)
         self.entries: Dict[str, Inode] = {}
 
 
@@ -160,8 +154,8 @@ class DeviceInode(Inode):
     length, offset)``; any of them may be absent.
     """
 
-    def __init__(self, device):
-        super().__init__()
+    def __init__(self, ino: int, device):
+        super().__init__(ino)
         self.device = device
 
 
@@ -234,9 +228,10 @@ class FileSystem:
         self.cpu = cpu
         self.memsystem = memsystem
         self.disk = disk
-        self.root = DirInode()
+        self._inos = itertools.count(1)
+        self.root = DirInode(self.new_ino())
         for sub in ("tmp", "dev", "proc", "sys", "data"):
-            self.root.entries[sub] = DirInode()
+            self.root.entries[sub] = DirInode(self.new_ino())
         #: Global page-cache LRU over (inode, page) pairs; bounded by
         #: config.page_cache_pages (0 = unbounded).
         from collections import OrderedDict
@@ -263,6 +258,10 @@ class FileSystem:
             ("pages",),
             "gauge: resident page count after an insert/evict batch",
         )
+
+    def new_ino(self) -> int:
+        """The next inode number of this filesystem (1, 2, ...)."""
+        return next(self._inos)
 
     # -- page-cache accounting ------------------------------------------------
 
@@ -345,7 +344,7 @@ class FileSystem:
         parent, name = self._resolve_parent(path)
         if name in parent.entries:
             raise OsError(Errno.EEXIST, path)
-        node = DirInode()
+        node = DirInode(self.new_ino())
         parent.entries[name] = node
         return node
 
@@ -357,7 +356,9 @@ class FileSystem:
             raise OsError(Errno.EEXIST, path)
         if on_disk and self.disk is None:
             raise OsError(Errno.ENOSPC, "no block device attached")
-        inode = FileInode(data, backing=self.disk if on_disk else None)
+        inode = FileInode(
+            self.new_ino(), data, backing=self.disk if on_disk else None
+        )
         parent.entries[name] = inode
         return inode
 
@@ -365,7 +366,7 @@ class FileSystem:
         parent, name = self._resolve_parent(path)
         if name in parent.entries:
             raise OsError(Errno.EEXIST, path)
-        inode = DeviceInode(device)
+        inode = DeviceInode(self.new_ino(), device)
         parent.entries[name] = inode
         return inode
 
@@ -378,38 +379,13 @@ class FileSystem:
         parent, name = self._resolve_parent(path)
         if name in parent.entries:
             raise OsError(Errno.EEXIST, path)
-        inode = DynamicFileInode(content_fn, write_fn)
-        parent.entries[name] = inode
-        return inode
-
-    def bind_dynamic_file(
-        self,
-        path: str,
-        content_fn: Callable[[], bytes],
-        write_fn: Optional[Callable[[bytes], None]] = None,
-    ) -> DynamicFileInode:
-        """Create-or-update form of :meth:`add_dynamic_file`.
-
-        If ``path`` already names a dynamic file its functions are
-        replaced *in place* (the inode — and any open fd pointing at
-        it — is preserved).  Checkpoint restore uses this to rebind the
-        content closures that ``__getstate__`` dropped.
-        """
-        parent, name = self._resolve_parent(path)
-        existing = parent.entries.get(name)
-        if existing is not None:
-            if not isinstance(existing, DynamicFileInode):
-                raise OsError(Errno.EEXIST, path)
-            existing.content_fn = content_fn
-            existing.write_fn = write_fn
-            return existing
-        inode = DynamicFileInode(content_fn, write_fn)
+        inode = DynamicFileInode(self.new_ino(), content_fn, write_fn)
         parent.entries[name] = inode
         return inode
 
     def make_pipe(self) -> PipeInode:
         """Create an anonymous pipe inode (not linked into the tree)."""
-        return PipeInode(self.sim)
+        return PipeInode(self.new_ino(), self.sim)
 
     def unlink(self, path: str) -> None:
         parent, name = self._resolve_parent(path)
@@ -479,7 +455,8 @@ class FileSystem:
         self._cache_insert(inode, missing)
 
     def read_timed(self, open_file: OpenFile, offset: int, count: int) -> Generator:
-        """Process body: read ``count`` bytes at ``offset``; returns bytes."""
+        """Process body: read ``count`` bytes at ``offset``; returns bytes.
+        The caller has checked that ``open_file`` is open for reading."""
         inode = open_file.inode
         if isinstance(inode, DirInode):
             raise OsError(Errno.EISDIR, open_file.path)
@@ -489,8 +466,6 @@ class FileSystem:
             data = yield from inode.device.read(count, offset)
             return data
         if isinstance(inode, PipeInode):
-            if not open_file.readable:
-                raise OsError(Errno.EBADF, "write end of pipe")
             yield inode.wait_readable()
             data = inode.take(count)
             yield from self._memcpy(len(data))
@@ -508,7 +483,9 @@ class FileSystem:
         return bytes(inode.data[offset : offset + count])
 
     def write_timed(self, open_file: OpenFile, offset: int, data: bytes) -> Generator:
-        """Process body: write ``data`` at ``offset``; returns bytes written."""
+        """Process body: write ``data`` at ``offset``; returns bytes
+        written.  The caller has checked that ``open_file`` is open for
+        writing."""
         inode = open_file.inode
         if isinstance(inode, DirInode):
             raise OsError(Errno.EISDIR, open_file.path)
@@ -518,8 +495,6 @@ class FileSystem:
             written = yield from inode.device.write(data, offset)
             return written
         if isinstance(inode, PipeInode):
-            if not open_file.writable:
-                raise OsError(Errno.EBADF, "read end of pipe")
             yield from self._memcpy(len(data))
             return inode.write_bytes(data)
         if isinstance(inode, DynamicFileInode):

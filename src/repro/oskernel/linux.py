@@ -20,6 +20,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.machine import MachineConfig
@@ -32,7 +33,6 @@ from repro.oskernel.errors import Errno, OsError
 from repro.oskernel.fs import (
     DeviceInode,
     DirInode,
-    DynamicFileInode,
     FileInode,
     FileSystem,
     O_APPEND,
@@ -53,7 +53,7 @@ from repro.oskernel.process import OsProcess
 from repro.oskernel.signals import SigInfo
 from repro.oskernel.workqueue import WorkQueue
 from repro.probes.tracepoints import ProbeRegistry
-from repro.sim.engine import Simulator
+from repro.sim.engine import AnyOf, Simulator
 
 
 # st_mode file-type bits (values match Linux's stat.h).
@@ -154,6 +154,7 @@ class LinuxKernel:
         self.terminal = TerminalDevice(sim, config)
         self.framebuffer = FramebufferDevice(sim, config)
         self.processes: Dict[int, OsProcess] = {}
+        self._pids = itertools.count(100)
         self._sockets: Dict[Tuple[int, int], UdpSocket] = {}  # (pid, fd) -> sock
         self._connected: Dict[Tuple[int, int], tuple] = {}  # connected-UDP peers
         self.syscall_counts: Dict[str, int] = {}
@@ -170,7 +171,7 @@ class LinuxKernel:
 
     def create_process(self, name: str) -> OsProcess:
         aspace = AddressSpace(self.sim, self.config, self.physmem, self.cpu, name=name)
-        proc = OsProcess(self.sim, name, address_space=aspace)
+        proc = OsProcess(self.sim, name, next(self._pids), address_space=aspace)
         self.processes[proc.pid] = proc
         # POSIX fds 0/1/2 wired to the console.
         console = self.fs.resolve("/dev/console")
@@ -202,8 +203,7 @@ class LinuxKernel:
         """Per-process /proc/<pid>/ files (the paper: "files in /proc to
         query process environments")."""
         base = f"/proc/{proc.pid}"
-        if not self.fs.exists(base):
-            self.fs.mkdir(base)
+        self.fs.mkdir(base)
 
         def status() -> bytes:
             rss_kb = proc.current_rss_bytes // 1024
@@ -223,19 +223,9 @@ class LinuxKernel:
         def fd_listing() -> bytes:
             return ("\n".join(str(fd) for fd in proc.fds.open_fds()) + "\n").encode()
 
-        # Content closures are dropped at checkpoint by
-        # DynamicFileInode.__getstate__ and re-derived here on restore.
-        self.fs.bind_dynamic_file(f"{base}/status", status)  # lint: allow(SLOT002)
-        self.fs.bind_dynamic_file(f"{base}/statm", statm)  # lint: allow(SLOT002)
-        self.fs.bind_dynamic_file(f"{base}/fds", fd_listing)  # lint: allow(SLOT002)
-
-    def rebind_dynamic_files(self) -> None:
-        """Checkpoint-restore fixup: reattach the /proc content closures
-        that ``DynamicFileInode.__getstate__`` dropped.  Inodes (and any
-        open fds onto them) are preserved; only the functions change."""
-        self.fs.bind_dynamic_file("/proc/meminfo", self._meminfo)
-        for proc in self.processes.values():
-            self._register_proc_entries(proc)
+        self.fs.add_dynamic_file(f"{base}/status", status)
+        self.fs.add_dynamic_file(f"{base}/statm", statm)
+        self.fs.add_dynamic_file(f"{base}/fds", fd_listing)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -367,7 +357,8 @@ class LinuxKernel:
     def sys_socket(self, proc: OsProcess, host: str = "localhost") -> Generator:
         yield 0
         sock = self.net.socket(host)
-        fd = proc.fds.install(OpenFile(DeviceInode(sock), 0o2, f"socket:{sock.sock_id}"))
+        inode = DeviceInode(self.fs.new_ino(), sock)
+        fd = proc.fds.install(OpenFile(inode, 0o2, f"socket:{sock.sock_id}"))
         self._sockets[(proc.pid, fd)] = sock
         return fd
 
@@ -500,9 +491,8 @@ class LinuxKernel:
             return Stat(inode.ino, S_IFCHR, 0)
         if isinstance(inode, PipeInode):
             return Stat(inode.ino, S_IFIFO, 0)
-        if isinstance(inode, DynamicFileInode):
-            return Stat(inode.ino, S_IFREG, len(inode.content_fn()))
-        raise OsError(Errno.EIO, "unknown inode type")
+        # The one inode kind left: a /proc- or /sys-style dynamic file.
+        return Stat(inode.ino, S_IFREG, len(inode.content_fn()))
 
     def sys_stat(self, proc: OsProcess, path: str) -> Generator:
         yield 0
@@ -622,12 +612,10 @@ class LinuxKernel:
         return total
 
     def sys_writev(self, proc: OsProcess, fd: int, buffers: list) -> Generator:
+        # Unlike reads, writes in this model are never short.
         total = 0
         for buf in buffers:
-            n = yield from self.sys_write(proc, fd, buf, buf.size)
-            total += n
-            if n < buf.size:
-                break
+            total += yield from self.sys_write(proc, fd, buf, buf.size)
         return total
 
     # -- readiness (poll) -----------------------------------------------------
@@ -643,15 +631,12 @@ class LinuxKernel:
         return True
 
     def _fd_readiness_event(self, proc: OsProcess, fd: int):
+        """The event an fd that is not readable yet becomes readable on;
+        only sockets and pipes are ever not readable."""
         sock = self._sockets.get((proc.pid, fd))
         if sock is not None:
             return sock.queue.when_nonempty()
-        inode = proc.fds.lookup(fd).inode
-        if isinstance(inode, PipeInode):
-            return inode.wait_readable()
-        event = self.sim.event(name="always-ready")
-        event.succeed()
-        return event
+        return proc.fds.lookup(fd).inode.wait_readable()
 
     def sys_poll(
         self, proc: OsProcess, fds: list, timeout_ns: Optional[float] = None
@@ -661,8 +646,6 @@ class LinuxKernel:
         ``timeout_ns=None`` blocks indefinitely; ``0`` is a non-blocking
         readiness probe.  Spurious wakeups re-check, per POSIX.
         """
-        from repro.sim.engine import AnyOf
-
         if not fds:
             raise OsError(Errno.EINVAL, "empty fd list")
         while True:
@@ -681,7 +664,7 @@ class LinuxKernel:
                     self._fd_readable_now(proc, fd) for fd in fds
                 ):
                     return []
-                timeout_ns = max(0.0, deadline - self.sim.now) or 0
+                timeout_ns = max(0.0, deadline - self.sim.now)
             else:
                 yield AnyOf(events)
 

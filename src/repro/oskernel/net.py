@@ -9,6 +9,7 @@ real payload bytes.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.machine import MachineConfig
@@ -32,15 +33,13 @@ class Datagram:
 
 
 class UdpSocket:
-    """One UDP endpoint; datagrams queue in arrival order."""
+    """One UDP endpoint; datagrams queue in arrival order.  ``sock_id``
+    is numbered by the :class:`Network` that creates it."""
 
-    _next_id = 0
-
-    def __init__(self, net: "Network", host: str):
+    def __init__(self, net: "Network", host: str, sock_id: int):
         self.net = net
         self.host = host
-        self.sock_id = UdpSocket._next_id
-        UdpSocket._next_id += 1
+        self.sock_id = sock_id
         self.port: Optional[int] = None
         self.queue = Store(net.sim, name=f"udp{self.sock_id}")
         self.closed = False
@@ -76,6 +75,7 @@ class Network:
         self.config = config
         self._bound: Dict[Address, UdpSocket] = {}
         self._next_ephemeral = self.EPHEMERAL_BASE
+        self._sock_ids = itertools.count()
         self.link = BandwidthResource(
             sim,
             rate_bytes_per_ns=config.nic_bw_bytes_per_ns,
@@ -149,7 +149,7 @@ class Network:
         self.policy_rejects = 0
 
     def socket(self, host: str = "localhost") -> UdpSocket:
-        return UdpSocket(self, host)
+        return UdpSocket(self, host, next(self._sock_ids))
 
     def stats(self) -> Dict[str, Any]:
         """Link and backlog counters (see also ``Genesys.stats()['net']``)."""

@@ -42,18 +42,19 @@ class Rusage:
 
 
 class OsProcess:
-    _next_pid = 100
+    """One process context; ``pid`` is numbered by the
+    :class:`~repro.oskernel.linux.LinuxKernel` that creates it."""
 
     def __init__(
         self,
         sim: Simulator,
         name: str,
+        pid: int = 0,
         address_space: Optional["AddressSpace"] = None,
     ):
         self.sim = sim
         self.name = name
-        self.pid = OsProcess._next_pid
-        OsProcess._next_pid += 1
+        self.pid = pid
         self.fds = FdTable()
         self.address_space = address_space
         self.signals = SignalQueue(sim, self.pid)

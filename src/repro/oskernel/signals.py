@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator, Optional, Tuple
 
 from repro.oskernel.errors import Errno, OsError
-from repro.sim.engine import Simulator
+from repro.sim.engine import AnyOf, Simulator
 from repro.sim.resources import Store
 
 SIGRTMIN = 34
@@ -65,8 +65,6 @@ class SignalQueue:
 
     def sigtimedwait(self, timeout_ns: float) -> Generator:
         """Process body: wait up to ``timeout_ns``; returns SigInfo or None."""
-        from repro.sim.engine import AnyOf
-
         get_event = self._store.get()
         if get_event.triggered:
             self.consumed += 1
@@ -80,11 +78,5 @@ class SignalQueue:
         if get_event.triggered:
             self.consumed += 1
             return get_event.value
-        self._cancel_get(get_event)
+        self._store.cancel_get(get_event)
         return None
-
-    def _cancel_get(self, event) -> None:
-        try:
-            self._store._getters.remove(event)
-        except ValueError:
-            pass

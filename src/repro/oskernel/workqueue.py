@@ -175,66 +175,6 @@ class WorkQueue:
             for i in range(self.num_workers)
         ]
 
-    # -- checkpoint/restore ------------------------------------------------
-
-    def _parked_worker_ids(self) -> List[int]:
-        """Worker ids parked on the shared queue, in FIFO wakeup order.
-
-        The ``Store._getters`` deque decides which worker a ``put``
-        wakes, and worker ids appear in tracepoint streams — so the
-        checkpoint layer records this order and :meth:`respawn_parked`
-        re-parks the loops in it, keeping a resumed run byte-identical.
-        """
-        ids: List[int] = []
-        prefix = f"{self.name}/"
-        for event in self._tasks._getters:
-            worker_id = None
-            for proc in event._waiters:
-                if proc is not None and proc.name.startswith(prefix):
-                    try:
-                        worker_id = int(proc.name[len(prefix):])
-                    except ValueError:
-                        pass
-                    break
-            if worker_id is None:
-                raise TypeError(
-                    f"workqueue {self.name!r}: a pending get on the shared "
-                    "queue is not a parked worker loop (policy race or "
-                    "foreign getter) — cannot checkpoint this state"
-                )
-            ids.append(worker_id)
-        return ids
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # Worker loops are live generators; record their parked order
-        # and let respawn_parked() rebuild them on restore.
-        state["_workers"] = None
-        state["_parked_order"] = self._parked_worker_ids()
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-
-    def respawn_parked(self) -> None:
-        """Restore-time fixup: re-park worker loops in recorded order."""
-        order = self.__dict__.pop("_parked_order", None)
-        if order is None:
-            return
-        sim = self.sim
-        self._workers = [None] * self.num_workers  # type: ignore[list-item]
-        # The pickled Simulator._active already counts the parked
-        # workers; sim.process() would double-count them.
-        sim._active -= len(order)
-        for worker_id in order:
-            self._workers[worker_id] = sim.process(
-                self._worker_loop(worker_id), name=f"{self.name}/{worker_id}"
-            )
-        # Drain the spawn entries (all at the current instant): each
-        # loop runs to its first shared.get() and parks, recreating the
-        # saved _getters order with the clock unmoved.
-        sim.run()
-
     @property
     def backlog(self) -> int:
         return len(self._tasks) + sum(len(s) for s in self._private)
@@ -283,18 +223,14 @@ class WorkQueue:
             private_get = private.get()
             shared_get = shared.get()
             yield AnyOf([private_get, shared_get])
-            ran = False
             alive = True
             for store, getter in ((private, private_get), (shared, shared_get)):
                 if getter.triggered:
-                    ran = True
                     alive = yield from self._run_task(worker_id, getter.value)
                 else:
                     store.cancel_get(getter)
             if not alive:
                 return
-            if not ran:  # pragma: no cover - AnyOf fired, one must hold
-                raise RuntimeError("workqueue woke with no task")
 
     def _run_task(self, worker_id: int, record: _TaskRecord) -> Generator:
         """Run one picked-up task; returns False if the worker died."""
@@ -417,15 +353,9 @@ class WorkQueue:
     # -- idle waiting -------------------------------------------------------
 
     def when_idle(self) -> Event:
-        """An event that fires when no submitted task remains unfinished.
-
-        Already-triggered if the queue is idle now; otherwise shared by
-        all waiters and fired by the worker that completes the last task.
-        """
-        if self.outstanding == 0:
-            event = self.sim.event(name=f"wq:{self.name}-idle")
-            event.succeed()
-            return event
+        """An event that fires when ``outstanding`` (> 0) next reaches
+        zero: shared by all waiters and fired by the worker that
+        completes the last task."""
         if self._idle_event is None:
             self._idle_event = self.sim.event(name=f"wq:{self.name}-idle")
         return self._idle_event

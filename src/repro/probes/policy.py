@@ -89,8 +89,7 @@ class PolicyHook:
 
 
 class _FixedPolicy:
-    """Callable (and picklable, unlike a closure — checkpoints may pickle
-    attached programs) always-``value`` policy program."""
+    """Callable always-``value`` policy program."""
 
     __slots__ = ("policy_value",)
 

@@ -245,9 +245,9 @@ class _RecorderTap:
 
 class StreamRecorder:
     """Observer recording ``(t_ns, tracepoint, args)`` for every matched
-    tracepoint — built from plain classes (no closures) so a checkpoint
-    taken while recording pickles the recorder with the machine and the
-    resumed run keeps appending to the same stream.
+    tracepoint, in firing order, into one list: the way to capture an
+    event stream (say, every ``fault.*`` and ``recover.*`` fire) and
+    compare it across runs.
     """
 
     def __init__(self, registry: "ProbeRegistry") -> None:

@@ -26,7 +26,7 @@ class TokenBucketAdmission:
     arrivals that find the bucket dry are policed — ``('reject',
     errno)`` when ``reject`` (the sender gets ``b"E" + reqid + errno``),
     plain ``'drop'`` otherwise.  Time comes from the registry clock, so
-    the bucket is deterministic and checkpoint-safe.
+    the bucket is deterministic.
     """
 
     __slots__ = ("registry", "rate_per_ns", "burst", "tokens", "last_ns",

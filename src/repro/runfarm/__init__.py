@@ -19,8 +19,8 @@ Determinism contract
   and 4-way farms produce identical merges (asserted by
   ``tests/test_runfarm.py``).
 
-Workers are forked (POSIX) so imported modules and warm state are
-shared copy-on-write; each job still builds its own fresh ``System`` —
+Workers are forked (POSIX) so imported modules are shared
+copy-on-write; each job builds its own fresh ``System`` —
 simulated machines are never shipped between processes, only job specs
 in and picklable results out.
 

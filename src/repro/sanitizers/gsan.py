@@ -274,12 +274,7 @@ class _TaskTrack:
 
 
 class _GsanObserver:
-    """One tracepoint's tap into a :class:`GSan`.
-
-    A class rather than a closure so a checkpoint taken with GSan
-    attached can pickle the observer (and the sanitizer state behind
-    it) and the resumed run keeps sanitizing seamlessly.
-    """
+    """One tracepoint's tap into a :class:`GSan`."""
 
     __slots__ = ("sanitizer", "name")
 
@@ -406,8 +401,7 @@ class GSan:
 
         The model checker re-runs one scenario once per explored
         schedule; re-arming between branches lets a sanitizer that is
-        already wired into a registry (or a restored checkpoint) start
-        the next branch with virgin clocks, tracks, and violations.
+        already wired into a registry start the next branch with virgin clocks, tracks, and violations.
         """
         self.clocks = {agent: 0 for agent in AGENTS}
         self.events = 0

@@ -23,13 +23,6 @@ TP002      ``.fire(...)`` arity differs from the declaration
 ERR001     ``Errno.<X>`` constant not defined in ``oskernel/errors.py``
 SLOT001    hot-path class (slots protocol / engine inner loop) lost its
            ``__slots__`` declaration
-SLOT002    a class in the checkpointed object graph stores a closure
-           (``lambda`` or locally-defined function) on ``self`` or
-           passes one into a ``self.…(...)`` registration call without
-           defining ``__getstate__``/``__reduce__`` — closures cannot
-           pickle, so the first ``System.checkpoint()`` reaching that
-           object fails (use a plain callable class, see
-           ``repro.probes.StreamRecorder``)
 SCHED001   ``heapq`` mutation of, or direct assignment to, a
            simulator ``_heap`` outside ``sim/engine.py`` — such events
            bypass the ``Simulator.tie_break`` hook, so the model
@@ -58,20 +51,6 @@ from repro.sanitizers.astutil import check_fire_sites, iter_py_files, parse_file
 #: Directory names (as path segments) whose modules must be
 #: wall-clock-free, randomness-free, and iteration-order stable.
 DETERMINISM_ZONES = ("sim", "core", "oskernel")
-
-#: Directory names whose classes live in (or attach to) the object
-#: graph ``System.checkpoint()`` pickles; SLOT002 applies here.
-SNAPSHOT_ZONES = DETERMINISM_ZONES + (
-    "gpu",
-    "memory",
-    "metrics",
-    "probes",
-    "faults",
-    "qos",
-    "sanitizers",
-    "tracing",
-    "workloads",
-)
 
 #: Modules whose import into a deterministic zone is a hazard.
 _WALL_CLOCK_MODULES = ("time", "datetime")
@@ -321,89 +300,6 @@ def _check_slots(tree: ast.Module, zone: _Zone) -> None:
             )
 
 
-def _check_picklable(tree: ast.Module, zone: _Zone) -> None:
-    """SLOT002: closures stashed into the checkpointed object graph.
-
-    Inside any class that does not define its own pickling
-    (``__getstate__``/``__reduce__``), flag
-
-    * ``self.<attr> = <closure>``, and
-    * ``self.…(…, <closure>, …)`` registration calls,
-
-    where ``<closure>`` is a ``lambda`` or a function defined in the
-    enclosing method — either one makes the object graph unpicklable
-    and is exactly the state ``System.checkpoint()`` trips over.
-    """
-    for klass in ast.walk(tree):
-        if not isinstance(klass, ast.ClassDef):
-            continue
-        custom_pickle = any(
-            isinstance(stmt, ast.FunctionDef)
-            and stmt.name in ("__getstate__", "__reduce__", "__reduce_ex__")
-            for stmt in klass.body
-        )
-        if custom_pickle:
-            continue
-        for method in klass.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            local_defs = {
-                sub.name
-                for sub in ast.walk(method)
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and sub is not method
-            }
-
-            def is_closure(expr: ast.AST) -> bool:
-                if isinstance(expr, ast.Lambda):
-                    return True
-                return isinstance(expr, ast.Name) and expr.id in local_defs
-
-            for node in ast.walk(method):
-                if isinstance(node, ast.Assign):
-                    closure = (
-                        is_closure(node.value)
-                        or (
-                            isinstance(node.value, ast.Call)
-                            and any(is_closure(arg) for arg in node.value.args)
-                        )
-                    )
-                    if not closure:
-                        continue
-                    for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            zone.flag(
-                                "SLOT002", node,
-                                f"{klass.name}.{target.attr} holds a closure: "
-                                "unpicklable at checkpoint; use a plain "
-                                "callable class or define __getstate__",
-                            )
-                elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-                    call = node.value
-                    receiver = call.func
-                    if not (
-                        isinstance(receiver, ast.Attribute)
-                        and isinstance(receiver.value, (ast.Name, ast.Attribute))
-                    ):
-                        continue
-                    base = receiver.value
-                    while isinstance(base, ast.Attribute):
-                        base = base.value
-                    if not (isinstance(base, ast.Name) and base.id == "self"):
-                        continue
-                    if any(is_closure(arg) for arg in call.args):
-                        zone.flag(
-                            "SLOT002", node,
-                            f"closure passed into {klass.name} state via "
-                            f"self...{receiver.attr}(...): unpicklable at "
-                            "checkpoint; use a plain callable class",
-                        )
-
-
 #: ``heapq`` functions that mutate their first (heap) argument.
 _HEAPQ_MUTATORS = {
     "heappush", "heappop", "heapify", "heapreplace", "heappushpop",
@@ -429,8 +325,7 @@ def _check_sched(tree: ast.Module, zone: _Zone) -> None:
     and replayed certificates silently diverge from real runs.  Only
     ``sim/engine.py`` itself may touch the heap (the checker is not run
     over it); anything else must go through ``call_later``/``call_at``/
-    ``process`` — or carry an explicit pragma when mutating a *quiesced*
-    heap, as snapshot restore does.
+    ``process``.
     """
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -501,8 +396,6 @@ def run_lint(
         zone = _Zone(str(file), findings)
         if _in_determinism_zone(file):
             _check_determinism(tree, zone)
-        if any(zone_name in file.parts for zone_name in SNAPSHOT_ZONES):
-            _check_picklable(tree, zone)
         if errno_members is not None:
             _check_errno(tree, zone, errno_members)
         _check_slots(tree, zone)

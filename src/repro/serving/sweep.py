@@ -11,11 +11,9 @@ Methodology (the standard serving-benchmark shape):
   find the max sustainable throughput — SLO = p99 latency at or under a
   target AND completion (achieved/offered) at or above a floor;
 * sweep points are independent simulations, so they farm across
-  :mod:`repro.runfarm` workers, each restored from one warm
-  :mod:`repro.sim.snapshot` (the memcached table fill is paid exactly
-  once per sweep).  The warm blob rides to forked workers copy-on-write
-  via a module global; restoring it is also what makes the serial
-  (``workers=1``) and farmed sweeps byte-identical.
+  :mod:`repro.runfarm` workers.  Every point builds its own fresh
+  machine, and a machine numbers its own pids, inodes and sockets, so
+  the serial (``workers=1``) and farmed sweeps are byte-identical.
 
 Latency percentiles reuse :func:`repro.tracing.analysis.summarize`
 (nearest-rank) over the per-request latency timeline the client fleet
@@ -38,7 +36,6 @@ from repro.serving.clients import (
     build_schedule,
     pack_reqid,
 )
-from repro.sim import snapshot
 from repro.system import System
 from repro.tracing import analysis
 
@@ -146,7 +143,7 @@ def build_target(config: ServingConfig, system: Optional[System] = None):
         from repro.workloads.udpecho import UdpEchoWorkload
 
         workload = UdpEchoWorkload(system, payload_bytes=config.payload_bytes)
-    system.sim.run()  # quiesce so the pair is checkpointable
+    system.sim.run()  # quiesce: setup (the table fill) ends before load
     return system, workload
 
 
@@ -203,11 +200,9 @@ def memcached_reply_check(workload):
 
 class _MeasureDropTap:
     """Pure ``net.drop`` observer: backlog-drop counts per measure
-    window and per destination socket.  Closure-free on purpose (the
-    determinism/pickle contract for observers) and computed directly in
-    ``run_point_on`` rather than via a hub, so farmed sweep points —
-    which restore from a snapshot and never see the global attach stack —
-    report the same windows as serial ones."""
+    window and per destination socket.  Computed directly in
+    ``run_point_on`` rather than via a hub, so a point reports its drop
+    windows whatever plans the caller has (or has not) attached."""
 
     __slots__ = ("registry", "t0", "window_ns", "windows", "total", "by_socket")
 
@@ -250,9 +245,9 @@ def run_point_on(
     lo, hi = config.warmup_ns, config.warmup_ns + config.measure_ns
     window_ns = config.report_window_ns
     nwin = max(1, int(math.ceil(config.measure_ns / window_ns - 1e-9)))
-    # The point runs relative to the machine's current clock (restored
-    # snapshots resume mid-timeline), so window origins are offsets from
-    # the run start.
+    # The point runs relative to the machine's current clock (building
+    # the workload has already advanced it), so window origins are
+    # offsets from the run start.
     run_start = system.now
     drop_tap = _MeasureDropTap(
         system.probes, run_start + lo, window_ns, nwin
@@ -324,25 +319,11 @@ def run_point_on(
     return point
 
 
-#: Warm snapshot blob shared with forked farm workers (copy-on-write).
-#: Module-level on purpose: `Job.kwargs` must stay small and picklable,
-#: and every worker of one sweep restores the *same* warm machine.
-_FARM_WARM: Optional[bytes] = None
-
-
-def run_point(config: ServingConfig, rps: int, warm: Optional[bytes] = None) -> dict:
-    """Build (or restore) a machine and run one fixed-RPS point."""
-    if warm is None:
-        system, workload = build_target(config)
-    else:
-        restored = snapshot.load(warm)
-        system, workload = restored.system, restored.extra
+def run_point(config: ServingConfig, rps: int) -> dict:
+    """Build a fresh machine and run one fixed-RPS point (also the
+    farm job body of a sweep point)."""
+    system, workload = build_target(config)
     return run_point_on(system, workload, config, rps)
-
-
-def _sweep_point_job(config: ServingConfig, rps: int) -> dict:
-    """Module-level farm job body: one sweep point from the warm blob."""
-    return run_point(config, rps, warm=_FARM_WARM)
 
 
 # -- the sweep driver --------------------------------------------------------
@@ -376,7 +357,7 @@ def _bisect_max_sustainable(
         mid = (lo + hi) // 2
         if mid <= lo or mid >= hi:
             break
-        point = _sweep_point_job(config, mid)
+        point = run_point(config, mid)
         probes.append(point)
         if _passes(point):
             lo = mid
@@ -391,31 +372,24 @@ def sweep(
     """Walk an RPS grid (farmed), bisect for the SLO knee, and return
     the ``BENCH_serving.json`` document (see :mod:`repro.serving.report`).
 
-    The warm machine is built and checkpointed once; every point —
-    serial or farmed, grid or bisection probe — restores from that same
-    blob, which is why worker count cannot change the curves.
+    Every point — serial or farmed, grid or bisection probe — runs on
+    a freshly built machine, which is why worker count cannot change
+    the curves.
     """
     from repro.serving import report
 
-    global _FARM_WARM
     grid = sorted({int(rps) for rps in rps_grid})
     if not grid:
         raise ValueError("rps_grid must contain at least one positive RPS")
     if grid[0] <= 0:
         raise ValueError(f"rps grid must be positive, got {grid[0]}")
-    system, workload = build_target(config)
-    warm_blob = system.checkpoint(extra=workload)
-    _FARM_WARM = warm_blob
-    try:
-        jobs = [
-            Job(key=(rps,), fn=_sweep_point_job, kwargs={"config": config, "rps": rps})
-            for rps in grid
-        ]
-        merged = run_jobs(jobs, workers=workers)
-        points = [result for _key, result in merged]
-        max_rps, probes = _bisect_max_sustainable(config, points)
-    finally:
-        _FARM_WARM = None
+    jobs = [
+        Job(key=(rps,), fn=run_point, kwargs={"config": config, "rps": rps})
+        for rps in grid
+    ]
+    merged = run_jobs(jobs, workers=workers)
+    points = [result for _key, result in merged]
+    max_rps, probes = _bisect_max_sustainable(config, points)
     return report.build(config, points, probes, max_rps)
 
 
@@ -456,13 +430,9 @@ def default_overload_plan(config: ServingConfig):
 
 
 def _overload_point_job(config: ServingConfig, rps: int, plan=None) -> dict:
-    """Module-level farm job body: one overload point, optionally with a
-    QoS plan installed on the restored machine before load starts."""
-    if _FARM_WARM is None:
-        system, workload = build_target(config)
-    else:
-        restored = snapshot.load(_FARM_WARM)
-        system, workload = restored.system, restored.extra
+    """Module-level farm job body: one overload point on a fresh
+    machine, optionally with a QoS plan installed before load starts."""
+    system, workload = build_target(config)
     controller = None
     if plan is not None and plan.active:
         from repro.qos import install_qos_plan
@@ -484,15 +454,14 @@ def overload_curve(
     """Offered-vs-goodput curves through overload, baseline and QoS
     side by side in one document (``BENCH_overload.json``).
 
-    Every offered-load point runs twice from the same warm snapshot:
-    once bare (the collapsing baseline) and once with ``plan``
+    Every offered-load point runs twice, each on a fresh machine: once
+    bare (the collapsing baseline) and once with ``plan``
     installed.  Goodput is ``achieved_rps`` — replies within the
     client timeout.  The document's ``gate`` compares the QoS curve's
     goodput at ~2x the knee against its goodput at the knee.
     """
     from repro.serving import report
 
-    global _FARM_WARM
     if plan is None:
         plan = default_overload_plan(config)
     if knee_rps is None:
@@ -501,18 +470,13 @@ def overload_curve(
     if knee_rps <= 0:
         raise ValueError(f"knee_rps must be positive, got {knee_rps}")
     grid = sorted({max(1, int(round(knee_rps * m))) for m in multipliers})
-    system, workload = build_target(config)
-    _FARM_WARM = system.checkpoint(extra=workload)
-    try:
-        jobs = []
-        for rps in grid:
-            jobs.append(Job(key=("base", rps), fn=_overload_point_job,
-                            kwargs={"config": config, "rps": rps}))
-            jobs.append(Job(key=("qos", rps), fn=_overload_point_job,
-                            kwargs={"config": config, "rps": rps, "plan": plan}))
-        merged = run_jobs(jobs, workers=workers)
-    finally:
-        _FARM_WARM = None
+    jobs = []
+    for rps in grid:
+        jobs.append(Job(key=("base", rps), fn=_overload_point_job,
+                        kwargs={"config": config, "rps": rps}))
+        jobs.append(Job(key=("qos", rps), fn=_overload_point_job,
+                        kwargs={"config": config, "rps": rps, "plan": plan}))
+    merged = run_jobs(jobs, workers=workers)
     baseline = [result for key, result in merged if key[0] == "base"]
     qos_points = [result for key, result in merged if key[0] == "qos"]
     return report.build_overload(config, plan, knee_rps, baseline, qos_points)

@@ -250,16 +250,6 @@ class Timer:
         """Stop the timer; a no-op if it already fired."""
         self._handle.fn = None
 
-    def __getstate__(self) -> dict:
-        # The handle's fire closure is unpicklable; at a quiescent point
-        # the heap is empty, so the timer has fired or been cancelled
-        # and a dead handle preserves the observable state either way.
-        return {"sim": self.sim, "event": self.event, "_handle": _TimerHandle(None)}
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     def __repr__(self) -> str:
         if self.event.triggered:
             state = "fired"
@@ -338,25 +328,6 @@ class Process:
 
     def _discard_waiter(self, proc: "Process") -> None:
         self._completion._discard_waiter(proc)
-
-    def __getstate__(self) -> dict:
-        # A live process is a suspended generator, which CPython cannot
-        # pickle; checkpoints happen only at quiescent points, where the
-        # only live processes are workqueue worker loops (dropped and
-        # respawned by the checkpoint layer, never pickled through here).
-        if not self.finished:
-            raise TypeError(
-                f"cannot pickle live process {self.name!r}: suspended "
-                "generators are not picklable (checkpoint at quiescence)"
-            )
-        state = {slot: getattr(self, slot) for slot in Process.__slots__}
-        state["generator"] = None  # exhausted; identity no longer matters
-        state["_waiting_on"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else "running"
@@ -510,9 +481,7 @@ class Simulator:
         def fire() -> None:
             event.succeed()
 
-        # Transient heap entry: checkpoints require a drained heap, so
-        # this closure never reaches a pickle.
-        self.call_at(when, fire)  # lint: allow(SLOT002)
+        self.call_at(when, fire)
         return event
 
     def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:

@@ -131,17 +131,6 @@ class Store:
     def peek_all(self) -> List[Any]:
         return list(self._items)
 
-    def __getstate__(self) -> dict:
-        # Pending getters/watchers are events owned by live processes
-        # (workqueue worker loops parked on ``get``); those cannot be
-        # pickled.  The checkpoint layer records the parked worker order
-        # separately and re-parks the loops on restore, recreating these
-        # entries exactly.
-        state = self.__dict__.copy()
-        state["_getters"] = deque()
-        state["_watchers"] = []
-        return state
-
 
 class BandwidthResource:
     """A serialising transfer channel with a fixed byte rate.

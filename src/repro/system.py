@@ -21,7 +21,6 @@ from repro.machine import MachineConfig
 from repro.memory.system import MemorySystem
 from repro.oskernel.cpu import CpuComplex
 from repro.oskernel.linux import LinuxKernel
-from repro.oskernel.process import OsProcess
 from repro.probes.tracepoints import ProbeRegistry, apply_global_plan
 from repro.sim.engine import Process, Simulator
 
@@ -69,34 +68,6 @@ class System:
         self.drain_timeout_ns: Optional[float] = None
         # Every hook point now exists: apply any CLI/test attach plan.
         apply_global_plan(self.probes)
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def checkpoint(self, path: Optional[str] = None, extra: Any = None) -> bytes:
-        """Snapshot this (quiescent) machine; see :mod:`repro.sim.snapshot`.
-
-        ``extra`` rides along in the same pickle (e.g. a warmed workload
-        object that shares this system's graph) and comes back from
-        ``snapshot.load(...).extra``.
-        """
-        from repro.sim import snapshot
-
-        return snapshot.save(self, path=path, extra=extra)
-
-    @staticmethod
-    def restore(source) -> "System":
-        """Rebuild a machine from :meth:`checkpoint` output (bytes or a
-        path).  For the extras, use ``repro.sim.snapshot.load`` directly."""
-        from repro.sim import snapshot
-
-        return snapshot.load(source).system
-
-    def _after_restore(self) -> None:
-        """Unpickle fixups: re-park worker loops in their recorded order
-        and rebind the dynamic-file closures the snapshot dropped."""
-        self.kernel.workqueue.respawn_parked()
-        self.kernel.rebind_dynamic_files()
-        self.genesys._register_sysfs()
 
     # -- conveniences ---------------------------------------------------------
 

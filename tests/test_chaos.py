@@ -23,7 +23,6 @@ from repro.faults import (
     FaultPlan,
     check_invariants,
     install_plan,
-    record_fault_stream,
     recovery_stats,
     run_one,
     run_scenario,
@@ -31,6 +30,7 @@ from repro.faults import (
 from repro.machine import small_machine
 from repro.oskernel.workqueue import WorkQueue
 from repro.probes import policy
+from repro.probes.tracepoints import StreamRecorder
 from repro.sim.engine import Simulator
 from repro.system import System
 
@@ -78,9 +78,11 @@ def _traced_run(experiment, seed):
     system = System()
     system.drain_timeout_ns = 2_000_000_000.0
     install_plan(plan, system.probes)
-    stream = record_fault_stream(system.probes)
+    stream = StreamRecorder(system.probes).attach(
+        "fault.*", "recover.*", "slot.protocol_error", "syscall.retry"
+    )
     detail = run_scenario(experiment, system)
-    return stream, detail, system.now, recovery_stats(system)
+    return stream.events, detail, system.now, recovery_stats(system)
 
 
 class TestDeterminism:

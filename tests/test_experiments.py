@@ -5,6 +5,7 @@ import gc
 
 import pytest
 
+from repro.core.syscall_area import Slot
 from repro.experiments import (
     ExperimentResult,
     ExperimentTable,
@@ -71,6 +72,23 @@ class TestFastExperiments:
     def test_ablation_buffers_runs(self):
         result = run("ablation-buffers")
         assert result.data["flush_ns"] < result.data["atomics_ns"]
+
+    def test_fig2_materializes_only_the_slots_it_uses(self, monkeypatch):
+        # fig2 traces one lane through the slot.transition tracepoint,
+        # so of the machine's 20,480 slots it builds only the one row of
+        # 64 that the CPU scan of its single wavefront examines.
+        built = []
+        original = Slot.__init__
+
+        def counting_init(slot, *args):
+            built.append(args[1])
+            original(slot, *args)
+
+        monkeypatch.setattr(Slot, "__init__", counting_init)
+        result = run("fig2")
+        assert sorted(built) == list(range(64))
+        assert result.data["bytes"] == 4096
+        assert len(result.data["log"]) == 10
 
     def test_run_leaves_no_cyclic_garbage(self):
         # An experiment's machines are reference cycles; run() collects

@@ -1,8 +1,7 @@
-"""MetricsHub integration: installation, weak flush ticks, reads,
-checkpoint/restore, and the exporters (Prometheus / CSV / TEF)."""
+"""MetricsHub integration: installation, weak flush ticks, reads, and
+the exporters (Prometheus / CSV / TEF)."""
 
 import json
-import pickle
 
 import pytest
 
@@ -81,44 +80,6 @@ class TestTicksAndReads:
         _result, plan = run_with_hub("fig2")
         assert plan.read("syscall.rate", window=1000) >= 0.0
         assert MetricsHubPlan().read("syscall.rate") == 0.0
-
-
-class TestCheckpointRestore:
-    def test_checkpoint_with_hub_then_restore_and_serve(self):
-        from repro.serving.sweep import (
-            ServingConfig,
-            build_target,
-            run_point_on,
-        )
-        from repro.sim import snapshot
-
-        config = ServingConfig(
-            workload="udp-echo", num_clients=8,
-            warmup_ns=50_000.0, measure_ns=100_000.0,
-        )
-        with attached(MetricsHubPlan()):
-            system, workload = build_target(config)
-        # quiesced checkpoint succeeds with the hub (and any parked
-        # weak tick) attached…
-        blob = system.checkpoint(extra=workload)
-        restored = snapshot.load(blob)
-        # …and the restored hub rides the restored registry
-        hubs = metrics_hubs(restored.system.probes)
-        assert len(hubs) == 1
-        point = run_point_on(
-            restored.system, restored.extra, config, 20_000
-        )
-        assert point["lifecycle"]["sent"] > 0
-        assert hubs[0].read("net.tx.rate", window=10_000, mode="count") > 0
-
-    def test_hub_pickles_without_listeners_or_handle(self):
-        _result, plan = run_with_hub("fig2")
-        hub = plan.hub
-        hub.add_listener(lambda h, t: None)  # unpicklable listener
-        clone = pickle.loads(pickle.dumps(hub))
-        assert clone._listeners == []
-        assert clone._tick_handle is None
-        assert clone.ticks == hub.ticks
 
 
 class TestExporters:

@@ -12,7 +12,17 @@ from repro.oskernel.devices import (
     VarScreenInfo,
 )
 from repro.oskernel.errors import Errno, OsError
-from repro.oskernel.fs import O_APPEND, O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, SEEK_CUR, SEEK_END, SEEK_SET
+from repro.oskernel.fs import (
+    O_APPEND,
+    O_CREAT,
+    O_RDONLY,
+    O_RDWR,
+    O_TRUNC,
+    O_WRONLY,
+    SEEK_CUR,
+    SEEK_END,
+    SEEK_SET,
+)
 from repro.oskernel.linux import LinuxKernel
 from repro.oskernel.mm import MADV_DONTNEED
 from repro.sim.engine import Simulator
@@ -301,3 +311,149 @@ class TestDeviceSyscalls:
         fd = call(sim, kernel, proc, "open", "/proc/meminfo", O_RDONLY)
         with pytest.raises(OsError):
             call(sim, kernel, proc, "mmap", 4096, fd)
+
+
+# -- paths a line trace of the suite over oskernel/ found untested -----------
+
+
+def _call(env, name, *args):
+    sim, _, kernel, proc = env
+    return call(sim, kernel, proc, name, *args)
+
+
+def _file_fd(env, flags):
+    if not env[2].fs.exists("/tmp/f"):
+        env[2].fs.create_file("/tmp/f", b"data")
+    return _call(env, "open", "/tmp/f", flags)
+
+
+def _pipe_read_fd(env):
+    return _call(env, "pipe")[0]
+
+
+def _fb_fd(env):
+    return _call(env, "open", "/dev/fb0", O_RDWR)
+
+
+def _buf(env, size=4):
+    return env[1].alloc_buffer(size)
+
+
+def _rename_onto_dir(env):
+    env[2].fs.create_file("/tmp/g", b"")
+    env[2].fs.mkdir("/tmp/d")
+    return ("rename", "/tmp/g", "/tmp/d")
+
+
+BAD_INPUT = {
+    "read on a write-only fd": (
+        lambda e: ("read", _file_fd(e, O_WRONLY), _buf(e), 4), Errno.EBADF),
+    "pread on a write-only fd": (
+        lambda e: ("pread", _file_fd(e, O_WRONLY), _buf(e), 4, 0), Errno.EBADF),
+    "pwrite at a negative offset": (
+        lambda e: ("pwrite", _file_fd(e, O_RDWR), _buf(e), 4, -1), Errno.EINVAL),
+    "pwrite on a read-only fd": (
+        lambda e: ("pwrite", _file_fd(e, O_RDONLY), _buf(e), 4, 0), Errno.EBADF),
+    "write to a directory": (
+        lambda e: ("write", _call(e, "open", "/tmp", O_WRONLY), _buf(e), 4),
+        Errno.EISDIR),
+    "lseek on a pipe": (
+        lambda e: ("lseek", _pipe_read_fd(e), 0, SEEK_SET), Errno.ESPIPE),
+    "lseek with an unknown whence": (
+        lambda e: ("lseek", _file_fd(e, O_RDWR), 0, 7), Errno.EINVAL),
+    "ftruncate to a negative length": (
+        lambda e: ("ftruncate", _file_fd(e, O_RDWR), -1), Errno.EINVAL),
+    "ftruncate of a pipe": (
+        lambda e: ("ftruncate", _pipe_read_fd(e), 0), Errno.EINVAL),
+    "rename onto a directory": (_rename_onto_dir, Errno.EISDIR),
+    "munmap of zero bytes": (
+        lambda e: ("munmap", _call(e, "mmap", 4096), 0), Errno.EINVAL),
+    "read from the console": (
+        lambda e: ("read", 0, _buf(e), 4), Errno.EAGAIN),
+    "FBIOPUT_VSCREENINFO without a VarScreenInfo": (
+        lambda e: ("ioctl", _fb_fd(e), FBIOPUT_VSCREENINFO, (640, 480)),
+        Errno.EINVAL),
+    "FBIOPUT_VSCREENINFO at 16 bpp": (
+        lambda e: ("ioctl", _fb_fd(e), FBIOPUT_VSCREENINFO,
+                   VarScreenInfo(640, 480, 16)),
+        Errno.EINVAL),
+    "an unknown framebuffer ioctl": (
+        lambda e: ("ioctl", _fb_fd(e), 0x4699), Errno.ENOTTY),
+    "mmap of the framebuffer at an offset": (
+        lambda e: ("mmap", 4096, _fb_fd(e), 4096), Errno.EINVAL),
+    "mmap past the framebuffer": (
+        lambda e: ("mmap", 1024 * 768 * 4 + 1, _fb_fd(e)), Errno.EINVAL),
+    "write past the end of the framebuffer": (
+        lambda e: ("pwrite", _fb_fd(e), _buf(e), 4, 1024 * 768 * 4 - 2),
+        Errno.ENOSPC),
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
+    def test_rejected_with_errno(self, env, case):
+        make_call, errno = BAD_INPUT[case]
+        name, *args = make_call(env)
+        with pytest.raises(OsError) as exc:
+            _call(env, name, *args)
+        assert exc.value.errno is errno
+
+
+class TestUntestedPaths:
+    def test_stat_of_a_dynamic_file_is_regular_with_its_content_size(self, env):
+        sim, _, kernel, proc = env
+        st = call(sim, kernel, proc, "stat", "/proc/meminfo")
+        assert st.is_regular
+        assert st.st_size == len(kernel.fs.read_whole("/proc/meminfo"))
+
+    def test_framebuffer_write_lands_in_pixel_memory(self, env):
+        sim, _, kernel, proc = env
+        buf = _buf(env)
+        buf.data[:4] = (0xDEADBEEF).to_bytes(4, "little")
+        assert call(sim, kernel, proc, "pwrite", _fb_fd(env), buf, 4, 4) == 4
+        assert kernel.framebuffer.pixels[0, 1] == 0xDEADBEEF
+
+    def test_terminate_closes_sockets_and_pipe_ends(self, env):
+        sim, _, kernel, proc = env
+        sfd = call(sim, kernel, proc, "socket")
+        call(sim, kernel, proc, "bind", sfd, 7000)
+        read_fd, _write_fd = call(sim, kernel, proc, "pipe")
+        pipe = proc.fds.lookup(read_fd).inode
+        kernel.terminate_process(proc)
+        assert not proc.alive
+        assert (pipe.readers, pipe.writers) == (0, 0)
+        # The port is free again.
+        other = kernel.create_process("other")
+        fd = call(sim, kernel, other, "socket")
+        assert call(sim, kernel, other, "bind", fd, 7000) == 0
+
+    def test_readv_stops_at_a_short_read(self, env):
+        sim, mem, kernel, proc = env
+        read_fd, write_fd = call(sim, kernel, proc, "pipe")
+        src = _buf(env, 6)
+        src.data[:6] = b"abcdef"
+        call(sim, kernel, proc, "write", write_fd, src, 6)
+        # The write end stays open: a third read would block forever.
+        buffers = [_buf(env), _buf(env), _buf(env)]
+        assert call(sim, kernel, proc, "readv", read_fd, buffers) == 6
+        assert bytes(buffers[1].data[:2]) == b"ef"
+
+    def test_fsync_of_a_tmpfs_file_touches_no_disk(self, env):
+        sim, _, kernel, proc = env
+        fd = _file_fd(env, O_RDWR)
+        assert call(sim, kernel, proc, "fsync", fd) == 0
+        assert kernel.disk.bytes_written == 0
+
+    def test_dup_and_dup2_carry_the_socket(self, env):
+        sim, mem, kernel, proc = env
+        server = call(sim, kernel, proc, "socket")
+        call(sim, kernel, proc, "bind", server, 7001)
+        copy = call(sim, kernel, proc, "dup", server)
+        call(sim, kernel, proc, "dup2", server, 20)
+        client = call(sim, kernel, proc, "socket")
+        buf = _buf(env)
+        for _ in range(2):
+            call(sim, kernel, proc, "sendto", client, buf, 4, ("localhost", 7001))
+        for fd in (copy, 20):
+            n, _source = call(sim, kernel, proc, "recvfrom", fd, _buf(env), 4)
+            assert n == 4

@@ -218,6 +218,17 @@ class TestSignals:
         sim.run()
         assert proc.result.value == 5
 
+    def test_sigtimedwait_takes_a_pending_signal_at_once(self, sim):
+        queue = SignalQueue(sim, pid=1)
+        queue.queue(SigInfo(SIGRTMIN, 3, 0))
+
+        def body():
+            info = yield from queue.sigtimedwait(10_000)
+            return info.value, sim.now
+
+        assert sim.run_process(body()) == (3, 0)
+        assert queue.consumed == 1
+
     def test_sigtimedwait_timeout_does_not_eat_later_signal(self, sim):
         queue = SignalQueue(sim, pid=1)
 

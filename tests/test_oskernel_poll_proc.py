@@ -75,6 +75,48 @@ class TestPoll:
         assert call(env, "poll", [read_fd], 5000) == []
         assert sim.now >= before + 5000
 
+    def test_poll_with_timeout_wakes_when_data_arrives(self, env):
+        sim, mem, kernel, proc = env
+        read_fd, write_fd = call(env, "pipe")
+
+        def poller():
+            ready = yield from kernel.call(proc, "poll", [read_fd], 50_000)
+            return sim.now, ready
+
+        def writer():
+            yield 7000
+            yield from kernel.call(proc, "write", write_fd, mem.alloc_buffer(1), 1)
+
+        poll_proc = sim.process(poller())
+        sim.process(writer())
+        sim.run()
+        when, ready = poll_proc.result
+        assert ready == [read_fd]
+        assert 7000 <= when < 50_000
+
+    def test_poll_blocks_until_a_datagram_arrives(self, env):
+        sim, mem, kernel, proc = env
+        sfd = call(env, "socket")
+        call(env, "bind", sfd, 6001)
+        cfd = call(env, "socket")
+
+        def poller():
+            ready = yield from kernel.call(proc, "poll", [sfd])
+            return sim.now, ready
+
+        def sender():
+            yield 9000
+            yield from kernel.call(
+                proc, "sendto", cfd, mem.alloc_buffer(4), 4, ("localhost", 6001)
+            )
+
+        poll_proc = sim.process(poller())
+        sim.process(sender())
+        sim.run()
+        when, ready = poll_proc.result
+        assert ready == [sfd]
+        assert when >= 9000
+
     def test_poll_socket(self, env):
         sim, mem, kernel, proc = env
         sfd = call(env, "socket")

@@ -87,6 +87,23 @@ class TestBoundedPageCache:
         assert 0 in inode.cached_pages
         assert 1 not in inode.cached_pages
 
+    def test_each_contiguous_run_of_missing_pages_is_one_disk_request(self):
+        sim, mem, kernel = make_kernel(MachineConfig())
+        inode = kernel.fs.create_file("/data/f", b"x" * (5 * PAGE), on_disk=True)
+        inode.cached_pages.clear()
+        kernel.fs._page_lru.clear()
+        open_file = OpenFile(inode, O_RDONLY, "/data/f")
+
+        def body():
+            yield from kernel.fs.read_timed(open_file, 2 * PAGE, PAGE)
+            before = kernel.disk.requests
+            yield from kernel.fs.read_timed(open_file, 0, 5 * PAGE)
+            return kernel.disk.requests - before
+
+        # Page 2 is cached, so pages 0-1 and 3-4 are two runs.
+        assert sim.run_process(body()) == 2
+        assert inode.cached_pages == {0, 1, 2, 3, 4}
+
 
 class TestNicLoss:
     def test_no_loss_by_default(self):

@@ -8,6 +8,7 @@ from repro.machine import small_machine
 from repro.probes.tracepoints import (
     NULL_TRACEPOINT,
     ProbeRegistry,
+    StreamRecorder,
     Tracepoint,
     apply_global_plan,
     attached,
@@ -140,6 +141,49 @@ class TestProbeRegistry:
         cat = reg.catalogue()
         assert cat["t"] == {"kind": "tracepoint", "args": ["v"], "doc": "a tracepoint"}
         assert cat["h"] == {"kind": "hook", "args": ["w"], "doc": "a hook"}
+
+
+class TestStreamRecorder:
+    def _registry(self):
+        reg = ProbeRegistry()
+        for name in ("fault.irq", "fault.net", "recover.respawn", "wq.depth"):
+            reg.tracepoint(name, ("v",))
+        return reg
+
+    def test_records_matched_fires_in_firing_order(self):
+        reg = self._registry()
+        recorder = StreamRecorder(reg).attach("fault.*", "recover.respawn")
+        reg.get("recover.respawn").fire(1)
+        reg.get("wq.depth").fire(2)
+        reg.get("fault.net").fire(3)
+        reg.get("fault.irq").fire(4)
+        assert recorder.events == [
+            (0.0, "recover.respawn", (1,)),
+            (0.0, "fault.net", (3,)),
+            (0.0, "fault.irq", (4,)),
+        ]
+
+    def test_overlapping_patterns_attach_once(self):
+        reg = self._registry()
+        recorder = StreamRecorder(reg).attach("fault.*", "fault.irq", "*")
+        reg.get("fault.irq").fire(7)
+        assert recorder.events == [(0.0, "fault.irq", (7,))]
+        assert reg.get("fault.irq").observers == 1
+
+    def test_stamps_simulated_time(self):
+        system = System(config=small_machine())
+        recorder = StreamRecorder(system.probes).attach("slot.transition")
+
+        def kern(ctx):
+            yield from ctx.sys.getrusage()
+
+        system.run_kernel(kern, 1, 1)
+        times = [when for when, _name, _args in recorder.events]
+        assert times and times == sorted(times) and times[0] > 0.0
+
+    def test_unknown_exact_name_raises(self):
+        with pytest.raises(KeyError):
+            StreamRecorder(self._registry()).attach("fault.nope")
 
 
 class TestSystemCatalogue:

@@ -37,7 +37,6 @@ class TestHazardFixtures:
             ("tp002_arity_mismatch.py", "TP002"),
             ("err001_unknown_errno.py", "ERR001"),
             ("slot001_missing_slots.py", "SLOT001"),
-            ("sim/slot002_unpicklable_state.py", "SLOT002"),
             ("sched001_direct_heap.py", "SCHED001"),
         ],
     )
@@ -74,21 +73,6 @@ class TestHazardFixtures:
         out_of_zone = FIXTURES / "tp001_unknown_tracepoint.py"
         assert "DET001" not in codes_for(out_of_zone)
 
-    def test_slot002_spares_getstate_and_pragma(self):
-        findings = run_lint(
-            [FIXTURES / "sim" / "slot002_unpicklable_state.py"]
-        )
-        slot002 = [f for f in findings if f.code == "SLOT002"]
-        # Exactly the three hazards in Holder; Exempt defines
-        # __getstate__ and Allowed carries the pragma.
-        assert len(slot002) == 3, "\n".join(f.render() for f in slot002)
-
-    def test_slot002_scoped_to_snapshot_zones(self):
-        # The same closure stash outside a snapshot zone is fine:
-        # reporting layers are never pickled into a checkpoint.
-        out_of_zone = codes_for(FIXTURES / "slot002_out_of_zone.py")
-        assert "SLOT002" not in out_of_zone
-
     def test_allow_pragma_suppresses_in_place(self):
         findings = run_lint([FIXTURES / "sim" / "allow_pragma.py"])
         assert findings == [], "\n".join(f.render() for f in findings)
@@ -110,10 +94,13 @@ class TestHazardFixtures:
     def test_sched001_exempts_only_the_engine_itself(self):
         engine = SRC / "sim" / "engine.py"
         assert "SCHED001" not in codes_for(engine)
-        # The snapshot restore path compacts a quiesced heap and must
-        # carry explicit pragmas rather than an implicit exemption.
-        snapshot = (SRC / "sim" / "snapshot.py").read_text()
-        assert "lint: allow(SCHED001)" in snapshot
+        # Nothing else under src/ touches the heap, pragma or not.
+        pragmas = [
+            path
+            for path in SRC.rglob("*.py")
+            if "allow(SCHED001)" in path.read_text()
+        ]
+        assert pragmas == []
 
     def test_whole_fixture_dir_reports_every_class(self):
         findings = run_lint([FIXTURES])
