@@ -10,10 +10,12 @@ Section-V design axes::
                                  wait=WaitMode.POLL)
 
 Every method returns a sub-generator composed of the primitive GPU ops, so
-claiming the slot costs a cmp-swap, populating it costs real stores, the
-state change costs a swap, polling costs atomic-loads against the L2,
-and halting costs the resume latency — the Table-IV / Figure-9 effects
-arise from the same code path the workloads use.
+claiming the slot costs a cmp-swap per try, populating it costs real
+stores, the state change costs a swap, polling costs atomic-loads against
+the L2, and halting costs the resume latency — the Table-IV / Figure-9
+effects arise from the same code path the workloads use.  The claim and
+completion-poll loops are :class:`~repro.gpu.ops.Spin` ops, so the
+executor runs them without resuming the work-item on every poll.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.core.invocation import (
     syscall_kind,
 )
 from repro.core.syscall_area import Slot, SlotState
-from repro.gpu.ops import Atomic, Barrier, Do, L1Flush, MemWrite, Sleep, WaitAll
+from repro.gpu.ops import Atomic, Barrier, Do, L1Flush, MemWrite, Sleep, Spin, WaitAll
 from repro.memory.buffers import Buffer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,24 +61,23 @@ class _SlotOps:
 
     The slot protocol yields the same op sequence on every invocation
     (same addresses, same latencies); op objects are immutable to the
-    executor, so building them once per work-item makes the claim and
-    poll loops allocation-free without changing what is yielded — every
-    poll still issues its atomic-load through the L2/DRAM cost model.
+    executor, so building them once per work-item makes an invocation
+    allocate no ops.  ``claim`` and ``poll`` are the protocol's two
+    spins: cmp-swap until the slot is FREE, and atomic-load until it is
+    FINISHED, each sleeping ``poll_interval_ns`` between tries.  Every
+    try still issues its atomic through the L2/DRAM cost model.
     """
 
     __slots__ = (
         "slot",
-        "claim_cas",
-        "try_claim",
-        "poll_sleep",
+        "claim",
         "populate_write",
         "publish_swap",
         "set_ready",
         "note_issued",
         "sendmsg",
         "raise_irq",
-        "poll_load",
-        "read_state",
+        "poll",
         "get_completion",
         "consume",
         "pending_request",
@@ -87,9 +88,9 @@ class _SlotOps:
         self, genesys: "Genesys", slot: Slot, hw_id: int, cfg: Any
     ) -> None:
         self.slot = slot
-        self.claim_cas = Atomic("cmp-swap", slot.addr)
-        self.try_claim = Do(slot.try_claim)
-        self.poll_sleep = Sleep(cfg.poll_interval_ns)
+        self.claim = Spin(
+            Atomic("cmp-swap", slot.addr), slot.try_claim, cfg.poll_interval_ns
+        )
         self.populate_write = MemWrite(slot.addr, cfg.cacheline_bytes)
         self.publish_swap = Atomic("swap", slot.addr)
         self.set_ready = Do(slot.set_ready)
@@ -98,8 +99,14 @@ class _SlotOps:
         }
         self.sendmsg = Sleep(cfg.sendmsg_ns)
         self.raise_irq = Do(lambda: genesys.raise_interrupt(hw_id, slot))
-        self.poll_load = Atomic("atomic-load", slot.addr)
-        self.read_state = Do(lambda: slot.state)
+        # Bound once: an enum member lookup costs more than the rest of
+        # this check, which runs on every poll.
+        finished = SlotState.FINISHED
+        self.poll = Spin(
+            Atomic("atomic-load", slot.addr),
+            lambda: slot.state is finished,
+            cfg.poll_interval_ns,
+        )
         self.get_completion = Do(lambda: slot.completion)
         self.consume = Do(slot.consume)
         # The one per-invocation variable in the protocol is the request
@@ -277,12 +284,7 @@ class DeviceApi:
 
             # Claim: cmp-swap until the slot is FREE (a previous non-blocking
             # call of ours may still be in flight — invocation is delayed).
-            while True:
-                yield ops.claim_cas
-                claimed = yield ops.try_claim
-                if claimed:
-                    break
-                yield ops.poll_sleep
+            yield ops.claim
 
             # Consumer calls hand GPU-written buffers to the CPU: flush the
             # non-coherent L1 so the CPU sees the data (Section VI).
@@ -307,12 +309,7 @@ class DeviceApi:
                 return SyscallHandle(slot, request)
 
             if wait is WaitMode.POLL:
-                while True:
-                    yield ops.poll_load
-                    state = yield ops.read_state
-                    if state is SlotState.FINISHED:
-                        break
-                    yield ops.poll_sleep
+                yield ops.poll
             else:
                 completion = yield ops.get_completion
                 yield WaitAll([completion])

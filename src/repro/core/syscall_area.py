@@ -16,6 +16,7 @@ the false-sharing ablation can quantify why the paper did not do that.
 
 from __future__ import annotations
 
+import bisect
 from enum import Enum
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -290,6 +291,9 @@ class SyscallArea:
         # untouched slot is indistinguishable from a FREE one.  Addresses
         # are a pure function of the index, so laziness is unobservable.
         self._slots: List[Optional[Slot]] = [None] * self.num_slots
+        # The materialised slots as (index, slot), kept sorted: sweeps
+        # visit these, in index order, rather than every index.
+        self._materialized: List[Tuple[int, Slot]] = []
         #: Each wavefront's row of slots, built on its first scan.
         self._rows: Dict[int, Tuple[Slot, ...]] = {}
 
@@ -302,6 +306,8 @@ class SyscallArea:
             slot.on_protocol_error = self._note_protocol_error
             slot.on_occupancy = self._note_occupancy
             slot.tp_transition = self.tp_transition
+            # Indices are unique, so two slots are never compared.
+            bisect.insort(self._materialized, (index, slot))
         return slot
 
     def _note_protocol_error(self, slot: Slot, op: str, actor: str, detail: str) -> None:
@@ -315,10 +321,10 @@ class SyscallArea:
             self.tp_occupancy.fire(self.occupied, self.num_slots)
 
     def materialized(self) -> List[Slot]:
-        """Slots that have ever been touched (never-materialised ones
-        are indistinguishable from FREE, so watchdog sweeps and
-        invariant checks need only these)."""
-        return [slot for slot in self._slots if slot is not None]
+        """Slots that have ever been touched, in index order
+        (never-materialised ones are indistinguishable from FREE, so
+        watchdog sweeps and invariant checks need only these)."""
+        return [slot for _index, slot in self._materialized]
 
     @property
     def total_bytes(self) -> int:

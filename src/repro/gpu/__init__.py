@@ -23,6 +23,7 @@ from repro.gpu.ops import (
     MemRead,
     MemWrite,
     Sleep,
+    Spin,
     WaitAll,
 )
 
@@ -40,6 +41,7 @@ __all__ = [
     "MemRead",
     "MemWrite",
     "Sleep",
+    "Spin",
     "WaitAll",
     "WorkGroup",
     "WorkItemCtx",

@@ -7,6 +7,10 @@ system and coordinates barriers.  The GENESYS device API
 so syscall invocation costs flow through the same caches and DRAM channel
 as ordinary kernel traffic — that is what makes the polling-contention
 and atomics effects of the paper emerge rather than being hard-coded.
+Its claim and completion loops are :class:`Spin` ops: the executor runs
+each spin's atomic, check and sleep as the lockstep steps of the
+``Atomic``, ``Do`` and ``Sleep`` they stand for, without resuming the
+work-item between them.
 """
 
 from __future__ import annotations
@@ -118,6 +122,38 @@ class Do(Op):
 
     def __repr__(self) -> str:
         return f"Do({getattr(self.action, '__name__', 'fn')})"
+
+
+class Spin(Op):
+    """Spin on an atomic until a check passes.
+
+    Equivalent to the work-item loop::
+
+        while True:
+            yield atomic
+            if (yield Do(check)):
+                break
+            yield Sleep(sleep)
+
+    and costs the same lockstep steps, memory traffic and simulated
+    time; the executor runs the loop itself, so the work-item is resumed
+    (with ``None``) only once the check passes.  The GENESYS slot
+    protocol spins this way to claim its slot (cmp-swap until FREE) and
+    to wait for completion (atomic-load until FINISHED).
+    """
+
+    __slots__ = ("atomic", "check", "sleep")
+
+    def __init__(self, atomic: Atomic, check: Callable[[], Any], sleep: float):
+        if sleep < 0:
+            raise ValueError(f"negative sleep: {sleep}")
+        self.atomic = atomic
+        self.check = check
+        self.sleep = sleep
+
+    def __repr__(self) -> str:
+        check = getattr(self.check, "__name__", "fn")
+        return f"Spin({self.atomic!r}, {check}, {self.sleep})"
 
 
 class WaitAll(Op):

@@ -9,6 +9,10 @@ by all 64 lanes costs one miss plus 63 L1 hits).  Lanes block
 individually on barriers and halt-waits; the wavefront as a whole only
 sleeps when no lane can make progress — so a single blocked work-item
 stalls its wavefront, the paper's motivation for non-blocking syscalls.
+
+A lane that yields a :class:`~repro.gpu.ops.Spin` is not resumed until
+the spin ends: the executor steps it through the spin's atomic, check
+and sleep phases itself, one lockstep step each.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.gpu.ops import (
     MemWrite,
     Op,
     Sleep,
+    Spin,
     WaitAll,
 )
 from repro.sim.engine import AnyOf, Event, Simulator
@@ -68,7 +73,10 @@ def all_events(sim: Simulator, events: Sequence[Event]) -> Event:
 class _Lane:
     """One work-item being driven by the wavefront executor."""
 
-    __slots__ = ("ctx", "gen", "inbox", "blocked_on", "needs_resume", "finished")
+    __slots__ = (
+        "ctx", "gen", "inbox", "blocked_on", "needs_resume", "finished",
+        "spin", "spin_phase",
+    )
 
     def __init__(self, ctx: WorkItemCtx, gen: Generator):
         self.ctx = ctx
@@ -77,6 +85,10 @@ class _Lane:
         self.blocked_on: Optional[Event] = None
         self.needs_resume = False
         self.finished = False
+        #: The spin this lane is in, and which step of it comes next:
+        #: 0 the atomic, 1 the check, 2 the sleep.
+        self.spin: Optional[Spin] = None
+        self.spin_phase = 0
 
 
 class Wavefront:
@@ -143,28 +155,41 @@ class Wavefront:
                 lds_ops: Optional[List[Op]] = None
                 lanes_changed = False
                 for lane in runnable:
-                    try:
-                        op = lane.gen.send(lane.inbox)
-                    except StopIteration:
-                        lane.finished = True
-                        lane.inbox = None
-                        group.work_item_finished()
-                        lanes_changed = True
+                    op = lane.spin
+                    if op is None:
+                        try:
+                            op = lane.gen.send(lane.inbox)
+                        except StopIteration:
+                            lane.finished = True
+                            lane.inbox = None
+                            group.work_item_finished()
+                            lanes_changed = True
+                            continue
+                    elif lane.spin_phase == 1:
+                        # The check's step, as a Do: the lane resumes at
+                        # the next step once it passes.
+                        if op.check():
+                            lane.spin = None
+                        else:
+                            lane.spin_phase = 2
+                        continue
+                    elif lane.spin_phase == 2:
+                        # The sleep's step; the atomic's comes next.
+                        lane.spin_phase = 0
+                        if op.sleep > compute_ns:
+                            compute_ns = op.sleep
                         continue
                     # Exact-class dispatch, most frequent first.
                     cls = op.__class__
-                    if cls is Do:
-                        lane.inbox = op.action()
-                        continue
                     lane.inbox = None
-                    if cls is Atomic:
+                    if cls is Spin:
+                        # The spin's atomic step.
+                        lane.spin = op
+                        lane.spin_phase = 1
                         if atomic_ops is None:
-                            atomic_ops = [op]
+                            atomic_ops = [op.atomic]
                         else:
-                            atomic_ops.append(op)
-                    elif cls is Sleep:
-                        if op.duration > compute_ns:
-                            compute_ns = op.duration
+                            atomic_ops.append(op.atomic)
                     elif cls is Barrier:
                         lane.blocked_on = group.arrive_barrier()
                         lanes_changed = True
@@ -172,16 +197,21 @@ class Wavefront:
                         ns = op.cycles * cycle_ns
                         if ns > compute_ns:
                             compute_ns = ns
+                    elif cls is Do:
+                        lane.inbox = op.action()
+                    elif cls is Sleep:
+                        if op.duration > compute_ns:
+                            compute_ns = op.duration
                     elif cls is MemRead or cls is MemWrite:
                         if mem_ops is None:
                             mem_ops = [op]
                         else:
                             mem_ops.append(op)
-                    elif cls is LdsRead or cls is LdsWrite:
-                        if lds_ops is None:
-                            lds_ops = [op]
+                    elif cls is Atomic:
+                        if atomic_ops is None:
+                            atomic_ops = [op]
                         else:
-                            lds_ops.append(op)
+                            atomic_ops.append(op)
                     elif cls is L1Flush:
                         if flush_ops is None:
                             flush_ops = [op]
@@ -191,6 +221,11 @@ class Wavefront:
                         lane.blocked_on = all_events(self.sim, op.events)
                         lane.needs_resume = True
                         lanes_changed = True
+                    elif cls is LdsRead or cls is LdsWrite:
+                        if lds_ops is None:
+                            lds_ops = [op]
+                        else:
+                            lds_ops.append(op)
                     else:
                         raise TypeError(f"work-item yielded non-op {op!r}")
 

@@ -9,9 +9,9 @@ set of syscall-slot lines fits in the L2.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import DefaultDict, List
 
 from repro.machine import CACHELINE_BYTES
 from repro.probes.tracepoints import NULL_TRACEPOINT
@@ -85,22 +85,16 @@ class Cache:
         self.associativity = associativity
         self.line_bytes = line_bytes
         self.num_sets = total_lines // associativity
-        self._sets: Dict[int, OrderedDict] = {}
+        # A set's LRU order is built on its first lookup.
+        self._sets: DefaultDict[int, OrderedDict] = defaultdict(OrderedDict)
         self.stats = CacheStats()
 
-    def _set_for(self, line: int) -> OrderedDict:
-        key = line % self.num_sets
-        cache_set = self._sets.get(key)
-        if cache_set is None:
-            cache_set = self._sets[key] = OrderedDict()
-        return cache_set
-
     def contains(self, line: int) -> bool:
-        return line in self._set_for(line)
+        return line in self._sets[line % self.num_sets]
 
     def access(self, line: int) -> bool:
         """Touch ``line``; return True on hit, install + evict on miss."""
-        cache_set = self._set_for(line)
+        cache_set = self._sets[line % self.num_sets]
         if line in cache_set:
             cache_set.move_to_end(line)
             self.stats.hits += 1
@@ -125,7 +119,7 @@ class Cache:
 
     def invalidate(self, line: int) -> bool:
         """Drop one line (returns whether it was present)."""
-        cache_set = self._set_for(line)
+        cache_set = self._sets[line % self.num_sets]
         if line in cache_set:
             del cache_set[line]
             self.stats.invalidations += 1

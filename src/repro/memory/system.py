@@ -103,10 +103,10 @@ class MemorySystem:
     def gpu_atomic(self, op: str, addr: int) -> Generator:
         """Timed GPU atomic: L1-bypassing, L2-coherent (Section VI)."""
         latency = self.atomics.charge(op)
-        line = addr // self.config.cacheline_bytes
+        line_bytes = self.config.cacheline_bytes
         yield latency
-        if not self.l2.access(line):
-            yield from self.dram.gpu_access(self.config.cacheline_bytes)
+        if not self.l2.access(addr // line_bytes):
+            yield from self.dram.gpu_access(line_bytes)
 
     def gpu_load_uncached(self, addr: int) -> Generator:
         """Timed L1-bypassing plain load (Table IV's 'load' baseline).

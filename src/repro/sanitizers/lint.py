@@ -62,6 +62,7 @@ HOTPATH_CLASSES: Set[str] = {
     "Slot",
     "SyscallRequest",
     "_SlotOps",
+    "Spin",
     "_TaskRecord",
     "_Lane",
     "Tracepoint",

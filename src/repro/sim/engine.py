@@ -540,6 +540,12 @@ class Simulator:
             # Interrupt not caught by the process body: treat as clean stop.
             self._finish(proc, None)
             return
+        cls = target.__class__
+        if cls is float or cls is int:
+            # The hot path: a plain numeric delay, scheduled directly.
+            self._seq += 1
+            heapq.heappush(self._heap, (self.now + target, self._seq, proc, None, None))
+            return
         self._wait_on(proc, target)
 
     def _pop_tie_break(self) -> HeapEntry:
@@ -598,13 +604,9 @@ class Simulator:
             proc._completion.succeed(result)
 
     def _wait_on(self, proc: Process, target: Any) -> None:
-        cls = target.__class__
-        if cls is int or cls is float:
-            # The hot path: a plain numeric delay, scheduled directly.
-            self._seq += 1
-            heapq.heappush(self._heap, (self.now + target, self._seq, proc, None, None))
-            return
-        if cls is Delay:
+        """Suspend ``proc`` on anything but a plain ``int``/``float``
+        delay, which :meth:`_step` schedules itself."""
+        if target.__class__ is Delay:
             self._schedule(target.duration, proc)
         elif isinstance(target, Event):
             proc._waiting_on = target

@@ -21,6 +21,8 @@ CPU to service system calls (Figure 14's utilisation traces).
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from typing import Dict, Generator, List, Tuple
 
 from repro.core.invocation import Granularity, Ordering, WaitMode
@@ -54,6 +56,7 @@ class WordcountWorkload:
         self.workgroup_size = workgroup_size
         rng = DeterministicRandom(seed)
         self.words: List[bytes] = [b"word%04d" % i for i in range(NUM_WORDS)]
+        self._word_pattern = re.compile(b"|".join(map(re.escape, self.words)))
         fs = system.kernel.fs
         if not fs.exists("/data/wc"):
             fs.mkdir("/data/wc")
@@ -86,10 +89,17 @@ class WordcountWorkload:
             self.system.kernel.fs.resolve(path).cached_pages.clear()
 
     def _count_words(self, chunk: bytes, counts: Dict[bytes, int]) -> None:
-        for word in self.words:
-            hits = chunk.count(word)
-            if hits:
-                counts[word] = counts.get(word, 0) + hits
+        # One scan for all 64 words.  findall's non-overlapping matches
+        # equal each word's bytes.count because no proper suffix of a
+        # word starts a word (``word%04d`` has ``w`` only at position 0),
+        # so occurrences cannot overlap.  Counts are added in word-list
+        # order, so ``counts`` keeps the order a pass per word gave it.
+        found = Counter(self._word_pattern.findall(chunk))
+        if found:
+            for word in self.words:
+                hits = found[word]
+                if hits:
+                    counts[word] = counts.get(word, 0) + hits
 
     # -- CPU variant ------------------------------------------------------------
 
@@ -215,7 +225,6 @@ class WordcountWorkload:
                 if n is None or n <= 0:
                     break
                 offset += n
-                data = bytes(buf.data[:n])
                 per_item = -(-n // ctx.group.size)
                 lo = ctx.local_id * per_item
                 hi = min(n, lo + per_item)
@@ -224,7 +233,9 @@ class WordcountWorkload:
                     if ctx.is_group_leader:
                         # Functional tally once per chunk (the leader's
                         # lane aggregates, mirroring an LDS reduction).
-                        self._count_words(data, counts)
+                        # Only the leader refills ``buf``, and not before
+                        # this tally, so the chunk is still there.
+                        self._count_words(bytes(buf.data[:n]), counts)
             yield from ctx.sys.close(fd, **wg_opts)
 
         system.run_kernel(

@@ -153,6 +153,15 @@ class TestAddressing:
         with pytest.raises(ValueError):
             SyscallArea(sim, config, mem, slot_stride_bytes=48)
 
+    def test_materialized_in_index_order(self, area):
+        area.slot_for(5, 3)
+        area.slots_of(0)
+        area.slot_for(2, 1)
+        got = area.materialized()
+        assert got == [slot for slot in area._slots if slot is not None]
+        assert [slot.index for slot in got] == sorted(slot.index for slot in got)
+        assert len(got) == area.width + 2
+
     def test_total_bytes_reports_full_slots(self, area):
         assert area.total_bytes == area.num_slots * 64
 

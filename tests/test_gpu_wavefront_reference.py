@@ -3,8 +3,12 @@
 ``ReferenceWavefront`` keeps the straightforward executor: every step
 builds its memory, atomic, flush and LDS lists, classifies each op with
 an ``isinstance`` chain and advances each lane through ``_step_lane``.
+It knows no :class:`~repro.gpu.ops.Spin`: each lane's generator is
+wrapped so that a spin is written out as the loop it stands for (the
+atomic, ``Do(check)``, and a ``Sleep`` while the check fails).
 The production :class:`~repro.gpu.wavefront.Wavefront` dispatches on the
-op's exact class and allocates those lists only when a lane needs one.
+op's exact class, allocates those lists only when a lane needs one and
+steps a spin's phases itself.
 Each kernel below runs under both executors, on fresh machines, and
 every observable result must be equal: simulated time, lockstep
 statistics, atomic and cache counts, the lane/halt/resume tracepoint
@@ -32,6 +36,7 @@ from repro.gpu.ops import (
     MemWrite,
     Op,
     Sleep,
+    Spin,
     WaitAll,
 )
 from repro.gpu.wavefront import Wavefront, _Lane, all_events
@@ -42,8 +47,32 @@ from repro.system import System
 WG = Granularity.WORK_GROUP
 
 
+def spins_written_out(gen: Generator) -> Generator:
+    """``gen`` with every ``Spin`` it yields replaced by its loop."""
+    value = None
+    while True:
+        try:
+            op = gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        if isinstance(op, Spin):
+            while True:
+                yield op.atomic
+                if (yield Do(op.check)):
+                    break
+                yield Sleep(op.sleep)
+            value = None
+        else:
+            value = yield op
+
+
 class ReferenceWavefront(Wavefront):
     """The lockstep loop as first written: the executor's reference."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for lane in self.lanes:
+            lane.gen = spins_written_out(lane.gen)
 
     def run(self) -> Generator:
         cfg = self.gpu.config
@@ -176,6 +205,28 @@ def wg_syscall(wait: WaitMode):
     return kern
 
 
+def wi_poll_staggered(ctx):
+    """Work-item calls from all 64 lanes, each lane ``l % 3`` steps
+    behind lane 0, so spinning lanes sit in different phases of their
+    spins within one step."""
+    (buf,) = ctx.args
+    for _ in range(ctx.lane % 3):
+        yield Compute(1)
+    fd = yield from ctx.sys.open("/tmp/f")
+    n = yield from ctx.sys.pread(fd, buf, 16, 16 * ctx.lane)
+    return (fd, n)
+
+
+def claim_retry(ctx):
+    """A blocking call right behind a non-blocking one on the same slot:
+    its claim finds the slot busy, so the claim spin sleeps and retries."""
+    (buf,) = ctx.args
+    fd = yield from ctx.sys.open("/tmp/f")
+    yield from ctx.sys.pread(fd, buf, 16, 0, blocking=False)
+    n = yield from ctx.sys.pread(fd, buf, 16, 16 * ctx.lane)
+    return (fd, n)
+
+
 def mixed(ctx):
     (base,) = ctx.args
     i = ctx.local_id
@@ -255,6 +306,8 @@ def non_op(ctx):
 CASES = {
     "wg-poll": (wg_syscall(WaitMode.POLL), 128, 64, _file_setup),
     "wg-halt": (wg_syscall(WaitMode.HALT_RESUME), 128, 64, _file_setup),
+    "wi-poll-staggered": (wi_poll_staggered, 64, 64, _file_setup),
+    "claim-retry": (claim_retry, 6, 6, _file_setup),
     "mixed-64-wide": (mixed, 128, 128, _no_setup),
     "zero-cycle-compute": (zero_compute, 64, 64, _no_setup),
     "early-exit": (early_exit, 128, 128, _no_setup),
@@ -315,6 +368,12 @@ def test_executor_matches_reference(case):
     if case in ("wg-poll", "wg-halt"):
         assert expected["atomics"]["cmp-swap"] > 0
         assert expected["wavefront_stats"]["divergent_steps"] > 0
+    if case == "wi-poll-staggered":
+        # 128 blocking calls, and some of their poll spins slept.
+        assert expected["atomics"]["atomic-load"] > 128
+    if case == "claim-retry":
+        # 18 calls, and some of their claim spins failed and slept.
+        assert expected["atomics"]["cmp-swap"] > 18
     if case in ("wg-halt", "wait-all"):
         assert any(name == "wavefront.halt" for _t, name, _a in expected["stream"])
     if case == "mixed-64-wide":

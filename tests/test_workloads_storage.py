@@ -1,6 +1,7 @@
 """Workload tests: grep (Fig 13a) and wordcount (Figs 13b/14)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.invocation import Granularity, WaitMode
 from repro.machine import MachineConfig
@@ -151,3 +152,46 @@ class TestWordcountShape:
             runs["genesys"][0].kernel.disk.max_queue_depth
             > runs["cpu"][0].kernel.disk.max_queue_depth
         )
+
+
+class TestOnePassScans:
+    """Each workload scans a chunk once for its whole word list; the
+    results must equal one pass per word, the loops kept here."""
+
+    @pytest.fixture(scope="class")
+    def wordcount(self):
+        return WordcountWorkload(System(), num_files=0)
+
+    @pytest.fixture(scope="class")
+    def grep(self):
+        return GrepWorkload(System(), num_files=0)
+
+    @staticmethod
+    def chunks(words):
+        cut = st.tuples(st.sampled_from(words), st.integers(1, 7), st.booleans()).map(
+            lambda t: t[0][: t[1]] if t[2] else t[0][t[1] :]
+        )
+        piece = st.one_of(st.sampled_from(words), cut, st.binary(max_size=12))
+        return st.lists(piece, max_size=40).map(b"".join)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_wordcount_equals_a_pass_per_word(self, wordcount, data):
+        words = wordcount.words
+        chunk = data.draw(self.chunks(words))
+        seeded = data.draw(st.dictionaries(st.sampled_from(words), st.integers(1, 5)))
+        expected = dict(seeded)
+        for word in words:
+            hits = chunk.count(word)
+            if hits:
+                expected[word] = expected.get(word, 0) + hits
+        counts = dict(seeded)
+        wordcount._count_words(chunk, counts)
+        assert list(counts.items()) == list(expected.items())
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_grep_equals_an_in_test_per_word(self, grep, data):
+        words = grep.words
+        chunk = data.draw(self.chunks(words))
+        assert grep._contains_word(chunk) == any(w in chunk for w in words)
