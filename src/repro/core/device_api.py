@@ -20,7 +20,7 @@ executor runs them without resuming the work-item on every poll.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.invocation import (
     Granularity,
@@ -44,16 +44,19 @@ class SyscallHandle:
     """Returned by non-blocking invocations: completion can be checked
     (but the paper's model is fire-and-forget plus a host-side drain)."""
 
-    __slots__ = ("slot", "request")
+    __slots__ = ("slot", "request", "completion")
 
     def __init__(self, slot: Slot, request: SyscallRequest) -> None:
         self.slot = slot
         self.request = request
+        # Captured now: the lane's next call repopulates the slot with a
+        # fresh event, and this handle must still report its own call.
+        self.completion = slot.completion
 
     @property
     def done(self) -> bool:
-        completion = self.slot.completion
-        return bool(completion and completion.triggered)
+        completion = self.completion
+        return completion is not None and completion.triggered
 
 
 class _SlotOps:
@@ -66,6 +69,9 @@ class _SlotOps:
     spins: cmp-swap until the slot is FREE, and atomic-load until it is
     FINISHED, each sleeping ``poll_interval_ns`` between tries.  Every
     try still issues its atomic through the L2/DRAM cost model.
+
+    No op refers back to this object, so a retired work-item's ops are
+    freed by reference counting, not left to the cyclic collector.
     """
 
     __slots__ = (
@@ -80,7 +86,7 @@ class _SlotOps:
         "poll",
         "get_completion",
         "consume",
-        "pending_request",
+        "pending",
         "populate_do",
     )
 
@@ -110,25 +116,54 @@ class _SlotOps:
         self.get_completion = Do(lambda: slot.completion)
         self.consume = Do(slot.consume)
         # The one per-invocation variable in the protocol is the request
-        # itself; it travels through this cell so the populate op can be
-        # pre-built like every other op instead of allocating a fresh
-        # Do + closure on each invocation.
-        self.pending_request: Optional[SyscallRequest] = None
-        self.populate_do = Do(self._populate_pending)
+        # itself; it travels through this one-element cell so the
+        # populate op can be pre-built like every other op instead of
+        # allocating a fresh Do + closure on each invocation.
+        pending: List[Optional[SyscallRequest]] = [None]
 
-    def _populate_pending(self) -> None:
-        request, self.pending_request = self.pending_request, None
-        self.slot.populate(request)
+        def populate_pending() -> None:
+            request, pending[0] = pending[0], None
+            slot.populate(request)
+
+        self.pending = pending
+        self.populate_do = Do(populate_pending)
 
 
 class DeviceApi:
+    """One work-item's ``ctx.sys``.
+
+    Holds the values of its work-item it uses (group, kernel, lane,
+    leader flags, hardware wavefront id), never the ``WorkItemCtx`` or
+    ``Wavefront`` themselves: the context refers to this object, so a
+    reference back would make every work-item a cycle for the collector.
+    """
+
+    __slots__ = (
+        "_genesys",
+        "_group",
+        "_kernel",
+        "_lane",
+        "_hw_id",
+        "_is_group_leader",
+        "_is_kernel_leader",
+        "_seq",
+        "_ops",
+    )
+
     def __init__(
         self, genesys: "Genesys", ctx: "WorkItemCtx", wavefront: "Wavefront"
     ) -> None:
         self._genesys = genesys
-        self._ctx = ctx
-        self._wavefront = wavefront
-        self._config = genesys.config
+        self._group = ctx.group
+        self._kernel = ctx.kernel
+        # Built for every work-item, so the leader flags and lane (as the
+        # syscall area indexes it) are read off the ids directly rather
+        # than through the context's properties.
+        local_id = ctx.local_id
+        self._lane = local_id % genesys.config.wavefront_width
+        self._hw_id = wavefront.hw_id
+        self._is_group_leader = local_id == 0
+        self._is_kernel_leader = ctx.global_id == 0
         self._seq = 0
         self._ops: Optional[_SlotOps] = None
 
@@ -186,12 +221,12 @@ class DeviceApi:
     ) -> Generator[Any, Any, Any]:
         self._seq += 1
         key = ("sysres", self._seq)
-        group = self._ctx.group
+        group = self._group
         pre_barrier = ordering is Ordering.STRONG or kind is SyscallKind.CONSUMER
         post_barrier = ordering is Ordering.STRONG or kind is SyscallKind.PRODUCER
         if pre_barrier:
             yield Barrier()
-        if self._ctx.is_group_leader:
+        if self._is_group_leader:
             result = yield from self._raw_invoke(
                 name, args, blocking, wait, Granularity.WORK_GROUP, priority
             )
@@ -200,7 +235,7 @@ class DeviceApi:
             yield Barrier()
             return group.shared.get(key)
         # Relaxed consumer: only the leader observes the return value.
-        return group.shared.get(key) if self._ctx.is_group_leader else None
+        return group.shared.get(key) if self._is_group_leader else None
 
     def _kernel_invoke(
         self,
@@ -219,12 +254,12 @@ class DeviceApi:
                 "may hold more work-items than can execute concurrently and "
                 "GPU runtimes do not preempt (Section V-A)"
             )
-        if not self._ctx.is_kernel_leader:
+        if not self._is_kernel_leader:
             return None
         result = yield from self._raw_invoke(
             name, args, blocking, wait, Granularity.KERNEL, priority
         )
-        self._ctx.kernel.shared[("sysres", name)] = result
+        self._kernel.shared[("sysres", name)] = result
         return result
 
     # -- the slot protocol (Figure 6, GPU side) --------------------------------
@@ -248,13 +283,14 @@ class DeviceApi:
             if verdict:
                 genesys.qos_fast_fails += 1
                 return -int(verdict)
+        hw_id = self._hw_id
         ops = self._ops
         if ops is None:
             ops = self._ops = _SlotOps(
                 genesys,
-                genesys.area.slot_for(self._wavefront.hw_id, self._ctx.lane),
-                self._wavefront.hw_id,
-                self._config,
+                genesys.area.slot_for(hw_id, self._lane),
+                hw_id,
+                genesys.config,
             )
         slot = ops.slot
         # Retry loop: each attempt is a full slot-protocol round trip
@@ -269,7 +305,7 @@ class DeviceApi:
             # plain Python between ops: the lane's op stream — and therefore
             # every simulated timestamp — is identical traced or not.
             invocation_id = genesys.begin_invocation(
-                name, self._wavefront.hw_id, self._ctx.lane, granularity, blocking, wait
+                name, hw_id, self._lane, granularity, blocking, wait
             )
             request = SyscallRequest(
                 name,
@@ -294,7 +330,7 @@ class DeviceApi:
                         yield L1Flush(arg.addr, arg.size)
 
             # Populate the 64-byte slot, then publish with an atomic swap.
-            ops.pending_request = request
+            ops.pending[0] = request
             yield ops.populate_do
             yield ops.populate_write
             yield ops.publish_swap
@@ -318,7 +354,7 @@ class DeviceApi:
             # the instant the work-item's next op is requested (after any
             # halt-resume charge), again without adding an op.
             if genesys.tp_resume.enabled:
-                genesys.tp_resume.fire(invocation_id, name, self._wavefront.hw_id)
+                genesys.tp_resume.fire(invocation_id, name, hw_id)
 
             # Consume the result and free the slot (FINISHED -> FREE).
             yield ops.publish_swap

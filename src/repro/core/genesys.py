@@ -473,15 +473,13 @@ class Genesys:
         """Shed every expired READY slot of one wavefront.
 
         Returns ``(shed, live)``: how many slots were shed and how many
-        READY slots remain.  Cheap when no deadlines are minted — the
-        per-slot check is a None test.
+        READY slots remain.  Visits only the READY slots, and is cheap
+        when no deadlines are minted — the per-slot check is a None test.
         """
         now = self.sim.now
         shed = 0
         live = 0
-        for slot in self.area.slots_of(hw_wavefront_id):
-            if slot.state is not SlotState.READY:
-                continue
+        for slot in self.area.ready_slots(hw_wavefront_id):
             request = slot.request
             if request is not None and request.expired(now):
                 self._shed_slot(slot, stage, "deadline")
@@ -606,9 +604,9 @@ class Genesys:
         yield from cpu.run(self.config.context_switch_ns)
         for hw_id in hw_ids:
             self._scan_suppressed.discard(hw_id)
-            for slot in self.area.slots_of(hw_id):
-                if slot.state is not SlotState.READY:
-                    continue
+            # Read live: servicing one slot advances the clock, so later
+            # lanes of the row may turn READY (or be reclaimed) meanwhile.
+            for slot in self.area.ready_slots(hw_id):
                 # Dispatch shed stage: servicing earlier calls of the
                 # bundle advanced the clock, and brownout may have
                 # raised the priority floor since submission.
@@ -761,13 +759,7 @@ class Genesys:
         (counted in ``degraded``, fires ``recover.degraded``); otherwise
         it is a polling-mode pass (counted in ``polled_scans``).
         """
-        hw_ids = sorted(
-            {
-                slot.index // self.area.width
-                for slot in self.area.materialized()
-                if slot.state is SlotState.READY
-            }
-        )
+        hw_ids = self.area.ready_wavefronts()
         if not hw_ids:
             return 0
         if degraded:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import bisect
 from enum import Enum
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from itertools import compress
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.invocation import SyscallRequest
 from repro.machine import MachineConfig
@@ -36,6 +37,9 @@ class SlotState(Enum):
     PROCESSING = "processing"
     FINISHED = "finished"
 
+
+#: Bound once: ``Slot._transition`` tests it on every state change.
+_READY = SlotState.READY
 
 #: Legal transitions and the agents allowed to drive them (Figure 6:
 #: green = GPU, blue = CPU; the watchdog's reclaim edges force a stuck
@@ -63,6 +67,7 @@ class Slot:
         "index", "addr", "state", "request", "result", "completion", "sim",
         "on_occupancy", "on_protocol_error", "protocol_errors",
         "last_transition_ns", "tp_transition", "_done_name",
+        "ready_masks", "row", "lane_bit",
     )
 
     def __init__(self, sim: Simulator, index: int, addr: int) -> None:
@@ -91,8 +96,14 @@ class Slot:
         #: When the slot last changed state (watchdog staleness input).
         self.last_transition_ns = 0.0
         #: Shared ``slot.transition`` tracepoint (area-wide), wired by
-        #: :meth:`SyscallArea._slot_at`; inert by default.
+        #: :meth:`SyscallArea.slot_for`; inert by default.
         self.tp_transition = NULL_TRACEPOINT
+        #: The area's per-wavefront READY bitmasks, and this slot's row
+        #: and lane bit in them: set on entering READY, cleared on
+        #: leaving it.  ``None`` for a slot outside any area.
+        self.ready_masks: Optional[List[int]] = None
+        self.row = 0
+        self.lane_bit = 0
 
     def _protocol_error(self, op: str, detail: str, actor: str) -> None:
         """Count (and surface) one rejected transition attempt."""
@@ -121,6 +132,12 @@ class Slot:
         old_state = self.state
         self.state = new_state
         self.last_transition_ns = self.sim.now
+        ready_masks = self.ready_masks
+        if ready_masks is not None:
+            if new_state is _READY:
+                ready_masks[self.row] |= self.lane_bit
+            elif old_state is _READY:
+                ready_masks[self.row] &= ~self.lane_bit
         if self.tp_transition.enabled:
             self.tp_transition.fire(
                 self.index, old_state.value, new_state.value, actor
@@ -286,29 +303,19 @@ class SyscallArea:
         #: Gauge state behind ``slot.occupancy``.
         self.occupied = 0
         self.protocol_errors = 0
-        # Slots are materialised on first use: a default machine reserves
-        # 40960 of them but a typical run touches a handful, and every
-        # untouched slot is indistinguishable from a FREE one.  Addresses
-        # are a pure function of the index, so laziness is unobservable.
+        # Slots are built by ``slot_for``, on a work-item's first call: a
+        # default machine reserves 20480 of them but a typical run
+        # touches a handful, and every untouched slot is
+        # indistinguishable from a FREE one.  Addresses are a pure
+        # function of the index, so laziness is unobservable.
         self._slots: List[Optional[Slot]] = [None] * self.num_slots
         # The materialised slots as (index, slot), kept sorted: sweeps
         # visit these, in index order, rather than every index.
         self._materialized: List[Tuple[int, Slot]] = []
-        #: Each wavefront's row of slots, built on its first scan.
-        self._rows: Dict[int, Tuple[Slot, ...]] = {}
-
-    def _slot_at(self, index: int) -> Slot:
-        slot = self._slots[index]
-        if slot is None:
-            slot = self._slots[index] = Slot(
-                self.sim, index, self.base_addr + index * self.stride
-            )
-            slot.on_protocol_error = self._note_protocol_error
-            slot.on_occupancy = self._note_occupancy
-            slot.tp_transition = self.tp_transition
-            # Indices are unique, so two slots are never compared.
-            bisect.insort(self._materialized, (index, slot))
-        return slot
+        #: One READY bitmask per wavefront row: bit ``lane`` is set while
+        #: that lane's slot is READY.  Each slot keeps its own bit (see
+        #: ``Slot._transition``); CPU scans walk the masks.
+        self.ready_masks: List[int] = [0] * self.num_wavefronts
 
     def _note_protocol_error(self, slot: Slot, op: str, actor: str, detail: str) -> None:
         self.protocol_errors += 1
@@ -332,21 +339,52 @@ class SyscallArea:
         return self.num_slots * SLOT_BYTES
 
     def slot_for(self, hw_wavefront_id: int, lane: int) -> Slot:
+        """One work-item's slot, built on first use."""
         if not 0 <= hw_wavefront_id < self.num_wavefronts:
             raise IndexError(f"hardware wavefront id {hw_wavefront_id} out of range")
         if not 0 <= lane < self.width:
             raise IndexError(f"lane {lane} out of range")
-        return self._slot_at(hw_wavefront_id * self.width + lane)
-
-    def slots_of(self, hw_wavefront_id: int) -> Tuple[Slot, ...]:
-        """The 64 (wavefront-width) slots one CPU scan task examines."""
-        row = self._rows.get(hw_wavefront_id)
-        if row is None:
-            start = hw_wavefront_id * self.width
-            row = self._rows[hw_wavefront_id] = tuple(
-                self._slot_at(i) for i in range(start, start + self.width)
+        index = hw_wavefront_id * self.width + lane
+        slot = self._slots[index]
+        if slot is None:
+            slot = self._slots[index] = Slot(
+                self.sim, index, self.base_addr + index * self.stride
             )
-        return row
+            slot.on_protocol_error = self._note_protocol_error
+            slot.on_occupancy = self._note_occupancy
+            slot.tp_transition = self.tp_transition
+            slot.ready_masks = self.ready_masks
+            slot.row = hw_wavefront_id
+            slot.lane_bit = 1 << lane
+            # Indices are unique, so two slots are never compared.
+            bisect.insort(self._materialized, (index, slot))
+        return slot
+
+    def ready_slots(self, hw_wavefront_id: int) -> Iterator[Slot]:
+        """The wavefront's READY slots in lane order, read live.
+
+        The mask is read again each time the caller asks for the next
+        slot, so a scan that services slots as it goes sees what the
+        servicing changed, as a walk over the whole row would: a higher
+        lane that turned READY meanwhile is yielded, a lower one is not,
+        and a higher one that left READY is skipped.
+        """
+        masks = self.ready_masks
+        base = hw_wavefront_id * self.width
+        lane = 0
+        while True:
+            mask = masks[hw_wavefront_id] >> lane
+            if not mask:
+                return
+            lane += (mask & -mask).bit_length() - 1
+            slot = self._slots[base + lane]
+            assert slot is not None  # only a claimed slot turns READY
+            yield slot
+            lane += 1
+
+    def ready_wavefronts(self) -> List[int]:
+        """Hardware ids of the wavefronts with a READY slot, ascending."""
+        return list(compress(range(self.num_wavefronts), self.ready_masks))
 
     def shares_cacheline(self, slot: Slot) -> bool:
         """Whether this slot's line holds other slots (packed layout)."""

@@ -55,13 +55,16 @@ DETERMINISM_ZONES = ("sim", "core", "oskernel")
 #: Modules whose import into a deterministic zone is a hazard.
 _WALL_CLOCK_MODULES = ("time", "datetime")
 
-#: Hot-path classes (PR 1's allocation-lean inner loop, the slot
-#: protocol, and per-event observer records) that must keep
-#: ``__slots__``: dropping it silently re-grows every instance a dict.
+#: Hot-path classes (the allocation-lean inner loop, the slot protocol,
+#: per-work-item state built for every launched work-item, and
+#: per-event observer records) that must keep ``__slots__``: dropping it
+#: silently re-grows every instance a dict.
 HOTPATH_CLASSES: Set[str] = {
     "Slot",
     "SyscallRequest",
     "_SlotOps",
+    "DeviceApi",
+    "WorkItemCtx",
     "Spin",
     "_TaskRecord",
     "_Lane",

@@ -1,6 +1,8 @@
 """Unit tests for the syscall area and its slot state machine (Fig 5/6)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.invocation import SyscallRequest
 from repro.core.syscall_area import Slot, SlotState, SlotStateError, SyscallArea
@@ -128,10 +130,13 @@ class TestAddressing:
         area = SyscallArea(sim, config, MemorySystem(sim, config))
         assert area.num_slots == config.max_active_workitems
 
-    def test_slots_of_returns_wavefront_width(self, area):
-        slots = area.slots_of(2)
-        assert len(slots) == area.width
-        assert slots[0] is area.slot_for(2, 0)
+    def test_ready_slots_walk_one_row_in_lane_order(self, sim, area):
+        for hw_id, lane in ((2, 5), (2, 1), (3, 0)):
+            drive_to_ready(sim, area.slot_for(hw_id, lane))
+        area.slot_for(2, 3)  # claimed, never READY
+        assert list(area.ready_slots(2)) == [area.slot_for(2, 1), area.slot_for(2, 5)]
+        assert area.ready_masks[2] == 0b100010
+        assert area.ready_wavefronts() == [2, 3]
 
     def test_out_of_range_rejected(self, area):
         with pytest.raises(IndexError):
@@ -155,7 +160,8 @@ class TestAddressing:
 
     def test_materialized_in_index_order(self, area):
         area.slot_for(5, 3)
-        area.slots_of(0)
+        for lane in reversed(range(area.width)):
+            area.slot_for(0, lane)
         area.slot_for(2, 1)
         got = area.materialized()
         assert got == [slot for slot in area._slots if slot is not None]
@@ -255,3 +261,144 @@ class TestProtocolErrorAccounting:
         slot.start_processing()
         assert slot.reclaim(-110) is not None
         assert slot.state is SlotState.FREE
+
+
+def make_area():
+    sim = Simulator()
+    config = small_machine()
+    return sim, SyscallArea(sim, config, MemorySystem(sim, config))
+
+
+def advance(sim, slot, choice):
+    """Walk ``slot`` one legal edge on from its state; ``choice`` picks
+    between the edges open to it."""
+    state = slot.state
+    if state is SlotState.FREE:
+        assert slot.try_claim()
+    elif state is SlotState.POPULATING:
+        slot.populate(make_request(sim, blocking=bool(choice % 2)))
+        slot.set_ready()
+    elif state is SlotState.READY:
+        if choice % 3:
+            slot.start_processing()
+        else:
+            slot.reclaim(-110)
+    elif state is SlotState.PROCESSING:
+        if choice % 3:
+            slot.finish(0)
+        else:
+            slot.reclaim(-110)
+    else:
+        slot.consume()
+
+
+def row_walk(area, hw_id):
+    """The READY slots of one row found by checking every lane's state."""
+    slots = [area._slots[hw_id * area.width + lane] for lane in range(area.width)]
+    return [slot for slot in slots if slot is not None and slot.state is SlotState.READY]
+
+
+#: Moves across four rows: (hardware wavefront id, lane, edge choice).
+moves = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(0, 5)), max_size=80
+)
+#: Moves within row 0: (lane, edge choice).
+row_moves = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5)), max_size=40)
+
+
+class TestReadyMasks:
+    """The per-row READY bitmasks the CPU scans walk in place of rows
+    of slots: they must name exactly the READY slots, in lane order, and
+    a walk must read them live as the row walk it replaced did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(moves)
+    def test_ready_slots_match_a_full_row_walk(self, steps):
+        sim, area = make_area()
+        assert area.width == 8
+        for hw_id, lane, choice in steps:
+            advance(sim, area.slot_for(hw_id, lane), choice)
+            for row in range(4):
+                assert list(area.ready_slots(row)) == row_walk(area, row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(moves)
+    def test_ready_wavefronts_match_the_materialized_sweep(self, steps):
+        sim, area = make_area()
+        for hw_id, lane, choice in steps:
+            advance(sim, area.slot_for(hw_id, lane), choice)
+            assert area.ready_wavefronts() == sorted(
+                {
+                    slot.index // area.width
+                    for slot in area.materialized()
+                    if slot.state is SlotState.READY
+                }
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(row_moves, st.lists(row_moves, max_size=8))
+    def test_a_walk_reads_the_mask_live(self, setup, per_visit):
+        """Servicing each visited slot and then moving other lanes of the
+        row visits the same lanes as walking the row lane by lane."""
+
+        def scan(walk_row):
+            sim, area = make_area()
+            for lane, choice in setup:
+                advance(sim, area.slot_for(0, lane), choice)
+            visited = []
+
+            def visit(slot):
+                slot.start_processing()
+                slot.finish(0)
+                later = per_visit[len(visited)] if len(visited) < len(per_visit) else []
+                visited.append(slot.index)
+                for lane, choice in later:
+                    advance(sim, area.slot_for(0, lane), choice)
+
+            if walk_row:
+                for lane in range(area.width):
+                    slot = area._slots[lane]
+                    if slot is not None and slot.state is SlotState.READY:
+                        visit(slot)
+            else:
+                for slot in area.ready_slots(0):
+                    visit(slot)
+            return visited
+
+        assert scan(walk_row=False) == scan(walk_row=True)
+
+    def test_walk_takes_higher_lanes_that_turn_ready_but_not_lower(self, sim, area):
+        for lane in (2, 5):
+            drive_to_ready(sim, area.slot_for(0, lane))
+        visited = []
+        for slot in area.ready_slots(0):
+            visited.append(slot.index)
+            slot.start_processing()
+            if slot.index == 2:
+                drive_to_ready(sim, area.slot_for(0, 1))  # lower: missed
+                drive_to_ready(sim, area.slot_for(0, 7))  # higher: taken
+                area.slot_for(0, 5).reclaim(-110)  # left READY: skipped
+        assert visited == [2, 7]
+        assert list(area.ready_slots(0)) == [area.slot_for(0, 1)]
+
+    def test_scan_ready_covers_the_wavefronts_with_ready_slots(self):
+        from repro.system import System
+
+        system = System(config=small_machine())
+        genesys = system.genesys
+        area = genesys.area
+        for hw_id, lane in ((3, 4), (1, 0), (3, 1)):
+            drive_to_ready(system.sim, area.slot_for(hw_id, lane))
+        area.slot_for(2, 0).try_claim()  # POPULATING is not READY
+        enqueued = []
+        genesys._enqueue_scan = enqueued.append
+        assert genesys.poll_scan() == 2
+        assert enqueued == [[1, 3]]
+
+    def test_a_slot_outside_an_area_keeps_no_mask(self, sim):
+        slot = Slot(sim, 0, 0x1000)
+        drive_to_ready(sim, slot)
+        slot.start_processing()
+        slot.finish(7)
+        assert slot.ready_masks is None
+        assert slot.consume() == 7

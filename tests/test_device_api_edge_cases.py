@@ -132,6 +132,25 @@ class TestHandleSemantics:
         assert issued_done is False
         assert handle.done is True  # after drain
 
+    def test_earlier_handle_stays_done_after_the_next_call(self, system):
+        """The lane's second non-blocking call can only claim the slot
+        once the first call completed and freed it, so the first handle
+        reports done although the slot now holds the second call."""
+        system.kernel.fs.create_file("/tmp/f", b"")
+        buf = system.memsystem.alloc_buffer(4)
+        seen = {}
+
+        def kern(ctx):
+            fd = yield from ctx.sys.open("/tmp/f", O_RDWR)
+            first = yield from ctx.sys.pwrite(fd, buf, 4, 0, blocking=False)
+            second = yield from ctx.sys.pwrite(fd, buf, 4, 4, blocking=False)
+            seen["same_slot"] = first.slot is second.slot
+            seen["first"] = first.done
+            seen["second"] = second.done
+
+        run_kernel(system, kern, 1, 1)
+        assert seen == {"same_slot": True, "first": True, "second": False}
+
     def test_handle_request_metadata(self, system):
         system.kernel.fs.create_file("/tmp/f", b"")
         buf = system.memsystem.alloc_buffer(4)
