@@ -21,9 +21,9 @@ Run:  python examples/faults_demo.py
 from repro.probes import policy
 from repro.faults import (
     DrainTimeout,
+    FaultInjector,
     FaultPlan,
     check_invariants,
-    install_plan,
     recovery_stats,
 )
 from repro.system import System
@@ -82,7 +82,7 @@ def main() -> None:
     print(f"\n=== 2. faulted run, recovery armed ===")
     print(f"  plan: {DEMO_PLAN.describe()}")
     system = build_system()
-    injector = install_plan(DEMO_PLAN, system.probes)
+    injector = FaultInjector(DEMO_PLAN, system.probes)
     outcome = run_workload(system)
     print(f"  elapsed: {outcome['elapsed_ns']:.0f} ns, "
           f"full reads: {outcome['full_reads']}/{outcome['items']}")

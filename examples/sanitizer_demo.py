@@ -16,7 +16,7 @@ Run:  python examples/sanitizer_demo.py
 """
 
 from repro.core.invocation import Granularity, WaitMode
-from repro.faults import DrainTimeout, FaultPlan, install_plan
+from repro.faults import DrainTimeout, FaultInjector, FaultPlan
 from repro.machine import small_machine
 from repro.sanitizers.gsan import GSan
 from repro.sim.engine import SimulationError
@@ -34,7 +34,7 @@ def run_once(plan=None):
     system = System(config=small_machine())
     sanitizer = GSan().install(system.probes)
     if plan is not None:
-        install_plan(plan, system.probes)
+        FaultInjector(plan, system.probes)
         system.drain_timeout_ns = 2_000_000.0
 
     def kern(ctx):

@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -135,14 +136,16 @@ class UsageError(argparse.ArgumentTypeError, ValueError):
 
 
 def _bounded(cast: Callable[[str], N], low: N, strict: bool = False) -> Callable[[str], N]:
-    """``cast(text)``, at least ``low`` (above it when ``strict``)."""
+    """``cast(text)``, finite and at least ``low`` (above it when ``strict``)."""
 
     def parse(text: str) -> N:
         try:
             value = cast(text)
         except ValueError:
             raise UsageError(f"{text!r} is not a number") from None
-        if not (value > low if strict else value >= low):  # NaN fails too
+        if not math.isfinite(value):
+            raise UsageError(f"{text!r} is not a finite number")
+        if not (value > low if strict else value >= low):
             raise UsageError(f"{text!r} must be {'>' if strict else '>='} {low}")
         return value
 
@@ -153,6 +156,14 @@ POSITIVE_INT = _bounded(int, 0, strict=True)
 NON_NEGATIVE_INT = _bounded(int, 0)
 POSITIVE = _bounded(float, 0.0, strict=True)
 NON_NEGATIVE = _bounded(float, 0.0)
+
+
+def fraction(text: str) -> float:
+    """A number in [0, 1]."""
+    value = NON_NEGATIVE(text)
+    if value > 1.0:
+        raise UsageError(f"{text!r} must be <= 1")
+    return value
 
 
 def _one_of(what: str, known: Sequence[str]) -> Callable[[str], str]:
@@ -257,6 +268,8 @@ def policy_spec(text: str) -> Tuple[str, float]:
         value: float = float(raw) if ("." in raw or "e" in raw.lower()) else int(raw)
     except ValueError:
         raise UsageError(f"{text!r}: VALUE must be numeric") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{text!r}: VALUE must be finite")
     return hook, value
 
 
@@ -992,7 +1005,7 @@ def _serving(p: argparse.ArgumentParser) -> None:
     group.add_argument("--rx-backlog", type=NON_NEGATIVE_INT, default=d.rx_backlog or 0,
                        help="server receive-queue bound (0 = unbounded)")
     group.add_argument("--slo-p99-us", type=POSITIVE, default=d.slo_p99_ns / 1e3)
-    group.add_argument("--slo-completion", type=float, default=d.slo_completion)
+    group.add_argument("--slo-completion", type=fraction, default=d.slo_completion)
 
 
 def _point(p: argparse.ArgumentParser) -> None:

@@ -30,7 +30,6 @@ from repro.faults.plan import (
     FAULT_HOOKS,
     FaultInjector,
     FaultPlan,
-    install_plan,
 )
 from repro.oskernel.workqueue import DrainTimeout
 
@@ -44,7 +43,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "check_invariants",
-    "install_plan",
     "recovery_stats",
     "run_matrix",
     "run_one",

@@ -34,7 +34,7 @@ from typing import Dict, Generator, List, Optional
 
 from repro.core.syscall_area import SlotState
 from repro.gpu.hierarchy import WorkItemCtx
-from repro.faults.plan import FaultInjector, FaultPlan, install_plan
+from repro.faults.plan import FaultInjector, FaultPlan
 from repro.oskernel.workqueue import DrainTimeout
 from repro.system import System
 
@@ -469,7 +469,7 @@ def run_one(
             plan = plan.scaled(intensity)
     system = System()
     system.drain_timeout_ns = drain_timeout_ns
-    injector: FaultInjector = install_plan(plan, system.probes)
+    injector = FaultInjector(plan, system.probes)
     start = system.now
     violations: List[str] = []
     detail: Dict[str, object] = {}

@@ -31,6 +31,7 @@ machinery that is supposed to survive it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -62,6 +63,15 @@ _RATE_FIELDS = (
 )
 
 _RANGE_FIELDS = ("irq_delay_ns", "worker_stall_ns", "net_delay_ns")
+
+#: Budgets and recovery knobs: finite and >= 0 (``max_faults`` may be None).
+_LIMIT_FIELDS = (
+    "max_faults",
+    "watchdog_period_ns",
+    "slot_timeout_ns",
+    "worker_timeout_ns",
+    "max_retries",
+)
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,9 @@ class FaultPlan:
     max_retries: int = 6
 
     def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
+        if not isinstance(self.seed, int):
+            raise ValueError(f"seed={self.seed!r} is not an integer")
         for field in _RATE_FIELDS:
             rate = getattr(self, field)
             if not 0.0 <= rate <= 1.0:
@@ -119,12 +132,14 @@ class FaultPlan:
                 raise ValueError(f"rates {pair} sum to {total} > 1")
         for field in _RANGE_FIELDS:
             lo, hi = getattr(self, field)
-            if lo < 0 or hi < lo:
+            if not 0 <= lo <= hi < math.inf:
                 raise ValueError(f"{field}={(lo, hi)!r} is not a valid range")
+        for field in _LIMIT_FIELDS:
+            value = getattr(self, field)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{field}={value!r} must be finite and >= 0")
         if not self.errnos and self.errno_rate:
             raise ValueError("errno_rate > 0 with an empty errnos tuple")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
     # -- conveniences ------------------------------------------------------
 
@@ -378,9 +393,3 @@ class FaultInjector:
             "injected": self.injected,
             "by_action": dict(sorted(self.by_action.items())),
         }
-
-
-def install_plan(plan: FaultPlan, registry: ProbeRegistry) -> FaultInjector:
-    """Attach ``plan`` to an already-built machine's registry."""
-    return FaultInjector(plan, registry)
-

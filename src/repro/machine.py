@@ -59,8 +59,6 @@ class MachineConfig:
     wavefront_width: int = 64
     #: Hardware wavefront slots per CU (GCN3: 40).
     wavefront_slots_per_cu: int = 40
-    #: Max work-items resident per CU (bounds concurrent work-groups).
-    max_workitems_per_cu: int = 2560
     #: Latency to resume a halted wavefront (halt-resume waiting mode).
     halt_resume_ns: float = 5000.0
     #: Interval between successive polls of a syscall slot.
@@ -166,7 +164,6 @@ def small_machine() -> MachineConfig:
         num_cus=2,
         wavefront_slots_per_cu=8,
         wavefront_width=8,
-        max_workitems_per_cu=256,
         gpu_l2_lines=64,
         gpu_l1_lines=16,
     )

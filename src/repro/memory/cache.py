@@ -10,7 +10,7 @@ set of syscall-slot lines fits in the L2.
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import DefaultDict, List
 
 from repro.machine import CACHELINE_BYTES
@@ -109,14 +109,6 @@ class Cache:
         cache_set[line] = True
         return False
 
-    def access_bytes(self, addr: int, size: int) -> int:
-        """Touch every line of a byte range; return the number of misses."""
-        misses = 0
-        for line in lines_covering(addr, size, self.line_bytes):
-            if not self.access(line):
-                misses += 1
-        return misses
-
     def invalidate(self, line: int) -> bool:
         """Drop one line (returns whether it was present)."""
         cache_set = self._sets[line % self.num_sets]
@@ -133,9 +125,6 @@ class Cache:
             if self.invalidate(line):
                 dropped += 1
         return dropped
-
-    def flush_all(self) -> None:
-        self._sets.clear()
 
     @property
     def resident_lines(self) -> int:

@@ -86,7 +86,3 @@ class Dram:
             stall = (self.sim.now - start) - self.channel.transfer_time(nbytes)
             if stall > 1e-9:
                 self.tp_stall.fire(agent, stall)
-
-    @property
-    def bytes_moved(self) -> int:
-        return self.channel.bytes_moved

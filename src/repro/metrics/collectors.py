@@ -226,21 +226,17 @@ class MetricSpec:
         self.read_mode = read_mode
 
 
-def build_estimator(
-    spec: MetricSpec, window_ns: float, max_windows: int
-):
+def build_estimator(spec: MetricSpec, window_ns: float):
     if spec.kind == "counter":
-        return WindowedCounter(window_ns, name=spec.name, max_windows=max_windows)
+        return WindowedCounter(window_ns, name=spec.name)
     if spec.kind == "histogram":
-        return WindowedLog2Histogram(
-            window_ns, name=spec.name, max_windows=max_windows
-        )
+        return WindowedLog2Histogram(window_ns, name=spec.name)
     if spec.kind == "gauge":
-        return WindowedGauge(window_ns, name=spec.name, max_windows=max_windows)
+        return WindowedGauge(window_ns, name=spec.name)
     if spec.kind == "level":
-        return LevelSeries(window_ns, name=spec.name, max_windows=max_windows)
+        return LevelSeries(window_ns, name=spec.name)
     if spec.kind == "ratio":
-        return WindowedRatio(window_ns, name=spec.name, max_windows=max_windows)
+        return WindowedRatio(window_ns, name=spec.name)
     raise ValueError(f"unknown estimator kind {spec.kind!r}")
 
 

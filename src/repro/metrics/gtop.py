@@ -58,9 +58,7 @@ def render_frame(
         f"hub={hub.label or '-'}",
         f"{'METRIC':<24} {'UNIT':<9} {'LAST':>10} {'AVG8':>10}  TREND",
     ]
-    for spec in hub.catalog:
-        if spec.name not in hub.metrics:
-            continue
+    for spec in hub.specs.values():
         last = hub.read(spec.name)
         avg = hub.read(spec.name, window=8)
         trend = _spark(_primary_series(hub, spec.name, spark_windows))

@@ -44,19 +44,11 @@ class MetricsHub:
 
     trace_process = "metrics"
 
-    def __init__(
-        self,
-        window_ns: float = DEFAULT_WINDOW_NS,
-        max_windows: int = 4096,
-        label: str = "",
-        catalog: Tuple[MetricSpec, ...] = CATALOG,
-    ) -> None:
+    def __init__(self, window_ns: float = DEFAULT_WINDOW_NS, label: str = "") -> None:
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
         self.window_ns = float(window_ns)
-        self.max_windows = max_windows
         self.label = label
-        self.catalog = catalog
         self.registry: Optional[ProbeRegistry] = None
         self.metrics: Dict[str, WindowedSeries] = {}
         self.specs: Dict[str, MetricSpec] = {}
@@ -74,8 +66,8 @@ class MetricsHub:
         ``registry``; unknown tracepoints are skipped so a hub works on
         partial rigs (unit-test registries) too."""
         self.registry = registry
-        for spec in self.catalog:
-            estimator = build_estimator(spec, self.window_ns, self.max_windows)
+        for spec in CATALOG:
+            estimator = build_estimator(spec, self.window_ns)
             self.metrics[spec.name] = estimator
             self.specs[spec.name] = spec
             for tp_name, feed_kind, feed_args in spec.sources:
@@ -211,23 +203,14 @@ class MetricsHubPlan:
     def __init__(
         self,
         window_ns: float = DEFAULT_WINDOW_NS,
-        max_windows: int = 4096,
-        catalog: Tuple[MetricSpec, ...] = CATALOG,
         listener: Optional[Callable[["MetricsHub", float], None]] = None,
     ) -> None:
         self.window_ns = window_ns
-        self.max_windows = max_windows
-        self.catalog = catalog
         self.listener = listener
         self.hubs: List[MetricsHub] = []
 
     def __call__(self, registry: ProbeRegistry) -> None:
-        hub = MetricsHub(
-            window_ns=self.window_ns,
-            max_windows=self.max_windows,
-            label=f"sys{len(self.hubs)}",
-            catalog=self.catalog,
-        )
+        hub = MetricsHub(window_ns=self.window_ns, label=f"sys{len(self.hubs)}")
         if self.listener is not None:
             hub.add_listener(self.listener)
         self.hubs.append(hub.install(registry))

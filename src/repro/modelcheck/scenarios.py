@@ -37,7 +37,7 @@ from repro.faults.chaos import (
     check_invariants,
     run_scenario,
 )
-from repro.faults.plan import FaultPlan, install_plan
+from repro.faults.plan import FaultInjector, FaultPlan
 from repro.probes.tracepoints import ProbeRegistry
 from repro.sanitizers.gsan import GSan
 from repro.sim.engine import Process, Simulator
@@ -143,7 +143,7 @@ def _build_workload(name: str, plan: Optional[FaultPlan]) -> ScenarioRun:
     system.drain_timeout_ns = DEFAULT_DRAIN_TIMEOUT_NS
     sanitizer = GSan().install(system.probes)
     if plan is not None:
-        install_plan(plan, system.probes)
+        FaultInjector(plan, system.probes)
 
     def body() -> object:
         return run_scenario(name, system)

@@ -18,7 +18,6 @@ from repro.machine import MachineConfig
 from repro.oskernel.cpu import CpuComplex
 from repro.oskernel.errors import Errno, OsError
 from repro.sim.engine import Simulator
-from repro.sim.stats import TraceRecorder
 
 MADV_DONTNEED = 4
 MADV_WILLNEED = 3
@@ -108,7 +107,7 @@ class AddressSpace:
         self._next_page = self._MMAP_BASE_PAGE
         self._resident: set = set()
         self._swapped: set = set()
-        self.trace = TraceRecorder(sim)
+        self._rss_trace: List[Tuple[float, float]] = []
         self.minor_faults = 0
         self.major_faults = 0
         self.peak_rss_pages = 0
@@ -136,7 +135,7 @@ class AddressSpace:
 
     def _record(self) -> None:
         self.peak_rss_pages = max(self.peak_rss_pages, self.rss_pages)
-        self.trace.record("rss_bytes", self.rss_bytes)
+        self._rss_trace.append((self.sim.now, self.rss_bytes))
 
     def _evicted(self, vpage: int) -> None:
         """Callback from PhysicalMemory when this space loses a page."""
@@ -275,4 +274,4 @@ class AddressSpace:
 
     def rss_series(self) -> List[Tuple[float, float]]:
         """The (time, rss_bytes) trace — Figure 11's y-axis."""
-        return self.trace.series("rss_bytes")
+        return list(self._rss_trace)

@@ -36,7 +36,7 @@ from repro.sim.resources import Store
 
 
 class DrainTimeout(RuntimeError):
-    """A bounded drain/quiesce expired with work still outstanding.
+    """A bounded drain expired with work still outstanding.
 
     ``stuck`` holds human-readable descriptions of what was still in
     flight when the deadline passed, so the exception is a diagnosis,
@@ -359,36 +359,3 @@ class WorkQueue:
         if self._idle_event is None:
             self._idle_event = self.sim.event(name=f"wq:{self.name}-idle")
         return self._idle_event
-
-    def quiesce(self, timeout: Optional[float] = None) -> Generator:
-        """Process body: wait until no submitted task remains unfinished.
-
-        Event-driven, but observation instants stay on the historical
-        1 µs polling grid (anchored at the call) so simulated completion
-        times are unchanged from the busy-wait implementation.
-
-        With ``timeout`` (simulated ns) the wait is bounded: if tasks
-        are still unfinished at the deadline a :class:`DrainTimeout` is
-        raised naming them, instead of hanging the event loop forever.
-        """
-        sim = self.sim
-        deadline = None if timeout is None else sim.now + timeout
-        next_tick = sim.now
-        while self.outstanding > 0:
-            if deadline is None:
-                yield self.when_idle()
-            else:
-                if sim.now >= deadline:
-                    raise DrainTimeout(
-                        f"workqueue {self.name!r}: {self.outstanding} task(s) "
-                        f"unfinished after {timeout:.0f}ns "
-                        f"(backlog={self.backlog})",
-                        stuck=self.stuck_report(),
-                    )
-                yield AnyOf(
-                    [self.when_idle(), sim.wake_at(deadline, name="quiesce-deadline")]
-                )
-            while next_tick < sim.now:
-                next_tick += 1000.0
-            if next_tick > sim.now:
-                yield sim.wake_at(next_tick, name="quiesce-grid")

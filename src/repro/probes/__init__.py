@@ -3,7 +3,7 @@
 The subsystem in one breath: the simulated stack declares static
 **tracepoints** (observe) and **policy hooks** (decide) in a per-System
 :class:`ProbeRegistry`; user **programs** — counters, latency
-histograms, rate meters, fixed/choice policies — attach at runtime;
+histograms, rate meters, fixed-value policies — attach at runtime;
 an **exporter** turns attached state into a JSON snapshot, rate meters
 draw Perfetto counter tracks through :mod:`repro.traceviz`, and
 ``python -m repro run <experiment> --attach ...`` does all of it
@@ -22,8 +22,8 @@ Guarantees (tested):
 See the "Probes & policy hooks" section of ``docs/architecture.md``.
 """
 
-from repro.probes.exporters import metrics_snapshot, write_metrics_snapshot
-from repro.probes.policy import PolicyHook, choose, fixed
+from repro.probes.exporters import metrics_snapshot
+from repro.probes.policy import PolicyHook, fixed
 from repro.probes.programs import (
     CounterProbe,
     LatencyHistogram,
@@ -53,10 +53,8 @@ __all__ = [
     "Tracepoint",
     "apply_global_plan",
     "attached",
-    "choose",
     "clear_global_plan",
     "fixed",
     "install_global_plan",
     "metrics_snapshot",
-    "write_metrics_snapshot",
 ]

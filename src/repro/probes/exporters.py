@@ -9,7 +9,6 @@ from the programs' own ``trace_tracks()`` through :mod:`repro.traceviz`.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from repro.probes.tracepoints import ProbeRegistry
@@ -43,14 +42,3 @@ def metrics_snapshot(registry: ProbeRegistry, experiment: Optional[str] = None) 
         "hooks": hooks,
         "programs": [program.snapshot() for program in registry.programs],
     }
-
-
-def write_metrics_snapshot(
-    registry: ProbeRegistry, path: str, experiment: Optional[str] = None
-) -> dict:
-    """Write :func:`metrics_snapshot` to ``path``; returns the dict."""
-    snapshot = metrics_snapshot(registry, experiment)
-    with open(path, "w") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    return snapshot

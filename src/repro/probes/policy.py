@@ -21,7 +21,7 @@ guarantee applies only to observer probes, never to attached policies.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 PolicyProgram = Callable[..., Any]
 
@@ -110,8 +110,3 @@ def fixed(value: Any) -> PolicyProgram:
     flag build on: pinning a decision to a constant.
     """
     return _FixedPolicy(value)
-
-
-def choose(fn: Callable[..., Optional[Any]]) -> PolicyProgram:
-    """Adapter documenting intent: ``fn(current, *args) -> value | None``."""
-    return fn

@@ -16,6 +16,7 @@ without a plan emit exactly the policy-free event stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
@@ -28,6 +29,30 @@ from repro.qos.deadline import DeadlinePolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
+
+
+#: Every numeric :class:`QosPlan` field: its lower bound, and whether
+#: the bound itself is legal.  Every value must also be finite.
+_NUMERIC_BOUNDS: Tuple[Tuple[str, int, bool], ...] = (
+    ("deadline_ns", 0, True),
+    ("priority_floor", 0, True),
+    ("sojourn_budget_ns", 0, True),
+    ("admit_rate_rps", 0, True),
+    ("admit_burst", 1, True),
+    ("reject_errno", 1, True),
+    ("retry_budget_ratio", 0, True),
+    ("retry_budget_floor", 0, True),
+    ("breaker_threshold", 0, True),
+    ("breaker_cooldown_ns", 0, False),
+    ("brownout_period_ns", 0, False),
+    ("sensor_window_ns", 0, False),
+    ("brownout_hi_p99_ns", 0, True),
+    ("brownout_lo_p99_ns", 0, True),
+    ("brownout_hi_depth", 0, True),
+    ("brownout_lo_depth", 0, True),
+    ("brownout_max_level", 0, True),
+    ("brownout_window_scale", 0, True),
+)
 
 
 @dataclass(frozen=True)
@@ -79,55 +104,25 @@ class QosPlan:
     brownout_window_scale: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.deadline_ns != self.deadline_ns or self.deadline_ns < 0:
-            raise ValueError(f"deadline_ns must be >= 0, got {self.deadline_ns}")
+        # Each check is written so that NaN fails it.
+        for name, low, inclusive in _NUMERIC_BOUNDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value >= low if inclusive else value > low)):
+                raise ValueError(
+                    f"{name} must be finite and {'>=' if inclusive else '>'} "
+                    f"{low}, got {value}"
+                )
         for name, delta in self.deadline_by_name:
-            if delta != delta or delta < 0:
-                raise ValueError(f"deadline for {name!r} must be >= 0, got {delta}")
-        if self.priority_floor < 0:
-            raise ValueError(
-                f"priority_floor must be >= 0, got {self.priority_floor}"
-            )
-        if self.sojourn_budget_ns < 0:
-            raise ValueError(
-                f"sojourn_budget_ns must be >= 0, got {self.sojourn_budget_ns}"
-            )
-        if self.admit_rate_rps < 0:
-            raise ValueError(
-                f"admit_rate_rps must be >= 0, got {self.admit_rate_rps}"
-            )
-        if self.admit_burst < 1:
-            raise ValueError(f"admit_burst must be >= 1, got {self.admit_burst}")
-        if self.retry_budget_ratio < 0:
-            raise ValueError(
-                f"retry_budget_ratio must be >= 0, got {self.retry_budget_ratio}"
-            )
-        if self.retry_budget_floor < 0:
-            raise ValueError(
-                f"retry_budget_floor must be >= 0, got {self.retry_budget_floor}"
-            )
-        if self.breaker_threshold < 0:
-            raise ValueError(
-                f"breaker_threshold must be >= 0, got {self.breaker_threshold}"
-            )
-        if self.breaker_cooldown_ns <= 0:
-            raise ValueError(
-                f"breaker_cooldown_ns must be positive, got {self.breaker_cooldown_ns}"
-            )
-        if self.brownout_period_ns <= 0:
-            raise ValueError(
-                f"brownout_period_ns must be positive, got {self.brownout_period_ns}"
-            )
+            if not (math.isfinite(delta) and delta >= 0):
+                raise ValueError(
+                    f"deadline_by_name[{name!r}] must be finite and >= 0, got {delta}"
+                )
         if (
             self.brownout_lo_p99_ns > self.brownout_hi_p99_ns
             or self.brownout_lo_depth > self.brownout_hi_depth
         ):
             raise ValueError("brownout low-water marks must not exceed high-water")
-        if self.sensor_window_ns <= 0:
-            raise ValueError(
-                f"sensor_window_ns must be positive, got {self.sensor_window_ns}"
-            )
-        if not 0 <= self.brownout_max_level <= 3:
+        if self.brownout_max_level > 3:
             raise ValueError(
                 f"brownout_max_level must be in [0, 3], got {self.brownout_max_level}"
             )

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from repro.core.invocation import Granularity, WaitMode
 from repro.core.syscall_area import Slot, SlotState, SlotStateError, SyscallArea
-from repro.faults import FaultPlan, install_plan
+from repro.faults import FaultInjector, FaultPlan
 from repro.machine import small_machine
 from repro.memory.system import MemorySystem
 from repro.oskernel.process import OsProcess
@@ -91,7 +91,7 @@ def _run_faulted(plan: FaultPlan, wait: WaitMode = WaitMode.HALT_RESUME) -> GSan
     """
     system = System(config=small_machine())
     sanitizer = GSan().install(system.probes)
-    install_plan(plan, system.probes)
+    FaultInjector(plan, system.probes)
     system.drain_timeout_ns = 2_000_000.0
 
     def kern(ctx: WorkItemCtx) -> Generator:

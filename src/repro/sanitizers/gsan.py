@@ -385,37 +385,6 @@ class GSan:
     def _scopes(name: str, values: Tuple) -> List[str]:
         return event_scopes(name, values)
 
-    # -- vector clocks -----------------------------------------------------
-
-    def clock_snapshot(self) -> Dict[str, int]:
-        """A copy of the per-agent vector clocks right now.
-
-        Public for :mod:`repro.modelcheck`, whose independence relation
-        and schedule digests are derived from the same happens-before
-        state GSan maintains.
-        """
-        return dict(self.clocks)
-
-    def rearm(self) -> "GSan":
-        """Reset all shadow state, keeping the attached observers.
-
-        The model checker re-runs one scenario once per explored
-        schedule; re-arming between branches lets a sanitizer that is
-        already wired into a registry start the next branch with virgin clocks, tracks, and violations.
-        """
-        self.clocks = {agent: 0 for agent in AGENTS}
-        self.events = 0
-        self.violations = []
-        self.defended_races = 0
-        self._timelines = {}
-        self._slots = {}
-        self._invocations = {}
-        self._tasks = {}
-        self._scans = {}
-        self._halted = {}
-        self._finished = False
-        return self
-
     def _flag(self, rule: str, scope: str, t: float, message: str) -> None:
         """Record one violation, marking the newest scoped event."""
         timeline = list(self._timelines.get(scope, ()))

@@ -72,7 +72,6 @@ HOTPATH_CLASSES: Set[str] = {
     "Event",
     "Process",
     "Simulator",
-    "Timer",
     "AllOf",
     "AnyOf",
     "Delay",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runfarm import Job, run_jobs
@@ -487,8 +487,3 @@ def default_grid(config: ServingConfig) -> List[int]:
     if config.workload == "memcached":
         return [50_000, 100_000, 150_000, 200_000, 300_000]
     return [50_000, 100_000, 200_000, 300_000, 400_000]
-
-
-def scaled_config(config: ServingConfig, **overrides) -> ServingConfig:
-    """`dataclasses.replace` with validation re-run (frozen config)."""
-    return replace(config, **overrides)

@@ -20,13 +20,12 @@ from repro.sim.engine import (
     Simulator,
 )
 from repro.sim.resources import BandwidthResource, Resource, Store
-from repro.sim.stats import Counter, TraceRecorder, UtilizationTracker
+from repro.sim.stats import UtilizationTracker
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "BandwidthResource",
-    "Counter",
     "Delay",
     "Event",
     "Interrupted",
@@ -34,6 +33,5 @@ __all__ = [
     "Resource",
     "Simulator",
     "Store",
-    "TraceRecorder",
     "UtilizationTracker",
 ]

@@ -19,8 +19,9 @@ wavefront model.
 Internals are event-driven and allocation-lean: combinators register
 direct callbacks on their children instead of spawning one watcher
 process per item, waiter bookkeeping is O(1) amortised (tombstones plus
-periodic compaction), and :class:`Timer` provides a cancellable wakeup
-so pollers can sleep until a state change instead of ticking.  A failed
+periodic compaction), and :meth:`Simulator.call_later` returns a handle
+whose cancellation leaves a tombstone that never advances the clock, so
+pollers can sleep until a state change instead of ticking.  A failed
 child event (:meth:`Event.fail`) propagates its exception to processes
 waiting on an enclosing ``AllOf``/``AnyOf`` rather than crashing the
 simulation driver.
@@ -40,7 +41,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Simulator",
-    "Timer",
 ]
 
 
@@ -214,50 +214,6 @@ class _WeakTimerHandle(_TimerHandle):
     __slots__ = ()
 
     weak = True
-
-
-class Timer:
-    """Cancellable one-shot timer.
-
-    ``timer.event`` triggers with ``value`` once ``delay`` nanoseconds
-    have elapsed — unless :meth:`cancel` runs first, in which case the
-    event never fires and the (lazily tombstoned) heap entry no longer
-    advances the clock when popped.  This lets a poller sleep until
-    either a state-change event or its next tick without leaking
-    clock-stretching wakeups when the state change wins.
-    """
-
-    __slots__ = ("sim", "event", "_handle")
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None, name: str = "timer") -> None:
-        if delay < 0:
-            raise ValueError(f"negative timer delay: {delay}")
-        self.sim = sim
-        self.event = Event(sim, name=name)
-        event = self.event
-
-        def fire() -> None:
-            if not event.triggered:
-                event.succeed(value)
-
-        self._handle = sim.call_later(delay, fire)
-
-    @property
-    def cancelled(self) -> bool:
-        return self._handle.fn is None and not self.event.triggered
-
-    def cancel(self) -> None:
-        """Stop the timer; a no-op if it already fired."""
-        self._handle.fn = None
-
-    def __repr__(self) -> str:
-        if self.event.triggered:
-            state = "fired"
-        elif self._handle.fn is None:
-            state = "cancelled"
-        else:
-            state = "pending"
-        return f"Timer({self.event.name!r}, {state})"
 
 
 class AllOf:
@@ -497,10 +453,6 @@ class Simulator:
     def timeout(self, duration: float) -> Delay:
         return Delay(duration)
 
-    def timer(self, delay: float, value: Any = None, name: str = "timer") -> Timer:
-        """A cancellable wakeup: ``timer.event`` fires after ``delay`` ns."""
-        return Timer(self, delay, value=value, name=name)
-
     # -- execution -----------------------------------------------------
 
     def _step(self) -> None:
@@ -509,7 +461,7 @@ class Simulator:
         else:
             when, _seq, proc, value, exc = self._pop_tie_break()
         if proc is None:
-            # Timer/callback entry.  A cancelled one (fn is None) is a
+            # Callback entry.  A cancelled one (fn is None) is a
             # tombstone: skipped without touching the clock.
             fn = value.fn
             if fn is not None:

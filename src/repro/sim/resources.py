@@ -15,7 +15,7 @@ Three primitives cover every contention point in the model:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, Deque, Generator, List
 
 from repro.sim.engine import Event, Simulator
 
@@ -128,9 +128,6 @@ class Store:
         except ValueError:
             pass
 
-    def peek_all(self) -> List[Any]:
-        return list(self._items)
-
 
 class BandwidthResource:
     """A serialising transfer channel with a fixed byte rate.
@@ -139,9 +136,6 @@ class BandwidthResource:
     request has waited for all previously queued transfers and then
     streamed at ``rate_bytes_per_ns``.  An optional per-transfer fixed
     latency models device setup cost.
-
-    Total bytes moved and busy time are tracked so callers can compute
-    achieved throughput and utilisation (used for Figures 9 and 14).
     """
 
     def __init__(
@@ -158,9 +152,6 @@ class BandwidthResource:
         self.fixed_latency = fixed_latency
         self.name = name
         self._gate = Resource(sim, 1, name=f"bw:{name}")
-        self.bytes_moved = 0
-        self.busy_time = 0.0
-        self._samples: List[Tuple[float, int]] = []
 
     def transfer_time(self, nbytes: int) -> float:
         return self.fixed_latency + nbytes / self.rate
@@ -176,32 +167,6 @@ class BandwidthResource:
             raise ValueError(f"negative transfer size: {nbytes}")
         yield self._gate.acquire()
         try:
-            duration = self.transfer_time(nbytes)
-            yield duration
-            self.bytes_moved += nbytes
-            self.busy_time += duration
-            self._samples.append((self.sim.now, nbytes))
+            yield self.transfer_time(nbytes)
         finally:
             self._gate.release()
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of wall time the channel was busy since ``since``."""
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
-
-    def throughput_series(
-        self, bin_ns: float, start: float = 0.0, end: Optional[float] = None
-    ) -> List[Tuple[float, float]]:
-        """Binned achieved throughput in bytes/ns (for trace figures)."""
-        if end is None:
-            end = self.sim.now
-        if bin_ns <= 0:
-            raise ValueError("bin_ns must be positive")
-        nbins = max(1, int((end - start) / bin_ns) + 1)
-        totals = [0.0] * nbins
-        for when, nbytes in self._samples:
-            if start <= when <= end:
-                totals[int((when - start) / bin_ns)] += nbytes
-        return [(start + i * bin_ns, totals[i] / bin_ns) for i in range(nbins)]

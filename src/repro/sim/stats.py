@@ -1,77 +1,15 @@
-"""Measurement utilities: counters, time-series traces, utilisation.
+"""Utilisation tracking for execution units.
 
-The paper's Figure 14 plots CPU utilisation and disk throughput over the
-run of the wordcount workload; :class:`UtilizationTracker` and
-:class:`TraceRecorder` provide exactly the sampled series needed to
-regenerate those traces, and simpler :class:`Counter` objects back the
-scalar rows of the other figures.
+The paper's Figure 14 plots CPU utilisation over the run of the
+wordcount workload; :class:`UtilizationTracker` integrates the busy
+fraction that figure and the Perfetto utilisation tracks read.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.sim.engine import Simulator
-
-
-class Counter:
-    """A named monotonically increasing counter."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
-
-
-class TraceRecorder:
-    """Records (time, value) samples under string keys."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._series: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
-
-    def record(self, key: str, value: float) -> None:
-        self._series[key].append((self.sim.now, value))
-
-    def series(self, key: str) -> List[Tuple[float, float]]:
-        return list(self._series[key])
-
-    def keys(self) -> List[str]:
-        return sorted(self._series)
-
-    def last(self, key: str, default: float = 0.0) -> float:
-        points = self._series.get(key)
-        return points[-1][1] if points else default
-
-    def binned_mean(
-        self, key: str, bin_ns: float, start: float = 0.0, end: Optional[float] = None
-    ) -> List[Tuple[float, float]]:
-        """Average the samples of ``key`` into fixed-width time bins."""
-        if end is None:
-            end = self.sim.now
-        if bin_ns <= 0:
-            raise ValueError("bin_ns must be positive")
-        nbins = max(1, int((end - start) / bin_ns) + 1)
-        sums = [0.0] * nbins
-        counts = [0] * nbins
-        for when, value in self._series.get(key, []):
-            if start <= when <= end:
-                idx = int((when - start) / bin_ns)
-                sums[idx] += value
-                counts[idx] += 1
-        out: List[Tuple[float, float]] = []
-        for i in range(nbins):
-            mean = sums[i] / counts[i] if counts[i] else 0.0
-            out.append((start + i * bin_ns, mean))
-        return out
 
 
 class UtilizationTracker:
@@ -79,7 +17,7 @@ class UtilizationTracker:
 
     Units call :meth:`busy` / :meth:`idle` as they start and finish work;
     the tracker integrates (busy_units / total_units) over time, and can
-    report both a whole-run average and a binned series.
+    report both a whole-run average and the busy-fraction segments.
     """
 
     def __init__(self, sim: Simulator, total_units: int, name: str = "") -> None:
@@ -131,25 +69,3 @@ class UtilizationTracker:
         """All (start, end, busy_fraction) segments recorded so far."""
         self._commit()
         return list(self._segments)
-
-    def binned_series(
-        self, bin_ns: float, start: float = 0.0, end: Optional[float] = None
-    ) -> List[Tuple[float, float]]:
-        """Utilisation averaged per time bin (Figure 14 trace shape)."""
-        self._commit()
-        if end is None:
-            end = self.sim.now
-        if bin_ns <= 0:
-            raise ValueError("bin_ns must be positive")
-        nbins = max(1, int((end - start) / bin_ns) + 1)
-        weighted = [0.0] * nbins
-        for seg_start, seg_end, frac in self._segments:
-            lo = max(seg_start, start)
-            hi = min(seg_end, end)
-            while lo < hi:
-                idx = min(nbins - 1, int((lo - start) / bin_ns))
-                bin_end = start + (idx + 1) * bin_ns
-                span = min(hi, bin_end) - lo
-                weighted[idx] += span * frac
-                lo += span
-        return [(start + i * bin_ns, weighted[i] / bin_ns) for i in range(nbins)]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -181,8 +180,3 @@ class DeterministicRandom:
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
-
-
-def cheap_digest(data: bytes) -> int:
-    """A stand-in checksum used where the workload only needs *a* digest."""
-    return zlib.crc32(data)

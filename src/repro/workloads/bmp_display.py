@@ -45,13 +45,6 @@ def make_test_image(width: int, height: int) -> Tuple[bytes, np.ndarray]:
     return header + pixels.tobytes(), pixels
 
 
-def parse_header(header: bytes) -> Tuple[int, int]:
-    if header[:4] != MAGIC:
-        raise ValueError("not a BMPR image")
-    width, height = struct.unpack("<II", header[4:12])
-    return width, height
-
-
 class BmpDisplayWorkload:
     def __init__(self, system: System, width: int = 64, height: int = 64):
         self.system = system

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Dict, Generator, List, Tuple
+from typing import Dict, Generator, List
 
 from repro.core.invocation import Granularity, Ordering, WaitMode
 from repro.gpu.ops import Compute
@@ -82,11 +82,6 @@ class WordcountWorkload:
             # Fresh page cache: reads must hit the SSD.
             fs.resolve(path).cached_pages.clear()
             self.paths.append(path)
-
-    def drop_caches(self) -> None:
-        """Empty every file's page cache (between variant runs)."""
-        for path in self.paths:
-            self.system.kernel.fs.resolve(path).cached_pages.clear()
 
     def _count_words(self, chunk: bytes, counts: Dict[bytes, int]) -> None:
         # One scan for all 64 words.  findall's non-overlapping matches

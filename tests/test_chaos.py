@@ -9,8 +9,8 @@ Four layers of assertion:
   tracepoint stream and identical outputs, twice,
 * bounded failure — when recovery is *disabled*, a wedged slot surfaces
   as a diagnostic ``DrainTimeout`` naming the stuck work, never a hang,
-* recovery unit paths — watchdog slot reclaim, worker respawn/requeue,
-  and the workqueue quiesce deadline, each in isolation.
+* recovery unit paths — watchdog slot reclaim and worker
+  respawn/requeue, each in isolation.
 """
 
 import pytest
@@ -20,9 +20,9 @@ from repro.faults import (
     EXPERIMENTS,
     PROFILES,
     DrainTimeout,
+    FaultInjector,
     FaultPlan,
     check_invariants,
-    install_plan,
     recovery_stats,
     run_one,
     run_scenario,
@@ -77,7 +77,7 @@ def _traced_run(experiment, seed):
     plan = PROFILES[experiment].with_seed(seed)
     system = System()
     system.drain_timeout_ns = 2_000_000_000.0
-    install_plan(plan, system.probes)
+    FaultInjector(plan, system.probes)
     stream = StreamRecorder(system.probes).attach(
         "fault.*", "recover.*", "slot.protocol_error", "syscall.retry"
     )
@@ -127,6 +127,22 @@ class TestDrainTimeout:
         assert excinfo.value.stuck, "DrainTimeout must list the stuck work"
         assert any("processing" in line for line in excinfo.value.stuck)
 
+    def test_killed_worker_without_watchdog_names_stuck_task(self):
+        system = System(config=small_machine())
+        # Every worker dies at its first pickup; the watchdog that would
+        # requeue the task and respawn the worker stays disabled.
+        system.probes.attach_policy("fault.worker", policy.fixed("kill"))
+        system.drain_timeout_ns = 300_000.0
+
+        def kern(ctx):
+            yield from ctx.sys.getrusage(blocking=False)
+
+        with pytest.raises(DrainTimeout) as excinfo:
+            system.run_kernel(kern, 1, 1, name="dead-worker")
+        assert "1 workqueue task(s)" in str(excinfo.value)
+        assert system.kernel.workqueue.workers_killed == 1
+        assert any(line.startswith("task#") for line in excinfo.value.stuck)
+
     def test_watchdog_reclaims_wedged_slot_and_drain_completes(self):
         system = System(config=small_machine())
         _wedge_all_slots(system)
@@ -158,24 +174,6 @@ class TestDrainTimeout:
         assert results[0] == -int(Errno.ETIMEDOUT)
         assert check_invariants(system) == []
 
-    def test_workqueue_quiesce_deadline_names_stuck_task(self):
-        sim = Simulator()
-        wq = WorkQueue(sim, small_machine(), num_workers=1, name="kworker-test")
-        wq.probes.attach_policy("fault.worker", policy.fixed("kill"))
-
-        def task():
-            yield 10.0
-
-        wq.submit(task)
-
-        def drive():
-            yield from wq.quiesce(timeout=200_000.0)
-
-        with pytest.raises(DrainTimeout) as excinfo:
-            sim.run_process(drive(), name="quiesce")
-        assert "task(s) unfinished" in str(excinfo.value)
-        assert any("task#" in line for line in excinfo.value.stuck)
-
     def test_check_stalled_requeues_and_respawns_after_kill(self):
         sim = Simulator()
         wq = WorkQueue(sim, small_machine(), num_workers=1, name="kworker-test")
@@ -203,7 +201,8 @@ class TestDrainTimeout:
             requeued = wq.check_stalled(timeout_ns=500.0)
             assert requeued == 1
             assert wq.workers_respawned == 1
-            yield from wq.quiesce(timeout=1_000_000.0)
+            assert wq.outstanding == 1
+            yield wq.when_idle()
 
         sim.run_process(drive(), name="drive")
         assert done == [True]
@@ -238,7 +237,7 @@ class TestFaultPlan:
         )
         system = System(config=small_machine())
         system.drain_timeout_ns = 2_000_000_000.0
-        injector = install_plan(plan, system.probes)
+        injector = FaultInjector(plan, system.probes)
 
         def kern(ctx):
             yield from ctx.sys.getrusage(blocking=True)

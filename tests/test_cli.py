@@ -13,6 +13,7 @@ import pathlib
 import re
 import runpy
 import shlex
+import signal
 import subprocess
 import sys
 
@@ -90,6 +91,14 @@ BAD_INPUT = [
     (["report", str(OTHER_JSON)], str(OTHER_JSON)),
     (["lint", "no/such/path"], "no/such/path"),
     (["serve", "--arrival", "onoff", "--on-fraction", "2"], "on_fraction"),
+    (["serve", "--rps", "60000", "--clients", "8", "--measure-us", "inf"], "'inf'"),
+    (["overload", "--multipliers", "inf", "--clients", "8", "--measure-us", "100"],
+     "'inf'"),
+    (["chaos", "--experiments", "fig2", "--seeds", "1", "--intensity", "inf"], "'inf'"),
+    (["run", "fig2", "--attach", "metrics:inf"], "'metrics:inf'"),
+    (["run", "fig2", "--policy", "coalesce.window=1e999"], "coalesce.window=1e999"),
+    (["serve", "--slo-completion", "nan"], "'nan'"),
+    (["serve", "--slo-completion", "1.5"], "'1.5'"),
 ]
 
 
@@ -98,7 +107,18 @@ BAD_INPUT = [
     ids=[" ".join(argv).replace(f"{REPO}{os.sep}", "") for argv, _ in BAD_INPUT],
 )
 def test_bad_input_exits_2(capsys, argv, bad):
-    code, _out, err = run_cli(capsys, *argv)
+    # A bad value that slips through can start an unbounded run
+    # (``--measure-us inf`` never returns), so each row gets a deadline.
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} was accepted and is still running")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        code, _out, err = run_cli(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code == 2, err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert errors and bad in errors[0], err

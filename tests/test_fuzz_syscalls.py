@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.invocation import Granularity, Ordering, WaitMode
 from repro.core.syscall_area import SlotState
-from repro.faults import FaultPlan, check_invariants, install_plan
+from repro.faults import FaultInjector, FaultPlan, check_invariants
 from repro.machine import small_machine
 from repro.oskernel.errors import Errno
 from repro.oskernel.fs import O_RDWR
@@ -166,7 +166,7 @@ def _corpus_kernels():
 def _run_corpus_case(kernel_body, plan):
     system = System(config=small_machine())
     if plan is not None:
-        injector = install_plan(plan, system.probes)
+        injector = FaultInjector(plan, system.probes)
     else:
         injector = None
     system.drain_timeout_ns = 2_000_000_000.0
@@ -216,7 +216,7 @@ class TestErrnoInjectionCorpus:
         bounded, definite failure rather than an infinite retry loop."""
         plan = FaultPlan(seed=2, errno_rate=1.0, watchdog_period_ns=0.0)
         system = System(config=small_machine())
-        install_plan(plan, system.probes)
+        FaultInjector(plan, system.probes)
         system.drain_timeout_ns = 2_000_000_000.0
         results = {}
 

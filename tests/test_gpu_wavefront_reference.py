@@ -168,7 +168,6 @@ def machine() -> MachineConfig:
         num_cus=2,
         wavefront_slots_per_cu=4,
         wavefront_width=64,
-        max_workitems_per_cu=256,
         gpu_l2_lines=64,
         gpu_l1_lines=16,
     )

@@ -97,11 +97,6 @@ class TestCacheBehaviour:
         # Sequential sweep over 2x capacity with LRU: every access misses.
         assert cache.stats.hits == 0
 
-    def test_access_bytes_counts_misses(self):
-        cache = Cache(64)
-        assert cache.access_bytes(0, 256) == 4
-        assert cache.access_bytes(0, 256) == 0
-
     def test_invalidate(self):
         cache = Cache(16)
         cache.access(3)
@@ -112,17 +107,11 @@ class TestCacheBehaviour:
 
     def test_flush_range(self):
         cache = Cache(64)
-        cache.access_bytes(0, 256)
+        for line in range(4):
+            cache.access(line)
         assert cache.flush_range(0, 128) == 2
         assert not cache.contains(0)
         assert cache.contains(3)
-
-    def test_flush_all(self):
-        cache = Cache(16)
-        for line in range(8):
-            cache.access(line)
-        cache.flush_all()
-        assert cache.resident_lines == 0
 
     def test_resident_lines(self):
         cache = Cache(16)

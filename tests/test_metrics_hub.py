@@ -7,6 +7,7 @@ import pytest
 
 from repro import experiments
 from repro.metrics import MetricsHub, MetricsHubPlan, metrics_hubs
+from repro.metrics.collectors import CATALOG
 from repro.metrics.export import csv_text, prometheus_text, series_payload
 from repro.probes.tracepoints import attached
 from repro.system import System
@@ -32,7 +33,7 @@ class TestInstallation:
         system = System()
         hub = MetricsHub().install(system.probes)
         # every catalog metric got an estimator…
-        assert set(hub.metrics) == {s.name for s in hub.catalog}
+        assert set(hub.metrics) == {s.name for s in CATALOG}
         # …and the wired tracepoints are now enabled
         for tp_name in ("syscall.complete", "wq.depth", "net.drop"):
             assert system.probes.get(tp_name).enabled

@@ -161,7 +161,7 @@ class TestWorkQueue:
         sim.run()
         assert stamps[0] >= config.workqueue_dispatch_ns
 
-    def test_outstanding_and_quiesce(self, sim, config):
+    def test_outstanding_and_when_idle(self, sim, config):
         wq = WorkQueue(sim, config)
 
         def slow_task():
@@ -171,10 +171,12 @@ class TestWorkQueue:
         assert wq.outstanding == 1
 
         def body():
-            yield from wq.quiesce()
+            yield wq.when_idle()
+            return sim.now
 
-        sim.run_process(body())
+        idle_at = sim.run_process(body())
         assert wq.outstanding == 0
+        assert idle_at == config.workqueue_dispatch_ns + 5000
 
     def test_parallelism_bounded_by_workers(self, sim, config):
         config2 = MachineConfig(workqueue_workers=2)

@@ -1,0 +1,59 @@
+"""Every numeric field of a fault or QoS plan rejects NaN, infinity and
+values below its bound with a ValueError.
+
+A plan also arrives from outside the program: ``FaultPlan.from_dict``
+reads the certificates ``replay`` loads, and Python's ``json`` parses
+``NaN`` and ``Infinity``.  A comparison with NaN is always false, so a
+check written as ``if value < 0: raise`` lets NaN through.
+"""
+
+import dataclasses
+import json
+import math
+
+import pytest
+
+from repro.faults import FaultPlan
+from repro.qos import QosPlan
+
+NAN = math.nan
+INF = math.inf
+
+
+def numeric_fields(plan):
+    """Fields whose default is a plain int or float (not a bool), so a
+    field added later is covered without editing this file."""
+    return [f.name for f in dataclasses.fields(plan) if type(f.default) in (int, float)]
+
+
+BAD_PLANS = (
+    [
+        (plan, field, bad)
+        for plan in (FaultPlan, QosPlan)
+        for field in numeric_fields(plan)
+        # Any integer is a seed, a negative one included.
+        for bad in ((NAN, INF) if field == "seed" else (NAN, -1, INF))
+    ]
+    + [(FaultPlan, "max_faults", bad) for bad in (NAN, -1, INF)]
+    + [
+        (FaultPlan, field, bad)
+        for field in ("irq_delay_ns", "worker_stall_ns", "net_delay_ns")
+        for bad in ((NAN, NAN), (0.0, NAN), (-1.0, 5.0), (0.0, INF))
+    ]
+    + [(QosPlan, "deadline_by_name", (("pread", bad),)) for bad in (NAN, -1.0, INF)]
+)
+
+
+@pytest.mark.parametrize(
+    "plan, field, bad", BAD_PLANS,
+    ids=[f"{plan.__name__}-{field}-{bad}" for plan, field, bad in BAD_PLANS],
+)
+def test_plan_rejects_bad_number(plan, field, bad):
+    with pytest.raises(ValueError, match=field):
+        plan(**{field: bad})
+
+
+def test_certificate_plan_with_nan_is_refused():
+    doc = json.loads('{"seed": 3, "watchdog_period_ns": NaN}')
+    with pytest.raises(ValueError, match="watchdog_period_ns"):
+        FaultPlan.from_dict(doc)

@@ -4,7 +4,7 @@ counter tracks (attach specs and ``run --attach`` are in test_cli.py)."""
 import json
 
 from repro.machine import small_machine
-from repro.probes.exporters import metrics_snapshot, write_metrics_snapshot
+from repro.probes.exporters import metrics_snapshot
 from repro.probes.policy import fixed
 from repro.probes.programs import CounterProbe, RateMeter
 from repro.probes.tracepoints import ProbeRegistry
@@ -58,13 +58,6 @@ class TestMetricsSnapshot:
     def test_snapshot_is_json_serialisable(self):
         system = ran_system()
         json.dumps(metrics_snapshot(system.probes))
-
-    def test_write_roundtrip(self, tmp_path):
-        system = System(config=small_machine())
-        path = tmp_path / "metrics.json"
-        written = write_metrics_snapshot(system.probes, str(path), experiment="x")
-        loaded = json.loads(path.read_text())
-        assert loaded == written
 
 
 class TestProbeCounterTracks:

@@ -8,7 +8,7 @@ import pytest
 from repro.experiments.fig10_coalescing import COALESCE, latency_per_byte
 from repro.machine import MachineConfig, small_machine
 from repro.oskernel.workqueue import WorkQueue
-from repro.probes.policy import PolicyHook, choose, fixed
+from repro.probes.policy import PolicyHook, fixed
 from repro.sim.engine import Simulator
 from repro.system import System
 
@@ -35,7 +35,7 @@ class TestPolicyHook:
         hook = PolicyHook("h")
         seen = []
         hook.attach(fixed(10))
-        hook.attach(choose(lambda current: seen.append(current) or current * 2))
+        hook.attach(lambda current: seen.append(current) or current * 2)
         assert hook.decide(1) == 20
         assert seen == [10]
 
@@ -103,7 +103,7 @@ class TestWorkerSelectionHook:
         sim = Simulator()
         config = MachineConfig(workqueue_workers=2)
         wq = WorkQueue(sim, config)
-        wq.hook_worker.attach(choose(lambda current, index, n: index % n))
+        wq.hook_worker.attach(lambda current, index, n: index % n)
         workers = []
         wq.tp_complete.attach(
             lambda worker_id, service_ns, task_index: workers.append(worker_id)
@@ -155,7 +155,7 @@ class TestPageCacheVictimHook:
     def test_hook_picks_mru_victim_instead(self):
         system = self.make_fs_system(capacity=2)
         fs = system.kernel.fs
-        fs.hook_pc_victim.attach(choose(lambda current, candidates: candidates[-1]))
+        fs.hook_pc_victim.attach(lambda current, candidates: candidates[-1])
         fs.create_file("/data/f", b"x" * 100, on_disk=True)
         inode = fs.resolve("/data/f")
         inode.cached_pages.clear()

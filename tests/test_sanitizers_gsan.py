@@ -164,40 +164,6 @@ class TestEndOfRunAudit:
         assert "last driven by watchdog (reclaim)" in leaks[0].message
         assert "a watchdog reclaim raced this slot" in leaks[0].message
 
-    def test_clock_snapshot_is_an_independent_copy(self):
-        sanitizer = GSan()
-        base = sanitizer.clock_snapshot()
-        assert set(base) == set(AGENTS)
-        sanitizer.feed("slot.transition", 0.0, 0, "free", "populating", "gpu")
-        snap = sanitizer.clock_snapshot()
-        assert snap["gpu"] == base["gpu"] + 1
-        snap["gpu"] = 999  # mutating the copy must not touch the clocks
-        assert sanitizer.clock_snapshot()["gpu"] == base["gpu"] + 1
-
-    def test_rearm_resets_shadow_state_for_the_next_branch(self):
-        sanitizer = GSan()
-        sanitizer.feed("slot.transition", 0.0, 0, "free", "ready", "gpu")
-        assert sanitizer.finish()
-        assert sanitizer.rearm() is sanitizer
-        assert sanitizer.events == 0
-        assert sanitizer.violations == []
-        assert all(v == 0 for v in sanitizer.clock_snapshot().values())
-        # A fresh legal walk on the re-armed sanitizer stays clean.
-        sanitizer.feed("slot.transition", 0.0, 0, "free", "populating", "gpu")
-        sanitizer.feed("slot.transition", 5.0, 0, "populating", "ready", "gpu")
-        sanitizer.feed("slot.transition", 10.0, 0, "ready", "processing", "cpu")
-        sanitizer.feed("slot.transition", 20.0, 0, "processing", "finished", "cpu")
-        sanitizer.feed("slot.transition", 30.0, 0, "finished", "free", "gpu")
-        assert sanitizer.finish() == []
-
-    def test_rearm_keeps_the_attached_observers(self):
-        system = System()
-        sanitizer = GSan().install(system.probes)
-        assert sanitizer in system.probes.programs
-        sanitizer.rearm()
-        assert sanitizer in system.probes.programs
-        assert sanitizer.registry is system.probes
-
 
 class TestReportingSurface:
     def test_violation_render_marks_the_offender(self):

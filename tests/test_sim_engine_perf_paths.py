@@ -2,8 +2,9 @@
 
 Covers the refactor's edge cases: O(1)-amortised waiter discard under
 wide ``AnyOf`` fan-out, ``Event.fail`` propagation through combinators,
-re-yielding already-triggered events, cancellable timers interacting
-with ``run(until=...)``, and the absolute-time wakeup primitive."""
+re-yielding already-triggered events, cancelled ``call_later`` handles
+interacting with ``run(until=...)``, and the absolute-time wakeup
+primitive."""
 
 import pytest
 
@@ -181,51 +182,45 @@ class TestTriggeredEventReyield:
         assert proc.finished
 
 
-class TestCancellableTimers:
-    def test_cancelled_timer_never_fires(self, sim):
-        timer = sim.timer(50, value="boom")
-        timer.cancel()
-        assert timer.cancelled
+class TestCancelledCallbacks:
+    """A ``call_later`` handle cancels by clearing its ``fn`` slot; the
+    heap entry stays behind as a tombstone."""
+
+    def test_cancelled_callback_never_runs(self, sim):
+        fired = []
+        handle = sim.call_later(50, lambda: fired.append(sim.now))
+        handle.fn = None
         end = sim.run()
-        assert not timer.event.triggered
-        # A cancelled timer's tombstone must not stretch the clock.
+        assert fired == []
+        # A cancelled callback's tombstone must not stretch the clock.
         assert end == 0
 
-    def test_run_until_with_cancelled_timer_before_horizon(self, sim):
+    def test_run_until_with_cancelled_callback_before_horizon(self, sim):
         fired = []
-        keeper = sim.timer(30)
-        victim = sim.timer(40)
-        keeper.event._add_callback(lambda v, e: fired.append(("keeper", sim.now)))
-        victim.event._add_callback(lambda v, e: fired.append(("victim", sim.now)))
-        victim.cancel()
+        sim.call_later(30, lambda: fired.append(("keeper", sim.now)))
+        victim = sim.call_later(40, lambda: fired.append(("victim", sim.now)))
+        victim.fn = None
         end = sim.run(until=100)
         assert fired == [("keeper", 30)]
         assert end == 100
 
-    def test_live_timer_extends_run_like_a_sleeper(self, sim):
-        sim.timer(75)
+    def test_live_callback_extends_run_like_a_sleeper(self, sim):
+        sim.call_later(75, lambda: None)
         end = sim.run()
         assert end == 75
 
-    def test_cancel_after_fire_is_noop(self, sim):
-        timer = sim.timer(5, value=42)
-        sim.run()
-        assert timer.event.triggered
-        timer.cancel()
-        assert not timer.cancelled
-        assert timer.event.value == 42
-
-    def test_poller_pattern_event_beats_timer(self, sim):
-        """The drain/quiesce idiom: wait on state-change OR next tick,
-        cancel the loser so abandoned ticks don't accumulate."""
+    def test_poller_pattern_event_beats_tick(self, sim):
+        """Wait on state-change OR next tick, and cancel the losing tick
+        so abandoned ticks don't accumulate."""
         state_change = sim.event()
         wakeups = []
 
         def poller():
             while not state_change.triggered:
-                tick = sim.timer(1000)
-                idx, _value = yield AnyOf([state_change, tick.event])
-                tick.cancel()
+                tick = sim.event()
+                handle = sim.call_later(1000, tick.succeed)
+                yield AnyOf([state_change, tick])
+                handle.fn = None
                 wakeups.append(sim.now)
             return sim.now
 
@@ -241,10 +236,6 @@ class TestCancellableTimers:
         # The abandoned 3000ns tick was cancelled: it must not stretch
         # the simulation end time.
         assert end == 2500
-
-    def test_negative_delay_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.timer(-1)
 
 
 class TestAbsoluteWakeups:

@@ -163,12 +163,11 @@ class TestStore:
         sim.run()
         assert results == [(0, 0), (1, 1), (2, 2)]
 
-    def test_len_and_peek(self, sim):
+    def test_len(self, sim):
         store = Store(sim)
         store.put("a")
         store.put("b")
         assert len(store) == 2
-        assert store.peek_all() == ["a", "b"]
 
 
 class TestBandwidthResource:
@@ -201,31 +200,3 @@ class TestBandwidthResource:
 
         with pytest.raises(ValueError):
             sim.run_process(body())
-
-    def test_bytes_and_utilization(self, sim):
-        bw = BandwidthResource(sim, rate_bytes_per_ns=1.0)
-
-        def body():
-            yield from bw.transfer(50)
-            yield 50  # idle
-
-        sim.run_process(body())
-        assert bw.bytes_moved == 50
-        assert bw.utilization() == pytest.approx(0.5)
-
-    def test_throughput_series_bins(self, sim):
-        bw = BandwidthResource(sim, rate_bytes_per_ns=1.0)
-
-        def body():
-            yield from bw.transfer(100)
-            yield from bw.transfer(100)
-
-        sim.run_process(body())
-        series = bw.throughput_series(bin_ns=100)
-        total = sum(rate * 100 for _, rate in series)
-        assert total == pytest.approx(200)
-
-    def test_throughput_series_requires_positive_bin(self, sim):
-        bw = BandwidthResource(sim, 1.0)
-        with pytest.raises(ValueError):
-            bw.throughput_series(bin_ns=0)

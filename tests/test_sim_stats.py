@@ -1,114 +1,14 @@
-"""Unit tests for counters, trace recorders, and utilisation tracking."""
+"""Unit tests for utilisation tracking."""
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.stats import Counter, TraceRecorder, UtilizationTracker
+from repro.sim.stats import UtilizationTracker
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("x").value == 0
-
-    def test_add(self):
-        counter = Counter()
-        counter.add()
-        counter.add(5)
-        assert counter.value == 6
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().add(-1)
-
-
-class TestTraceRecorder:
-    def test_records_at_sim_time(self, sim):
-        trace = TraceRecorder(sim)
-
-        def body():
-            trace.record("k", 1.0)
-            yield 10
-            trace.record("k", 2.0)
-
-        sim.run_process(body())
-        assert trace.series("k") == [(0, 1.0), (10, 2.0)]
-
-    def test_last_and_default(self, sim):
-        trace = TraceRecorder(sim)
-        assert trace.last("missing", default=-1) == -1
-        trace.record("k", 9.0)
-        assert trace.last("k") == 9.0
-
-    def test_keys_sorted(self, sim):
-        trace = TraceRecorder(sim)
-        trace.record("b", 1)
-        trace.record("a", 1)
-        assert trace.keys() == ["a", "b"]
-
-    def test_binned_mean(self, sim):
-        trace = TraceRecorder(sim)
-
-        def body():
-            trace.record("k", 10)
-            yield 5
-            trace.record("k", 20)
-            yield 10
-            trace.record("k", 100)
-
-        sim.run_process(body())
-        series = trace.binned_mean("k", bin_ns=10)
-        assert series[0] == (0, 15.0)   # samples at t=0 and t=5
-        assert series[1] == (10, 100.0)  # sample at t=15
-
-    def test_binned_mean_positive_bin(self, sim):
-        trace = TraceRecorder(sim)
-        with pytest.raises(ValueError):
-            trace.binned_mean("k", bin_ns=0)
-
-    def test_binned_mean_missing_series_is_all_zero(self, sim):
-        trace = TraceRecorder(sim)
-
-        def body():
-            yield 25
-
-        sim.run_process(body())
-        series = trace.binned_mean("never-recorded", bin_ns=10)
-        assert series == [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)]
-
-    def test_binned_mean_bin_larger_than_run(self, sim):
-        trace = TraceRecorder(sim)
-
-        def body():
-            trace.record("k", 4)
-            yield 5
-            trace.record("k", 8)
-
-        sim.run_process(body())
-        # One bin swallows the whole 5 ns run.
-        assert trace.binned_mean("k", bin_ns=1_000_000) == [(0.0, 6.0)]
-
-    def test_binned_mean_zero_length_run(self, sim):
-        trace = TraceRecorder(sim)
-        trace.record("k", 7)
-        # sim.now == 0: start == end, still one bin, sample included.
-        assert trace.binned_mean("k", bin_ns=10) == [(0.0, 7.0)]
-
-    def test_binned_mean_window_excludes_outside_samples(self, sim):
-        trace = TraceRecorder(sim)
-
-        def body():
-            trace.record("k", 1)
-            yield 50
-            trace.record("k", 99)
-
-        sim.run_process(body())
-        series = trace.binned_mean("k", bin_ns=10, start=0, end=20)
-        assert series == [(0.0, 1.0), (10.0, 0.0), (20.0, 0.0)]
 
 
 class TestUtilizationTracker:
@@ -173,20 +73,6 @@ class TestUtilizationTracker:
         sim.run_process(body())
         assert tracker.average(since=100) == pytest.approx(1.0)
         assert tracker.average() == pytest.approx(0.5)
-
-    def test_binned_series(self, sim):
-        tracker = UtilizationTracker(sim, 1)
-
-        def body():
-            tracker.busy()
-            yield 10
-            tracker.idle()
-            yield 10
-
-        sim.run_process(body())
-        series = tracker.binned_series(bin_ns=10)
-        assert series[0][1] == pytest.approx(1.0)
-        assert series[1][1] == pytest.approx(0.0)
 
     def test_empty_average_is_zero(self, sim):
         tracker = UtilizationTracker(sim, 4)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workloads.base import DeterministicRandom, WorkloadResult, cheap_digest
+from repro.workloads.base import DeterministicRandom, WorkloadResult
 
 
 class TestDeterministicRandom:
@@ -70,11 +70,3 @@ class TestWorkloadResult:
     def test_repr_contains_names(self):
         result = WorkloadResult("wl", "var", 1e6, {"k": 1})
         assert "wl/var" in repr(result)
-
-
-class TestCheapDigest:
-    def test_deterministic(self):
-        assert cheap_digest(b"abc") == cheap_digest(b"abc")
-
-    def test_discriminates(self):
-        assert cheap_digest(b"abc") != cheap_digest(b"abd")
