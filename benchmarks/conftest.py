@@ -9,7 +9,7 @@ pytest-benchmark ``extra_info`` for machine-readable output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import pytest
 

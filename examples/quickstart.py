@@ -9,8 +9,8 @@ filesystem, and launches a GPU kernel whose work-items read it back with
 Run:  python examples/quickstart.py
 """
 
-from repro import Buffer, Granularity, Ordering, System, WaitMode
-from repro.oskernel.fs import O_CREAT, O_RDONLY, O_WRONLY
+from repro import Granularity, Ordering, System, WaitMode
+from repro.oskernel.fs import O_RDONLY
 
 
 def main() -> None:

@@ -54,7 +54,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Callable,
@@ -882,9 +882,9 @@ def _cmd_overload(args: Args) -> int:
     config = _serving_config(args)
     plan = default_overload_plan(config)
     if args.sojourn_budget_us is not None:
-        plan = plan.scaled(sojourn_budget_ns=args.sojourn_budget_us * 1e3)
+        plan = replace(plan, sojourn_budget_ns=args.sojourn_budget_us * 1e3)
     if args.no_brownout:
-        plan = plan.scaled(brownout=False)
+        plan = replace(plan, brownout=False)
     doc = overload_curve(
         config,
         plan=plan,
@@ -1113,7 +1113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=seeds, default=[1, 2, 3],
                    help="fault-plan seeds: 1,2,5 or 1:6 (default 1,2,3)")
     p.add_argument("--intensity", type=NON_NEGATIVE, default=1.0,
-                   help="scale every fault rate (clamped to 1.0)")
+                   help="scale every fault rate; a hook whose rates then sum "
+                        "past 1 is scaled down to sum to 1")
     p.add_argument("--gsan", action="store_true",
                    help="run every cell under GSan; a violation fails the cell")
     p.add_argument("--json", metavar="PATH", help="write the cells and summary here")

@@ -312,7 +312,6 @@ class DeviceApi:
                 args,
                 blocking,
                 genesys.host_process,
-                issued_at=None,
                 invocation_id=invocation_id,
                 deadline_ns=genesys.mint_deadline(name),
                 priority=priority,

@@ -97,7 +97,6 @@ class SyscallRequest:
         "args",
         "blocking",
         "proc",
-        "issued_at",
         "invocation_id",
         "deadline_ns",
         "priority",
@@ -109,7 +108,6 @@ class SyscallRequest:
         args: Tuple[Any, ...],
         blocking: bool,
         proc: "OsProcess",
-        issued_at: Optional[float] = None,
         invocation_id: Optional[int] = None,
         deadline_ns: Optional[float] = None,
         priority: int = 0,
@@ -123,7 +121,6 @@ class SyscallRequest:
         self.args = args
         self.blocking = blocking
         self.proc = proc
-        self.issued_at = issued_at
         self.invocation_id = invocation_id
         #: Absolute sim-time deadline after which servicing the call is
         #: wasted work (QoS layer); ``None`` means no deadline.

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.invocation import Granularity, Ordering
+from repro.core.invocation import WaitMode
 from repro.experiments import ExperimentResult
+from repro.experiments.ext_sensitivity import burst_time
 from repro.machine import MachineConfig
 from repro.system import System
 from repro.workloads.wordcount import WordcountWorkload
@@ -28,28 +29,7 @@ TITLE = "Extension: CPU-core and SSD-channel scaling"
 CPU_CORES = (1, 2, 4, 8)
 SSD_CHANNELS = (1, 4, 8, 16)
 GPU_CUS = (2, 8)
-BURST_GROUPS = 64
-BURST_BYTES = 16384
 WC_PARAMS = dict(num_files=24, file_bytes=65536)
-
-
-def syscall_burst_time(config: MachineConfig) -> float:
-    """64 concurrent work-group preads from tmpfs (servicing-bound)."""
-    system = System(config=config)
-    system.kernel.fs.create_file("/tmp/burst", b"\x11" * (BURST_BYTES * BURST_GROUPS))
-    bufs = [system.memsystem.alloc_buffer(BURST_BYTES) for _ in range(BURST_GROUPS)]
-
-    def kern(ctx):
-        fd = yield from ctx.sys.open(
-            "/tmp/burst", granularity=Granularity.WORK_GROUP,
-            ordering=Ordering.RELAXED,
-        )
-        yield from ctx.sys.pread(
-            fd, bufs[ctx.group_id], BURST_BYTES, BURST_BYTES * ctx.group_id,
-            granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
-        )
-
-    return system.run_kernel(kern, BURST_GROUPS * 64, 64, name="burst")
 
 
 def wordcount_time(config: MachineConfig) -> float:
@@ -60,7 +40,7 @@ def wordcount_time(config: MachineConfig) -> float:
 
 def sweep_cpu_cores() -> Dict[int, float]:
     return {
-        cores: syscall_burst_time(MachineConfig(cpu_cores=cores))
+        cores: burst_time(MachineConfig(cpu_cores=cores), WaitMode.POLL)
         for cores in CPU_CORES
     }
 

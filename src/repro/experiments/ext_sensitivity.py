@@ -33,7 +33,9 @@ HALT_LATENCIES = (1000.0, 5000.0, 20000.0)
 WORKER_COUNTS = (2, 8, 32)
 
 
-def _workload_time(config: MachineConfig, wait: WaitMode) -> float:
+def burst_time(config: MachineConfig, wait: WaitMode) -> float:
+    """64 concurrent work-group preads of 16 KiB from tmpfs
+    (servicing-bound)."""
     system = System(config=config)
     total = READ_BYTES * NUM_GROUPS
     system.kernel.fs.create_file("/tmp/data", b"\x77" * total)
@@ -50,12 +52,12 @@ def _workload_time(config: MachineConfig, wait: WaitMode) -> float:
             wait=wait,
         )
 
-    return system.run_kernel(kern, NUM_GROUPS * WG_SIZE, WG_SIZE, name="sens")
+    return system.run_kernel(kern, NUM_GROUPS * WG_SIZE, WG_SIZE, name="burst")
 
 
 def sweep_poll_interval() -> Dict[float, float]:
     return {
-        interval: _workload_time(
+        interval: burst_time(
             MachineConfig(poll_interval_ns=interval), WaitMode.POLL
         )
         for interval in POLL_INTERVALS
@@ -64,7 +66,7 @@ def sweep_poll_interval() -> Dict[float, float]:
 
 def sweep_halt_latency() -> Dict[float, float]:
     return {
-        latency: _workload_time(
+        latency: burst_time(
             MachineConfig(halt_resume_ns=latency), WaitMode.HALT_RESUME
         )
         for latency in HALT_LATENCIES
@@ -73,7 +75,7 @@ def sweep_halt_latency() -> Dict[float, float]:
 
 def sweep_workers() -> Dict[int, float]:
     return {
-        workers: _workload_time(
+        workers: burst_time(
             MachineConfig(workqueue_workers=workers), WaitMode.POLL
         )
         for workers in WORKER_COUNTS

@@ -27,7 +27,7 @@ from repro.faults.chaos import (
     run_scenario,
 )
 from repro.faults.plan import (
-    FAULT_HOOKS,
+    FAULT_TABLE,
     FaultInjector,
     FaultPlan,
 )
@@ -36,7 +36,7 @@ from repro.oskernel.workqueue import DrainTimeout
 __all__ = [
     "DEFAULT_DRAIN_TIMEOUT_NS",
     "EXPERIMENTS",
-    "FAULT_HOOKS",
+    "FAULT_TABLE",
     "PROFILES",
     "ChaosReport",
     "DrainTimeout",

@@ -25,12 +25,18 @@ Invariants checked after every run (:func:`check_invariants`):
 * **bounded termination** — the run finishes under a simulated-time
   drain deadline (enforced by ``System.drain_timeout_ns``; a wedge the
   watchdog cannot clear surfaces as ``DrainTimeout``, not a hang).
+
+A scenario that raises anything else fails its own cell with a
+``crash:`` violation naming the exception and where it was raised; the
+rest of the matrix still runs.
 """
 
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.syscall_area import SlotState
 from repro.gpu.hierarchy import WorkItemCtx
@@ -342,18 +348,10 @@ def _run_udp_echo(system: System) -> Dict[str, object]:
     }
 
 
-def _run_serving(system: System) -> Dict[str, object]:
-    """The serving harness riding a faulty machine: one fixed-RPS
-    open-loop point against the GPU memcached server.  Every completed
-    reply's value bytes are checked against the table — a fault may
-    delay or lose a reply (the lifecycle absorbs that) but must never
-    corrupt one."""
-    from repro.serving.sweep import (
-        ServingConfig,
-        build_target,
-        memcached_reply_check,
-        run_point_on,
-    )
+def _serving_target(system: System) -> Tuple[Any, Any]:
+    """Build the GPU memcached server both serving scenarios load onto
+    ``system``; returns ``(config, workload)``."""
+    from repro.serving.sweep import ServingConfig, build_target
 
     config = ServingConfig(
         num_clients=32,
@@ -366,15 +364,32 @@ def _run_serving(system: System) -> Dict[str, object]:
         workgroup_size=16,
     )
     _system, workload = build_target(config, system=system)
+    return config, workload
+
+
+def _checked_point(
+    system: System, config: Any, workload: Any, rps: int
+) -> Dict[str, Any]:
+    """One fixed-RPS open-loop point.  Every completed reply's value
+    bytes are checked against the table: a fault may delay or lose a
+    reply (the lifecycle absorbs that) but must never corrupt one."""
+    from repro.serving.sweep import memcached_reply_check, run_point_on
+
     point = run_point_on(
-        system, workload, config, rps=100_000,
+        system, workload, config, rps=rps,
         check_reply=memcached_reply_check(workload),
     )
+    bad = point["lifecycle"]["bad_replies"]
+    if bad:
+        raise AssertionError(f"{bad} corrupted reply value(s) reached a client")
+    return point
+
+
+def _run_serving(system: System) -> Dict[str, object]:
+    """The serving harness riding a faulty machine at moderate load."""
+    config, workload = _serving_target(system)
+    point = _checked_point(system, config, workload, 100_000)
     lifecycle = point["lifecycle"]
-    if lifecycle["bad_replies"]:
-        raise AssertionError(
-            f"{lifecycle['bad_replies']} corrupted reply value(s) reached a client"
-        )
     return {
         "rps": 100_000,
         "sent": lifecycle["sent"],
@@ -390,37 +405,13 @@ def _run_qos(system: System) -> Dict[str, object]:
     with the default overload-control plan installed.  The plan must
     keep the run live (sojourn policing sheds the stale backlog) and —
     as in every serving scenario — no completed reply may be corrupt."""
-    from repro.serving.sweep import (
-        ServingConfig,
-        build_target,
-        default_overload_plan,
-        memcached_reply_check,
-        run_point_on,
-    )
-
-    config = ServingConfig(
-        num_clients=32,
-        warmup_ns=100_000.0,
-        measure_ns=300_000.0,
-        timeout_ns=400_000.0,
-        elems_per_bucket=64,
-        value_bytes=256,
-        num_workgroups=4,
-        workgroup_size=16,
-    )
-    _system, workload = build_target(config, system=system)
     from repro.qos import install_qos_plan
+    from repro.serving.sweep import default_overload_plan
 
+    config, workload = _serving_target(system)
     controller = install_qos_plan(default_overload_plan(config), system)
-    point = run_point_on(
-        system, workload, config, rps=220_000,
-        check_reply=memcached_reply_check(workload),
-    )
+    point = _checked_point(system, config, workload, 220_000)
     lifecycle = point["lifecycle"]
-    if lifecycle["bad_replies"]:
-        raise AssertionError(
-            f"{lifecycle['bad_replies']} corrupted reply value(s) reached a client"
-        )
     return {
         "rps": 220_000,
         "sent": lifecycle["sent"],
@@ -479,6 +470,13 @@ def run_one(
         violations.append(f"liveness: {exc}")
     except AssertionError as exc:
         violations.append(f"safety: {exc}")
+    except Exception as exc:
+        # A scenario that raises fails its own cell, not the matrix.
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        violations.append(
+            f"crash: {type(exc).__name__}: {exc} (at "
+            f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})"
+        )
     violations.extend(check_invariants(system))
     if "false_matches" in detail:
         violations.append(f"safety: invented matches {detail['false_matches']}")

@@ -31,38 +31,48 @@ machinery that is supposed to survive it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.oskernel.errors import Errno
 from repro.probes import policy as policy_mod
 from repro.probes.tracepoints import ProbeRegistry
 from repro.workloads.base import DeterministicRandom
 
-#: Hooks a FaultInjector may attach to, in the order they are wired.
-FAULT_HOOKS = (
-    "fault.irq",
-    "fault.worker",
-    "fault.slot",
-    "fault.errno",
-    "fault.net",
-)
+#: Each fault hook's classes, in the order a decision tries them:
+#: ``(action, rate field, verdict, delay-range field)``.  One decision
+#: draws one ``random()`` and takes the first class whose running sum of
+#: rates exceeds it; a class with a range field answers ``(verdict, ns)``
+#: and draws one more ``random()`` for the delay.  ``fault.errno`` is
+#: decided by ``FaultInjector._errno``, which also draws the errno.
+_Row = Tuple[str, str, str, Optional[str]]
+FAULT_TABLE: Dict[str, Tuple[_Row, ...]] = {
+    "fault.irq": (
+        ("irq.drop", "irq_drop", "drop", None),
+        ("irq.delay", "irq_delay", "delay", "irq_delay_ns"),
+    ),
+    "fault.worker": (
+        ("worker.kill", "worker_kill", "kill", None),
+        ("worker.stall", "worker_stall", "stall", "worker_stall_ns"),
+    ),
+    "fault.slot": (
+        ("slot.wedge", "slot_wedge", "wedge", None),
+        ("slot.corrupt", "slot_corrupt", "corrupt", None),
+    ),
+    "fault.errno": (("errno", "errno_rate", "errno", None),),
+    "fault.net": (
+        ("net.drop", "net_drop", "drop", None),
+        ("net.dup", "net_dup", "dup", None),
+        ("net.delay", "net_delay", "delay", "net_delay_ns"),
+    ),
+}
 
-_RATE_FIELDS = (
-    "irq_drop",
-    "irq_delay",
-    "worker_stall",
-    "worker_kill",
-    "slot_wedge",
-    "slot_corrupt",
-    "net_drop",
-    "net_dup",
-    "net_delay",
-    "errno_rate",
+_RATE_FIELDS = tuple(row[1] for rows in FAULT_TABLE.values() for row in rows)
+_RANGE_FIELDS = tuple(
+    row[3] for rows in FAULT_TABLE.values() for row in rows if row[3]
 )
-
-_RANGE_FIELDS = ("irq_delay_ns", "worker_stall_ns", "net_delay_ns")
 
 #: Budgets and recovery knobs: finite and >= 0 (``max_faults`` may be None).
 _LIMIT_FIELDS = (
@@ -79,10 +89,10 @@ class FaultPlan:
     """One seeded description of faults to inject plus recovery knobs.
 
     Rates are per-decision probabilities in ``[0, 1]``; within one hook
-    the alternatives are tried in declaration order (e.g. a doorbell is
-    first rolled against ``irq_drop``, then ``irq_delay``), so the sum
-    of a hook's rates may not exceed 1.  ``*_ns`` ranges are inclusive
-    ``(lo, hi)`` bounds sampled uniformly.
+    the alternatives are tried in :data:`FAULT_TABLE` order (e.g. a
+    doorbell is first rolled against ``irq_drop``, then ``irq_delay``),
+    so the sum of a hook's rates may not exceed 1.  ``*_ns`` ranges are
+    inclusive ``(lo, hi)`` bounds sampled uniformly.
     """
 
     seed: int = 1
@@ -121,15 +131,11 @@ class FaultPlan:
             rate = getattr(self, field)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{field}={rate!r} outside [0, 1]")
-        for pair in (
-            ("irq_drop", "irq_delay"),
-            ("worker_kill", "worker_stall"),
-            ("slot_wedge", "slot_corrupt"),
-            ("net_drop", "net_dup", "net_delay"),
-        ):
-            total = sum(getattr(self, field) for field in pair)
+        for rows in FAULT_TABLE.values():
+            fields = tuple(row[1] for row in rows)
+            total = sum(getattr(self, field) for field in fields)
             if total > 1.0:
-                raise ValueError(f"rates {pair} sum to {total} > 1")
+                raise ValueError(f"rates {fields} sum to {total} > 1")
         for field in _RANGE_FIELDS:
             lo, hi = getattr(self, field)
             if not 0 <= lo <= hi < math.inf:
@@ -147,14 +153,23 @@ class FaultPlan:
         return dataclasses.replace(self, seed=seed)
 
     def scaled(self, factor: float) -> "FaultPlan":
-        """Same plan with every rate multiplied by ``factor`` (clamped
-        to 1.0) — chaos intensity dial."""
+        """Same plan with every rate multiplied by ``factor`` — chaos
+        intensity dial.  A hook whose scaled rates sum past 1 is scaled
+        down to sum exactly 1, keeping their proportions."""
         if factor < 0:
             raise ValueError("factor must be >= 0")
-        changes = {
-            field: min(1.0, getattr(self, field) * factor)
-            for field in _RATE_FIELDS
-        }
+        changes: Dict[str, float] = {}
+        for rows in FAULT_TABLE.values():
+            fields = [row[1] for row in rows]
+            rates = [getattr(self, field) * factor for field in fields]
+            total = sum(rates)
+            if total > 1.0:
+                rates = [rate / total for rate in rates]
+                # Division can leave a sum a hair past 1, so the last
+                # firing class takes exactly what the others leave.
+                last = max(i for i, rate in enumerate(rates) if rate > 0.0)
+                rates[last] = max(0.0, 1.0 - sum(rates[:last]))
+            changes.update(zip(fields, rates))
         return dataclasses.replace(self, **changes)
 
     def active_classes(self) -> List[str]:
@@ -267,46 +282,22 @@ class FaultInjector:
 
     # -- decision programs -------------------------------------------------
 
-    def _irq(self, current: object, payload: object) -> object:
+    def _decide(
+        self, rows: Tuple[_Row, ...], current: object, *_args: object
+    ) -> object:
         self.decisions += 1
         if current is not None or not self._budget_left():
             return None
         roll = self.rng.random()
         plan = self.plan
-        if roll < plan.irq_drop:
-            self._note("irq.drop")
-            return "drop"
-        if roll < plan.irq_drop + plan.irq_delay:
-            self._note("irq.delay")
-            return ("delay", self._uniform_ns(plan.irq_delay_ns))
-        return None
-
-    def _worker(self, current: object, worker_id: int, task_index: int) -> object:
-        self.decisions += 1
-        if current is not None or not self._budget_left():
-            return None
-        roll = self.rng.random()
-        plan = self.plan
-        if roll < plan.worker_kill:
-            self._note("worker.kill")
-            return "kill"
-        if roll < plan.worker_kill + plan.worker_stall:
-            self._note("worker.stall")
-            return ("stall", self._uniform_ns(plan.worker_stall_ns))
-        return None
-
-    def _slot(self, current: object, hw_id: int, slot_index: int, name: str) -> object:
-        self.decisions += 1
-        if current is not None or not self._budget_left():
-            return None
-        roll = self.rng.random()
-        plan = self.plan
-        if roll < plan.slot_wedge:
-            self._note("slot.wedge")
-            return "wedge"
-        if roll < plan.slot_wedge + plan.slot_corrupt:
-            self._note("slot.corrupt")
-            return "corrupt"
+        threshold = 0.0
+        for action, field, verdict, delay_field in rows:
+            threshold += getattr(plan, field)
+            if roll < threshold:
+                self._note(action)
+                if delay_field is None:
+                    return verdict
+                return (verdict, self._uniform_ns(getattr(plan, delay_field)))
         return None
 
     def _errno(self, current: object, name: str, invocation_id: object) -> Optional[int]:
@@ -320,23 +311,6 @@ class FaultInjector:
             return int(errno)
         return None
 
-    def _net(self, current: object, dest: object, nbytes: int) -> object:
-        self.decisions += 1
-        if current is not None or not self._budget_left():
-            return None
-        roll = self.rng.random()
-        plan = self.plan
-        if roll < plan.net_drop:
-            self._note("net.drop")
-            return "drop"
-        if roll < plan.net_drop + plan.net_dup:
-            self._note("net.dup")
-            return "dup"
-        if roll < plan.net_drop + plan.net_dup + plan.net_delay:
-            self._note("net.delay")
-            return ("delay", self._uniform_ns(plan.net_delay_ns))
-        return None
-
     # -- wiring ------------------------------------------------------------
 
     def _attach(self, hook_name: str, program: Callable) -> None:
@@ -345,16 +319,13 @@ class FaultInjector:
 
     def _install(self) -> None:
         plan = self.plan
-        if plan.irq_drop or plan.irq_delay:
-            self._attach("fault.irq", self._irq)
-        if plan.worker_stall or plan.worker_kill:
-            self._attach("fault.worker", self._worker)
-        if plan.slot_wedge or plan.slot_corrupt:
-            self._attach("fault.slot", self._slot)
-        if plan.errno_rate:
-            self._attach("fault.errno", self._errno)
-        if plan.net_drop or plan.net_dup or plan.net_delay:
-            self._attach("fault.net", self._net)
+        for hook_name, rows in FAULT_TABLE.items():
+            if any(getattr(plan, row[1]) for row in rows):
+                program: Callable[..., object] = (
+                    self._errno if hook_name == "fault.errno"
+                    else functools.partial(self._decide, rows)
+                )
+                self._attach(hook_name, program)
         # Recovery knobs ride the same hooks the sysfs files use.
         if plan.watchdog_period_ns:
             self._attach(

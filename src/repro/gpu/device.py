@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import ceil
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.gpu.compute_unit import ComputeUnit
 from repro.gpu.hierarchy import KernelInstance, WorkGroup, WorkItemCtx

@@ -81,7 +81,6 @@ class Cache:
                 f"total_lines {total_lines} not divisible by associativity {associativity}"
             )
         self.name = name
-        self.total_lines = total_lines
         self.associativity = associativity
         self.line_bytes = line_bytes
         self.num_sets = total_lines // associativity

@@ -34,7 +34,6 @@ class Dram:
             fixed_latency=config.dram_latency_ns,
             name="dram",
         )
-        self.cpu_accesses = 0
         self.gpu_accesses = 0
         registry = probes if probes is not None else ProbeRegistry(sim)
         self.tp_access = registry.tracepoint(
@@ -61,7 +60,6 @@ class Dram:
 
     def cpu_access(self, nbytes: int = CACHELINE_BYTES) -> Generator:
         """Process body: one CPU-originated transfer."""
-        self.cpu_accesses += 1
         if self._observing():
             yield from self._observed_transfer("cpu", nbytes)
         else:

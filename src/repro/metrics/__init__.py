@@ -22,7 +22,6 @@ per-window time-series; :mod:`repro.metrics.gtop` draws the
 
 from repro.metrics.hub import MetricsHub, MetricsHubPlan, metrics_hubs
 from repro.metrics.series import (
-    EwmaRate,
     LevelSeries,
     WindowedCounter,
     WindowedGauge,
@@ -31,7 +30,6 @@ from repro.metrics.series import (
 )
 
 __all__ = [
-    "EwmaRate",
     "LevelSeries",
     "MetricsHub",
     "MetricsHubPlan",

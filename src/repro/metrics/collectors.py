@@ -16,7 +16,7 @@ plus the gauge-grade fire sites added alongside this package
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.metrics.series import (
     LevelSeries,
@@ -33,7 +33,6 @@ __all__ = [
     "CATALOG",
     "CountFeed",
     "GaugeFeed",
-    "LevelFeed",
     "MetricSpec",
     "ObserveFeed",
     "RatioFeed",
@@ -101,14 +100,15 @@ class ObserveFeed:
 
 class GaugeFeed:
     """Sample ``args[value_arg]`` (optionally ``/ args[den_arg]``) into a
-    gauge."""
+    gauge, or into a time-weighted level (busy workers / pool size,
+    halted wavefronts / live wavefronts)."""
 
     __slots__ = ("hub", "metric", "value_arg", "den_arg")
 
     def __init__(
         self,
         hub: "MetricsHub",
-        metric: WindowedGauge,
+        metric: Union[WindowedGauge, LevelSeries],
         value_arg: int,
         den_arg: Optional[int] = None,
     ) -> None:
@@ -124,34 +124,6 @@ class GaugeFeed:
             den = _as_float(args[self.den_arg])
             value = value / den if den > 0 else 0.0
         self.metric.set(t_ns, value)
-
-
-class LevelFeed:
-    """Track a time-weighted level: ``args[num_arg]`` scaled by
-    ``args[den_arg]`` when given (busy workers / pool size, halted
-    wavefronts / live wavefronts)."""
-
-    __slots__ = ("hub", "metric", "num_arg", "den_arg")
-
-    def __init__(
-        self,
-        hub: "MetricsHub",
-        metric: LevelSeries,
-        num_arg: int,
-        den_arg: Optional[int] = None,
-    ) -> None:
-        self.hub = hub
-        self.metric = metric
-        self.num_arg = num_arg
-        self.den_arg = den_arg
-
-    def __call__(self, *args: object) -> None:
-        t_ns = self.hub.pulse()
-        level = _as_float(args[self.num_arg])
-        if self.den_arg is not None:
-            den = _as_float(args[self.den_arg])
-            level = level / den if den > 0 else 0.0
-        self.metric.set(t_ns, level)
 
 
 class RatioFeed:
@@ -244,7 +216,6 @@ FEED_KINDS = {
     "count": CountFeed,
     "observe": ObserveFeed,
     "gauge": GaugeFeed,
-    "level": LevelFeed,
     "ratio": RatioFeed,
     "share": ShareFeed,
 }
@@ -268,7 +239,7 @@ CATALOG: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "gpu.halt_fraction", "level",
-        (("gpu.wf.occupancy", "level", {"num_arg": 0, "den_arg": 1}),),
+        (("gpu.wf.occupancy", "gauge", {"value_arg": 0, "den_arg": 1}),),
         unit="fraction",
         help="time-weighted share of live wavefronts halted on syscalls",
     ),
@@ -285,12 +256,12 @@ CATALOG: Tuple[MetricSpec, ...] = (
     ),
     MetricSpec(
         "wq.busy_fraction", "level",
-        (("wq.busy", "level", {"num_arg": 0, "den_arg": 1}),),
+        (("wq.busy", "gauge", {"value_arg": 0, "den_arg": 1}),),
         unit="fraction", help="time-weighted worker-pool busy fraction",
     ),
     MetricSpec(
         "slot.occupancy", "level",
-        (("slot.occupancy", "level", {"num_arg": 0, "den_arg": 1}),),
+        (("slot.occupancy", "gauge", {"value_arg": 0, "den_arg": 1}),),
         unit="fraction",
         help="time-weighted share of syscall-area slots not FREE",
     ),

@@ -22,38 +22,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.probes.programs import Log2Histogram
 
 __all__ = [
-    "EwmaRate",
     "LevelSeries",
     "WindowedCounter",
     "WindowedGauge",
     "WindowedLog2Histogram",
     "WindowedRatio",
 ]
-
-
-class EwmaRate:
-    """Exponentially-weighted moving average over per-window rates.
-
-    Updated once per closed window with that window's events/second;
-    ``value`` is 0.0 until the first window closes.
-    """
-
-    __slots__ = ("alpha", "value", "primed")
-
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.value = 0.0
-        self.primed = False
-
-    def update(self, rate: float) -> float:
-        if self.primed:
-            self.value += self.alpha * (rate - self.value)
-        else:
-            self.value = rate
-            self.primed = True
-        return self.value
 
 
 class WindowedSeries:
@@ -142,7 +116,7 @@ class WindowedSeries:
 
 
 class WindowedCounter(WindowedSeries):
-    """Event counter: per-window counts plus an EWMA of the window rate.
+    """Event counter: per-window counts.
 
     ``add`` defaults to counting one event; pass ``n`` to accumulate a
     quantity (bytes, pages, stall-ns).  ``read`` modes: ``"count"`` sums
@@ -158,13 +132,11 @@ class WindowedCounter(WindowedSeries):
         window_ns: float,
         name: str = "",
         max_windows: int = 4096,
-        ewma_alpha: float = 0.3,
     ) -> None:
         super().__init__(window_ns, name=name, max_windows=max_windows)
         self._count = 0.0
         self.total = 0.0
         self.by_key: Dict[object, float] = {}
-        self.ewma = EwmaRate(ewma_alpha)
 
     def add(self, t_ns: float, n: float = 1.0, key: object = None) -> None:
         self._note(self.index_of(t_ns))
@@ -175,7 +147,6 @@ class WindowedCounter(WindowedSeries):
 
     def _close(self) -> object:
         count, self._count = self._count, 0.0
-        self.ewma.update(count / self.window_ns * 1e9)
         return count
 
     def _empty_value(self) -> Optional[object]:
@@ -220,15 +191,11 @@ class WindowedRatio(WindowedSeries):
         super().__init__(window_ns, name=name, max_windows=max_windows)
         self._num = 0.0
         self._den = 0.0
-        self.total_num = 0.0
-        self.total_den = 0.0
 
     def add(self, t_ns: float, num: float, den: float) -> None:
         self._note(self.index_of(t_ns))
         self._num += num
         self._den += den
-        self.total_num += num
-        self.total_den += den
 
     def _close(self) -> object:
         num, self._num = self._num, 0.0

@@ -35,13 +35,10 @@ from __future__ import annotations
 from typing import Callable, List
 
 from repro.core.invocation import SyscallRequest
-from repro.core.syscall_area import SlotState, SyscallArea
-from repro.machine import small_machine
-from repro.memory.system import MemorySystem
+from repro.core.syscall_area import SlotState
 from repro.oskernel.process import OsProcess
-from repro.probes.tracepoints import ProbeRegistry
+from repro.sanitizers.corpus import slot_rig
 from repro.sanitizers.gsan import GSan
-from repro.sim.engine import Simulator
 
 from repro.modelcheck.scenarios import ScenarioRun, deadlock_audit
 
@@ -66,20 +63,12 @@ class OrderingBug:
         self.build = build
 
 
-def _fixture() -> tuple:
-    sim = Simulator()
-    config = small_machine()
-    registry = ProbeRegistry(sim)
-    area = SyscallArea(sim, config, MemorySystem(sim, config), probes=registry)
-    return sim, registry, area
-
-
 def _build_ready_publish_race() -> ScenarioRun:
     # The GPU lane claims a slot, then issues the payload write and the
     # READY publish as two independently scheduled stores (both land at
     # t=15) instead of ordering the publish after the write — the
     # missing release fence.  FIFO happens to run them write-first.
-    sim, registry, area = _fixture()
+    sim, registry, area = slot_rig()
     sanitizer = GSan().install(registry)
     slot = area.slot_for(0, 0)
     request = SyscallRequest("getrusage", (), False, OsProcess(sim, "wi0"))
@@ -113,7 +102,7 @@ def _build_lost_doorbell() -> ScenarioRun:
     # clears its live flag with a *scheduled* store, so a ring that
     # ties with the clearing store races it — reordered, the ring sees
     # the flag still up, coalesces, and nobody ever scans the slot.
-    sim, registry, area = _fixture()
+    sim, registry, area = slot_rig()
     tp_halt = registry.tracepoint(
         "wavefront.halt",
         ("hw_id", "live_lanes"),
@@ -183,7 +172,7 @@ def _build_watchdog_finish_race() -> ScenarioRun:
     # resume: reordered, the watchdog reclaims the slot first and the
     # worker's completion lands on top — a double completion the guard
     # exists to refuse.
-    sim, registry, area = _fixture()
+    sim, registry, area = slot_rig()
     tp_claim = registry.tracepoint(
         "syscall.claim",
         ("invocation_id", "name", "hw_id", "lane", "granularity", "blocking", "wait"),

@@ -170,15 +170,11 @@ def _build_slot_commute() -> ScenarioRun:
     # DPOR must prune both swapped schedules as sleep-blocked — the
     # positive pruning case the explorer tests pin down.
     from repro.core.invocation import SyscallRequest
-    from repro.core.syscall_area import SlotState, SyscallArea
-    from repro.machine import small_machine
-    from repro.memory.system import MemorySystem
+    from repro.core.syscall_area import SlotState
     from repro.oskernel.process import OsProcess
+    from repro.sanitizers.corpus import slot_rig
 
-    sim = Simulator()
-    config = small_machine()
-    registry = ProbeRegistry(sim)
-    area = SyscallArea(sim, config, MemorySystem(sim, config), probes=registry)
+    sim, registry, area = slot_rig()
     sanitizer = GSan().install(registry)
     slots = [area.slot_for(hw_id, 0) for hw_id in (0, 1)]
     requests = [

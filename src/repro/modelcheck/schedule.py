@@ -107,7 +107,6 @@ class SleepBlocked(Exception):
     def __init__(self, decision: Optional[int], seq: int) -> None:
         where = f"decision {decision}" if decision is not None else "a forced pop"
         super().__init__(f"entry seq={seq} is asleep at {where}")
-        self.decision = decision
         self.seq = seq
 
 
@@ -187,7 +186,6 @@ class EffectCollector:
     """
 
     def __init__(self) -> None:
-        self.fired = 0
         self._scopes: set = set()
         self._unscoped = False
         self._step_fired = False
@@ -198,7 +196,6 @@ class EffectCollector:
         return self
 
     def note(self, name: str, values: Tuple) -> None:
-        self.fired += 1
         self._step_fired = True
         scopes = event_scopes(name, values)
         if scopes:

@@ -98,13 +98,11 @@ class PipeInode(Inode):
         self.readers = 1
         self.writers = 1
         self._read_waiters = []
-        self.bytes_through = 0
 
     def write_bytes(self, data: bytes) -> int:
         if self.readers == 0:
             raise OsError(Errno.EPIPE, "pipe has no readers")
         self._data.extend(data)
-        self.bytes_through += len(data)
         self._wake_readers()
         return len(data)
 

@@ -37,8 +37,6 @@ class InterruptController:
         self.raised = 0
         self.serviced = 0
         self.unhandled = 0
-        self.faults_dropped = 0
-        self.faults_delayed = 0
         self._handler: Optional[Callable[[Any], None]] = None
         registry = probes if probes is not None else ProbeRegistry(sim)
         self.tp_raised = registry.tracepoint(
@@ -73,8 +71,6 @@ class InterruptController:
             ("payload",),
             "top half suppressed: servicing deferred to polling mode",
         )
-        #: Interrupts absorbed by polling mode (irq.mode verdicts).
-        self.polled = 0
 
     def register_handler(self, handler: Callable[[Any], None]) -> None:
         """Install the bottom-half callback (runs functionally after the
@@ -100,13 +96,11 @@ class InterruptController:
             if action == "drop":
                 # The s_sendmsg was lost in flight: no top half ever
                 # runs.  Recovery is the GENESYS watchdog's job.
-                self.faults_dropped += 1
                 if self.tp_fault.enabled:
                     self.tp_fault.fire("drop", payload, 0.0)
                 return True
             if isinstance(action, tuple) and action and action[0] == "delay":
                 delay_ns = float(action[1])
-                self.faults_delayed += 1
                 if self.tp_fault.enabled:
                     self.tp_fault.fire("delay", payload, delay_ns)
                 self.sim.process(
@@ -116,7 +110,6 @@ class InterruptController:
         if self.hook_mode.active and self.hook_mode.decide(None, payload) == "poll":
             # Brownout polling mode: no handler cost is paid now; the
             # controller's periodic poll_scan picks the request up.
-            self.polled += 1
             if self.tp_polled.enabled:
                 self.tp_polled.fire(payload)
             return True

@@ -43,8 +43,6 @@ class UdpSocket:
         self.port: Optional[int] = None
         self.queue = Store(net.sim, name=f"udp{self.sock_id}")
         self.closed = False
-        self.rx_packets = 0
-        self.tx_packets = 0
         #: Receive-queue bound in datagrams (``None`` = unbounded, the
         #: historical behaviour).  When the backlog is full, arriving
         #: datagrams are dropped and counted instead of queueing without
@@ -120,7 +118,6 @@ class Network:
             "return 'drop' to lose the datagram, 'dup' to deliver it twice, "
             "('delay', ns) to defer delivery, or None for normal transit",
         )
-        self.faults_injected = 0
         # -- QoS admission and sojourn policing (repro.qos).  Only
         # sockets with a bounded backlog (rx_capacity set) are policed,
         # which naturally exempts client reply sockets and the
@@ -199,7 +196,6 @@ class Network:
         yield from self.link.transfer(len(payload))
         yield self.config.nic_latency_ns
         self.packets_sent += 1
-        sock.tx_packets += 1
         self._tx_counter += 1
         if self.tp_tx.enabled:
             self.tp_tx.fire(len(payload))
@@ -223,13 +219,11 @@ class Network:
         if self.hook_fault.active:
             action = self.hook_fault.decide(None, dest, len(payload))
             if action == "drop":
-                self.faults_injected += 1
                 self.packets_dropped += 1
                 if self.tp_fault.enabled:
                     self.tp_fault.fire("drop", len(payload), 0.0)
                 return len(payload)
             if action == "dup":
-                self.faults_injected += 1
                 if self.tp_fault.enabled:
                     self.tp_fault.fire("dup", len(payload), 0.0)
                 # The duplicate copy was never counted in packets_sent,
@@ -240,7 +234,6 @@ class Network:
                 )
             elif isinstance(action, tuple) and action and action[0] == "delay":
                 delay_ns = float(action[1])
-                self.faults_injected += 1
                 if self.tp_fault.enabled:
                     self.tp_fault.fire("delay", len(payload), delay_ns)
                 self.sim.process(
@@ -296,7 +289,6 @@ class Network:
             if self.tp_drop.enabled:
                 self.tp_drop.fire("backlog", target.sock_id)
             return False
-        target.rx_packets += 1
         datagram.enqueued_ns = self.sim.now
         target.queue.put(datagram)
         depth = len(target.queue)

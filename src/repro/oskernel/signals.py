@@ -9,7 +9,7 @@ still-running GPU kernel.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator
 
 from repro.oskernel.errors import Errno, OsError
 from repro.sim.engine import AnyOf, Simulator

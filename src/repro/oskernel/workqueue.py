@@ -100,7 +100,6 @@ class WorkQueue:
         self.forfeits = 0
         self.tasks_requeued = 0
         self.workers_killed = 0
-        self.workers_stalled = 0
         self.workers_respawned = 0
         self._idle_event: Optional[Event] = None
         self._inflight: dict = {}
@@ -275,7 +274,6 @@ class WorkQueue:
                 return False
             if isinstance(action, tuple) and action and action[0] == "stall":
                 stall_ns = float(action[1])
-                self.workers_stalled += 1
                 if self.tp_fault.enabled:
                     self.tp_fault.fire("stall", worker_id, record.index, stall_ns)
                 yield stall_ns

@@ -17,7 +17,7 @@ without a plan emit exactly the policy-free event stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.metrics.hub import MetricsHub
@@ -129,29 +129,9 @@ class QosPlan:
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready description (tuples become lists) for reports."""
-        return {
-            "deadline_ns": self.deadline_ns,
-            "deadline_by_name": [list(pair) for pair in self.deadline_by_name],
-            "priority_floor": self.priority_floor,
-            "sojourn_budget_ns": self.sojourn_budget_ns,
-            "admit_rate_rps": self.admit_rate_rps,
-            "admit_burst": self.admit_burst,
-            "reject_replies": self.reject_replies,
-            "reject_errno": self.reject_errno,
-            "retry_budget_ratio": self.retry_budget_ratio,
-            "retry_budget_floor": self.retry_budget_floor,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_cooldown_ns": self.breaker_cooldown_ns,
-            "brownout": self.brownout,
-            "brownout_period_ns": self.brownout_period_ns,
-            "sensor_window_ns": self.sensor_window_ns,
-            "brownout_hi_p99_ns": self.brownout_hi_p99_ns,
-            "brownout_lo_p99_ns": self.brownout_lo_p99_ns,
-            "brownout_hi_depth": self.brownout_hi_depth,
-            "brownout_lo_depth": self.brownout_lo_depth,
-            "brownout_max_level": self.brownout_max_level,
-            "brownout_window_scale": self.brownout_window_scale,
-        }
+        doc = asdict(self)
+        doc["deadline_by_name"] = [list(pair) for pair in self.deadline_by_name]
+        return doc
 
     @property
     def active(self) -> bool:
@@ -165,10 +145,6 @@ class QosPlan:
             or self.breaker_threshold > 0
             or self.brownout
         )
-
-    def scaled(self, **overrides: Any) -> "QosPlan":
-        """Copy with field overrides — sweep helper."""
-        return replace(self, **overrides)
 
 
 class QosController:

@@ -17,9 +17,10 @@ without the watchdog, produce diagnosable violations.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.core.invocation import Granularity, WaitMode
+from repro.core.invocation import Granularity, SyscallRequest, WaitMode
 from repro.core.syscall_area import Slot, SlotState, SlotStateError, SyscallArea
 from repro.faults import FaultInjector, FaultPlan
 from repro.machine import small_machine
@@ -134,124 +135,109 @@ def _dropped_irq() -> GSan:
 # -- direct slot-protocol abuse --------------------------------------------
 
 
-def _slot_fixture() -> tuple:
+def slot_rig() -> Tuple[Simulator, ProbeRegistry, SyscallArea]:
+    """A bare syscall area on ``small_machine()``, with no GPU, kernel
+    or sanitizer: the micro rig of the slot-abuse entries, the ordering
+    bugs and the model checker's ``slot-commute`` scenario.  Callers
+    install GSan themselves, after declaring any tracepoints of their
+    own."""
     sim = Simulator()
     config = small_machine()
     registry = ProbeRegistry(sim)
     area = SyscallArea(sim, config, MemorySystem(sim, config), probes=registry)
+    return sim, registry, area
+
+
+def _abuse_slot(abuse: Callable[[Slot], None]) -> GSan:
+    """Claim and publish one slot on the bare rig under GSan, then run
+    ``abuse`` on it; the slot protocol may refuse the abuse."""
+    sim, registry, area = slot_rig()
     sanitizer = GSan().install(registry)
-    return sim, area, sanitizer
-
-
-def _drive_to_processing(sim: Simulator, area: SyscallArea) -> Slot:
-    from repro.core.invocation import SyscallRequest
-
     slot = area.slot_for(0, 0)
     assert slot.try_claim()
     slot.populate(SyscallRequest("getrusage", (), True, OsProcess(sim, "p")))
     slot.set_ready()
-    slot.start_processing()
-    return slot
+    try:
+        abuse(slot)
+    except SlotStateError:
+        pass
+    sanitizer.finish()
+    return sanitizer
 
 
-def _double_finish() -> GSan:
+def _finish_twice(slot: Slot) -> None:
     # A worker completes the same slot twice — the classic double
     # release the paper's cmp-swap protocol exists to prevent.
-    sim, area, sanitizer = _slot_fixture()
-    slot = _drive_to_processing(sim, area)
+    slot.start_processing()
     slot.finish(0)
-    try:
-        slot.finish(0)
-    except SlotStateError:
-        pass
-    sanitizer.finish()
-    return sanitizer
+    slot.finish(0)
 
 
-def _wrong_agent() -> GSan:
+def _gpu_starts_processing(slot: Slot) -> None:
     # The GPU drives the CPU's READY -> PROCESSING edge (Figure 6
     # colours violated): ownership error, not just an ordering error.
-    sim, area, sanitizer = _slot_fixture()
-    from repro.core.invocation import SyscallRequest
-
-    slot = area.slot_for(0, 0)
-    assert slot.try_claim()
-    slot.populate(SyscallRequest("getrusage", (), True, OsProcess(sim, "p")))
-    slot.set_ready()
-    try:
-        slot._transition(SlotState.PROCESSING, "gpu", op="start_processing")
-    except SlotStateError:
-        pass
-    sanitizer.finish()
-    return sanitizer
+    slot._transition(SlotState.PROCESSING, "gpu", op="start_processing")
 
 
 # -- replayed (hand-reordered) event streams -------------------------------
 
 
-def _dispatch_before_submit() -> GSan:
-    # A reordered stream in which the CPU reads a slot payload the GPU
-    # never published at all — no claim, no submit: the vector-clock
-    # acquire check fires even though no per-slot state was ever
-    # inconsistent.
+def _replay(events: Tuple[Tuple[Any, ...], ...]) -> GSan:
+    """Feed a hand-reordered event stream to a detached GSan."""
     sanitizer = GSan()
-    sanitizer.feed("syscall.dispatch", 40.0, "pread", 0, 1)
-    sanitizer.feed("syscall.submit", 55.0, "work-item", 1, "pread", 0, True)
-    sanitizer.feed("syscall.complete", 90.0, "pread", 0, 35.0, 1, True)
-    sanitizer.feed("syscall.resume", 95.0, 1, "pread", 0)
+    for event in events:
+        sanitizer.feed(*event)
     sanitizer.finish()
     return sanitizer
 
 
-def _duplicate_completion() -> GSan:
-    # Two workers both finish invocation 1: completion must be
-    # exactly-once (complete XOR reclaim).
-    sanitizer = GSan()
-    sanitizer.feed(
-        "syscall.claim", 0.0, 1, "pwrite", 2, 0, "work-item", True, "halt_resume"
-    )
-    sanitizer.feed("syscall.submit", 10.0, "work-item", 1, "pwrite", 2, True)
-    sanitizer.feed("syscall.dispatch", 30.0, "pwrite", 2, 1)
-    sanitizer.feed("syscall.complete", 60.0, "pwrite", 2, 30.0, 1, True)
-    sanitizer.feed("syscall.complete", 61.0, "pwrite", 2, 31.0, 1, True)
-    sanitizer.feed("syscall.resume", 70.0, 1, "pwrite", 2)
-    sanitizer.finish()
-    return sanitizer
+# A reordered stream in which the CPU reads a slot payload the GPU
+# never published at all — no claim, no submit: the vector-clock
+# acquire check fires even though no per-slot state was ever
+# inconsistent.
+_DISPATCH_BEFORE_SUBMIT = (
+    ("syscall.dispatch", 40.0, "pread", 0, 1),
+    ("syscall.submit", 55.0, "work-item", 1, "pread", 0, True),
+    ("syscall.complete", 90.0, "pread", 0, 35.0, 1, True),
+    ("syscall.resume", 95.0, 1, "pread", 0),
+)
 
+# Two workers both finish invocation 1: completion must be
+# exactly-once (complete XOR reclaim).
+_DUPLICATE_COMPLETION = (
+    ("syscall.claim", 0.0, 1, "pwrite", 2, 0, "work-item", True, "halt_resume"),
+    ("syscall.submit", 10.0, "work-item", 1, "pwrite", 2, True),
+    ("syscall.dispatch", 30.0, "pwrite", 2, 1),
+    ("syscall.complete", 60.0, "pwrite", 2, 30.0, 1, True),
+    ("syscall.complete", 61.0, "pwrite", 2, 31.0, 1, True),
+    ("syscall.resume", 70.0, 1, "pwrite", 2),
+)
 
-def _reuse_before_free() -> GSan:
-    # The GPU re-claims a slot that never returned to FREE — reuse of a
-    # still-PROCESSING cacheline would corrupt the in-flight request.
-    sanitizer = GSan()
-    sanitizer.feed("slot.transition", 0.0, 4, "free", "populating", "gpu")
-    sanitizer.feed("slot.transition", 8.0, 4, "populating", "ready", "gpu")
-    sanitizer.feed("slot.transition", 30.0, 4, "ready", "processing", "cpu")
-    sanitizer.feed("slot.transition", 42.0, 4, "free", "populating", "gpu")
-    sanitizer.finish()
-    return sanitizer
+# The GPU re-claims a slot that never returned to FREE — reuse of a
+# still-PROCESSING cacheline would corrupt the in-flight request.
+_REUSE_BEFORE_FREE = (
+    ("slot.transition", 0.0, 4, "free", "populating", "gpu"),
+    ("slot.transition", 8.0, 4, "populating", "ready", "gpu"),
+    ("slot.transition", 30.0, 4, "ready", "processing", "cpu"),
+    ("slot.transition", 42.0, 4, "free", "populating", "gpu"),
+)
 
+# Two workers pick up the same task with no watchdog requeue in
+# between — the epoch protocol's exactly-once guarantee broken.
+_DOUBLE_DEQUEUE = (
+    ("wq.enqueue", 0.0, 1, 0),
+    ("wq.dequeue", 5.0, 0, 0),
+    ("wq.dequeue", 6.0, 1, 0),
+    ("wq.complete", 20.0, 0, 15.0, 0),
+)
 
-def _double_dequeue() -> GSan:
-    # Two workers pick up the same task with no watchdog requeue in
-    # between — the epoch protocol's exactly-once guarantee broken.
-    sanitizer = GSan()
-    sanitizer.feed("wq.enqueue", 0.0, 1, 0)
-    sanitizer.feed("wq.dequeue", 5.0, 0, 0)
-    sanitizer.feed("wq.dequeue", 6.0, 1, 0)
-    sanitizer.feed("wq.complete", 20.0, 0, 15.0, 0)
-    sanitizer.finish()
-    return sanitizer
-
-
-def _forfeit_without_requeue() -> GSan:
-    # A worker forfeits a task whose epoch was never bumped: with no
-    # superseding requeue, forfeiting loses the task.
-    sanitizer = GSan()
-    sanitizer.feed("wq.enqueue", 0.0, 1, 3)
-    sanitizer.feed("wq.dequeue", 5.0, 0, 3)
-    sanitizer.feed("recover.forfeit", 9.0, 3, 0)
-    sanitizer.finish()
-    return sanitizer
+# A worker forfeits a task whose epoch was never bumped: with no
+# superseding requeue, forfeiting loses the task.
+_FORFEIT_WITHOUT_REQUEUE = (
+    ("wq.enqueue", 0.0, 1, 3),
+    ("wq.dequeue", 5.0, 0, 3),
+    ("recover.forfeit", 9.0, 3, 0),
+)
 
 
 ENTRIES: List[CorpusEntry] = [
@@ -283,43 +269,43 @@ ENTRIES: List[CorpusEntry] = [
         "double-finish",
         "a worker finishes the same slot twice (double release)",
         "protocol-error",
-        _double_finish,
+        partial(_abuse_slot, _finish_twice),
     ),
     CorpusEntry(
         "wrong-agent",
         "the GPU drives the CPU-owned READY -> PROCESSING edge",
         "wrong-agent",
-        _wrong_agent,
+        partial(_abuse_slot, _gpu_starts_processing),
     ),
     CorpusEntry(
         "dispatch-before-submit",
         "replayed stream: CPU reads the payload before READY is published",
         "acquire-before-release",
-        _dispatch_before_submit,
+        partial(_replay, _DISPATCH_BEFORE_SUBMIT),
     ),
     CorpusEntry(
         "duplicate-completion",
         "replayed stream: the same invocation completes twice",
         "duplicate-completion",
-        _duplicate_completion,
+        partial(_replay, _DUPLICATE_COMPLETION),
     ),
     CorpusEntry(
         "reuse-before-free",
         "replayed stream: GPU re-claims a slot still in PROCESSING",
         "slot-state",
-        _reuse_before_free,
+        partial(_replay, _REUSE_BEFORE_FREE),
     ),
     CorpusEntry(
         "double-dequeue",
         "replayed stream: two pickups of one task without a requeue",
         "wq-lifecycle",
-        _double_dequeue,
+        partial(_replay, _DOUBLE_DEQUEUE),
     ),
     CorpusEntry(
         "forfeit-without-requeue",
         "replayed stream: a forfeit with no superseding epoch bump",
         "wq-lifecycle",
-        _forfeit_without_requeue,
+        partial(_replay, _FORFEIT_WITHOUT_REQUEUE),
     ),
 ]
 

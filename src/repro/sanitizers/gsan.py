@@ -219,13 +219,12 @@ class _SlotTrack:
     """Per-slot shadow state: the walk GSan believes the slot is on."""
 
     __slots__ = (
-        "state", "generation", "release_ready", "release_finished",
+        "state", "release_ready", "release_finished",
         "last_actor", "last_op", "reclaim_raced",
     )
 
     def __init__(self) -> None:
         self.state = "free"
-        self.generation = 0
         #: Publisher clock snapshots for the two release points of the
         #: protocol; ``None`` means "not currently published".
         self.release_ready: Optional[Dict[str, int]] = None
@@ -264,12 +263,11 @@ class _InvocationTrack:
 class _TaskTrack:
     """Per-workqueue-task shadow state (epoch-requeue aware)."""
 
-    __slots__ = ("state", "pending_forfeits", "dequeues", "requeues")
+    __slots__ = ("state", "pending_forfeits", "requeues")
 
     def __init__(self) -> None:
         self.state = "queued"  # queued | picked | done
         self.pending_forfeits = 0
-        self.dequeues = 0
         self.requeues = 0
 
 
@@ -444,7 +442,6 @@ class GSan:
         track.last_op = f"{old}->{new}"
         # Release/acquire bookkeeping.
         if new == "populating" and old == "free":
-            track.generation += 1
             track.release_ready = None
             track.release_finished = None
         elif new == "ready":
@@ -631,7 +628,6 @@ class GSan:
                 f"task {task_index} was picked up again after completing",
             )
         track.state = "picked"
-        track.dequeues += 1
 
     def _on_wq_complete(self, t: float, agent: str, values: Tuple) -> None:
         worker_id, service_ns, task_index = values

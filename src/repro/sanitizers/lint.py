@@ -29,12 +29,15 @@ SCHED001   ``heapq`` mutation of, or direct assignment to, a
            checker cannot reorder them and a schedule certificate
            replayed over them diverges; schedule through the engine's
            public API instead
+IMP001     a name the module imports and never uses (names listed in
+           ``__all__`` and imports in a package ``__init__.py`` are
+           re-exports, not findings)
 =========  ==============================================================
 
 Determinism rules (DET*) apply only inside the *deterministic zones*
 — ``sim/``, ``core/``, ``oskernel/`` — where simulated behaviour
 lives; reporting/CLI layers may legitimately timestamp things.  The
-registry, errno, and ``__slots__`` rules apply everywhere.
+registry, errno, ``__slots__``, heap and import rules apply everywhere.
 
 A finding can be suppressed in place with ``# lint: allow`` (any
 rule) or ``# lint: allow(DET003)`` on the offending line.
@@ -372,6 +375,54 @@ def _check_sched(tree: ast.Module, zone: _Zone) -> None:
                 )
 
 
+def _annotation_names(node: ast.AST) -> Set[str]:
+    """Names inside an annotation, including quoted forward references."""
+    names: Set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _check_imports(tree: ast.Module, zone: _Zone) -> None:
+    """IMP001: imported names that nothing in the module uses."""
+    imported: Dict[str, ast.AST] = {}
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used |= {
+                elt.value for elt in node.value.elts
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+    for name, node in imported.items():
+        if name not in used:
+            zone.flag("IMP001", node, f"{name!r} is imported but never used")
+
+
 def run_lint(
     paths: Iterable[Path],
     errno_source: Optional[Path] = None,
@@ -404,6 +455,8 @@ def run_lint(
         _check_slots(tree, zone)
         if not (file.name == "engine.py" and "sim" in file.parts):
             _check_sched(tree, zone)
+        if file.name != "__init__.py":
+            _check_imports(tree, zone)
 
     # TP001/TP002: registry cross-check over the same file set.
     problems, _, _ = check_fire_sites(files)

@@ -49,8 +49,6 @@ class ZipfKeys:
             raise ValueError("ZipfKeys needs a non-empty key population")
         if s < 0.0:
             raise ValueError(f"zipf exponent must be >= 0, got {s}")
-        self.s = s
-        self.perm_seed = perm_seed
         order = list(range(len(keys)))
         rng = DeterministicRandom(perm_seed)
         for i in range(len(order) - 1, 0, -1):
@@ -165,7 +163,6 @@ class ClientFleet:
         self.sent = 0
         self.bad_replies = 0
         self.dup_replies = 0
-        self.unmatched_replies = 0
         self._by_reqid: Dict[int, RequestRecord] = {
             record.reqid: record for record in self.schedule
         }
@@ -239,7 +236,6 @@ class ClientFleet:
             datagram = yield sock.queue.get()
             record = self._by_reqid.get(unpack_reqid(datagram.payload))
             if record is None or record.client != ci:
-                self.unmatched_replies += 1
                 continue
             if record.reply_ns is not None or record.reject_errno is not None:
                 self.dup_replies += 1

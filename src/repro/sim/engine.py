@@ -251,7 +251,6 @@ class Process:
         "_completion",
         "_waiting_on",
         "_wait_index",
-        "_interruptible",
     )
 
     def __init__(self, sim: "Simulator", generator: Generator[Any, Any, Any], name: str = "") -> None:
@@ -263,7 +262,6 @@ class Process:
         self._completion = Event(sim, name=f"done:{self.name}")
         self._waiting_on: Optional[Event] = None
         self._wait_index = -1
-        self._interruptible = True
 
     @property
     def completion(self) -> Event:
@@ -357,13 +355,12 @@ TieBreak = Callable[["Simulator", List[HeapEntry]], int]
 class Simulator:
     """The discrete-event simulator: clock + event heap + process driver."""
 
-    __slots__ = ("now", "_heap", "_seq", "_active", "weak_scheduled", "tie_break")
+    __slots__ = ("now", "_heap", "_seq", "weak_scheduled", "tie_break")
 
     def __init__(self) -> None:
         self.now: float = 0
         self._heap: List[HeapEntry] = []
         self._seq = 0
-        self._active = 0
         #: Weak (clock-neutral) callbacks ever scheduled; lets tests
         #: assert that detached runs schedule zero metrics ticks.
         self.weak_scheduled = 0
@@ -443,7 +440,6 @@ class Simulator:
     def process(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
         """Spawn ``generator`` as a new process starting at the current time."""
         proc = Process(self, generator, name=name)
-        self._active += 1
         self._schedule(0, proc)
         return proc
 
@@ -551,7 +547,6 @@ class Simulator:
     def _finish(self, proc: Process, result: Any) -> None:
         proc.finished = True
         proc.result = result
-        self._active -= 1
         if not proc._completion.triggered:
             proc._completion.succeed(result)
 

@@ -28,14 +28,12 @@ class UtilizationTracker:
         self.name = name
         self._busy = 0
         self._last_change = sim.now
-        self._weighted_busy = 0.0
         self._segments: List[Tuple[float, float, float]] = []
 
     def _commit(self) -> None:
         now = self.sim.now
         if now > self._last_change:
             frac = self._busy / self.total_units
-            self._weighted_busy += (now - self._last_change) * frac
             self._segments.append((self._last_change, now, frac))
         self._last_change = now
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, List, Sequence
 
+from repro.experiments import ExperimentResult
 from repro.tracing.spans import STAGE_ORDER, InvocationTrace
 
 
@@ -122,18 +123,6 @@ def reconciliation_error(trace: InvocationTrace) -> float:
 # -- rendering -----------------------------------------------------------
 
 
-def _table(title: str, headers: Sequence[str], rows: List[Sequence]) -> str:
-    widths = [
-        max(len(str(h)), max((len(str(r[i])) for r in rows), default=0))
-        for i, h in enumerate(headers)
-    ]
-    lines = [f"=== {title} ==="]
-    lines.append("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
-    for row in rows:
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
 def _stat_row(label: str, stats: dict, extra: Sequence = ()) -> List:
     return [
         label,
@@ -155,7 +144,7 @@ def render_report(
     """The full text report (stage table, splits, slowest-N)."""
     if not traces:
         return f"=== {title} ===\nno completed invocations traced"
-    sections = []
+    report = ExperimentResult(title)
 
     stages = stage_stats(traces)
     attribution = critical_path(traces)
@@ -172,53 +161,45 @@ def render_report(
     ]
     e2e = e2e_stats(traces)
     rows.append(_stat_row("end-to-end", e2e, ("100.0%", len(traces))))
-    sections.append(
-        _table(
-            f"{title}: stage latency (ns)",
-            ["stage", "count", "mean", "p50", "p95", "p99", "max", "cp-share", "dominant"],
-            rows,
-        )
+    report.add_table(
+        f"{title}: stage latency (ns)",
+        ["stage", "count", "mean", "p50", "p95", "p99", "max", "cp-share", "dominant"],
+        rows,
     )
 
-    sections.append(
-        _table(
-            "end-to-end by syscall (ns)",
-            ["syscall", "count", "mean", "p50", "p95", "p99", "max"],
-            [
-                _stat_row(name, stats)
-                for name, stats in by_key(traces, lambda t: t.name).items()
-            ],
-        )
+    report.add_table(
+        "end-to-end by syscall (ns)",
+        ["syscall", "count", "mean", "p50", "p95", "p99", "max"],
+        [
+            _stat_row(name, stats)
+            for name, stats in by_key(traces, lambda t: t.name).items()
+        ],
     )
 
     axes = by_key(
         traces,
         lambda t: f"{t.granularity}/{'blocking' if t.blocking else 'non-blocking'}",
     )
-    sections.append(
-        _table(
-            "end-to-end by granularity x blocking (ns)",
-            ["axis", "count", "mean", "p50", "p95", "p99", "max"],
-            [_stat_row(name, stats) for name, stats in axes.items()],
-        )
+    report.add_table(
+        "end-to-end by granularity x blocking (ns)",
+        ["axis", "count", "mean", "p50", "p95", "p99", "max"],
+        [_stat_row(name, stats) for name, stats in axes.items()],
     )
 
     if slowest_n > 0:
-        sections.append(
-            _table(
-                f"slowest {slowest_n} invocations",
-                ["#", "syscall", "hw", "e2e (ns)", "timeline"],
-                [
-                    (
-                        trace.invocation_id,
-                        trace.name,
-                        trace.hw_id,
-                        f"{trace.end_to_end():.0f}",
-                        trace.timeline(),
-                    )
-                    for trace in slowest(traces, slowest_n)
-                ],
-            )
+        report.add_table(
+            f"slowest {slowest_n} invocations",
+            ["#", "syscall", "hw", "e2e (ns)", "timeline"],
+            [
+                (
+                    trace.invocation_id,
+                    trace.name,
+                    trace.hw_id,
+                    f"{trace.end_to_end():.0f}",
+                    trace.timeline(),
+                )
+                for trace in slowest(traces, slowest_n)
+            ],
         )
 
-    return "\n\n".join(sections)
+    return report.render()

@@ -40,7 +40,7 @@ probes by ``tests/test_observer_neutrality.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.probes.tracepoints import ProbeRegistry
 from repro.traceviz import Flow, Slice, Thread
@@ -82,8 +82,6 @@ class InvocationTrace:
         "granularity",
         "blocking",
         "wait",
-        "suppressed_irq",
-        "scan_id",
         "retries",
         "timed_out",
         "marks",
@@ -107,8 +105,6 @@ class InvocationTrace:
         self.granularity = granularity
         self.blocking = blocking
         self.wait = wait
-        self.suppressed_irq = False
-        self.scan_id: Optional[int] = None
         #: Retry attempt this invocation's failure triggered (0 = none);
         #: the follow-up attempt is a fresh invocation id.
         self.retries = 0
@@ -256,7 +252,6 @@ class SpanTracer:
         if trace is None:
             return
         trace.mark("signal", self.registry.now())
-        trace.suppressed_irq = bool(suppressed)
         self._awaiting.setdefault(hw_id, []).append(trace)
 
     def _on_coalesce_add(self, hw_id):
@@ -270,7 +265,6 @@ class SpanTracer:
         for hw_id in hw_ids:
             for trace in self._awaiting.pop(hw_id, ()):
                 trace.mark("coalesce", now)
-                trace.scan_id = scan_id
                 members.append(trace)
 
     def _on_scan_start(self, scan_id, hw_ids):

@@ -51,7 +51,6 @@ class GrepWorkload:
         seed: int = 42,
     ):
         self.system = system
-        self.num_files = num_files
         self.file_bytes = file_bytes
         self.chunk_bytes = chunk_bytes
         rng = DeterministicRandom(seed)

@@ -23,7 +23,7 @@ them.  Payloads are real bytes; lookups return the actual stored values.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.invocation import Granularity, Ordering, WaitMode
 from repro.gpu.ops import Compute, MemRead
@@ -42,6 +42,79 @@ SERVER_PORT = 11211
 SERVE_REQID_BYTES = 8
 SERVE_HDR_BYTES = 1 + SERVE_REQID_BYTES
 SERVE_STOP = b"STOP"
+
+#: Syscall options of every GENESYS server loop: blocking, relaxed
+#: work-group calls that poll for completion.
+WG_OPTS: Dict[str, Any] = dict(
+    granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
+    blocking=True, wait=WaitMode.POLL,
+)
+
+
+def serve_stream(
+    system: System,
+    name: str,
+    port: int,
+    server_kernel: Callable[[Any], Generator],
+    driver: Generator,
+    num_workgroups: int,
+    workgroup_size: int,
+    rx_backlog: Optional[int],
+) -> Dict[str, object]:
+    """Serve an externally generated request stream until it ends.
+
+    Binds a server socket to ``port`` and launches ``server_kernel``
+    with ``(fd, served)`` as its args: every work-group loops
+    recvfrom -> work -> sendto, counts each request its leader serves
+    in ``served[group_id]``, and returns once it consumes a
+    ``SERVE_STOP`` datagram.  ``driver`` is a process body, typically
+    :mod:`repro.serving`'s client fleet, that owns the load: it is
+    started once the socket is bound and the kernel launched, and when
+    it returns the server posts exactly one STOP per work-group and
+    joins the kernel.
+
+    ``rx_backlog`` bounds the server socket's receive queue (see
+    ``UdpSocket.rx_capacity``) so overload drops instead of queueing
+    without limit; the bound is lifted for the STOP datagrams so
+    shutdown cannot be dropped.
+    """
+    kernel = system.kernel
+    server = kernel.create_process(name)
+    served = [0] * num_workgroups
+
+    def main() -> Generator:
+        fd = yield from kernel.call(server, "socket")
+        yield from kernel.call(server, "bind", fd, port)
+        if rx_backlog is not None:
+            kernel._socket_for(server, fd).rx_capacity = rx_backlog
+        # Route GPU syscalls through the server process's fd table.
+        system.genesys.host_process = server
+        launch = system.launch(
+            server_kernel,
+            global_size=num_workgroups * workgroup_size,
+            workgroup_size=workgroup_size,
+            args=(fd, served),
+            name=f"{name}-kernel",
+        )
+        yield system.sim.process(driver, name="serving-driver")
+        # The stream is over: lift the backlog bound so the STOPs
+        # cannot be dropped, then stop each work-group.  Each group
+        # consumes exactly one STOP (it returns immediately after), so
+        # num_workgroups STOPs terminate all of them.
+        kernel._socket_for(server, fd).rx_capacity = None
+        ctl = yield from kernel.call(server, "socket")
+        stop = system.memsystem.alloc_buffer(len(SERVE_STOP))
+        stop.data[:] = SERVE_STOP
+        for _ in range(num_workgroups):
+            yield from kernel.call(
+                server, "sendto", ctl, stop, len(SERVE_STOP), ("localhost", port)
+            )
+        yield launch
+        yield from kernel.call(server, "close", ctl)
+        yield from kernel.call(server, "close", fd)
+
+    system.run_to_completion(main(), name=name)
+    return {"served": sum(served), "served_per_group": list(served)}
 
 
 class HashTable:
@@ -294,14 +367,6 @@ class MemcachedWorkload:
         quota = [
             len(self.request_keys[i::num_workgroups]) for i in range(num_workgroups)
         ]
-        recv_opts = dict(
-            granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
-            blocking=True, wait=WaitMode.POLL,
-        )
-        send_opts = dict(
-            granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
-            blocking=True, wait=WaitMode.POLL,
-        )
 
         def server_kernel(ctx) -> Generator:
             fd = ctx.args[0]
@@ -311,7 +376,7 @@ class MemcachedWorkload:
                 shared["obuf"] = system.memsystem.alloc_buffer(self.value_bytes)
             rbuf, obuf = shared["rbuf"], shared["obuf"]
             for _ in range(quota[ctx.group_id]):
-                got = yield from ctx.sys.recvfrom(fd, rbuf, rbuf.size, **recv_opts)
+                got = yield from ctx.sys.recvfrom(fd, rbuf, rbuf.size, **WG_OPTS)
                 n, src = got
                 key = bytes(rbuf.data[4:n])
                 # Parallel bucket scan: each lane compares its share.
@@ -322,7 +387,7 @@ class MemcachedWorkload:
                 if ctx.is_group_leader:
                     value = table.get(key)
                     obuf.data[: len(value)] = value
-                yield from ctx.sys.sendto(fd, obuf, self.value_bytes, src, **send_opts)
+                yield from ctx.sys.sendto(fd, obuf, self.value_bytes, src, **WG_OPTS)
 
         def main() -> Generator:
             fd = yield from kernel.call(server, "socket")
@@ -354,20 +419,12 @@ class MemcachedWorkload:
         workgroup_size: int = 64,
         rx_backlog: Optional[int] = None,
     ) -> Dict[str, object]:
-        """Serve an externally generated request stream until it ends.
+        """Serve an externally generated request stream until it ends
+        (see :func:`serve_stream`).
 
         Unlike :meth:`run_genesys` (closed-loop, fixed per-group quota),
         every work-group loops recvfrom -> parallel scan -> sendto until
-        it consumes a ``SERVE_STOP`` datagram.  ``driver`` is a process
-        body — typically :mod:`repro.serving`'s client fleet — that owns
-        the load: it is started once the server socket is bound and the
-        kernel launched, and when it returns the server posts exactly one
-        STOP per work-group and joins the kernel.
-
-        ``rx_backlog`` bounds the server socket's receive queue (see
-        ``UdpSocket.rx_capacity``) so overload drops instead of queueing
-        without limit; the bound is lifted for the STOP datagrams so
-        shutdown cannot be dropped.
+        it consumes a ``SERVE_STOP`` datagram.
 
         Wire framing: ``b"Q" + reqid + b"GET " + key`` in,
         ``b"R" + reqid + value`` out (``SERVE_HDR_BYTES`` header).
@@ -376,25 +433,18 @@ class MemcachedWorkload:
         group leader may not have published yet.
         """
         system = self.system
-        kernel = system.kernel
         table = self.table
-        server = kernel.create_process("mc-serve")
-        served = [0] * num_workgroups
         reply_bytes = SERVE_HDR_BYTES + self.value_bytes
-        wg_opts = dict(
-            granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
-            blocking=True, wait=WaitMode.POLL,
-        )
 
         def server_kernel(ctx) -> Generator:
-            fd = ctx.args[0]
+            fd, served = ctx.args
             shared = ctx.group.shared
             if "rbuf" not in shared:
                 shared["rbuf"] = system.memsystem.alloc_buffer(64)
                 shared["obuf"] = system.memsystem.alloc_buffer(reply_bytes)
             rbuf, obuf = shared["rbuf"], shared["obuf"]
             while True:
-                got = yield from ctx.sys.recvfrom(fd, rbuf, rbuf.size, **wg_opts)
+                got = yield from ctx.sys.recvfrom(fd, rbuf, rbuf.size, **WG_OPTS)
                 if not isinstance(got, tuple):
                     # A shed or reclaimed recvfrom surfaces as a negative
                     # errno (QoS deadline, watchdog): keep serving.
@@ -413,41 +463,12 @@ class MemcachedWorkload:
                     reply = b"R" + msg[1:SERVE_HDR_BYTES] + value
                     obuf.data[: len(reply)] = reply
                     served[ctx.group_id] += 1
-                yield from ctx.sys.sendto(fd, obuf, reply_bytes, src, **wg_opts)
+                yield from ctx.sys.sendto(fd, obuf, reply_bytes, src, **WG_OPTS)
 
-        def main() -> Generator:
-            fd = yield from kernel.call(server, "socket")
-            yield from kernel.call(server, "bind", fd, SERVER_PORT)
-            if rx_backlog is not None:
-                kernel._socket_for(server, fd).rx_capacity = rx_backlog
-            system.genesys.host_process = server
-            launch = system.launch(
-                server_kernel,
-                global_size=num_workgroups * workgroup_size,
-                workgroup_size=workgroup_size,
-                args=(fd,),
-                name="mc-serve-kernel",
-            )
-            yield system.sim.process(driver, name="serving-driver")
-            # The stream is over: lift the backlog bound so the STOPs
-            # cannot be dropped, then stop each work-group.  Each group
-            # consumes exactly one STOP (it returns immediately after),
-            # so num_workgroups STOPs terminate all of them.
-            kernel._socket_for(server, fd).rx_capacity = None
-            ctl = yield from kernel.call(server, "socket")
-            stop = system.memsystem.alloc_buffer(len(SERVE_STOP))
-            stop.data[:] = SERVE_STOP
-            for _ in range(num_workgroups):
-                yield from kernel.call(
-                    server, "sendto", ctl, stop, len(SERVE_STOP),
-                    ("localhost", SERVER_PORT),
-                )
-            yield launch
-            yield from kernel.call(server, "close", ctl)
-            yield from kernel.call(server, "close", fd)
-
-        system.run_to_completion(main(), name="memcached-serve")
-        return {"served": sum(served), "served_per_group": list(served)}
+        return serve_stream(
+            system, "mc-serve", SERVER_PORT, server_kernel, driver,
+            num_workgroups, workgroup_size, rx_backlog,
+        )
 
     # -- concurrent SETs + GPU GETs ----------------------------------------------
 
@@ -477,10 +498,6 @@ class MemcachedWorkload:
             len(self.request_keys[i::num_workgroups]) + len(set_keys[i::num_workgroups])
             for i in range(num_workgroups)
         ]
-        wg_opts = dict(
-            granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
-            blocking=True, wait=WaitMode.POLL,
-        )
 
         def gpu_get_server(ctx) -> Generator:
             fd = ctx.args[0]
@@ -490,7 +507,7 @@ class MemcachedWorkload:
                 shared["obuf"] = system.memsystem.alloc_buffer(self.value_bytes)
             rbuf, obuf = shared["rbuf"], shared["obuf"]
             for _ in range(quota[ctx.group_id]):
-                n, src = yield from ctx.sys.recvfrom(fd, rbuf, rbuf.size, **wg_opts)
+                n, src = yield from ctx.sys.recvfrom(fd, rbuf, rbuf.size, **WG_OPTS)
                 key = bytes(rbuf.data[4:n])
                 bucket_len = table.bucket_len(key)
                 per_item = -(-bucket_len // ctx.group.size)
@@ -498,7 +515,7 @@ class MemcachedWorkload:
                 if ctx.is_group_leader:
                     value = table.get(key) or b""
                     obuf.data[: len(value)] = value
-                yield from ctx.sys.sendto(fd, obuf, self.value_bytes, src, **wg_opts)
+                yield from ctx.sys.sendto(fd, obuf, self.value_bytes, src, **WG_OPTS)
 
         def cpu_set_server(set_fd: int) -> Generator:
             buf = system.memsystem.alloc_buffer(64 + self.value_bytes)

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional
 
-from repro.core.invocation import Granularity, Ordering, WaitMode
 from repro.gpu.ops import Compute
 from repro.system import System
-from repro.workloads.memcachedwl import SERVE_STOP
+from repro.workloads.memcachedwl import SERVE_STOP, WG_OPTS, serve_stream
 
 #: Per-request touch-up cost on the GPU (cycles) — checksum-ish work so
 #: the kernel is not literally zero compute between syscalls.
@@ -43,63 +42,27 @@ class UdpEchoWorkload:
         workgroup_size: int = 64,
         rx_backlog: Optional[int] = None,
     ) -> Dict[str, object]:
-        """GPU serving loop: recvfrom -> echo -> sendto per work-group.
-
-        ``driver`` is the load-generating process body (see
-        ``MemcachedWorkload.serve_genesys`` for the contract); when it
-        returns, one STOP per work-group shuts the kernel down.
-        """
+        """GPU serving loop: recvfrom -> echo -> sendto per work-group
+        (see :func:`~repro.workloads.memcachedwl.serve_stream`)."""
         system = self.system
-        kernel = system.kernel
-        server = kernel.create_process("echo-serve")
-        served = [0] * num_workgroups
-        wg_opts = dict(
-            granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
-            blocking=True, wait=WaitMode.POLL,
-        )
         bufsize = max(64, self.payload_bytes)
 
         def server_kernel(ctx) -> Generator:
-            fd = ctx.args[0]
+            fd, served = ctx.args
             shared = ctx.group.shared
             if "buf" not in shared:
                 shared["buf"] = system.memsystem.alloc_buffer(bufsize)
             buf = shared["buf"]
             while True:
-                n, src = yield from ctx.sys.recvfrom(fd, buf, buf.size, **wg_opts)
+                n, src = yield from ctx.sys.recvfrom(fd, buf, buf.size, **WG_OPTS)
                 if bytes(buf.data[:n]) == SERVE_STOP:
                     return
                 yield Compute(ECHO_CYCLES)
                 if ctx.is_group_leader:
                     served[ctx.group_id] += 1
-                yield from ctx.sys.sendto(fd, buf, n, src, **wg_opts)
+                yield from ctx.sys.sendto(fd, buf, n, src, **WG_OPTS)
 
-        def main() -> Generator:
-            fd = yield from kernel.call(server, "socket")
-            yield from kernel.call(server, "bind", fd, ECHO_PORT)
-            if rx_backlog is not None:
-                kernel._socket_for(server, fd).rx_capacity = rx_backlog
-            system.genesys.host_process = server
-            launch = system.launch(
-                server_kernel,
-                global_size=num_workgroups * workgroup_size,
-                workgroup_size=workgroup_size,
-                args=(fd,),
-                name="echo-serve-kernel",
-            )
-            yield system.sim.process(driver, name="serving-driver")
-            kernel._socket_for(server, fd).rx_capacity = None
-            ctl = yield from kernel.call(server, "socket")
-            stop = system.memsystem.alloc_buffer(len(SERVE_STOP))
-            stop.data[:] = SERVE_STOP
-            for _ in range(num_workgroups):
-                yield from kernel.call(
-                    server, "sendto", ctl, stop, len(SERVE_STOP),
-                    ("localhost", ECHO_PORT),
-                )
-            yield launch
-            yield from kernel.call(server, "close", ctl)
-            yield from kernel.call(server, "close", fd)
-
-        system.run_to_completion(main(), name="udpecho-serve")
-        return {"served": sum(served), "served_per_group": list(served)}
+        return serve_stream(
+            system, "echo-serve", ECHO_PORT, server_kernel, driver,
+            num_workgroups, workgroup_size, rx_backlog,
+        )

@@ -50,7 +50,6 @@ class WordcountWorkload:
         if system.kernel.disk is None:
             raise ValueError("wordcount needs a system with a block device")
         self.system = system
-        self.num_files = num_files
         self.file_bytes = file_bytes
         self.chunk_bytes = chunk_bytes
         self.workgroup_size = workgroup_size

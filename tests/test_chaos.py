@@ -1,23 +1,29 @@
 """Chaos: seeded fault plans vs the recovery machinery.
 
-Four layers of assertion:
+Five layers of assertion:
 
 * the chaos matrix — every profile x seed run ends with the
   liveness/safety invariants intact (nothing outstanding, no slot
   leaks, exact completion accounting),
 * determinism — the same plan seed replays the identical fault/recovery
   tracepoint stream and identical outputs, twice,
+* pinned streams — every profile's fault/recovery stream at seeds 1-3
+  matches a committed digest, from one version to the next,
 * bounded failure — when recovery is *disabled*, a wedged slot surfaces
   as a diagnostic ``DrainTimeout`` naming the stuck work, never a hang,
 * recovery unit paths — watchdog slot reclaim and worker
   respawn/requeue, each in isolation.
 """
 
-import pytest
+import hashlib
 
-from repro.core.syscall_area import SlotState
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.faults import (
     EXPERIMENTS,
+    FAULT_TABLE,
     PROFILES,
     DrainTimeout,
     FaultInjector,
@@ -102,6 +108,166 @@ class TestDeterminism:
         stream_a, *_ = _traced_run("fig2", seed=5)
         stream_b, *_ = _traced_run("fig2", seed=6)
         assert stream_a != stream_b
+
+
+# -- pinned fault streams -----------------------------------------------------
+
+#: Per (profile, seed): faults injected, by action, and the sha256 of the
+#: ``repr`` of the recorded ``fault.*`` / ``recover.*`` stream.  A change
+#: to a hook's decision order or to the injector's random draws moves
+#: these, and with them every chaos cell and model-checked schedule.
+FAULT_STREAM_PINS = {
+    ("fig2", 1): (
+        21,
+        {
+            "errno": 6, "irq.delay": 3, "irq.drop": 3, "slot.corrupt": 2,
+            "slot.wedge": 2, "worker.kill": 2, "worker.stall": 3,
+        },
+        "7278f679ca5826e34ead348bf9f484a0"
+        "ff1f5dab7887da2708b27f8196896e44",
+    ),
+    ("fig2", 2): (
+        16,
+        {
+            "errno": 7, "irq.delay": 2, "irq.drop": 2, "slot.corrupt": 2,
+            "slot.wedge": 2, "worker.kill": 1,
+        },
+        "580b3102c1a5a0048510b8fadfe17192"
+        "294713fcdd30a41f551956ba900ff45a",
+    ),
+    ("fig2", 3): (
+        27,
+        {
+            "errno": 15, "irq.delay": 1, "irq.drop": 3, "slot.corrupt": 5,
+            "slot.wedge": 1, "worker.stall": 2,
+        },
+        "3e28b6061524ea0f28e81c9f7957cad8"
+        "8975c5e6d7434648c718e192b9c64ade",
+    ),
+    ("grep", 1): (
+        20,
+        {
+            "errno": 9, "irq.delay": 3, "irq.drop": 2, "slot.corrupt": 4,
+            "worker.kill": 1, "worker.stall": 1,
+        },
+        "bb067cec137febe28823f6540078e1cb"
+        "3e9f0f845a14276cccad2174318ca1ef",
+    ),
+    ("grep", 2): (
+        14,
+        {
+            "errno": 2, "irq.delay": 1, "irq.drop": 2, "slot.corrupt": 4,
+            "slot.wedge": 3, "worker.stall": 2,
+        },
+        "3d4dd1a82eb330b1ee31cf9aa19c62eb"
+        "a42d9c1e85de0e725763af495a990e44",
+    ),
+    ("grep", 3): (
+        15,
+        {
+            "errno": 4, "irq.delay": 2, "irq.drop": 2, "slot.corrupt": 3,
+            "slot.wedge": 1, "worker.stall": 3,
+        },
+        "4bf64132a08b64d6e720c0396e5c90f0"
+        "1abaa4e14e494c5220b6f79d51e35ebc",
+    ),
+    ("memcached", 1): (
+        35,
+        {
+            "errno": 3, "irq.delay": 6, "irq.drop": 3, "net.delay": 16,
+            "worker.stall": 7,
+        },
+        "3326c1d4487e71729d753baabb2b424d"
+        "b65cc50827cb80c547ee7247e0b0ca4f",
+    ),
+    ("memcached", 2): (
+        31,
+        {
+            "errno": 8, "irq.delay": 7, "irq.drop": 5, "net.delay": 8,
+            "worker.stall": 3,
+        },
+        "6986f53b68942653c8dc73f94d1d64a4"
+        "0e7de3b5e57e6299652acc3ab84f613e",
+    ),
+    ("memcached", 3): (
+        31,
+        {
+            "errno": 6, "irq.delay": 8, "irq.drop": 1, "net.delay": 11,
+            "worker.stall": 5,
+        },
+        "522a8dc09ad7b21de0620effc85c8230"
+        "aa08d8de2665f2564b484478d0e2be74",
+    ),
+    ("udp-echo", 1): (
+        41,
+        {"net.delay": 16, "net.drop": 20, "net.dup": 5},
+        "0bebf882a2dbd91fe7c790110fe9bcd0"
+        "06083c67e18b28fad0cf8885cba13e2a",
+    ),
+    ("udp-echo", 2): (
+        56,
+        {"net.delay": 17, "net.drop": 27, "net.dup": 12},
+        "38450c4c8525fe0d613d53103693fc59"
+        "2aaa94989828db48d16af276252d9475",
+    ),
+    ("udp-echo", 3): (
+        41,
+        {"net.delay": 15, "net.drop": 19, "net.dup": 7},
+        "08f43d1a96af17c958d484981115fd6a"
+        "2f1e1a63761ffc232d5a9eb8153f3363",
+    ),
+    ("serving", 1): (
+        13,
+        {"irq.drop": 8, "worker.kill": 5},
+        "007268945ca051363753f3723544c111"
+        "6ce0e0cb5bac011c5d0c2ef28efcdb2a",
+    ),
+    ("serving", 2): (
+        9,
+        {"irq.drop": 5, "worker.kill": 4},
+        "b50ec661eaf2b786cfdd2d13e3098c8c"
+        "4e1fd9c6946344cbeec48440a6f77010",
+    ),
+    ("serving", 3): (
+        11,
+        {"irq.drop": 9, "worker.kill": 2},
+        "92effdb86223abb1dad5b1251c7eef3b"
+        "66718c9b8b3f907665526326ea7f1a56",
+    ),
+    ("qos", 1): (
+        8,
+        {"irq.drop": 5, "worker.kill": 3},
+        "fc76e7513aecd09d8a07e30b8ef464c7"
+        "e2226a8054342f72a0996d0bcb9b8f2b",
+    ),
+    ("qos", 2): (
+        7,
+        {"irq.drop": 4, "worker.kill": 3},
+        "b82e68d50a06b5f51eb8fb350a7e2715"
+        "6e5a5accbb2f33d633e13f2c8b0ea926",
+    ),
+    ("qos", 3): (
+        10,
+        {"irq.drop": 9, "worker.kill": 1},
+        "f1161b57e221abe75560279c948cf9dc"
+        "8964715a9910dfca6b17aad6cd31262c",
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fault_stream_is_pinned(experiment, seed):
+    system = System()
+    system.drain_timeout_ns = 2_000_000_000.0
+    injector = FaultInjector(PROFILES[experiment].with_seed(seed), system.probes)
+    stream = StreamRecorder(system.probes).attach("fault.*", "recover.*")
+    run_scenario(experiment, system)
+    summary = injector.summary()
+    digest = hashlib.sha256(repr(stream.events).encode()).hexdigest()
+    assert (summary["injected"], summary["by_action"], digest) == (
+        FAULT_STREAM_PINS[experiment, seed]
+    )
 
 
 # -- bounded failure (recovery off) ------------------------------------------
@@ -227,6 +393,33 @@ class TestFaultPlan:
     def test_scaled_clamps(self):
         plan = FaultPlan(irq_drop=0.4).scaled(10.0)
         assert plan.irq_drop == 1.0
+
+    # The first intensities whose per-field products pass 1 on some
+    # hook, and one whose division alone leaves a sum of 1 + 2**-52.
+    @example(profile="udp-echo", factor=2.1)
+    @example(profile="udp-echo", factor=2.511)
+    @example(profile="fig2", factor=3.4)
+    @example(profile="grep", factor=4.1)
+    @example(profile="memcached", factor=4.4)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        profile=st.sampled_from(sorted(PROFILES)),
+        factor=st.floats(min_value=0.0, max_value=100.0),
+    )
+    def test_scaled_plan_is_valid(self, profile, factor):
+        plan = PROFILES[profile]
+        scaled = plan.scaled(factor)  # the constructor validates it
+        for rows in FAULT_TABLE.values():
+            fields = [row[1] for row in rows]
+            products = [getattr(plan, field) * factor for field in fields]
+            rates = [getattr(scaled, field) for field in fields]
+            if sum(products) <= 1.0:
+                assert rates == products
+            else:
+                assert sum(rates) <= 1.0
+                assert rates == pytest.approx(
+                    [product / sum(products) for product in products]
+                )
 
     def test_injector_respects_budget(self):
         plan = FaultPlan(

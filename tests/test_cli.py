@@ -267,6 +267,24 @@ def test_chaos(tmp_path, capsys):
     assert [cell["seed"] for cell in json.loads(path.read_text())["cells"]] == [1]
 
 
+@pytest.mark.parametrize(
+    "argv, crash",
+    [
+        # Scaled per field, udp-echo's net rates would sum past 1.
+        (["--experiments", "udp-echo", "--seeds", "1", "--intensity", "2.1"], False),
+        # Injected errnos outlast the retries, so the Fig-15 kernel's
+        # recvfrom returns an int it cannot unpack: the cell fails, the
+        # matrix does not.
+        (["--experiments", "memcached", "--seeds", "48", "--intensity", "4.3"], True),
+    ],
+)
+def test_chaos_intensity_ends_without_a_traceback(capsys, argv, crash):
+    code, out, err = run_cli(capsys, "chaos", *argv, "--workers", "1")
+    assert code in (0, 1)
+    assert "Traceback" not in out + err
+    assert ("crash: TypeError: cannot unpack" in out) == crash
+
+
 def test_pytest(tmp_path, capsys):
     (tmp_path / "test_trivial.py").write_text("def test_ok():\n    assert True\n")
     code, out, _err = run_cli(capsys, "pytest", "--tests", str(tmp_path), "--workers", "1")

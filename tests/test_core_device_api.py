@@ -7,7 +7,7 @@ from repro.core.device_api import SyscallHandle
 from repro.core.genesys import OrderingError
 from repro.core.invocation import Granularity, Ordering, WaitMode, syscall_kind, SyscallKind
 from repro.machine import small_machine
-from repro.oskernel.fs import O_CREAT, O_RDWR
+from repro.oskernel.fs import O_RDWR
 from repro.system import System
 
 WI = Granularity.WORK_ITEM

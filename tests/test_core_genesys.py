@@ -5,8 +5,6 @@ path."""
 import ast
 from pathlib import Path
 
-import pytest
-
 import repro.core
 
 from repro.core.coalescing import CoalescingConfig

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.invocation import SyscallRequest
 from repro.core.syscall_area import Slot, SlotState, SlotStateError, SyscallArea
-from repro.machine import MachineConfig, small_machine
+from repro.machine import small_machine
 from repro.memory.system import MemorySystem
 from repro.oskernel.process import OsProcess
 from repro.sim.engine import Simulator

@@ -5,9 +5,9 @@ semantics, and error surfaces."""
 import pytest
 
 from repro.core.device_api import SyscallHandle
-from repro.core.invocation import Granularity, Ordering, SyscallRequest, WaitMode
+from repro.core.invocation import Granularity, Ordering
 from repro.machine import small_machine
-from repro.oskernel.fs import O_CREAT, O_RDWR
+from repro.oskernel.fs import O_RDWR
 from repro.system import System
 
 

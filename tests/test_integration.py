@@ -1,9 +1,7 @@
 """Cross-module integration tests: whole-system scenarios that exercise
 the GPU, GENESYS, and several OS substrates together."""
 
-import pytest
-
-from repro.core.invocation import Granularity, Ordering, WaitMode
+from repro.core.invocation import Granularity, Ordering
 from repro.gpu.ops import Compute
 from repro.machine import MachineConfig, small_machine
 from repro.oskernel.fs import O_CREAT, O_RDWR

@@ -3,8 +3,6 @@ the exporters (Prometheus / CSV / TEF)."""
 
 import json
 
-import pytest
-
 from repro import experiments
 from repro.metrics import MetricsHub, MetricsHubPlan, metrics_hubs
 from repro.metrics.collectors import CATALOG

@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro.metrics.series import (
-    EwmaRate,
     LevelSeries,
     WindowedCounter,
     WindowedGauge,
@@ -66,27 +65,6 @@ class TestWindowedCounter:
         c.add(2.0, key="backlog")
         c.add(3.0, key="loss-model")
         assert c.by_key == {"backlog": 2.0, "loss-model": 1.0}
-
-    def test_ewma_tracks_window_rates(self):
-        c = WindowedCounter(1000.0, ewma_alpha=0.5)
-        c.add(0.0)
-        c.flush(1)
-        assert c.ewma.value == pytest.approx(1e6)
-        c.flush(2)  # the idle window closes at rate 0 and decays the EWMA
-        assert c.ewma.value == pytest.approx(5e5)
-
-
-class TestEwmaRate:
-    def test_primes_on_first_update(self):
-        e = EwmaRate(0.3)
-        assert e.update(100.0) == 100.0
-        assert e.update(0.0) == pytest.approx(70.0)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            EwmaRate(0.0)
-        with pytest.raises(ValueError):
-            EwmaRate(1.5)
 
 
 class TestWindowedGauge:

@@ -7,8 +7,8 @@ import pytest
 from repro.machine import MachineConfig
 from repro.memory.system import MemorySystem
 from repro.oskernel.errors import Errno, OsError
-from repro.oskernel.fs import O_CREAT, O_RDONLY, O_RDWR
-from repro.oskernel.linux import LinuxKernel, S_IFCHR, S_IFDIR, S_IFIFO, S_IFREG
+from repro.oskernel.fs import O_RDONLY, O_RDWR
+from repro.oskernel.linux import LinuxKernel, S_IFCHR, S_IFDIR, S_IFIFO
 from repro.sim.engine import Simulator
 
 

@@ -10,9 +10,7 @@ from repro.oskernel.errors import Errno, OsError
 from repro.oskernel.fs import (
     DirInode,
     FdTable,
-    FileInode,
     FileSystem,
-    O_CREAT,
     O_RDONLY,
     O_RDWR,
     OpenFile,

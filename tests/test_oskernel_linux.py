@@ -3,7 +3,6 @@
 import pytest
 
 from repro.machine import MachineConfig
-from repro.memory.buffers import Buffer
 from repro.memory.system import MemorySystem
 from repro.oskernel.devices import (
     FBIOGET_FSCREENINFO,

@@ -5,7 +5,6 @@ allocator non-overlap, and coalescer conservation."""
 
 from collections import OrderedDict
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.coalescing import CoalescingConfig, Coalescer

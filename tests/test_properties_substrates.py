@@ -1,12 +1,10 @@
 """Property-based tests on the OS substrates: the virtual-memory model
 against a reference, datagram conservation, and workqueue ordering."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import MachineConfig
 from repro.oskernel.cpu import CpuComplex
-from repro.oskernel.errors import OsError
 from repro.oskernel.mm import AddressSpace, MADV_DONTNEED, PhysicalMemory
 from repro.oskernel.net import Network
 from repro.oskernel.workqueue import WorkQueue

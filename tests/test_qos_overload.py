@@ -234,12 +234,6 @@ class TestQosPlan:
             )}
         ) == plan
 
-    def test_scaled_overrides(self):
-        plan = QosPlan(sojourn_budget_ns=100.0)
-        bigger = plan.scaled(sojourn_budget_ns=200.0)
-        assert bigger.sojourn_budget_ns == 200.0
-        assert plan.sojourn_budget_ns == 100.0
-
 
 class TestQosController:
     def _full_plan(self):

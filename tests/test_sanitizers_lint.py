@@ -38,6 +38,7 @@ class TestHazardFixtures:
             ("err001_unknown_errno.py", "ERR001"),
             ("slot001_missing_slots.py", "SLOT001"),
             ("sched001_direct_heap.py", "SCHED001"),
+            ("imp001_unused_import.py", "IMP001"),
         ],
     )
     def test_each_hazard_class_is_caught(self, fixture, code):
@@ -66,6 +67,14 @@ class TestHazardFixtures:
         findings = run_lint([FIXTURES / "core" / "det004_id_ordering.py"])
         # Three hazards in bad(); the id()-keyed dict in fine() is legal.
         assert [f.code for f in findings] == ["DET004"] * 3
+
+    def test_imp001_spares_exports_and_annotations(self):
+        # Only json is unused: OrderedDict is in __all__, and Path is
+        # used by a quoted annotation under TYPE_CHECKING.
+        findings = run_lint([FIXTURES / "imp001_unused_import.py"])
+        assert [f.message for f in findings] == [
+            "'json' is imported but never used"
+        ]
 
     def test_determinism_rules_scoped_to_zones(self):
         # The same wall-clock import outside sim/core/oskernel is not a
@@ -107,7 +116,7 @@ class TestHazardFixtures:
         codes = {f.code for f in findings}
         assert codes >= {
             "DET001", "DET002", "DET003", "DET004",
-            "TP001", "TP002", "ERR001", "SLOT001", "SCHED001",
+            "TP001", "TP002", "ERR001", "SLOT001", "SCHED001", "IMP001",
         }
         # Findings are sorted and carry renderable locations.
         rendered = [f.render() for f in findings]

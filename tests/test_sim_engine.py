@@ -6,7 +6,6 @@ from repro.sim.engine import (
     AllOf,
     AnyOf,
     Delay,
-    Event,
     Interrupted,
     Simulator,
     SimulationError,

@@ -11,9 +11,7 @@ import pytest
 from repro.sim.engine import (
     AllOf,
     AnyOf,
-    Event,
     Interrupted,
-    SimulationError,
     Simulator,
 )
 

@@ -12,11 +12,9 @@ POSIX-sanctioned remedies work: position-absolute pwrite, and O_APPEND
 atomic appends.
 """
 
-import pytest
-
 from repro.core.invocation import Granularity, Ordering
 from repro.machine import small_machine
-from repro.oskernel.fs import O_APPEND, O_CREAT, O_RDWR
+from repro.oskernel.fs import O_APPEND, O_RDWR
 from repro.system import System
 
 NUM_GROUPS = 8

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.coalescing import CoalescingConfig
 from repro.gpu.ops import Compute
-from repro.machine import MachineConfig, small_machine
+from repro.machine import small_machine
 from repro.system import System
 
 
