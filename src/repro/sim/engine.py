@@ -596,6 +596,23 @@ class Simulator:
             self.now = until
         return self.now
 
+    def run_within(self, deadline: float) -> bool:
+        """Drain the event queue, but run nothing timed after ``deadline``.
+
+        Returns ``True`` once the queue is empty, with the clock where
+        :meth:`run` leaves it, and ``False`` when live work (see
+        :meth:`_live_work_pending`) remains past ``deadline``, with the
+        clock at the last entry run.  Unlike ``run(until=...)`` it never
+        moves the clock to the deadline itself.
+        """
+        heap = self._heap
+        step = self._step
+        while heap:
+            if heap[0][0] > deadline and self._live_work_pending():
+                return False
+            step()
+        return True
+
     def run_process(self, generator: Generator[Any, Any, Any], name: str = "") -> Any:
         """Convenience: spawn ``generator``, run to completion, return its value."""
         proc = self.process(generator, name=name)

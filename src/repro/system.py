@@ -21,8 +21,9 @@ from repro.machine import MachineConfig
 from repro.memory.system import MemorySystem
 from repro.oskernel.cpu import CpuComplex
 from repro.oskernel.linux import LinuxKernel
+from repro.oskernel.workqueue import DrainTimeout
 from repro.probes.tracepoints import ProbeRegistry, apply_global_plan
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Process, SimulationError, Simulator
 
 
 class System:
@@ -61,10 +62,11 @@ class System:
             slot_stride_bytes=slot_stride_bytes,
             probes=self.probes,
         )
-        #: When set (simulated ns), :meth:`run_to_completion` bounds its
-        #: final drain and raises ``DrainTimeout`` instead of hanging —
-        #: chaos/fault runs set this so liveness violations are
-        #: diagnosable failures, not wedged event loops.
+        #: When set (simulated ns), :meth:`run_to_completion` bounds both
+        #: its main process and its final drain by it and raises
+        #: ``DrainTimeout`` instead of hanging — chaos/fault runs set this
+        #: so liveness violations are diagnosable failures, not wedged
+        #: event loops.
         self.drain_timeout_ns: Optional[float] = None
         # Every hook point now exists: apply any CLI/test attach plan.
         apply_global_plan(self.probes)
@@ -79,12 +81,33 @@ class System:
         return self.gpu.launch(KernelLaunch(func, global_size, workgroup_size, args, name))
 
     def run_to_completion(self, main: Generator, name: str = "main") -> Any:
-        """Run ``main`` as a process, then drain outstanding GPU syscalls."""
-        result = self.sim.run_process(main, name=name)
-        self.sim.run_process(
-            self.genesys.drain(timeout=self.drain_timeout_ns), name="drain"
-        )
+        """Run ``main`` as a process, then drain outstanding GPU syscalls.
+
+        With :attr:`drain_timeout_ns` set, ``main`` and then the drain
+        each get that much simulated time to finish, along with all the
+        work they schedule; work still due after it raises
+        ``DrainTimeout`` listing the stuck slots and tasks.  A run that
+        finishes inside the bound ends at the same instant as unbounded.
+        """
+        result = self._run(main, name)
+        self._run(self.genesys.drain(timeout=self.drain_timeout_ns), "drain")
         return result
+
+    def _run(self, body: Generator, name: str) -> Any:
+        """Run ``body`` as a process until the event queue drains."""
+        sim = self.sim
+        bound = self.drain_timeout_ns
+        if bound is None:
+            return sim.run_process(body, name=name)
+        proc = sim.process(body, name=name)
+        if not sim.run_within(sim.now + bound):
+            raise DrainTimeout(
+                f"{name}: still running at the {bound:.0f}ns bound",
+                stuck=self.genesys.stuck_report(),
+            )
+        if not proc.finished:
+            raise SimulationError(f"process {name!r} deadlocked")
+        return proc.result
 
     def run_kernel(
         self, func, global_size: int, workgroup_size: int, args: tuple = (), name: str = ""

@@ -377,6 +377,12 @@ class MemcachedWorkload:
             rbuf, obuf = shared["rbuf"], shared["obuf"]
             for _ in range(quota[ctx.group_id]):
                 got = yield from ctx.sys.recvfrom(fd, rbuf, rbuf.size, **WG_OPTS)
+                while not isinstance(got, tuple):
+                    # A negative errno: fault plans inject them at
+                    # dispatch, before the call runs, so a retry is side-
+                    # effect free, and every lane sees the same published
+                    # result and retries with it.
+                    got = yield from ctx.sys.recvfrom(fd, rbuf, rbuf.size, **WG_OPTS)
                 n, src = got
                 key = bytes(rbuf.data[4:n])
                 # Parallel bucket scan: each lane compares its share.

@@ -9,12 +9,14 @@ Five layers of assertion:
   tracepoint stream and identical outputs, twice,
 * pinned streams — every profile's fault/recovery stream at seeds 1-3
   matches a committed digest, from one version to the next,
-* bounded failure — when recovery is *disabled*, a wedged slot surfaces
-  as a diagnostic ``DrainTimeout`` naming the stuck work, never a hang,
+* bounded failure — when recovery is *disabled* or cannot keep up, a
+  wedged slot or scenario surfaces as a diagnostic ``DrainTimeout``
+  naming the stuck work, never a hang,
 * recovery unit paths — watchdog slot reclaim and worker
   respawn/requeue, each in isolation.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -34,8 +36,9 @@ from repro.faults import (
     run_scenario,
 )
 from repro.machine import small_machine
+from repro.metrics import MetricsHubPlan
 from repro.oskernel.workqueue import WorkQueue
-from repro.probes import policy
+from repro.probes import attached, policy
 from repro.probes.tracepoints import StreamRecorder
 from repro.sim.engine import Simulator
 from repro.system import System
@@ -374,6 +377,76 @@ class TestDrainTimeout:
         assert done == [True]
         assert wq.outstanding == 0
         assert wq.tasks_requeued == 1
+
+
+class TestScenarioBound:
+    """``drain_timeout_ns`` bounds the scenario body, not only the drain."""
+
+    BOUND_NS = 5_000_000.0
+
+    @pytest.mark.parametrize("experiment", ("serving", "qos"))
+    def test_every_pickup_killed_ends_as_liveness(self, experiment):
+        # At intensity 20 every workqueue pickup kills its worker, so the
+        # serving kernel's recvfroms never complete and the scenario's
+        # main process never returns.
+        report = run_one(experiment, 1, 20.0, drain_timeout_ns=self.BOUND_NS)
+        assert report.violations[0].startswith(
+            "liveness: mc-serve: still running at the 5000000ns bound"
+        )
+        assert "stuck: slot#" in report.violations[0]
+        assert report.elapsed_ns <= self.BOUND_NS
+
+    def test_run_inside_the_bound_ends_where_unbounded(self):
+        def end(bound):
+            system = System(config=small_machine())
+            system.drain_timeout_ns = bound
+
+            def kern(ctx):
+                yield from ctx.sys.getrusage(blocking=False)
+
+            system.run_kernel(kern, 4, 2, name="bounded")
+            return system.now
+
+        assert end(self.BOUND_NS) == end(None)
+
+    def test_observer_tick_past_the_bound_is_not_live_work(self):
+        # The hub's first weak tick falls after the bound; the run itself
+        # ends well inside it.
+        with attached(MetricsHubPlan(window_ns=60_000.0)):
+            system = System(config=small_machine())
+        system.drain_timeout_ns = 50_000.0
+
+        def kern(ctx):
+            yield from ctx.sys.getrusage(blocking=False)
+
+        system.run_kernel(kern, 4, 2, name="observed")
+        assert system.sim.weak_scheduled == 1
+        assert system.now < 50_000.0
+
+    def test_fig15_kernel_reissues_a_recvfrom_that_gave_up(self):
+        # This cell's injected errnos outlast a recvfrom's GPU-side
+        # retries; the kernel must re-issue the call, not unpack an errno.
+        plan = PROFILES["memcached"].with_seed(48).scaled(4.3)
+        system = System()
+        system.drain_timeout_ns = 2_000_000_000.0
+        FaultInjector(plan, system.probes)
+        stream = StreamRecorder(system.probes).attach("syscall.claim", "syscall.retry")
+        detail = run_scenario("memcached", system)
+        assert detail["replies"] == detail["requests"] == 24
+        assert check_invariants(system) == []
+        recvfroms = [name for _t, name, args in stream.events if args[1] == "recvfrom"]
+        # One claim per request and one per GPU-side retry, and more.
+        claims = recvfroms.count("syscall.claim")
+        assert claims - recvfroms.count("syscall.retry") > 24
+
+    def test_fig15_kernel_at_errno_rate_one_ends_as_liveness(self):
+        plan = dataclasses.replace(PROFILES["memcached"], errno_rate=1.0)
+        report = run_one(
+            "memcached", 1, drain_timeout_ns=self.BOUND_NS, plan=plan.with_seed(1)
+        )
+        assert report.violations[0].startswith(
+            "liveness: memcached-genesys: still running at the 5000000ns bound"
+        )
 
 
 # -- plan hygiene -------------------------------------------------------------

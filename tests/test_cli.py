@@ -268,21 +268,20 @@ def test_chaos(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, crash",
+    "argv",
     [
         # Scaled per field, udp-echo's net rates would sum past 1.
-        (["--experiments", "udp-echo", "--seeds", "1", "--intensity", "2.1"], False),
-        # Injected errnos outlast the retries, so the Fig-15 kernel's
-        # recvfrom returns an int it cannot unpack: the cell fails, the
-        # matrix does not.
-        (["--experiments", "memcached", "--seeds", "48", "--intensity", "4.3"], True),
+        ["--experiments", "udp-echo", "--seeds", "1", "--intensity", "2.1"],
+        # Injected errnos outlast a recvfrom's retries, so the Fig-15
+        # kernel must re-issue the call rather than unpack the errno.
+        ["--experiments", "memcached", "--seeds", "48", "--intensity", "4.3"],
     ],
 )
-def test_chaos_intensity_ends_without_a_traceback(capsys, argv, crash):
+def test_chaos_intensity_ends_without_a_traceback(capsys, argv):
     code, out, err = run_cli(capsys, "chaos", *argv, "--workers", "1")
-    assert code in (0, 1)
+    assert code == 0, out
     assert "Traceback" not in out + err
-    assert ("crash: TypeError: cannot unpack" in out) == crash
+    assert "chaos matrix: 1 cells, 1 ok" in out
 
 
 def test_pytest(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Tests for the device-side syscall API: granularities, ordering,
 blocking modes, and wait modes (the Section-V design space)."""
 
+import ast
+import inspect
+
 import pytest
 
+from repro.core import device_api, invocation
 from repro.core.device_api import SyscallHandle
 from repro.core.genesys import OrderingError
 from repro.core.invocation import Granularity, Ordering, WaitMode, syscall_kind, SyscallKind
@@ -38,6 +42,49 @@ class TestSyscallKinds:
 
     def test_unknown_defaults_to_producer(self):
         assert syscall_kind("frobnicate") is SyscallKind.PRODUCER
+
+
+class TestPerLaneDispatch:
+    """Every lane of a work-group call runs ``invoke`` and
+    ``_workgroup_invoke``, so those paths compare against Enum members
+    bound once at module level: a lookup through the class costs about
+    eight times a module-global load on CPython 3.11."""
+
+    ENUMS = ("Granularity", "Ordering", "WaitMode", "SyscallKind")
+    PER_CALL = {
+        device_api: ("invoke", "_workgroup_invoke", "_kernel_invoke", "_raw_invoke"),
+        invocation: ("syscall_kind",),
+    }
+
+    def member_loads(self, node):
+        return [
+            f"{sub.value.id}.{sub.attr}"
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id in self.ENUMS
+        ]
+
+    def test_per_call_paths_load_no_member_through_its_class(self):
+        for module, names in self.PER_CALL.items():
+            tree = ast.parse(inspect.getsource(module))
+            functions = {
+                node.name: node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+            }
+            for name in names:
+                # The body only: argument defaults are evaluated once.
+                loads = [
+                    load
+                    for statement in functions[name].body
+                    for load in self.member_loads(statement)
+                ]
+                assert loads == [], f"{module.__name__}.{name} looks up {loads}"
+
+    def test_scan_sees_class_lookups(self):
+        tree = ast.parse(inspect.getsource(device_api))
+        assert "Granularity.WORK_GROUP" in self.member_loads(tree)
 
 
 class TestWorkItemGranularity:

@@ -7,17 +7,20 @@ It knows no :class:`~repro.gpu.ops.Spin`: each lane's generator is
 wrapped so that a spin is written out as the loop it stands for (the
 atomic, ``Do(check)``, and a ``Sleep`` while the check fails).
 The production :class:`~repro.gpu.wavefront.Wavefront` dispatches on the
-op's exact class, allocates those lists only when a lane needs one and
-steps a spin's phases itself.
-Each kernel below runs under both executors, on fresh machines, and
-every observable result must be equal: simulated time, lockstep
-statistics, atomic and cache counts, the lane/halt/resume tracepoint
-stream (with every timed L1/L2 access), lane return values and the
-error a bad kernel raises.
+op's exact class, allocates those lists only when a lane needs one,
+steps a spin's phases itself beside other runnable lanes and runs a
+lone lane's spin in place.
+Each kernel below runs under both executors, on fresh machines, under
+a wall-clock deadline, and every observable result must be equal:
+simulated time, lockstep statistics, atomic and cache counts, the
+lane/halt/resume tracepoint stream (with every timed L1/L2 access),
+lane return values and the error a bad kernel raises.
 """
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from typing import Generator, List, Optional
 
 import pytest
@@ -41,6 +44,7 @@ from repro.gpu.ops import (
 )
 from repro.gpu.wavefront import Wavefront, _Lane, all_events
 from repro.machine import MachineConfig
+from repro.oskernel.fs import O_RDWR
 from repro.probes.tracepoints import StreamRecorder
 from repro.system import System
 
@@ -226,6 +230,21 @@ def claim_retry(ctx):
     return (fd, n)
 
 
+def claim_turns_lone(ctx):
+    """Two relaxed non-blocking work-group writes on one slot.  The
+    second's claim spin starts in the step that releases the other lanes
+    from its pre-barrier, finds the slot still busy with the first write,
+    and goes on alone once they exit."""
+    (buf,) = ctx.args
+    fd = yield from ctx.sys.open("/tmp/f", O_RDWR, granularity=WG)
+    for offset in (0, 64):
+        yield from ctx.sys.pwrite(
+            fd, buf, 64, offset, granularity=WG, ordering=Ordering.RELAXED,
+            blocking=False,
+        )
+    return fd
+
+
 def mixed(ctx):
     (base,) = ctx.args
     i = ctx.local_id
@@ -307,6 +326,7 @@ CASES = {
     "wg-halt": (wg_syscall(WaitMode.HALT_RESUME), 128, 64, _file_setup),
     "wi-poll-staggered": (wi_poll_staggered, 64, 64, _file_setup),
     "claim-retry": (claim_retry, 6, 6, _file_setup),
+    "claim-turns-lone": (claim_turns_lone, 128, 64, _file_setup),
     "mixed-64-wide": (mixed, 128, 128, _no_setup),
     "zero-cycle-compute": (zero_compute, 64, 64, _no_setup),
     "early-exit": (early_exit, 128, 128, _no_setup),
@@ -353,10 +373,28 @@ def observe(executor: type, case: str) -> dict:
     }
 
 
+@contextlib.contextmanager
+def wall_deadline(seconds: float):
+    """Fail, instead of hanging, if the block runs past ``seconds``: a
+    lane left spinning spins forever in simulated time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s of wall time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_executor_matches_reference(case):
-    expected = observe(ReferenceWavefront, case)
-    actual = observe(Wavefront, case)
+    with wall_deadline(10.0):
+        expected = observe(ReferenceWavefront, case)
+        actual = observe(Wavefront, case)
     assert actual == expected
     # Non-vacuity: the kernel did what the table row says it does.
     if case == "non-op":
@@ -373,6 +411,9 @@ def test_executor_matches_reference(case):
     if case == "claim-retry":
         # 18 calls, and some of their claim spins failed and slept.
         assert expected["atomics"]["cmp-swap"] > 18
+    if case == "claim-turns-lone":
+        # 6 calls, and a claim spin failed and slept.
+        assert expected["atomics"]["cmp-swap"] > 6
     if case in ("wg-halt", "wait-all"):
         assert any(name == "wavefront.halt" for _t, name, _a in expected["stream"])
     if case == "mixed-64-wide":
