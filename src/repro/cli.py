@@ -21,7 +21,7 @@ Verbs::
     check / lint                          GSan sweep, static lint
     corpus [gsan|gmc]                     the seeded-bug corpora
     explore / replay                      schedule model checking
-    chaos [--workers N] [--gsan]          the fault-injection matrix
+    chaos [--workers N]                   the fault-injection matrix
     pytest                                the test suite, sharded
     sweep / overload / report             serving curves and their gates
 
@@ -82,6 +82,7 @@ from repro.modelcheck.certificate import (
 from repro.modelcheck.corpus import check_corpus
 from repro.modelcheck.explore import Bounds, explore
 from repro.modelcheck.scenarios import build_scenario, resolve_plan, scenario_names
+from repro.modelcheck.schedule import ScheduleError
 from repro.probes.exporters import metrics_snapshot
 from repro.probes.policy import fixed
 from repro.probes.programs import CounterProbe, LatencyHistogram, RateMeter
@@ -666,7 +667,7 @@ def _gsan_corpus(args: Args) -> Tuple[bool, dict]:
                 "name": result.entry.name,
                 "expected_rule": result.entry.expected_rule,
                 "detected": result.detected,
-                "rules_hit": result.sanitizer.rules_hit(),
+                "rules_hit": result.verdict.rules,
             }
             for result in results
         ],
@@ -791,9 +792,12 @@ def _cmd_replay(args: Args) -> int:
         cert = load_certificate(args.certificate)
     except json.JSONDecodeError as err:
         raise UsageError(f"{args.certificate!r} is not JSON: {err}") from None
-    except ValueError as err:  # names the path: not a certificate, or a newer one
+    except ValueError as err:  # names the path and what does not fit
         raise UsageError(str(err)) from None
-    result = replay(cert)
+    try:
+        result = replay(cert)
+    except ScheduleError as err:  # a choice the run never offers
+        raise UsageError(f"{args.certificate}: {err}") from None
     if args.json:
         out = dict(result)
         out["choices"] = [list(pair) for pair in out["choices"]]
@@ -807,20 +811,17 @@ def _cmd_chaos(args: Args) -> int:
     start = time.perf_counter()
     results = run_chaos_matrix(
         args.experiments, args.seeds, workers=args.workers,
-        intensity=args.intensity, gsan=args.gsan,
+        intensity=args.intensity,
     )
     wall = time.perf_counter() - start
     summary = merge_reports(results)
     summary["wall_s"] = round(wall, 3)
     summary["workers"] = args.workers
     for (name, seed), report in results:
-        line = (
+        print(
             f"  {name:<10} seed={seed:<4} {'ok' if report['ok'] else 'FAIL':<5} "
-            f"injected={report['injected']}"
+            f"injected={report['injected']} gsan_events={report['gsan_events']}"
         )
-        if "gsan" in report:
-            line += f" gsan_events={report['gsan']['events']}"
-        print(line)
         for violation in report["violations"]:
             print(f"      {violation}")
     print(
@@ -1115,8 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intensity", type=NON_NEGATIVE, default=1.0,
                    help="scale every fault rate; a hook whose rates then sum "
                         "past 1 is scaled down to sum to 1")
-    p.add_argument("--gsan", action="store_true",
-                   help="run every cell under GSan; a violation fails the cell")
     p.add_argument("--json", metavar="PATH", help="write the cells and summary here")
 
     p = verb("pytest", _cmd_pytest, "shard the test suite over processes",

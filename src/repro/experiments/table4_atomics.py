@@ -26,10 +26,7 @@ def measure_op(op: str) -> float:
         yield from mem.gpu_atomic("atomic-load", addr)  # warm the line
         start = sim.now
         for _ in range(REPS):
-            if op == "load":
-                yield from mem.gpu_load_uncached(addr)
-            else:
-                yield from mem.gpu_atomic(op, addr)
+            yield from mem.gpu_atomic(op, addr)
         return (sim.now - start) / REPS
 
     return sim.run_process(body())

@@ -6,9 +6,12 @@ The subsystem has two halves:
   description of faults to inject) and :class:`FaultInjector` (policy
   programs attached to the stack's ``fault.*`` hooks, all randomness
   drawn from one ``DeterministicRandom`` so runs replay exactly).
-* :mod:`repro.faults.chaos` — per-workload chaos profiles, the runner,
-  and :func:`check_invariants`, the liveness/safety postconditions every
-  faulted run must satisfy.
+* :mod:`repro.faults.chaos` — per-workload chaos profiles and scenario
+  bodies, the runner, and :func:`check_invariants`, the liveness/safety
+  postconditions every faulted run must satisfy.  The runner judges
+  each cell in the one checked-run cell,
+  :func:`repro.modelcheck.scenarios.run_cell`, so GSan always watches
+  a chaos run.
 
 ``python -m repro chaos`` runs the invariant matrix from the
 command line; with no plan installed the stack's behaviour (and every
@@ -24,7 +27,6 @@ from repro.faults.chaos import (
     recovery_stats,
     run_matrix,
     run_one,
-    run_scenario,
 )
 from repro.faults.plan import (
     FAULT_TABLE,
@@ -46,5 +48,4 @@ __all__ = [
     "recovery_stats",
     "run_matrix",
     "run_one",
-    "run_scenario",
 ]

@@ -13,7 +13,9 @@ and duplication are exercised by the ``udp-echo`` scenario, whose
 client implements the classic retransmit-with-dedup loop on top of the
 faulty network.
 
-Invariants checked after every run (:func:`check_invariants`):
+Every cell runs under GSan in the one checked-run cell
+(:func:`repro.modelcheck.scenarios.run_cell`), which also checks these
+invariants after the run (:func:`check_invariants`):
 
 * **definite status** — every issued invocation completed, was
   reclaimed with ``-ETIMEDOUT``, or was shed with ``-ETIME``; nothing
@@ -26,22 +28,21 @@ Invariants checked after every run (:func:`check_invariants`):
   drain deadline (enforced by ``System.drain_timeout_ns``; a wedge the
   watchdog cannot clear surfaces as ``DrainTimeout``, not a hang).
 
-A scenario that raises anything else fails its own cell with a
-``crash:`` violation naming the exception and where it was raised; the
-rest of the matrix still runs.
+A ``DrainTimeout`` is a ``liveness:`` violation and an
+``AssertionError`` (a corrupted reply, an invented grep match) a
+``safety:`` one; a scenario that raises anything else fails its own
+cell with a ``crash:`` violation naming the exception and where it was
+raised, and the rest of the matrix still runs.
 """
 
 from __future__ import annotations
 
-import os
-import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.syscall_area import SlotState
 from repro.gpu.hierarchy import WorkItemCtx
-from repro.faults.plan import FaultInjector, FaultPlan
-from repro.oskernel.workqueue import DrainTimeout
+from repro.faults.plan import FaultPlan
 from repro.system import System
 
 #: Liveness bound for chaos runs, in simulated ns.  Generous: the
@@ -146,6 +147,7 @@ class ChaosReport:
     injected: int
     by_action: Dict[str, int]
     recovery: Dict[str, int]
+    gsan_events: int
     detail: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -159,6 +161,7 @@ class ChaosReport:
             "by_action": dict(self.by_action),
             "recovery": dict(self.recovery),
             "detail": dict(self.detail),
+            "gsan_events": self.gsan_events,
         }
 
 
@@ -258,17 +261,12 @@ def _run_grep(system: System) -> Dict[str, object]:
     result = workload.run_genesys()
     found = result.metrics["files_matched"]
     expected = set(workload.expected_matches)
-    false_hits = [path for path in found if path not in expected]
-    detail: Dict[str, object] = {
-        "files": 12,
-        "matched": len(found),
-        "expected": len(expected),
-    }
     # Safety: faults may lose matches (a corrupted read looks like EOF)
     # but must never invent one.
+    false_hits = [path for path in found if path not in expected]
     if false_hits:
-        detail["false_matches"] = false_hits
-    return detail
+        raise AssertionError(f"invented matches {false_hits}")
+    return {"files": 12, "matched": len(found), "expected": len(expected)}
 
 
 def _run_memcached(system: System) -> Dict[str, object]:
@@ -424,7 +422,8 @@ def _run_qos(system: System) -> Dict[str, object]:
     }
 
 
-_SCENARIOS = {
+#: Each chaos experiment's scenario body, run on a freshly built System.
+SCENARIOS: Dict[str, Callable[[System], Dict[str, object]]] = {
     "fig2": _run_fig2,
     "grep": _run_grep,
     "memcached": _run_memcached,
@@ -432,12 +431,6 @@ _SCENARIOS = {
     "serving": _run_serving,
     "qos": _run_qos,
 }
-
-def run_scenario(experiment: str, system: System) -> Dict[str, object]:
-    """Run one chaos scenario body against an already-built ``system``
-    (no plan installed, no invariant checks) — the building block for
-    tests that need to hold the machine."""
-    return _SCENARIOS[experiment](system)
 
 
 def run_one(
@@ -447,50 +440,34 @@ def run_one(
     drain_timeout_ns: float = DEFAULT_DRAIN_TIMEOUT_NS,
     plan: Optional[FaultPlan] = None,
 ) -> ChaosReport:
-    """Build a fresh machine, attach the experiment's (seeded) fault
-    profile, run the scenario, and check every invariant."""
-    if experiment not in _SCENARIOS:
+    """Build a fresh machine under the experiment's (seeded) fault
+    profile and judge the scenario in the checked-run cell."""
+    from repro.modelcheck.scenarios import build_workload, run_cell
+
+    if experiment not in SCENARIOS:
         raise ValueError(
             f"unknown chaos experiment {experiment!r}; "
-            f"choose from {sorted(_SCENARIOS)}"
+            f"choose from {sorted(SCENARIOS)}"
         )
     if plan is None:
         plan = PROFILES[experiment].with_seed(seed)
         if intensity != 1.0:
             plan = plan.scaled(intensity)
-    system = System()
-    system.drain_timeout_ns = drain_timeout_ns
-    injector = FaultInjector(plan, system.probes)
-    start = system.now
-    violations: List[str] = []
-    detail: Dict[str, object] = {}
-    try:
-        detail = _SCENARIOS[experiment](system)
-    except DrainTimeout as exc:
-        violations.append(f"liveness: {exc}")
-    except AssertionError as exc:
-        violations.append(f"safety: {exc}")
-    except Exception as exc:
-        # A scenario that raises fails its own cell, not the matrix.
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        violations.append(
-            f"crash: {type(exc).__name__}: {exc} (at "
-            f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})"
-        )
-    violations.extend(check_invariants(system))
-    if "false_matches" in detail:
-        violations.append(f"safety: invented matches {detail['false_matches']}")
+    built, system, injector = build_workload(experiment, plan, drain_timeout_ns)
+    assert injector is not None  # a plan was given
+    verdict = run_cell(built)
     summary = injector.summary()
     return ChaosReport(
         experiment=experiment,
         seed=seed,
-        ok=not violations,
-        elapsed_ns=system.now - start,
-        violations=violations,
+        ok=verdict.ok,
+        elapsed_ns=system.now,
+        violations=verdict.violations,
         injected=summary["injected"],
         by_action=summary["by_action"],
         recovery=recovery_stats(system),
-        detail=detail,
+        gsan_events=verdict.sanitizer.events,
+        detail=verdict.result if isinstance(verdict.result, dict) else {},
     )
 
 

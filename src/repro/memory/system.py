@@ -104,7 +104,10 @@ class MemorySystem:
                 yield from self.dram.gpu_access(cfg.cacheline_bytes)
 
     def gpu_atomic(self, op: str, addr: int) -> Generator:
-        """Timed GPU atomic: L1-bypassing, L2-coherent (Section VI)."""
+        """Timed GPU atomic: L1-bypassing, L2-coherent (Section VI).
+
+        ``op="load"`` is Table IV's plain-load baseline: the same L2
+        path with no read-modify-write."""
         latency = self.atomics.charge(op)
         line_bytes = self.config.cacheline_bytes
         yield latency
@@ -139,17 +142,6 @@ class MemorySystem:
                 yield sleep
             counts[op] += 1
             tries += 1
-
-    def gpu_load_uncached(self, addr: int) -> Generator:
-        """Timed L1-bypassing plain load (Table IV's 'load' baseline).
-
-        This is the apples-to-apples comparison point for the atomic
-        ops: same L2 path, no read-modify-write."""
-        latency = self.atomics.charge("load")
-        line = addr // self.config.cacheline_bytes
-        yield latency
-        if not self.l2.access(line):
-            yield from self.dram.gpu_access(self.config.cacheline_bytes)
 
     def gpu_l1_flush_range(self, cu_id: int, addr: int, size: int) -> Generator:
         """Software-coherence flush of a buffer from one CU's L1."""

@@ -14,7 +14,9 @@ that gap with stateless model checking in the Verisoft/CHESS style:
   choices up to depth/preemption bounds, pruning commuting reorderings
   with sleep-set DPOR driven by GSan's own happens-before scope
   attribution;
-* GSan plus the chaos invariants act as the oracle on every branch,
+* the one checked-run cell
+  (:func:`repro.modelcheck.scenarios.run_cell`: GSan, the chaos
+  invariants and one violation vocabulary) judges every branch,
   composing with seeded :class:`~repro.faults.plan.FaultPlan`\\ s so
   schedules and fault points are explored jointly;
 * violating schedules shrink to minimal, replayable certificates
@@ -34,7 +36,7 @@ from repro.modelcheck.certificate import (
     save_certificate,
     shrink,
 )
-from repro.modelcheck.corpus import ORDERING_BUGS, OrderingBug, check_corpus
+from repro.modelcheck.corpus import ORDERING_BUGS, check_corpus
 from repro.modelcheck.explore import Bounds, ExploreReport, explore, run_schedule
 from repro.modelcheck.scenarios import build_scenario, scenario_names
 from repro.modelcheck.schedule import (
@@ -55,7 +57,6 @@ __all__ = [
     "FifoTieBreak",
     "GuidedTieBreak",
     "ORDERING_BUGS",
-    "OrderingBug",
     "ScheduleError",
     "SleepBlocked",
     "build_scenario",

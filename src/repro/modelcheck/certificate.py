@@ -22,6 +22,7 @@ import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.modelcheck.explore import run_schedule
+from repro.modelcheck.scenarios import build_scenario, scenario_names
 
 __all__ = [
     "CERT_FORMAT",
@@ -83,6 +84,8 @@ def save_certificate(cert: dict, path: str) -> None:
 
 
 def load_certificate(path: str) -> dict:
+    """Read a certificate, refusing (``ValueError`` naming ``path``) one
+    whose scenario, choice pairs, plan or seed this build cannot replay."""
     with open(path) as fh:
         cert = json.load(fh)
     if not isinstance(cert, dict) or cert.get("format") != CERT_FORMAT:
@@ -92,6 +95,26 @@ def load_certificate(path: str) -> dict:
             f"{path}: certificate version {cert.get('version')}, "
             f"this build reads v{CERT_VERSION}"
         )
+    scenario, choices, plan = cert.get("scenario"), cert.get("choices"), cert.get("plan")
+    if scenario not in scenario_names():
+        raise ValueError(f"{path}: unknown scenario {scenario!r}")
+    if not isinstance(choices, list) or not all(
+        isinstance(pair, list) and len(pair) == 2
+        and all(type(n) is int for n in pair)
+        for pair in choices
+    ):
+        raise ValueError(
+            f"{path}: choices must be [decision, rank] integer pairs, "
+            f"not {choices!r}"
+        )
+    if plan is not None and not isinstance(plan, dict):
+        raise ValueError(f"{path}: plan must be a FaultPlan document, not {plan!r}")
+    if type(cert.get("seed", 0)) is not int:
+        raise ValueError(f"{path}: seed must be an integer, not {cert['seed']!r}")
+    try:
+        build_scenario(scenario, plan=plan)
+    except (TypeError, ValueError) as err:  # a bad plan, or one on a micro scenario
+        raise ValueError(f"{path}: {err}") from None
     return cert
 
 

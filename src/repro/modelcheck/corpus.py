@@ -32,35 +32,15 @@ callbacks (the discrete-event analogue of an unfenced store pair):
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 from repro.core.invocation import SyscallRequest
 from repro.core.syscall_area import SlotState
 from repro.oskernel.process import OsProcess
-from repro.sanitizers.corpus import slot_rig
-from repro.sanitizers.gsan import GSan
 
-from repro.modelcheck.scenarios import ScenarioRun, deadlock_audit
+from repro.modelcheck.scenarios import Scenario, ScenarioRun, micro_run, slot_rig
 
-__all__ = ["ORDERING_BUGS", "OrderingBug", "check_bug", "check_corpus"]
-
-
-class OrderingBug:
-    """One seeded schedule-sensitive bug and the rule that catches it."""
-
-    __slots__ = ("name", "description", "expected_rule", "build")
-
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        expected_rule: str,
-        build: Callable[[], ScenarioRun],
-    ) -> None:
-        self.name = name
-        self.description = description
-        self.expected_rule = expected_rule
-        self.build = build
+__all__ = ["ORDERING_BUGS", "check_bug", "check_corpus"]
 
 
 def _build_ready_publish_race() -> ScenarioRun:
@@ -69,7 +49,6 @@ def _build_ready_publish_race() -> ScenarioRun:
     # t=15) instead of ordering the publish after the write — the
     # missing release fence.  FIFO happens to run them write-first.
     sim, registry, area = slot_rig()
-    sanitizer = GSan().install(registry)
     slot = area.slot_for(0, 0)
     request = SyscallRequest("getrusage", (), False, OsProcess(sim, "wi0"))
 
@@ -89,11 +68,7 @@ def _build_ready_publish_race() -> ScenarioRun:
         sim.process(gpu(), name="gpu-lane"),
         sim.process(cpu_scan(), name="cpu-scan"),
     ]
-
-    def audit() -> List[str]:
-        return deadlock_audit(procs)
-
-    return ScenarioRun(sim, registry, sanitizer, sim.run, audit)
+    return micro_run(sim, registry, procs)
 
 
 def _build_lost_doorbell() -> ScenarioRun:
@@ -113,7 +88,6 @@ def _build_lost_doorbell() -> ScenarioRun:
         ("hw_id", "halted_ns"),
         "a parked wavefront woke up",
     )
-    sanitizer = GSan().install(registry)
     scan_live = [False]
 
     def clear() -> None:
@@ -158,11 +132,7 @@ def _build_lost_doorbell() -> ScenarioRun:
         sim.process(wavefront(0, 10), name="wf0"),
         sim.process(wavefront(1, 18), name="wf1"),
     ]
-
-    def audit() -> List[str]:
-        return deadlock_audit(procs)
-
-    return ScenarioRun(sim, registry, sanitizer, sim.run, audit)
+    return micro_run(sim, registry, procs)
 
 
 def _build_watchdog_finish_race() -> ScenarioRun:
@@ -203,7 +173,6 @@ def _build_watchdog_finish_race() -> ScenarioRun:
         ("invocation_id", "name", "slot_index", "was_state"),
         "the watchdog forced a stuck slot to completion",
     )
-    sanitizer = GSan().install(registry)
     slot = area.slot_for(0, 0)
     dispatched_at = [0.0]
 
@@ -250,29 +219,25 @@ def _build_watchdog_finish_race() -> ScenarioRun:
         sim.process(worker(), name="cpu-worker"),
         sim.process(watchdog(), name="watchdog"),
     ]
-
-    def audit() -> List[str]:
-        return deadlock_audit(procs)
-
-    return ScenarioRun(sim, registry, sanitizer, sim.run, audit)
+    return micro_run(sim, registry, procs)
 
 
-ORDERING_BUGS: List[OrderingBug] = [
-    OrderingBug(
+ORDERING_BUGS: List[Scenario] = [
+    Scenario(
         "ready-publish-race",
         "READY publish scheduled concurrently with the payload write "
         "(missing release fence): reordered, READY precedes the request",
         "protocol-error",
         _build_ready_publish_race,
     ),
-    OrderingBug(
+    Scenario(
         "lost-doorbell",
         "doorbell coalescing without a re-check after the scan-live "
         "clearing store: a publish in the window loses its wakeup",
         "lost-wakeup",
         _build_lost_doorbell,
     ),
-    OrderingBug(
+    Scenario(
         "watchdog-finish-race",
         "completion published before the state swap with the stale-finish "
         "guard removed: racing the watchdog completes the invocation twice",
@@ -282,7 +247,7 @@ ORDERING_BUGS: List[OrderingBug] = [
 ]
 
 
-def check_bug(bug: OrderingBug, workers: int = 1) -> dict:
+def check_bug(bug: Scenario, workers: int = 1) -> dict:
     """Run the two-halves proof for one bug; returns a report dict.
 
     FIFO must be clean, exploration must find ``expected_rule``, and
@@ -291,10 +256,7 @@ def check_bug(bug: OrderingBug, workers: int = 1) -> dict:
     from repro.modelcheck.certificate import make_certificate, shrink
     from repro.modelcheck.explore import Bounds, explore, run_schedule
 
-    fifo = run_schedule(bug.name, ())
-    fifo_clean = (
-        not fifo["violations"] and fifo["error"] is None and not fifo["blocked"]
-    )
+    fifo_clean = run_schedule(bug.name, ())["ok"]
     report = explore(bug.name, bounds=Bounds(max_schedules=256), workers=workers)
     hits = [
         finding

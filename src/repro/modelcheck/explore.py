@@ -30,28 +30,27 @@ everything", so imprecision costs pruning, never coverage; the
 equivalence tests assert DPOR finds the same violations as exhaustive
 exploration with strictly fewer runs.
 
-The oracle on every non-pruned branch: GSan's verdict, the scenario
-audit (chaos invariants / deadlock checks), and any model exception
-the run raised.
+Every schedule is judged by the one checked-run cell
+(:func:`~repro.modelcheck.scenarios.run_cell`): the body's exception
+(``liveness:``, ``safety:`` or ``crash:``), GSan's verdict and the
+scenario audit (chaos invariants / deadlock checks), the same oracle a
+chaos cell and a corpus entry get.  A choice map that does not fit its
+run raises :class:`~repro.modelcheck.schedule.ScheduleError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.syscall_area import SlotStateError
 from repro.faults.plan import FaultPlan
 from repro.modelcheck.schedule import (
     EffectCollector,
     GuidedTieBreak,
-    SleepBlocked,
     effects_from_wire,
 )
-from repro.modelcheck.scenarios import build_scenario
-from repro.oskernel.workqueue import DrainTimeout
+from repro.modelcheck.scenarios import build_scenario, run_cell
 from repro.runfarm import run_frontier
-from repro.sim.engine import SimulationError
 
 __all__ = ["Bounds", "ExploreReport", "explore", "run_schedule"]
 
@@ -120,10 +119,10 @@ def run_schedule(
 ) -> dict:
     """One guided run of ``scenario``; returns a plain (picklable) dict.
 
-    The result carries the oracle verdict (``violations``, ``rules``,
-    ``error``, ``ok``) and the recorded ``decisions`` the explorer
-    branches on.  ``blocked`` runs were pruned by a sleep set: their
-    oracle is skipped (the schedule is redundant, not buggy).
+    The result carries the cell's verdict (``violations``, ``rules``,
+    ``ok``) and the recorded ``decisions`` the explorer branches on.
+    ``blocked`` runs were pruned by a sleep set: their oracle is
+    skipped (the schedule is redundant, not buggy).
     """
     built = build_scenario(scenario, profile=profile, plan=plan, seed=seed).build()
     collector = EffectCollector().install(built.registry)
@@ -138,39 +137,15 @@ def run_schedule(
         collector=collector,
         record_limit=record_limit,
     )
-    built.sim.tie_break = policy
-    blocked = False
-    error: Optional[str] = None
-    try:
-        built.execute()
-    except SleepBlocked:
-        blocked = True
-    except (SlotStateError, SimulationError, DrainTimeout, AssertionError) as exc:
-        error = f"{type(exc).__name__}: {exc}"
+    verdict = run_cell(built, tie_break=policy)
     policy.finalize()
-    violations: List[str] = []
-    rules: Dict[str, int] = {}
-    if not blocked:
-        for violation in built.sanitizer.finish():
-            violations.append(violation.render())
-        rules = built.sanitizer.rules_hit()
-        try:
-            audit = built.audit()
-        except Exception as exc:  # a crashed machine may not audit cleanly
-            audit = [f"audit-error: {type(exc).__name__}: {exc}"]
-        for finding in audit:
-            violations.append(finding)
-            rules["invariant"] = rules.get("invariant", 0) + 1
-        if error is not None:
-            violations.append(f"model-error: {error}")
     return {
         "choices": tuple((int(d), int(r)) for d, r in choices),
-        "blocked": blocked,
-        "error": error,
-        "ok": not violations and error is None and not blocked,
-        "violations": violations,
-        "rules": rules,
-        "events": built.sanitizer.events,
+        "blocked": verdict.blocked,
+        "ok": verdict.ok,
+        "violations": verdict.violations,
+        "rules": verdict.rules,
+        "events": verdict.sanitizer.events,
         "pops": policy.pops,
         "decisions": [
             {
@@ -288,7 +263,6 @@ def explore(
             "choices": list(item[0]),
             "rules": result["rules"],
             "violations": result["violations"],
-            "error": result["error"],
         }
         for item, result in results
         if not result["blocked"] and not result["ok"]

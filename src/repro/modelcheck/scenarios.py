@@ -1,17 +1,35 @@
-"""What one explored schedule runs: scenario builders and oracles.
+"""What one checked run is: scenario builders and the cell that judges them.
 
 A *scenario* is a recipe for one deterministic run of the slot
-protocol: build a fresh machine (or micro-fixture), wire a GSan
-sanitizer into its probe registry, execute a workload body, and audit
-the end state.  The explorer re-builds the scenario once per schedule,
-so every branch starts from a virgin machine and the only varying
-input is the tie-break choice map.
+protocol.  Its builder returns a :class:`ScenarioRun`: a fresh machine
+(or micro-fixture) with every tracepoint it fires already declared, a
+``body`` that runs the workload, and an optional ``audit`` of the end
+state.  A builder never installs GSan: the cell does, because GSan
+attaches only to the tracepoints that exist when it is installed.
+
+:func:`run_cell` is the one oracle for every checked run: a chaos cell,
+an explored, shrunk or replayed schedule, and every entry of the GSan
+and model-check corpora.  It installs GSan, sets the tie-break policy,
+runs the body and sorts the outcome into one vocabulary, in order:
+
+* the body's exception: a ``DrainTimeout`` is ``liveness: <msg>``, an
+  ``AssertionError`` is ``safety: <msg>``, and anything else is
+  ``crash: <type>: <msg> (at <file>:<line> in <function>)``;
+* GSan's findings, each rendered with its event timeline;
+* the audit's findings (the chaos invariants for workloads, the
+  deadlock check for micro fixtures), counted as rule ``invariant``.
+
+``rules`` keeps GSan's rule names, which shrinking and both corpora
+look up.  A run a sleep set cut short (:class:`SleepBlocked`) is
+redundant, not buggy: it is marked blocked and the oracle skipped.  A
+:class:`ScheduleError` means the choice map does not fit the run,
+which is bad input rather than a finding, so it propagates.
 
 Three families are registered:
 
 * the chaos workloads (``fig2``, ``grep``, ``memcached``, …) — full
-  :class:`~repro.system.System` machines running the same scenario
-  bodies the chaos harness uses, optionally under a seeded
+  :class:`~repro.system.System` machines running the chaos scenario
+  bodies, optionally under a seeded
   :class:`~repro.faults.plan.FaultPlan` so schedules and fault points
   are explored *jointly*;
 * the seeded ordering bugs of :mod:`repro.modelcheck.corpus` — micro
@@ -20,94 +38,149 @@ Three families are registered:
   protocol fixtures with a known schedule-space shape, used to pin
   down explorer behaviour (e.g. that DPOR actually prunes commuting
   reorderings of fully-instrumented, disjoint-slot steps).
-
-The oracle for every branch is the union of GSan's verdict, the chaos
-invariants (for workload scenarios), per-scenario deadlock checks, and
-any model exception the run raised.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+import os
+import traceback
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.core.invocation import SyscallRequest
+from repro.core.syscall_area import SlotState, SyscallArea
 from repro.faults.chaos import (
     DEFAULT_DRAIN_TIMEOUT_NS,
     EXPERIMENTS,
     PROFILES,
+    SCENARIOS,
     check_invariants,
-    run_scenario,
 )
 from repro.faults.plan import FaultInjector, FaultPlan
+from repro.machine import small_machine
+from repro.memory.system import MemorySystem
+from repro.modelcheck.schedule import ScheduleError, SleepBlocked
+from repro.oskernel.process import OsProcess
+from repro.oskernel.workqueue import DrainTimeout
 from repro.probes.tracepoints import ProbeRegistry
 from repro.sanitizers.gsan import GSan
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import Process, Simulator, TieBreak
+from repro.system import System
 
 __all__ = [
-    "ModelScenario",
+    "Scenario",
     "ScenarioRun",
+    "Verdict",
     "build_scenario",
+    "build_workload",
+    "micro_run",
     "resolve_plan",
+    "run_cell",
     "scenario_names",
+    "slot_rig",
 ]
 
 
-class ScenarioRun:
-    """One built scenario instance, ready to run under a policy."""
+class ScenarioRun(NamedTuple):
+    """One built scenario instance, ready for :func:`run_cell`."""
 
-    __slots__ = ("sim", "registry", "sanitizer", "_body", "_audit")
-
-    def __init__(
-        self,
-        sim: Simulator,
-        registry: ProbeRegistry,
-        sanitizer: GSan,
-        body: Callable[[], object],
-        audit: Optional[Callable[[], List[str]]] = None,
-    ) -> None:
-        self.sim = sim
-        self.registry = registry
-        self.sanitizer = sanitizer
-        self._body = body
-        self._audit = audit
-
-    def execute(self) -> object:
-        """Run the workload body (may raise model errors)."""
-        return self._body()
-
-    def audit(self) -> List[str]:
-        """Scenario-specific end-state findings beyond GSan's."""
-        return self._audit() if self._audit is not None else []
+    sim: Simulator
+    registry: ProbeRegistry
+    body: Callable[[], object]
+    audit: Optional[Callable[[], List[str]]] = None
 
 
-class ModelScenario:
-    """A named, repeatable scenario recipe."""
+class Scenario(NamedTuple):
+    """A named, repeatable scenario; a seeded bug also names the GSan
+    rule that must catch it.
 
-    __slots__ = ("name", "description", "_build")
+    ``build()`` returns a fresh instance: new machine, virgin clocks.
+    Every machine numbers its own pids, inodes, sockets and kernels, so
+    a build is the same world however many ran before it in the
+    process, and a certificate's streams replay byte-identically.
+    """
 
-    def __init__(
-        self, name: str, description: str, build: Callable[[], ScenarioRun]
-    ) -> None:
-        self.name = name
-        self.description = description
-        self._build = build
-
-    def build(self) -> ScenarioRun:
-        """A fresh instance: new machine, new sanitizer, virgin clocks.
-
-        Every machine numbers its own pids, inodes, sockets and kernels,
-        so a build is the same world however many ran before it in the
-        process, and a certificate's streams replay byte-identically."""
-        return self._build()
+    name: str
+    description: str
+    expected_rule: Optional[str]
+    build: Callable[[], ScenarioRun]
 
 
-def deadlock_audit(procs: Sequence[Process]) -> List[str]:
-    """The micro-scenario liveness oracle: every spawned process must
-    have finished once the heap drained."""
-    return [
-        f"deadlock: process {proc.name!r} never finished"
-        for proc in procs
-        if not proc.finished
-    ]
+@dataclass
+class Verdict:
+    """What :func:`run_cell` found in one run."""
+
+    sanitizer: GSan  # the run's GSan: ``events``, ``violations``
+    blocked: bool
+    violations: List[str]
+    rules: Dict[str, int]
+    result: object  # what the body returned; None if it raised
+
+    @property
+    def ok(self) -> bool:
+        return not self.blocked and not self.violations
+
+
+def run_cell(built: ScenarioRun, tie_break: Optional[TieBreak] = None) -> Verdict:
+    """Run ``built`` under a fresh GSan and judge it (see the module
+    docstring for the vocabulary)."""
+    sanitizer = GSan().install(built.registry)
+    if tie_break is not None:
+        built.sim.tie_break = tie_break
+    violations: List[str] = []
+    result: object = None
+    try:
+        result = built.body()
+    except SleepBlocked:
+        return Verdict(sanitizer, True, [], {}, None)
+    except DrainTimeout as exc:
+        violations.append(f"liveness: {exc}")
+    except AssertionError as exc:
+        violations.append(f"safety: {exc}")
+    except ScheduleError:
+        raise
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        violations.append(
+            f"crash: {type(exc).__name__}: {exc} (at "
+            f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})"
+        )
+    violations += [finding.render() for finding in sanitizer.finish()]
+    rules = sanitizer.rules_hit()
+    audit = built.audit() if built.audit is not None else []
+    if audit:
+        violations += audit
+        rules["invariant"] = len(audit)
+    return Verdict(sanitizer, False, violations, rules, result)
+
+
+def micro_run(
+    sim: Simulator, registry: ProbeRegistry, procs: Sequence[Process]
+) -> ScenarioRun:
+    """A micro fixture's run: the body drains the heap, and the audit
+    (the deadlock check) wants every spawned process finished."""
+
+    def audit() -> List[str]:
+        return [
+            f"deadlock: process {proc.name!r} never finished"
+            for proc in procs
+            if not proc.finished
+        ]
+
+    return ScenarioRun(sim, registry, sim.run, audit)
+
+
+def slot_rig() -> Tuple[Simulator, ProbeRegistry, SyscallArea]:
+    """A bare syscall area on ``small_machine()``, with no GPU or kernel:
+    the micro rig of the GSan corpus's slot-abuse entries, the ordering
+    bugs and ``slot-commute``.  A builder declares any tracepoints of
+    its own on the registry before returning."""
+    sim = Simulator()
+    config = small_machine()
+    registry = ProbeRegistry(sim)
+    area = SyscallArea(sim, config, MemorySystem(sim, config), probes=registry)
+    return sim, registry, area
 
 
 def resolve_plan(
@@ -136,31 +209,24 @@ def resolve_plan(
     return None
 
 
-def _build_workload(name: str, plan: Optional[FaultPlan]) -> ScenarioRun:
-    from repro.system import System
-
+def build_workload(
+    name: str,
+    plan: Optional[FaultPlan] = None,
+    drain_timeout_ns: float = DEFAULT_DRAIN_TIMEOUT_NS,
+) -> Tuple[ScenarioRun, System, Optional[FaultInjector]]:
+    """Chaos scenario ``name`` on a fresh System under ``plan``, bounded
+    by ``drain_timeout_ns``; returns the run, its machine and the
+    plan's injector (None without a plan)."""
     system = System()
-    system.drain_timeout_ns = DEFAULT_DRAIN_TIMEOUT_NS
-    sanitizer = GSan().install(system.probes)
-    if plan is not None:
-        FaultInjector(plan, system.probes)
-
-    def body() -> object:
-        return run_scenario(name, system)
-
-    def audit() -> List[str]:
-        return check_invariants(system)
-
-    return ScenarioRun(system.sim, system.probes, sanitizer, body, audit)
-
-
-def _workload_scenario(name: str, plan: Optional[FaultPlan]) -> ModelScenario:
-    return ModelScenario(
-        name,
-        f"chaos scenario {name!r} on a fresh System"
-        + (" under a seeded fault plan" if plan is not None else ""),
-        lambda: _build_workload(name, plan),
+    system.drain_timeout_ns = drain_timeout_ns
+    injector = FaultInjector(plan, system.probes) if plan is not None else None
+    built = ScenarioRun(
+        system.sim,
+        system.probes,
+        partial(SCENARIOS[name], system),
+        partial(check_invariants, system),
     )
+    return built, system, injector
 
 
 def _build_slot_commute() -> ScenarioRun:
@@ -169,13 +235,7 @@ def _build_slot_commute() -> ScenarioRun:
     # two services tie; each pair commutes (disjoint slot scopes), so
     # DPOR must prune both swapped schedules as sleep-blocked — the
     # positive pruning case the explorer tests pin down.
-    from repro.core.invocation import SyscallRequest
-    from repro.core.syscall_area import SlotState
-    from repro.oskernel.process import OsProcess
-    from repro.sanitizers.corpus import slot_rig
-
     sim, registry, area = slot_rig()
-    sanitizer = GSan().install(registry)
     slots = [area.slot_for(hw_id, 0) for hw_id in (0, 1)]
     requests = [
         SyscallRequest("getrusage", (), False, OsProcess(sim, f"wi{hw_id}"))
@@ -206,22 +266,24 @@ def _build_slot_commute() -> ScenarioRun:
         sim.call_later(5, service(0))
         sim.call_later(5, service(1))
 
-    procs = [sim.process(driver(), name="driver")]
-
-    def audit() -> List[str]:
-        return deadlock_audit(procs)
-
-    return ScenarioRun(sim, registry, sanitizer, sim.run, audit)
+    return micro_run(sim, registry, [sim.process(driver(), name="driver")])
 
 
-MICRO_SCENARIOS: List[ModelScenario] = [
-    ModelScenario(
+MICRO_SCENARIOS: List[Scenario] = [
+    Scenario(
         "slot-commute",
         "correct two-slot protocol whose tied steps all commute: the "
         "DPOR positive-pruning case",
+        None,
         _build_slot_commute,
     ),
 ]
+
+
+def _micro_scenarios() -> List[Scenario]:
+    from repro.modelcheck.corpus import ORDERING_BUGS
+
+    return MICRO_SCENARIOS + ORDERING_BUGS
 
 
 def build_scenario(
@@ -229,19 +291,19 @@ def build_scenario(
     profile: Optional[str] = None,
     plan: Union[FaultPlan, dict, None] = None,
     seed: int = 0,
-) -> ModelScenario:
+) -> Scenario:
     """Resolve a scenario by name: a chaos workload, a corpus bug, or a
     micro structure scenario."""
     resolved = resolve_plan(profile=profile, plan=plan, seed=seed)
     if name in EXPERIMENTS:
-        return _workload_scenario(name, resolved)
-    from repro.modelcheck.corpus import ORDERING_BUGS
-
-    micro = list(MICRO_SCENARIOS) + [
-        ModelScenario(bug.name, bug.description, bug.build)
-        for bug in ORDERING_BUGS
-    ]
-    for scenario in micro:
+        return Scenario(
+            name,
+            f"chaos scenario {name!r} on a fresh System"
+            + (" under a seeded fault plan" if resolved is not None else ""),
+            None,
+            lambda: build_workload(name, resolved)[0],
+        )
+    for scenario in _micro_scenarios():
         if scenario.name == name:
             if resolved is not None:
                 raise ValueError(
@@ -255,10 +317,4 @@ def build_scenario(
 
 
 def scenario_names() -> List[str]:
-    from repro.modelcheck.corpus import ORDERING_BUGS
-
-    return (
-        list(EXPERIMENTS)
-        + [scenario.name for scenario in MICRO_SCENARIOS]
-        + [bug.name for bug in ORDERING_BUGS]
-    )
+    return list(EXPERIMENTS) + [scenario.name for scenario in _micro_scenarios()]

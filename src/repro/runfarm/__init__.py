@@ -196,41 +196,18 @@ def run_frontier(
 # -- chaos-matrix farming --------------------------------------------------
 
 
-def _chaos_cell(
-    experiment: str, seed: int, intensity: float, gsan: bool = False
-) -> dict:
+def _chaos_cell(experiment: str, seed: int, intensity: float) -> dict:
     """One chaos matrix cell, returned as a plain dict (JSON/pickle
-    friendly across the process boundary).
-
-    With ``gsan=True`` the cell runs under a fresh GSan per built
-    System; the report grows a ``gsan`` section and any race the
-    sanitizer finds fails the cell.
-    """
+    friendly across the process boundary)."""
     from repro.faults import chaos
 
-    if not gsan:
-        return chaos.run_one(experiment, seed, intensity=intensity).as_dict()
-
-    from repro.probes.tracepoints import attached
-    from repro.sanitizers.gsan import GSanPlan
-
-    with attached(GSanPlan()) as (plan,):
-        report = chaos.run_one(experiment, seed, intensity=intensity).as_dict()
-    findings = [str(violation) for violation in plan.finish()]
-    report["gsan"] = {"events": plan.events, "violations": findings}
-    if findings:
-        report["ok"] = False
-        report["violations"] = list(report["violations"]) + [
-            f"gsan: {finding}" for finding in findings
-        ]
-    return report
+    return chaos.run_one(experiment, seed, intensity=intensity).as_dict()
 
 
 def chaos_matrix_jobs(
     experiments: Sequence[str],
     seeds: Sequence[int],
     intensity: float = 1.0,
-    gsan: bool = False,
 ) -> List[Job]:
     """The chaos matrix as farm jobs.
 
@@ -245,7 +222,6 @@ def chaos_matrix_jobs(
                 "experiment": experiment,
                 "seed": seed,
                 "intensity": intensity,
-                "gsan": gsan,
             },
         )
         for experiment in experiments
@@ -258,12 +234,11 @@ def run_chaos_matrix(
     seeds: Sequence[int],
     workers: int = 1,
     intensity: float = 1.0,
-    gsan: bool = False,
 ) -> List[Tuple[tuple, dict]]:
     """Farmed equivalent of ``repro.faults.chaos.run_matrix`` (reports
     as dicts, sorted by (experiment, seed))."""
     return run_jobs(
-        chaos_matrix_jobs(experiments, seeds, intensity=intensity, gsan=gsan),
+        chaos_matrix_jobs(experiments, seeds, intensity=intensity),
         workers=workers,
     )
 

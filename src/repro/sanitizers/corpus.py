@@ -1,13 +1,17 @@
 """The seeded violation corpus: known-bad runs GSan must catch.
 
 A sanitizer that never fires is indistinguishable from one that does
-not work.  Each entry here constructs one *specific, deterministic*
+not work.  Each entry here builds one *specific, deterministic*
 protocol or ordering bug — via a ``repro.faults`` plan with the
 watchdog disabled (so nothing recovers), via direct slot-protocol
 abuse, or via a hand-reordered (replayed) event stream that a live
-simulator could never emit — and declares the GSan rule that must
-flag it.  ``run_corpus()`` executes every entry and reports which
-were detected; the CI step fails if any seeded bug slips through.
+simulator could never emit, fired through an idle machine's
+tracepoints — and declares the GSan rule that must flag it.  An entry
+is a :class:`~repro.modelcheck.scenarios.Scenario` whose builder
+installs no sanitizer: ``run_corpus()`` judges every entry in the one
+checked-run cell (:func:`~repro.modelcheck.scenarios.run_cell`) and
+reports which were detected; the CI step fails if any seeded bug
+slips through.
 
 The three fault-plan entries mirror the chaos profiles' fault sites
 (wedged slots, killed workers, dropped IRQs) with recovery switched
@@ -17,63 +21,38 @@ without the watchdog, produce diagnosable violations.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core.invocation import Granularity, SyscallRequest, WaitMode
-from repro.core.syscall_area import Slot, SlotState, SlotStateError, SyscallArea
+from repro.core.syscall_area import Slot, SlotState
 from repro.faults import FaultInjector, FaultPlan
-from repro.machine import small_machine
-from repro.memory.system import MemorySystem
-from repro.oskernel.process import OsProcess
-from repro.oskernel.workqueue import DrainTimeout
 from repro.gpu.hierarchy import WorkItemCtx
-from repro.probes.tracepoints import ProbeRegistry
-from repro.sanitizers.gsan import GSan
-from repro.sim.engine import SimulationError, Simulator
+from repro.machine import small_machine
+from repro.modelcheck.scenarios import Scenario, ScenarioRun, Verdict, run_cell, slot_rig
+from repro.oskernel.process import OsProcess
 from repro.system import System
-
-
-class CorpusEntry:
-    """One seeded bug and the rule that must catch it."""
-
-    __slots__ = ("name", "description", "expected_rule", "_run")
-
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        expected_rule: str,
-        run: Callable[[], GSan],
-    ) -> None:
-        self.name = name
-        self.description = description
-        self.expected_rule = expected_rule
-        self._run = run
-
-    def run(self) -> GSan:
-        """Execute the entry; returns the (finished) sanitizer."""
-        return self._run()
 
 
 class CorpusResult:
     """Outcome of one corpus entry."""
 
-    __slots__ = ("entry", "sanitizer", "detected")
+    __slots__ = ("entry", "verdict", "detected")
 
-    def __init__(self, entry: CorpusEntry, sanitizer: GSan) -> None:
+    def __init__(self, entry: Scenario, verdict: Verdict) -> None:
         self.entry = entry
-        self.sanitizer = sanitizer
-        self.detected = entry.expected_rule in sanitizer.rules_hit()
+        self.verdict = verdict
+        self.detected = entry.expected_rule in verdict.rules
 
     def render(self) -> str:
         status = "DETECTED" if self.detected else "MISSED"
         lines = [
             f"[{status}] {self.entry.name}: {self.entry.description}",
             f"  expected rule: {self.entry.expected_rule}; "
-            f"rules hit: {self.sanitizer.rules_hit() or '{}'}",
+            f"rules hit: {self.verdict.rules or '{}'}",
         ]
-        for violation in self.sanitizer.violations:
+        for violation in self.verdict.sanitizer.violations:
             if violation.rule == self.entry.expected_rule:
                 lines.append(violation.render())
                 break
@@ -83,7 +62,7 @@ class CorpusResult:
 # -- fault-plan entries (live runs with recovery disabled) -----------------
 
 
-def _run_faulted(plan: FaultPlan, wait: WaitMode = WaitMode.HALT_RESUME) -> GSan:
+def _faulted(plan: FaultPlan) -> ScenarioRun:
     """One blocking getrusage under ``plan`` with the watchdog off.
 
     The fault wedges the pipeline, so the run ends in a deadlock or a
@@ -91,43 +70,38 @@ def _run_faulted(plan: FaultPlan, wait: WaitMode = WaitMode.HALT_RESUME) -> GSan
     then names what was lost.
     """
     system = System(config=small_machine())
-    sanitizer = GSan().install(system.probes)
     FaultInjector(plan, system.probes)
     system.drain_timeout_ns = 2_000_000.0
 
     def kern(ctx: WorkItemCtx) -> Generator:
         yield from ctx.sys.getrusage(
-            granularity=Granularity.WORK_ITEM, blocking=True, wait=wait
+            granularity=Granularity.WORK_ITEM, blocking=True, wait=WaitMode.HALT_RESUME
         )
 
-    try:
-        system.run_kernel(kern, 1, 1, name="corpus")
-    except (DrainTimeout, SimulationError):
-        pass
-    sanitizer.finish()
-    return sanitizer
+    body = partial(system.run_kernel, kern, 1, 1, name="corpus")
+    return ScenarioRun(system.sim, system.probes, body)
 
 
-def _wedged_slot() -> GSan:
+def _wedged_slot() -> ScenarioRun:
     # The worker wedges the slot in PROCESSING and never finishes it;
     # with no watchdog, the invocation's completion is lost for good.
-    return _run_faulted(
+    return _faulted(
         FaultPlan(seed=3, slot_wedge=1.0, watchdog_period_ns=0.0, max_faults=1)
     )
 
 
-def _killed_worker() -> GSan:
+def _killed_worker() -> ScenarioRun:
     # The worker dies at pickup holding the scan task; nothing respawns
     # it, so the task (and the syscall riding it) is lost.
-    return _run_faulted(
+    return _faulted(
         FaultPlan(seed=5, worker_kill=1.0, watchdog_period_ns=0.0, max_faults=1)
     )
 
 
-def _dropped_irq() -> GSan:
+def _dropped_irq() -> ScenarioRun:
     # The doorbell is dropped before the top half; no scan is ever
     # enqueued and the halted wavefront sleeps forever.
-    return _run_faulted(
+    return _faulted(
         FaultPlan(seed=7, irq_drop=1.0, watchdog_period_ns=0.0, max_faults=1)
     )
 
@@ -135,34 +109,19 @@ def _dropped_irq() -> GSan:
 # -- direct slot-protocol abuse --------------------------------------------
 
 
-def slot_rig() -> Tuple[Simulator, ProbeRegistry, SyscallArea]:
-    """A bare syscall area on ``small_machine()``, with no GPU, kernel
-    or sanitizer: the micro rig of the slot-abuse entries, the ordering
-    bugs and the model checker's ``slot-commute`` scenario.  Callers
-    install GSan themselves, after declaring any tracepoints of their
-    own."""
-    sim = Simulator()
-    config = small_machine()
-    registry = ProbeRegistry(sim)
-    area = SyscallArea(sim, config, MemorySystem(sim, config), probes=registry)
-    return sim, registry, area
-
-
-def _abuse_slot(abuse: Callable[[Slot], None]) -> GSan:
-    """Claim and publish one slot on the bare rig under GSan, then run
-    ``abuse`` on it; the slot protocol may refuse the abuse."""
+def _abuse_slot(abuse: Callable[[Slot], None]) -> ScenarioRun:
+    """Claim and publish one slot on the bare rig, then run ``abuse`` on
+    it; the slot protocol may refuse the abuse."""
     sim, registry, area = slot_rig()
-    sanitizer = GSan().install(registry)
-    slot = area.slot_for(0, 0)
-    assert slot.try_claim()
-    slot.populate(SyscallRequest("getrusage", (), True, OsProcess(sim, "p")))
-    slot.set_ready()
-    try:
+
+    def body() -> None:
+        slot = area.slot_for(0, 0)
+        assert slot.try_claim()
+        slot.populate(SyscallRequest("getrusage", (), True, OsProcess(sim, "p")))
+        slot.set_ready()
         abuse(slot)
-    except SlotStateError:
-        pass
-    sanitizer.finish()
-    return sanitizer
+
+    return ScenarioRun(sim, registry, body)
 
 
 def _finish_twice(slot: Slot) -> None:
@@ -182,13 +141,14 @@ def _gpu_starts_processing(slot: Slot) -> None:
 # -- replayed (hand-reordered) event streams -------------------------------
 
 
-def _replay(events: Tuple[Tuple[Any, ...], ...]) -> GSan:
-    """Feed a hand-reordered event stream to a detached GSan."""
-    sanitizer = GSan()
-    for event in events:
-        sanitizer.feed(*event)
-    sanitizer.finish()
-    return sanitizer
+def _replay(events: Tuple[Tuple[Any, ...], ...]) -> ScenarioRun:
+    """Fire a hand-reordered event stream, each event at its own
+    timestamp, through the tracepoints of an idle machine."""
+    system = System(config=small_machine())
+    for name, t, *values in events:
+        tracepoint = system.probes.tracepoints[name]
+        system.sim.call_at(t, partial(tracepoint.fire, *values))
+    return ScenarioRun(system.sim, system.probes, system.sim.run)
 
 
 # A reordered stream in which the CPU reads a slot payload the GPU
@@ -240,68 +200,68 @@ _FORFEIT_WITHOUT_REQUEUE = (
 )
 
 
-ENTRIES: List[CorpusEntry] = [
-    CorpusEntry(
+ENTRIES: List[Scenario] = [
+    Scenario(
         "wedged-slot",
         "slot_wedge fault, watchdog off: the invocation's completion is lost",
         "lost-completion",
         _wedged_slot,
     ),
-    CorpusEntry(
+    Scenario(
         "wedged-slot-leak",
         "same wedge, end-of-run audit: the slot never returns to FREE",
         "slot-leak",
         _wedged_slot,
     ),
-    CorpusEntry(
+    Scenario(
         "killed-worker",
         "worker_kill fault, watchdog off: the picked-up scan task is lost",
         "task-lost",
         _killed_worker,
     ),
-    CorpusEntry(
+    Scenario(
         "dropped-irq",
         "irq_drop fault, watchdog off: the halted wavefront never wakes",
         "lost-wakeup",
         _dropped_irq,
     ),
-    CorpusEntry(
+    Scenario(
         "double-finish",
         "a worker finishes the same slot twice (double release)",
         "protocol-error",
         partial(_abuse_slot, _finish_twice),
     ),
-    CorpusEntry(
+    Scenario(
         "wrong-agent",
         "the GPU drives the CPU-owned READY -> PROCESSING edge",
         "wrong-agent",
         partial(_abuse_slot, _gpu_starts_processing),
     ),
-    CorpusEntry(
+    Scenario(
         "dispatch-before-submit",
         "replayed stream: CPU reads the payload before READY is published",
         "acquire-before-release",
         partial(_replay, _DISPATCH_BEFORE_SUBMIT),
     ),
-    CorpusEntry(
+    Scenario(
         "duplicate-completion",
         "replayed stream: the same invocation completes twice",
         "duplicate-completion",
         partial(_replay, _DUPLICATE_COMPLETION),
     ),
-    CorpusEntry(
+    Scenario(
         "reuse-before-free",
         "replayed stream: GPU re-claims a slot still in PROCESSING",
         "slot-state",
         partial(_replay, _REUSE_BEFORE_FREE),
     ),
-    CorpusEntry(
+    Scenario(
         "double-dequeue",
         "replayed stream: two pickups of one task without a requeue",
         "wq-lifecycle",
         partial(_replay, _DOUBLE_DEQUEUE),
     ),
-    CorpusEntry(
+    Scenario(
         "forfeit-without-requeue",
         "replayed stream: a forfeit with no superseding epoch bump",
         "wq-lifecycle",
@@ -315,12 +275,10 @@ def run_corpus(names: Optional[List[str]] = None) -> List[CorpusResult]:
     selected = ENTRIES if names is None else [
         entry for entry in ENTRIES if entry.name in names
     ]
-    return [CorpusResult(entry, entry.run()) for entry in selected]
+    return [CorpusResult(entry, run_cell(entry.build())) for entry in selected]
 
 
 def distinct_rules() -> Dict[str, int]:
-    """How many entries target each rule (the issue demands >= 6)."""
-    counts: Dict[str, int] = {}
-    for entry in ENTRIES:
-        counts[entry.expected_rule] = counts.get(entry.expected_rule, 0) + 1
+    """How many entries target each rule (the corpus keeps at least 6)."""
+    counts = Counter(entry.expected_rule for entry in ENTRIES if entry.expected_rule)
     return dict(sorted(counts.items()))

@@ -33,10 +33,11 @@ from repro.faults import (
     check_invariants,
     recovery_stats,
     run_one,
-    run_scenario,
 )
 from repro.machine import small_machine
 from repro.metrics import MetricsHubPlan
+from repro.modelcheck import Bounds, explore, run_schedule
+from repro.modelcheck.scenarios import build_workload
 from repro.oskernel.workqueue import WorkQueue
 from repro.probes import attached, policy
 from repro.probes.tracepoints import StreamRecorder
@@ -83,14 +84,13 @@ class TestChaosMatrix:
 
 
 def _traced_run(experiment, seed):
-    plan = PROFILES[experiment].with_seed(seed)
-    system = System()
-    system.drain_timeout_ns = 2_000_000_000.0
-    FaultInjector(plan, system.probes)
-    stream = StreamRecorder(system.probes).attach(
+    built, system, _injector = build_workload(
+        experiment, PROFILES[experiment].with_seed(seed)
+    )
+    stream = StreamRecorder(built.registry).attach(
         "fault.*", "recover.*", "slot.protocol_error", "syscall.retry"
     )
-    detail = run_scenario(experiment, system)
+    detail = built.body()
     return stream.events, detail, system.now, recovery_stats(system)
 
 
@@ -261,11 +261,11 @@ FAULT_STREAM_PINS = {
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fault_stream_is_pinned(experiment, seed):
-    system = System()
-    system.drain_timeout_ns = 2_000_000_000.0
-    injector = FaultInjector(PROFILES[experiment].with_seed(seed), system.probes)
-    stream = StreamRecorder(system.probes).attach("fault.*", "recover.*")
-    run_scenario(experiment, system)
+    built, _system, injector = build_workload(
+        experiment, PROFILES[experiment].with_seed(seed)
+    )
+    stream = StreamRecorder(built.registry).attach("fault.*", "recover.*")
+    built.body()
     summary = injector.summary()
     digest = hashlib.sha256(repr(stream.events).encode()).hexdigest()
     assert (summary["injected"], summary["by_action"], digest) == (
@@ -427,13 +427,11 @@ class TestScenarioBound:
         # This cell's injected errnos outlast a recvfrom's GPU-side
         # retries; the kernel must re-issue the call, not unpack an errno.
         plan = PROFILES["memcached"].with_seed(48).scaled(4.3)
-        system = System()
-        system.drain_timeout_ns = 2_000_000_000.0
-        FaultInjector(plan, system.probes)
-        stream = StreamRecorder(system.probes).attach("syscall.claim", "syscall.retry")
-        detail = run_scenario("memcached", system)
+        built, _system, _injector = build_workload("memcached", plan)
+        stream = StreamRecorder(built.registry).attach("syscall.claim", "syscall.retry")
+        detail = built.body()
         assert detail["replies"] == detail["requests"] == 24
-        assert check_invariants(system) == []
+        assert built.audit() == []
         recvfroms = [name for _t, name, args in stream.events if args[1] == "recvfrom"]
         # One claim per request and one per GPU-side retry, and more.
         claims = recvfroms.count("syscall.claim")
@@ -447,6 +445,43 @@ class TestScenarioBound:
         assert report.violations[0].startswith(
             "liveness: memcached-genesys: still running at the 5000000ns bound"
         )
+
+
+# -- one oracle -----------------------------------------------------------------
+
+
+class TestOneCell:
+    """``chaos`` and ``explore`` judge a run through the same cell, so
+    the same run gets the same verdict from both."""
+
+    def test_invented_grep_match_is_safety_under_chaos_and_explore(self, monkeypatch):
+        from repro.workloads.grepwl import GrepWorkload
+
+        original = GrepWorkload.__init__
+
+        def forget_first_match(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            del self.expected_matches[0]
+
+        monkeypatch.setattr(GrepWorkload, "__init__", forget_first_match)
+        invented = "safety: invented matches ['/data/grep/file0000.txt']"
+        assert invented in run_one("grep", 1).violations
+        result = run_schedule("grep", (), profile="grep", seed=1)
+        assert not result["ok"]
+        assert invented in result["violations"]
+
+    def test_scenario_crash_is_a_violating_schedule(self, monkeypatch):
+        from repro.workloads.grepwl import GrepWorkload
+
+        def broken(self, *args, **kwargs):
+            raise TypeError("broken kernel")
+
+        monkeypatch.setattr(GrepWorkload, "run_genesys", broken)
+        report = explore("grep", profile="grep", seed=1, bounds=Bounds(max_schedules=4))
+        assert report.violating
+        first = report.violating[0]["violations"][0]
+        assert first.startswith("crash: TypeError: broken kernel (at test_chaos.py:")
+        assert run_one("grep", 1).violations[0] == first
 
 
 # -- plan hygiene -------------------------------------------------------------

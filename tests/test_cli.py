@@ -125,6 +125,35 @@ def test_bad_input_exits_2(capsys, argv, bad):
     assert "Traceback" not in err
 
 
+#: Certificates a replay must refuse, each beside the fragment its
+#: error line names: ``(fields over a valid certificate, fragment)``.
+BAD_CERTIFICATES = [
+    ({"scenario": "nope"}, "unknown scenario 'nope'"),
+    ({"choices": [[0, 99]]}, "rank 99"),
+    ({"choices": "abc"}, "'abc'"),
+    ({"scenario": "fig2", "plan": {"irq_drop": 5.0}}, "irq_drop=5.0"),
+    ({"plan": {"seed": 1}}, "takes no fault plan"),
+    ({"seed": "1"}, "seed must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, bad", BAD_CERTIFICATES, ids=[bad for _, bad in BAD_CERTIFICATES]
+)
+def test_malformed_certificate_exits_2(tmp_path, capsys, fields, bad):
+    from repro.modelcheck.certificate import make_certificate, save_certificate
+
+    cert = make_certificate("ready-publish-race", [(1, 1)])
+    cert.update(fields)
+    path = tmp_path / "cert.json"
+    save_certificate(cert, str(path))
+    code, _out, err = run_cli(capsys, "replay", str(path))
+    assert code == 2, err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors and str(path) in errors[0] and bad in errors[0], err
+    assert "Traceback" not in err
+
+
 def test_zero_tolerances_stay_legal(capsys):
     code, out, _err = run_cli(
         capsys, "gate", "fig2", "--dir", LATENCY_DIR,

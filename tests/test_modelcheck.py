@@ -134,7 +134,7 @@ class TestEffects:
     def test_collector_attributes_scopes_and_neutral_gauges(self):
         built = build_scenario("slot-commute").build()
         collector = EffectCollector().install(built.registry)
-        built.execute()
+        built.body()
         fired, unscoped, scopes = collector.take()
         assert fired
         # slot.occupancy fired (a neutral gauge) but did not poison the

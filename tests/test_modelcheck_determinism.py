@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.modelcheck.explore import run_schedule
-from repro.modelcheck.scenarios import build_scenario
+from repro.modelcheck.scenarios import build_scenario, run_cell
 from repro.modelcheck.schedule import GuidedTieBreak
 from repro.probes.tracepoints import StreamRecorder
 
@@ -27,16 +27,13 @@ def guided_stream(name, choices, seed):
     (stream, canonical result JSON)."""
     built = build_scenario(name, profile=name, seed=seed).build()
     recorder = StreamRecorder(built.registry).attach("*")
-    built.sim.tie_break = GuidedTieBreak(choices=dict(choices))
-    built.execute()
-    violations = [v.render() for v in built.sanitizer.finish()]
-    verdict = {
-        "violations": violations,
-        "rules": built.sanitizer.rules_hit(),
-        "audit": built.audit(),
-        "events": built.sanitizer.events,
+    verdict = run_cell(built, tie_break=GuidedTieBreak(choices=dict(choices)))
+    doc = {
+        "violations": verdict.violations,
+        "rules": verdict.rules,
+        "events": verdict.sanitizer.events,
     }
-    return recorder.events, json.dumps(verdict, sort_keys=True)
+    return recorder.events, json.dumps(doc, sort_keys=True)
 
 
 class TestCertificateReplayDeterminism:

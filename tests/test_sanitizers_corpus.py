@@ -7,17 +7,18 @@ diagnostic.
 
 import pytest
 
+from repro.modelcheck.scenarios import run_cell
 from repro.sanitizers.corpus import ENTRIES, distinct_rules, run_corpus
 
 
 class TestCorpusDetection:
     @pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
     def test_every_seeded_bug_is_detected(self, entry):
-        sanitizer = entry.run()
-        assert entry.expected_rule in sanitizer.rules_hit(), (
-            f"{entry.name}: expected {entry.expected_rule}, "
-            f"hit {sanitizer.rules_hit()}"
+        verdict = run_cell(entry.build())
+        assert entry.expected_rule in verdict.rules, (
+            f"{entry.name}: expected {entry.expected_rule}, hit {verdict.rules}"
         )
+        assert not verdict.ok
 
     def test_at_least_six_distinct_bug_classes(self):
         rules = distinct_rules()
@@ -43,7 +44,7 @@ class TestCorpusDetection:
         assert result.detected
         violation = next(
             v
-            for v in result.sanitizer.violations
+            for v in result.verdict.sanitizer.violations
             if v.rule == result.entry.expected_rule
         )
         assert violation.timeline, "violation carries no event timeline"

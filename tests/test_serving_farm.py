@@ -111,8 +111,7 @@ def test_serving_chaos_liveness_and_safety(seed):
 
 
 def test_serving_chaos_gsan_clean():
-    cell = _chaos_cell("serving", 7, 1.0, gsan=True)
+    cell = _chaos_cell("serving", 7, 1.0)
     assert cell["ok"], cell["violations"]
     assert cell["injected"] > 0
-    assert cell["gsan"]["events"] > 0
-    assert cell["gsan"]["violations"] == []
+    assert cell["gsan_events"] > 0
