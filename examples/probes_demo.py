@@ -2,12 +2,14 @@
 """Probes demo: eBPF-style tracepoints and policy hooks on a live run.
 
 Runs the same GPU-pread workload twice.  The first run attaches
-observer programs — per-syscall counters, a log2 latency histogram over
-``syscall.complete``, an IRQ rate meter — and prints the metrics
-snapshot.  The second run attaches a *policy* program that widens the
-interrupt-coalescing window through the ``coalesce.window`` hook (the
-decision point the ``/sys/genesys/coalescing_window_ns`` knob also
-feeds) and shows the effect on interrupt/bundle counts.
+observers — per-syscall counters, a log2 latency histogram over
+``syscall.complete``, an IRQ rate, each a metrics hub over the rows
+``probe_specs`` makes, as ``--attach counter|hist|rate`` does — and
+prints the metrics snapshot.  The second run attaches a *policy*
+program that widens the interrupt-coalescing window through the
+``coalesce.window`` hook (the decision point the
+``/sys/genesys/coalescing_window_ns`` knob also feeds) and shows the
+effect on interrupt/bundle counts.
 
 Run:  python examples/probes_demo.py
 """
@@ -15,13 +17,8 @@ Run:  python examples/probes_demo.py
 import json
 
 from repro.core.coalescing import CoalescingConfig
-from repro.probes import (
-    CounterProbe,
-    LatencyHistogram,
-    RateMeter,
-    fixed,
-    metrics_snapshot,
-)
+from repro.metrics import MetricsHub, probe_specs
+from repro.probes import fixed, metrics_snapshot
 from repro.system import System
 
 NUM_WORKITEMS = 64
@@ -59,12 +56,16 @@ def observe() -> None:
     system = build_system()
     reg = system.probes
 
-    # Counters on every syscall-path tracepoint, keyed where useful.
-    reg.attach("syscall.dispatch", CounterProbe(reg, key_arg=0))
-    reg.attach("syscall.complete", LatencyHistogram(reg, value_arg=2))
-    reg.attach("irq.raised", RateMeter(reg, bin_ns=10_000.0))
-    reg.attach("fs.pagecache.hit", CounterProbe(reg))
-    reg.attach("fs.pagecache.miss", CounterProbe(reg))
+    # (label, kind, tracepoint pattern, argument): dispatches per syscall
+    # name, the service-time histogram, the IRQ rate, page-cache counts.
+    for label, kind, pattern, arg in (
+        ("calls", "counter", "syscall.dispatch", 0),
+        ("latency", "hist", "syscall.complete", 2),
+        ("irqs", "rate", "irq.raised", None),
+        ("pagecache", "counter", "fs.pagecache.*", None),
+    ):
+        rows = probe_specs(reg, kind, pattern, arg)
+        MetricsHub(label=label, catalog=rows).install(reg)
 
     elapsed = run_workload(system)
     print(f"elapsed: {elapsed:.0f} ns simulated")
@@ -75,8 +76,9 @@ def observe() -> None:
         if info["hits"]
     }
     print(f"tracepoints that fired: {fired}")
-    print("attached programs:")
-    print(json.dumps(snapshot["programs"], indent=2))
+    print("whole-run aggregates per hub:")
+    lifetimes = {hub["label"]: hub["lifetime"] for hub in snapshot["programs"]}
+    print(json.dumps(lifetimes, indent=2))
 
 
 def steer() -> None:

@@ -30,13 +30,20 @@ Attach specs (``--attach``, repeatable)::
     counter:PATTERN[:key=N]   count fires; PATTERN is a name, prefix*
                               glob, or *; key=N also counts per value
                               of fire argument N
-    hist:NAME[:value=N]       log2 latency histogram over argument N
-                              (default 0) of tracepoint NAME
-    rate:NAME[:bin_ns]        fires/second time series in bin_ns bins
+    hist:PATTERN[:value=N]    log2 histogram over fire argument N
+                              (default 0); fires with no number there
+                              are skipped
+    rate:PATTERN[:bin_ns]     fires/second in bin_ns windows (default
+                              10000)
     spans                     per-invocation span tracer; prints the
                               span report (--spans-json, --tef)
     metrics[:window_us]       windowed metrics hub; prints the final
                               gtop frame (--hub-json, --prom, --csv)
+
+``counter``, ``hist`` and ``rate`` each install one metrics hub, labelled
+with the spec, whose rows :func:`repro.metrics.collectors.probe_specs`
+makes: one per matching tracepoint.  An argument index a matched
+tracepoint does not have is bad input.
 
 ``--policy coalesce.window=20000`` pins a policy hook to a constant,
 the command-line twin of writing ``/sys/genesys/coalesce_window_ns``.
@@ -68,6 +75,7 @@ from typing import (
 
 from repro import experiments
 from repro.faults.chaos import PROFILES
+from repro.metrics.collectors import probe_specs
 from repro.metrics.export import csv_text, prometheus_text, series_payload
 from repro.metrics.gtop import GtopRenderer, render_frame, series_lines
 from repro.metrics.hub import DEFAULT_WINDOW_NS, MetricsHub, MetricsHubPlan
@@ -83,9 +91,8 @@ from repro.modelcheck.corpus import check_corpus
 from repro.modelcheck.explore import Bounds, explore
 from repro.modelcheck.scenarios import build_scenario, resolve_plan, scenario_names
 from repro.modelcheck.schedule import ScheduleError
-from repro.probes.exporters import metrics_snapshot
+from repro.probes.exporters import SNAPSHOT_SCHEMA, metrics_snapshot
 from repro.probes.policy import fixed
-from repro.probes.programs import CounterProbe, LatencyHistogram, RateMeter
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.runfarm import default_workers, merge_reports, run_chaos_matrix, shard
 from repro.sanitizers.corpus import ENTRIES, distinct_rules, run_corpus
@@ -282,8 +289,9 @@ class AttachPlan:
 
     Each System built under ``with attached(plan):`` gets all of them in
     command-line order; the plan keeps each registry for the report.
-    A spec naming an unknown tracepoint or hook raises
-    :class:`UsageError` at the first System, before it runs.
+    A spec naming an unknown tracepoint or hook, or an argument index
+    past a tracepoint's arguments, raises :class:`UsageError` at the
+    first System, before it runs.
     """
 
     def __init__(
@@ -309,7 +317,7 @@ class AttachPlan:
         for spec in self.specs:
             try:
                 self._attach(registry, spec)
-            except KeyError as err:
+            except (KeyError, ValueError) as err:
                 raise UsageError(f"--attach {spec.text!r}: {err.args[0]}") from None
         for hook, value in self.policies:
             try:
@@ -322,17 +330,12 @@ class AttachPlan:
             SpanTracer(registry).install()
         elif spec.kind == "metrics":
             self.hub_plans[spec](registry)
-        elif spec.kind == "counter":
-            key_arg = None if spec.number is None else int(spec.number)
-            # A glob that matches nothing is refused like an unknown name.
-            for tp in registry.match(spec.target) or [registry.get(spec.target)]:
-                registry.attach(tp.name, CounterProbe(registry, key_arg=key_arg))
-        elif spec.kind == "hist":
-            value_arg = int(spec.number or 0)
-            registry.attach(spec.target, LatencyHistogram(registry, value_arg=value_arg))
         else:
-            bin_ns = spec.number or 10_000.0
-            registry.attach(spec.target, RateMeter(registry, bin_ns=bin_ns))
+            rate = spec.kind == "rate"
+            arg = None if rate or spec.number is None else int(spec.number)
+            rows = probe_specs(registry, spec.kind, spec.target, arg)
+            window_ns = (spec.number if rate else None) or DEFAULT_WINDOW_NS
+            MetricsHub(window_ns, spec.text, catalog=rows).install(registry)
 
     @property
     def hubs(self) -> List[MetricsHub]:
@@ -390,7 +393,7 @@ def _report(args: Args, plan: AttachPlan, title: str) -> None:
         print("\n".join(lines))
     if args.probes_json:
         snapshot = {
-            "schema": 1,
+            "schema": SNAPSHOT_SCHEMA,
             "experiment": title,
             "num_systems": len(plan.registries),
             "systems": [metrics_snapshot(r, experiment=title) for r in plan.registries],
@@ -950,8 +953,8 @@ def _workers(default: int) -> Group:
 def _attach(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attach", type=attach_spec, action="append", default=[],
                    metavar="SPEC",
-                   help="counter:PATTERN[:key=N] | hist:NAME[:value=N] | "
-                        "rate:NAME[:bin_ns] | spans | metrics[:window_us]")
+                   help="counter:PATTERN[:key=N] | hist:PATTERN[:value=N] | "
+                        "rate:PATTERN[:bin_ns] | spans | metrics[:window_us]")
 
 
 def _policy(p: argparse.ArgumentParser) -> None:

@@ -1,11 +1,14 @@
 """repro.metrics — sim-time-windowed telemetry riding the tracepoint stream.
 
-The observability stack's whole-run aggregates (probe snapshots, span
-percentiles) answer *how much*; this package answers *when*.  A
-:class:`~repro.metrics.hub.MetricsHub` attaches pure observers to the
-machine's tracepoints and folds every fire into fixed-window series —
-rates, EWMA, log2 histograms with windowed percentiles, gauges, and
-time-weighted utilization levels — indexed by simulated time.
+A :class:`~repro.metrics.hub.MetricsHub` attaches pure observers to
+the machine's tracepoints and folds every fire into fixed-window series
+— rates, log2 histograms with windowed percentiles, gauges, ratios and
+time-weighted utilization levels — indexed by simulated time, next to
+whole-run aggregates (counter totals and per-key counts, a lifetime
+log2 histogram).  A hub carries the catalog its caller reads: the full
+:data:`~repro.metrics.collectors.CATALOG` for ``--attach metrics``, the
+three QoS sensor rows, or the rows :func:`probe_specs` makes for one
+``--attach counter|hist|rate`` spec.
 
 Everything here honours the probes determinism contract: observers are
 synchronous, get no simulator handle, and never mutate simulated state;
@@ -20,6 +23,7 @@ per-window time-series; :mod:`repro.metrics.gtop` draws the
 ``python -m repro gtop`` terminal frames.
 """
 
+from repro.metrics.collectors import probe_specs
 from repro.metrics.hub import MetricsHub, MetricsHubPlan, metrics_hubs
 from repro.metrics.series import (
     LevelSeries,
@@ -38,4 +42,5 @@ __all__ = [
     "WindowedLog2Histogram",
     "WindowedRatio",
     "metrics_hubs",
+    "probe_specs",
 ]

@@ -25,6 +25,7 @@ from repro.metrics.series import (
     WindowedLog2Histogram,
     WindowedRatio,
 )
+from repro.probes.tracepoints import ProbeRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metrics.hub import MetricsHub
@@ -38,6 +39,7 @@ __all__ = [
     "RatioFeed",
     "ShareFeed",
     "build_estimator",
+    "probe_specs",
 ]
 
 
@@ -78,12 +80,13 @@ class CountFeed:
             if self.amount_arg is not None
             else 1.0
         )
-        key = args[self.key_arg] if self.key_arg is not None else None
+        key = str(args[self.key_arg]) if self.key_arg is not None else None
         self.metric.add(t_ns, amount, key=key)
 
 
 class ObserveFeed:
-    """Feed ``args[value_arg]`` into a log2 histogram."""
+    """Feed ``args[value_arg]`` into a log2 histogram; a fire whose value
+    there is not a number (a name, ``None``) is skipped."""
 
     __slots__ = ("hub", "metric", "value_arg")
 
@@ -95,7 +98,9 @@ class ObserveFeed:
         self.value_arg = value_arg
 
     def __call__(self, *args: object) -> None:
-        self.metric.observe(self.hub.pulse(), _as_float(args[self.value_arg]))
+        value = args[self.value_arg]
+        if isinstance(value, (int, float)):
+            self.metric.observe(self.hub.pulse(), value)
 
 
 class GaugeFeed:
@@ -200,16 +205,51 @@ class MetricSpec:
 
 def build_estimator(spec: MetricSpec, window_ns: float):
     if spec.kind == "counter":
-        return WindowedCounter(window_ns, name=spec.name)
+        return WindowedCounter(window_ns)
     if spec.kind == "histogram":
-        return WindowedLog2Histogram(window_ns, name=spec.name)
+        return WindowedLog2Histogram(window_ns)
     if spec.kind == "gauge":
-        return WindowedGauge(window_ns, name=spec.name)
+        return WindowedGauge(window_ns)
     if spec.kind == "level":
-        return LevelSeries(window_ns, name=spec.name)
+        return LevelSeries(window_ns)
     if spec.kind == "ratio":
-        return WindowedRatio(window_ns, name=spec.name)
+        return WindowedRatio(window_ns)
     raise ValueError(f"unknown estimator kind {spec.kind!r}")
+
+
+def probe_specs(
+    registry: ProbeRegistry,
+    kind: str,
+    pattern: str,
+    arg: Optional[int] = None,
+) -> Tuple[MetricSpec, ...]:
+    """Catalog rows for one ``--attach counter|hist|rate`` spec: one row
+    per tracepoint of ``registry`` matching ``pattern`` (see
+    :meth:`ProbeRegistry.match`), named after it.
+
+    ``counter`` and ``rate`` give the same ``counter`` row (``arg`` keys
+    its counts); a rate differs only in its hub's window.  ``hist``
+    gives a ``histogram`` row over fire argument ``arg`` (default 0).
+    Raises ``KeyError`` when nothing matches and ``ValueError`` when a
+    matched tracepoint has no argument ``arg``.
+    """
+    estimator, feed, option = (
+        ("histogram", "observe", "value_arg") if kind == "hist"
+        else ("counter", "count", "key_arg")
+    )
+    if kind == "hist" and arg is None:
+        arg = 0
+    tracepoints = registry.match(pattern) or [registry.get(pattern)]
+    for tp in tracepoints:
+        if arg is not None and arg >= len(tp.args):
+            raise ValueError(
+                f"{tp.name} has no argument {arg}; its arguments are "
+                f"({', '.join(tp.args)})"
+            )
+    return tuple(
+        MetricSpec(tp.name, estimator, ((tp.name, feed, {option: arg}),), help=tp.doc)
+        for tp in tracepoints
+    )
 
 
 FEED_KINDS = {

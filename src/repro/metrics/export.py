@@ -69,7 +69,7 @@ def prometheus_text(hub: MetricsHub, experiment: str = "") -> str:
         elif kind == "histogram":
             emit(base + "_count_total", "counter",
                  help_text + " (lifetime observations)",
-                 float(estimator.lifetime_count))  # type: ignore[attr-defined]
+                 float(estimator.lifetime.count))  # type: ignore[attr-defined]
             for q in ("p50", "p95", "p99"):
                 emit(f"{base}_{q}", "gauge",
                      help_text + f" (windowed {q})",

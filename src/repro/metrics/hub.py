@@ -19,7 +19,7 @@ discoverable afterwards through :func:`metrics_hubs`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.collectors import (
     CATALOG,
@@ -40,18 +40,24 @@ DEFAULT_WINDOW_NS = 10_000.0
 
 
 class MetricsHub:
-    """Windowed metric estimators for one System's probe registry."""
+    """Windowed metric estimators for one System's probe registry: one
+    per row of ``catalog`` (by default the full :data:`CATALOG`)."""
 
     trace_process = "metrics"
 
-    def __init__(self, window_ns: float = DEFAULT_WINDOW_NS, label: str = "") -> None:
+    def __init__(
+        self,
+        window_ns: float = DEFAULT_WINDOW_NS,
+        label: str = "",
+        catalog: Sequence[MetricSpec] = CATALOG,
+    ) -> None:
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
         self.window_ns = float(window_ns)
         self.label = label
         self.registry: Optional[ProbeRegistry] = None
         self.metrics: Dict[str, WindowedSeries] = {}
-        self.specs: Dict[str, MetricSpec] = {}
+        self.specs: Dict[str, MetricSpec] = {spec.name: spec for spec in catalog}
         self.ticks = 0
         self._tick_handle: Optional[object] = None
         self._next_boundary = 0.0
@@ -64,12 +70,18 @@ class MetricsHub:
     def install(self, registry: ProbeRegistry) -> "MetricsHub":
         """Attach one feed per catalog source whose tracepoint exists in
         ``registry``; unknown tracepoints are skipped so a hub works on
-        partial rigs (unit-test registries) too."""
+        partial rigs (unit-test registries) too.  A label another hub on
+        ``registry`` already carries gains a ``#2``, ``#3``... suffix."""
         self.registry = registry
-        for spec in CATALOG:
+        taken = {hub.label for hub in metrics_hubs(registry)}
+        label, n = self.label, 1
+        while label in taken:
+            n += 1
+            label = f"{self.label}#{n}"
+        self.label = label
+        for spec in self.specs.values():
             estimator = build_estimator(spec, self.window_ns)
             self.metrics[spec.name] = estimator
-            self.specs[spec.name] = spec
             for tp_name, feed_kind, feed_args in spec.sources:
                 if tp_name not in registry.tracepoints:
                     continue
@@ -161,7 +173,8 @@ class MetricsHub:
         return out
 
     def snapshot(self) -> dict:
-        """Whole-run summary in the probe-program style."""
+        """Whole-run summary for the probes exporter: each metric's
+        last closed window and its lifetime aggregate."""
         self.finalize()
         last: Dict[str, float] = {}
         for name in self.metrics:
@@ -174,6 +187,10 @@ class MetricsHub:
             "ticks": self.ticks,
             "label": self.label,
             "last_window": last,
+            "lifetime": {
+                name: estimator.lifetime_snapshot()
+                for name, estimator in self.metrics.items()
+            },
         }
 
     def trace_tracks(self) -> list:

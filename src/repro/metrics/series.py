@@ -13,21 +13,89 @@ All estimators hold no simulator handle, and all read paths tolerate
 the awkward cases called out in the issue: empty-window reads,
 single-sample percentiles, and zero-duration intervals return zeros
 instead of raising.
+
+:class:`Log2Histogram` is the repo's one log2 histogram: a
+:class:`WindowedLog2Histogram` keeps one per open window and one for
+the whole run.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
-
-from repro.probes.programs import Log2Histogram
 
 __all__ = [
     "LevelSeries",
+    "Log2Histogram",
     "WindowedCounter",
     "WindowedGauge",
     "WindowedLog2Histogram",
     "WindowedRatio",
+    "log2_bucket",
 ]
+
+
+def log2_bucket(value: float) -> int:
+    """The log2 bucket holding ``value``: ``floor(log2(value))``, with
+    everything below 1.0 in bucket 0."""
+    return int(math.floor(math.log2(value))) if value >= 1.0 else 0
+
+
+class Log2Histogram:
+    """Log2-bucketed value distribution: count, sum, extremes, buckets.
+
+    Bucket *b* holds values in ``[2^b, 2^(b+1))`` (bucket 0 also takes
+    everything below 1.0) — the bpftrace ``hist()`` shape, which stays
+    small at any latency scale.  Percentiles are the holding bucket's
+    upper edge: a conservative bound, exact to within one power of two.
+    """
+
+    __slots__ = ("count", "total", "min", "max", "buckets")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
+        self.buckets: Dict[int, int] = {}
+
+    def add(self, value: float) -> None:
+        self.count += 1
+        self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        bucket = log2_bucket(value)
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def percentile(self, q: float) -> float:
+        """Nearest-rank percentile, ``q`` clamped to [0, 100]; 0.0 when
+        empty, and a single sample answers every ``q`` with its edge."""
+        if not self.count:
+            return 0.0
+        rank = max(1, math.ceil(min(max(q, 0.0), 100.0) / 100.0 * self.count))
+        seen = 0
+        for bucket in sorted(self.buckets):
+            seen += self.buckets[bucket]
+            if seen >= rank:
+                break
+        return float(2 ** (bucket + 1))
+
+    def summary(self) -> Dict[str, float]:
+        """``{count, mean, p50, p95, p99, max}``, all zero when empty."""
+        return {
+            "count": self.count,
+            "mean": self.mean,
+            "p50": self.percentile(50.0),
+            "p95": self.percentile(95.0),
+            "p99": self.percentile(99.0),
+            "max": self.max if self.max is not None else 0.0,
+        }
 
 
 class WindowedSeries:
@@ -43,16 +111,13 @@ class WindowedSeries:
 
     kind = "series"
 
-    def __init__(
-        self, window_ns: float, name: str = "", max_windows: int = 4096
-    ) -> None:
+    #: Closed windows kept per series; older ones are trimmed.
+    MAX_WINDOWS = 4096
+
+    def __init__(self, window_ns: float) -> None:
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
-        if max_windows < 1:
-            raise ValueError(f"max_windows must be >= 1, got {max_windows}")
         self.window_ns = float(window_ns)
-        self.name = name
-        self.max_windows = max_windows
         self.windows: List[Tuple[float, object]] = []
         self._cur_index: Optional[int] = None
 
@@ -75,8 +140,8 @@ class WindowedSeries:
 
     def _append(self, index: int, value: object) -> None:
         self.windows.append((index * self.window_ns, value))
-        if len(self.windows) > self.max_windows:
-            del self.windows[: len(self.windows) - self.max_windows]
+        if len(self.windows) > self.MAX_WINDOWS:
+            del self.windows[: len(self.windows) - self.MAX_WINDOWS]
 
     def _note(self, index: int) -> None:
         """Route a sample timestamped into window ``index``: close the
@@ -90,7 +155,7 @@ class WindowedSeries:
             if gap is not None:
                 # Windows beyond the history bound would be trimmed
                 # straight away; skip materialising them.
-                start = max(cur + 1, index - self.max_windows)
+                start = max(cur + 1, index - self.MAX_WINDOWS)
                 for missed in range(start, index):
                     self._append(missed, gap)
             self._cur_index = index
@@ -101,6 +166,12 @@ class WindowedSeries:
         self._note(index)
 
     # -- reads --------------------------------------------------------------
+
+    def lifetime_snapshot(self) -> dict:
+        """JSON-ready whole-run aggregate; ``{}`` for kinds that keep
+        none (gauges, ratios, levels).  Counters and histograms
+        override."""
+        return {}
 
     def closed(self, last: Optional[int] = None) -> List[Tuple[float, object]]:
         if last is None or last >= len(self.windows):
@@ -127,18 +198,13 @@ class WindowedCounter(WindowedSeries):
 
     kind = "counter"
 
-    def __init__(
-        self,
-        window_ns: float,
-        name: str = "",
-        max_windows: int = 4096,
-    ) -> None:
-        super().__init__(window_ns, name=name, max_windows=max_windows)
+    def __init__(self, window_ns: float) -> None:
+        super().__init__(window_ns)
         self._count = 0.0
         self.total = 0.0
-        self.by_key: Dict[object, float] = {}
+        self.by_key: Dict[str, float] = {}
 
-    def add(self, t_ns: float, n: float = 1.0, key: object = None) -> None:
+    def add(self, t_ns: float, n: float = 1.0, key: Optional[str] = None) -> None:
         self._note(self.index_of(t_ns))
         self._count += n
         self.total += n
@@ -151,6 +217,12 @@ class WindowedCounter(WindowedSeries):
 
     def _empty_value(self) -> Optional[object]:
         return 0.0
+
+    def lifetime_snapshot(self) -> dict:
+        out: dict = {"total": self.total}
+        if self.by_key:
+            out["by_key"] = dict(sorted(self.by_key.items()))
+        return out
 
     def rate_of(self, count: float) -> float:
         return count / self.window_ns * 1e9
@@ -185,10 +257,8 @@ class WindowedRatio(WindowedSeries):
 
     kind = "ratio"
 
-    def __init__(
-        self, window_ns: float, name: str = "", max_windows: int = 4096
-    ) -> None:
-        super().__init__(window_ns, name=name, max_windows=max_windows)
+    def __init__(self, window_ns: float) -> None:
+        super().__init__(window_ns)
         self._num = 0.0
         self._den = 0.0
 
@@ -226,10 +296,8 @@ class WindowedGauge(WindowedSeries):
 
     kind = "gauge"
 
-    def __init__(
-        self, window_ns: float, name: str = "", max_windows: int = 4096
-    ) -> None:
-        super().__init__(window_ns, name=name, max_windows=max_windows)
+    def __init__(self, window_ns: float) -> None:
+        super().__init__(window_ns)
         self._sum = 0.0
         self._n = 0
         self._min = 0.0
@@ -297,27 +365,26 @@ class WindowedGauge(WindowedSeries):
 class WindowedLog2Histogram(WindowedSeries):
     """Log2-bucketed value distribution with windowed percentiles.
 
-    The open window is one :class:`~repro.probes.programs.Log2Histogram`;
-    it closes to that histogram's ``summary()``, a compact dict
-    ``{count, mean, p50, p95, p99, max}`` (percentiles are bucket upper
-    edges).  ``lifetime_count`` counts every observation.
+    The open window is one :class:`Log2Histogram`; it closes to that
+    histogram's ``summary()``, a compact dict ``{count, mean, p50, p95,
+    p99, max}`` (percentiles are bucket upper edges).  ``lifetime`` is a
+    second one that takes every observation of the run.
     """
 
     kind = "histogram"
 
     FIELDS = ("count", "mean", "p50", "p95", "p99", "max")
 
-    def __init__(
-        self, window_ns: float, name: str = "", max_windows: int = 4096
-    ) -> None:
-        super().__init__(window_ns, name=name, max_windows=max_windows)
+    def __init__(self, window_ns: float) -> None:
+        super().__init__(window_ns)
         self._hist = Log2Histogram()
-        self.lifetime_count = 0
+        self.lifetime = Log2Histogram()
 
     def observe(self, t_ns: float, value: float) -> None:
         self._note(self.index_of(t_ns))
-        self._hist.add(float(value))
-        self.lifetime_count += 1
+        value = float(value)
+        self._hist.add(value)
+        self.lifetime.add(value)
 
     def _close(self) -> object:
         summary, self._hist = self._hist.summary(), Log2Histogram()
@@ -325,6 +392,19 @@ class WindowedLog2Histogram(WindowedSeries):
 
     def _empty_value(self) -> Optional[object]:
         return Log2Histogram().summary()
+
+    def lifetime_snapshot(self) -> dict:
+        hist = self.lifetime
+        return {
+            "count": hist.count,
+            "mean": hist.mean,
+            "min": hist.min,
+            "max": hist.max,
+            "buckets": {
+                f"[{2**b if b else 0}, {2**(b + 1)})": n
+                for b, n in sorted(hist.buckets.items())
+            },
+        }
 
     def read(self, last: int = 1, mode: str = "p95") -> float:
         rows = self.closed(last)
@@ -370,10 +450,8 @@ class LevelSeries(WindowedSeries):
 
     kind = "level"
 
-    def __init__(
-        self, window_ns: float, name: str = "", max_windows: int = 4096
-    ) -> None:
-        super().__init__(window_ns, name=name, max_windows=max_windows)
+    def __init__(self, window_ns: float) -> None:
+        super().__init__(window_ns)
         self._level = 0.0
         self._last_t: Optional[float] = None
         self._area = 0.0  # level-ns accumulated in the current window
@@ -389,11 +467,11 @@ class LevelSeries(WindowedSeries):
             return
         assert self._cur_index is not None
         target = self.index_of(t_ns)
-        if target - self._cur_index > self.max_windows:
+        if target - self._cur_index > self.MAX_WINDOWS:
             # Every window we could materialise before this point would
             # be trimmed by the history bound; fast-forward to the last
-            # max_windows span (the standing level covers it entirely).
-            skip_to = target - self.max_windows
+            # MAX_WINDOWS span (the standing level covers it entirely).
+            skip_to = target - self.MAX_WINDOWS
             self._cur_index = skip_to
             self._last_t = skip_to * self.window_ns
             self._area = 0.0
@@ -411,10 +489,6 @@ class LevelSeries(WindowedSeries):
     def set(self, t_ns: float, level: float) -> None:
         self._advance_to(t_ns)
         self._level = float(level)
-
-    def _close(self) -> object:  # pragma: no cover - flush path used instead
-        area, self._area = self._area, 0.0
-        return area / self.window_ns
 
     def flush(self, index: int) -> None:
         """Close every window before ``index`` by integrating the

@@ -2,13 +2,13 @@
 
 The subsystem in one breath: the simulated stack declares static
 **tracepoints** (observe) and **policy hooks** (decide) in a per-System
-:class:`ProbeRegistry`; user **programs** — counters, latency
-histograms, rate meters, fixed-value policies — attach at runtime;
-an **exporter** turns attached state into a JSON snapshot, rate meters
-draw Perfetto counter tracks through :mod:`repro.traceviz`, and
-``python -m repro run <experiment> --attach ...`` does all of it
-from the command line.  :class:`Log2Histogram` is the one log2
-histogram, shared with the metrics plane.
+:class:`ProbeRegistry`; observers and fixed-value policies attach at
+runtime; an **exporter** turns every attached program's state into a
+JSON snapshot, and ``python -m repro run <experiment> --attach ...``
+does all of it from the command line.  Counters, histograms and rates
+are :class:`~repro.metrics.hub.MetricsHub` catalogs
+(:func:`repro.metrics.collectors.probe_specs`), so every attach kind
+shares one counter, one log2 histogram and one windowing rule.
 
 Guarantees (tested):
 
@@ -24,13 +24,6 @@ See the "Probes & policy hooks" section of ``docs/architecture.md``.
 
 from repro.probes.exporters import metrics_snapshot
 from repro.probes.policy import PolicyHook, fixed
-from repro.probes.programs import (
-    CounterProbe,
-    LatencyHistogram,
-    Log2Histogram,
-    ProbeProgram,
-    RateMeter,
-)
 from repro.probes.tracepoints import (
     NULL_TRACEPOINT,
     ProbeRegistry,
@@ -43,13 +36,8 @@ from repro.probes.tracepoints import (
 
 __all__ = [
     "NULL_TRACEPOINT",
-    "CounterProbe",
-    "LatencyHistogram",
-    "Log2Histogram",
     "PolicyHook",
-    "ProbeProgram",
     "ProbeRegistry",
-    "RateMeter",
     "Tracepoint",
     "apply_global_plan",
     "attached",

@@ -2,9 +2,10 @@
 
 :func:`metrics_snapshot` is a JSON-ready dict of every tracepoint's hit
 count, every hook's decision/override counts, and every attached
-program's snapshot.  ``python -m repro run --probes-json`` writes one
-per System; CI asserts on it.  Perfetto tracks come
-from the programs' own ``trace_tracks()`` through :mod:`repro.traceviz`.
+program's snapshot (a metrics hub's carries each metric's lifetime
+aggregate).  ``python -m repro run --probes-json`` writes one per
+System; CI asserts on it.  Perfetto tracks come from the programs' own
+``trace_tracks()`` through :mod:`repro.traceviz`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional
 
 from repro.probes.tracepoints import ProbeRegistry
 
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
 
 
 def metrics_snapshot(registry: ProbeRegistry, experiment: Optional[str] = None) -> dict:

@@ -118,15 +118,16 @@ class ProbeRegistry:
     Components declare their hook points with :meth:`tracepoint` /
     :meth:`hook` (idempotent per name); user code looks them up by name
     and attaches programs.  ``sim`` provides the clock that time-series
-    programs (rate meters) sample.
+    programs (metrics hubs) sample.
     """
 
     def __init__(self, sim: Any = None):
         self.sim = sim
         self.tracepoints: Dict[str, Tracepoint] = {}
         self.hooks: Dict[str, PolicyHook] = {}
-        #: Probe-program instances attached through this registry, in
-        #: attach order — what exporters snapshot.
+        #: Observer programs (metrics hubs, span tracers, GSan) that
+        #: installed themselves here, in install order — what exporters
+        #: snapshot.
         self.programs: List[Any] = []
 
     # -- declaration (component side) ------------------------------------
@@ -182,16 +183,8 @@ class ProbeRegistry:
         return [self.get(pattern)]
 
     def attach(self, name: str, observer: Observer) -> Observer:
-        """Attach ``observer`` to the tracepoint ``name``; probe
-        programs (anything with a ``bind`` method) are recorded for
-        snapshot export."""
-        tp = self.get(name)
-        tp.attach(observer)
-        bind = getattr(observer, "bind", None)
-        if bind is not None:
-            bind(tp)
-            self.programs.append(observer)
-        return observer
+        """Attach ``observer`` to the tracepoint ``name``."""
+        return self.get(name).attach(observer)
 
     def attach_policy(self, hook_name: str, program: Callable) -> Callable:
         """Attach a policy program to the hook ``hook_name``."""

@@ -5,9 +5,10 @@ admission limits, retry budgets, and brownout thresholds.
 :func:`install_qos_plan` turns it into a live :class:`QosController`
 that attaches the named programs to the stack's hooks and (when any
 layer needs sensors) stands up its own :class:`~repro.metrics.hub
-.MetricsHub`.  ``QosController.remove`` restores every knob it
-touched, so a plan can be installed for one phase of a run and torn
-down for the next.
+.MetricsHub` over the :data:`SENSORS` rows, the only metrics the retry
+budget and the brownout controller read.  ``QosController.remove``
+restores every knob it touched, so a plan can be installed for one
+phase of a run and torn down for the next.
 
 With the default (all-zero) plan nothing attaches and nothing changes:
 the byte-identity guarantee of :mod:`repro.qos` is that experiments
@@ -20,6 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
+from repro.metrics.collectors import CATALOG
 from repro.metrics.hub import MetricsHub
 from repro.oskernel.errors import Errno
 from repro.qos.admission import TokenBucketAdmission
@@ -29,6 +31,15 @@ from repro.qos.deadline import DeadlinePolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
+
+
+#: The catalog rows the sensor hub carries: ``RetryBudget`` reads
+#: ``syscall.rate``, ``BrownoutController`` reads ``syscall.latency``
+#: and ``wq.depth``.
+SENSORS = tuple(
+    spec for spec in CATALOG
+    if spec.name in ("syscall.rate", "syscall.latency", "wq.depth")
+)
 
 
 #: Every numeric :class:`QosPlan` field: its lower bound, and whether
@@ -176,7 +187,7 @@ class QosController:
 
         if plan.retry_budget_ratio > 0 or plan.brownout:
             self.hub = MetricsHub(
-                window_ns=plan.sensor_window_ns, label="qos"
+                window_ns=plan.sensor_window_ns, label="qos", catalog=SENSORS
             ).install(probes)
 
         if plan.deadline_ns > 0 or plan.deadline_by_name:

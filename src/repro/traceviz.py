@@ -7,9 +7,10 @@ and Perfetto (https://ui.perfetto.dev).  No other module writes TEF.
 Every timeline arrives as plain *track records*: a named
 :class:`Thread`, a :class:`Counter` of ``(t_ns, value)`` samples, a
 :class:`Slice` or a :class:`Flow` arrow.  Records carry simulated
-nanoseconds and no pid.  Observers with tracks (rate meters, span
-tracers, metrics hubs) return them from ``trace_tracks()`` and name
-their process in ``trace_process``; :func:`trace_events` looks the pid
+nanoseconds and no pid.  Observers with tracks (span tracers and
+metrics hubs, which also carry every ``--attach counter|hist|rate``)
+return them from ``trace_tracks()`` and name their process in
+``trace_process``; :func:`trace_events` looks the pid
 up in :data:`PROCESSES`, converts to microseconds, and names each
 process and thread once, however many sources share it.  The machine's
 own tracks are CPU-side syscall servicing slices per hw wavefront, and
@@ -45,7 +46,6 @@ if TYPE_CHECKING:
 PROCESSES = {
     "syscalls": (1, "GENESYS syscall servicing"),
     "counters": (2, "machine counters"),
-    "probes": (3, "probes"),
     "spans": (4, "syscall spans"),
     "metrics": (5, "metrics"),
 }

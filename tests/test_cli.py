@@ -79,6 +79,10 @@ BAD_INPUT = [
     (["run"], "--all"),
     (["run", "fig2", "--prom", "m.prom"], "--prom"),
     (["run", "fig2", "--attach", "counter:nope*"], "'counter:nope*'"),
+    (["run", "fig2", "--attach", "hist:syscall.complete:value=9"],
+     "'hist:syscall.complete:value=9': syscall.complete has no argument 9"),
+    (["run", "fig2", "--attach", "counter:syscall.dispatch:key=7"],
+     "'counter:syscall.dispatch:key=7': syscall.dispatch has no argument 7"),
     (["serve", "--policy", "coalesce.window=1"], "--policy"),
     (["gtop", "fig2", "--policy", "coalesce.window=1"], "--policy"),
     (["gtop", "fig2", "--attach", "spans"], "'spans'"),
@@ -209,11 +213,52 @@ def test_run_writes_probe_snapshot(tmp_path, capsys):
     )
     assert code == 0
     snapshot = json.loads(path.read_text())
+    assert snapshot["schema"] == 2
     assert snapshot["experiment"] == "fig2"
     assert snapshot["num_systems"] >= 1
-    tracepoints = snapshot["systems"][0]["tracepoints"]
-    assert tracepoints
-    assert sum(tp["hits"] for tp in tracepoints.values()) > 0
+    system = snapshot["systems"][0]
+    assert sum(tp["hits"] for tp in system["tracepoints"].values()) > 0
+    hubs = {program["label"]: program for program in system["programs"]}
+    assert set(hubs) == {"counter:*", "rate:irq.raised:5000"}
+    assert hubs["rate:irq.raised:5000"]["window_ns"] == 5000.0
+    assert hubs["rate:irq.raised:5000"]["lifetime"]["irq.raised"]["total"] > 0
+    assert sum(m["total"] for m in hubs["counter:*"]["lifetime"].values()) > 0
+
+
+def test_probe_snapshot_keeps_whole_run_aggregates(tmp_path, capsys):
+    path = tmp_path / "probes.json"
+    code, _out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "counter:syscall.dispatch:key=0",
+        "--attach", "hist:syscall.complete:value=2", "--probes-json", str(path), "--quiet",
+    )
+    assert code == 0
+    (counter, hist) = json.loads(path.read_text())["systems"][0]["programs"]
+    assert counter["lifetime"]["syscall.dispatch"] == {
+        "total": 2.0, "by_key": {"open": 1.0, "pread": 1.0},
+    }
+    latency = hist["lifetime"]["syscall.complete"]
+    assert latency["count"] == 2 and latency["min"] <= latency["mean"] <= latency["max"]
+    assert sum(latency["buckets"].values()) == 2
+
+
+def test_two_metrics_hubs_draw_apart(tmp_path, capsys):
+    """Every hub on one registry has its own label, so two hubs never
+    mix their samples into one ``metric:<label>:*`` track."""
+    path = tmp_path / "t.json"
+    code, out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "metrics:10", "--attach", "metrics:20",
+        "--tef", str(path), "--quiet",
+    )
+    assert code == 0
+    assert re.findall(r"hub=(\S+)", out) == ["sys0", "sys0#2"]
+    tracks = {}
+    for event in json.loads(path.read_text())["traceEvents"]:
+        if event["ph"] == "C":
+            tracks.setdefault(event["name"], []).append(event["ts"])
+    assert "metric:sys0:syscall.rate" in tracks
+    assert "metric:sys0#2:syscall.rate" in tracks
+    for name, stamps in tracks.items():
+        assert stamps == sorted(set(stamps)), name
 
 
 def test_run_prints_span_report_and_metrics_frame(capsys):
@@ -349,8 +394,9 @@ def test_overload_carries_the_plan(tmp_path, capsys):
 
 def spec_registry():
     registry = ProbeRegistry()
-    for name in ("irq.raised", "irq.serviced", "wq.enqueue"):
-        registry.tracepoint(name)
+    registry.tracepoint("irq.raised", ("payload",))
+    registry.tracepoint("irq.serviced", ("payload",))
+    registry.tracepoint("wq.enqueue", ("backlog", "task_index"))
     registry.hook("coalesce.window")
     return registry
 
@@ -359,24 +405,45 @@ class TestAttachSpecs:
     def test_counter_glob(self):
         registry = spec_registry()
         AttachPlan([attach_spec("counter:irq.*")])(registry)
-        assert len(registry.programs) == 2
+        (hub,) = registry.programs
+        assert hub.label == "counter:irq.*"
+        assert list(hub.metrics) == ["irq.raised", "irq.serviced"]
         assert registry.get("irq.raised").enabled
         assert registry.get("irq.serviced").enabled
         assert not registry.get("wq.enqueue").enabled
 
     def test_counter_with_key(self):
         registry = spec_registry()
-        AttachPlan([attach_spec("counter:wq.enqueue:key=0")])(registry)
-        assert registry.programs[0].key_arg == 0
+        AttachPlan([attach_spec("counter:wq.enqueue:key=1")])(registry)
+        (spec,) = registry.programs[0].specs.values()
+        assert spec.sources == (("wq.enqueue", "count", {"key_arg": 1}),)
 
-    def test_hist_and_rate(self):
+    def test_hist_and_rate_take_globs(self):
         registry = spec_registry()
         AttachPlan(
-            [attach_spec("hist:irq.raised:value=1"), attach_spec("rate:irq.raised:2500")]
+            [attach_spec("hist:irq.*"), attach_spec("rate:irq.raised:2500")]
         )(registry)
-        assert [p.kind for p in registry.programs] == ["histogram", "rate"]
-        assert registry.programs[0].value_arg == 1
-        assert registry.programs[1].bin_ns == 2500.0
+        hist, rate = registry.programs
+        assert [m.kind for m in hist.metrics.values()] == ["histogram", "histogram"]
+        assert hist.window_ns == 10_000.0
+        assert [m.kind for m in rate.metrics.values()] == ["counter"]
+        assert rate.window_ns == 2500.0
+
+    def test_counter_and_rate_are_one_estimator(self):
+        registry = spec_registry()
+        AttachPlan([attach_spec("counter:irq.raised"), attach_spec("rate:irq.raised")])(
+            registry
+        )
+        counter, rate = registry.programs
+        assert counter.specs["irq.raised"].sources == rate.specs["irq.raised"].sources
+        assert counter.window_ns == rate.window_ns == 10_000.0
+
+    @pytest.mark.parametrize(
+        "spec", ["hist:wq.enqueue:value=2", "counter:irq.*:key=1"]
+    )
+    def test_argument_past_the_tracepoint_is_refused(self, spec):
+        with pytest.raises(UsageError, match=r"has no argument \d; its arguments are \("):
+            AttachPlan([attach_spec(spec)])(spec_registry())
 
     def test_metrics_window(self):
         plan = AttachPlan([attach_spec("metrics:20")])

@@ -3,11 +3,14 @@ the exporters (Prometheus / CSV / TEF)."""
 
 import json
 
+import pytest
+
 from repro import experiments
-from repro.metrics import MetricsHub, MetricsHubPlan, metrics_hubs
+from repro.metrics import MetricsHub, MetricsHubPlan, metrics_hubs, probe_specs
 from repro.metrics.collectors import CATALOG
 from repro.metrics.export import csv_text, prometheus_text, series_payload
-from repro.probes.tracepoints import attached
+from repro.probes.tracepoints import ProbeRegistry, attached
+from repro.sim.engine import Simulator
 from repro.system import System
 from repro.traceviz import PROCESSES, program_tracks, trace_events
 
@@ -208,3 +211,167 @@ class TestGtopRendering:
         assert csv.read_text().startswith("metric,t0_ns,value")
         doc = json.loads(payload.read_text())
         assert doc["experiment"] == "fig2"
+
+
+def probe_registry():
+    """A registry on a bare simulator with three declared tracepoints."""
+    registry = ProbeRegistry(Simulator())
+    registry.tracepoint("irq.raised", ("payload",))
+    registry.tracepoint("irq.serviced", ("payload",))
+    registry.tracepoint("t", ("name", "hw_id", "service_ns"))
+    return registry
+
+
+def probe_hub(registry, kind, pattern, arg=None, window_ns=10_000.0):
+    rows = probe_specs(registry, kind, pattern, arg)
+    return MetricsHub(window_ns, f"{kind}:{pattern}", catalog=rows).install(registry)
+
+
+def fire_at(registry, name, fires):
+    """Fire ``name`` with each ``(t_ns, args)`` at its simulated time."""
+    tp = registry.get(name)
+    for t_ns, args in fires:
+        registry.sim.call_at(t_ns, lambda args=args: tp.fire(*args))
+    registry.sim.run()
+
+
+class TestProbeSpecs:
+    """``--attach counter|hist|rate`` specs as catalog rows."""
+
+    def test_counter_gives_one_row_per_match(self):
+        rows = probe_specs(probe_registry(), "counter", "irq.*", 0)
+        assert [(r.name, r.kind) for r in rows] == [
+            ("irq.raised", "counter"), ("irq.serviced", "counter"),
+        ]
+        assert rows[0].sources == (("irq.raised", "count", {"key_arg": 0}),)
+
+    def test_rate_rows_are_counter_rows(self):
+        registry = probe_registry()
+        rate = probe_specs(registry, "rate", "*")
+        counter = probe_specs(registry, "counter", "*")
+        assert [(r.name, r.kind, r.sources) for r in rate] == [
+            (r.name, r.kind, r.sources) for r in counter
+        ]
+
+    def test_hist_observes_argument_zero_by_default(self):
+        (row,) = probe_specs(probe_registry(), "hist", "t")
+        assert row.kind == "histogram"
+        assert row.sources == (("t", "observe", {"value_arg": 0}),)
+        (row,) = probe_specs(probe_registry(), "hist", "t", 2)
+        assert row.sources == (("t", "observe", {"value_arg": 2}),)
+
+    @pytest.mark.parametrize("pattern", ["no.such.tp", "no.such.*"])
+    def test_nothing_matched_is_a_key_error(self, pattern):
+        with pytest.raises(KeyError, match="no.such"):
+            probe_specs(probe_registry(), "counter", pattern)
+
+    @pytest.mark.parametrize(
+        "kind, pattern, arg",
+        [("hist", "t", 3), ("counter", "t", 9), ("counter", "*", 1)],
+    )
+    def test_argument_past_the_declaration_is_refused(self, kind, pattern, arg):
+        with pytest.raises(ValueError, match=rf"has no argument {arg}; its arguments are \("):
+            probe_specs(probe_registry(), kind, pattern, arg)
+
+
+class TestProbeHubs:
+    """What the deleted probe programs did, pinned on a probe hub."""
+
+    def test_counts_per_key(self):
+        registry = probe_registry()
+        hub = probe_hub(registry, "counter", "t", 0)
+        fire_at(registry, "t", [(0.0, ("pread", 1, 5.0)), (1.0, ("pread", 2, 5.0)),
+                                (2.0, ("open", 3, 5.0))])
+        counter = hub.metrics["t"]
+        assert counter.total == 3.0
+        assert counter.by_key == {"open": 1.0, "pread": 2.0}
+
+    def test_keys_are_the_argument_as_text(self):
+        registry = probe_registry()
+        hub = probe_hub(registry, "counter", "irq.raised", 0)
+        fire_at(registry, "irq.raised", [(0.0, (7,)), (1.0, ([1, 2],))])
+        assert hub.metrics["irq.raised"].by_key == {"7": 1.0, "[1, 2]": 1.0}
+
+    def test_value_arg_selects_the_position(self):
+        registry = probe_registry()
+        hub = probe_hub(registry, "hist", "t", 2)
+        fire_at(registry, "t", [(0.0, ("pread", 7, 4096.0))])
+        lifetime = hub.metrics["t"].lifetime
+        assert (lifetime.count, lifetime.max) == (1, 4096.0)
+
+    def test_fires_without_a_number_are_skipped(self):
+        registry = probe_registry()
+        hub = probe_hub(registry, "hist", "t")
+        fire_at(registry, "t", [(0.0, ("pread", 7, 1.0)), (1.0, (None, 7, 1.0)),
+                                (2.0, (3, 7, 1.0))])
+        assert hub.metrics["t"].lifetime.count == 1
+        assert hub.metrics["t"].lifetime.total == 3.0
+
+    def test_rate_reads_fires_per_simulated_second(self):
+        registry = probe_registry()
+        hub = probe_hub(registry, "rate", "irq.raised", window_ns=1000.0)
+        fire_at(registry, "irq.raised", [(0.0, (1,)), (0.0, (1,)), (2500.0, (1,))])
+        hub.finalize(3000.0)
+        assert hub.export_series()["irq.raised.rate"] == [
+            (0.0, 2e6), (1000.0, 0.0), (2000.0, 1e6),
+        ]
+
+    def test_idle_windows_read_zero_after_a_busy_run(self):
+        """A counter track holds its value until the next sample, so
+        every idle window after a busy one must read 0."""
+        registry = probe_registry()
+        hub = probe_hub(registry, "rate", "irq.raised", window_ns=100.0)
+        fire_at(registry, "irq.raised",
+                [(t, (1,)) for t in (10.0, 120.0, 130.0, 250.0, 940.0)])
+        hub.finalize(1000.0)
+        rates = [rate for _t0, rate in hub.export_series()["irq.raised.rate"]]
+        assert rates == [1e7, 2e7, 1e7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e7]
+
+    def test_snapshot_reports_whole_run_aggregates(self):
+        registry = probe_registry()
+        counter = probe_hub(registry, "counter", "t", 0)
+        hist = probe_hub(registry, "hist", "t", 2)
+        fire_at(registry, "t", [(0.0, ("pread", 1, 5.0)), (20_000.0, ("open", 1, 100.0))])
+        assert counter.snapshot()["lifetime"] == {
+            "t": {"total": 2.0, "by_key": {"open": 1.0, "pread": 1.0}},
+        }
+        snap = hist.snapshot()
+        assert snap["label"] == "hist:t"
+        assert snap["lifetime"]["t"] == {
+            "count": 2, "mean": 52.5, "min": 5.0, "max": 100.0,
+            "buckets": {"[4, 8)": 1, "[64, 128)": 1},
+        }
+        json.dumps([counter.snapshot(), snap])
+
+
+class TestCatalogAndLabels:
+    @pytest.mark.parametrize("window_ns", [0.0, -5.0])
+    def test_window_must_be_positive(self, window_ns):
+        with pytest.raises(ValueError, match="window_ns must be positive"):
+            MetricsHub(window_ns)
+
+    def test_hub_carries_only_its_catalog(self):
+        registry = System().probes
+        rows = [spec for spec in CATALOG if spec.name == "wq.depth"]
+        hub = MetricsHub(catalog=rows).install(registry)
+        assert list(hub.metrics) == list(hub.specs) == ["wq.depth"]
+        assert registry.get("wq.depth").enabled
+        assert not registry.get("syscall.complete").enabled
+
+    def test_catalog_full_snapshot_has_one_lifetime_entry_per_metric(self):
+        _result, plan = run_with_hub("fig2")
+        snap = plan.hub.snapshot()
+        assert list(snap["lifetime"]) == [spec.name for spec in CATALOG]
+        assert snap["lifetime"]["syscall.latency"]["count"] > 0
+        assert snap["lifetime"]["wq.depth"] == {}
+
+    def test_every_hub_on_a_registry_gets_a_distinct_label(self):
+        registry = System().probes
+        labels = [MetricsHub(label=label).install(registry).label
+                  for label in ("sys0", "sys0", "qos", "sys0")]
+        assert labels == ["sys0", "sys0#2", "qos", "sys0#3"]
+
+    def test_two_plans_on_one_system_keep_apart(self):
+        with attached(MetricsHubPlan(), MetricsHubPlan(window_ns=20_000.0)) as (a, b):
+            System()
+        assert [hub.label for hub in a.hubs + b.hubs] == ["sys0", "sys0#2"]

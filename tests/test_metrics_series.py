@@ -1,5 +1,5 @@
-"""Unit tests for the windowed estimator primitives (repro.metrics.series),
-the shared Log2Histogram, and probe-program edge cases."""
+"""Unit tests for the windowed estimator primitives (repro.metrics.series)
+and the one log2 histogram behind them."""
 
 import pickle
 
@@ -7,13 +7,13 @@ import pytest
 
 from repro.metrics.series import (
     LevelSeries,
+    Log2Histogram,
     WindowedCounter,
     WindowedGauge,
     WindowedLog2Histogram,
     WindowedRatio,
+    log2_bucket,
 )
-from repro.probes.programs import Log2Histogram, RateMeter
-from repro.probes.tracepoints import ProbeRegistry
 
 
 class TestWindowedCounter:
@@ -53,8 +53,9 @@ class TestWindowedCounter:
         c.add(45.0)
         assert c.windows == [(0.0, 1.0), (10.0, 0.0), (20.0, 0.0), (30.0, 0.0)]
 
-    def test_history_is_bounded(self):
-        c = WindowedCounter(1.0, max_windows=8)
+    def test_history_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(WindowedCounter, "MAX_WINDOWS", 8)
+        c = WindowedCounter(1.0)
         for t in range(100):
             c.add(float(t))
         assert len(c.windows) <= 8
@@ -65,6 +66,18 @@ class TestWindowedCounter:
         c.add(2.0, key="backlog")
         c.add(3.0, key="loss-model")
         assert c.by_key == {"backlog": 2.0, "loss-model": 1.0}
+        assert c.lifetime_snapshot() == {
+            "total": 3.0, "by_key": {"backlog": 2.0, "loss-model": 1.0},
+        }
+
+    def test_unkeyed_lifetime_has_no_by_key(self):
+        c = WindowedCounter(10.0)
+        c.add(1.0)
+        assert c.lifetime_snapshot() == {"total": 1.0}
+
+    @pytest.mark.parametrize("cls", [WindowedGauge, WindowedRatio, LevelSeries])
+    def test_kinds_without_a_whole_run_aggregate(self, cls):
+        assert cls(10.0).lifetime_snapshot() == {}
 
 
 class TestWindowedGauge:
@@ -125,7 +138,7 @@ class TestWindowedLog2Histogram:
         assert stats["mean"] == 55.0
         assert stats["max"] == 100.0
         assert stats["p50"] == 16.0  # 10 -> bucket [8,16)
-        assert h.lifetime_count == 3
+        assert h.lifetime.count == 3
 
     def test_skipped_and_closed_empty_windows_are_all_zero(self):
         zeros = dict.fromkeys(WindowedLog2Histogram.FIELDS, 0)
@@ -139,13 +152,29 @@ class TestWindowedLog2Histogram:
         assert h.windows[4][1] == zeros
         assert h.windows[3][1]["count"] == 1
 
-    def test_lifetime_count_spans_windows(self):
+    def test_lifetime_histogram_spans_windows(self):
         h = WindowedLog2Histogram(10.0)
         for t, v in ((1.0, 2.0), (11.0, 2.0), (21.0, 1000.0)):
             h.observe(t, v)
         h.flush(3)
         assert [stats["count"] for _, stats in h.windows] == [1, 1, 1]
-        assert h.lifetime_count == 3
+        assert h.lifetime.count == 3
+        assert h.lifetime.buckets == {1: 2, 9: 1}
+        assert h.lifetime_snapshot() == {
+            "count": 3, "mean": 1004.0 / 3, "min": 2.0, "max": 1000.0,
+            "buckets": {"[2, 4)": 2, "[512, 1024)": 1},
+        }
+
+    def test_snapshot_bucket_labels_start_at_zero(self):
+        h = WindowedLog2Histogram(10.0)
+        h.observe(1.0, 0.25)
+        h.observe(1.0, 5.0)
+        assert h.lifetime_snapshot()["buckets"] == {"[0, 2)": 1, "[4, 8)": 1}
+
+    def test_empty_lifetime_snapshot(self):
+        assert WindowedLog2Histogram(10.0).lifetime_snapshot() == {
+            "count": 0, "mean": 0.0, "min": None, "max": None, "buckets": {},
+        }
 
 
 class TestWindowedRatio:
@@ -188,8 +217,9 @@ class TestLevelSeries:
         ls.set(3.0, 0.75)
         assert ls.read() == 0.75
 
-    def test_long_idle_is_bounded(self):
-        ls = LevelSeries(1.0, max_windows=16)
+    def test_long_idle_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(LevelSeries, "MAX_WINDOWS", 16)
+        ls = LevelSeries(1.0)
         ls.set(0.0, 1.0)
         ls.flush(10_000_000)
         assert len(ls.windows) <= 16
@@ -213,9 +243,48 @@ class TestValidationAndPickle:
         assert c2.total == c.total
 
 
+#: (value, bucket) pairs at and around the power-of-two edges.
+LOG2_BUCKETS = [
+    (-3.0, 0),
+    (0.0, 0),
+    (0.5, 0),
+    (1.0, 0),
+    (1.999, 0),
+    (2.0, 1),
+    (3.0, 1),
+    (4.0, 2),
+    (1023.0, 9),
+    (1024.0, 10),
+    (1025.0, 10),
+    (2.0**40, 40),
+]
+
+
+class TestLog2Bucket:
+    @pytest.mark.parametrize("value, bucket", LOG2_BUCKETS)
+    def test_bucket_is_floor_log2_with_sub_one_in_zero(self, value, bucket):
+        assert log2_bucket(value) == bucket
+
+    @pytest.mark.parametrize("value, bucket", LOG2_BUCKETS)
+    def test_window_and_lifetime_histograms_share_it(self, value, bucket):
+        windowed = WindowedLog2Histogram(10.0)
+        windowed.observe(1.0, value)
+        windowed.flush(1)
+        assert windowed.lifetime.buckets == {bucket: 1}
+        edge = float(2 ** (bucket + 1))
+        assert windowed.lifetime.percentile(50.0) == windowed.windows[0][1]["p50"] == edge
+
+
 class TestLog2Histogram:
-    """The one log2 histogram behind LatencyHistogram and the windowed
-    histogram: percentile edge cases and the summary dict."""
+    """The one log2 histogram, behind every window and every lifetime
+    aggregate: percentile edge cases and the summary dict."""
+
+    def test_buckets(self):
+        h = Log2Histogram()
+        for value in (0.25, 1, 1.5, 2, 3, 1000):
+            h.add(value)
+        # [0,2) -> bucket 0 for <1 and [1,2); [2,4) -> bucket 1; 1000 -> bucket 9.
+        assert h.buckets == {0: 3, 1: 2, 9: 1}
 
     def test_empty(self):
         h = Log2Histogram()
@@ -250,12 +319,3 @@ class TestLog2Histogram:
             "p95": 128.0, "p99": 128.0, "max": 100.0,
         }
         assert (h.min, h.max, h.total) == (10.0, 100.0, 110.0)
-
-
-class TestProbeProgramEdgeCases:
-    """Rate-meter edge cases in repro.probes.programs must not raise."""
-
-    def test_rate_meter_empty_reads(self):
-        m = RateMeter(ProbeRegistry(None), bin_ns=100.0)
-        assert m.series() == []
-        assert m.trace_tracks() == []

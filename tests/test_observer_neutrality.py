@@ -19,36 +19,48 @@ import functools
 import pytest
 
 from repro import experiments
-from repro.metrics import MetricsHubPlan
+from repro.cli import AttachPlan, attach_spec
+from repro.metrics import MetricsHubPlan, metrics_hubs
 from repro.modelcheck.schedule import FifoSchedulePlan
-from repro.probes.programs import CounterProbe, LatencyHistogram, RateMeter
 from repro.probes.tracepoints import attached
 from repro.sanitizers.gsan import GSanPlan
-from repro.tracing.spans import install_tracer
+from repro.tracing.spans import SpanTracer, install_tracer
 
 
-def counters(registry):
-    for tp in registry.match("*"):
-        registry.attach(tp.name, CounterProbe(registry, key_arg=0))
+def probe_spec(text):
+    """``--attach TEXT`` as the command line applies it."""
+    return lambda: AttachPlan([attach_spec(text)])
 
 
-def syscall_histogram(registry):
-    registry.attach("syscall.complete", LatencyHistogram(registry, value_arg=2))
+def own_lifetime_count(plan, registries):
+    """Fires the spec's own hubs took in: counter totals, histogram
+    counts (every hub is labelled with its spec)."""
+    (spec,) = plan.specs
+    return sum(
+        estimator.lifetime.count if estimator.kind == "histogram" else estimator.total
+        for registry in registries
+        for hub in metrics_hubs(registry)
+        if hub.label == spec.text
+        for estimator in hub.metrics.values()
+    )
 
 
-def irq_rate(registry):
-    registry.attach("irq.raised", RateMeter(registry, bin_ns=5000.0))
-
-
-def tracepoint_hits(_plan, registries):
-    return sum(tp.hits for registry in registries for tp in registry.tracepoints.values())
+def traced_invocations(_plan, registries):
+    """Invocations the span tracers on ``registries`` completed."""
+    return sum(
+        len(program.completed)
+        for registry in registries
+        for program in registry.programs
+        if isinstance(program, SpanTracer)
+    )
 
 
 NEUTRAL_PLANS = (
-    ("counters", lambda: counters, tracepoint_hits),
-    ("syscall-histogram", lambda: syscall_histogram, tracepoint_hits),
-    ("irq-rate", lambda: irq_rate, tracepoint_hits),
-    ("spans", lambda: install_tracer, tracepoint_hits),
+    ("counters", probe_spec("counter:*:key=0"), own_lifetime_count),
+    ("syscall-histogram", probe_spec("hist:syscall.complete:value=2"),
+     own_lifetime_count),
+    ("irq-rate", probe_spec("rate:irq.raised:5000"), own_lifetime_count),
+    ("spans", lambda: install_tracer, traced_invocations),
     ("metrics-hub", MetricsHubPlan, lambda plan, _: sum(hub.ticks for hub in plan.hubs)),
     ("gsan", GSanPlan, lambda plan, _: plan.events),
     ("fifo-tie-break", FifoSchedulePlan, lambda plan, _: plan.installed),

@@ -1,17 +1,23 @@
-"""Tests for the metrics-snapshot exporter and the rate meters' Perfetto
+"""Tests for the metrics-snapshot exporter and the probe hubs' Perfetto
 counter tracks (attach specs and ``run --attach`` are in test_cli.py)."""
 
 import json
 
 from repro.machine import small_machine
-from repro.probes.exporters import metrics_snapshot
+from repro.metrics import MetricsHub, probe_specs
+from repro.probes.exporters import SNAPSHOT_SCHEMA, metrics_snapshot
 from repro.probes.policy import fixed
-from repro.probes.programs import CounterProbe, RateMeter
 from repro.probes.tracepoints import ProbeRegistry
+from repro.sim.engine import Simulator
 from repro.system import System
 from repro.traceviz import PROCESSES, program_tracks, trace_events
 
-PROBES_PID = PROCESSES["probes"][0]
+METRICS_PID = PROCESSES["metrics"][0]
+
+
+def probe_hub(registry, kind, pattern, window_ns=10_000.0):
+    rows = probe_specs(registry, kind, pattern)
+    return MetricsHub(window_ns, f"{kind}:{pattern}", catalog=rows).install(registry)
 
 
 def ran_system():
@@ -37,15 +43,17 @@ class TestMetricsSnapshot:
     def test_shape_and_counts(self):
         system = System(config=small_machine())
         reg = system.probes
-        reg.attach("irq.raised", CounterProbe(reg))
+        probe_hub(reg, "counter", "irq.raised")
         reg.attach_policy("coalesce.window", fixed(1000.0))
         snap = metrics_snapshot(reg, experiment="unit")
-        assert snap["schema"] == 1
+        assert snap["schema"] == SNAPSHOT_SCHEMA == 2
         assert snap["experiment"] == "unit"
         assert snap["simulated_ns"] == 0.0
         assert snap["tracepoints"]["irq.raised"]["observers"] == 1
         assert snap["hooks"]["coalesce.window"]["programs"] == 1
-        assert len(snap["programs"]) == 1
+        (program,) = snap["programs"]
+        assert program["label"] == "counter:irq.raised"
+        assert program["lifetime"] == {"irq.raised": {"total": 0.0}}
 
     def test_hits_recorded_after_run(self):
         system = ran_system()
@@ -64,30 +72,33 @@ class TestProbeCounterTracks:
     def test_no_programs_no_events(self):
         assert trace_events(program_tracks(ProbeRegistry().programs)) == []
 
-    def test_no_series_programs_no_events(self):
-        reg = ProbeRegistry()
-        reg.tracepoint("t")
-        reg.attach("t", CounterProbe(reg))
-        assert program_tracks(reg.programs) == []
+    def test_hub_with_no_closed_window_draws_nothing(self):
+        reg = ProbeRegistry(Simulator())
+        reg.tracepoint("t", ("x",))
+        probe_hub(reg, "counter", "t")
+        reg.get("t").fire(1)
+        assert trace_events(program_tracks(reg.programs)) == []
 
-    def test_rate_meter_becomes_counter_track(self):
-        class Clock:
-            now = 0.0
-
-        reg = ProbeRegistry(Clock())
-        reg.tracepoint("irq.raised")
-        meter = reg.attach("irq.raised", RateMeter(reg, bin_ns=1000.0))
-        meter()
-        meter()
+    def test_rate_hub_becomes_counter_tracks(self):
+        sim = Simulator()
+        reg = ProbeRegistry(sim)
+        tp = reg.tracepoint("irq.raised", ("payload",))
+        hub = probe_hub(reg, "rate", "irq.raised", window_ns=1000.0)
+        for t_ns in (0.0, 0.0, 2000.0):
+            sim.call_at(t_ns, lambda: tp.fire(1))
+        sim.run()
+        hub.finalize(3000.0)
         events = trace_events(program_tracks(reg.programs))
         assert events[0]["ph"] == "M"
-        assert events[0]["pid"] == PROBES_PID
+        assert events[0]["pid"] == METRICS_PID
         counters = [e for e in events if e["ph"] == "C"]
-        # 2 fires / 1000 ns, then the idle bin after it drops to zero.
-        assert [(e["ts"], e["args"]["value"]) for e in counters] == [
-            (0.0, 2e6), (1.0, 0.0)
+        assert {e["pid"] for e in counters} == {METRICS_PID}
+        # Closed windows only: 2 fires in the first 1000 ns, an idle
+        # window that reads 0, then 1 fire.
+        assert [(e["ts"], e["args"]["value"]) for e in counters
+                if e["name"] == "metric:irq.raised.rate"] == [
+            (0.0, 2e6), (1.0, 0.0), (2.0, 1e6)
         ]
-        for event in counters:
-            assert event["name"] == "probe:irq.raised"
-            assert event["pid"] == PROBES_PID
+        assert [e["args"]["value"] for e in counters
+                if e["name"] == "metric:irq.raised"] == [2.0, 0.0, 1.0]
 

@@ -107,18 +107,17 @@ class TestProbeRegistry:
         assert [t.name for t in reg.match("irq.*")] == ["irq.raised", "irq.serviced"]
         assert [t.name for t in reg.match("wq.enqueue")] == ["wq.enqueue"]
 
-    def test_attach_records_programs_with_bind(self):
-        from repro.probes.programs import CounterProbe
+    def test_programs_are_what_installed_itself(self):
+        from repro.metrics import MetricsHub, probe_specs
 
         reg = ProbeRegistry()
-        reg.tracepoint("t")
-        probe = CounterProbe(reg)
-        reg.attach("t", probe)
-        assert reg.programs == [probe]
-        assert probe.tracepoint is reg.tracepoints["t"]
+        reg.tracepoint("t", ("x",))
         # A bare callable is an observer but not an exported program.
-        reg.attach("t", lambda *vals: None)
-        assert reg.programs == [probe]
+        observer = reg.attach("t", lambda *vals: None)
+        assert reg.get("t").observers == 1 and reg.programs == []
+        reg.get("t").detach(observer)
+        hub = MetricsHub(catalog=probe_specs(reg, "counter", "t")).install(reg)
+        assert reg.programs == [hub]
 
     def test_detach_all_clears_everything(self):
         reg = ProbeRegistry()
@@ -260,10 +259,11 @@ class TestGlobalPlan:
         assert len(seen) == 1  # popped plan no longer applies
 
     def test_plan_can_attach_by_name(self):
-        from repro.probes.programs import CounterProbe
+        from repro.metrics import MetricsHub, probe_specs
 
         def plan(registry):
-            registry.attach("irq.raised", CounterProbe(registry))
+            rows = probe_specs(registry, "counter", "irq.raised")
+            MetricsHub(catalog=rows).install(registry)
 
         with attached(plan):
             system = System(config=small_machine())

@@ -262,6 +262,16 @@ class TestQosController:
             assert key in summary
         controller.remove()
 
+    def test_sensor_hub_carries_only_what_its_layers_read(self):
+        system = System()
+        controller = install_qos_plan(self._full_plan(), system)
+        hub = controller.hub
+        assert list(hub.metrics) == ["syscall.rate", "syscall.latency", "wq.depth"]
+        assert (hub.label, hub.window_ns) == ("qos", 50_000.0)
+        # Only the sensors' source tracepoints gained a hub feed.
+        assert not system.probes.get("net.tx").enabled
+        controller.remove()
+
     def test_remove_disarms_and_restores(self):
         system = System()
         controller = QosController(self._full_plan(), system)

@@ -8,8 +8,7 @@ import pytest
 
 import repro
 from repro.machine import small_machine
-from repro.metrics import MetricsHub
-from repro.probes.programs import RateMeter
+from repro.metrics import MetricsHub, probe_specs
 from repro.system import System
 from repro.traceviz import PROCESSES, export_chrome_trace, write_chrome_trace
 from repro.tracing import SpanTracer
@@ -125,33 +124,38 @@ class TestTraceEventFormat:
         json.dumps(export_chrome_trace(ran_system))
 
 
+def rate_hub(registry, pattern, window_ns):
+    rows = probe_specs(registry, "rate", pattern)
+    return MetricsHub(window_ns, f"rate:{pattern}", catalog=rows).install(registry)
+
+
 class TestProbeCounterTracks:
-    def test_rate_meter_appears_as_probe_track(self):
+    def test_rate_hub_appears_as_metric_track(self):
         system = System(config=small_machine())
-        meter = system.probes.attach(
-            "syscall.complete", RateMeter(system.probes, bin_ns=5000.0)
-        )
+        hub = rate_hub(system.probes, "syscall.complete", 5000.0)
         run_rw(system)
         trace = export_chrome_trace(system)
-        probe_events = [
+        rate_events = [
             e
             for e in trace["traceEvents"]
-            if e.get("ph") == "C" and e["name"].startswith("probe:")
+            if e.get("ph") == "C" and e["name"] == "metric:syscall.complete.rate"
         ]
-        assert [(e["ts"] * 1000.0, e["args"]["value"]) for e in probe_events] == [
-            (t, round(v, 4)) for t, v in meter.series()
+        series = hub.export_series()["syscall.complete.rate"]
+        assert [(e["ts"] * 1000.0, e["args"]["value"]) for e in rate_events] == [
+            (t, round(v, 4)) for t, v in series
         ]
-        for event in probe_events:
-            assert event["name"] == "probe:syscall.complete"
-            assert event["pid"] == PROCESSES["probes"][0]
-        # Idle time after the last busy bin reads as idle, not busy.
-        assert probe_events[-1]["args"]["value"] == 0.0
-        assert max(e["args"]["value"] for e in probe_events) > 0
+        for event in rate_events:
+            assert event["pid"] == PROCESSES["metrics"][0]
+        # Closed windows only, one sample per window, idle ones as 0.
+        first = series[0][0]
+        assert [t for t, _ in series] == [first + 5000.0 * i for i in range(len(series))]
+        assert series[-1][0] + 5000.0 <= system.now
+        assert max(e["args"]["value"] for e in rate_events) > 0
 
-    def test_no_probes_no_probe_tracks(self, ran_system):
+    def test_no_hubs_no_metric_tracks(self, ran_system):
         trace = export_chrome_trace(ran_system)
         assert not any(
-            e["name"].startswith("probe:")
+            e["name"].startswith("metric:")
             for e in trace["traceEvents"]
             if e.get("ph") == "C"
         )
@@ -205,7 +209,7 @@ class TestOneWriter:
             )
 
         total = sum(calls(nodes) for _, nodes in _module_nodes())
-        tree = ast.parse((SRC / "probes" / "programs.py").read_text())
+        tree = ast.parse((SRC / "metrics" / "series.py").read_text())
         (hist,) = [
             n for n in tree.body
             if isinstance(n, ast.ClassDef) and n.name == "Log2Histogram"
@@ -215,8 +219,8 @@ class TestOneWriter:
     def test_shared_processes_and_threads_are_named_once(self):
         system = System(config=small_machine())
         registry = system.probes
-        registry.attach("syscall.complete", RateMeter(registry, bin_ns=5000.0))
-        registry.attach("irq.raised", RateMeter(registry, bin_ns=2000.0))
+        rate_hub(registry, "syscall.complete", 5000.0)
+        rate_hub(registry, "irq.raised", 2000.0)
         SpanTracer(registry).install()
         MetricsHub(label="a").install(registry)
         MetricsHub(label="b").install(registry)
@@ -239,7 +243,8 @@ class TestOneWriter:
         assert len(threads) == len(set(threads))
 
         tracks = {e["name"] for e in events if e["ph"] == "C"}
-        assert {"probe:syscall.complete", "probe:irq.raised"} <= tracks
+        assert {"metric:rate:syscall.complete:syscall.complete.rate",
+                "metric:rate:irq.raised:irq.raised.rate"} <= tracks
         metric_tracks = {t for t in tracks if t.startswith("metric:")}
-        assert {t.split(":")[1] for t in metric_tracks} == {"a", "b"}
+        assert {t.split(":")[1] for t in metric_tracks} == {"a", "b", "rate"}
         assert "metric:a:syscall.rate" in metric_tracks
