@@ -194,15 +194,14 @@ class MetricsHub:
         }
 
     def trace_tracks(self) -> list:
-        """One ``metric:<key>`` counter track per exported series;
-        ``<label>:`` prefixes the key when the registry has several
-        hubs.  ``[]`` while no window has closed."""
+        """One ``metric:<label>:<key>`` counter track per exported
+        series (``metric:<key>`` for an unlabelled hub), whatever other
+        hubs share the registry.  ``[]`` while no window has closed."""
         self.finalize()
         exported = self.export_series()
         if not any(exported.values()):
             return []
-        multi = len(metrics_hubs(self.registry)) > 1
-        prefix = f"{self.label}:" if multi and self.label else ""
+        prefix = f"{self.label}:" if self.label else ""
         return [Thread(0, "windowed metrics")] + [
             Counter(f"metric:{prefix}{key}", "metric", series)
             for key, series in sorted(exported.items())

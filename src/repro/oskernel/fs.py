@@ -14,7 +14,7 @@ Timed operations are process bodies; functional data really moves.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Generator, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Generator, Optional, TYPE_CHECKING, Union
 
 from repro.machine import MachineConfig
 from repro.oskernel.blockdev import BlockDevice
@@ -48,13 +48,21 @@ class Inode:
 
 
 class FileInode(Inode):
-    """A regular file; ``backing`` selects tmpfs (None) or a disk."""
+    """A regular file; ``backing`` selects tmpfs (None) or a disk.
+
+    ``data`` is the body.  A ``bytes`` body is kept as given, so files
+    built from one workload input share it; anything else is copied
+    into a ``bytearray``.  Code that changes the body in place takes it
+    from :meth:`writable`, which copies a shared body on first use.
+    """
 
     def __init__(
         self, ino: int, data: bytes = b"", backing: Optional[BlockDevice] = None
     ):
         super().__init__(ino)
-        self.data = bytearray(data)
+        self.data: Union[bytes, bytearray] = (
+            data if type(data) is bytes else bytearray(data)
+        )
         self.backing = backing
         #: Pages currently in the page cache (disk-backed files only).
         self.cached_pages: set = set()
@@ -62,6 +70,16 @@ class FileInode(Inode):
     @property
     def size(self) -> int:
         return len(self.data)
+
+    def writable(self, size: int = 0) -> bytearray:
+        """The body as this file's own ``bytearray``, zero-filled to at
+        least ``size`` bytes."""
+        data = self.data
+        if not isinstance(data, bytearray):
+            data = self.data = bytearray(data)
+        if size > len(data):
+            data.extend(b"\0" * (size - len(data)))
+        return data
 
 
 class DynamicFileInode(Inode):
@@ -502,9 +520,7 @@ class FileSystem:
             inode.write_fn(bytes(data))
             return len(data)
         end = offset + len(data)
-        if end > len(inode.data):
-            inode.data.extend(b"\0" * (end - len(inode.data)))
-        inode.data[offset:end] = data
+        inode.writable(end)[offset:end] = data
         yield from self._memcpy(len(data))
         if inode.backing is not None:
             page = self.config.page_bytes

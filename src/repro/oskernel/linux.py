@@ -121,9 +121,7 @@ class FileMapping:
 
     def view(self) -> memoryview:
         end = self.offset + self.length
-        if end > len(self.inode.data):
-            self.inode.data.extend(b"\0" * (end - len(self.inode.data)))
-        return memoryview(self.inode.data)[self.offset : end]
+        return memoryview(self.inode.writable(end))[self.offset : end]
 
 
 class LinuxKernel:
@@ -545,10 +543,8 @@ class LinuxKernel:
         inode = proc.fds.lookup(fd).inode
         if not isinstance(inode, FileInode):
             raise OsError(Errno.EINVAL, "not a regular file")
-        if length < len(inode.data):
-            del inode.data[length:]
-        else:
-            inode.data.extend(b"\0" * (length - len(inode.data)))
+        # Zero-fill up to ``length``, then cut anything past it.
+        del inode.writable(length)[length:]
         return 0
 
     def sys_unlink(self, proc: OsProcess, path: str) -> Generator:

@@ -1,9 +1,11 @@
-"""Shared workload plumbing: results and deterministic data generation."""
+"""Shared workload plumbing: results, shared inputs and deterministic
+data generation."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Any, Callable, Dict
 
 
 @dataclass
@@ -24,6 +26,45 @@ class WorkloadResult:
             f"WorkloadResult({self.name}/{self.variant}: "
             f"{self.runtime_ms:.3f} ms, {self.metrics})"
         )
+
+
+class SharedInput:
+    """Weak-referenceable holder of one built workload input."""
+
+    __slots__ = ("value", "__weakref__")
+
+    def __init__(self, value: Any):
+        self.value = value
+
+
+_INPUTS: "weakref.WeakValueDictionary[tuple, SharedInput]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def shared_input(build: Callable[..., Any], *args: Any) -> SharedInput:
+    """The holder of ``build(*args)``, built only when no live holder
+    for the same builder and arguments exists.
+
+    Every variant of a case study runs over one input, so a machine
+    built while another still holds that input reuses it.  The caller
+    keeps the holder as an attribute; the memo keeps only a weak
+    reference, so the input lives exactly as long as some workload
+    holds it and goes with the last machine that does.
+
+    This is module state, safe only under two rules:
+
+    * every value is immutable (tuples of ``bytes``, ``str`` and
+      ``int``), so no caller can change what another one reads; a
+      caller copies what it mutates;
+    * ``build`` is a pure module-level function that reads nothing but
+      ``args``, so the key ``(build, *args)`` names exactly one value.
+    """
+    key = (build, *args)
+    holder = _INPUTS.get(key)
+    if holder is None:
+        holder = _INPUTS[key] = SharedInput(build(*args))
+    return holder
 
 
 try:  # vectorised corpus generation; the scalar path needs nothing
@@ -116,7 +157,7 @@ class DeterministicRandom:
 
     def bytes(self, n: int) -> bytes:
         m = (n + 7) >> 3  # u64 states to emit
-        if _np is not None and m >= 8192:
+        if _np is not None and m >= 1024:
             return self._bytes_vectorised(n, m)
         # Inlined xorshift steps + one join: identical byte stream and
         # final PRNG state as the per-call next_u64 loop, far fewer

@@ -26,17 +26,47 @@ paper credits for work-item invocation.
 from __future__ import annotations
 
 import re
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.core.invocation import Granularity, Ordering, WaitMode
 from repro.gpu.ops import Barrier, Compute
 from repro.oskernel.fs import O_RDONLY
 from repro.system import System
-from repro.workloads.base import DeterministicRandom, WorkloadResult
+from repro.workloads.base import DeterministicRandom, WorkloadResult, shared_input
 
 #: Multi-pattern scan costs: CPU Aho-Corasick-ish vs per-work-item GPU.
 CPU_SCAN_NS_PER_BYTE = 2.5
 GPU_SCAN_CYCLES_PER_BYTE = 6.0
+
+
+def grep_corpus(
+    num_files: int,
+    file_bytes: int,
+    num_words: int,
+    match_fraction: float,
+    seed: int,
+) -> Tuple[Tuple[bytes, ...], Tuple[str, ...], Tuple[bytes, ...], Tuple[str, ...]]:
+    """The grep input: ``(words, paths, bodies, expected_matches)``.
+
+    About ``match_fraction`` of the ``num_files`` bodies hold one word
+    at a random position; ``expected_matches`` are their paths.
+    """
+    rng = DeterministicRandom(seed)
+    words = tuple(b"needle%02d" % i for i in range(num_words))
+    paths: List[str] = []
+    bodies: List[bytes] = []
+    expected_matches: List[str] = []
+    for i in range(num_files):
+        path = f"/data/grep/file{i:04d}.txt"
+        body = bytearray(rng.text(file_bytes))
+        if rng.random() < match_fraction:
+            word = words[rng.randint(0, num_words - 1)]
+            pos = rng.randint(0, file_bytes - len(word) - 1)
+            body[pos : pos + len(word)] = word
+            expected_matches.append(path)
+        paths.append(path)
+        bodies.append(bytes(body))
+    return words, tuple(paths), tuple(bodies), tuple(expected_matches)
 
 
 class GrepWorkload:
@@ -53,26 +83,19 @@ class GrepWorkload:
         self.system = system
         self.file_bytes = file_bytes
         self.chunk_bytes = chunk_bytes
-        rng = DeterministicRandom(seed)
-        self.words: List[bytes] = [
-            b"needle%02d" % i for i in range(num_words)
-        ]
+        self._input = shared_input(
+            grep_corpus, num_files, file_bytes, num_words, match_fraction, seed
+        )
+        words, paths, bodies, expected_matches = self._input.value
+        self.words: List[bytes] = list(words)
         self._word_pattern = re.compile(b"|".join(map(re.escape, self.words)))
-        self.paths: List[str] = []
-        self.expected_matches: List[str] = []
+        self.paths: List[str] = list(paths)
+        self.expected_matches: List[str] = list(expected_matches)
         fs = system.kernel.fs
         if not fs.exists("/data/grep"):
             fs.mkdir("/data/grep")
-        for i in range(num_files):
-            path = f"/data/grep/file{i:04d}.txt"
-            body = bytearray(rng.text(file_bytes))
-            if rng.random() < match_fraction:
-                word = self.words[rng.randint(0, num_words - 1)]
-                pos = rng.randint(0, file_bytes - len(word) - 1)
-                body[pos : pos + len(word)] = word
-                self.expected_matches.append(path)
-            fs.create_file(path, bytes(body))
-            self.paths.append(path)
+        for path, body in zip(paths, bodies):
+            fs.create_file(path, body)
 
     # -- functional scan -------------------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from repro.core.invocation import Granularity, Ordering, WaitMode
 from repro.gpu.ops import Compute, MemRead
 from repro.system import System
-from repro.workloads.base import DeterministicRandom, WorkloadResult
+from repro.workloads.base import DeterministicRandom, WorkloadResult, shared_input
 
 #: Per-element key-compare costs (pointer-chasing on CPU; per-lane GPU).
 CPU_COMPARE_NS_PER_ELEM = 70.0
@@ -117,45 +117,65 @@ def serve_stream(
     return {"served": sum(served), "served_per_group": list(served)}
 
 
+def bucket_index(key: bytes, num_buckets: int) -> int:
+    return zlib.crc32(key) % num_buckets
+
+
+def table_contents(
+    num_buckets: int, elems_per_bucket: int, value_bytes: int, seed: int
+) -> Tuple[Tuple[Tuple[Tuple[bytes, bytes], ...], ...], Tuple[bytes, ...]]:
+    """A filled table: ``(buckets, keys)``, every bucket a tuple of
+    ``elems_per_bucket`` ``(key, value)`` pairs in insertion order and
+    ``keys`` the first fill phase's keys."""
+    rng = DeterministicRandom(seed)
+    buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(num_buckets)]
+    keys: List[bytes] = []
+    total = num_buckets * elems_per_bucket
+    if value_bytes % 8 == 0:
+        # Exactly ``total`` values are drawn across both fill phases,
+        # and 8-aligned draws waste no PRNG tail bytes — so one bulk
+        # draw sliced sequentially yields the identical value stream
+        # far faster than per-element calls.
+        pool = rng.bytes(total * value_bytes)
+        offsets = iter(range(0, total * value_bytes, value_bytes))
+        next_value = lambda: pool[(o := next(offsets)) : o + value_bytes]
+    else:
+        next_value = lambda: rng.bytes(value_bytes)
+    count = 0
+    while count < total:
+        key = b"key%08d" % count
+        bucket = bucket_index(key, num_buckets)
+        if len(buckets[bucket]) < elems_per_bucket:
+            buckets[bucket].append((key, next_value()))
+            keys.append(key)
+        count += 1
+    # Top up under-full buckets so occupancy is uniform.
+    extra = count
+    for index, bucket_list in enumerate(buckets):
+        while len(bucket_list) < elems_per_bucket:
+            key = b"alt%08d" % extra
+            extra += 1
+            if bucket_index(key, num_buckets) == index:
+                bucket_list.append((key, next_value()))
+    return tuple(map(tuple, buckets)), tuple(keys)
+
+
 class HashTable:
     """Fixed-size bucketed table with real byte values."""
 
     def __init__(self, num_buckets: int, elems_per_bucket: int, value_bytes: int, seed: int):
-        rng = DeterministicRandom(seed)
         self.num_buckets = num_buckets
         self.value_bytes = value_bytes
-        self.buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(num_buckets)]
-        self.keys: List[bytes] = []
-        total = num_buckets * elems_per_bucket
-        if value_bytes % 8 == 0:
-            # Exactly ``total`` values are drawn across both fill phases,
-            # and 8-aligned draws waste no PRNG tail bytes — so one bulk
-            # draw sliced sequentially yields the identical value stream
-            # far faster than per-element calls.
-            pool = rng.bytes(total * value_bytes)
-            offsets = iter(range(0, total * value_bytes, value_bytes))
-            next_value = lambda: pool[(o := next(offsets)) : o + value_bytes]
-        else:
-            next_value = lambda: rng.bytes(value_bytes)
-        count = 0
-        while count < total:
-            key = b"key%08d" % count
-            bucket = self.bucket_of(key)
-            if len(self.buckets[bucket]) < elems_per_bucket:
-                self.buckets[bucket].append((key, next_value()))
-                self.keys.append(key)
-            count += 1
-        # Top up under-full buckets so occupancy is uniform.
-        extra = count
-        for bucket_list in self.buckets:
-            while len(bucket_list) < elems_per_bucket:
-                key = b"alt%08d" % extra
-                extra += 1
-                if self.bucket_of(key) == self.buckets.index(bucket_list):
-                    bucket_list.append((key, next_value()))
+        self._input = shared_input(
+            table_contents, num_buckets, elems_per_bucket, value_bytes, seed
+        )
+        buckets, keys = self._input.value
+        # ``set`` appends and replaces entries: each table owns its lists.
+        self.buckets: List[List[Tuple[bytes, bytes]]] = list(map(list, buckets))
+        self.keys: List[bytes] = list(keys)
 
     def bucket_of(self, key: bytes) -> int:
-        return zlib.crc32(key) % self.num_buckets
+        return bucket_index(key, self.num_buckets)
 
     def get(self, key: bytes) -> Optional[bytes]:
         for k, v in self.buckets[self.bucket_of(key)]:

@@ -110,7 +110,8 @@ class MiniAmrWorkload:
                 del usage  # decision below uses live RSS via the watermark
             rss = aspace.rss_bytes
             if rss > watermark:
-                inactive = [i for i in range(len(addrs)) if i not in set(active)]
+                live = set(active)
+                inactive = [i for i in range(len(addrs)) if i not in live]
                 per_group_inactive = [
                     b for j, b in enumerate(inactive)
                     if j % ctx.kernel.num_groups == ctx.group_id

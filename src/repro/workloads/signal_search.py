@@ -16,13 +16,13 @@ Checksums are computed for real (hashlib.sha512).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Generator, List
+from typing import Dict, Generator, Tuple
 
 from repro.core.invocation import Granularity, Ordering, WaitMode
 from repro.gpu.ops import Compute
 from repro.oskernel.signals import SIGRTMIN
 from repro.system import System
-from repro.workloads.base import DeterministicRandom, WorkloadResult
+from repro.workloads.base import DeterministicRandom, WorkloadResult, shared_input
 
 #: Per-byte costs: GPU parallel lookup and CPU SHA-512 (with SHA-NI).
 GPU_LOOKUP_CYCLES_PER_BYTE = 130.0
@@ -31,6 +31,16 @@ SIG_BLOCK_DONE = SIGRTMIN + 2
 #: Work-groups stride over the blocks, so block completions stagger in
 #: time and the CPU can start hashing early ones while later ones run.
 NUM_GROUPS = 8
+
+
+def signal_blocks(
+    num_blocks: int, block_bytes: int, seed: int
+) -> Tuple[Tuple[bytes, ...], Tuple[str, ...]]:
+    """The signal-search input: the data blocks and their SHA-512
+    hex digests."""
+    rng = DeterministicRandom(seed)
+    blocks = tuple(rng.bytes(block_bytes) for _ in range(num_blocks))
+    return blocks, tuple(hashlib.sha512(b).hexdigest() for b in blocks)
 
 
 class SignalSearchWorkload:
@@ -46,11 +56,10 @@ class SignalSearchWorkload:
         self.num_blocks = num_blocks
         self.block_bytes = block_bytes
         self.workgroup_size = workgroup_size
-        rng = DeterministicRandom(seed)
-        self.blocks: List[bytes] = [rng.bytes(block_bytes) for _ in range(num_blocks)]
-        self.expected: Dict[int, str] = {
-            i: hashlib.sha512(b).hexdigest() for i, b in enumerate(self.blocks)
-        }
+        self._input = shared_input(signal_blocks, num_blocks, block_bytes, seed)
+        blocks, digests = self._input.value
+        self.blocks: Tuple[bytes, ...] = blocks
+        self.expected: Dict[int, str] = dict(enumerate(digests))
 
     def _lookup_kernel(self, on_block_done):
         """Phase-1 kernel: work-groups stride over the blocks; after each

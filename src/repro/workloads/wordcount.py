@@ -23,18 +23,50 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Dict, Generator, List
+from typing import Dict, Generator, List, Tuple
 
 from repro.core.invocation import Granularity, Ordering, WaitMode
 from repro.gpu.ops import Compute
 from repro.oskernel.fs import O_RDONLY
 from repro.system import System
-from repro.workloads.base import DeterministicRandom, WorkloadResult
+from repro.workloads.base import DeterministicRandom, WorkloadResult, shared_input
 
 #: 64-pattern scan costs.
 CPU_SCAN_NS_PER_BYTE = 40.0
 GPU_SCAN_CYCLES_PER_BYTE = 64.0
 NUM_WORDS = 64
+#: The search strings, the same for every corpus.
+WORDS: Tuple[bytes, ...] = tuple(b"word%04d" % i for i in range(NUM_WORDS))
+
+
+def wordcount_corpus(
+    num_files: int, file_bytes: int, seed: int
+) -> Tuple[Tuple[str, ...], Tuple[bytes, ...], Tuple[Tuple[bytes, int], ...]]:
+    """The wordcount input: ``(paths, bodies, expected)``, where
+    ``expected`` pairs each of :data:`WORDS` with its count over all
+    bodies."""
+    rng = DeterministicRandom(seed)
+    paths: List[str] = []
+    bodies: List[bytes] = []
+    expected: Dict[bytes, int] = {w: 0 for w in WORDS}
+    for i in range(num_files):
+        body = bytearray(rng.text(file_bytes))
+        used_slots = set()
+        for _ in range(rng.randint(2, 8)):
+            word = WORDS[rng.randint(0, NUM_WORDS - 1)]
+            # Place on a chunk-aligned stride so chunked scans see it;
+            # one word per slot so expected counts stay exact.
+            slot_width = len(word) + 8
+            slots = (file_bytes // slot_width) - 1
+            slot = rng.randint(0, slots)
+            if slot in used_slots:
+                continue
+            used_slots.add(slot)
+            body[slot * slot_width : slot * slot_width + len(word)] = word
+            expected[word] += 1
+        paths.append(f"/data/wc/file{i:04d}.txt")
+        bodies.append(bytes(body))
+    return tuple(paths), tuple(bodies), tuple(expected.items())
 
 
 class WordcountWorkload:
@@ -53,34 +85,18 @@ class WordcountWorkload:
         self.file_bytes = file_bytes
         self.chunk_bytes = chunk_bytes
         self.workgroup_size = workgroup_size
-        rng = DeterministicRandom(seed)
-        self.words: List[bytes] = [b"word%04d" % i for i in range(NUM_WORDS)]
+        self._input = shared_input(wordcount_corpus, num_files, file_bytes, seed)
+        paths, bodies, expected = self._input.value
+        self.words: List[bytes] = list(WORDS)
         self._word_pattern = re.compile(b"|".join(map(re.escape, self.words)))
+        self.paths: List[str] = list(paths)
+        self.expected: Dict[bytes, int] = dict(expected)
         fs = system.kernel.fs
         if not fs.exists("/data/wc"):
             fs.mkdir("/data/wc")
-        self.paths: List[str] = []
-        self.expected: Dict[bytes, int] = {w: 0 for w in self.words}
-        for i in range(num_files):
-            body = bytearray(rng.text(file_bytes))
-            used_slots = set()
-            for _ in range(rng.randint(2, 8)):
-                word = self.words[rng.randint(0, NUM_WORDS - 1)]
-                # Place on a chunk-aligned stride so chunked scans see it;
-                # one word per slot so expected counts stay exact.
-                slot_width = len(word) + 8
-                slots = (file_bytes // slot_width) - 1
-                slot = rng.randint(0, slots)
-                if slot in used_slots:
-                    continue
-                used_slots.add(slot)
-                body[slot * slot_width : slot * slot_width + len(word)] = word
-                self.expected[word] += 1
-            path = f"/data/wc/file{i:04d}.txt"
-            fs.create_file(path, bytes(body), on_disk=True)
-            # Fresh page cache: reads must hit the SSD.
-            fs.resolve(path).cached_pages.clear()
-            self.paths.append(path)
+        for path, body in zip(paths, bodies):
+            # A new file starts with an empty page cache: reads hit the SSD.
+            fs.create_file(path, body, on_disk=True)
 
     def _count_words(self, chunk: bytes, counts: Dict[bytes, int]) -> None:
         # One scan for all 64 words.  findall's non-overlapping matches

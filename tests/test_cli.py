@@ -261,6 +261,25 @@ def test_two_metrics_hubs_draw_apart(tmp_path, capsys):
         assert stamps == sorted(set(stamps)), name
 
 
+def test_track_names_do_not_depend_on_other_hubs(tmp_path, capsys):
+    """A probe spec beside ``--attach metrics`` leaves the metrics
+    hub's track names as they are alone."""
+    names = []
+    for extra in ((), ("--attach", "counter:irq.raised")):
+        path = tmp_path / f"t{len(names)}.json"
+        code, _out, _err = run_cli(
+            capsys, "run", "fig2", "--attach", "metrics", *extra,
+            "--tef", str(path), "--quiet",
+        )
+        assert code == 0
+        names.append({
+            event["name"] for event in json.loads(path.read_text())["traceEvents"]
+            if event["ph"] == "C" and event["name"].startswith("metric:sys0:")
+        })
+    assert "metric:sys0:syscall.rate" in names[0]
+    assert names[0] == names[1]
+
+
 def test_run_prints_span_report_and_metrics_frame(capsys):
     code, out, _err = run_cli(
         capsys, "run", "fig2", "--attach", "spans", "--attach", "metrics:20",

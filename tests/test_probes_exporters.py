@@ -96,9 +96,9 @@ class TestProbeCounterTracks:
         # Closed windows only: 2 fires in the first 1000 ns, an idle
         # window that reads 0, then 1 fire.
         assert [(e["ts"], e["args"]["value"]) for e in counters
-                if e["name"] == "metric:irq.raised.rate"] == [
+                if e["name"] == "metric:rate:irq.raised:irq.raised.rate"] == [
             (0.0, 2e6), (1.0, 0.0), (2.0, 1e6)
         ]
         assert [e["args"]["value"] for e in counters
-                if e["name"] == "metric:irq.raised"] == [2.0, 0.0, 1.0]
+                if e["name"] == "metric:rate:irq.raised:irq.raised"] == [2.0, 0.0, 1.0]
 

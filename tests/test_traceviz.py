@@ -138,7 +138,8 @@ class TestProbeCounterTracks:
         rate_events = [
             e
             for e in trace["traceEvents"]
-            if e.get("ph") == "C" and e["name"] == "metric:syscall.complete.rate"
+            if e.get("ph") == "C"
+            and e["name"] == "metric:rate:syscall.complete:syscall.complete.rate"
         ]
         series = hub.export_series()["syscall.complete.rate"]
         assert [(e["ts"] * 1000.0, e["args"]["value"]) for e in rate_events] == [

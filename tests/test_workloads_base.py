@@ -47,6 +47,21 @@ class TestDeterministicRandom:
     def test_bytes_length(self, n):
         assert len(DeterministicRandom(3).bytes(n)) == n
 
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1])
+    def test_bytes_is_the_next_u64_stream(self, seed):
+        """``bytes(n)`` is the little-endian ``next_u64`` stream cut to
+        n bytes, and leaves the generator where that loop would: on
+        both sides of the vectorised path's cut-over and its lane
+        counts."""
+        sizes = (1, 7, 8, 8191, 8192, 8193, 65535, 65536, 65537, 262144, 8 * 2**20 + 3)
+        reference = DeterministicRandom(seed)
+        words = [reference.next_u64() for _ in range((max(sizes) + 7) // 8 + 1)]
+        stream = b"".join(word.to_bytes(8, "little") for word in words)
+        for n in sizes:
+            rng = DeterministicRandom(seed)
+            assert rng.bytes(n) == stream[:n], n
+            assert rng.next_u64() == words[(n + 7) // 8], n
+
     def test_text_is_lowercase_ascii(self):
         text = DeterministicRandom(5).text(256)
         assert all(97 <= b <= 122 for b in text)
