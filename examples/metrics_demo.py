@@ -3,11 +3,13 @@
 
 Attaches a ``MetricsHubPlan`` so every ``System`` built inside the
 ``attached`` block gets a ``MetricsHub``: windowed rate/gauge/histogram
-estimators fed by the stack's tracepoints, flushed by weak simulator
-ticks that never perturb simulated time.  Runs the paper's Figure 2
-microbenchmark under the hub, prints a ``gtop``-style frame, reads a
-few metrics through the ``hub.read(name, window)`` API, and shows the
-Prometheus text exposition.
+estimators fed by the stack's tracepoints.  No timer drives them: a
+window closes when a later sample lands or a reader asks, so the hub
+schedules no simulator event.  Runs the paper's Figure 2
+microbenchmark under the hub, prints the metrics frame, reads a few
+metrics through the ``hub.read(name, window)`` API, and shows the
+closed windows of one series from the hub's snapshot (what
+``python -m repro run --json`` writes).
 
 The load-bearing property: the run is byte-identical with or without
 the hub attached (see tests/test_observer_neutrality.py).
@@ -17,8 +19,6 @@ Run:  python examples/metrics_demo.py
 
 from repro import experiments
 from repro.metrics import MetricsHubPlan
-from repro.metrics.gtop import render_frame
-from repro.metrics.export import prometheus_text
 from repro.probes.tracepoints import attached
 
 
@@ -28,10 +28,10 @@ def main() -> None:
 
     hub = plan.hub
     assert hub is not None, "fig2 builds a System, the plan must fire"
-    assert hub.ticks > 0, "weak flush ticks ran at window boundaries"
+    assert hub.registry.sim.weak_scheduled == 0, "the hub scheduled an event"
 
-    print("== gtop frame (windowed view over the whole run) ==")
-    print(render_frame(hub, hub.now(), "fig2"))
+    print("== metrics frame (windowed view over the whole run) ==")
+    print(hub.render_frame("fig2"))
 
     print("== point reads through hub.read(name, window) ==")
     for name, window, mode in (
@@ -45,15 +45,17 @@ def main() -> None:
               f"  -> {value:.3f}")
 
     print()
-    print("== Prometheus exposition (first lines) ==")
-    for line in prometheus_text(hub, "fig2").splitlines()[:8]:
-        print(f"  {line}")
+    print("== closed windows of syscall.latency.p99 (from hub.snapshot()) ==")
+    snapshot = hub.snapshot()
+    for t0, value in snapshot["series"]["syscall.latency.p99"]:
+        print(f"  t0={t0 / 1000.0:6.1f}us  p99={value:.0f} ns")
 
     # The experiment itself is untouched by the instrumentation.
     assert result.render().strip(), "fig2 rendered its table"
+    windows = sum(len(series) for series in snapshot["series"].values())
     print()
     print("fig2 output unchanged with the hub attached; "
-          f"{hub.ticks} weak ticks, {len(hub.metrics)} catalog metrics.")
+          f"{windows} closed windows over {len(hub.metrics)} catalog metrics.")
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def observe() -> None:
 
     elapsed = run_workload(system)
     print(f"elapsed: {elapsed:.0f} ns simulated")
-    snapshot = metrics_snapshot(reg, experiment="probes_demo")
+    snapshot = metrics_snapshot(reg)
     fired = {
         name: info["hits"]
         for name, info in snapshot["tracepoints"].items()

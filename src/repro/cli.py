@@ -16,7 +16,6 @@ Verbs::
     list [experiments|tracepoints|profiles|scenarios]
     run NAME...|--all [--attach SPEC]... [--policy HOOK=VALUE]...
     serve --rps N [--attach SPEC]...      one fixed-RPS serving point
-    gtop NAME|serving                     live metrics frames
     record NAME... / gate [NAME...]       latency baselines and the gate
     check / lint                          GSan sweep, static lint
     corpus [gsan|gmc]                     the seeded-bug corpora
@@ -36,9 +35,9 @@ Attach specs (``--attach``, repeatable)::
     rate:PATTERN[:bin_ns]     fires/second in bin_ns windows (default
                               10000)
     spans                     per-invocation span tracer; prints the
-                              span report (--spans-json, --tef)
-    metrics[:window_us]       windowed metrics hub; prints the final
-                              gtop frame (--hub-json, --prom, --csv)
+                              span report
+    metrics[:window_us]       windowed metrics hub; prints its final
+                              metrics frame
 
 ``counter``, ``hist`` and ``rate`` each install one metrics hub, labelled
 with the spec, whose rows :func:`repro.metrics.collectors.probe_specs`
@@ -47,6 +46,15 @@ tracepoint does not have is bad input.
 
 ``--policy coalesce.window=20000`` pins a policy hook to a constant,
 the command-line twin of writing ``/sys/genesys/coalesce_window_ns``.
+
+``run`` (of one experiment) and ``serve`` report what they observed in
+three outputs: the text they print, one Perfetto trace of every attached
+program's tracks (``--tef PATH``), and one JSON document (``--json
+PATH``, schema 3) holding ``experiment``, ``systems`` (one probe
+snapshot per System: tracepoint hits, hook decisions, and each
+program's snapshot, a metrics hub's with its windowed ``series``),
+``spans`` (the span statistics, when ``spans`` is attached) and, from
+``serve``, the serving ``point``.
 
 Bad input exits 2 with an ``error:`` line; a failed check exits 1.
 """
@@ -76,8 +84,6 @@ from typing import (
 from repro import experiments
 from repro.faults.chaos import PROFILES
 from repro.metrics.collectors import probe_specs
-from repro.metrics.export import csv_text, prometheus_text, series_payload
-from repro.metrics.gtop import GtopRenderer, render_frame, series_lines
 from repro.metrics.hub import DEFAULT_WINDOW_NS, MetricsHub, MetricsHubPlan
 from repro.modelcheck.certificate import (
     load_certificate,
@@ -91,7 +97,7 @@ from repro.modelcheck.corpus import check_corpus
 from repro.modelcheck.explore import Bounds, explore
 from repro.modelcheck.scenarios import build_scenario, resolve_plan, scenario_names
 from repro.modelcheck.schedule import ScheduleError
-from repro.probes.exporters import SNAPSHOT_SCHEMA, metrics_snapshot
+from repro.probes.exporters import metrics_snapshot
 from repro.probes.policy import fixed
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.runfarm import default_workers, merge_reports, run_chaos_matrix, shard
@@ -298,15 +304,12 @@ class AttachPlan:
         self,
         specs: Sequence[AttachSpec] = (),
         policies: Sequence[Tuple[str, float]] = (),
-        listener: Optional[Callable[[MetricsHub, float], None]] = None,
     ) -> None:
         self.specs = list(specs)
         self.policies = list(policies)
         self.kinds = {spec.kind for spec in self.specs}
         self.hub_plans = {
-            spec: MetricsHubPlan(
-                window_ns=spec.number or DEFAULT_WINDOW_NS, listener=listener
-            )
+            spec: MetricsHubPlan(window_ns=spec.number or DEFAULT_WINDOW_NS)
             for spec in self.specs
             if spec.kind == "metrics"
         }
@@ -352,22 +355,8 @@ class AttachPlan:
         ]
 
 
-#: Report outputs and the observer each one reads.
-_OUTPUT_NEEDS = {
-    "spans_json": "spans",
-    "hub_json": "metrics",
-    "prom": "metrics",
-    "csv": "metrics",
-    "series": "metrics",
-}
-
-
-def _plan(args: Args, policies: Sequence[Tuple[str, float]] = ()) -> AttachPlan:
-    plan = AttachPlan(args.attach, policies)
-    for dest, kind in _OUTPUT_NEEDS.items():
-        if getattr(args, dest) and kind not in plan.kinds:
-            raise UsageError(f"--{dest.replace('_', '-')} needs --attach {kind}")
-    return plan
+#: Schema of the ``--json`` document.
+JSON_SCHEMA = 3
 
 
 def _write(path: str, text: str) -> None:
@@ -376,49 +365,41 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _report(args: Args, plan: AttachPlan, title: str) -> None:
+def _report(
+    args: Args, plan: AttachPlan, title: str, point: Optional[dict] = None
+) -> None:
     """Print what the attached observers saw; write the files asked for."""
     traces = plan.traces
     if "spans" in plan.kinds:
-        print(analysis.render_report(traces, title=title, slowest_n=args.slowest))
-    hubs = plan.hubs
-    for hub in hubs:
-        hub.finalize()
-        print(render_frame(hub, hub.now(), title))
+        print(analysis.render_report(traces, title=title))
+    for hub in plan.hubs:
+        print(hub.render_frame(title))
         print()
-    if hubs and args.series:
-        lines = series_lines(hubs[-1], args.series)
-        if not lines:
-            raise UsageError(f"--series {args.series!r}: no such series")
-        print("\n".join(lines))
-    if args.probes_json:
-        snapshot = {
-            "schema": SNAPSHOT_SCHEMA,
+    if args.json:
+        document = {
+            "schema": JSON_SCHEMA,
             "experiment": title,
-            "num_systems": len(plan.registries),
-            "systems": [metrics_snapshot(r, experiment=title) for r in plan.registries],
+            "systems": [metrics_snapshot(registry) for registry in plan.registries],
         }
-        _write(args.probes_json, json.dumps(snapshot, indent=2) + "\n")
-    if args.spans_json:
-        document = build_baseline(title, traces)
-        document["by_syscall"] = analysis.by_key(traces, lambda t: t.name)
-        document["critical_path"] = analysis.critical_path(traces)
-        _write(args.spans_json, json.dumps(document, indent=2, sort_keys=True) + "\n")
+        if "spans" in plan.kinds:
+            document["spans"] = {
+                "invocations": len(traces),
+                "stages": analysis.stage_stats(traces),
+                "end_to_end": analysis.e2e_stats(traces),
+                "by_syscall": analysis.by_key(traces, lambda t: t.name),
+                "critical_path": analysis.critical_path(traces),
+            }
+        if point is not None:
+            document["point"] = point
+        _write(args.json, json.dumps(document, indent=2, sort_keys=True) + "\n")
     if args.tef:
         programs = [p for registry in plan.registries for p in registry.programs]
-        document = chrome_trace(
+        trace = chrome_trace(
             program_tracks(programs),
             {"generator": "repro.tracing (GENESYS reproduction)",
              "invocations": len(traces)},
         )
-        _write(args.tef, json.dumps(document))
-    if hubs and args.prom:
-        _write(args.prom, prometheus_text(hubs[-1], title))
-    if hubs and args.csv:
-        _write(args.csv, csv_text(hubs[-1]))
-    if args.hub_json:
-        doc = {"experiment": title, "hubs": [series_payload(hub) for hub in hubs]}
-        _write(args.hub_json, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write(args.tef, json.dumps(trace))
 
 
 # -- verbs -------------------------------------------------------------------
@@ -456,8 +437,10 @@ def _cmd_run(args: Args) -> int:
     names = experiments.all_names() if args.all else args.names
     if not names:
         raise UsageError("name one or more experiments, or pass --all")
+    if len(names) > 1 and (args.json or args.tef):
+        raise UsageError("--json and --tef report one run; name one experiment")
     for name in names:
-        plan = _plan(args, args.policy)
+        plan = AttachPlan(args.attach, args.policy)
         start = time.time()
         with attached(plan):
             result = experiments.run(name)
@@ -520,41 +503,11 @@ def _serve_point(args: Args, plan: AttachPlan) -> Tuple[str, dict]:
 
 
 def _cmd_serve(args: Args) -> int:
-    plan = _plan(args)
+    plan = AttachPlan(args.attach)
     summary, point = _serve_point(args, plan)
     if not args.quiet:
         print(summary)
-    _report(args, plan, "serving")
-    if args.json:
-        _write(args.json, json.dumps(point, sort_keys=True, indent=2) + "\n")
-    return 0
-
-
-def _cmd_gtop(args: Args) -> int:
-    serving = args.target == "serving"
-    title = f"serving {args.workload} @{args.rps}rps" if serving else args.target
-    renderer = GtopRenderer(
-        title, every=args.every, follow=args.follow, max_frames=args.max_frames
-    )
-    if len(args.attach) > 1 or any(spec.kind != "metrics" for spec in args.attach):
-        texts = " ".join(spec.text for spec in args.attach)
-        raise UsageError(f"--attach {texts!r}: gtop takes one metrics[:window_us]")
-    plan = AttachPlan(args.attach or [attach_spec("metrics")], listener=renderer)
-    if serving:
-        summary, _point = _serve_point(args, plan)
-    else:
-        with attached(plan):
-            rendered = experiments.run(args.target).render()
-        summary = rendered.splitlines()[0] if rendered else ""
-    for hub in plan.hubs:
-        hub.finalize()
-        print(render_frame(hub, hub.now(), f"{title} (final)"))
-        print()
-    if summary:
-        print(summary)
-    if args.prom_stdout and plan.hubs:
-        print()
-        print(prometheus_text(plan.hubs[-1], title), end="")
+    _report(args, plan, "serving", point)
     return 0
 
 
@@ -967,19 +920,12 @@ def _reports(p: argparse.ArgumentParser) -> None:
     group = p.add_argument_group("reports")
     group.add_argument("--quiet", action="store_true",
                        help="skip the run's own tables or summary line")
-    group.add_argument("--slowest", type=NON_NEGATIVE_INT, default=5, metavar="N",
-                       help="slowest invocations the span report lists")
-    group.add_argument("--series", metavar="METRIC",
-                       help="print this metric's windows as CSV rows")
-    for flag, what in (
-        ("--probes-json", "the probe snapshot (every registry) as JSON"),
-        ("--spans-json", "the span statistics as JSON"),
-        ("--tef", "a Perfetto trace of every attached program's tracks"),
-        ("--hub-json", "the metrics series payload as JSON"),
-        ("--prom", "Prometheus text of the last hub"),
-        ("--csv", "per-window CSV of the last hub"),
-    ):
-        group.add_argument(flag, metavar="PATH", help=f"write {what}")
+    group.add_argument("--tef", metavar="PATH",
+                       help="write a Perfetto trace of every attached program's tracks")
+    group.add_argument("--json", metavar="PATH",
+                       help="write the run's JSON document (schema 3): probe "
+                            "snapshots, metrics series, span statistics and, "
+                            "from serve, the point")
 
 
 def _serving(p: argparse.ArgumentParser) -> None:
@@ -1040,25 +986,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs="*", type=experiment_name, metavar="NAME")
     p.add_argument("--all", action="store_true", help="run every experiment")
 
-    p = verb("serve", _cmd_serve, "one fixed-RPS serving point, optionally observed",
-             _serving, _point, _attach, _reports)
-    p.add_argument("--json", metavar="PATH", help="write the point stats here")
-
-    p = verb("gtop", _cmd_gtop, "top-like metrics view of an experiment or serving point",
-             _serving, _point)
-    p.add_argument("target", type=_one_of("target", [*experiments.all_names(), "serving"]),
-                   metavar="NAME|serving")
-    p.add_argument("--attach", type=attach_spec, action="append", default=[],
-                   metavar="metrics[:window_us]",
-                   help="the metrics hub and its window "
-                        f"(default: metrics:{DEFAULT_WINDOW_NS / 1e3:g})")
-    p.add_argument("--every", type=POSITIVE_INT, default=25,
-                   help="render a frame every N windows")
-    p.add_argument("--follow", action="store_true", help="redraw in place with ANSI clears")
-    p.add_argument("--max-frames", type=NON_NEGATIVE_INT, default=40,
-                   help="cap on intermediate frames")
-    p.add_argument("--prom-stdout", action="store_true",
-                   help="print Prometheus text after the final frame")
+    verb("serve", _cmd_serve, "one fixed-RPS serving point, optionally observed",
+         _serving, _point, _attach, _reports)
 
     p = verb("record", _cmd_record, "record latency baselines")
     p.add_argument("names", nargs="+", type=experiment_name, metavar="NAME")

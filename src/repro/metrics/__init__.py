@@ -11,16 +11,15 @@ three QoS sensor rows, or the rows :func:`probe_specs` makes for one
 ``--attach counter|hist|rate`` spec.
 
 Everything here honours the probes determinism contract: observers are
-synchronous, get no simulator handle, and never mutate simulated state;
-the hub's periodic tick is a *weak* engine callback that neither
-advances the clock nor keeps the run alive, so attached and detached
-runs stay byte-identical and detached runs schedule zero metrics events.
+synchronous, get no simulator handle, never mutate simulated state and
+schedule no simulator event (windows close when a later sample lands or
+a reader asks), so attached and detached runs stay byte-identical.
 
-``hub.read(name, window)`` is the API ROADMAP item 3's feedback
-controllers will consume; :mod:`repro.metrics.export` feeds Prometheus
-text, CSV, Perfetto counter tracks, and the serving report's
-per-window time-series; :mod:`repro.metrics.gtop` draws the
-``python -m repro gtop`` terminal frames.
+``hub.read(name, window)`` is the API the QoS controllers consume;
+``hub.snapshot()`` (last window, lifetime aggregates and every closed
+window) is what ``run``/``serve --json`` write, ``hub.trace_tracks()``
+the Perfetto counter tracks of ``--tef``, and ``hub.render_frame()``
+the text frame they print.
 """
 
 from repro.metrics.collectors import probe_specs

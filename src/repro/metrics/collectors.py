@@ -1,14 +1,13 @@
 """Tracepoint-to-estimator feeds and the default metric catalog.
 
 A *feed* is a pure observer: attached to one tracepoint, it timestamps
-the fire via the hub and folds the arguments into a windowed estimator.
-Feeds never touch simulator state — the only side effect beyond
-their own accumulators is asking the hub to (weakly) arm its flush
-tick.
+the fire with the hub's clock (``hub.now()``) and folds the arguments
+into a windowed estimator.  Feeds never touch simulator state and
+schedule nothing: their only side effect is on their own accumulators.
 
-The catalog below is the wiring table the issue calls for: utilization
-and occupancy accounting over the existing syscall/fs/net/dram stream
-plus the gauge-grade fire sites added alongside this package
+The catalog below is the wiring table: utilization and occupancy
+accounting over the existing syscall/fs/net/dram stream plus the
+gauge-grade fire sites added alongside this package
 (``gpu.wf.occupancy``, ``gpu.lanes.runnable``, ``wq.depth``,
 ``wq.busy``, ``slot.occupancy``, ``fs.pagecache.resident``,
 ``syscall.inflight``, ``dram.queue``).
@@ -74,7 +73,7 @@ class CountFeed:
     def __call__(self, *args: object) -> None:
         if self.gate_arg is not None and args[self.gate_arg]:
             return
-        t_ns = self.hub.pulse()
+        t_ns = self.hub.now()
         amount = (
             _as_float(args[self.amount_arg])
             if self.amount_arg is not None
@@ -100,7 +99,7 @@ class ObserveFeed:
     def __call__(self, *args: object) -> None:
         value = args[self.value_arg]
         if isinstance(value, (int, float)):
-            self.metric.observe(self.hub.pulse(), value)
+            self.metric.observe(self.hub.now(), value)
 
 
 class GaugeFeed:
@@ -123,7 +122,7 @@ class GaugeFeed:
         self.den_arg = den_arg
 
     def __call__(self, *args: object) -> None:
-        t_ns = self.hub.pulse()
+        t_ns = self.hub.now()
         value = _as_float(args[self.value_arg])
         if self.den_arg is not None:
             den = _as_float(args[self.den_arg])
@@ -153,7 +152,7 @@ class RatioFeed:
     def __call__(self, *args: object) -> None:
         amount = _as_float(args[self.amount_arg])
         self.metric.add(
-            self.hub.pulse(), amount if self.to_num else 0.0, amount
+            self.hub.now(), amount if self.to_num else 0.0, amount
         )
 
 
@@ -172,7 +171,7 @@ class ShareFeed:
 
     def __call__(self, *args: object) -> None:
         self.metric.add(
-            self.hub.pulse(), 1.0 if args[self.flag_arg] else 0.0, 1.0
+            self.hub.now(), 1.0 if args[self.flag_arg] else 0.0, 1.0
         )
 
 
@@ -181,10 +180,11 @@ class MetricSpec:
 
     ``sources`` is a tuple of ``(tracepoint_name, feed_kind, feed_args)``
     triples; most metrics have one source, ratios may have several.
-    ``unit`` and ``help`` flow through to the exporters.
+    ``unit`` labels the metrics frame; ``read_mode`` overrides the
+    kind's default :meth:`MetricsHub.read` mode.
     """
 
-    __slots__ = ("name", "kind", "sources", "unit", "help", "read_mode")
+    __slots__ = ("name", "kind", "sources", "unit", "read_mode")
 
     def __init__(
         self,
@@ -192,14 +192,12 @@ class MetricSpec:
         kind: str,
         sources: Tuple[Tuple[str, str, dict], ...],
         unit: str = "",
-        help: str = "",
         read_mode: str = "",
     ) -> None:
         self.name = name
         self.kind = kind
         self.sources = sources
         self.unit = unit
-        self.help = help
         self.read_mode = read_mode
 
 
@@ -247,7 +245,7 @@ def probe_specs(
                 f"({', '.join(tp.args)})"
             )
     return tuple(
-        MetricSpec(tp.name, estimator, ((tp.name, feed, {option: arg}),), help=tp.doc)
+        MetricSpec(tp.name, estimator, ((tp.name, feed, {option: arg}),))
         for tp in tracepoints
     )
 
@@ -262,127 +260,145 @@ FEED_KINDS = {
 
 
 CATALOG: Tuple[MetricSpec, ...] = (
+    # completed syscall invocations per second
     MetricSpec(
         "syscall.rate", "counter",
         (("syscall.complete", "count", {}),),
-        unit="calls/s", help="completed syscall invocations per second",
+        unit="calls/s",
     ),
+    # syscall service time (PROCESSING span)
     MetricSpec(
         "syscall.latency", "histogram",
         (("syscall.complete", "observe", {"value_arg": 2}),),
-        unit="ns", help="syscall service time (PROCESSING span)",
+        unit="ns",
     ),
+    # invocations in flight
     MetricSpec(
         "syscall.inflight", "gauge",
         (("syscall.inflight", "gauge", {"value_arg": 0}),),
-        unit="calls", help="invocations in flight",
+        unit="calls",
     ),
+    # time-weighted share of live wavefronts halted on syscalls
     MetricSpec(
         "gpu.halt_fraction", "level",
         (("gpu.wf.occupancy", "gauge", {"value_arg": 0, "den_arg": 1}),),
         unit="fraction",
-        help="time-weighted share of live wavefronts halted on syscalls",
     ),
+    # runnable share of live lanes at wavefront dispatch
     MetricSpec(
         "gpu.lanes.runnable", "gauge",
         (("gpu.lanes.runnable", "gauge", {"value_arg": 1, "den_arg": 2}),),
         unit="fraction",
-        help="runnable share of live lanes at wavefront dispatch",
     ),
+    # workqueue backlog depth
     MetricSpec(
         "wq.depth", "gauge",
         (("wq.depth", "gauge", {"value_arg": 0}),),
-        unit="tasks", help="workqueue backlog depth",
+        unit="tasks",
     ),
+    # time-weighted worker-pool busy fraction
     MetricSpec(
         "wq.busy_fraction", "level",
         (("wq.busy", "gauge", {"value_arg": 0, "den_arg": 1}),),
-        unit="fraction", help="time-weighted worker-pool busy fraction",
+        unit="fraction",
     ),
+    # time-weighted share of syscall-area slots not FREE
     MetricSpec(
         "slot.occupancy", "level",
         (("slot.occupancy", "gauge", {"value_arg": 0, "den_arg": 1}),),
         unit="fraction",
-        help="time-weighted share of syscall-area slots not FREE",
     ),
+    # page-cache hit share of looked-up pages
     MetricSpec(
         "pagecache.hit_rate", "ratio",
         (
             ("fs.pagecache.hit", "ratio", {"amount_arg": 0, "to_num": True}),
             ("fs.pagecache.miss", "ratio", {"amount_arg": 0, "to_num": False}),
         ),
-        unit="fraction", help="page-cache hit share of looked-up pages",
+        unit="fraction",
     ),
+    # resident page-cache size
     MetricSpec(
         "pagecache.resident", "gauge",
         (("fs.pagecache.resident", "gauge", {"value_arg": 0}),),
-        unit="pages", help="resident page-cache size",
+        unit="pages",
     ),
+    # datagrams transmitted per second
     MetricSpec(
         "net.tx.rate", "counter",
         (("net.tx", "count", {}),),
-        unit="pkts/s", help="datagrams transmitted per second",
+        unit="pkts/s",
     ),
+    # datagrams received per second
     MetricSpec(
         "net.rx.rate", "counter",
         (("net.rx", "count", {}),),
-        unit="pkts/s", help="datagrams received per second",
+        unit="pkts/s",
     ),
+    # transmit byte rate
     MetricSpec(
         "net.tx.bytes", "counter",
         (("net.tx", "count", {"amount_arg": 0}),),
-        unit="B/s", help="transmit byte rate",
+        unit="B/s",
     ),
+    # receive byte rate
     MetricSpec(
         "net.rx.bytes", "counter",
         (("net.rx", "count", {"amount_arg": 0}),),
-        unit="B/s", help="receive byte rate",
+        unit="B/s",
     ),
+    # socket receive-queue depth after enqueue
     MetricSpec(
         "net.backlog.depth", "gauge",
         (("net.backlog", "gauge", {"value_arg": 0}),),
-        unit="pkts", help="socket receive-queue depth after enqueue",
+        unit="pkts",
     ),
+    # datagrams dropped per second (keyed by reason)
     MetricSpec(
         "net.drop.rate", "counter",
         (("net.drop", "count", {"key_arg": 0}),),
-        unit="pkts/s", help="datagrams dropped per second (keyed by reason)",
+        unit="pkts/s",
     ),
+    # receive-queue wait of dequeued datagrams
     MetricSpec(
         "net.sojourn", "histogram",
         (("net.sojourn", "observe", {"value_arg": 0}),),
-        unit="ns", help="receive-queue wait of dequeued datagrams",
+        unit="ns",
     ),
+    # queue wait of workqueue tasks at pickup
     MetricSpec(
         "wq.sojourn", "histogram",
         (("wq.sojourn", "observe", {"value_arg": 0}),),
-        unit="ns", help="queue wait of workqueue tasks at pickup",
+        unit="ns",
     ),
+    # requests shed per second (keyed by stage)
     MetricSpec(
         "qos.shed.rate", "counter",
         (("qos.shed", "count", {"key_arg": 0}),),
-        unit="sheds/s", help="requests shed per second (keyed by stage)",
+        unit="sheds/s",
     ),
+    # GPU-to-CPU interrupts actually raised per second
     MetricSpec(
         "irq.rate", "counter",
         (("syscall.irq", "count", {"gate_arg": 2}),),
-        unit="irqs/s", help="GPU-to-CPU interrupts actually raised per second",
+        unit="irqs/s",
     ),
+    # share of completion signals coalesced into a pending scan
     MetricSpec(
         "irq.suppressed_share", "ratio",
         (("syscall.irq", "share", {"flag_arg": 2}),),
         unit="fraction",
-        help="share of completion signals coalesced into a pending scan",
     ),
+    # share of window spent queued behind the DRAM channel
     MetricSpec(
         "dram.stall_fraction", "counter",
         (("dram.stall", "count", {"amount_arg": 1}),),
         unit="fraction", read_mode="fraction",
-        help="share of window spent queued behind the DRAM channel",
     ),
+    # DRAM channel queue depth at enqueue
     MetricSpec(
         "dram.queue", "gauge",
         (("dram.queue", "gauge", {"value_arg": 0}),),
-        unit="xfers", help="DRAM channel queue depth at enqueue",
+        unit="xfers",
     ),
 )

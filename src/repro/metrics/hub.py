@@ -1,15 +1,13 @@
 """MetricsHub: per-System windowed telemetry over the tracepoint stream.
 
 One hub owns one estimator per catalog entry and one feed per source
-tracepoint.  Correctness never depends on timers: estimators are lazily
-self-windowing, so a sample landing in a later window closes the earlier
-one on the spot.  The hub's periodic *flush tick* exists only to close
-windows promptly when traffic is idle (live ``gtop`` output, gauge
-carry-forward) and is scheduled as a **weak** engine callback — it never
-advances the simulated clock, never keeps the run alive, and is dropped
-unrun once no live work remains.  A run with no hub attached therefore
-schedules zero metrics events, and an attached run's simulated behaviour
-is byte-identical to a detached one.
+tracepoint.  No timer drives it: estimators are lazily self-windowing,
+so a sample landing in a later window closes the earlier ones on the
+spot, and :meth:`MetricsHub.read` and :meth:`MetricsHub.finalize` close
+windows up to a given time on demand.  A hub therefore schedules no
+simulator event, an attached run's simulated behaviour is byte-identical
+to a detached one, and a row whose tracepoint never fires keeps no
+windows (and draws no track).
 
 Fleet installation mirrors ``GSanPlan``: push a :class:`MetricsHubPlan`
 on the attach stack with :func:`repro.probes.tracepoints.attached` and
@@ -19,7 +17,7 @@ discoverable afterwards through :func:`metrics_hubs`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.collectors import (
     CATALOG,
@@ -37,6 +35,34 @@ __all__ = ["DEFAULT_WINDOW_NS", "MetricsHub", "MetricsHubPlan", "metrics_hubs"]
 #: resolve the syscall-latency experiments yet coarse enough that a
 #: serving measure interval spans tens of windows.
 DEFAULT_WINDOW_NS = 10_000.0
+
+
+#: ASCII sparkline ramp (low → high); deliberately not unicode so the
+#: output survives any terminal/CI log encoding.
+_SPARK = " .:-=+*#%@"
+
+
+def _spark(series: List[float]) -> str:
+    if not series:
+        return ""
+    top = max(series)
+    if top <= 0:
+        return "." * len(series)
+    out = []
+    for value in series:
+        rank = int(value / top * (len(_SPARK) - 1) + 0.5)
+        out.append(_SPARK[max(0, min(rank, len(_SPARK) - 1))])
+    return "".join(out)
+
+
+def _fmt(value: float) -> str:
+    if value == 0:
+        return "0"
+    if abs(value) >= 1e6 or abs(value) < 1e-3:
+        return f"{value:.3g}"
+    if abs(value) >= 100:
+        return f"{value:.0f}"
+    return f"{value:.3f}".rstrip("0").rstrip(".")
 
 
 class MetricsHub:
@@ -58,12 +84,6 @@ class MetricsHub:
         self.registry: Optional[ProbeRegistry] = None
         self.metrics: Dict[str, WindowedSeries] = {}
         self.specs: Dict[str, MetricSpec] = {spec.name: spec for spec in catalog}
-        self.ticks = 0
-        self._tick_handle: Optional[object] = None
-        self._next_boundary = 0.0
-        #: Live-view listeners, called as ``listener(hub, boundary_ns)``
-        #: after each flush tick.
-        self._listeners: List[Callable[["MetricsHub", float], None]] = []
 
     # -- installation -------------------------------------------------------
 
@@ -90,58 +110,17 @@ class MetricsHub:
         registry.programs.append(self)
         return self
 
-    # -- clock plumbing -----------------------------------------------------
-
     def now(self) -> float:
+        """The sim timestamp every feed gives its sample."""
         return self.registry.now() if self.registry is not None else 0.0
-
-    def pulse(self) -> float:
-        """Called by every feed on every fire: return the sample's sim
-        timestamp and make sure a flush tick is parked on the next
-        window boundary."""
-        now = self.now()
-        handle = self._tick_handle
-        if handle is None or handle.fn is None:  # type: ignore[attr-defined]
-            self._arm(now)
-        return now
-
-    def _arm(self, now: float) -> None:
-        if self.registry is None or self.registry.sim is None:
-            return
-        boundary = (int(now // self.window_ns) + 1) * self.window_ns
-        self._next_boundary = boundary
-        self._tick_handle = self.registry.sim.call_at(
-            boundary, self._tick, weak=True
-        )
-
-    def _tick(self) -> None:
-        """Weak flush tick.  Runs at a window boundary without advancing
-        the clock; re-arms from its *own* tracked boundary (``sim.now``
-        is stale inside a weak callback by design)."""
-        boundary = self._next_boundary
-        index = int(round(boundary / self.window_ns))
-        for estimator in self.metrics.values():
-            estimator.flush(index)
-        self.ticks += 1
-        for listener in self._listeners:
-            listener(self, boundary)
-        self._next_boundary = boundary + self.window_ns
-        if self.registry is not None and self.registry.sim is not None:
-            self._tick_handle = self.registry.sim.call_at(
-                self._next_boundary, self._tick, weak=True
-            )
-
-    def add_listener(
-        self, listener: Callable[["MetricsHub", float], None]
-    ) -> None:
-        self._listeners.append(listener)
 
     # -- reads --------------------------------------------------------------
 
     def finalize(self, t_ns: Optional[float] = None) -> None:
         """Close every window strictly before ``t_ns`` (default: now).
-        Exporters call this so trailing windows don't depend on whether
-        the final flush tick survived the run-down."""
+        Readers call this before they look at closed windows; a
+        controller ticking at ``t_ns`` passes its own tick time, since
+        ``sim.now`` is stale inside a weak callback."""
         when = self.now() if t_ns is None else t_ns
         for estimator in self.metrics.values():
             estimator.flush(estimator.index_of(when))
@@ -173,23 +152,21 @@ class MetricsHub:
         return out
 
     def snapshot(self) -> dict:
-        """Whole-run summary for the probes exporter: each metric's
-        last closed window and its lifetime aggregate."""
+        """Whole-run summary for the run's JSON document: each metric's
+        last closed window, its lifetime aggregate, and every closed
+        window of every exported series."""
         self.finalize()
-        last: Dict[str, float] = {}
-        for name in self.metrics:
-            try:
-                last[name] = self.read(name)
-            except (KeyError, ZeroDivisionError):  # pragma: no cover
-                last[name] = 0.0
         return {
             "window_ns": self.window_ns,
-            "ticks": self.ticks,
             "label": self.label,
-            "last_window": last,
+            "last_window": {name: self.read(name) for name in self.metrics},
             "lifetime": {
                 name: estimator.lifetime_snapshot()
                 for name, estimator in self.metrics.items()
+            },
+            "series": {
+                key: [[t0, value] for t0, value in series]
+                for key, series in self.export_series().items()
             },
         }
 
@@ -207,6 +184,28 @@ class MetricsHub:
             for key, series in sorted(exported.items())
         ]
 
+    def render_frame(self, title: str) -> str:
+        """The metrics frame ``run`` and ``serve`` print after a run:
+        every catalog metric's last window, its mean over the last 8
+        windows, and an ASCII trend over the last 24."""
+        self.finalize()
+        lines = [
+            f"metrics — {title}  t={self.now() / 1000.0:.1f}us  "
+            f"window={self.window_ns / 1000.0:g}us  hub={self.label or '-'}",
+            f"{'METRIC':<24} {'UNIT':<9} {'LAST':>10} {'AVG8':>10}  TREND",
+        ]
+        for spec in self.specs.values():
+            exported = self.metrics[spec.name].export_series()
+            series = exported.get("") or exported.get("p95") or []
+            last = self.read(spec.name)
+            avg = self.read(spec.name, window=8)
+            trend = _spark([value for _t0, value in series[-24:]])
+            lines.append(
+                f"{spec.name:<24} {spec.unit:<9} {_fmt(last):>10} "
+                f"{_fmt(avg):>10}  {trend}"
+            )
+        return "\n".join(lines)
+
 
 class MetricsHubPlan:
     """Attach plan: one MetricsHub per System (cf. ``GSanPlan``).
@@ -216,30 +215,18 @@ class MetricsHubPlan:
     hub, collected on the plan for later reads/export.
     """
 
-    def __init__(
-        self,
-        window_ns: float = DEFAULT_WINDOW_NS,
-        listener: Optional[Callable[["MetricsHub", float], None]] = None,
-    ) -> None:
+    def __init__(self, window_ns: float = DEFAULT_WINDOW_NS) -> None:
         self.window_ns = window_ns
-        self.listener = listener
         self.hubs: List[MetricsHub] = []
 
     def __call__(self, registry: ProbeRegistry) -> None:
         hub = MetricsHub(window_ns=self.window_ns, label=f"sys{len(self.hubs)}")
-        if self.listener is not None:
-            hub.add_listener(self.listener)
         self.hubs.append(hub.install(registry))
 
     @property
     def hub(self) -> Optional[MetricsHub]:
         """The most recently installed hub (single-System runs)."""
         return self.hubs[-1] if self.hubs else None
-
-    def read(self, name: str, window: int = 1) -> float:
-        """Convenience read from the most recent hub (0.0 when none)."""
-        hub = self.hub
-        return hub.read(name, window) if hub is not None else 0.0
 
 
 def metrics_hubs(registry: Optional[ProbeRegistry]) -> List[MetricsHub]:

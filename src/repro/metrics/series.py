@@ -2,17 +2,15 @@
 
 Every estimator here is *lazily self-windowing*: samples carry their own
 sim timestamp and the estimator derives the window index as
-``int(t_ns // window_ns)``.  A window closes automatically the moment a
-sample lands in a later one — no timer callback is required for
-correctness, which is what keeps exported series independent of whether
-the hub's (weak, droppable) flush tick ever ran.  The tick exists only
-to close windows promptly for live ``gtop`` output and to carry gauge
-levels forward across idle windows.
+``int(t_ns // window_ns)``.  A window closes the moment a sample lands
+in a later one, and :meth:`WindowedSeries.flush` closes windows up to a
+given index on demand, so no timer callback ever drives an estimator.
+The windows a gap spans close as the kind's empty value (counters,
+ratios and levels as zeros; gauges carry the last level forward).
 
 All estimators hold no simulator handle, and all read paths tolerate
-the awkward cases called out in the issue: empty-window reads,
-single-sample percentiles, and zero-duration intervals return zeros
-instead of raising.
+the awkward cases: empty-window reads, single-sample percentiles, and
+zero-duration intervals return zeros instead of raising.
 
 :class:`Log2Histogram` is the repo's one log2 histogram: a
 :class:`WindowedLog2Histogram` keeps one per open window and one for
@@ -102,11 +100,9 @@ class WindowedSeries:
     """Base: fixed sim-time windows with bounded closed-window history.
 
     ``windows`` is a list of ``(t0_ns, value)`` pairs for closed windows
-    in time order; the value type is subclass-specific.  Windows with no
-    samples are only materialised when the flush tick walks over them
-    (counters/ratios/levels close them as zeros; gauges carry the last
-    level forward), so a run with the hub detached at the end simply has
-    a sparse tail rather than wrong data.
+    in time order; the value type is subclass-specific.  The first
+    window is the one the first sample (or :meth:`flush`) lands in, so
+    a series that never sees a sample keeps no windows.
     """
 
     kind = "series"
@@ -161,8 +157,8 @@ class WindowedSeries:
             self._cur_index = index
 
     def flush(self, index: int) -> None:
-        """Close the in-progress window if ``index`` is past it (tick
-        path).  A fresh, empty window then begins at ``index``."""
+        """Close the in-progress window if ``index`` is past it.  A
+        fresh, empty window then begins at ``index``."""
         self._note(index)
 
     # -- reads --------------------------------------------------------------
@@ -289,9 +285,8 @@ class WindowedGauge(WindowedSeries):
     """Sampled level (queue depth, occupancy count, resident pages).
 
     Each window closes to ``(mean, min, max, last)`` over the samples it
-    saw.  The flush tick calls :meth:`carry` so idle windows report the
-    level as it stood (a queue that stays at depth 7 with no traffic is
-    still at depth 7), which is the behaviour a top-like view needs.
+    saw.  Idle windows report the level as it stood (a queue that stays
+    at depth 7 with no traffic is still at depth 7).
     """
 
     kind = "gauge"
@@ -332,13 +327,6 @@ class WindowedGauge(WindowedSeries):
     def _empty_value(self) -> Optional[object]:
         level = self.last if self.last is not None else 0.0
         return (level, level, level, level)
-
-    def carry(self, index: int) -> None:
-        """Tick path: close up to ``index``, carrying the level forward."""
-        self._note(index)
-
-    def flush(self, index: int) -> None:
-        self.carry(index)
 
     def read(self, last: int = 1, mode: str = "mean") -> float:
         rows = self.closed(last)

@@ -1,23 +1,20 @@
-"""Exporter: JSON metrics snapshots of attached probe state.
+"""Exporter: JSON snapshots of attached probe state.
 
 :func:`metrics_snapshot` is a JSON-ready dict of every tracepoint's hit
 count, every hook's decision/override counts, and every attached
-program's snapshot (a metrics hub's carries each metric's lifetime
-aggregate).  ``python -m repro run --probes-json`` writes one per
-System; CI asserts on it.  Perfetto tracks come from the programs' own
-``trace_tracks()`` through :mod:`repro.traceviz`.
+program's snapshot (a metrics hub's carries each metric's last window,
+lifetime aggregate and closed windows).  ``python -m repro run --json``
+writes one per System as the document's ``systems``; CI asserts on
+them.  Perfetto tracks come from the programs' own ``trace_tracks()``
+through :mod:`repro.traceviz`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.probes.tracepoints import ProbeRegistry
 
-SNAPSHOT_SCHEMA = 2
 
-
-def metrics_snapshot(registry: ProbeRegistry, experiment: Optional[str] = None) -> dict:
+def metrics_snapshot(registry: ProbeRegistry) -> dict:
     """Everything the attached probes know, as one JSON-ready dict."""
     tracepoints = {}
     for name in sorted(registry.tracepoints):
@@ -36,8 +33,6 @@ def metrics_snapshot(registry: ProbeRegistry, experiment: Optional[str] = None) 
             "overrides": hook.overrides,
         }
     return {
-        "schema": SNAPSHOT_SCHEMA,
-        "experiment": experiment,
         "simulated_ns": registry.now(),
         "tracepoints": tracepoints,
         "hooks": hooks,

@@ -18,8 +18,8 @@ Levels (cumulative — level N implies everything below it):
 * **3** — raise the priority floor: lowest-priority classes are shed
   at dispatch (``qos.shed`` reason ``priority``) until pressure clears.
 
-The tick rides a *weak* timer (the MetricsHub pattern): a pure
-policy pass that never keeps the simulation alive on its own.
+The tick rides a *weak* timer: a pure policy pass that never keeps
+the simulation alive on its own.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class BrownoutController:
     def _arm(self) -> None:
         # Weak: the controller observes and steers but never holds the
         # simulation open (sim.now is stale inside a weak callback, so
-        # the boundary is tracked explicitly — the MetricsHub pattern).
+        # the boundary is tracked explicitly).
         self.system.sim.call_at(self._next_tick_ns, self._tick, weak=True)
 
     # -- the control loop --------------------------------------------------
@@ -129,6 +129,9 @@ class BrownoutController:
         if not self._running:
             return
         self.ticks += 1
+        # Read the windows closed by this tick's boundary: ``sim.now``
+        # inside a weak callback is the last live event's time.
+        self.hub.finalize(self._next_tick_ns)
         genesys = self.system.genesys
         if self.level >= 2:
             # Polling mode: this tick *is* the polling CPU kernel.

@@ -243,8 +243,8 @@ class QosController:
 
     def remove(self) -> None:
         """Detach every program and restore every knob.  The private
-        sensor hub stays attached (feeds are passive observers on weak
-        ticks); only the decision points are unwound."""
+        sensor hub stays attached (its feeds are passive observers);
+        only the decision points are unwound."""
         if not self._installed:
             return
         self._installed = False

@@ -201,7 +201,7 @@ class _TimerHandle:
 
 
 class _WeakTimerHandle(_TimerHandle):
-    """A *weak* callback cell: pure-observer wakeups (metrics ticks).
+    """A *weak* callback cell: pure-observer wakeups (controller ticks).
 
     Weak entries never advance ``sim.now`` when they run, and they are
     silently dropped — not run — if no live work remains in the heap.
@@ -362,7 +362,7 @@ class Simulator:
         self._heap: List[HeapEntry] = []
         self._seq = 0
         #: Weak (clock-neutral) callbacks ever scheduled; lets tests
-        #: assert that detached runs schedule zero metrics ticks.
+        #: assert that an observer schedules no simulator event.
         self.weak_scheduled = 0
         #: Controllable-scheduler hook (``repro.modelcheck``).  When
         #: ``None`` — always, outside model checking — ``_step`` pops the
@@ -534,7 +534,7 @@ class Simulator:
         that has not been cancelled.  Weak callbacks and tombstones do
         not count: they exist only to observe live work, so a heap of
         nothing but them is as good as empty.  O(heap) scan, but it only
-        runs when a weak entry pops — once per metrics window at most.
+        runs when a weak entry pops — once per controller tick.
         """
         for _when, _seq, proc, value, _exc in self._heap:
             if proc is not None:

@@ -35,11 +35,10 @@ from repro.faults import (
     run_one,
 )
 from repro.machine import small_machine
-from repro.metrics import MetricsHubPlan
 from repro.modelcheck import Bounds, explore, run_schedule
 from repro.modelcheck.scenarios import build_workload
 from repro.oskernel.workqueue import WorkQueue
-from repro.probes import attached, policy
+from repro.probes import policy
 from repro.probes.tracepoints import StreamRecorder
 from repro.sim.engine import Simulator
 from repro.system import System
@@ -410,11 +409,11 @@ class TestScenarioBound:
         assert end(self.BOUND_NS) == end(None)
 
     def test_observer_tick_past_the_bound_is_not_live_work(self):
-        # The hub's first weak tick falls after the bound; the run itself
+        # An observer's weak tick falls after the bound; the run itself
         # ends well inside it.
-        with attached(MetricsHubPlan(window_ns=60_000.0)):
-            system = System(config=small_machine())
+        system = System(config=small_machine())
         system.drain_timeout_ns = 50_000.0
+        system.sim.call_at(60_000.0, lambda: None, weak=True)
 
         def kern(ctx):
             yield from ctx.sys.getrusage(blocking=False)

@@ -64,7 +64,7 @@ BAD_INPUT = [
     (["record", "nope"], "'nope'"),
     (["record", "table2"], "'table2'"),
     (["gate", "nope"], "'nope'"),
-    (["gtop", "nope"], "'nope'"),
+    (["gtop", "fig2"], "'gtop'"),
     (["explore", "--scenario", "nope"], "'nope'"),
     (["explore", "--scenario", "fig2", "--schedules", "0"], "'0'"),
     (["explore", "--scenario", "slot-commute", "--profile", "fig2"], "'slot-commute'"),
@@ -77,16 +77,19 @@ BAD_INPUT = [
     (["serve", "--rps", "0"], "'0'"),
     (["gate", "--tolerance", "-1"], "'-1'"),
     (["run"], "--all"),
+    # a report flag the one JSON document replaced fails loudly
     (["run", "fig2", "--prom", "m.prom"], "--prom"),
+    (["run", "fig2", "fig7", "--attach", "spans", "--json", "s.json"],
+     "--json and --tef report one run; name one experiment"),
+    (["run", "--all", "--tef", "t.json"], "name one experiment"),
+    (["run", "--all", "--json", "d.json"], "name one experiment"),
+    (["run", "fig2", "fig2", "--tef", "t.json"], "name one experiment"),
     (["run", "fig2", "--attach", "counter:nope*"], "'counter:nope*'"),
     (["run", "fig2", "--attach", "hist:syscall.complete:value=9"],
      "'hist:syscall.complete:value=9': syscall.complete has no argument 9"),
     (["run", "fig2", "--attach", "counter:syscall.dispatch:key=7"],
      "'counter:syscall.dispatch:key=7': syscall.dispatch has no argument 7"),
     (["serve", "--policy", "coalesce.window=1"], "--policy"),
-    (["gtop", "fig2", "--policy", "coalesce.window=1"], "--policy"),
-    (["gtop", "fig2", "--attach", "spans"], "'spans'"),
-    (["gtop", "fig2", "--attach", "metrics", "--attach", "metrics:20"], "'metrics metrics:20'"),
     (["replay", "no-such-certificate.json"], "no-such-certificate.json"),
     (["replay", str(NOT_JSON)], str(NOT_JSON)),
     (["replay", str(OTHER_JSON)], str(OTHER_JSON)),
@@ -209,14 +212,14 @@ def test_run_writes_probe_snapshot(tmp_path, capsys):
     path = tmp_path / "probes.json"
     code, _out, _err = run_cli(
         capsys, "run", "fig2", "--attach", "counter:*",
-        "--attach", "rate:irq.raised:5000", "--probes-json", str(path), "--quiet",
+        "--attach", "rate:irq.raised:5000", "--json", str(path), "--quiet",
     )
     assert code == 0
-    snapshot = json.loads(path.read_text())
-    assert snapshot["schema"] == 2
-    assert snapshot["experiment"] == "fig2"
-    assert snapshot["num_systems"] >= 1
-    system = snapshot["systems"][0]
+    document = json.loads(path.read_text())
+    assert document["schema"] == 3
+    assert document["experiment"] == "fig2"
+    assert "spans" not in document and "point" not in document
+    (system,) = document["systems"]
     assert sum(tp["hits"] for tp in system["tracepoints"].values()) > 0
     hubs = {program["label"]: program for program in system["programs"]}
     assert set(hubs) == {"counter:*", "rate:irq.raised:5000"}
@@ -229,7 +232,7 @@ def test_probe_snapshot_keeps_whole_run_aggregates(tmp_path, capsys):
     path = tmp_path / "probes.json"
     code, _out, _err = run_cli(
         capsys, "run", "fig2", "--attach", "counter:syscall.dispatch:key=0",
-        "--attach", "hist:syscall.complete:value=2", "--probes-json", str(path), "--quiet",
+        "--attach", "hist:syscall.complete:value=2", "--json", str(path), "--quiet",
     )
     assert code == 0
     (counter, hist) = json.loads(path.read_text())["systems"][0]["programs"]
@@ -280,15 +283,70 @@ def test_track_names_do_not_depend_on_other_hubs(tmp_path, capsys):
     assert names[0] == names[1]
 
 
-def test_run_prints_span_report_and_metrics_frame(capsys):
-    code, out, _err = run_cli(
-        capsys, "run", "fig2", "--attach", "spans", "--attach", "metrics:20",
-        "--quiet", "--series", "syscall.rate",
+def test_counter_tracks_are_only_rows_that_fired(tmp_path, capsys):
+    """A hub row whose tracepoint never fires keeps no windows, so it
+    draws no track: fig2 fires 29 of its tracepoints, and each draws a
+    count and a rate track."""
+    path = tmp_path / "c.json"
+    code, _out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "counter:*", "--tef", str(path), "--quiet",
     )
     assert code == 0
-    assert "stage latency" in out
-    assert "gtop — fig2" in out and "window=20us" in out
-    assert re.search(r"^syscall\.rate,\d+,", out, re.M)
+    tracks = {}
+    for event in json.loads(path.read_text())["traceEvents"]:
+        if event["ph"] == "C" and event["name"].startswith("metric:"):
+            tracks.setdefault(event["name"], []).append(event["args"]["value"])
+    assert len(tracks) == 58
+    assert all(any(values) for values in tracks.values())
+
+
+def test_run_prints_span_report_and_metrics_frame(tmp_path, capsys):
+    path = tmp_path / "fig2.json"
+    code, out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "spans", "--attach", "metrics:20",
+        "--quiet", "--json", str(path),
+    )
+    assert code == 0
+    assert "stage latency" in out and "slowest 5 invocations" in out
+    assert "metrics — fig2" in out and "window=20us" in out
+    document = json.loads(path.read_text())
+    spans = document["spans"]
+    assert set(spans) == {
+        "invocations", "stages", "end_to_end", "by_syscall", "critical_path",
+    }
+    assert spans["invocations"] == 2 and spans["stages"]
+    (hub,) = [p for p in document["systems"][0]["programs"] if "series" in p]
+    assert hub["window_ns"] == 20_000.0
+    assert all(isinstance(value, float) for _t0, value in hub["series"]["syscall.rate"])
+
+
+def test_json_document_is_byte_identical_across_runs(tmp_path, capsys):
+    """Probe counts, series and span statistics are all simulated-time
+    numbers, so two runs under one attach set write the same bytes."""
+    texts = []
+    for n in range(2):
+        path = tmp_path / f"fig2-{n}.json"
+        code, _out, _err = run_cli(
+            capsys, "run", "fig2", "--attach", "spans", "--attach", "metrics",
+            "--attach", "counter:*", "--json", str(path), "--quiet",
+        )
+        assert code == 0
+        texts.append(path.read_text())
+    assert texts[0] == texts[1]
+    assert set(json.loads(texts[0])) == {"schema", "experiment", "systems", "spans"}
+
+
+def test_json_of_a_run_without_a_system(tmp_path, capsys):
+    path = tmp_path / "table2.json"
+    code, out, err = run_cli(
+        capsys, "run", "table2", "--attach", "metrics", "--json", str(path),
+    )
+    assert code == 0, err
+    assert "classification of Linux system calls" in out and "metrics —" not in out
+    assert "table2 built no System" in err
+    assert json.loads(path.read_text()) == {
+        "schema": 3, "experiment": "table2", "systems": [],
+    }
 
 
 def test_serve(tmp_path, capsys):
@@ -298,27 +356,23 @@ def test_serve(tmp_path, capsys):
     )
     assert code == 0
     assert "memcached @ 20000 RPS" in out and "achieved" in out
-    assert json.loads(path.read_text())["rps_target"] == 20000
+    document = json.loads(path.read_text())
+    assert document["experiment"] == "serving"
+    assert document["point"]["rps_target"] == 20000
 
 
-def test_gtop_experiment(capsys):
-    code, out, _err = run_cli(capsys, "gtop", "fig2", "--every", "1", "--prom-stdout")
+def test_serve_json_carries_spans_beside_the_point(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    code, out, _err = run_cli(
+        capsys, "serve", "--rps", "20000", *TINY_SERVING, "--attach", "spans",
+        "--json", str(path), "--quiet",
+    )
     assert code == 0
-    assert "gtop — fig2 (final)" in out and "window=10us" in out
-    assert "# HELP repro_" in out
-
-
-def test_gtop_hub_window_is_an_attach_spec(capsys):
-    code, out, _err = run_cli(capsys, "gtop", "fig2", "--attach", "metrics:20")
-    assert code == 0
-    assert "gtop — fig2 (final)" in out and "window=20us" in out
-    assert "window=10us" not in out
-
-
-def test_gtop_of_a_run_without_a_system(capsys):
-    code, out, err = run_cli(capsys, "gtop", "table2", "--prom-stdout")
-    assert code == 0, err
-    assert "classification of Linux system calls" in out and "# HELP" not in out
+    assert "stage latency" in out and "achieved" not in out
+    document = json.loads(path.read_text())
+    assert set(document) == {"schema", "experiment", "systems", "spans", "point"}
+    assert document["spans"]["invocations"] > 0 and document["spans"]["stages"]
+    assert document["point"]["rps_target"] == 20000
 
 
 def test_check(capsys):
@@ -328,7 +382,7 @@ def test_check(capsys):
 
 
 def test_lint(capsys):
-    code, out, _err = run_cli(capsys, "lint", str(SRC / "metrics" / "gtop.py"))
+    code, out, _err = run_cli(capsys, "lint", str(SRC / "metrics" / "hub.py"))
     assert code == 0
     assert "repro.lint: clean" in out
 

@@ -1,5 +1,5 @@
-"""MetricsHub integration: installation, weak flush ticks, reads, and
-the exporters (Prometheus / CSV / TEF)."""
+"""MetricsHub integration: installation, reads without a timer, the
+whole-run snapshot, Perfetto counter tracks and the printed frame."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 from repro import experiments
 from repro.metrics import MetricsHub, MetricsHubPlan, metrics_hubs, probe_specs
 from repro.metrics.collectors import CATALOG
-from repro.metrics.export import csv_text, prometheus_text, series_payload
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.sim.engine import Simulator
 from repro.system import System
@@ -53,75 +52,68 @@ class TestInstallation:
         assert metrics_hubs(System().probes) == []
 
 
-class TestTicksAndReads:
-    def test_fig2_run_ticks_and_reads(self):
+class TestReads:
+    def test_fig2_run_reads(self):
         _result, plan = run_with_hub("fig2")
         hub = plan.hub
         assert hub is not None
-        assert hub.ticks > 0  # weak flush ticks ran at window boundaries
         assert hub.read("syscall.rate", window=1000, mode="count") > 0
         assert hub.read("syscall.latency", mode="count") > 0
         # reads never raise on idle metrics, they report zero
         assert hub.read("net.drop.rate") == 0.0
 
-    def test_weak_ticks_never_advance_or_block_the_sim(self):
-        registries = []
-
-        def plan(registry):
-            MetricsHub().install(registry)
-            registries.append(registry)
-
-        with attached(plan):
-            experiments.run("fig2")
-        sim = registries[0].sim
-        assert sim.weak_scheduled > 0
-        # drained: no parked metrics tick is keeping the heap alive
-        assert not sim._live_work_pending()
-
-    def test_plan_read_convenience(self):
+    def test_attached_hub_schedules_no_simulator_event(self):
         _result, plan = run_with_hub("fig2")
-        assert plan.read("syscall.rate", window=1000) >= 0.0
-        assert MetricsHubPlan().read("syscall.rate") == 0.0
+        assert plan.hub.registry.sim.weak_scheduled == 0
+
+    def test_row_that_never_fires_keeps_no_windows(self):
+        _result, plan = run_with_hub("fig2")
+        series = plan.hub.export_series()
+        assert series["syscall.rate"]
+        assert series["net.drop.rate"] == series["net.drop.rate.rate"] == []
+
+    def test_series_start_at_the_first_window_that_fired(self):
+        """No timer opens windows before a row's first sample, so its
+        series has no leading zeros; idle windows after it still close
+        to zero."""
+        registry = probe_registry()
+        hub = probe_hub(registry, "counter", "irq.raised", window_ns=1000.0)
+        fire_at(registry, "irq.raised", [(3500.0, (1,)), (6200.0, (1,))])
+        hub.finalize(8000.0)
+        assert hub.export_series()["irq.raised"] == [
+            (3000.0, 1.0), (4000.0, 0.0), (5000.0, 0.0), (6000.0, 1.0), (7000.0, 0.0),
+        ]
+
+    def test_mid_run_read_closes_windows_up_to_now(self):
+        """A read inside the run (the feedback-controller API) closes the
+        windows that ended before ``sim.now`` itself."""
+        registry = probe_registry()
+        hub = probe_hub(registry, "counter", "irq.raised", window_ns=1000.0)
+        reads = []
+        registry.sim.call_at(5500.0, lambda: reads.append((
+            hub.read("irq.raised", mode="count"),
+            hub.read("irq.raised", window=2, mode="count"),
+        )))
+        fire_at(registry, "irq.raised", [(3500.0, (1,)), (6200.0, (1,))])
+        assert reads == [(0.0, 1.0)]  # [4000, 5000) was idle, [3000, 4000) was not
+
+
+class TestSnapshot:
+    def test_snapshot_carries_the_closed_windows(self):
+        _result, plan = run_with_hub("fig2")
+        hub = plan.hub
+        snap = hub.snapshot()
+        assert json.loads(json.dumps(snap)) == snap
+        assert snap["window_ns"] == 10_000.0 and snap["label"] == "sys0"
+        assert snap["series"] == {
+            key: [[t0, value] for t0, value in windows]
+            for key, windows in hub.export_series().items()
+        }
+        assert snap["series"]["syscall.rate"]
+        assert snap["last_window"]["syscall.rate"] == hub.read("syscall.rate")
 
 
 class TestExporters:
-    def test_prometheus_shape(self):
-        _result, plan = run_with_hub("fig2")
-        text = prometheus_text(plan.hub, "fig2")
-        assert text.endswith("\n")
-        lines = text.splitlines()
-        assert any(line.startswith("# HELP repro_syscall_rate") for line in lines)
-        assert any(line.startswith("# TYPE repro_syscall_rate_total counter")
-                   for line in lines)
-        for line in lines:
-            if line.startswith("#"):
-                continue
-            name_part, value = line.rsplit(" ", 1)
-            float(value)  # every sample parses
-            assert name_part.startswith("repro_")
-            assert 'experiment="fig2"' in name_part
-
-    def test_csv_shape(self):
-        _result, plan = run_with_hub("fig2")
-        text = csv_text(plan.hub)
-        lines = text.strip().splitlines()
-        assert lines[0] == "metric,t0_ns,value"
-        assert len(lines) > 1
-        for line in lines[1:]:
-            metric, t0, value = line.split(",")
-            float(t0)
-            float(value)
-            assert metric
-
-    def test_series_payload_json_ready(self):
-        _result, plan = run_with_hub("fig2")
-        payload = series_payload(plan.hub)
-        encoded = json.dumps(payload, sort_keys=True)
-        assert payload["schema"] == 1
-        assert payload["window_ns"] == 10_000.0
-        assert "syscall.rate" in payload["series"]
-        assert json.loads(encoded) == payload
-
     def test_tef_events_valid(self):
         _result, plan = run_with_hub("fig2")
         events = trace_events(program_tracks(plan.hub.registry.programs))
@@ -162,13 +154,11 @@ class TestExporters:
         json.dumps(trace)
 
 
-class TestGtopRendering:
+class TestFrame:
     def test_render_frame_lists_catalog(self):
-        from repro.metrics.gtop import render_frame
-
         _result, plan = run_with_hub("fig2")
-        hub = plan.hub
-        frame = render_frame(hub, hub.now(), "fig2")
+        frame = plan.hub.render_frame("fig2")
+        assert frame.startswith("metrics — fig2  t=45.6us  window=10us  hub=sys0")
         for name in ("syscall.rate", "wq.depth", "dram.queue"):
             assert name in frame
         assert "TREND" in frame
@@ -178,39 +168,27 @@ class TestGtopRendering:
 
         assert main(["run", "fig2", "--attach", "metrics", "--quiet"]) == 0
         out = capsys.readouterr().out
-        assert "gtop — fig2" in out
+        assert "metrics — fig2" in out
         assert "syscall.rate" in out
 
-    def test_cli_gtop_serving_point(self, capsys):
+    def test_cli_serving_point_writes_series(self, tmp_path, capsys):
         from repro.cli import main
 
+        path = tmp_path / "serving.json"
         rc = main([
-            "gtop", "serving", "--workload", "udp-echo",
+            "serve", "--workload", "udp-echo", "--attach", "metrics",
             "--rps", "20000", "--clients", "8",
-            "--warmup-us", "50", "--measure-us", "100",
-            "--every", "5",
+            "--warmup-us", "50", "--measure-us", "100", "--json", str(path),
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "gtop — serving udp-echo @20000rps" in out
-        assert "net.tx.rate" in out
+        assert "metrics — serving" in out and "net.tx.rate" in out
         assert "achieved" in out
-
-    def test_cli_run_writes_exports(self, tmp_path, capsys):
-        from repro.cli import main
-
-        prom = tmp_path / "m.prom"
-        csv = tmp_path / "m.csv"
-        payload = tmp_path / "m.json"
-        rc = main([
-            "run", "fig2", "--attach", "metrics", "--quiet",
-            "--prom", str(prom), "--csv", str(csv), "--hub-json", str(payload),
-        ])
-        assert rc == 0
-        assert prom.read_text().startswith("# HELP")
-        assert csv.read_text().startswith("metric,t0_ns,value")
-        doc = json.loads(payload.read_text())
-        assert doc["experiment"] == "fig2"
+        doc = json.loads(path.read_text())
+        (hub,) = doc["systems"][0]["programs"]
+        assert hub["label"] == "sys0"
+        assert hub["series"]["net.tx.rate"]
+        assert doc["point"]["rps_target"] == 20000
 
 
 def probe_registry():

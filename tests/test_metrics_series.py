@@ -98,7 +98,7 @@ class TestWindowedGauge:
     def test_carry_forward_across_idle_windows(self):
         g = WindowedGauge(10.0)
         g.set(1.0, 5.0)
-        g.carry(4)  # tick at t=40: idle windows hold the level
+        g.flush(4)  # a read at t=40: idle windows hold the level
         values = [v[0] for _, v in g.windows]
         assert values == [5.0, 5.0, 5.0, 5.0]
 
@@ -146,7 +146,7 @@ class TestWindowedLog2Histogram:
         h.observe(1.0, 10.0)
         h.observe(35.0, 10.0)  # windows [10,20) and [20,30) saw nothing
         h.flush(4)
-        h.flush(5)  # [40,50) opened by the tick and closed empty
+        h.flush(5)  # [40,50) opened by a flush and closed empty
         assert [t0 for t0, _ in h.windows] == [0.0, 10.0, 20.0, 30.0, 40.0]
         assert [stats for _, stats in h.windows][1:3] == [zeros, zeros]
         assert h.windows[4][1] == zeros

@@ -32,16 +32,25 @@ def probe_spec(text):
     return lambda: AttachPlan([attach_spec(text)])
 
 
-def own_lifetime_count(plan, registries):
-    """Fires the spec's own hubs took in: counter totals, histogram
-    counts (every hub is labelled with its spec)."""
-    (spec,) = plan.specs
+def lifetime_count(hubs):
+    """Fires ``hubs`` took in: counter totals and histogram counts."""
     return sum(
         estimator.lifetime.count if estimator.kind == "histogram" else estimator.total
+        for hub in hubs
+        for estimator in hub.metrics.values()
+        if estimator.kind in ("counter", "histogram")
+    )
+
+
+def own_lifetime_count(plan, registries):
+    """Fires the spec's own hubs took in (every hub is labelled with
+    its spec)."""
+    (spec,) = plan.specs
+    return lifetime_count(
+        hub
         for registry in registries
         for hub in metrics_hubs(registry)
         if hub.label == spec.text
-        for estimator in hub.metrics.values()
     )
 
 
@@ -61,7 +70,7 @@ NEUTRAL_PLANS = (
      own_lifetime_count),
     ("irq-rate", probe_spec("rate:irq.raised:5000"), own_lifetime_count),
     ("spans", lambda: install_tracer, traced_invocations),
-    ("metrics-hub", MetricsHubPlan, lambda plan, _: sum(hub.ticks for hub in plan.hubs)),
+    ("metrics-hub", MetricsHubPlan, lambda plan, _: lifetime_count(plan.hubs)),
     ("gsan", GSanPlan, lambda plan, _: plan.events),
     ("fifo-tie-break", FifoSchedulePlan, lambda plan, _: plan.installed),
 )

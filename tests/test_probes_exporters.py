@@ -5,7 +5,7 @@ import json
 
 from repro.machine import small_machine
 from repro.metrics import MetricsHub, probe_specs
-from repro.probes.exporters import SNAPSHOT_SCHEMA, metrics_snapshot
+from repro.probes.exporters import metrics_snapshot
 from repro.probes.policy import fixed
 from repro.probes.tracepoints import ProbeRegistry
 from repro.sim.engine import Simulator
@@ -45,15 +45,14 @@ class TestMetricsSnapshot:
         reg = system.probes
         probe_hub(reg, "counter", "irq.raised")
         reg.attach_policy("coalesce.window", fixed(1000.0))
-        snap = metrics_snapshot(reg, experiment="unit")
-        assert snap["schema"] == SNAPSHOT_SCHEMA == 2
-        assert snap["experiment"] == "unit"
+        snap = metrics_snapshot(reg)
         assert snap["simulated_ns"] == 0.0
         assert snap["tracepoints"]["irq.raised"]["observers"] == 1
         assert snap["hooks"]["coalesce.window"]["programs"] == 1
         (program,) = snap["programs"]
         assert program["label"] == "counter:irq.raised"
         assert program["lifetime"] == {"irq.raised": {"total": 0.0}}
+        assert program["series"] == {"irq.raised": [], "irq.raised.rate": []}
 
     def test_hits_recorded_after_run(self):
         system = ran_system()

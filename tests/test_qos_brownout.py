@@ -5,7 +5,9 @@ clean unwind on stop."""
 import pytest
 
 from repro.machine import small_machine
+from repro.metrics import MetricsHub
 from repro.qos.brownout import BrownoutController, _ScaleWindow
+from repro.qos.plan import SENSORS
 from repro.system import System
 
 
@@ -15,6 +17,9 @@ class _FakeHub:
     def __init__(self):
         self.p99 = 0.0
         self.depth = 0.0
+
+    def finalize(self, t_ns=None):
+        pass
 
     def read(self, name, window=1, mode=None):
         if name == "syscall.latency":
@@ -189,3 +194,34 @@ class TestTimerIntegration:
         assert controller.ticks > 0
         assert controller.level == 0  # sensors quiet throughout
         controller.stop()
+
+
+def run_one_slow_call():
+    """A controller on a real sensor hub, one slow call at 500 ns, and
+    live work until 2500 ns."""
+    system = System(config=small_machine())
+    hub = MetricsHub(1_000.0, "qos", catalog=SENSORS).install(system.probes)
+    controller = BrownoutController(system, hub, period_ns=1_000.0).start()
+    complete = system.probes.get("syscall.complete")
+    system.sim.call_at(500.0, lambda: complete.fire("pread", 0, 500_000.0, 1, True))
+    system.sim.call_at(2_500.0, lambda: None)  # live work until then
+    system.sim.run()
+    return system, controller
+
+
+class TestSensorWindows:
+    def test_tick_reads_the_window_its_boundary_closed(self):
+        """Inside the weak tick at 1000 ns ``sim.now`` still reads the
+        last live event's 500 ns; the controller closes the sensor
+        windows at its own boundary, so it sees the slow call of window
+        [0, 1000) at once and the empty window [1000, 2000) next."""
+        _system, controller = run_one_slow_call()
+        assert controller.ticks == 2
+        assert (controller.escalations, controller.deescalations) == (1, 1)
+        assert controller.peak_level == 1
+
+    def test_the_controller_tick_is_the_only_weak_event(self):
+        """The hub schedules nothing: every weak event is a controller
+        tick, and the one armed past the last live event never runs."""
+        system, controller = run_one_slow_call()
+        assert system.sim.weak_scheduled == controller.ticks + 1

@@ -475,7 +475,7 @@ class TestTracingCli:
 
         metrics = tmp_path / "m.json"
         code = main(
-            ["run", "fig2", "--attach", "spans", "--quiet", "--probes-json", str(metrics)]
+            ["run", "fig2", "--attach", "spans", "--quiet", "--json", str(metrics)]
         )
         assert code == 0
         snapshot = json.loads(metrics.read_text())
