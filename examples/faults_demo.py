@@ -82,7 +82,7 @@ def main() -> None:
     print(f"\n=== 2. faulted run, recovery armed ===")
     print(f"  plan: {DEMO_PLAN.describe()}")
     system = build_system()
-    injector = FaultInjector(DEMO_PLAN, system.probes)
+    injector = FaultInjector(DEMO_PLAN, system)
     outcome = run_workload(system)
     print(f"  elapsed: {outcome['elapsed_ns']:.0f} ns, "
           f"full reads: {outcome['full_reads']}/{outcome['items']}")

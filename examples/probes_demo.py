@@ -5,11 +5,12 @@ Runs the same GPU-pread workload twice.  The first run attaches
 observers — per-syscall counters, a log2 latency histogram over
 ``syscall.complete``, an IRQ rate, each a metrics hub over the rows
 ``probe_specs`` makes, as ``--attach counter|hist|rate`` does — and
-prints the metrics snapshot.  The second run attaches a *policy*
-program that widens the interrupt-coalescing window through the
+prints the metrics snapshot.  The second run writes the batch knob
+(``/sys/genesys/coalescing_max_batch``) and attaches a *policy* program
+that widens the interrupt-coalescing window through the
 ``coalesce.window`` hook (the decision point the
-``/sys/genesys/coalescing_window_ns`` knob also feeds) and shows the
-effect on interrupt/bundle counts.
+``/sys/genesys/coalescing_window_ns`` knob feeds a default to), and
+shows the effect on interrupt/bundle counts.
 
 Run:  python examples/probes_demo.py
 """
@@ -85,12 +86,12 @@ def steer() -> None:
     print("\n== policy hooks (the sanctioned way to change behaviour) ==")
     for label, setup in (
         ("baseline (no coalescing)", None),
-        ("coalesce.window=20000 via policy hook", lambda reg: (
-            reg.attach_policy("coalesce.window", fixed(20_000.0)),
-            reg.attach_policy("coalesce.batch", fixed(8)),
-        )),
+        ("coalesce.window=20000 via policy hook",
+         lambda reg: reg.attach_policy("coalesce.window", fixed(20_000.0))),
     ):
-        system = build_system(coalescing=CoalescingConfig())
+        # max_batch=8 is the batch knob's value; with no window the
+        # baseline still flushes every request on its own.
+        system = build_system(coalescing=CoalescingConfig(max_batch=8))
         if setup is not None:
             setup(system.probes)
         elapsed = run_workload(system)

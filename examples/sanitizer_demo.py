@@ -34,7 +34,7 @@ def run_once(plan=None):
     system = System(config=small_machine())
     sanitizer = GSan().install(system.probes)
     if plan is not None:
-        FaultInjector(plan, system.probes)
+        FaultInjector(plan, system)
         system.drain_timeout_ns = 2_000_000.0
 
     def kern(ctx):

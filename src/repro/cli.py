@@ -36,20 +36,21 @@ Attach specs (``--attach``, repeatable)::
                               10000)
     spans                     per-invocation span tracer; prints the
                               span report
-    metrics[:window_us]       windowed metrics hub; prints its final
-                              metrics frame
+    metrics[:window_us]       windowed metrics hub over the full
+                              catalog
 
 ``counter``, ``hist`` and ``rate`` each install one metrics hub, labelled
 with the spec, whose rows :func:`repro.metrics.collectors.probe_specs`
 makes: one per matching tracepoint.  An argument index a matched
 tracepoint does not have is bad input.
 
-``--policy coalesce.window=20000`` pins a policy hook to a constant,
-the command-line twin of writing ``/sys/genesys/coalesce_window_ns``.
+``--policy coalesce.window=20000`` pins a policy hook to a constant for
+one run; a value meant to hold is a ``/sys/genesys`` knob.
 
 ``run`` (of one experiment) and ``serve`` report what they observed in
-three outputs: the text they print, one Perfetto trace of every attached
-program's tracks (``--tef PATH``), and one JSON document (``--json
+three outputs: the text they print (the span report and every hub's
+final metrics frame), one Perfetto trace of every attached program's
+tracks (``--tef PATH``), and one JSON document (``--json
 PATH``, schema 3) holding ``experiment``, ``systems`` (one probe
 snapshot per System: tracepoint hits, hook decisions, and each
 program's snapshot, a metrics hub's with its windowed ``series``),
@@ -69,7 +70,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
@@ -84,7 +85,12 @@ from typing import (
 from repro import experiments
 from repro.faults.chaos import PROFILES
 from repro.metrics.collectors import probe_specs
-from repro.metrics.hub import DEFAULT_WINDOW_NS, MetricsHub, MetricsHubPlan
+from repro.metrics.hub import (
+    DEFAULT_WINDOW_NS,
+    MetricsHub,
+    MetricsHubPlan,
+    metrics_hubs,
+)
 from repro.modelcheck.certificate import (
     load_certificate,
     make_certificate,
@@ -101,7 +107,7 @@ from repro.probes.exporters import metrics_snapshot
 from repro.probes.policy import fixed
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.runfarm import default_workers, merge_reports, run_chaos_matrix, shard
-from repro.sanitizers.corpus import ENTRIES, distinct_rules, run_corpus
+from repro.sanitizers.corpus import distinct_rules, run_corpus
 from repro.sanitizers.gsan import GSanPlan
 from repro.sanitizers.lint import run_lint
 from repro.serving import report as serving_report
@@ -113,7 +119,6 @@ from repro.serving.sweep import (
     build_target,
     default_grid,
     default_knee,
-    default_overload_plan,
     memcached_reply_check,
     overload_curve,
     run_point_on,
@@ -123,9 +128,7 @@ from repro.system import System
 from repro.traceviz import chrome_trace, program_tracks
 from repro.tracing import analysis
 from repro.tracing.gate import (
-    DEFAULT_ABS_NS,
     DEFAULT_DIR,
-    DEFAULT_TOLERANCE,
     baseline_path,
     build_baseline,
     gate_experiment,
@@ -342,7 +345,10 @@ class AttachPlan:
 
     @property
     def hubs(self) -> List[MetricsHub]:
-        return [hub for plan in self.hub_plans.values() for hub in plan.hubs]
+        """Every metrics hub on the run's Systems, probe specs' included."""
+        return [
+            hub for registry in self.registries for hub in metrics_hubs(registry)
+        ]
 
     @property
     def traces(self) -> List[InvocationTrace]:
@@ -538,10 +544,7 @@ def _cmd_gate(args: Args) -> int:
             raise UsageError(f"no baseline for {name!r} under {args.dir!r}")
     passed = True
     for name in names:
-        result = gate_experiment(
-            name, _traces(name), args.dir,
-            tolerance=args.tolerance, abs_ns=args.abs_ns,
-        )
+        result = gate_experiment(name, _traces(name), args.dir)
         print(result.render())
         passed = passed and result.passed
     print("gate:", "PASS" if passed else "FAIL")
@@ -607,7 +610,7 @@ def _cmd_lint(args: Args) -> int:
 
 
 def _gsan_corpus(args: Args) -> Tuple[bool, dict]:
-    results = run_corpus(args.entries)
+    results = run_corpus()
     missed = [result for result in results if not result.detected]
     if not args.json:
         for result in results:
@@ -700,7 +703,6 @@ def _cmd_explore(args: Args) -> int:
         max_schedules=args.schedules,
         max_depth=args.depth,
         max_preemptions=args.preemptions,
-        dpor=not args.no_dpor,
     )
     report = explore(
         args.scenario, plan=plan_doc, seed=args.seed, bounds=bounds,
@@ -728,7 +730,7 @@ def _cmd_explore(args: Args) -> int:
             violations=finding["violations"],
         )
         rules = set(finding["rules"])
-        if args.shrink and rules:
+        if rules:
             shrunk, _attempts = shrink(
                 args.scenario, finding["choices"], rules,
                 plan=plan_doc, seed=args.seed,
@@ -791,9 +793,9 @@ def _cmd_chaos(args: Args) -> int:
 
 
 def _cmd_pytest(args: Args) -> int:
-    files = sorted(glob.glob(os.path.join(args.tests, "test_*.py")))
+    files = sorted(glob.glob(os.path.join("tests", "test_*.py")))
     if not files:
-        raise UsageError(f"no test files under {args.tests!r}")
+        raise UsageError("no test files under 'tests'")
     shards = [s for s in shard(files, args.workers) if s]
     env = dict(os.environ)
     existing = env.get("PYTHONPATH", "")
@@ -837,14 +839,8 @@ def _cmd_sweep(args: Args) -> int:
 
 def _cmd_overload(args: Args) -> int:
     config = _serving_config(args)
-    plan = default_overload_plan(config)
-    if args.sojourn_budget_us is not None:
-        plan = replace(plan, sojourn_budget_ns=args.sojourn_budget_us * 1e3)
-    if args.no_brownout:
-        plan = replace(plan, brownout=False)
     doc = overload_curve(
         config,
-        plan=plan,
         knee_rps=args.knee or default_knee(config),
         multipliers=args.multipliers,
         workers=args.workers,
@@ -997,10 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs="*", type=experiment_name, metavar="NAME",
                    help="experiments to gate (default: every recorded baseline)")
     p.add_argument("--dir", default=DEFAULT_DIR, help="baseline directory")
-    p.add_argument("--tolerance", type=NON_NEGATIVE, default=DEFAULT_TOLERANCE,
-                   help="relative tolerance band")
-    p.add_argument("--abs-ns", type=NON_NEGATIVE, default=DEFAULT_ABS_NS,
-                   help="absolute tolerance floor in ns")
 
     p = verb("check", _cmd_check, "GSan sweep: experiments byte-identical and clean")
     p.add_argument("--experiments", type=_list_of(experiment_name), metavar="A,B",
@@ -1014,9 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("corpus", _cmd_corpus, "prove every seeded bug is caught", _workers(1))
     p.add_argument("target", nargs="?", choices=tuple(CORPORA),
                    help="GSan violations or model-check ordering bugs (default: both)")
-    p.add_argument("--entries", metavar="A,B",
-                   type=_list_of(_one_of("corpus entry", [e.name for e in ENTRIES])),
-                   help="comma-separated GSan entries (default: all)")
     p.add_argument("--cert-dir", default="gmc_certs")
     p.add_argument("--json", action="store_true")
 
@@ -1029,8 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=NON_NEGATIVE_INT, default=12,
                    help="branchable decisions")
     p.add_argument("--preemptions", type=NON_NEGATIVE_INT, default=4)
-    p.add_argument("--no-dpor", action="store_true", help="disable pruning")
-    p.add_argument("--no-shrink", dest="shrink", action="store_false")
     p.add_argument("--cert-dir", default="gmc_certs")
     p.add_argument("--json", action="store_true")
 
@@ -1052,7 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("pytest", _cmd_pytest, "shard the test suite over processes",
              _workers(default_workers()))
-    p.add_argument("--tests", default="tests")
     p.add_argument("--budget-s", type=NON_NEGATIVE, default=0.0,
                    help="fail if total wall time exceeds this many seconds")
     p.add_argument("pytest_args", nargs="*", default=[])
@@ -1070,10 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multipliers", type=POSITIVE, nargs="+",
                    default=list(DEFAULT_MULTIPLIERS),
                    help="offered-load multiples of the knee")
-    p.add_argument("--sojourn-budget-us", type=POSITIVE,
-                   help="override the plan's receive-queue sojourn budget")
-    p.add_argument("--no-brownout", action="store_true",
-                   help="disable the brownout controller in the plan")
     p.add_argument("--out", default="BENCH_overload.json")
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless the no-collapse goodput gate holds")

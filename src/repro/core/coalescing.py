@@ -7,13 +7,11 @@ exposed through sysfs on the real system and through
 :class:`CoalescingConfig` here.  Coalescing trades latency for
 throughput and implicitly serialises the bundled calls on one worker.
 
-Both knobs are policy-hook decision points (``coalesce.window`` /
-``coalesce.batch``): the config value is the *default* each decision
-starts from — which is what the sysfs ``/sys/genesys/*`` files write —
-and an attached policy program may override it per bundle.  A sysfs
-write and an attached ``fixed(v)`` program therefore meet at the same
-decision point and produce identical behaviour (tested against the
-Figure 10 sensitivity points).
+Both are :class:`CoalescingConfig` fields, which the sysfs
+``/sys/genesys/coalescing_*`` files write.  The window is also a
+policy-hook decision point (``coalesce.window``): the configured window
+is the default each bundle's decision starts from, and an attached
+program may change it per bundle, as brownout level 1 scales it down.
 """
 
 from __future__ import annotations
@@ -49,10 +47,9 @@ class Coalescer:
     """Accumulates interrupt payloads into bundles and flushes them.
 
     A bundle flushes when the time window since its first member expires
-    or when it reaches the batch limit, whichever is first.  Window and
-    batch are decided per bundle: the configured values unless a policy
-    program attached to ``coalesce.window`` / ``coalesce.batch``
-    overrides them.
+    or when it reaches the batch limit, whichever is first.  Both are
+    fixed when a bundle opens: the configured batch, and the configured
+    window unless a program attached to ``coalesce.window`` changes it.
     """
 
     def __init__(
@@ -86,11 +83,6 @@ class Coalescer:
             ("window_ns",),
             "override the coalescing window (ns) for the bundle being opened",
         )
-        self.hook_batch = registry.hook(
-            "coalesce.batch",
-            ("max_batch",),
-            "override the max batch size for the bundle being opened",
-        )
 
     def add(self, payload: Any) -> None:
         """Add one interrupt payload (called from the handler)."""
@@ -103,8 +95,6 @@ class Coalescer:
             batch = self.config.max_batch
             if self.hook_window.active:
                 window = self.hook_window.decide(window)
-            if self.hook_batch.active:
-                batch = self.hook_batch.decide(batch)
             if not (window > 0 and batch > 1):
                 # Coalescing disabled: every request is its own task.
                 self.flush_fn([payload])

@@ -200,21 +200,6 @@ class Genesys:
             ("action", "slot_index", "name"),
             "an injected slot fault was applied (wedge or corrupt)",
         )
-        self.hook_watchdog = self.probes.hook(
-            "genesys.watchdog",
-            ("period_ns",),
-            "override the watchdog period (ns; 0 disables) for the next arm",
-        )
-        self.hook_slot_timeout = self.probes.hook(
-            "genesys.slot_timeout",
-            ("timeout_ns",),
-            "override the stuck-slot reclaim timeout (ns; 0 disables)",
-        )
-        self.hook_worker_timeout = self.probes.hook(
-            "genesys.worker_timeout",
-            ("timeout_ns",),
-            "override the stalled-worker requeue timeout (ns; 0 disables)",
-        )
         self.hook_retry = self.probes.hook(
             "genesys.retry",
             ("name", "result", "attempt"),
@@ -278,7 +263,7 @@ class Genesys:
         # -- recovery knobs and state (watchdog off by default: the
         # happy path stays byte-identical to the watchdog-free design).
         #: Watchdog period in ns; 0 disables (knob:
-        #: /sys/genesys/watchdog_period_ns, hook: genesys.watchdog).
+        #: /sys/genesys/watchdog_period_ns).
         self.watchdog_period_ns = 0.0
         #: Age past which a READY/PROCESSING slot is reclaimed with
         #: -ETIMEDOUT; 0 disables reclaim (rescan still runs).
@@ -322,11 +307,11 @@ class Genesys:
         """Bind every :data:`SYSFS_KNOBS` row as a readable, writable
         file under /sys/genesys.
 
-        The coalescing knobs are clients of the ``coalesce.window`` /
-        ``coalesce.batch`` policy hooks (and the recovery/QoS knobs of
-        theirs): a validated write updates the default those decision
-        points start from, and any attached policy program may still
-        override it.
+        A validated write sets the state the row names, and that state
+        is the value everywhere: a constant is set only this way.  Two
+        knobs are also the default a policy hook starts from, which an
+        attached program may change per decision: the window of
+        ``coalesce.window`` and the delta of ``qos.deadline``.
         """
         fs = self.linux.fs
         for row in SYSFS_KNOBS:
@@ -688,8 +673,6 @@ class Genesys:
         if self._watchdog_handle is not None:
             return
         period = self.watchdog_period_ns
-        if self.hook_watchdog.active:
-            period = self.hook_watchdog.decide(period)
         if not period or period <= 0:
             return
         self._watchdog_handle = self.sim.call_later(period, self._watchdog_tick)
@@ -702,10 +685,7 @@ class Genesys:
             self._last_progress = None
             return
         self.watchdog_ticks += 1
-        worker_timeout = self.worker_timeout_ns
-        if self.hook_worker_timeout.active:
-            worker_timeout = self.hook_worker_timeout.decide(worker_timeout)
-        requeued = workqueue.check_stalled(worker_timeout)
+        requeued = workqueue.check_stalled(self.worker_timeout_ns)
         reclaimed = self._reclaim_stuck_slots()
         progress = (
             self.syscalls_completed,
@@ -734,8 +714,6 @@ class Genesys:
         dawdling worker races the reclaim.
         """
         timeout = self.slot_timeout_ns
-        if self.hook_slot_timeout.active:
-            timeout = self.hook_slot_timeout.decide(timeout)
         aged_enabled = bool(timeout and timeout > 0)
         now = self.sim.now
         count = 0
@@ -776,7 +754,7 @@ class Genesys:
 
         The brownout controller's interrupt->polling degradation (the
         paper's Fig 9/13 tradeoff made dynamic) calls this on its tick
-        while the ``irq.mode`` hook suppresses top halves.
+        while ``InterruptController.polling`` suppresses top halves.
         """
         return self._scan_ready(degraded=False)
 

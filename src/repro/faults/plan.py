@@ -22,10 +22,10 @@ All randomness comes from one :class:`DeterministicRandom` seeded from
 (plan, workload) pair replays the exact same fault sequence every run —
 the property the determinism tests in ``tests/test_chaos.py`` assert.
 
-The injector also pins the recovery configuration through the
-``genesys.watchdog`` / ``genesys.slot_timeout`` / ``genesys.worker_timeout``
-policy hooks, so installing a plan both breaks the machine and arms the
-machinery that is supposed to survive it.
+The injector also writes the plan's recovery knobs (the state the
+``/sys/genesys`` ``watchdog_period_ns``, ``slot_timeout_ns`` and
+``worker_timeout_ns`` rows name), so installing a plan both breaks the
+machine and arms the machinery that is supposed to survive it.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.oskernel.errors import Errno
-from repro.probes import policy as policy_mod
-from repro.probes.tracepoints import ProbeRegistry
 from repro.workloads.base import DeterministicRandom
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.system import System
 
 #: Each fault hook's classes, in the order a decision tries them:
 #: ``(action, rate field, verdict, delay-range field)``.  One decision
@@ -248,24 +249,23 @@ class _WidenRetry:
 
 
 class FaultInjector:
-    """Attaches a :class:`FaultPlan` to one machine's probe registry.
+    """Applies a :class:`FaultPlan` to one built machine.
 
-    The injector is purely a set of policy programs: the components keep
-    their own ``fault.*.injected`` tracepoints and counters, so the
-    injector only *decides*; the layer owning the hook *applies* and
-    records.  ``injected`` counts decisions that returned a fault,
-    ``decisions`` counts every consultation.
+    The injector writes the plan's recovery knobs and attaches policy
+    programs: the components keep their own ``fault.*.injected``
+    tracepoints and counters, so the injector only *decides*; the layer
+    owning the hook *applies* and records.  ``injected`` counts
+    decisions that returned a fault, ``decisions`` counts every
+    consultation.
     """
 
-    def __init__(self, plan: FaultPlan, registry: ProbeRegistry) -> None:
+    def __init__(self, plan: FaultPlan, system: "System") -> None:
         self.plan = plan
-        self.registry = registry
         self.rng = DeterministicRandom(plan.seed)
         self.decisions = 0
         self.injected = 0
         self.by_action: dict = {}
-        self._attached: List[Tuple[str, object]] = []
-        self._install()
+        self._install(system)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -313,30 +313,21 @@ class FaultInjector:
 
     # -- wiring ------------------------------------------------------------
 
-    def _attach(self, hook_name: str, program: Callable) -> None:
-        self.registry.attach_policy(hook_name, program)
-        self._attached.append((hook_name, program))
-
-    def _install(self) -> None:
+    def _install(self, system: "System") -> None:
         plan = self.plan
+        registry = system.probes
         for hook_name, rows in FAULT_TABLE.items():
             if any(getattr(plan, row[1]) for row in rows):
                 program: Callable[..., object] = (
                     self._errno if hook_name == "fault.errno"
                     else functools.partial(self._decide, rows)
                 )
-                self._attach(hook_name, program)
-        # Recovery knobs ride the same hooks the sysfs files use.
+                registry.attach_policy(hook_name, program)
+        genesys = system.genesys
         if plan.watchdog_period_ns:
-            self._attach(
-                "genesys.watchdog", policy_mod.fixed(float(plan.watchdog_period_ns))
-            )
-        self._attach(
-            "genesys.slot_timeout", policy_mod.fixed(float(plan.slot_timeout_ns))
-        )
-        self._attach(
-            "genesys.worker_timeout", policy_mod.fixed(float(plan.worker_timeout_ns))
-        )
+            genesys.set_watchdog_period_ns(float(plan.watchdog_period_ns))
+        genesys.slot_timeout_ns = float(plan.slot_timeout_ns)
+        genesys.worker_timeout_ns = float(plan.worker_timeout_ns)
         # Injected errnos outside the default transient set (EINTR,
         # EAGAIN) must still be retried, or the fault would surface as a
         # permanent failure the workload never asked for.
@@ -345,17 +336,9 @@ class FaultInjector:
             int(Errno.EAGAIN),
         }
         if plan.errno_rate and extra:
-            self._attach(
+            registry.attach_policy(
                 "genesys.retry", _WidenRetry(frozenset(extra), plan.max_retries)
             )
-
-    def remove(self) -> None:
-        """Detach every program this injector installed."""
-        for hook_name, program in self._attached:
-            hook = self.registry.hooks.get(hook_name)
-            if hook is not None:
-                hook.detach(program)
-        self._attached.clear()
 
     def summary(self) -> dict:
         return {

@@ -71,7 +71,7 @@ class Bounds:
     choices one schedule may stack; ``max_schedules`` bounds the total
     runs (budget truncation is deterministic: waves are sorted before
     the cut).  ``dpor=False`` disables sleep sets — exhaustive within
-    the bounds — for the equivalence tests and ``--no-dpor``.
+    the bounds — for the equivalence tests.
     """
 
     max_schedules: int = 256

@@ -219,7 +219,7 @@ def build_workload(
     plan's injector (None without a plan)."""
     system = System()
     system.drain_timeout_ns = drain_timeout_ns
-    injector = FaultInjector(plan, system.probes) if plan is not None else None
+    injector = FaultInjector(plan, system) if plan is not None else None
     built = ScenarioRun(
         system.sim,
         system.probes,

@@ -264,11 +264,6 @@ class FileSystem:
         self.tp_pc_evict = registry.tracepoint(
             "fs.pagecache.evict", ("ino", "page"), "a page was evicted from the cache"
         )
-        self.hook_pc_victim = registry.hook(
-            "fs.pagecache.victim",
-            ("candidates",),
-            "return an (inode, page) key to evict instead of the LRU head",
-        )
         self.tp_pc_resident = registry.tracepoint(
             "fs.pagecache.resident",
             ("pages",),
@@ -288,17 +283,7 @@ class FileSystem:
             self._page_lru[(inode, page)] = True
         if capacity:
             while len(self._page_lru) > capacity:
-                key = None
-                if self.hook_pc_victim.active:
-                    # Policy hook: a program may name any resident page;
-                    # invalid answers fall back to the LRU head.
-                    choice = self.hook_pc_victim.decide(None, tuple(self._page_lru))
-                    if choice in self._page_lru:
-                        key = choice
-                if key is None:
-                    key = next(iter(self._page_lru))
-                del self._page_lru[key]
-                victim_inode, victim_page = key
+                (victim_inode, victim_page), _ = self._page_lru.popitem(last=False)
                 victim_inode.cached_pages.discard(victim_page)
                 self.page_cache_evictions += 1
                 if self.tp_pc_evict.enabled:

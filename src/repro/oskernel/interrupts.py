@@ -37,6 +37,9 @@ class InterruptController:
         self.raised = 0
         self.serviced = 0
         self.unhandled = 0
+        #: Polling mode (brownout level 2): top halves are suppressed and
+        #: the brownout controller's polling-scan tick services requests.
+        self.polling = False
         self._handler: Optional[Callable[[Any], None]] = None
         registry = probes if probes is not None else ProbeRegistry(sim)
         self.tp_raised = registry.tracepoint(
@@ -58,13 +61,6 @@ class InterruptController:
             ("payload",),
             "return 'drop' to lose this interrupt, ('delay', ns) to defer "
             "its top half, or None for normal delivery",
-        )
-        self.hook_mode = registry.hook(
-            "irq.mode",
-            ("payload",),
-            "return 'poll' to suppress the top half (the brownout "
-            "controller's polling-scan tick services the request instead), "
-            "or None for interrupt-driven delivery",
         )
         self.tp_polled = registry.tracepoint(
             "irq.polled",
@@ -107,7 +103,7 @@ class InterruptController:
                     self._delayed_top_half(payload, delay_ns), name="irq-delayed"
                 )
                 return True
-        if self.hook_mode.active and self.hook_mode.decide(None, payload) == "poll":
+        if self.polling:
             # Brownout polling mode: no handler cost is paid now; the
             # controller's periodic poll_scan picks the request up.
             if self.tp_polled.enabled:

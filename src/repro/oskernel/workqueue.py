@@ -6,13 +6,8 @@ worker thread executes this task."  Tasks here are process bodies
 (generators); a fixed pool of worker loops drains the queue, paying a
 dispatch delay per task and competing for CPU cores through whatever
 :class:`~repro.oskernel.cpu.CpuComplex` charges the task body makes.
-
-Worker selection is a policy-hook decision point (``wq.worker``): by
-default every task goes to the shared FIFO and whichever worker is free
-takes it, but an attached policy program may pin a task to a specific
-worker's private queue (e.g. to serialise related scans on one thread,
-or to emulate an affinity scheme).  When the hook is inactive the loop
-is the plain shared-FIFO path, byte-identical to the unhooked design.
+Every task goes to one shared FIFO, and whichever worker is free takes
+it.
 
 Workers can also *misbehave* — deliberately, through the ``fault.worker``
 injection hook (stall for a while at pickup, or die outright) — and the
@@ -31,7 +26,7 @@ from typing import Callable, Generator, List, Optional
 
 from repro.machine import MachineConfig
 from repro.probes.tracepoints import ProbeRegistry
-from repro.sim.engine import AnyOf, Event, Process, Simulator
+from repro.sim.engine import Event, Process, Simulator
 from repro.sim.resources import Store
 
 
@@ -135,11 +130,6 @@ class WorkQueue:
             "queue wait of a task, measured at worker pickup",
         )
         self._busy_workers = 0
-        self.hook_worker = registry.hook(
-            "wq.worker",
-            ("task_index", "num_workers"),
-            "return a worker id to pin the task to, or None for the shared FIFO",
-        )
         self.hook_fault = registry.hook(
             "fault.worker",
             ("worker_id", "task_index"),
@@ -166,9 +156,6 @@ class WorkQueue:
             ("task_index", "worker_id"),
             "a stalled worker woke to find its task reassigned and forfeited",
         )
-        self._private: List[Store] = [
-            Store(sim, name=f"wq:{name}/{i}") for i in range(self.num_workers)
-        ]
         self._workers: List[Process] = [
             sim.process(self._worker_loop(i), name=f"{name}/{i}")
             for i in range(self.num_workers)
@@ -176,7 +163,7 @@ class WorkQueue:
 
     @property
     def backlog(self) -> int:
-        return len(self._tasks) + sum(len(s) for s in self._private)
+        return len(self._tasks)
 
     @property
     def outstanding(self) -> int:
@@ -188,46 +175,17 @@ class WorkQueue:
         self.submitted += 1
         record = _TaskRecord(index, task_factory, self.sim.now)
         self._inflight[index] = record
-        queue = self._tasks
-        if self.hook_worker.active:
-            choice = self.hook_worker.decide(None, index, self.num_workers)
-            if isinstance(choice, int) and 0 <= choice < self.num_workers:
-                queue = self._private[choice]
-        queue.put(record)
+        self._tasks.put(record)
         if self.tp_enqueue.enabled:
             self.tp_enqueue.fire(self.backlog, index)
         if self.tp_depth.enabled:
             self.tp_depth.fire(self.backlog)
 
     def _worker_loop(self, worker_id: int) -> Generator:
-        private = self._private[worker_id]
-        shared = self._tasks
+        tasks = self._tasks
         while True:
-            # Fast path — nothing pinned here and no policy attached:
-            # identical to the plain shared-FIFO loop.
-            if not len(private) and not self.hook_worker.active:
-                record = yield shared.get()
-                alive = yield from self._run_task(worker_id, record)
-                if not alive:
-                    return
-                continue
-            # Pinned-work path: drain the private queue first, else race
-            # a get on both queues and withdraw the loser.
-            if len(private):
-                record = yield private.get()
-                alive = yield from self._run_task(worker_id, record)
-                if not alive:
-                    return
-                continue
-            private_get = private.get()
-            shared_get = shared.get()
-            yield AnyOf([private_get, shared_get])
-            alive = True
-            for store, getter in ((private, private_get), (shared, shared_get)):
-                if getter.triggered:
-                    alive = yield from self._run_task(worker_id, getter.value)
-                else:
-                    store.cancel_get(getter)
+            record = yield tasks.get()
+            alive = yield from self._run_task(worker_id, record)
             if not alive:
                 return
 

@@ -2,10 +2,12 @@
 
 Where tracepoints only *observe*, a policy hook sits at a designated
 decision in the stack — the coalescing window about to be armed, the
-worker about to be picked, the page about to be evicted — and lets an
-attached program replace the default.  This is the reproduction of
-gpu_ext's thesis: user-supplied programs steer GPU/OS policy through
-static, typed hook points instead of kernel patches.
+interrupt about to be delivered, the blocking call about to be retried
+— and lets an attached program replace the default.  This is the
+reproduction of gpu_ext's thesis: user-supplied programs steer GPU/OS
+policy through static, typed hook points instead of kernel patches.
+A hook exists only where a program decides per call; a value that is
+the same for every call is a sysfs knob (``Genesys`` ``SYSFS_KNOBS``).
 
 The contract mirrors an eBPF program return code: a program receives
 ``(default, *args)`` and returns either a replacement value or ``None``
@@ -106,7 +108,8 @@ class _FixedPolicy:
 def fixed(value: Any) -> PolicyProgram:
     """A policy program that always answers ``value``.
 
-    This is what the sysfs knobs and the CLI's ``--policy HOOK=VALUE``
-    flag build on: pinning a decision to a constant.
+    The command line's ``run --policy HOOK=VALUE`` builds on it to pin
+    a decision to a constant for one run; the sysfs knobs do not (a
+    knob write sets the state its row names).
     """
     return _FixedPolicy(value)

@@ -3,7 +3,8 @@
 The robustness half of the probes -> policy loop (ROADMAP item 3), in
 the gpu_ext spirit of extensible OS policies: every mechanism here is a
 named, picklable program attached to an existing tracepoint or policy
-hook, driven by sensors from :mod:`repro.metrics`.  Four layers:
+hook, or a write of a ``/sys/genesys`` knob or state flag, driven by
+sensors from :mod:`repro.metrics`.  Four layers:
 
 * **Deadlines** (:mod:`repro.qos.deadline`) — per-invocation deadlines
   minted at ``Genesys.begin_invocation`` time and carried in the slot

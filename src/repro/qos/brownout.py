@@ -1,22 +1,25 @@
 """The brownout controller: staged, hysteretic service degradation.
 
 Sensors are windowed reads from a :class:`~repro.metrics.hub.MetricsHub`
-(p99 syscall latency, workqueue depth); actuators are the stack's own
-policy hooks.  Escalation is one level per tick when *either* sensor is
-above its high-water mark, de-escalation one level per tick only when
-*both* are below their low-water marks — the hysteresis band prevents
-flapping at the threshold.
+(p99 syscall latency, workqueue depth); actuators are the
+``coalesce.window`` policy hook and two state flags.  Escalation is one
+level per tick when *either* sensor is above its high-water mark,
+de-escalation one level per tick only when *both* are below their
+low-water marks — the hysteresis band prevents flapping at the
+threshold.
 
 Levels (cumulative — level N implies everything below it):
 
 * **0** — normal service.
 * **1** — shrink the coalescing window (``coalesce.window`` program):
   trade batching efficiency for latency, the Fig-13 knee walked back.
-* **2** — interrupt -> polling mode (``irq.mode`` absorbs top halves;
-  this controller's tick calls ``Genesys.poll_scan``): under an
-  interrupt storm the paper's polling CPU kernel wins (Fig 9).
-* **3** — raise the priority floor: lowest-priority classes are shed
-  at dispatch (``qos.shed`` reason ``priority``) until pressure clears.
+* **2** — interrupt -> polling mode (``InterruptController.polling``
+  absorbs top halves; this controller's tick calls
+  ``Genesys.poll_scan``): under an interrupt storm the paper's polling
+  CPU kernel wins (Fig 9).
+* **3** — raise the priority floor (``Genesys.qos_priority_floor``):
+  lowest-priority classes are shed at dispatch (``qos.shed`` reason
+  ``priority``) until pressure clears.
 
 The tick rides a *weak* timer: a pure policy pass that never keeps
 the simulation alive on its own.
@@ -46,15 +49,6 @@ class _ScaleWindow:
             return float(current) * self.factor
         except (TypeError, ValueError):
             return None
-
-
-class _PollVerdict:
-    """``irq.mode`` program: absorb every top half while attached."""
-
-    __slots__ = ()
-
-    def __call__(self, current: Any, payload: Any) -> Any:
-        return "poll"
 
 
 class BrownoutController:
@@ -95,7 +89,6 @@ class BrownoutController:
         self.ticks = 0
         self.peak_level = 0
         self._window_program: Optional[_ScaleWindow] = None
-        self._poll_program: Optional[_PollVerdict] = None
         self._next_tick_ns = 0.0
         self._running = False
 
@@ -168,8 +161,7 @@ class BrownoutController:
             self._window_program = _ScaleWindow(self.window_scale)
             probes.attach_policy("coalesce.window", self._window_program)
         elif level == 2:
-            self._poll_program = _PollVerdict()
-            probes.attach_policy("irq.mode", self._poll_program)
+            self.system.kernel.interrupts.polling = True
         elif level == 3:
             genesys.qos_priority_floor = self.priority_floor
 
@@ -180,9 +172,7 @@ class BrownoutController:
             probes.get_hook("coalesce.window").detach(self._window_program)
             self._window_program = None
         elif level == 2:
-            if self._poll_program is not None:
-                probes.get_hook("irq.mode").detach(self._poll_program)
-                self._poll_program = None
+            self.system.kernel.interrupts.polling = False
             # Interrupts absorbed while polling left suppression marks
             # with no scan behind them; clear them and run one last
             # polling pass so nothing is stranded between modes.

@@ -1,9 +1,10 @@
-"""Deadline minting policy for the ``qos.deadline`` hook.
+"""Per-syscall deadline deltas for the ``qos.deadline`` hook.
 
 A deadline is an absolute sim-time past which servicing the invocation
 is wasted work.  ``Genesys.mint_deadline`` computes it from a delta at
-submission; the program below supplies that delta — a flat default, or
-per-syscall overrides (0 exempts a call entirely, which is how serving
+submission.  The flat delta is the ``/sys/genesys/qos/deadline_ns``
+knob (``Genesys.qos_deadline_ns``); the program below replaces it for
+the syscalls it names (0 exempts a call entirely, which is how serving
 plans keep the server's parked ``recvfrom`` loops deadline-free).
 
 Shed completions return ``-ETIME`` ("timer expired").  POSIX has no
@@ -12,7 +13,7 @@ dedicated deadline errno, so the conventional alias:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.oskernel.errors import Errno
 
@@ -25,31 +26,18 @@ class DeadlinePolicy:
     """Named, picklable ``qos.deadline`` program.
 
     ``by_name`` maps syscall names to deadline deltas (ns); unlisted
-    calls get ``default_ns`` when it is positive, else whatever the
-    chain decided so far (the genesys knob value).
+    calls keep whatever the chain decided so far (the knob value).
     """
 
-    __slots__ = ("default_ns", "by_name")
+    __slots__ = ("by_name",)
 
-    def __init__(
-        self,
-        default_ns: float = 0.0,
-        by_name: Iterable[Tuple[str, float]] = (),
-    ) -> None:
-        self.default_ns = float(default_ns)
+    def __init__(self, by_name: Iterable[Tuple[str, float]]) -> None:
         self.by_name: Dict[str, float] = {
             name: float(delta) for name, delta in by_name
         }
 
-    def __call__(self, current: Any, name: str) -> Any:
-        if name in self.by_name:
-            return self.by_name[name]
-        if self.default_ns > 0:
-            return self.default_ns
-        return None
+    def __call__(self, current: Any, name: str) -> Optional[float]:
+        return self.by_name.get(name)
 
     def __repr__(self) -> str:
-        return (
-            f"DeadlinePolicy(default_ns={self.default_ns:.0f}, "
-            f"{len(self.by_name)} per-name overrides)"
-        )
+        return f"DeadlinePolicy({len(self.by_name)} per-name deltas)"

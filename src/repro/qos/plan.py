@@ -3,8 +3,9 @@
 A :class:`QosPlan` is data — a frozen description of deadlines,
 admission limits, retry budgets, and brownout thresholds.
 :func:`install_qos_plan` turns it into a live :class:`QosController`
-that attaches the named programs to the stack's hooks and (when any
-layer needs sensors) stands up its own :class:`~repro.metrics.hub
+that writes the plan's knobs (deadline delta, sojourn budget), attaches
+the named programs to the stack's hooks and (when any layer needs
+sensors) stands up its own :class:`~repro.metrics.hub
 .MetricsHub` over the :data:`SENSORS` rows, the only metrics the retry
 budget and the brownout controller read.  ``QosController.remove``
 restores every knob it touched, so a plan can be installed for one
@@ -74,7 +75,8 @@ class QosPlan:
     point dormant.  Fields group by layer:
 
     deadlines
-        ``deadline_ns`` (flat delta for every blocking call; 0 = none),
+        ``deadline_ns`` (written to the ``qos/deadline_ns`` knob: the
+        flat delta for every blocking call; 0 leaves the knob alone),
         ``deadline_by_name`` (per-syscall overrides, 0 exempts a call),
         ``priority_floor`` (the floor brownout level 3 raises to).
     admission
@@ -172,6 +174,7 @@ class QosController:
         self.breaker: Optional[CircuitBreaker] = None
         self.brownout: Optional[BrownoutController] = None
         self._saved_sojourn_ns: float = 0.0
+        self._saved_deadline_ns: float = 0.0
         self._installed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -190,10 +193,11 @@ class QosController:
                 window_ns=plan.sensor_window_ns, label="qos", catalog=SENSORS
             ).install(probes)
 
-        if plan.deadline_ns > 0 or plan.deadline_by_name:
-            self.deadline_policy = DeadlinePolicy(
-                default_ns=plan.deadline_ns, by_name=plan.deadline_by_name
-            )
+        self._saved_deadline_ns = system.genesys.qos_deadline_ns
+        if plan.deadline_ns > 0:
+            system.genesys.qos_deadline_ns = float(plan.deadline_ns)
+        if plan.deadline_by_name:
+            self.deadline_policy = DeadlinePolicy(plan.deadline_by_name)
             probes.attach_policy("qos.deadline", self.deadline_policy)
 
         self._saved_sojourn_ns = net.sojourn_budget_ns
@@ -261,6 +265,7 @@ class QosController:
         if self.deadline_policy is not None:
             probes.get_hook("qos.deadline").detach(self.deadline_policy)
         net.sojourn_budget_ns = self._saved_sojourn_ns
+        self.system.genesys.qos_deadline_ns = self._saved_deadline_ns
 
     # -- reporting ---------------------------------------------------------
 

@@ -70,7 +70,7 @@ def _faulted(plan: FaultPlan) -> ScenarioRun:
     then names what was lost.
     """
     system = System(config=small_machine())
-    FaultInjector(plan, system.probes)
+    FaultInjector(plan, system)
     system.drain_timeout_ns = 2_000_000.0
 
     def kern(ctx: WorkItemCtx) -> Generator:

@@ -314,8 +314,8 @@ class TestDrainTimeout:
     def test_watchdog_reclaims_wedged_slot_and_drain_completes(self):
         system = System(config=small_machine())
         _wedge_all_slots(system)
-        system.probes.attach_policy("genesys.watchdog", policy.fixed(50_000.0))
-        system.probes.attach_policy("genesys.slot_timeout", policy.fixed(100_000.0))
+        system.genesys.watchdog_period_ns = 50_000.0
+        system.genesys.slot_timeout_ns = 100_000.0
         system.drain_timeout_ns = 5_000_000.0
 
         def kern(ctx):
@@ -330,8 +330,8 @@ class TestDrainTimeout:
 
         system = System(config=small_machine())
         _wedge_all_slots(system)
-        system.probes.attach_policy("genesys.watchdog", policy.fixed(50_000.0))
-        system.probes.attach_policy("genesys.slot_timeout", policy.fixed(100_000.0))
+        system.genesys.watchdog_period_ns = 50_000.0
+        system.genesys.slot_timeout_ns = 100_000.0
         system.drain_timeout_ns = 5_000_000.0
         results = {}
 
@@ -537,7 +537,7 @@ class TestFaultPlan:
         )
         system = System(config=small_machine())
         system.drain_timeout_ns = 2_000_000_000.0
-        injector = FaultInjector(plan, system.probes)
+        injector = FaultInjector(plan, system)
 
         def kern(ctx):
             yield from ctx.sys.getrusage(blocking=True)
@@ -545,6 +545,34 @@ class TestFaultPlan:
         system.run_kernel(kern, 4, 4, name="budget")
         assert injector.injected == 2
         assert check_invariants(system) == []
+
+    def test_injector_writes_the_recovery_knobs(self):
+        """A plan's recovery settings land in the /sys/genesys knobs,
+        and no hook carries them."""
+        system = System(config=small_machine())
+        FaultInjector(
+            FaultPlan(
+                watchdog_period_ns=40_000.0,
+                slot_timeout_ns=300_000.0,
+                worker_timeout_ns=120_000.0,
+            ),
+            system,
+        )
+        read = system.kernel.fs.read_whole
+        assert read("/sys/genesys/watchdog_period_ns") == b"40000\n"
+        assert read("/sys/genesys/slot_timeout_ns") == b"300000\n"
+        assert read("/sys/genesys/worker_timeout_ns") == b"120000\n"
+        assert not any(hook.active for hook in system.probes.hooks.values())
+
+    def test_zero_watchdog_leaves_the_knob(self):
+        """A plan with the watchdog off writes no period: whatever the
+        knob held stays, while both timeouts are always written."""
+        system = System(config=small_machine())
+        system.genesys.watchdog_period_ns = 25_000.0
+        FaultInjector(FaultPlan(watchdog_period_ns=0.0, slot_timeout_ns=0.0), system)
+        assert system.genesys.watchdog_period_ns == 25_000.0
+        assert system.genesys.slot_timeout_ns == 0.0
+        assert system.genesys.worker_timeout_ns == FaultPlan().worker_timeout_ns
 
     def test_no_plan_is_inert(self):
         """A machine with no plan installed runs exactly the stock

@@ -19,6 +19,7 @@ import sys
 
 import pytest
 
+from repro import experiments
 from repro.cli import (
     AttachPlan,
     UsageError,
@@ -31,6 +32,7 @@ from repro.cli import (
 from repro.machine import small_machine
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.system import System
+from repro.tracing.gate import gate_experiment
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -75,7 +77,15 @@ BAD_INPUT = [
     (["run", "fig2", "--attach", "hist:nope"], "'hist:nope'"),
     (["run", "fig2", "--policy", "nope=3"], "nope=3"),
     (["serve", "--rps", "0"], "'0'"),
-    (["gate", "--tolerance", "-1"], "'-1'"),
+    # flags no caller set are gone; each is its default
+    (["gate", "--tolerance=0"], "--tolerance"),
+    (["gate", "--abs-ns=0"], "--abs-ns"),
+    (["explore", "--scenario", "fig2", "--no-dpor"], "--no-dpor"),
+    (["explore", "--scenario", "fig2", "--no-shrink"], "--no-shrink"),
+    (["corpus", "gsan", "--entries=lost-wakeup"], "--entries"),
+    (["pytest", "--tests=tests"], "--tests"),
+    (["overload", "--no-brownout"], "--no-brownout"),
+    (["overload", "--sojourn-budget-us=50"], "--sojourn-budget-us"),
     (["run"], "--all"),
     # a report flag the one JSON document replaced fails loudly
     (["run", "fig2", "--prom", "m.prom"], "--prom"),
@@ -161,13 +171,15 @@ def test_malformed_certificate_exits_2(tmp_path, capsys, fields, bad):
     assert "Traceback" not in err
 
 
-def test_zero_tolerances_stay_legal(capsys):
-    code, out, _err = run_cli(
-        capsys, "gate", "fig2", "--dir", LATENCY_DIR,
-        "--tolerance", "0", "--abs-ns", "0",
+def test_zero_tolerances_stay_legal():
+    """fig2's recorded baseline holds with no tolerance band at all."""
+    plan = AttachPlan([attach_spec("spans")])
+    with attached(plan):
+        experiments.run("fig2")
+    result = gate_experiment(
+        "fig2", plan.traces, LATENCY_DIR, tolerance=0.0, abs_ns=0.0
     )
-    assert code == 0
-    assert "gate: PASS" in out
+    assert result.passed and result.checks
 
 
 def test_module_entry_point_exits_2_without_traceback():
@@ -298,6 +310,21 @@ def test_counter_tracks_are_only_rows_that_fired(tmp_path, capsys):
             tracks.setdefault(event["name"], []).append(event["args"]["value"])
     assert len(tracks) == 58
     assert all(any(values) for values in tracks.values())
+
+
+def test_run_prints_a_frame_for_each_probe_hub(capsys):
+    """A probe spec is a metrics hub too, so the run prints its frame."""
+    code, out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "counter:irq.raised",
+        "--attach", "rate:syscall.*", "--quiet",
+    )
+    assert code == 0
+    assert re.findall(r"hub=(\S+)", out) == ["counter:irq.raised", "rate:syscall.*"]
+    rows = [
+        line.split()[0] for line in out.splitlines()
+        if line.startswith(("irq.", "syscall."))
+    ]
+    assert "irq.raised" in rows and "syscall.complete" in rows
 
 
 def test_run_prints_span_report_and_metrics_frame(tmp_path, capsys):
@@ -431,9 +458,13 @@ def test_chaos_intensity_ends_without_a_traceback(capsys, argv):
     assert "chaos matrix: 1 cells, 1 ok" in out
 
 
-def test_pytest(tmp_path, capsys):
-    (tmp_path / "test_trivial.py").write_text("def test_ok():\n    assert True\n")
-    code, out, _err = run_cli(capsys, "pytest", "--tests", str(tmp_path), "--workers", "1")
+def test_pytest(tmp_path, capsys, monkeypatch):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_trivial.py").write_text(
+        "def test_ok():\n    assert True\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, _err = run_cli(capsys, "pytest", "--workers", "1")
     assert code == 0
     assert "pytest farm: 1 shard(s), 0 failed" in out
 

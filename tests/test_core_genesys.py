@@ -13,7 +13,6 @@ from repro.faults.chaos import check_invariants
 from repro.machine import small_machine
 from repro.oskernel.errors import Errno
 from repro.oskernel.fs import O_RDWR
-from repro.probes import policy
 from repro.sanitizers.gsan import GSan
 from repro.system import System
 
@@ -256,7 +255,7 @@ class TestPollingMode:
         request waits until a polling pass scans it."""
         system = System(config=small_machine())
         genesys = system.genesys
-        system.probes.attach_policy("irq.mode", policy.fixed("poll"))
+        system.kernel.interrupts.polling = True
         results = []
 
         def kern(ctx):

@@ -166,7 +166,7 @@ def _corpus_kernels():
 def _run_corpus_case(kernel_body, plan):
     system = System(config=small_machine())
     if plan is not None:
-        injector = FaultInjector(plan, system.probes)
+        injector = FaultInjector(plan, system)
     else:
         injector = None
     system.drain_timeout_ns = 2_000_000_000.0
@@ -216,7 +216,7 @@ class TestErrnoInjectionCorpus:
         bounded, definite failure rather than an infinite retry loop."""
         plan = FaultPlan(seed=2, errno_rate=1.0, watchdog_period_ns=0.0)
         system = System(config=small_machine())
-        FaultInjector(plan, system.probes)
+        FaultInjector(plan, system)
         system.drain_timeout_ns = 2_000_000_000.0
         results = {}
 

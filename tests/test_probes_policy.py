@@ -1,7 +1,7 @@
-"""Tests for policy hooks: the chain contract and the three decision
-points (coalescing, workqueue, page cache).  Includes the Figure 10
-sensitivity-point reproduction through the hook path.  The sysfs knobs
-that feed the hook defaults are covered by test_sysfs_knobs.py."""
+"""Tests for policy hooks: the chain contract, the shared-FIFO worker
+choice and LRU eviction that take no program, and the Figure 10
+sensitivity-point reproduction through the ``coalesce.window`` hook.
+The sysfs knobs are covered by test_sysfs_knobs.py."""
 
 import pytest
 
@@ -59,51 +59,18 @@ class TestPolicyHook:
         assert fixed(99).policy_value == 99
 
 
-# -- wq.worker: pin tasks to one worker -----------------------------------
+# -- the decisions that are not hooks -------------------------------------
 
 
-class TestWorkerSelectionHook:
-    def test_pinning_serialises_tasks(self):
+class TestFixedDecisions:
+    """Worker choice and page-cache eviction take no program: a task
+    goes to the shared FIFO, and eviction takes the LRU head."""
+
+    def test_free_workers_share_one_fifo(self):
+        """The backlog is the one queue's length, and free workers take
+        tasks from it in turn."""
         sim = Simulator()
-        config = MachineConfig(workqueue_workers=4)
-        wq = WorkQueue(sim, config)
-        wq.hook_worker.attach(fixed(0))
-        running = {"now": 0, "max": 0}
-
-        def task():
-            running["now"] += 1
-            running["max"] = max(running["max"], running["now"])
-            yield 100
-            running["now"] -= 1
-
-        for _ in range(8):
-            wq.submit(lambda: task())
-        sim.run()
-        assert wq.completed == 8
-        assert running["max"] == 1  # all pinned to worker 0
-        assert wq.hook_worker.decisions == 8
-
-    def test_invalid_choice_falls_back_to_shared_queue(self):
-        sim = Simulator()
-        config = MachineConfig(workqueue_workers=2)
-        wq = WorkQueue(sim, config)
-        wq.hook_worker.attach(fixed(99))  # out of range -> shared FIFO
-        done = []
-
-        def task():
-            yield 10
-            done.append(sim.now)
-
-        for _ in range(4):
-            wq.submit(lambda: task())
-        sim.run()
-        assert len(done) == 4
-
-    def test_round_robin_policy_spreads_load(self):
-        sim = Simulator()
-        config = MachineConfig(workqueue_workers=2)
-        wq = WorkQueue(sim, config)
-        wq.hook_worker.attach(lambda current, index, n: index % n)
+        wq = WorkQueue(sim, MachineConfig(workqueue_workers=2))
         workers = []
         wq.tp_complete.attach(
             lambda worker_id, service_ns, task_index: workers.append(worker_id)
@@ -114,93 +81,49 @@ class TestWorkerSelectionHook:
 
         for _ in range(4):
             wq.submit(lambda: task())
+        assert wq.backlog == 4
         sim.run()
         assert sorted(workers) == [0, 0, 1, 1]
+        assert wq.backlog == 0
 
-    def test_shared_path_unchanged_when_inactive(self):
-        sim = Simulator()
-        wq = WorkQueue(sim, MachineConfig())
-        stamps = []
-
-        def task():
-            stamps.append(sim.now)
-            yield 0
-
-        wq.submit(lambda: task())
-        sim.run()
-        assert stamps[0] >= wq.config.workqueue_dispatch_ns
-        assert wq.hook_worker.decisions == 0
-
-
-# -- fs.pagecache.victim: choose the eviction victim ----------------------
-
-
-class TestPageCacheVictimHook:
-    def make_fs_system(self, capacity=4):
+    def test_eviction_takes_the_lru_head(self):
         config = small_machine()
-        config.page_cache_pages = capacity
-        return System(config=config)
-
-    def test_default_evicts_lru_head(self):
-        system = self.make_fs_system(capacity=2)
-        fs = system.kernel.fs
+        config.page_cache_pages = 2
+        fs = System(config=config).kernel.fs
         fs.create_file("/data/f", b"x" * 100, on_disk=True)
         inode = fs.resolve("/data/f")
         inode.cached_pages.clear()
         fs._page_lru.clear()
-        fs._cache_insert(inode, [0, 1, 2])
-        assert 0 not in inode.cached_pages  # oldest page evicted
-        assert inode.cached_pages == {1, 2}
-
-    def test_hook_picks_mru_victim_instead(self):
-        system = self.make_fs_system(capacity=2)
-        fs = system.kernel.fs
-        fs.hook_pc_victim.attach(lambda current, candidates: candidates[-1])
-        fs.create_file("/data/f", b"x" * 100, on_disk=True)
-        inode = fs.resolve("/data/f")
-        inode.cached_pages.clear()
-        fs._page_lru.clear()
-        fs._cache_insert(inode, [0, 1, 2])
-        assert 2 not in inode.cached_pages  # newest page evicted (MRU policy)
-        assert inode.cached_pages == {0, 1}
-        assert fs.hook_pc_victim.decisions == 1
-
-    def test_invalid_victim_falls_back_to_lru(self):
-        system = self.make_fs_system(capacity=2)
-        fs = system.kernel.fs
-        fs.hook_pc_victim.attach(fixed(("bogus", 42)))
-        fs.create_file("/data/f", b"x" * 100, on_disk=True)
-        inode = fs.resolve("/data/f")
-        inode.cached_pages.clear()
-        fs._page_lru.clear()
-        fs._cache_insert(inode, [0, 1, 2])
-        assert inode.cached_pages == {1, 2}
+        fs._cache_insert(inode, [0, 1])
+        fs._cache_touch(inode, [0])  # page 1 is now the LRU head
+        fs._cache_insert(inode, [2])
+        assert inode.cached_pages == {0, 2}
+        assert fs.page_cache_evictions == 1
 
 
 # -- Figure 10 sensitivity point through the hook path --------------------
 
 
+def attach_window(system):
+    """The Fig. 10 coalesce<=8 point: the batch knob written, the window
+    pinned through the ``coalesce.window`` hook."""
+    system.genesys.coalescing.max_batch = COALESCE.max_batch
+    system.probes.attach_policy("coalesce.window", fixed(COALESCE.window_ns))
+
+
 class TestCoalescingHookReproducesFig10:
     def test_hook_equals_config_at_sensitivity_point(self):
-        """Attaching fixed(window)/fixed(batch) to the coalescing hooks
-        reproduces the Fig. 10 coalesce<=8 point exactly: the hook path
-        and the config/sysfs path meet at the same decision."""
-
-        def attach_policies(system):
-            system.probes.attach_policy("coalesce.window", fixed(COALESCE.window_ns))
-            system.probes.attach_policy("coalesce.batch", fixed(COALESCE.max_batch))
-
+        """A fixed(window) program on ``coalesce.window`` reproduces the
+        Fig. 10 coalesce<=8 point exactly: the hook path and the
+        config/sysfs path meet at the same decision."""
         via_config = latency_per_byte(64, COALESCE)
-        via_hooks = latency_per_byte(64, None, setup=attach_policies)
+        via_hooks = latency_per_byte(64, None, setup=attach_window)
         assert via_hooks == via_config
 
     def test_hook_point_differs_from_uncoalesced(self):
-        def attach_policies(system):
-            system.probes.attach_policy("coalesce.window", fixed(COALESCE.window_ns))
-            system.probes.attach_policy("coalesce.batch", fixed(COALESCE.max_batch))
 
         uncoalesced = latency_per_byte(64, None)
-        via_hooks = latency_per_byte(64, None, setup=attach_policies)
+        via_hooks = latency_per_byte(64, None, setup=attach_window)
         assert via_hooks != uncoalesced  # the hook really steered the run
 
     def test_hook_can_disable_coalescing(self):

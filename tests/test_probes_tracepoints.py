@@ -226,17 +226,24 @@ class TestSystemCatalogue:
         "net.backlog",
         "dram.queue",
     }
+    #: Every hook: each is where some program decides per call.
     EXPECTED_HOOKS = {
         "coalesce.window",
-        "coalesce.batch",
-        "wq.worker",
-        "fs.pagecache.victim",
+        "fault.errno",
+        "fault.irq",
+        "fault.net",
+        "fault.slot",
+        "fault.worker",
+        "genesys.retry",
+        "net.admit",
+        "qos.deadline",
+        "qos.invoke",
     }
 
     def test_every_layer_declares_its_points(self):
         system = System(config=small_machine())
         assert self.EXPECTED_TRACEPOINTS <= set(system.probes.tracepoints)
-        assert self.EXPECTED_HOOKS <= set(system.probes.hooks)
+        assert set(system.probes.hooks) == self.EXPECTED_HOOKS
         assert len(system.probes.tracepoints) >= 15
 
     def test_all_start_detached(self):
@@ -342,11 +349,13 @@ class TestGlobalPlan:
         finally:
             clear_global_plan()
 
-    def test_fault_plan_attaches_through_the_stack(self):
-        from repro.faults import FaultInjector, FaultPlan
+    def test_partial_plan_attaches_through_the_stack(self):
+        from repro.probes.policy import fixed
 
-        plan = FaultPlan(irq_drop=0.5)
-        with attached(functools.partial(FaultInjector, plan)):
+        plan = functools.partial(
+            ProbeRegistry.attach_policy, hook_name="fault.irq", program=fixed("drop")
+        )
+        with attached(plan):
             faulty = System(config=small_machine())
         clean = System(config=small_machine())
         assert faulty.probes.get_hook("fault.irq").programs == 1

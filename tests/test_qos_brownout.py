@@ -69,7 +69,7 @@ class TestEscalation:
         assert system.probes.get_hook("coalesce.window").active
         controller._tick()
         assert controller.level == 2
-        assert system.probes.get_hook("irq.mode").active
+        assert system.kernel.interrupts.polling
         controller._tick()
         assert controller.level == 3
         assert system.genesys.qos_priority_floor == 1
@@ -88,7 +88,7 @@ class TestEscalation:
         for _ in range(4):
             controller._tick()
         assert controller.level == 1
-        assert not system.probes.get_hook("irq.mode").active
+        assert not system.kernel.interrupts.polling
 
     def test_level_one_scales_the_coalescing_window(self):
         system, hub, controller = make_controller(window_scale=0.5)
@@ -133,7 +133,7 @@ class TestHysteresis:
 
 
 class TestLevelTwoExit:
-    def test_clears_suppression_and_detaches_poll_program(self):
+    def test_clears_suppression_and_leaves_polling_mode(self):
         system, hub, controller = make_controller()
         hub.p99 = 500.0
         controller._tick()
@@ -144,8 +144,37 @@ class TestLevelTwoExit:
         hub.p99 = 0.0
         controller._tick()
         assert controller.level == 1
-        assert not system.probes.get_hook("irq.mode").active
+        assert not system.kernel.interrupts.polling
         assert system.genesys._scan_suppressed == set()
+
+
+class TestPollingFlag:
+    def test_level_two_services_calls_by_polling(self):
+        """At level 2 an interrupt runs no top half; the controller's
+        tick scans the READY slot instead, and the call completes."""
+        system, hub, controller = make_controller(max_level=2, period_ns=5_000.0)
+        hub.p99 = 500.0
+        controller._tick()
+        controller._tick()
+        assert controller.level == 2
+        controller._running = False
+        controller.start()
+        polled = []
+        system.probes.attach("irq.polled", polled.append)
+        results = []
+
+        def kern(ctx):
+            results.append((yield from ctx.sys.getrusage()))
+
+        system.run_kernel(kern, 1, 1, name="brownout-poll")
+        interrupts = system.kernel.interrupts
+        assert len(polled) == interrupts.raised == 1
+        assert interrupts.serviced == 0
+        assert system.genesys.polled_scans >= 1
+        assert system.genesys.syscalls_completed == 1
+        assert not isinstance(results[0], int)  # a Rusage, not an errno
+        controller.stop()
+        assert not interrupts.polling
 
 
 class TestGateAndStop:
@@ -160,7 +189,7 @@ class TestGateAndStop:
         assert controller.level == 0
         assert system.genesys.qos_priority_floor == 0
         assert not system.probes.get_hook("coalesce.window").active
-        assert not system.probes.get_hook("irq.mode").active
+        assert not system.kernel.interrupts.polling
 
     def test_stop_unwinds_every_level(self):
         system, hub, controller = make_controller()
@@ -171,7 +200,7 @@ class TestGateAndStop:
         assert controller.level == 0
         assert system.genesys.qos_priority_floor == 0
         assert not system.probes.get_hook("coalesce.window").active
-        assert not system.probes.get_hook("irq.mode").active
+        assert not system.kernel.interrupts.polling
         # A stale armed timer firing after stop is a no-op.
         ticks = controller.ticks
         controller._tick()

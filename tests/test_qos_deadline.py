@@ -185,13 +185,14 @@ class TestWatchdogDeadline:
     def _wedged_system(self):
         system = System(config=small_machine())
         system.probes.attach_policy("fault.slot", policy.fixed("wedge"))
-        system.probes.attach_policy("genesys.watchdog", policy.fixed(50_000.0))
+        system.genesys.watchdog_period_ns = 50_000.0
         system.drain_timeout_ns = 5_000_000.0
         return system
 
     def test_deadline_reclaim_without_slot_timeout(self):
-        """slot_timeout stays disabled (0): only the request's own QoS
-        deadline triggers the reclaim, and the status is -ETIME."""
+        """slot_timeout stays at its 2 ms default, past the 100 us
+        deadline: only the request's own QoS deadline triggers the
+        reclaim, and the status is -ETIME."""
         system = self._wedged_system()
         gsan = GSan().install(system.probes)
         system.genesys.qos_deadline_ns = 100_000.0
@@ -213,7 +214,7 @@ class TestWatchdogDeadline:
         -ETIME), which check_invariants' accounting would catch."""
         system = self._wedged_system()
         gsan = GSan().install(system.probes)
-        system.probes.attach_policy("genesys.slot_timeout", policy.fixed(100_000.0))
+        system.genesys.slot_timeout_ns = 100_000.0
         system.genesys.qos_deadline_ns = 100_000.0
         results = {}
 

@@ -239,6 +239,7 @@ class TestQosController:
     def _full_plan(self):
         return QosPlan(
             deadline_ns=1e9,
+            deadline_by_name=(("recvfrom", 0.0),),
             sojourn_budget_ns=200_000.0,
             admit_rate_rps=1e9,
             retry_budget_ratio=0.1,
@@ -255,6 +256,7 @@ class TestQosController:
         assert probes.get_hook("genesys.retry").active
         assert probes.get_hook("qos.invoke").active
         assert system.kernel.net.sojourn_budget_ns == 200_000.0
+        assert system.genesys.qos_deadline_ns == 1e9
         summary = controller.summary()
         for key in ("syscalls_shed", "sheds_by_stage", "qos_fast_fails",
                     "net_drops", "policy_rejects", "admission_policed",
@@ -283,6 +285,19 @@ class TestQosController:
         assert not probes.get_hook("genesys.retry").active
         assert not probes.get_hook("qos.invoke").active
         assert system.kernel.net.sojourn_budget_ns == 0.0
+        assert system.genesys.qos_deadline_ns == 0.0
+
+    def test_flat_deadline_is_the_knob(self):
+        """``deadline_ns`` writes the qos/deadline_ns knob and attaches
+        no program; remove restores what the knob held before."""
+        system = System()
+        system.genesys.qos_deadline_ns = 7_000.0
+        controller = install_qos_plan(QosPlan(deadline_ns=3_000.0), system)
+        assert system.kernel.fs.read_whole("/sys/genesys/qos/deadline_ns") == b"3000\n"
+        assert not system.probes.get_hook("qos.deadline").active
+        assert system.genesys.mint_deadline("pread") == system.now + 3_000.0
+        controller.remove()
+        assert system.genesys.qos_deadline_ns == 7_000.0
 
     def test_inactive_plan_installs_nothing(self):
         system = System()

@@ -137,8 +137,8 @@ class TestKnobTable:
 
 class TestKnobSideEffects:
     def test_coalescing_writes_update_the_coalescer_config(self):
-        """The knobs set the defaults the coalesce.window/batch hooks
-        start from: the coalescer decides from the same config object."""
+        """The coalescer opens each bundle from the config object the
+        knobs write (the window is the ``coalesce.window`` default)."""
         system = make_system()
         write_sysfs(system, "/sys/genesys/coalescing_max_batch", b"16")
         assert system.genesys.coalescer.config.max_batch == 16
