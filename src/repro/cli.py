@@ -17,8 +17,8 @@ Verbs::
     run NAME...|--all [--attach SPEC]... [--policy HOOK=VALUE]...
     serve --rps N [--attach SPEC]...      one fixed-RPS serving point
     record NAME... / gate [NAME...]       latency baselines and the gate
-    check / lint                          GSan sweep, static lint
-    corpus [gsan|gmc]                     the seeded-bug corpora
+    lint                                  static lint
+    corpus                                the seeded-bug corpus, certified
     explore / replay                      schedule model checking
     chaos [--workers N]                   the fault-injection matrix
     pytest                                the test suite, sharded
@@ -38,6 +38,8 @@ Attach specs (``--attach``, repeatable)::
                               span report
     metrics[:window_us]       windowed metrics hub over the full
                               catalog
+    gsan                      the happens-before sanitizer; a run it
+                              finds a violation in exits 1
 
 ``counter``, ``hist`` and ``rate`` each install one metrics hub, labelled
 with the spec, whose rows :func:`repro.metrics.collectors.probe_specs`
@@ -48,14 +50,15 @@ tracepoint does not have is bad input.
 one run; a value meant to hold is a ``/sys/genesys`` knob.
 
 ``run`` (of one experiment) and ``serve`` report what they observed in
-three outputs: the text they print (the span report and every hub's
-final metrics frame), one Perfetto trace of every attached program's
-tracks (``--tef PATH``), and one JSON document (``--json
-PATH``, schema 3) holding ``experiment``, ``systems`` (one probe
-snapshot per System: tracepoint hits, hook decisions, and each
-program's snapshot, a metrics hub's with its windowed ``series``),
-``spans`` (the span statistics, when ``spans`` is attached) and, from
-``serve``, the serving ``point``.
+three outputs: the text they print (the span report, every hub's
+final metrics frame, and GSan's violations and event count), one
+Perfetto trace of every attached program's tracks (``--tef PATH``),
+and one JSON document (``--json PATH``, schema 3) holding
+``experiment``, ``systems`` (one probe snapshot per System: tracepoint
+hits, hook decisions, and each program's snapshot, a metrics hub's
+with its windowed ``series``, GSan's with its ``events`` and
+``violations``), ``spans`` (the span statistics, when ``spans`` is
+attached) and, from ``serve``, the serving ``point``.
 
 Bad input exits 2 with an ``error:`` line; a failed check exits 1.
 """
@@ -74,7 +77,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -92,12 +94,11 @@ from repro.metrics.hub import (
     metrics_hubs,
 )
 from repro.modelcheck.certificate import (
+    certify,
     load_certificate,
-    make_certificate,
     render_certificate,
     replay,
     save_certificate,
-    shrink,
 )
 from repro.modelcheck.corpus import check_corpus
 from repro.modelcheck.explore import Bounds, explore
@@ -107,7 +108,6 @@ from repro.probes.exporters import metrics_snapshot
 from repro.probes.policy import fixed
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.runfarm import default_workers, merge_reports, run_chaos_matrix, shard
-from repro.sanitizers.corpus import distinct_rules, run_corpus
 from repro.sanitizers.gsan import GSanPlan
 from repro.sanitizers.lint import run_lint
 from repro.serving import report as serving_report
@@ -257,14 +257,14 @@ def attach_spec(text: str) -> AttachSpec:
 def _parse_attach(text: str) -> AttachSpec:
     kind, _, rest = text.partition(":")
     target, _, option = rest.partition(":")
-    if kind == "spans":
+    if kind in ("spans", "gsan"):
         if rest not in ("", "*"):
-            raise UsageError("spans takes no target")
+            raise UsageError(f"{kind} takes no target")
         return AttachSpec(text, kind)
     if kind == "metrics":
         return AttachSpec(text, kind, number=POSITIVE(rest) * 1000.0 if rest else None)
     if kind not in ("counter", "hist", "rate"):
-        raise UsageError(f"unknown kind {kind!r} (counter|hist|rate|spans|metrics)")
+        raise UsageError(f"unknown kind {kind!r} (counter|hist|rate|spans|metrics|gsan)")
     if not target:
         raise UsageError(f"expected {kind}:TARGET")
     if kind == "rate":
@@ -316,6 +316,7 @@ class AttachPlan:
             for spec in self.specs
             if spec.kind == "metrics"
         }
+        self.gsan = GSanPlan()
         self.registries: List[ProbeRegistry] = []
 
     def __call__(self, registry: ProbeRegistry) -> None:
@@ -334,6 +335,8 @@ class AttachPlan:
     def _attach(self, registry: ProbeRegistry, spec: AttachSpec) -> None:
         if spec.kind == "spans":
             SpanTracer(registry).install()
+        elif spec.kind == "gsan":
+            self.gsan(registry)
         elif spec.kind == "metrics":
             self.hub_plans[spec](registry)
         else:
@@ -373,14 +376,24 @@ def _write(path: str, text: str) -> None:
 
 def _report(
     args: Args, plan: AttachPlan, title: str, point: Optional[dict] = None
-) -> None:
-    """Print what the attached observers saw; write the files asked for."""
+) -> bool:
+    """Print what the attached observers saw; write the files asked for.
+    Returns False if GSan found a violation."""
     traces = plan.traces
     if "spans" in plan.kinds:
         print(analysis.render_report(traces, title=title))
     for hub in plan.hubs:
         print(hub.render_frame(title))
         print()
+    violations = plan.gsan.finish()
+    for violation in violations:
+        print(violation.render())
+        print()
+    if "gsan" in plan.kinds:
+        print(
+            f"GSan — {title}: {plan.gsan.events} events checked on "
+            f"{len(plan.gsan.sanitizers)} system(s), {len(violations)} violation(s)"
+        )
     if args.json:
         document = {
             "schema": JSON_SCHEMA,
@@ -406,6 +419,7 @@ def _report(
              "invocations": len(traces)},
         )
         _write(args.tef, json.dumps(trace))
+    return not violations
 
 
 # -- verbs -------------------------------------------------------------------
@@ -445,6 +459,7 @@ def _cmd_run(args: Args) -> int:
         raise UsageError("name one or more experiments, or pass --all")
     if len(names) > 1 and (args.json or args.tef):
         raise UsageError("--json and --tef report one run; name one experiment")
+    clean = True
     for name in names:
         plan = AttachPlan(args.attach, args.policy)
         start = time.time()
@@ -455,9 +470,9 @@ def _cmd_run(args: Args) -> int:
         if (plan.specs or plan.policies) and not plan.registries:
             print(f"warning: {name} built no System; nothing was observed",
                   file=sys.stderr)
-        _report(args, plan, name)
+        clean = _report(args, plan, name) and clean
         print(f"[{name}: {time.time() - start:.1f}s wall]\n")
-    return 0
+    return 0 if clean else 1
 
 
 def _serving_config(args: Args) -> ServingConfig:
@@ -513,8 +528,7 @@ def _cmd_serve(args: Args) -> int:
     summary, point = _serve_point(args, plan)
     if not args.quiet:
         print(summary)
-    _report(args, plan, "serving", point)
-    return 0
+    return 0 if _report(args, plan, "serving", point) else 1
 
 
 def _traces(name: str) -> List[InvocationTrace]:
@@ -551,42 +565,6 @@ def _cmd_gate(args: Args) -> int:
     return 0 if passed else 1
 
 
-def _cmd_check(args: Args) -> int:
-    rows = []
-    failed = False
-    for name in args.experiments or experiments.all_names():
-        bare = experiments.run(name).render()
-        plan = GSanPlan()
-        with attached(plan):
-            rendered = experiments.run(name).render()
-        violations = plan.finish()
-        identical = rendered == bare
-        rows.append({
-            "experiment": name,
-            "byte_identical": identical,
-            "events": plan.events,
-            "violations": len(violations),
-            "systems": len(plan.sanitizers),
-        })
-        if not identical or violations:
-            failed = True
-            if not args.json:
-                print(f"FAIL {name}: identical={identical} "
-                      f"violations={len(violations)}")
-                for violation in violations:
-                    print(violation.render())
-        elif not args.json:
-            print(
-                f"ok   {name}: byte-identical, {plan.events} events, "
-                f"0 violations ({len(plan.sanitizers)} system(s))"
-            )
-    if args.json:
-        print(json.dumps({"experiments": rows, "ok": not failed}, indent=2))
-    elif not failed:
-        print(f"GSan sweep: {len(rows)} experiment(s) byte-identical, clean")
-    return 1 if failed else 0
-
-
 def _cmd_lint(args: Args) -> int:
     paths = [Path(existing_path(p)) for p in args.paths] or [LINT_ROOT]
     findings = run_lint(paths)
@@ -609,32 +587,6 @@ def _cmd_lint(args: Args) -> int:
     return 1 if findings else 0
 
 
-def _gsan_corpus(args: Args) -> Tuple[bool, dict]:
-    results = run_corpus()
-    missed = [result for result in results if not result.detected]
-    if not args.json:
-        for result in results:
-            print(result.render())
-            print()
-        print(
-            f"violation corpus: {len(results) - len(missed)}/{len(results)} "
-            f"seeded bugs detected across {len(distinct_rules())} rules"
-        )
-    return not missed, {
-        "entries": [
-            {
-                "name": result.entry.name,
-                "expected_rule": result.entry.expected_rule,
-                "detected": result.detected,
-                "rules_hit": result.verdict.rules,
-            }
-            for result in results
-        ],
-        "distinct_rules": distinct_rules(),
-        "ok": not missed,
-    }
-
-
 def _write_cert(cert: dict, cert_dir: str, stem: str) -> str:
     os.makedirs(cert_dir, exist_ok=True)
     path = os.path.join(cert_dir, f"{stem}.json")
@@ -642,54 +594,32 @@ def _write_cert(cert: dict, cert_dir: str, stem: str) -> str:
     return path
 
 
-def _gmc_corpus(args: Args) -> Tuple[bool, dict]:
-    reports = check_corpus(workers=args.workers)
-    ok = True
-    for report in reports:
-        passed = bool(
-            report["fifo_clean"]
-            and report["found"]
-            and report.get("replay_hits_rule", False)
-        )
-        ok = ok and passed
-        if report["certificate"] is not None:
-            report["certificate_path"] = _write_cert(
-                report["certificate"], args.cert_dir, report["bug"]
+def _cmd_corpus(args: Args) -> int:
+    rows = check_corpus(workers=args.workers)
+    for row in rows:
+        if row["certificate"] is not None:
+            row["certificate_path"] = _write_cert(
+                row["certificate"], args.cert_dir, row["bug"]
             )
         if not args.json:
-            print(
-                f"{'ok  ' if passed else 'FAIL'} {report['bug']}: "
-                f"fifo_clean={report['fifo_clean']} "
-                f"found={report['found']} rule={report['expected_rule']} "
-                f"schedules={report['schedules']} pruned={report['pruned']}"
+            where = (
+                f"found in {row['schedules']} schedule(s), {row['pruned']} pruned"
+                if row["ordering"] else "hit on FIFO"
             )
-            if report["certificate"] is not None:
-                choices = report["certificate"]["choices"]
-                print(
-                    f"     minimal certificate ({len(choices)} choice(s)) "
-                    f"-> {report['certificate_path']}"
-                )
-    if ok and not args.json:
-        print(
-            f"gmc corpus: {len(reports)}/{len(reports)} seeded ordering bugs "
-            f"found with minimal replayable certificates"
-        )
-    return ok, {"bugs": reports, "ok": ok}
-
-
-CORPORA: Dict[str, Callable[[Args], Tuple[bool, dict]]] = {
-    "gsan": _gsan_corpus,
-    "gmc": _gmc_corpus,
-}
-
-
-def _cmd_corpus(args: Args) -> int:
-    kinds = [args.target] if args.target else list(CORPORA)
-    results = {kind: CORPORA[kind](args) for kind in kinds}
+            print(
+                f"{'ok  ' if row['ok'] else 'FAIL'} {row['bug']}: "
+                f"{row['expected_rule']} {where}"
+                + (f" -> {row['certificate_path']}" if row["certificate"] else "")
+            )
+    caught = sum(row["ok"] for row in rows)
     if args.json:
-        docs = {kind: doc for kind, (_ok, doc) in results.items()}
-        print(json.dumps(docs[kinds[0]] if len(kinds) == 1 else docs, indent=2))
-    return 0 if all(ok for ok, _doc in results.values()) else 1
+        print(json.dumps({"bugs": rows, "ok": caught == len(rows)}, indent=2))
+    else:
+        print(
+            f"seeded-bug corpus: {caught}/{len(rows)} caught, each with a "
+            f"replayable certificate"
+        )
+    return 0 if caught == len(rows) else 1
 
 
 def _cmd_explore(args: Args) -> int:
@@ -720,22 +650,10 @@ def _cmd_explore(args: Args) -> int:
     if not report.violating:
         return 0
     for number, finding in enumerate(report.violating):
-        cert = make_certificate(
-            args.scenario,
-            finding["choices"],
-            plan=plan_doc,
-            profile=args.profile,
-            seed=args.seed,
-            rules=finding["rules"],
-            violations=finding["violations"],
+        cert, _attempts = certify(
+            args.scenario, finding["choices"], finding["rules"],
+            plan=plan_doc, profile=args.profile, seed=args.seed,
         )
-        rules = set(finding["rules"])
-        if rules:
-            shrunk, _attempts = shrink(
-                args.scenario, finding["choices"], rules,
-                plan=plan_doc, seed=args.seed,
-            )
-            cert["choices"] = [list(pair) for pair in shrunk]
         path = _write_cert(cert, args.cert_dir, f"{args.scenario}-{number}")
         if not args.json:
             print(f"violating schedule -> {path}")
@@ -903,7 +821,7 @@ def _attach(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attach", type=attach_spec, action="append", default=[],
                    metavar="SPEC",
                    help="counter:PATTERN[:key=N] | hist:PATTERN[:value=N] | "
-                        "rate:PATTERN[:bin_ns] | spans | metrics[:window_us]")
+                        "rate:PATTERN[:bin_ns] | spans | metrics[:window_us] | gsan")
 
 
 def _policy(p: argparse.ArgumentParser) -> None:
@@ -994,18 +912,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="experiments to gate (default: every recorded baseline)")
     p.add_argument("--dir", default=DEFAULT_DIR, help="baseline directory")
 
-    p = verb("check", _cmd_check, "GSan sweep: experiments byte-identical and clean")
-    p.add_argument("--experiments", type=_list_of(experiment_name), metavar="A,B",
-                   help="comma-separated experiments (default: all)")
-    p.add_argument("--json", action="store_true")
-
     p = verb("lint", _cmd_lint, "static determinism and registry lint")
     p.add_argument("paths", nargs="*", help="files or directories (default: src/repro)")
     p.add_argument("--json", action="store_true")
 
-    p = verb("corpus", _cmd_corpus, "prove every seeded bug is caught", _workers(1))
-    p.add_argument("target", nargs="?", choices=tuple(CORPORA),
-                   help="GSan violations or model-check ordering bugs (default: both)")
+    p = verb("corpus", _cmd_corpus,
+             "judge every seeded bug and certify each find", _workers(1))
     p.add_argument("--cert-dir", default="gmc_certs")
     p.add_argument("--json", action="store_true")
 

@@ -226,10 +226,11 @@ def probe_specs(
     :meth:`ProbeRegistry.match`), named after it.
 
     ``counter`` and ``rate`` give the same ``counter`` row (``arg`` keys
-    its counts); a rate differs only in its hub's window.  ``hist``
-    gives a ``histogram`` row over fire argument ``arg`` (default 0).
-    Raises ``KeyError`` when nothing matches and ``ValueError`` when a
-    matched tracepoint has no argument ``arg``.
+    its counts), in ``fires/s``; a rate differs only in its hub's
+    window.  ``hist`` gives a ``histogram`` row over fire argument
+    ``arg`` (default 0), whose unit is that argument's name.  Raises
+    ``KeyError`` when nothing matches and ``ValueError`` when a matched
+    tracepoint has no argument ``arg``.
     """
     estimator, feed, option = (
         ("histogram", "observe", "value_arg") if kind == "hist"
@@ -245,7 +246,10 @@ def probe_specs(
                 f"({', '.join(tp.args)})"
             )
     return tuple(
-        MetricSpec(tp.name, estimator, ((tp.name, feed, {option: arg}),))
+        MetricSpec(
+            tp.name, estimator, ((tp.name, feed, {option: arg}),),
+            unit=tp.args[arg] if kind == "hist" else "fires/s",
+        )
         for tp in tracepoints
     )
 

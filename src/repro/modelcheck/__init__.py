@@ -22,13 +22,18 @@ that gap with stateless model checking in the Verisoft/CHESS style:
 * violating schedules shrink to minimal, replayable certificates
   (:mod:`repro.modelcheck.certificate`), and frontiers shard over
   :func:`repro.runfarm.run_frontier` worker processes without changing
-  the set of schedules visited.
+  the set of schedules visited;
+* the seeded-bug corpus (:mod:`repro.modelcheck.corpus`) is one table
+  of known-bad scenarios: bugs GSan sees on the FIFO schedule and
+  ordering bugs only exploration finds, each judged by
+  :func:`~repro.modelcheck.corpus.check_bug` and certified.
 
 Command line: ``python -m repro explore|replay``, ``python -m repro
-corpus gmc`` and ``python -m repro list scenarios``.
+corpus`` and ``python -m repro list scenarios``.
 """
 
 from repro.modelcheck.certificate import (
+    certify,
     densify,
     load_certificate,
     make_certificate,
@@ -36,7 +41,7 @@ from repro.modelcheck.certificate import (
     save_certificate,
     shrink,
 )
-from repro.modelcheck.corpus import ORDERING_BUGS, check_corpus
+from repro.modelcheck.corpus import CORPUS, ORDERING_BUGS, check_bug, check_corpus
 from repro.modelcheck.explore import Bounds, ExploreReport, explore, run_schedule
 from repro.modelcheck.scenarios import build_scenario, scenario_names
 from repro.modelcheck.schedule import (
@@ -51,6 +56,7 @@ from repro.modelcheck.schedule import (
 
 __all__ = [
     "Bounds",
+    "CORPUS",
     "EffectCollector",
     "ExploreReport",
     "FifoSchedulePlan",
@@ -60,6 +66,8 @@ __all__ = [
     "ScheduleError",
     "SleepBlocked",
     "build_scenario",
+    "certify",
+    "check_bug",
     "check_corpus",
     "densify",
     "explore",

@@ -10,10 +10,13 @@ exploration replays byte-identically in a bare interpreter:
 
     python -m repro replay gmc_certs/lost-doorbell.json
 
-Violating schedules are *shrunk* before certification: greedy
-1-minimal reduction, repeatedly dropping any single choice whose
-removal still reproduces one of the target rules.  The corpus bugs
-shrink to a single choice — the one reordered pop that is the bug.
+Every find — an ``explore`` hit or a seeded corpus bug — is certified
+by :func:`certify`: *shrunk* (greedy 1-minimal reduction, repeatedly
+dropping any single choice whose removal still reproduces one of the
+target rules), replayed, and recorded with the replay's verdict.  The
+corpus's ordering bugs shrink to a single choice — the one reordered
+pop that is the bug — and its visible bugs certify with an empty
+choice map.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.modelcheck.scenarios import build_scenario, scenario_names
 __all__ = [
     "CERT_FORMAT",
     "CERT_VERSION",
+    "certify",
     "densify",
     "load_certificate",
     "make_certificate",
@@ -179,6 +183,39 @@ def shrink(
                 changed = True
                 break
     return current, attempts
+
+
+def certify(
+    scenario: str,
+    choices: Iterable[Sequence[int]],
+    must_hit: Iterable[str],
+    plan: Optional[dict] = None,
+    profile: Optional[str] = None,
+    seed: int = 0,
+) -> Tuple[dict, int]:
+    """Certify one find: shrink it, replay it, record the replay.
+
+    ``choices`` is a violating schedule of ``scenario``.  Shrinking
+    keeps at least one of the ``must_hit`` rules; a find with no rule
+    (a crash, a liveness bound) or no choice to drop is kept whole.
+    The certificate carries the replayed run's ``rules`` and
+    ``violations``.  Returns it and the shrink runs spent.
+    """
+    current, attempts = densify(choices), 0
+    target = set(must_hit)
+    if current and target:
+        current, attempts = shrink(scenario, current, target, plan=plan, seed=seed)
+    replayed = run_schedule(scenario, current, plan=plan, seed=seed)
+    cert = make_certificate(
+        scenario,
+        current,
+        plan=plan,
+        profile=profile,
+        seed=seed,
+        rules=replayed["rules"],
+        violations=replayed["violations"],
+    )
+    return cert, attempts
 
 
 def render_certificate(cert: dict, result: Optional[dict] = None) -> str:

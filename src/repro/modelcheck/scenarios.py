@@ -8,8 +8,8 @@ state.  A builder never installs GSan: the cell does, because GSan
 attaches only to the tracepoints that exist when it is installed.
 
 :func:`run_cell` is the one oracle for every checked run: a chaos cell,
-an explored, shrunk or replayed schedule, and every entry of the GSan
-and model-check corpora.  It installs GSan, sets the tie-break policy,
+an explored, shrunk or replayed schedule, and every row of the
+seeded-bug corpus.  It installs GSan, sets the tie-break policy,
 runs the body and sorts the outcome into one vocabulary, in order:
 
 * the body's exception: a ``DrainTimeout`` is ``liveness: <msg>``, an
@@ -19,7 +19,7 @@ runs the body and sorts the outcome into one vocabulary, in order:
 * the audit's findings (the chaos invariants for workloads, the
   deadlock check for micro fixtures), counted as rule ``invariant``.
 
-``rules`` keeps GSan's rule names, which shrinking and both corpora
+``rules`` keeps GSan's rule names, which shrinking and the corpus
 look up.  A run a sleep set cut short (:class:`SleepBlocked`) is
 redundant, not buggy: it is marked blocked and the oracle skipped.  A
 :class:`ScheduleError` means the choice map does not fit the run,
@@ -32,8 +32,10 @@ Three families are registered:
   bodies, optionally under a seeded
   :class:`~repro.faults.plan.FaultPlan` so schedules and fault points
   are explored *jointly*;
-* the seeded ordering bugs of :mod:`repro.modelcheck.corpus` — micro
-  slot-protocol fixtures whose bug only fires on a reordered schedule;
+* the seeded bugs of :mod:`repro.modelcheck.corpus` — slot-protocol
+  fixtures, fault runs with recovery off and replayed event streams,
+  each with the rule that must catch it, on FIFO or on a reordered
+  schedule;
 * micro structure scenarios defined here (``slot-commute``) — correct
   protocol fixtures with a known schedule-space shape, used to pin
   down explorer behaviour (e.g. that DPOR actually prunes commuting
@@ -93,7 +95,8 @@ class ScenarioRun(NamedTuple):
 
 class Scenario(NamedTuple):
     """A named, repeatable scenario; a seeded bug also names the GSan
-    rule that must catch it.
+    rule that must catch it, and an ``ordering`` bug is one the FIFO
+    schedule never shows.
 
     ``build()`` returns a fresh instance: new machine, virgin clocks.
     Every machine numbers its own pids, inodes, sockets and kernels, so
@@ -105,6 +108,7 @@ class Scenario(NamedTuple):
     description: str
     expected_rule: Optional[str]
     build: Callable[[], ScenarioRun]
+    ordering: bool = False
 
 
 @dataclass
@@ -173,8 +177,8 @@ def micro_run(
 
 def slot_rig() -> Tuple[Simulator, ProbeRegistry, SyscallArea]:
     """A bare syscall area on ``small_machine()``, with no GPU or kernel:
-    the micro rig of the GSan corpus's slot-abuse entries, the ordering
-    bugs and ``slot-commute``.  A builder declares any tracepoints of
+    the micro rig of the corpus's slot-abuse rows, the ordering bugs
+    and ``slot-commute``.  A builder declares any tracepoints of
     its own on the registry before returning."""
     sim = Simulator()
     config = small_machine()
@@ -281,9 +285,9 @@ MICRO_SCENARIOS: List[Scenario] = [
 
 
 def _micro_scenarios() -> List[Scenario]:
-    from repro.modelcheck.corpus import ORDERING_BUGS
+    from repro.modelcheck.corpus import CORPUS
 
-    return MICRO_SCENARIOS + ORDERING_BUGS
+    return MICRO_SCENARIOS + CORPUS
 
 
 def build_scenario(
@@ -307,7 +311,7 @@ def build_scenario(
         if scenario.name == name:
             if resolved is not None:
                 raise ValueError(
-                    f"micro scenario {name!r} takes no fault plan: its "
+                    f"scenario {name!r} takes no fault plan: its "
                     f"behaviour is fixed by the scenario body itself"
                 )
             return scenario

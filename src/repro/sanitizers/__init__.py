@@ -18,11 +18,12 @@ Two checkers guard the stack:
   validating ``Errno`` constants, and enforcing ``__slots__`` on the
   hot-path classes.
 
-Both have a verb, ``python -m repro check`` and ``python -m repro
-lint``; the seeded violation corpus (:mod:`repro.sanitizers.corpus`,
-``python -m repro corpus gsan``) proves the
-sanitizer actually fires on wedged slots, killed workers, dropped
-IRQs, and hand-reordered event streams.
+GSan attaches like every other observer (``python -m repro run NAME
+--attach gsan``; a violation exits 1) and lint is a verb (``python -m
+repro lint``).  The seeded-bug corpus (:mod:`repro.modelcheck.corpus`,
+``python -m repro corpus``) proves the sanitizer actually fires on
+wedged slots, killed workers, dropped IRQs, hand-reordered event
+streams and the ordering bugs only schedule exploration reaches.
 """
 
 from repro.sanitizers.gsan import GSan, GSanPlan, Violation

@@ -29,8 +29,9 @@ workqueue task / wavefront:
 
 GSan is an *observer*, never a policy: it sees fire arguments and the
 registry clock only, so attaching it cannot perturb the simulation —
-``python -m repro check`` re-runs every experiment attached and
-asserts the rendered output is byte-identical to the bare run.
+tier-1's neutrality oracle runs every experiment under ``--attach
+gsan`` and asserts the rendered output is byte-identical to the bare
+run.
 
 A ``slot.protocol_error`` for a *stale finish* is the defended
 recovery race working as designed (the write was refused) and is
@@ -824,7 +825,7 @@ class GSanPlan:
     Run an experiment inside ``with probes.attached(plan):`` (alongside
     any other plans); every ``System.__init__`` then gets its own sanitizer
     (experiments may build several systems, whose slot/task index
-    spaces are independent).
+    spaces are independent).  ``--attach gsan`` applies one.
     """
 
     def __init__(self, max_timeline: int = 64) -> None:
@@ -836,10 +837,6 @@ class GSanPlan:
 
     def finish(self) -> List[Violation]:
         return [v for sanitizer in self.sanitizers for v in sanitizer.finish()]
-
-    @property
-    def violations(self) -> List[Violation]:
-        return [v for sanitizer in self.sanitizers for v in sanitizer.violations]
 
     @property
     def events(self) -> int:

@@ -54,7 +54,12 @@ class UdpEchoWorkload:
                 shared["buf"] = system.memsystem.alloc_buffer(bufsize)
             buf = shared["buf"]
             while True:
-                n, src = yield from ctx.sys.recvfrom(fd, buf, buf.size, **WG_OPTS)
+                got = yield from ctx.sys.recvfrom(fd, buf, buf.size, **WG_OPTS)
+                if not isinstance(got, tuple):
+                    # A shed or reclaimed recvfrom surfaces as a negative
+                    # errno (QoS deadline, watchdog): keep serving.
+                    continue
+                n, src = got
                 if bytes(buf.data[:n]) == SERVE_STOP:
                     return
                 yield Compute(ECHO_CYCLES)

@@ -20,6 +20,8 @@ import sys
 import pytest
 
 from repro import experiments
+from repro.core.invocation import SyscallRequest
+from repro.core.syscall_area import SlotStateError
 from repro.cli import (
     AttachPlan,
     UsageError,
@@ -30,6 +32,7 @@ from repro.cli import (
     seeds,
 )
 from repro.machine import small_machine
+from repro.oskernel.process import OsProcess
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.system import System
 from repro.tracing.gate import gate_experiment
@@ -62,7 +65,10 @@ def run_cli(capsys, *argv):
 
 BAD_INPUT = [
     (["run", "nope"], "'nope'"),
-    (["check", "--experiments", "fig2,nope"], "'nope'"),
+    # the GSan sweep is `run NAME... --attach gsan`; one corpus has no kinds
+    (["check", "--experiments", "fig2"], "'check'"),
+    (["corpus", "gsan"], "gsan"),
+    (["run", "fig2", "--attach", "gsan:x"], "'gsan:x': gsan takes no target"),
     (["record", "nope"], "'nope'"),
     (["record", "table2"], "'table2'"),
     (["gate", "nope"], "'nope'"),
@@ -82,7 +88,7 @@ BAD_INPUT = [
     (["gate", "--abs-ns=0"], "--abs-ns"),
     (["explore", "--scenario", "fig2", "--no-dpor"], "--no-dpor"),
     (["explore", "--scenario", "fig2", "--no-shrink"], "--no-shrink"),
-    (["corpus", "gsan", "--entries=lost-wakeup"], "--entries"),
+    (["corpus", "--entries=lost-wakeup"], "--entries"),
     (["pytest", "--tests=tests"], "--tests"),
     (["overload", "--no-brownout"], "--no-brownout"),
     (["overload", "--sojourn-budget-us=50"], "--sojourn-budget-us"),
@@ -327,6 +333,22 @@ def test_run_prints_a_frame_for_each_probe_hub(capsys):
     assert "irq.raised" in rows and "syscall.complete" in rows
 
 
+def test_probe_hub_rows_carry_a_unit(capsys):
+    """Counter and rate rows count fires per second; a hist row is in
+    the unit of the argument it histograms."""
+    code, out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "counter:irq.raised",
+        "--attach", "hist:syscall.complete:value=2", "--quiet",
+    )
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()
+            if line.startswith(("irq.raised", "syscall.complete"))]
+    assert [row[:4] for row in rows] == [
+        ["irq.raised", "fires/s", "100000", "100000"],
+        ["syscall.complete", "service_ns", "2048", "2048"],
+    ]
+
+
 def test_run_prints_span_report_and_metrics_frame(tmp_path, capsys):
     path = tmp_path / "fig2.json"
     code, out, _err = run_cli(
@@ -379,10 +401,13 @@ def test_json_of_a_run_without_a_system(tmp_path, capsys):
 def test_serve(tmp_path, capsys):
     path = tmp_path / "point.json"
     code, out, _err = run_cli(
-        capsys, "serve", "--rps", "20000", *TINY_SERVING, "--json", str(path),
+        capsys, "serve", "--rps", "20000", *TINY_SERVING, "--attach", "gsan",
+        "--json", str(path),
     )
     assert code == 0
     assert "memcached @ 20000 RPS" in out and "achieved" in out
+    assert re.search(r"GSan — serving: [1-9]\d* events checked on 1 system\(s\), "
+                     r"0 violation\(s\)", out)
     document = json.loads(path.read_text())
     assert document["experiment"] == "serving"
     assert document["point"]["rps_target"] == 20000
@@ -402,10 +427,44 @@ def test_serve_json_carries_spans_beside_the_point(tmp_path, capsys):
     assert document["point"]["rps_target"] == 20000
 
 
-def test_check(capsys):
-    code, out, _err = run_cli(capsys, "check", "--experiments", "fig2")
+def test_run_attach_gsan(tmp_path, capsys):
+    path = tmp_path / "gsan.json"
+    code, out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "gsan", "--json", str(path), "--quiet",
+    )
     assert code == 0
-    assert "ok   fig2: byte-identical" in out
+    assert "GSan — fig2: 36 events checked on 1 system(s), 0 violation(s)" in out
+    (system,) = json.loads(path.read_text())["systems"]
+    (snapshot,) = system["programs"]
+    assert snapshot["kind"] == "sanitizer"
+    assert snapshot["events"] > 0 and snapshot["violations"] == 0
+
+
+def finish_a_slot_twice(_name):
+    """A stand-in experiment whose one System finishes a slot twice,
+    the corpus's ``double-finish`` bug."""
+    system = System(config=small_machine())
+    slot = system.genesys.area.slot_for(0, 0)
+    assert slot.try_claim()
+    slot.populate(SyscallRequest("getrusage", (), True, OsProcess(system.sim, "p")))
+    slot.set_ready()
+    slot.start_processing()
+    slot.finish(0)
+    with pytest.raises(SlotStateError):
+        slot.finish(0)
+
+
+def test_run_with_a_gsan_violation_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "run", finish_a_slot_twice)
+    path = tmp_path / "gsan.json"
+    code, out, _err = run_cli(
+        capsys, "run", "fig2", "--attach", "gsan", "--json", str(path), "--quiet",
+    )
+    assert code == 1
+    assert "GSan violation [protocol-error]" in out and "<< VIOLATION" in out
+    assert "on 1 system(s), 2 violation(s)" in out
+    (snapshot,) = json.loads(path.read_text())["systems"][0]["programs"]
+    assert snapshot["rules"] == {"protocol-error": 1, "slot-leak": 1}
 
 
 def test_lint(capsys):
@@ -414,11 +473,17 @@ def test_lint(capsys):
     assert "repro.lint: clean" in out
 
 
-def test_corpus_gsan(capsys):
-    code, out, _err = run_cli(capsys, "corpus", "gsan", "--json")
+def test_corpus(tmp_path, capsys):
+    code, out, _err = run_cli(capsys, "corpus", "--json", "--cert-dir", str(tmp_path))
     assert code == 0
     doc = json.loads(out)
-    assert doc["ok"] and all(entry["detected"] for entry in doc["entries"])
+    assert doc["ok"] and len(doc["bugs"]) == 14
+    assert all(row["ok"] and row["certificate"] for row in doc["bugs"])
+    certs = sorted(path.name for path in tmp_path.iterdir())
+    assert certs == sorted(f"{row['bug']}.json" for row in doc["bugs"])
+    code, out, _err = run_cli(capsys, "replay", str(tmp_path / "double-finish.json"))
+    assert code == 0
+    assert "choices: (pure FIFO)" in out and "<< VIOLATION" in out
 
 
 def test_explore(tmp_path, capsys):
@@ -565,6 +630,7 @@ class TestAttachSpecs:
             "rate:irq.raised:abc",  # non-integer bin
             "rate:irq.raised:0",  # empty bin
             "spans:irq.raised",  # spans takes no target
+            "gsan:irq.raised",  # nor does gsan
             "metrics:0",  # empty window
             "metrics:x",  # non-numeric window
             "metrics:nan",  # not a window at all

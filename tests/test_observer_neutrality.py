@@ -23,12 +23,12 @@ from repro.cli import AttachPlan, attach_spec
 from repro.metrics import MetricsHubPlan, metrics_hubs
 from repro.modelcheck.schedule import FifoSchedulePlan
 from repro.probes.tracepoints import attached
-from repro.sanitizers.gsan import GSanPlan
 from repro.tracing.spans import SpanTracer, install_tracer
 
 
 def probe_spec(text):
-    """``--attach TEXT`` as the command line applies it."""
+    """``--attach TEXT`` as the command line applies it (``gsan`` is how
+    ``run NAME --attach gsan`` checks a run)."""
     return lambda: AttachPlan([attach_spec(text)])
 
 
@@ -71,7 +71,7 @@ NEUTRAL_PLANS = (
     ("irq-rate", probe_spec("rate:irq.raised:5000"), own_lifetime_count),
     ("spans", lambda: install_tracer, traced_invocations),
     ("metrics-hub", MetricsHubPlan, lambda plan, _: lifetime_count(plan.hubs)),
-    ("gsan", GSanPlan, lambda plan, _: plan.events),
+    ("gsan", probe_spec("gsan"), lambda plan, _: plan.gsan.events),
     ("fifo-tie-break", FifoSchedulePlan, lambda plan, _: plan.installed),
 )
 
@@ -90,11 +90,10 @@ def render_attached(name, *plans):
 
 @pytest.mark.parametrize("name", experiments.all_names())
 def test_every_experiment_byte_identical_under_every_observer(name):
-    plans = [make() for _id, make, _evidence in NEUTRAL_PLANS]
-    rendered, _registries = render_attached(name, *plans)
+    plans = {row_id: make() for row_id, make, _evidence in NEUTRAL_PLANS}
+    rendered, _registries = render_attached(name, *plans.values())
     assert rendered == bare_render(name)
-    gsan = next(plan for plan in plans if isinstance(plan, GSanPlan))
-    violations = gsan.finish()
+    violations = plans["gsan"].gsan.finish()
     assert violations == [], "\n".join(v.render() for v in violations)
 
 

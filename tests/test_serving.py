@@ -12,6 +12,7 @@ import weakref
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.serving.arrivals import ArrivalSpec, arrival_times
 from repro.serving.clients import (
     HDR_BYTES,
@@ -211,6 +212,25 @@ def test_udp_echo_point():
     assert point["slo_ok"]
     assert point["lifecycle"]["completed"] > 0
     assert point == run_point(config, 100_000)
+
+
+@pytest.mark.parametrize("workload", ["memcached", "udp-echo"])
+def test_serve_kernel_keeps_serving_past_a_recvfrom_errno(workload):
+    # The fault budget outlasts each work-group's first recvfrom and
+    # all its GPU-side retries, so every serve kernel gets an errno
+    # back and must re-issue the call, not unpack the errno.
+    config = ServingConfig(workload=workload, num_clients=16, measure_ns=200_000.0)
+    system, served = build_target(config)
+    attempts = system.genesys.max_syscall_retries + 1
+    plan = FaultPlan(
+        seed=1, errno_rate=1.0, errnos=(4,),
+        max_faults=attempts * config.num_workgroups, watchdog_period_ns=0.0,
+    )
+    injector = FaultInjector(plan, system)
+    point = run_point_on(system, served, config, 20_000)
+    assert injector.injected == plan.max_faults
+    lifecycle = point["lifecycle"]
+    assert lifecycle["completed"] == lifecycle["sent"] > 0
 
 
 # -- sweeps and the report ---------------------------------------------------
