@@ -1,16 +1,14 @@
 #!/usr/bin/env python
-"""Probes demo: eBPF-style tracepoints and policy hooks on a live run.
+"""Probes demo: eBPF-style tracepoints on a live run, and a knob's effect.
 
-Runs the same GPU-pread workload twice.  The first run attaches
+Runs the same GPU-pread workload three times.  The first run attaches
 observers — per-syscall counters, a log2 latency histogram over
 ``syscall.complete``, an IRQ rate, each a metrics hub over the rows
 ``probe_specs`` makes, as ``--attach counter|hist|rate`` does — and
-prints the metrics snapshot.  The second run writes the batch knob
-(``/sys/genesys/coalescing_max_batch``) and attaches a *policy* program
-that widens the interrupt-coalescing window through the
-``coalesce.window`` hook (the decision point the
-``/sys/genesys/coalescing_window_ns`` knob feeds a default to), and
-shows the effect on interrupt/bundle counts.
+prints the metrics snapshot.  The other two write the batch knob
+(``/sys/genesys/coalescing_max_batch``), one of them also the window
+knob (``/sys/genesys/coalescing_window_ns``), and show the effect on
+interrupt/bundle counts.
 
 Run:  python examples/probes_demo.py
 """
@@ -19,7 +17,7 @@ import json
 
 from repro.core.coalescing import CoalescingConfig
 from repro.metrics import MetricsHub, probe_specs
-from repro.probes import fixed, metrics_snapshot
+from repro.probes import metrics_snapshot
 from repro.system import System
 
 NUM_WORKITEMS = 64
@@ -83,17 +81,15 @@ def observe() -> None:
 
 
 def steer() -> None:
-    print("\n== policy hooks (the sanctioned way to change behaviour) ==")
-    for label, setup in (
-        ("baseline (no coalescing)", None),
-        ("coalesce.window=20000 via policy hook",
-         lambda reg: reg.attach_policy("coalesce.window", fixed(20_000.0))),
+    print("\n== sysfs knobs (the sanctioned way to change behaviour) ==")
+    for label, window_ns in (
+        ("baseline (no coalescing)", 0.0),
+        ("coalescing_window_ns=20000", 20_000.0),
     ):
-        # max_batch=8 is the batch knob's value; with no window the
-        # baseline still flushes every request on its own.
-        system = build_system(coalescing=CoalescingConfig(max_batch=8))
-        if setup is not None:
-            setup(system.probes)
+        # window_ns and max_batch=8 are the window and batch knobs'
+        # values; with no window the baseline still flushes every
+        # request on its own.
+        system = build_system(coalescing=CoalescingConfig(window_ns, max_batch=8))
         elapsed = run_workload(system)
         coalescer = system.genesys.coalescer
         print(

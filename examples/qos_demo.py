@@ -1,25 +1,24 @@
 #!/usr/bin/env python
 """QoS demo: overload collapse vs graceful degradation, side by side.
 
-Three acts:
+Two acts:
 
-1. deadline shedding in miniature — a 1 ns deadline makes every request
-   dead on arrival, and the stack completes them with ``-ETIME`` at the
-   coalesce-admit stage instead of paying service cost;
-2. the circuit breaker — with the breaker tripped, blocking invocations
-   fast-fail with ``-EBUSY`` before an invocation id is even minted;
-3. the headline: one open-loop serving point at 2x the SLO knee, run
+1. deadline shedding in miniature — a 1 ns deadline (the
+   ``qos/deadline_ns`` knob) makes every request dead on arrival, and
+   the stack completes them with ``-ETIME`` at the coalesce-admit stage
+   instead of paying service cost;
+2. the headline: one open-loop serving point at 2x the SLO knee, run
    bare (goodput collapses — the server burns its time on requests
    whose clients already gave up) and again with the stock QoS plan
-   (sojourn policing + brownout), which converts doomed work into
-   cheap early rejects and holds goodput at the knee level.
+   (sojourn policing), which converts doomed work into cheap early
+   rejects and holds goodput at the knee level.
 
 Run:  python examples/qos_demo.py
 """
 
 from repro.machine import small_machine
 from repro.oskernel.errors import Errno
-from repro.qos import CircuitBreaker, install_qos_plan
+from repro.qos import install_qos_plan
 from repro.serving.sweep import (
     ServingConfig,
     build_target,
@@ -47,27 +46,6 @@ def act1_deadline_shedding():
     print()
 
 
-def act2_circuit_breaker():
-    print("=== Act 2: circuit breaker fast-fail ===")
-    system = System(config=small_machine())
-    breaker = CircuitBreaker(
-        system.probes, threshold=1, cooldown_ns=1e12
-    ).install(system.probes)
-    breaker.note_failure()  # trip it by hand for the demo
-    results = []
-
-    def kern(ctx):
-        results.append((yield from ctx.sys.getrusage()))
-
-    system.run_kernel(kern, 4, 4, name="qos-demo-breaker")
-    stats = system.genesys.stats()
-    assert all(r == -int(Errno.EBUSY) for r in results)
-    print(f"breaker open: 4 invocations fast-failed with -EBUSY, "
-          f"{sum(stats['invocations'].values())} invocation ids minted, "
-          f"qos_fast_fails = {stats['qos_fast_fails']}")
-    print()
-
-
 def _one_point(config, rps, plan=None):
     system, workload = build_target(config)
     controller = install_qos_plan(plan, system) if plan is not None else None
@@ -78,8 +56,8 @@ def _one_point(config, rps, plan=None):
     return point
 
 
-def act3_overload():
-    print("=== Act 3: 2x the knee, bare vs QoS plan ===")
+def act2_overload():
+    print("=== Act 2: 2x the knee, bare vs QoS plan ===")
     config = ServingConfig(workload="memcached", num_clients=256)
     knee = default_knee(config)
     rps = 2 * knee
@@ -100,8 +78,7 @@ def act3_overload():
     describe("qos", planned)
     qos = planned["qos"]
     print(f"qos summary: net drops {qos['net_drops']}, "
-          f"fast-fail rejects {qos['policy_rejects']}, "
-          f"brownout peak level {qos['brownout']['peak_level']}")
+          f"fast-fail rejects {qos['policy_rejects']}")
     if planned["achieved_rps"] > bare["achieved_rps"]:
         gain = planned["achieved_rps"] / max(bare["achieved_rps"], 1.0)
         print(f"-> the plan holds {gain:.1f}x the bare goodput at 2x the knee")
@@ -112,8 +89,7 @@ def act3_overload():
 
 def main():
     act1_deadline_shedding()
-    act2_circuit_breaker()
-    act3_overload()
+    act2_overload()
 
 
 if __name__ == "__main__":

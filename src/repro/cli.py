@@ -5,8 +5,8 @@ Every verb is built from the same option groups:
 * experiment names, checked against ``repro.experiments.REGISTRY``;
 * the serving group (``--workload``, ``--clients``, ``--measure-us``,
   ...), whose defaults are ``ServingConfig()``'s;
-* the observer specs, ``--attach SPEC`` and ``--policy HOOK=VALUE``,
-  applied by one attach plan to every System a run builds;
+* the observer specs, ``--attach SPEC``, applied by one attach plan to
+  every System a run builds;
 * ``--seeds`` (``1,2,5`` or ``1:6``) and ``--workers`` (default: the
   CPUs this process may run on for chaos, overload and pytest; 1 for
   the verbs that farming does not speed up).
@@ -14,7 +14,7 @@ Every verb is built from the same option groups:
 Verbs::
 
     list [experiments|tracepoints|profiles|scenarios]
-    run NAME...|--all [--attach SPEC]... [--policy HOOK=VALUE]...
+    run NAME...|--all [--attach SPEC]...
     serve --rps N [--attach SPEC]...      one fixed-RPS serving point
     record NAME... / gate [NAME...]       latency baselines and the gate
     lint                                  static lint
@@ -45,9 +45,6 @@ Attach specs (``--attach``, repeatable)::
 with the spec, whose rows :func:`repro.metrics.collectors.probe_specs`
 makes: one per matching tracepoint.  An argument index a matched
 tracepoint does not have is bad input.
-
-``--policy coalesce.window=20000`` pins a policy hook to a constant for
-one run; a value meant to hold is a ``/sys/genesys`` knob.
 
 ``run`` (of one experiment) and ``serve`` report what they observed in
 three outputs: the text they print (the span report, every hub's
@@ -105,7 +102,6 @@ from repro.modelcheck.explore import Bounds, explore
 from repro.modelcheck.scenarios import build_scenario, resolve_plan, scenario_names
 from repro.modelcheck.schedule import ScheduleError
 from repro.probes.exporters import metrics_snapshot
-from repro.probes.policy import fixed
 from repro.probes.tracepoints import ProbeRegistry, attached
 from repro.runfarm import default_workers, merge_reports, run_chaos_matrix, shard
 from repro.sanitizers.gsan import GSanPlan
@@ -277,39 +273,21 @@ def _parse_attach(text: str) -> AttachSpec:
     )
 
 
-def policy_spec(text: str) -> Tuple[str, float]:
-    hook, sep, raw = text.partition("=")
-    if not hook or not sep or not raw:
-        raise UsageError(f"{text!r}: expected HOOK=VALUE")
-    try:
-        value: float = float(raw) if ("." in raw or "e" in raw.lower()) else int(raw)
-    except ValueError:
-        raise UsageError(f"{text!r}: VALUE must be numeric") from None
-    if not math.isfinite(value):
-        raise UsageError(f"{text!r}: VALUE must be finite")
-    return hook, value
-
-
 # -- the attach plan ---------------------------------------------------------
 
 
 class AttachPlan:
-    """Every ``--attach``/``--policy`` spec of one run as one attach plan.
+    """Every ``--attach`` spec of one run as one attach plan.
 
     Each System built under ``with attached(plan):`` gets all of them in
     command-line order; the plan keeps each registry for the report.
-    A spec naming an unknown tracepoint or hook, or an argument index
-    past a tracepoint's arguments, raises :class:`UsageError` at the
-    first System, before it runs.
+    A spec naming an unknown tracepoint, or an argument index past a
+    tracepoint's arguments, raises :class:`UsageError` at the first
+    System, before it runs.
     """
 
-    def __init__(
-        self,
-        specs: Sequence[AttachSpec] = (),
-        policies: Sequence[Tuple[str, float]] = (),
-    ) -> None:
+    def __init__(self, specs: Sequence[AttachSpec] = ()) -> None:
         self.specs = list(specs)
-        self.policies = list(policies)
         self.kinds = {spec.kind for spec in self.specs}
         self.hub_plans = {
             spec: MetricsHubPlan(window_ns=spec.number or DEFAULT_WINDOW_NS)
@@ -326,11 +304,6 @@ class AttachPlan:
                 self._attach(registry, spec)
             except (KeyError, ValueError) as err:
                 raise UsageError(f"--attach {spec.text!r}: {err.args[0]}") from None
-        for hook, value in self.policies:
-            try:
-                registry.attach_policy(hook, fixed(value))
-            except KeyError as err:
-                raise UsageError(f"--policy {hook}={value}: {err.args[0]}") from None
 
     def _attach(self, registry: ProbeRegistry, spec: AttachSpec) -> None:
         if spec.kind == "spans":
@@ -461,13 +434,13 @@ def _cmd_run(args: Args) -> int:
         raise UsageError("--json and --tef report one run; name one experiment")
     clean = True
     for name in names:
-        plan = AttachPlan(args.attach, args.policy)
+        plan = AttachPlan(args.attach)
         start = time.time()
         with attached(plan):
             result = experiments.run(name)
         if not args.quiet:
             print(result.render())
-        if (plan.specs or plan.policies) and not plan.registries:
+        if plan.specs and not plan.registries:
             print(f"warning: {name} built no System; nothing was observed",
                   file=sys.stderr)
         clean = _report(args, plan, name) and clean
@@ -595,7 +568,7 @@ def _write_cert(cert: dict, cert_dir: str, stem: str) -> str:
 
 
 def _cmd_corpus(args: Args) -> int:
-    rows = check_corpus(workers=args.workers)
+    rows = check_corpus()
     for row in rows:
         if row["certificate"] is not None:
             row["certificate_path"] = _write_cert(
@@ -808,7 +781,7 @@ Group = Callable[[argparse.ArgumentParser], None]
 
 def _workers(default: int) -> Group:
     """``--workers``.  Verbs whose farmed run is no faster than a serial
-    one on two CPUs (sweep, explore, corpus) default to 1."""
+    one on two CPUs (sweep, explore) default to 1."""
 
     def group(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=POSITIVE_INT, default=default,
@@ -822,12 +795,6 @@ def _attach(p: argparse.ArgumentParser) -> None:
                    metavar="SPEC",
                    help="counter:PATTERN[:key=N] | hist:PATTERN[:value=N] | "
                         "rate:PATTERN[:bin_ns] | spans | metrics[:window_us] | gsan")
-
-
-def _policy(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--policy", type=policy_spec, action="append", default=[],
-                   metavar="HOOK=VALUE",
-                   help="pin a policy hook to a constant (e.g. coalesce.window=20000)")
 
 
 def _reports(p: argparse.ArgumentParser) -> None:
@@ -896,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("experiments", "tracepoints", "profiles", "scenarios"))
 
     p = verb("run", _cmd_run, "run experiments, optionally observed",
-             _attach, _policy, _reports)
+             _attach, _reports)
     p.add_argument("names", nargs="*", type=experiment_name, metavar="NAME")
     p.add_argument("--all", action="store_true", help="run every experiment")
 
@@ -916,8 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", help="files or directories (default: src/repro)")
     p.add_argument("--json", action="store_true")
 
-    p = verb("corpus", _cmd_corpus,
-             "judge every seeded bug and certify each find", _workers(1))
+    p = verb("corpus", _cmd_corpus, "judge every seeded bug and certify each find")
     p.add_argument("--cert-dir", default="gmc_certs")
     p.add_argument("--json", action="store_true")
 

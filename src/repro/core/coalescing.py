@@ -8,10 +8,7 @@ exposed through sysfs on the real system and through
 throughput and implicitly serialises the bundled calls on one worker.
 
 Both are :class:`CoalescingConfig` fields, which the sysfs
-``/sys/genesys/coalescing_*`` files write.  The window is also a
-policy-hook decision point (``coalesce.window``): the configured window
-is the default each bundle's decision starts from, and an attached
-program may change it per bundle, as brownout level 1 scales it down.
+``/sys/genesys/coalescing_*`` files write.
 """
 
 from __future__ import annotations
@@ -48,8 +45,7 @@ class Coalescer:
 
     A bundle flushes when the time window since its first member expires
     or when it reaches the batch limit, whichever is first.  Both are
-    fixed when a bundle opens: the configured batch, and the configured
-    window unless a program attached to ``coalesce.window`` changes it.
+    fixed when a bundle opens, so a knob write lands at the next bundle.
     """
 
     def __init__(
@@ -78,11 +74,6 @@ class Coalescer:
             ("batch_size", "payloads"),
             "a coalesced bundle became one task",
         )
-        self.hook_window = registry.hook(
-            "coalesce.window",
-            ("window_ns",),
-            "override the coalescing window (ns) for the bundle being opened",
-        )
 
     def add(self, payload: Any) -> None:
         """Add one interrupt payload (called from the handler)."""
@@ -93,8 +84,6 @@ class Coalescer:
             # Opening a (potential) bundle: decide its window and batch.
             window = self.config.window_ns
             batch = self.config.max_batch
-            if self.hook_window.active:
-                window = self.hook_window.decide(window)
             if not (window > 0 and batch > 1):
                 # Coalescing disabled: every request is its own task.
                 self.flush_fn([payload])

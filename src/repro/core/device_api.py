@@ -192,7 +192,6 @@ class DeviceApi:
         ordering: Ordering = Ordering.STRONG,
         blocking: bool = True,
         wait: WaitMode = WaitMode.POLL,
-        priority: int = 0,
     ) -> Generator[Any, Any, Any]:
         """Invoke syscall ``name`` with the given strategy.
 
@@ -213,13 +212,13 @@ class DeviceApi:
           launch; requires relaxed ordering (strong would deadlock).
         """
         if granularity is _WORK_ITEM:
-            return self._raw_invoke(name, args, blocking, wait, granularity, priority)
+            return self._raw_invoke(name, args, blocking, wait, granularity)
         if granularity is _WORK_GROUP:
             return self._workgroup_invoke(
-                name, args, syscall_kind(name), ordering, blocking, wait, priority
+                name, args, syscall_kind(name), ordering, blocking, wait
             )
         if granularity is _KERNEL:
-            return self._kernel_invoke(name, args, ordering, blocking, wait, priority)
+            return self._kernel_invoke(name, args, ordering, blocking, wait)
         raise ValueError(f"unknown granularity {granularity!r}")
 
     # -- granularity strategies ---------------------------------------------
@@ -232,7 +231,6 @@ class DeviceApi:
         ordering: Ordering,
         blocking: bool,
         wait: WaitMode,
-        priority: int = 0,
     ) -> Generator[Any, Any, Any]:
         self._seq += 1
         key = ("sysres", self._seq)
@@ -242,9 +240,7 @@ class DeviceApi:
         if pre_barrier:
             yield _BARRIER
         if self._is_group_leader:
-            result = yield from self._raw_invoke(
-                name, args, blocking, wait, _WORK_GROUP, priority
-            )
+            result = yield from self._raw_invoke(name, args, blocking, wait, _WORK_GROUP)
             group.shared[key] = result
         if post_barrier:
             yield _BARRIER
@@ -259,7 +255,6 @@ class DeviceApi:
         ordering: Ordering,
         blocking: bool,
         wait: WaitMode,
-        priority: int = 0,
     ) -> Generator[Any, Any, Any]:
         from repro.core.genesys import OrderingError
 
@@ -271,9 +266,7 @@ class DeviceApi:
             )
         if not self._is_kernel_leader:
             return None
-        result = yield from self._raw_invoke(
-            name, args, blocking, wait, _KERNEL, priority
-        )
+        result = yield from self._raw_invoke(name, args, blocking, wait, _KERNEL)
         self._kernel.shared[("sysres", name)] = result
         return result
 
@@ -286,18 +279,8 @@ class DeviceApi:
         blocking: bool,
         wait: WaitMode,
         granularity: Granularity,
-        priority: int = 0,
     ) -> Generator[Any, Any, Any]:
         genesys = self._genesys
-        # Circuit-breaker fast-fail (repro.qos): a tripped breaker turns
-        # the whole slot-protocol round trip into an immediate -EBUSY,
-        # before an invocation id is even minted — the shed costs the
-        # GPU nothing and the CPU kernel never hears about it.
-        if blocking and genesys.hook_qos_invoke.active:
-            verdict = genesys.hook_qos_invoke.decide(None, name)
-            if verdict:
-                genesys.qos_fast_fails += 1
-                return -int(verdict)
         hw_id = self._hw_id
         ops = self._ops
         if ops is None:
@@ -328,8 +311,7 @@ class DeviceApi:
                 blocking,
                 genesys.host_process,
                 invocation_id=invocation_id,
-                deadline_ns=genesys.mint_deadline(name),
-                priority=priority,
+                deadline_ns=genesys.mint_deadline(),
             )
 
             # Claim: cmp-swap until the slot is FREE (a previous non-blocking

@@ -64,7 +64,6 @@ SYSFS_KNOBS: Tuple[Knob, ...] = (
     ("worker_timeout_ns", float, 0, MAX_WINDOW_NS, "worker_timeout_ns"),
     ("qos/deadline_ns", float, 0, MAX_WINDOW_NS, "qos_deadline_ns"),
     ("qos/admission", float, 0, MAX_WINDOW_NS, "linux.net.sojourn_budget_ns"),
-    ("qos/brownout", int, 0, 1, "qos_brownout_enabled"),
 )
 
 
@@ -221,26 +220,11 @@ class Genesys:
             ("invocation_id", "name", "slot_index", "was_state"),
             "watchdog reclaimed a stuck slot with -ETIMEDOUT",
         )
-        # QoS decision points (repro.qos).  All dormant by default: no
-        # deadline is minted, nothing sheds, and the no-plan path stays
-        # byte-identical.
-        self.hook_qos_deadline = self.probes.hook(
-            "qos.deadline",
-            ("name",),
-            "override the deadline delta (ns; 0 = none) minted for an "
-            "invocation of this syscall",
-        )
-        self.hook_qos_invoke = self.probes.hook(
-            "qos.invoke",
-            ("name",),
-            "return an Errno to fast-fail this blocking invocation on the "
-            "GPU side before submission (circuit breaker), or None to admit",
-        )
         self.tp_shed = self.probes.tracepoint(
             "qos.shed",
             ("stage", "reason", "invocation_id", "name", "slot_index"),
             "a request was shed at a stage boundary instead of serviced "
-            "(reason: deadline or priority)",
+            "(reason: deadline)",
         )
         self._scan_suppressed: Set[int] = set()
         self.outstanding = 0
@@ -283,19 +267,10 @@ class Genesys:
         self.slots_reclaimed = 0
         self.watchdog_ticks = 0
         self.syscall_retries = 0
-        # -- QoS state (repro.qos).  Defaults keep the stack policy-free:
-        #: default deadline delta minted per invocation (ns; 0 = none,
-        #: knob: /sys/genesys/qos/deadline_ns, hook: qos.deadline).
+        #: Deadline delta minted per invocation (ns; 0 = none, knob:
+        #: /sys/genesys/qos/deadline_ns); the default mints none.
         self.qos_deadline_ns = 0.0
-        #: requests with priority below this floor are shed at dispatch
-        #: (brownout level 3 raises it; 0 sheds nothing).
-        self.qos_priority_floor = 0
-        #: gate for an attached brownout controller (knob:
-        #: /sys/genesys/qos/brownout; 0 pins the controller at level 0).
-        self.qos_brownout_enabled = 1
         self.syscalls_shed = 0
-        self.qos_fast_fails = 0
-        self.polled_scans = 0
         self.sheds_by_stage: Dict[str, int] = {}
         self._watchdog_handle: Optional[_TimerHandle] = None
         self._last_progress: Optional[Tuple[int, int, int, int, int]] = None
@@ -308,10 +283,7 @@ class Genesys:
         file under /sys/genesys.
 
         A validated write sets the state the row names, and that state
-        is the value everywhere: a constant is set only this way.  Two
-        knobs are also the default a policy hook starts from, which an
-        attached program may change per decision: the window of
-        ``coalesce.window`` and the delta of ``qos.deadline``.
+        is the value everywhere: a constant is set only this way.
         """
         fs = self.linux.fs
         for row in SYSFS_KNOBS:
@@ -420,18 +392,12 @@ class Genesys:
 
     # -- QoS: deadlines and shedding ----------------------------------------
 
-    def mint_deadline(self, name: str) -> Optional[float]:
-        """The absolute deadline for an invocation of ``name`` starting
-        now, or None when no deadline policy is in force.
-
-        The default delta is ``qos_deadline_ns`` (knob:
-        /sys/genesys/qos/deadline_ns); a ``qos.deadline`` program may
-        override it per syscall name (returning 0 exempts the call).
-        """
+    def mint_deadline(self) -> Optional[float]:
+        """The absolute deadline for an invocation starting now: now
+        plus ``qos_deadline_ns`` (knob: /sys/genesys/qos/deadline_ns),
+        or None while the knob is 0."""
         delta = self.qos_deadline_ns
-        if self.hook_qos_deadline.active:
-            delta = self.hook_qos_deadline.decide(delta, name)
-        if not delta or delta <= 0:
+        if delta <= 0:
             return None
         return self.sim.now + float(delta)
 
@@ -486,13 +452,12 @@ class Genesys:
         ``cause`` is ``"complete"`` (a worker serviced ``request``),
         ``"reclaim"`` (the watchdog forces the stuck slot, whatever its
         request) or the stage that shed ``request`` (``"coalesce"``,
-        ``"pickup"`` or ``"dispatch"``, with ``reason`` ``"deadline"`` or
-        ``"priority"``).  Retire owns the exactly-once slot write, the
-        chaos-invariant counters (``issued == completed + reclaimed +
-        shed``) and the cause's tracepoints.  Returns False when the
-        slot refused: a finish whose slot the watchdog already reclaimed
-        (the reclaim did the bookkeeping), or a reclaim of a slot that
-        was not stuck.
+        ``"pickup"`` or ``"dispatch"``, with ``reason`` ``"deadline"``).
+        Retire owns the exactly-once slot write, the chaos-invariant
+        counters (``issued == completed + reclaimed + shed``) and the
+        cause's tracepoints.  Returns False when the slot refused: a
+        finish whose slot the watchdog already reclaimed (the reclaim
+        did the bookkeeping), or a reclaim of a slot that was not stuck.
         """
         hw_id = slot.index // self.area.width
         if cause == "reclaim":
@@ -593,16 +558,11 @@ class Genesys:
             # lanes of the row may turn READY (or be reclaimed) meanwhile.
             for slot in self.area.ready_slots(hw_id):
                 # Dispatch shed stage: servicing earlier calls of the
-                # bundle advanced the clock, and brownout may have
-                # raised the priority floor since submission.
+                # bundle advanced the clock since pickup.
                 pending = slot.request
-                if pending is not None:
-                    if pending.expired(self.sim.now):
-                        self._shed_slot(slot, "dispatch", "deadline")
-                        continue
-                    if pending.priority < self.qos_priority_floor:
-                        self._shed_slot(slot, "dispatch", "priority")
-                        continue
+                if pending is not None and pending.expired(self.sim.now):
+                    self._shed_slot(slot, "dispatch", "deadline")
+                    continue
                 request = self._dispatch(slot)
                 yield from cpu.run(self.config.syscall_base_ns)
                 injected_errno: Any = None
@@ -697,7 +657,7 @@ class Genesys:
         if progress == self._last_progress and not requeued and not reclaimed:
             # A whole period with no movement anywhere: assume a lost
             # interrupt and scan READY slots directly (degraded mode).
-            self._scan_ready(degraded=True)
+            self._scan_ready()
         self._last_progress = progress
         self._arm_watchdog()
 
@@ -729,34 +689,18 @@ class Genesys:
             count += self.retire(slot, pending, retval, "reclaim")
         return count
 
-    def _scan_ready(self, degraded: bool) -> int:
-        """Enqueue one scan covering every wavefront with READY slots,
-        bypassing the interrupt path; returns how many it covers.
-
-        ``degraded`` marks the watchdog's missed-interrupt fallback
-        (counted in ``degraded``, fires ``recover.degraded``); otherwise
-        it is a polling-mode pass (counted in ``polled_scans``).
-        """
+    def _scan_ready(self) -> None:
+        """The watchdog's missed-interrupt fallback: enqueue one scan
+        covering every wavefront with READY slots, bypassing the
+        interrupt path (counted in ``degraded``, fires
+        ``recover.degraded``)."""
         hw_ids = self.area.ready_wavefronts()
         if not hw_ids:
-            return 0
-        if degraded:
-            self.degraded += 1
-            if self.tp_degraded.enabled:
-                self.tp_degraded.fire(tuple(hw_ids))
-        else:
-            self.polled_scans += 1
+            return
+        self.degraded += 1
+        if self.tp_degraded.enabled:
+            self.tp_degraded.fire(tuple(hw_ids))
         self._enqueue_scan(hw_ids)
-        return len(hw_ids)
-
-    def poll_scan(self) -> int:
-        """Polling-mode servicing pass over every READY wavefront.
-
-        The brownout controller's interrupt->polling degradation (the
-        paper's Fig 9/13 tradeoff made dynamic) calls this on its tick
-        while ``InterruptController.polling`` suppresses top halves.
-        """
-        return self._scan_ready(degraded=False)
 
     # -- GPU-side retry policy ----------------------------------------------
 
@@ -882,8 +826,7 @@ class Genesys:
             "syscall_retries": self.syscall_retries,
             "syscalls_shed": self.syscalls_shed,
             "sheds_by_stage": dict(sorted(self.sheds_by_stage.items())),
-            "qos_fast_fails": self.qos_fast_fails,
-            "polled_scans": self.polled_scans,
+            "polled_scans": 0,  # a constant, kept: perfbench's goldens read it
             "slot_protocol_errors": self.area.protocol_errors,
             "net": self.linux.net.stats(),
         }

@@ -104,7 +104,6 @@ class SyscallRequest:
         "proc",
         "invocation_id",
         "deadline_ns",
-        "priority",
     )
 
     def __init__(
@@ -115,7 +114,6 @@ class SyscallRequest:
         proc: "OsProcess",
         invocation_id: Optional[int] = None,
         deadline_ns: Optional[float] = None,
-        priority: int = 0,
     ) -> None:
         if len(args) > self.MAX_ARGS:
             raise ValueError(
@@ -130,8 +128,6 @@ class SyscallRequest:
         #: Absolute sim-time deadline after which servicing the call is
         #: wasted work (QoS layer); ``None`` means no deadline.
         self.deadline_ns = deadline_ns
-        #: Priority class; higher values shed *later* under brownout.
-        self.priority = priority
 
     def expired(self, now: float) -> bool:
         """Whether the QoS deadline (if any) has passed at ``now``."""

@@ -26,8 +26,8 @@ def latency_per_byte(
     wavefront (so each is its own interrupt + task when uncoalesced).
 
     ``setup(system)``, if given, runs before any work is issued — the
-    seam the probes tests use to attach policy programs that reproduce a
-    coalescing sensitivity point through the hook path.
+    seam the probes tests use to attach observers, or to write the
+    coalescing knobs on the built machine.
     """
     system = System(config=MachineConfig(), coalescing=coalescing)
     if setup is not None:

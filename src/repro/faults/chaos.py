@@ -121,8 +121,8 @@ PROFILES: Dict[str, FaultPlan] = {
     # Overload control under fire: the serving scenario pushed past its
     # knee (open-loop overload) with a QoS plan installed, while
     # doorbells drop and workqueue workers die.  Exercises sojourn
-    # head-drop, fast-fail reject frames, and the brownout controller
-    # alongside the watchdog recovery paths.  slot_timeout stays
+    # head-drop and fast-fail reject frames alongside the watchdog
+    # recovery paths.  slot_timeout stays
     # disabled (parked blocking recvfrom), so invariants are liveness,
     # reply integrity, and the shed-aware completion accounting.
     "qos": FaultPlan(

@@ -116,12 +116,10 @@ class MetricsHub:
 
     # -- reads --------------------------------------------------------------
 
-    def finalize(self, t_ns: Optional[float] = None) -> None:
-        """Close every window strictly before ``t_ns`` (default: now).
-        Readers call this before they look at closed windows; a
-        controller ticking at ``t_ns`` passes its own tick time, since
-        ``sim.now`` is stale inside a weak callback."""
-        when = self.now() if t_ns is None else t_ns
+    def finalize(self) -> None:
+        """Close every window strictly before now.  Readers call this
+        before they look at closed windows."""
+        when = self.now()
         for estimator in self.metrics.values():
             estimator.flush(estimator.index_of(when))
 
@@ -129,7 +127,7 @@ class MetricsHub:
         self, name: str, window: int = 1, mode: Optional[str] = None
     ) -> float:
         """Scalar value of metric ``name`` over the last ``window``
-        closed windows — the feedback-controller API (ROADMAP item 3).
+        closed windows.
 
         Counters read as rates (or window-span fractions for duration
         accumulators), gauges as means, levels as time-weighted means,

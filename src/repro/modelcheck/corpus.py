@@ -481,7 +481,7 @@ CORPUS: List[Scenario] = [
 ORDERING_BUGS: List[Scenario] = [bug for bug in CORPUS if bug.ordering]
 
 
-def check_bug(bug: Scenario, workers: int = 1) -> dict:
+def check_bug(bug: Scenario) -> dict:
     """Judge one seeded bug; returns its corpus row.
 
     The FIFO schedule runs first.  A visible bug must hit
@@ -502,7 +502,7 @@ def check_bug(bug: Scenario, workers: int = 1) -> dict:
         "pruned": 0,
     }
     if bug.ordering:
-        report = explore(bug.name, bounds=Bounds(max_schedules=256), workers=workers)
+        report = explore(bug.name, bounds=Bounds(max_schedules=256))
         row["schedules"], row["pruned"] = report.schedules, report.pruned
         hits = [
             finding["choices"]
@@ -521,6 +521,6 @@ def check_bug(bug: Scenario, workers: int = 1) -> dict:
     return row
 
 
-def check_corpus(workers: int = 1) -> List[dict]:
+def check_corpus() -> List[dict]:
     """The CI gate body: :func:`check_bug` over every seeded bug."""
-    return [check_bug(bug, workers=workers) for bug in CORPUS]
+    return [check_bug(bug) for bug in CORPUS]

@@ -12,9 +12,9 @@ provides the two policies the model checker uses:
   (more than one runnable entry tied), which is what the explorer
   branches on.
 
-A *decision* is counted only when two or more tied entries are
-actionable — an unfinished process resume or a live strong callback.
-Tombstones, weak (pure-observer) wakeups, and resumes of finished
+A *decision* is counted only when two or more tied entries are live
+(:func:`repro.sim.engine.is_live`: an unfinished process resume or a
+callback that was not cancelled).  Tombstones and resumes of finished
 processes cannot change the simulation no matter where they pop, so
 ties against them are not choice points; this keeps the branching
 factor at the real concurrency, not the heap population.
@@ -28,8 +28,8 @@ tracepoints it fired, collected by :class:`EffectCollector` between
 consecutive pops — the same attribution GSan's happens-before clocks
 use.  Effects are three-valued:
 
-* :data:`PURE` (the empty frozenset) — tombstone and weak-observer
-  steps, which the engine guarantees are non-perturbing;
+* :data:`PURE` (the empty frozenset) — tombstone steps, which the
+  engine guarantees are non-perturbing;
 * a non-empty frozenset — every fired event mapped to a scope;
 * ``None`` — *unknown*: the step fired nothing (it may still have
   mutated shared Python state) or fired an event with no scope.
@@ -48,7 +48,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.probes.tracepoints import ProbeRegistry
 from repro.sanitizers.gsan import SCOPE_NEUTRAL, event_scopes
-from repro.sim.engine import HeapEntry, Simulator
+from repro.sim.engine import HeapEntry, Simulator, is_live
 
 __all__ = [
     "Candidate",
@@ -140,19 +140,6 @@ class Decision:
         self.effect: Effects = None
         #: True when the chosen entry was itself asleep (run aborted).
         self.blocked = False
-
-
-def _is_actionable(entry: HeapEntry) -> bool:
-    """Whether popping ``entry`` can change the simulation.
-
-    Process resumes of unfinished processes and live strong callbacks
-    are actionable; tombstones, weak observers, and finished-process
-    resumes are inert no matter where they pop.
-    """
-    _when, _seq, proc, value, _exc = entry
-    if proc is not None:
-        return not proc.finished
-    return value.fn is not None and not value.weak
 
 
 def _label(entry: HeapEntry) -> str:
@@ -320,7 +307,7 @@ class GuidedTieBreak:
         self._close_step()
         self.pops += 1
         actionable = [
-            index for index, entry in enumerate(ready) if _is_actionable(entry)
+            index for index, entry in enumerate(ready) if is_live(entry)
         ]
         if len(actionable) <= 1:
             choice = 0
@@ -360,5 +347,5 @@ class GuidedTieBreak:
                     record.blocked = True
                 raise SleepBlocked(index, seq)
             self._pending = record
-        self._last_inert = not _is_actionable(ready[choice])
+        self._last_inert = not is_live(ready[choice])
         return choice

@@ -37,9 +37,6 @@ class InterruptController:
         self.raised = 0
         self.serviced = 0
         self.unhandled = 0
-        #: Polling mode (brownout level 2): top halves are suppressed and
-        #: the brownout controller's polling-scan tick services requests.
-        self.polling = False
         self._handler: Optional[Callable[[Any], None]] = None
         registry = probes if probes is not None else ProbeRegistry(sim)
         self.tp_raised = registry.tracepoint(
@@ -61,11 +58,6 @@ class InterruptController:
             ("payload",),
             "return 'drop' to lose this interrupt, ('delay', ns) to defer "
             "its top half, or None for normal delivery",
-        )
-        self.tp_polled = registry.tracepoint(
-            "irq.polled",
-            ("payload",),
-            "top half suppressed: servicing deferred to polling mode",
         )
 
     def register_handler(self, handler: Callable[[Any], None]) -> None:
@@ -103,12 +95,6 @@ class InterruptController:
                     self._delayed_top_half(payload, delay_ns), name="irq-delayed"
                 )
                 return True
-        if self.polling:
-            # Brownout polling mode: no handler cost is paid now; the
-            # controller's periodic poll_scan picks the request up.
-            if self.tp_polled.enabled:
-                self.tp_polled.fire(payload)
-            return True
         self.sim.process(self._top_half(payload), name="irq")
         return True
 

@@ -32,6 +32,14 @@ class Datagram:
         self.enqueued_ns = 0.0
 
 
+class RejectFrame(Datagram):
+    """A fast-fail reply the kernel synthesised for a policed datagram
+    (``Network._reject``).  It is policed like any datagram but never
+    answered, so two policed sockets cannot trade rejects."""
+
+    __slots__ = ()
+
+
 class UdpSocket:
     """One UDP endpoint; datagrams queue in arrival order.  ``sock_id``
     is numbered by the :class:`Network` that creates it."""
@@ -118,28 +126,18 @@ class Network:
             "return 'drop' to lose the datagram, 'dup' to deliver it twice, "
             "('delay', ns) to defer delivery, or None for normal transit",
         )
-        # -- QoS admission and sojourn policing (repro.qos).  Only
-        # sockets with a bounded backlog (rx_capacity set) are policed,
-        # which naturally exempts client reply sockets and the
-        # unbounded shutdown path.
+        # -- Sojourn policing (repro.qos).  Only sockets with a bounded
+        # backlog (rx_capacity set) are policed, which naturally exempts
+        # client reply sockets and the unbounded shutdown path.
         self.tp_sojourn = registry.tracepoint(
             "net.sojourn",
             ("sojourn_ns", "sock_id"),
             "receive-queue wait of a datagram, measured at dequeue",
         )
-        self.hook_admit = registry.hook(
-            "net.admit",
-            ("sock_id", "depth", "nbytes"),
-            "return 'drop' to police away an arriving datagram, "
-            "('reject', errno) to also synthesise a fast-fail reply to the "
-            "sender, or None to admit",
-        )
         #: Max receive-queue sojourn (ns) before a datagram is
         #: head-dropped at dequeue with a fast-fail reply; 0 disables
         #: (knob: /sys/genesys/qos/admission).
         self.sojourn_budget_ns = 0.0
-        #: Datagrams dropped by an admission policy verdict.
-        self.policy_drops = 0
         #: Datagrams head-dropped at dequeue past the sojourn budget.
         self.expired_drops = 0
         #: Fast-fail reply frames synthesised for policed datagrams.
@@ -157,7 +155,7 @@ class Network:
             "rx_backlog_peak": self.rx_backlog_peak,
             "drops": {
                 "capacity": self.rx_queue_drops,
-                "policy": self.policy_drops,
+                "policy": 0,  # a constant, kept: perfbench and the sweep JSON read it
                 "expired": self.expired_drops,
             },
             "policy_rejects": self.policy_rejects,
@@ -249,35 +247,14 @@ class Network:
         target: UdpSocket,
         datagram: Datagram,
         primary: bool = True,
-        policed: bool = True,
     ) -> bool:
         """Enqueue ``datagram`` at ``target``, honouring the backlog bound.
 
-        Returns False when the datagram was dropped — by a full bounded
-        receive queue, or by an admission-policy verdict (``net.admit``,
-        consulted only for policed deliveries to bounded sockets).
-        ``primary`` is False for copies that were never counted in
+        Returns False when a full bounded receive queue dropped the
+        datagram.  ``primary`` is False for copies that were never counted in
         ``packets_sent`` (fault-injected duplicates, synthesised reject
         frames), so losing them does not inflate the link drop counter.
         """
-        if (
-            policed
-            and target.rx_capacity is not None
-            and self.hook_admit.active
-        ):
-            verdict = self.hook_admit.decide(
-                None, target.sock_id, len(target.queue), len(datagram.payload)
-            )
-            if verdict is not None:
-                target.rx_dropped += 1
-                self.policy_drops += 1
-                if primary:
-                    self.packets_dropped += 1
-                if self.tp_drop.enabled:
-                    self.tp_drop.fire("policy", target.sock_id)
-                if isinstance(verdict, tuple) and verdict and verdict[0] == "reject":
-                    self._reject(target, datagram, int(verdict[1]))
-                return False
         if (
             target.rx_capacity is not None
             and len(target.queue) >= target.rx_capacity
@@ -311,19 +288,21 @@ class Network:
         Where a reply socket exists (the source address is still bound),
         the sender gets ``b"E" + reqid + errno`` instead of silence — a
         serving client classifies that as *rejected*, not lost.  The
-        frame is a kernel-level synthesis: it bypasses the link model
-        and the admission gate (it must not recurse into policing).
+        frame is a kernel-level synthesis: it bypasses the link model.
+        A policed reject frame is dropped without an answer.
         """
+        if isinstance(datagram, RejectFrame):
+            return
         source = self._bound.get(datagram.source)
         if source is None or source.closed:
             return
         payload = datagram.payload
         reqid = payload[1:9] if len(payload) >= 9 else bytes(8)
-        frame = Datagram(
+        frame = RejectFrame(
             b"E" + reqid + bytes([errno & 0xFF]),
             (target.host, target.port if target.port is not None else 0),
         )
-        if self._deliver(source, frame, primary=False, policed=False):
+        if self._deliver(source, frame, primary=False):
             self.policy_rejects += 1
 
     def recvfrom(self, sock: UdpSocket, bufsize: int) -> Generator:

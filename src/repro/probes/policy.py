@@ -1,13 +1,16 @@
 """Policy hooks: decision points an attached program may override.
 
 Where tracepoints only *observe*, a policy hook sits at a designated
-decision in the stack — the coalescing window about to be armed, the
-interrupt about to be delivered, the blocking call about to be retried
-— and lets an attached program replace the default.  This is the
+decision in the stack — the interrupt about to be delivered, the slot
+about to be completed, the blocking call about to be retried — and
+lets an attached program replace the default.  This is the
 reproduction of gpu_ext's thesis: user-supplied programs steer GPU/OS
 policy through static, typed hook points instead of kernel patches.
-A hook exists only where a program decides per call; a value that is
-the same for every call is a sysfs knob (``Genesys`` ``SYSFS_KNOBS``).
+A hook exists only where a program decides per call.  There are six:
+the fault injector's five (``fault.irq``, ``fault.net``, ``fault.worker``,
+``fault.errno``, ``fault.slot``) and ``genesys.retry``, whose program
+is the injector's widened retry set.  A value that is the same for
+every call is a sysfs knob (``Genesys`` ``SYSFS_KNOBS``).
 
 The contract mirrors an eBPF program return code: a program receives
 ``(default, *args)`` and returns either a replacement value or ``None``
@@ -108,8 +111,7 @@ class _FixedPolicy:
 def fixed(value: Any) -> PolicyProgram:
     """A policy program that always answers ``value``.
 
-    The command line's ``run --policy HOOK=VALUE`` builds on it to pin
-    a decision to a constant for one run; the sysfs knobs do not (a
-    knob write sets the state its row names).
+    Tests and demos use it to force one decision, such as a wedged slot
+    on ``fault.slot``; a value meant to hold is a sysfs knob write.
     """
     return _FixedPolicy(value)

@@ -281,8 +281,7 @@ def render_overload(doc: dict) -> str:
     gate = doc["gate"]
     lines = [
         f"overload: {doc['workload']}  knee={doc['knee_rps']} RPS  "
-        f"sojourn_budget={doc['plan']['sojourn_budget_ns'] / 1e3:.0f} us  "
-        f"brownout={'on' if doc['plan']['brownout'] else 'off'}",
+        f"sojourn_budget={doc['plan']['sojourn_budget_ns'] / 1e3:.0f} us",
         f"{'offered':>8} | {'base good':>10} {'compl':>6} {'p99us':>7} | "
         f"{'qos good':>10} {'compl':>6} {'p99us':>7} {'rejected':>8}",
     ]

@@ -411,22 +411,12 @@ def default_knee(config: ServingConfig) -> int:
 
 def default_overload_plan(config: ServingConfig):
     """The serving overload-control plan: CoDel-style sojourn policing
-    on the server's bounded receive queue (stale work is rejected at
-    dequeue instead of served dead) plus the brownout controller capped
-    at level 2 (level 3 would shed the priority-0 serving traffic
-    itself).  No GPU-side deadlines: the server's parked ``recvfrom``
-    loops are legitimately long-lived."""
+    on the server's bounded receive queue, so stale work is rejected at
+    dequeue instead of served dead.  No GPU-side deadlines: the
+    server's parked ``recvfrom`` loops are legitimately long-lived."""
     from repro.qos import QosPlan
 
-    return QosPlan(
-        sojourn_budget_ns=config.timeout_ns / 2,
-        brownout=True,
-        brownout_max_level=2,
-        brownout_period_ns=20_000.0,
-        sensor_window_ns=50_000.0,
-        brownout_hi_p99_ns=config.slo_p99_ns,
-        brownout_lo_p99_ns=config.slo_p99_ns / 3,
-    )
+    return QosPlan(sojourn_budget_ns=config.timeout_ns / 2)
 
 
 def _overload_point_job(config: ServingConfig, rps: int, plan=None) -> dict:

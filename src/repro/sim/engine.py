@@ -192,28 +192,8 @@ class _TimerHandle:
 
     __slots__ = ("fn",)
 
-    #: Strong handles advance the clock when they run and keep the heap
-    #: alive; see :class:`_WeakTimerHandle` for the observer variant.
-    weak = False
-
     def __init__(self, fn: Optional[Callable[[], None]]) -> None:
         self.fn = fn
-
-
-class _WeakTimerHandle(_TimerHandle):
-    """A *weak* callback cell: pure-observer wakeups (controller ticks).
-
-    Weak entries never advance ``sim.now`` when they run, and they are
-    silently dropped — not run — if no live work remains in the heap.
-    Both properties together guarantee that attaching a periodic weak
-    tick cannot perturb a simulation's observable behaviour: the clock
-    trace is untouched and ``run()`` still terminates (the heap drains)
-    exactly when it would have without the tick.
-    """
-
-    __slots__ = ()
-
-    weak = True
 
 
 class AllOf:
@@ -352,18 +332,25 @@ HeapEntry = Tuple[float, int, Optional["Process"], Any, Optional[BaseException]]
 TieBreak = Callable[["Simulator", List[HeapEntry]], int]
 
 
+def is_live(entry: HeapEntry) -> bool:
+    """Whether popping ``entry`` can change the simulation: the resume
+    of an unfinished process, or a callback that was not cancelled.
+    Tombstones and resumes of finished processes are inert."""
+    _when, _seq, proc, value, _exc = entry
+    if proc is not None:
+        return not proc.finished
+    return value.fn is not None
+
+
 class Simulator:
     """The discrete-event simulator: clock + event heap + process driver."""
 
-    __slots__ = ("now", "_heap", "_seq", "weak_scheduled", "tie_break")
+    __slots__ = ("now", "_heap", "_seq", "tie_break")
 
     def __init__(self) -> None:
         self.now: float = 0
         self._heap: List[HeapEntry] = []
         self._seq = 0
-        #: Weak (clock-neutral) callbacks ever scheduled; lets tests
-        #: assert that an observer schedules no simulator event.
-        self.weak_scheduled = 0
         #: Controllable-scheduler hook (``repro.modelcheck``).  When
         #: ``None`` — always, outside model checking — ``_step`` pops the
         #: heap directly and behaviour is bit-identical to the historical
@@ -384,48 +371,31 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, proc, value, exc))
 
-    def call_later(
-        self, delay: float, fn: Callable[[], None], weak: bool = False
-    ) -> _TimerHandle:
+    def call_later(self, delay: float, fn: Callable[[], None]) -> _TimerHandle:
         """Run ``fn()`` after ``delay`` ns without spawning a process.
 
         Returns a handle whose ``fn`` may be set to ``None`` to cancel;
         cancelled entries neither run nor advance the clock when popped.
-
-        With ``weak=True`` the callback is a pure observer: it runs
-        without advancing the clock and is dropped unrun once no live
-        work (unfinished process or strong callback) remains, so weak
-        wakeups can never change what a simulation computes or when it
-        terminates.
         """
-        handle = self._make_handle(fn, weak)
+        handle = _TimerHandle(fn)
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, None, handle, None))
         return handle
 
-    def call_at(
-        self, when: float, fn: Callable[[], None], weak: bool = False
-    ) -> _TimerHandle:
+    def call_at(self, when: float, fn: Callable[[], None]) -> _TimerHandle:
         """Run ``fn()`` at absolute time ``when`` (clamped to now).
 
         Unlike ``call_later(when - now, fn)`` this is exact: the heap
         stores absolute times, so no floating-point round-trip through a
         relative delay occurs.  Pollers converted to event waits use it
         to land back on their historical observation grid bit-exactly.
-        ``weak`` has the same observer semantics as in :meth:`call_later`.
         """
         if when < self.now:
             when = self.now
-        handle = self._make_handle(fn, weak)
+        handle = _TimerHandle(fn)
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, None, handle, None))
         return handle
-
-    def _make_handle(self, fn: Callable[[], None], weak: bool) -> _TimerHandle:
-        if weak:
-            self.weak_scheduled += 1
-            return _WeakTimerHandle(fn)
-        return _TimerHandle(fn)
 
     def wake_at(self, when: float, name: str = "wake-at") -> Event:
         """An event that triggers at absolute simulated time ``when``."""
@@ -461,14 +431,6 @@ class Simulator:
             # tombstone: skipped without touching the clock.
             fn = value.fn
             if fn is not None:
-                if value.weak:
-                    # Pure-observer wakeup: never advances the clock, and
-                    # once the heap holds no live work it is dropped unrun
-                    # so the simulation ends exactly where it would have.
-                    value.fn = None
-                    if self._live_work_pending():
-                        fn()
-                    return
                 self.now = when
                 fn()
             return
@@ -527,23 +489,6 @@ class Simulator:
             heapq.heappush(heap, other)
         return entry
 
-    def _live_work_pending(self) -> bool:
-        """True when the heap still holds non-weak, non-tombstone work.
-
-        Live work = an unfinished process resume, or a strong callback
-        that has not been cancelled.  Weak callbacks and tombstones do
-        not count: they exist only to observe live work, so a heap of
-        nothing but them is as good as empty.  O(heap) scan, but it only
-        runs when a weak entry pops — once per controller tick.
-        """
-        for _when, _seq, proc, value, _exc in self._heap:
-            if proc is not None:
-                if not proc.finished:
-                    return True
-            elif value.fn is not None and not value.weak:
-                return True
-        return False
-
     def _finish(self, proc: Process, result: Any) -> None:
         proc.finished = True
         proc.result = result
@@ -600,15 +545,15 @@ class Simulator:
         """Drain the event queue, but run nothing timed after ``deadline``.
 
         Returns ``True`` once the queue is empty, with the clock where
-        :meth:`run` leaves it, and ``False`` when live work (see
-        :meth:`_live_work_pending`) remains past ``deadline``, with the
+        :meth:`run` leaves it, and ``False`` when live work (an entry
+        :func:`is_live` accepts) remains past ``deadline``, with the
         clock at the last entry run.  Unlike ``run(until=...)`` it never
         moves the clock to the deadline itself.
         """
         heap = self._heap
         step = self._step
         while heap:
-            if heap[0][0] > deadline and self._live_work_pending():
+            if heap[0][0] > deadline and any(map(is_live, heap)):
                 return False
             step()
         return True

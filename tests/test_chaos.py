@@ -378,6 +378,19 @@ class TestDrainTimeout:
         assert wq.tasks_requeued == 1
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_qos_cell_polices_and_answers_the_stale_backlog(seed):
+    """The overload cell's one defence fires under faults: past its
+    knee the server head-drops stale requests, and every sender is
+    still bound, so each drop comes back as a reject frame."""
+    report = run_one("qos", seed)
+    assert report.ok, report.violations
+    qos = report.detail["qos"]
+    assert qos["net_drops"]["expired"] > 0
+    assert report.detail["rejected"] == qos["net_drops"]["expired"]
+    assert qos["policy_rejects"] == qos["net_drops"]["expired"]
+
+
 class TestScenarioBound:
     """``drain_timeout_ns`` bounds the scenario body, not only the drain."""
 
@@ -408,18 +421,17 @@ class TestScenarioBound:
 
         assert end(self.BOUND_NS) == end(None)
 
-    def test_observer_tick_past_the_bound_is_not_live_work(self):
-        # An observer's weak tick falls after the bound; the run itself
-        # ends well inside it.
+    def test_cancelled_timer_past_the_bound_is_not_live_work(self):
+        # A cancelled timer's tombstone falls after the bound; the run
+        # itself ends well inside it.
         system = System(config=small_machine())
         system.drain_timeout_ns = 50_000.0
-        system.sim.call_at(60_000.0, lambda: None, weak=True)
+        system.sim.call_at(60_000.0, lambda: None).fn = None
 
         def kern(ctx):
             yield from ctx.sys.getrusage(blocking=False)
 
-        system.run_kernel(kern, 4, 2, name="observed")
-        assert system.sim.weak_scheduled == 1
+        system.run_kernel(kern, 4, 2, name="bounded")
         assert system.now < 50_000.0
 
     def test_fig15_kernel_reissues_a_recvfrom_that_gave_up(self):

@@ -1,8 +1,8 @@
 """``python -m repro``: the one command line.
 
 Covers bad input (exit 2, an ``error:`` line naming the value, no
-traceback), one cheap run of every verb, the ``--attach``/``--policy``
-spec language and the seeds parser, every documented command parsing,
+traceback), one cheap run of every verb, the ``--attach`` spec
+language and the seeds parser, every documented command parsing,
 and the single entry point.
 """
 
@@ -28,7 +28,6 @@ from repro.cli import (
     attach_spec,
     build_parser,
     main,
-    policy_spec,
     seeds,
 )
 from repro.machine import small_machine
@@ -81,7 +80,6 @@ BAD_INPUT = [
     (["run", "fig2", "--attach", "metrics:0"], "'metrics:0'"),
     (["run", "fig2", "--attach", "bogus:thing"], "'bogus:thing'"),
     (["run", "fig2", "--attach", "hist:nope"], "'hist:nope'"),
-    (["run", "fig2", "--policy", "nope=3"], "nope=3"),
     (["serve", "--rps", "0"], "'0'"),
     # flags no caller set are gone; each is its default
     (["gate", "--tolerance=0"], "--tolerance"),
@@ -89,6 +87,13 @@ BAD_INPUT = [
     (["explore", "--scenario", "fig2", "--no-dpor"], "--no-dpor"),
     (["explore", "--scenario", "fig2", "--no-shrink"], "--no-shrink"),
     (["corpus", "--entries=lost-wakeup"], "--entries"),
+    # a hook decides per call, and a value meant to hold is a knob
+    (["run", "fig2", "--policy", "coalesce.window=1"], "--policy"),
+    # nor can a hook that remains be pinned from the command line
+    (["run", "fig2", "--policy", "fault.errno=5"], "--policy"),
+    # the corpus is too small to farm, with any number of workers
+    (["corpus", "--workers", "4"], "--workers"),
+    (["corpus", "--workers", "1"], "--workers"),
     (["pytest", "--tests=tests"], "--tests"),
     (["overload", "--no-brownout"], "--no-brownout"),
     (["overload", "--sojourn-budget-us=50"], "--sojourn-budget-us"),
@@ -119,7 +124,6 @@ BAD_INPUT = [
      "'inf'"),
     (["chaos", "--experiments", "fig2", "--seeds", "1", "--intensity", "inf"], "'inf'"),
     (["run", "fig2", "--attach", "metrics:inf"], "'metrics:inf'"),
-    (["run", "fig2", "--policy", "coalesce.window=1e999"], "coalesce.window=1e999"),
     (["serve", "--slo-completion", "nan"], "'nan'"),
     (["serve", "--slo-completion", "1.5"], "'1.5'"),
 ]
@@ -207,7 +211,7 @@ def test_module_entry_point_exits_2_without_traceback():
     [
         ([], ("available experiments", "fig8")),
         (["experiments"], ("table2",)),
-        (["tracepoints"], ("syscall.complete", "coalesce.window")),
+        (["tracepoints"], ("syscall.complete", "genesys.retry")),
         (["profiles"], ("memcached",)),
         (["scenarios"], ("slot-commute",)),
     ],
@@ -554,7 +558,7 @@ def test_overload_carries_the_plan(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(path.read_text())
-    assert doc["knee_rps"] == 20000 and doc["plan"]["brownout"] is True
+    assert doc["knee_rps"] == 20000 and doc["plan"] == {"sojourn_budget_ns": 2e5}
     assert len(doc["baseline"]) == len(doc["qos"]) == 1
 
 
@@ -566,7 +570,6 @@ def spec_registry():
     registry.tracepoint("irq.raised", ("payload",))
     registry.tracepoint("irq.serviced", ("payload",))
     registry.tracepoint("wq.enqueue", ("backlog", "task_index"))
-    registry.hook("coalesce.window")
     return registry
 
 
@@ -640,26 +643,10 @@ class TestAttachSpecs:
         with pytest.raises(UsageError, match=re.escape(repr(spec))):
             attach_spec(spec)
 
-    def test_policy_spec(self):
-        registry = spec_registry()
-        AttachPlan(policies=[policy_spec("coalesce.window=20000")])(registry)
-        hook = registry.get_hook("coalesce.window")
-        assert hook.active
-        assert hook.decide(0.0) == 20000
-
-    @pytest.mark.parametrize("spec", ["coalesce.window", "coalesce.window=", "h=abc", "=3"])
-    def test_bad_policy_specs(self, spec):
-        with pytest.raises(UsageError):
-            policy_spec(spec)
-
     @pytest.mark.parametrize("spec", ["hist:no.such.tp", "counter:no.such.*"])
     def test_unknown_tracepoint_is_refused(self, spec):
         with pytest.raises(UsageError, match="no.such"):
             AttachPlan([attach_spec(spec)])(spec_registry())
-
-    def test_unknown_hook_is_refused(self):
-        with pytest.raises(UsageError, match="no.such.hook"):
-            AttachPlan(policies=[policy_spec("no.such.hook=1")])(spec_registry())
 
 
 class TestSeeds:

@@ -5,8 +5,9 @@ path."""
 import ast
 from pathlib import Path
 
-import repro.core
+import pytest
 
+import repro.core
 from repro.core.coalescing import CoalescingConfig
 from repro.core.invocation import Granularity
 from repro.faults.chaos import check_invariants
@@ -122,6 +123,29 @@ class TestCoalescing:
         run_kernel(system, kern, 8, 8)
         for i in range(8):
             assert bytes(bufs[i].data) == bytes(range(8 * i, 8 * i + 8))
+
+
+class TestInterruptDelivery:
+    @pytest.mark.parametrize("window_ns", [None, 5_000.0, 50_000.0])
+    def test_every_raised_interrupt_runs_its_top_half(self, window_ns):
+        """No mode absorbs a top half: each interrupt GENESYS sends is
+        raised, serviced and handed to the coalescer."""
+        coalescing = (
+            None if window_ns is None else CoalescingConfig(window_ns=window_ns, max_batch=8)
+        )
+        system = System(config=small_machine(), coalescing=coalescing)
+        interrupts = system.kernel.interrupts
+
+        def kern(ctx):
+            yield from ctx.sys.getrusage(granularity=Granularity.WORK_GROUP)
+
+        run_kernel(system, kern, 32, 8)
+        stats = system.genesys.stats()
+        assert stats["syscalls_completed"] == 4
+        assert interrupts.raised == interrupts.serviced == stats["interrupts_sent"]
+        assert interrupts.unhandled == 0
+        # Kept at 0 for readers of the stats document.
+        assert stats["polled_scans"] == 0
 
 
 class TestDrain:
@@ -248,28 +272,3 @@ class TestRetirePath:
         assert gsan.finish() == []
         assert gsan.defended_races == 1
 
-
-class TestPollingMode:
-    def test_poll_scan_services_absorbed_interrupts(self):
-        """With top halves absorbed (brownout polling mode), a READY
-        request waits until a polling pass scans it."""
-        system = System(config=small_machine())
-        genesys = system.genesys
-        system.kernel.interrupts.polling = True
-        results = []
-
-        def kern(ctx):
-            results.append((yield from ctx.sys.getrusage()))
-
-        def body():
-            kernel = system.launch(kern, 1, 1)
-            yield system.sim.timeout(100_000)
-            assert genesys.outstanding == 1 and genesys.syscalls_completed == 0
-            assert genesys.poll_scan() == 1
-            yield kernel
-
-        system.run_to_completion(body())
-        assert genesys.polled_scans == 1
-        assert genesys.degraded == 0
-        assert genesys.syscalls_completed == 1
-        assert results[0] != -int(Errno.ETIME)

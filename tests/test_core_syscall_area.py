@@ -392,8 +392,9 @@ class TestReadyMasks:
         area.slot_for(2, 0).try_claim()  # POPULATING is not READY
         enqueued = []
         genesys._enqueue_scan = enqueued.append
-        assert genesys.poll_scan() == 2
+        genesys._scan_ready()
         assert enqueued == [[1, 3]]
+        assert genesys.degraded == 1
 
     def test_a_slot_outside_an_area_keeps_no_mask(self, sim):
         slot = Slot(sim, 0, 0x1000)

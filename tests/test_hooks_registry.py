@@ -7,9 +7,9 @@ A hook is where a program decides per call.  Two static checks over
   literal in another module, where a program is attached
   (``attach_policy("name", ...)``) or tabled (a dict key, as in
   ``faults.plan.FAULT_TABLE``);
-* only ``repro.cli`` (``run --policy``) and ``repro.probes.policy``
-  call ``fixed(...)``: anything else that pins a value writes the state
-  its ``SYSFS_KNOBS`` row names.
+* only ``repro.probes.policy`` calls ``fixed(...)``: anything else in
+  ``src/repro`` that pins a value writes the state its ``SYSFS_KNOBS``
+  row names.
 """
 
 import ast
@@ -17,12 +17,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.probes.policy import fixed
 from repro.sanitizers.astutil import iter_py_files, parse_file
+from repro.system import System
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: The modules allowed to call ``fixed``.
-FIXED_CALLERS = {"repro.cli", "repro.probes.policy"}
+FIXED_CALLERS = {"repro.probes.policy"}
 
 
 def module_name(path: Path) -> str:
@@ -77,7 +79,7 @@ HOOKS = declared_hooks()
 
 def test_the_walk_finds_every_hook():
     # Guard against a vacuous pass.
-    assert len(HOOKS) == 10, sorted(HOOKS)
+    assert len(HOOKS) == 6, sorted(HOOKS)
 
 
 @pytest.mark.parametrize("name", sorted(HOOKS))
@@ -93,7 +95,7 @@ def test_hook_runs_a_program(name):
     )
 
 
-def test_only_the_command_line_pins_a_constant():
+def test_only_the_policy_module_pins_a_constant():
     callers = sorted(
         f"{module}:{node.lineno}"
         for module, tree in TREES.items()
@@ -102,3 +104,19 @@ def test_only_the_command_line_pins_a_constant():
         if isinstance(node, ast.Call) and _called(node) == "fixed"
     )
     assert callers == [], f"write the knob instead of pinning a hook: {callers}"
+
+
+def test_a_built_system_registers_exactly_the_walked_hooks():
+    assert set(System().probes.hooks) == set(HOOKS)
+
+
+#: Hooks that no program outside the tests decided; what they pinned
+#: is a knob (``coalescing_window_ns``) or gone with the QoS layers.
+REMOVED_HOOKS = ("coalesce.window", "net.admit", "qos.deadline", "qos.invoke")
+
+
+@pytest.mark.parametrize("name", REMOVED_HOOKS)
+def test_a_removed_hook_is_refused_at_attach(name):
+    probes = System().probes
+    with pytest.raises(KeyError, match=f"unknown policy hook {name!r}"):
+        probes.attach_policy(name, fixed(1))

@@ -1,7 +1,8 @@
 """The metrics plane's load-bearing guarantees beyond suite neutrality
-(``tests/test_observer_neutrality.py``): detached runs schedule zero
-metrics events, a serving point is byte-identical with the hub, and hub
-snapshots are seed-deterministic."""
+(``tests/test_observer_neutrality.py``): a serving point is
+byte-identical with the hub, and hub snapshots are seed-deterministic.
+That a hub schedules no simulator event is checked in
+``tests/test_metrics_hub.py``."""
 
 import json
 
@@ -16,12 +17,6 @@ def run_attached(name, **plan_kwargs):
 
 
 class TestAttachedVersusBare:
-    def test_detached_runs_schedule_zero_metrics_ticks(self):
-        registries = []
-        with attached(registries.append):  # observe only, no hub
-            experiments.run("fig2")
-        assert registries[0].sim.weak_scheduled == 0
-
     def test_serving_point_byte_identical_with_hub(self):
         from repro.serving.sweep import ServingConfig, run_point
 

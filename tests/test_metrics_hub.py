@@ -19,6 +19,15 @@ def run_with_hub(name, window_ns=10_000.0):
         return experiments.run(name), plan
 
 
+def heap_pushes(name, *plans):
+    """Every heap push takes a sequence number, so the Systems'
+    ``sim._seq`` summed is the events the run ``name`` scheduled."""
+    registries = []
+    with attached(registries.append, *plans):
+        experiments.run(name)
+    return sum(registry.sim._seq for registry in registries)
+
+
 class TestInstallation:
     def test_plan_installs_one_hub_per_system(self):
         with attached(MetricsHubPlan()) as (plan,):
@@ -62,9 +71,11 @@ class TestReads:
         # reads never raise on idle metrics, they report zero
         assert hub.read("net.drop.rate") == 0.0
 
-    def test_attached_hub_schedules_no_simulator_event(self):
-        _result, plan = run_with_hub("fig2")
-        assert plan.hub.registry.sim.weak_scheduled == 0
+    @pytest.mark.parametrize("name", ["fig2", "fig10", "fig12", "fig16"])
+    def test_attached_hub_schedules_no_simulator_event(self, name):
+        plan = MetricsHubPlan()
+        assert heap_pushes(name, plan) == heap_pushes(name)
+        assert plan.hub is not None
 
     def test_row_that_never_fires_keeps_no_windows(self):
         _result, plan = run_with_hub("fig2")
@@ -78,15 +89,15 @@ class TestReads:
         to zero."""
         registry = probe_registry()
         hub = probe_hub(registry, "counter", "irq.raised", window_ns=1000.0)
-        fire_at(registry, "irq.raised", [(3500.0, (1,)), (6200.0, (1,))])
-        hub.finalize(8000.0)
+        fire_at(registry, "irq.raised", [(3500.0, (1,)), (6200.0, (1,))], until=8000.0)
+        hub.finalize()
         assert hub.export_series()["irq.raised"] == [
             (3000.0, 1.0), (4000.0, 0.0), (5000.0, 0.0), (6000.0, 1.0), (7000.0, 0.0),
         ]
 
     def test_mid_run_read_closes_windows_up_to_now(self):
-        """A read inside the run (the feedback-controller API) closes the
-        windows that ended before ``sim.now`` itself."""
+        """A read inside the run closes the windows that ended before
+        ``sim.now`` itself."""
         registry = probe_registry()
         hub = probe_hub(registry, "counter", "irq.raised", window_ns=1000.0)
         reads = []
@@ -205,12 +216,13 @@ def probe_hub(registry, kind, pattern, arg=None, window_ns=10_000.0):
     return MetricsHub(window_ns, f"{kind}:{pattern}", catalog=rows).install(registry)
 
 
-def fire_at(registry, name, fires):
-    """Fire ``name`` with each ``(t_ns, args)`` at its simulated time."""
+def fire_at(registry, name, fires, until=None):
+    """Fire ``name`` with each ``(t_ns, args)`` at its simulated time,
+    and leave the clock at ``until`` if given."""
     tp = registry.get(name)
     for t_ns, args in fires:
         registry.sim.call_at(t_ns, lambda args=args: tp.fire(*args))
-    registry.sim.run()
+    registry.sim.run(until)
 
 
 class TestProbeSpecs:
@@ -285,11 +297,36 @@ class TestProbeHubs:
         assert hub.metrics["t"].lifetime.count == 1
         assert hub.metrics["t"].lifetime.total == 3.0
 
+    @pytest.mark.parametrize(
+        "until, series",
+        [
+            (999.0, []),
+            (1000.0, [(0.0, 1.0)]),
+            (2500.0, [(0.0, 1.0), (1000.0, 0.0)]),
+        ],
+    )
+    def test_finalize_closes_the_windows_ended_by_now(self, until, series):
+        registry = probe_registry()
+        hub = probe_hub(registry, "counter", "irq.raised", window_ns=1000.0)
+        fire_at(registry, "irq.raised", [(500.0, (1,))], until=until)
+        hub.finalize()
+        assert hub.export_series().get("irq.raised", []) == series
+
+    def test_finalize_again_at_the_same_time_changes_nothing(self):
+        registry = probe_registry()
+        hub = probe_hub(registry, "counter", "irq.raised", window_ns=1000.0)
+        fire_at(registry, "irq.raised", [(500.0, (1,)), (1500.0, (1,))], until=2500.0)
+        hub.finalize()
+        first = hub.export_series()
+        hub.finalize()
+        assert hub.export_series() == first
+
     def test_rate_reads_fires_per_simulated_second(self):
         registry = probe_registry()
         hub = probe_hub(registry, "rate", "irq.raised", window_ns=1000.0)
-        fire_at(registry, "irq.raised", [(0.0, (1,)), (0.0, (1,)), (2500.0, (1,))])
-        hub.finalize(3000.0)
+        fire_at(registry, "irq.raised", [(0.0, (1,)), (0.0, (1,)), (2500.0, (1,))],
+                until=3000.0)
+        hub.finalize()
         assert hub.export_series()["irq.raised.rate"] == [
             (0.0, 2e6), (1000.0, 0.0), (2000.0, 1e6),
         ]
@@ -300,8 +337,8 @@ class TestProbeHubs:
         registry = probe_registry()
         hub = probe_hub(registry, "rate", "irq.raised", window_ns=100.0)
         fire_at(registry, "irq.raised",
-                [(t, (1,)) for t in (10.0, 120.0, 130.0, 250.0, 940.0)])
-        hub.finalize(1000.0)
+                [(t, (1,)) for t in (10.0, 120.0, 130.0, 250.0, 940.0)], until=1000.0)
+        hub.finalize()
         rates = [rate for _t0, rate in hub.export_series()["irq.raised.rate"]]
         assert rates == [1e7, 2e7, 1e7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e7]
 

@@ -44,11 +44,11 @@ class TestMetricsSnapshot:
         system = System(config=small_machine())
         reg = system.probes
         probe_hub(reg, "counter", "irq.raised")
-        reg.attach_policy("coalesce.window", fixed(1000.0))
+        reg.attach_policy("fault.slot", fixed("wedge"))
         snap = metrics_snapshot(reg)
         assert snap["simulated_ns"] == 0.0
         assert snap["tracepoints"]["irq.raised"]["observers"] == 1
-        assert snap["hooks"]["coalesce.window"]["programs"] == 1
+        assert snap["hooks"]["fault.slot"]["programs"] == 1
         (program,) = snap["programs"]
         assert program["label"] == "counter:irq.raised"
         assert program["lifetime"] == {"irq.raised": {"total": 0.0}}
@@ -85,8 +85,8 @@ class TestProbeCounterTracks:
         hub = probe_hub(reg, "rate", "irq.raised", window_ns=1000.0)
         for t_ns in (0.0, 0.0, 2000.0):
             sim.call_at(t_ns, lambda: tp.fire(1))
-        sim.run()
-        hub.finalize(3000.0)
+        # Run past the last fire, so drawing closes its window too.
+        sim.run(until=3000.0)
         events = trace_events(program_tracks(reg.programs))
         assert events[0]["ph"] == "M"
         assert events[0]["pid"] == METRICS_PID

@@ -1,11 +1,12 @@
 """Tests for policy hooks: the chain contract, the shared-FIFO worker
 choice and LRU eviction that take no program, and the Figure 10
-sensitivity-point reproduction through the ``coalesce.window`` hook.
-The sysfs knobs are covered by test_sysfs_knobs.py."""
+sensitivity-point reproduction through the coalescing knobs written
+after the machine is built.  The knob table itself is covered by
+test_sysfs_knobs.py."""
 
 import pytest
 
-from repro.experiments.fig10_coalescing import COALESCE, latency_per_byte
+from repro.experiments.fig10_coalescing import COALESCE, READ_SIZES, latency_per_byte
 from repro.machine import MachineConfig, small_machine
 from repro.oskernel.workqueue import WorkQueue
 from repro.probes.policy import PolicyHook, fixed
@@ -101,35 +102,43 @@ class TestFixedDecisions:
         assert fs.page_cache_evictions == 1
 
 
-# -- Figure 10 sensitivity point through the hook path --------------------
+# -- Figure 10 sensitivity point through the knob path --------------------
 
 
-def attach_window(system):
-    """The Fig. 10 coalesce<=8 point: the batch knob written, the window
-    pinned through the ``coalesce.window`` hook."""
-    system.genesys.coalescing.max_batch = COALESCE.max_batch
-    system.probes.attach_policy("coalesce.window", fixed(COALESCE.window_ns))
+def write_knobs(window_ns, max_batch=COALESCE.max_batch):
+    """A ``setup`` that stores both coalescing knobs through their sysfs
+    files, as a write(2) of each would."""
+
+    def setup(system):
+        fs = system.kernel.fs
+        fs.resolve("/sys/genesys/coalescing_max_batch").write_fn(b"%d" % max_batch)
+        fs.resolve("/sys/genesys/coalescing_window_ns").write_fn(b"%d" % window_ns)
+
+    return setup
 
 
-class TestCoalescingHookReproducesFig10:
-    def test_hook_equals_config_at_sensitivity_point(self):
-        """A fixed(window) program on ``coalesce.window`` reproduces the
-        Fig. 10 coalesce<=8 point exactly: the hook path and the
-        config/sysfs path meet at the same decision."""
-        via_config = latency_per_byte(64, COALESCE)
-        via_hooks = latency_per_byte(64, None, setup=attach_window)
-        assert via_hooks == via_config
+@pytest.mark.parametrize("read_bytes", READ_SIZES)
+class TestCoalescingKnobsReproduceFig10:
+    """Every read size of the Fig. 10 sweep, through the knob path."""
 
-    def test_hook_point_differs_from_uncoalesced(self):
+    def test_knob_writes_equal_config_at_sensitivity_point(self, read_bytes):
+        """Writing the knobs on a built machine reproduces the Fig. 10
+        coalesce<=8 point exactly: the sysfs path and the config path
+        set the same state."""
+        via_config = latency_per_byte(read_bytes, COALESCE)
+        via_knobs = latency_per_byte(
+            read_bytes, None, setup=write_knobs(COALESCE.window_ns)
+        )
+        assert via_knobs == via_config
 
-        uncoalesced = latency_per_byte(64, None)
-        via_hooks = latency_per_byte(64, None, setup=attach_window)
-        assert via_hooks != uncoalesced  # the hook really steered the run
+    def test_knob_point_differs_from_uncoalesced(self, read_bytes):
+        uncoalesced = latency_per_byte(read_bytes, None)
+        via_knobs = latency_per_byte(
+            read_bytes, None, setup=write_knobs(COALESCE.window_ns)
+        )
+        assert via_knobs != uncoalesced  # the knobs really steered the run
 
-    def test_hook_can_disable_coalescing(self):
-        def disable(system):
-            system.probes.attach_policy("coalesce.window", fixed(0.0))
-
-        plain = latency_per_byte(64, None)
-        disabled = latency_per_byte(64, COALESCE, setup=disable)
+    def test_zero_window_disables_coalescing(self, read_bytes):
+        plain = latency_per_byte(read_bytes, None)
+        disabled = latency_per_byte(read_bytes, COALESCE, setup=write_knobs(0))
         assert disabled == plain

@@ -228,16 +228,12 @@ class TestSystemCatalogue:
     }
     #: Every hook: each is where some program decides per call.
     EXPECTED_HOOKS = {
-        "coalesce.window",
         "fault.errno",
         "fault.irq",
         "fault.net",
         "fault.slot",
         "fault.worker",
         "genesys.retry",
-        "net.admit",
-        "qos.deadline",
-        "qos.invoke",
     }
 
     def test_every_layer_declares_its_points(self):

@@ -1,14 +1,12 @@
-"""Admission control and sojourn policing on the net ingress path:
-the token bucket, drops-by-reason accounting, fast-fail reject frames,
-CoDel-style head-drop at dequeue, and the dup-on-full-backlog counter
-fix."""
+"""Sojourn policing on the net ingress path: CoDel-style head-drop at
+dequeue, fast-fail reject frames, drops-by-reason accounting, and the
+dup-on-full-backlog counter fix."""
 
 import pytest
 
 from repro.oskernel.errors import Errno
 from repro.oskernel.net import Datagram
 from repro.probes import policy
-from repro.qos import TokenBucketAdmission
 from repro.system import System
 
 
@@ -27,54 +25,6 @@ def _send(system, sender, dest, payloads):
     system.sim.run_process(body(), name="send")
 
 
-class _FakeClock:
-    def __init__(self, now=0.0):
-        self._now = now
-
-    def now(self):
-        return self._now
-
-
-class TestTokenBucket:
-    def test_burst_admits_then_polices(self):
-        clock = _FakeClock()
-        bucket = TokenBucketAdmission(clock, rate_rps=1_000.0, burst=2)
-        assert bucket(None, 0, 0, 64) is None
-        assert bucket(None, 0, 0, 64) is None
-        assert bucket(None, 0, 0, 64) == ("reject", int(Errno.EBUSY))
-        assert bucket.policed == 1
-
-    def test_refill_follows_the_clock(self):
-        clock = _FakeClock()
-        # 1e6 rps == one token per 1000 ns.
-        bucket = TokenBucketAdmission(clock, rate_rps=1e6, burst=1)
-        assert bucket(None, 0, 0, 64) is None
-        assert bucket(None, 0, 0, 64) == ("reject", int(Errno.EBUSY))
-        clock._now = 1_000.0
-        assert bucket(None, 0, 0, 64) is None
-
-    def test_drop_mode_and_custom_errno(self):
-        clock = _FakeClock()
-        assert (
-            TokenBucketAdmission(clock, rate_rps=1.0, burst=1, reject=False)(
-                None, 0, 0, 0
-            )
-            is None
-        )
-        bucket = TokenBucketAdmission(
-            clock, rate_rps=1.0, burst=1, reject=False, errno=int(Errno.ETIME)
-        )
-        bucket(None, 0, 0, 0)
-        assert bucket(None, 0, 0, 0) == "drop"
-
-    def test_rejects_bad_parameters(self):
-        clock = _FakeClock()
-        with pytest.raises(ValueError):
-            TokenBucketAdmission(clock, rate_rps=0.0)
-        with pytest.raises(ValueError):
-            TokenBucketAdmission(clock, rate_rps=1.0, burst=0)
-
-
 class TestAdmissionIntegration:
     def _serving_pair(self, system, rx_capacity=64):
         net = system.kernel.net
@@ -83,39 +33,6 @@ class TestAdmissionIntegration:
         server.rx_capacity = rx_capacity
         client = net.socket()
         return server, client
-
-    def test_policed_datagrams_answered_with_reject_frames(self):
-        system = System()
-        net = system.kernel.net
-        server, client = self._serving_pair(system)
-        system.probes.attach_policy(
-            "net.admit", TokenBucketAdmission(system.probes, rate_rps=1.0, burst=2)
-        )
-        _send(system, client, ("localhost", 5000), [_frame(i) for i in range(5)])
-        # Two admitted on the burst, three policed.
-        assert len(server.queue) == 2
-        stats = net.stats()
-        assert stats["drops"]["policy"] == 3
-        assert stats["drops"]["capacity"] == 0
-        assert stats["policy_rejects"] == 3
-        # The client (bound by its first sendto) got the fast-fail frames.
-        assert len(client.queue) == 3
-        reject = client.queue._items[0].payload
-        assert reject[0] == ord("E")
-        assert int.from_bytes(reject[1:9], "little") == 2  # first policed reqid
-        assert reject[9] == int(Errno.EBUSY)
-
-    def test_admission_skips_unbounded_sockets(self):
-        """Only bounded (serving) backlogs are policed: client reply
-        sockets and the shutdown path stay exempt."""
-        system = System()
-        server, client = self._serving_pair(system, rx_capacity=None)
-        system.probes.attach_policy(
-            "net.admit", TokenBucketAdmission(system.probes, rate_rps=1.0, burst=1)
-        )
-        _send(system, client, ("localhost", 5000), [_frame(i) for i in range(4)])
-        assert len(server.queue) == 4
-        assert system.kernel.net.stats()["drops"]["policy"] == 0
 
     def test_no_reply_socket_means_silent_drop(self):
         """A policed datagram whose source is no longer bound gets no
@@ -188,6 +105,189 @@ class TestAdmissionIntegration:
         assert waits[0] == pytest.approx(2_500.0)
 
 
+class TestSojournBudget:
+    """Where the budget cuts, what a policed sender is told, and who
+    is told nothing."""
+
+    SERVER = ("localhost", 5000)
+
+    def _pair(self, system):
+        net = system.kernel.net
+        server = net.socket()
+        net.bind(server, 5000)
+        server.rx_capacity = 64
+        return server, net.socket()
+
+    def _late_send(self, system, client, reqid, after_ns=10_000.0):
+        """Send a fresh frame ``after_ns`` from now, so a receiver whose
+        backlog was all head-dropped still returns."""
+        net = system.kernel.net
+
+        def body():
+            yield after_ns
+            yield from net.sendto(client, _frame(reqid), self.SERVER)
+
+        system.sim.process(body(), name="late-send")
+
+    @pytest.mark.parametrize("budget_ns", [1_000.0, 20_000.0, 250_000.0])
+    @pytest.mark.parametrize(
+        "offset_ns, served", [(-1.0, True), (1.0, False)], ids=["inside", "past"]
+    )
+    def test_budget_is_the_longest_wait_served(self, budget_ns, offset_ns, served):
+        system = System()
+        net = system.kernel.net
+        server, client = self._pair(system)
+        net.sojourn_budget_ns = budget_ns
+        waits, got = [], []
+        system.probes.attach(
+            "net.sojourn", lambda sojourn_ns, sock_id: waits.append(sojourn_ns)
+        )
+
+        def scenario():
+            yield from net.sendto(client, _frame(7), self.SERVER)
+            yield budget_ns + offset_ns
+            self._late_send(system, client, 8)
+            payload, _source = yield from net.recvfrom(server, 4096)
+            got.append(payload)
+
+        system.sim.run_process(scenario(), name="boundary")
+        assert waits[0] == pytest.approx(budget_ns + offset_ns)
+        assert got == [_frame(7) if served else _frame(8)]
+        assert net.stats()["drops"]["expired"] == (0 if served else 1)
+
+    @pytest.mark.parametrize("stale", [1, 3, 8])
+    def test_every_stale_datagram_is_dropped_and_answered_in_order(self, stale):
+        system = System()
+        net = system.kernel.net
+        server, client = self._pair(system)
+        net.sojourn_budget_ns = 1_000.0
+        got = []
+
+        def scenario():
+            for reqid in range(stale):
+                yield from net.sendto(client, _frame(reqid), self.SERVER)
+            yield 5_000.0
+            self._late_send(system, client, 100)
+            payload, _source = yield from net.recvfrom(server, 4096)
+            got.append(payload)
+
+        system.sim.run_process(scenario(), name="stale-backlog")
+        assert got == [_frame(100)]
+        stats = net.stats()
+        assert stats["drops"] == {"capacity": 0, "policy": 0, "expired": stale}
+        assert stats["policy_rejects"] == stale
+        assert server.rx_dropped == stale
+        # Reject frames are synthesised in the kernel, not sent on the link.
+        assert stats["packets_sent"] == stale + 1
+        rejects = [datagram.payload for datagram in client.queue._items]
+        assert [int.from_bytes(r[1:9], "little") for r in rejects] == list(range(stale))
+        assert {(r[0], r[9]) for r in rejects} == {(ord("E"), int(Errno.ETIME))}
+
+    def _stale_recv(self, system, client, payload, before_recv=None):
+        """Queue ``payload`` at the server, let it go stale, then receive
+        a fresh frame behind it."""
+        net = system.kernel.net
+        server = net._bound[self.SERVER]
+        net.sojourn_budget_ns = 1_000.0
+
+        def scenario():
+            yield from net.sendto(client, payload, self.SERVER)
+            yield 5_000.0
+            if before_recv is not None:
+                before_recv()
+            self._late_send(system, net.socket(), 9)
+            yield from net.recvfrom(server, 4096)
+
+        system.sim.run_process(scenario(), name="stale")
+
+    def test_reject_frame_comes_from_the_policing_socket(self):
+        system = System()
+        _server, client = self._pair(system)
+        self._stale_recv(system, client, _frame(5))
+        (reject,) = client.queue._items
+        assert reject.source == self.SERVER
+
+    def test_short_payload_is_answered_with_a_zero_reqid(self):
+        system = System()
+        _server, client = self._pair(system)
+        self._stale_recv(system, client, b"Q12")
+        (reject,) = client.queue._items
+        assert reject.payload == b"E" + bytes(8) + bytes([int(Errno.ETIME)])
+
+    def test_closed_reply_socket_gets_no_reject(self):
+        system = System()
+        net = system.kernel.net
+        _server, client = self._pair(system)
+        self._stale_recv(system, client, _frame(5), before_recv=lambda: net.close(client))
+        stats = net.stats()
+        assert stats["drops"]["expired"] == 1
+        assert stats["policy_rejects"] == 0
+        assert len(client.queue) == 0
+
+    def test_reject_into_a_full_reply_backlog_is_a_capacity_drop(self):
+        """A lost reject frame counts against the reply socket's backlog,
+        never as a link drop: it was never sent on the link."""
+        system = System()
+        net = system.kernel.net
+        _server, client = self._pair(system)
+        client.rx_capacity = 0
+        self._stale_recv(system, client, _frame(5))
+        stats = net.stats()
+        assert stats["drops"] == {"capacity": 1, "policy": 0, "expired": 1}
+        assert stats["policy_rejects"] == 0
+        assert client.rx_dropped == 1
+        assert stats["packets_dropped"] == 0
+
+    def test_zero_budget_serves_any_wait(self):
+        system = System()
+        net = system.kernel.net
+        server, client = self._pair(system)
+        got = []
+
+        def scenario():
+            yield from net.sendto(client, _frame(1), self.SERVER)
+            yield 1e9
+            payload, _source = yield from net.recvfrom(server, 4096)
+            got.append(payload)
+
+        system.sim.run_process(scenario(), name="unpoliced")
+        assert got == [_frame(1)]
+        assert net.stats()["drops"]["expired"] == 0
+
+    def test_transit_delay_does_not_count_as_queue_wait(self):
+        """Sojourn runs from enqueue at the receiver, so a datagram the
+        link held back is judged only on its wait in the backlog."""
+        system = System()
+        net = system.kernel.net
+        server, client = self._pair(system)
+        net.sojourn_budget_ns = 1_000.0
+        system.probes.attach_policy("fault.net", policy.fixed(("delay", 50_000.0)))
+        waits, got = [], []
+        system.probes.attach(
+            "net.sojourn", lambda sojourn_ns, sock_id: waits.append(sojourn_ns)
+        )
+
+        def scenario():
+            yield from net.sendto(client, _frame(1), self.SERVER)
+            yield 50_500.0
+            payload, _source = yield from net.recvfrom(server, 4096)
+            got.append(payload)
+
+        system.sim.run_process(scenario(), name="delayed")
+        assert got == [_frame(1)]
+        assert waits == [pytest.approx(500.0)]
+
+    def test_expired_drop_fires_the_drop_tracepoint(self):
+        system = System()
+        server, client = self._pair(system)
+        drops = []
+        system.probes.attach(
+            "net.drop", lambda reason, sock_id: drops.append((reason, sock_id))
+        )
+        self._stale_recv(system, client, _frame(5))
+        assert drops == [("expired", server.sock_id)]
+
+
 class TestDropAccounting:
     def test_capacity_drops_reported_by_reason(self):
         system = System()
@@ -221,21 +321,36 @@ class TestDropAccounting:
         assert stats["packets_dropped"] == 1
 
     def test_reject_frames_do_not_recurse_into_policing(self):
-        """The synthesised E-frame bypasses the admission gate even when
-        the client's own socket is bounded, so a reject can never spawn
-        another reject."""
+        """A synthesised E-frame that goes stale in a bounded reply
+        socket is head-dropped like any datagram but never answered, so
+        a reject can never spawn another reject."""
         system = System()
         net = system.kernel.net
         server = net.socket()
         net.bind(server, 5000)
         server.rx_capacity = 64
         client = net.socket()
-        client.rx_capacity = 64  # bounded reply socket: still exempt
-        system.probes.attach_policy(
-            "net.admit", TokenBucketAdmission(system.probes, rate_rps=1.0, burst=1)
-        )
-        _send(system, client, ("localhost", 5000), [_frame(0), _frame(1)])
+        client.rx_capacity = 64  # bounded reply socket: policed too
+        net.sojourn_budget_ns = 1_000.0
+
+        def send_later(dest, payload):
+            def body():
+                yield 10_000.0
+                yield from net.sendto(net.socket(), payload, dest)
+
+            system.sim.process(body(), name="late-send")
+
+        def scenario():
+            yield from net.sendto(client, _frame(7), ("localhost", 5000))
+            yield 5_000.0
+            send_later(("localhost", 5000), _frame(8))
+            yield from net.recvfrom(server, 4096)  # head-drops 7, answers it
+            yield 5_000.0  # the E-frame for 7 goes stale at the client
+            send_later(("localhost", client.port), b"R" + bytes(8))
+            yield from net.recvfrom(client, 4096)
+
+        system.sim.run_process(scenario(), name="no-recursion")
         stats = net.stats()
-        assert stats["drops"]["policy"] == 1
+        assert stats["drops"]["expired"] == 2
         assert stats["policy_rejects"] == 1
-        assert len(client.queue) == 1
+        assert len(server.queue) == 0

@@ -1,15 +1,16 @@
 """Deadline propagation and shedding across the syscall stack: minting
 at submission, the per-stage shed points (coalesce admit, workqueue
-pickup, dispatch), the priority floor, and the watchdog x deadline
-exactly-once reclaim.  The /sys/genesys/qos knobs are covered by
-test_sysfs_knobs.py."""
+pickup, dispatch), and the watchdog x deadline exactly-once reclaim.
+The /sys/genesys/qos knobs are covered by test_sysfs_knobs.py."""
+
+import pytest
 
 from repro.core.coalescing import CoalescingConfig
+from repro.core.invocation import Granularity, Ordering, SyscallRequest
 from repro.faults.chaos import check_invariants
 from repro.machine import small_machine
 from repro.oskernel.errors import Errno
 from repro.probes import policy
-from repro.qos import DeadlinePolicy, EDEADLINE
 from repro.sanitizers.gsan import GSan
 from repro.system import System
 
@@ -17,56 +18,107 @@ from repro.system import System
 class TestMinting:
     def test_no_policy_mints_no_deadline(self):
         system = System(config=small_machine())
-        assert system.genesys.mint_deadline("pread") is None
+        assert system.genesys.mint_deadline() is None
 
-    def test_knob_mints_absolute_deadline(self):
+    @pytest.mark.parametrize("delta_ns", [1.0, 5_000.0, 1e9])
+    @pytest.mark.parametrize("now_ns", [0.0, 12_345.0])
+    def test_knob_mints_absolute_deadline(self, delta_ns, now_ns):
+        """The deadline is absolute: the clock at minting plus the knob."""
+        system = System(config=small_machine())
+        system.sim.run(until=now_ns)
+        system.genesys.qos_deadline_ns = delta_ns
+        assert system.now == now_ns
+        assert system.genesys.mint_deadline() == now_ns + delta_ns
+
+    def test_knob_back_at_zero_mints_none(self):
         system = System(config=small_machine())
         system.genesys.qos_deadline_ns = 5_000.0
-        assert system.genesys.mint_deadline("pread") == system.now + 5_000.0
+        system.genesys.qos_deadline_ns = 0.0
+        assert system.genesys.mint_deadline() is None
 
-    def test_policy_overrides_per_name(self):
+    @pytest.mark.parametrize(
+        "granularity, ordering",
+        [
+            (Granularity.WORK_ITEM, Ordering.STRONG),
+            (Granularity.WORK_GROUP, Ordering.STRONG),
+            (Granularity.KERNEL, Ordering.RELAXED),
+        ],
+        ids=["work-item", "work-group", "kernel"],
+    )
+    def test_requests_carry_deadline(self, granularity, ordering):
+        """Each request reaches dispatch carrying the deadline minted
+        when its invocation began, whatever the granularity."""
         system = System(config=small_machine())
-        system.genesys.qos_deadline_ns = 5_000.0
-        system.probes.attach_policy(
-            "qos.deadline", DeadlinePolicy(by_name=[("recvfrom", 0.0)])
-        )
-        # recvfrom is exempted (0 delta -> None), everything else keeps
-        # the knob default.
-        assert system.genesys.mint_deadline("recvfrom") is None
-        assert system.genesys.mint_deadline("pread") == system.now + 5_000.0
+        genesys = system.genesys
+        genesys.qos_deadline_ns = 1e9  # far future: never sheds
+        minted, carried = [], []
+        mint, dispatch = genesys.mint_deadline, genesys._dispatch
 
-    def test_requests_carry_deadline_and_priority(self):
-        system = System(config=small_machine())
-        system.genesys.qos_deadline_ns = 1e9  # far future: never sheds
-        seen = []
+        def spy_mint():
+            deadline = mint()
+            minted.append((system.now, deadline))
+            return deadline
 
-        def on_dispatch(name, hw_id, invocation_id):
-            seen.append(invocation_id)
+        def spy_dispatch(slot):
+            request = dispatch(slot)
+            carried.append(request.deadline_ns)
+            return request
 
-        system.probes.attach("syscall.dispatch", on_dispatch)
+        genesys.mint_deadline = spy_mint
+        genesys._dispatch = spy_dispatch
 
         def kern(ctx):
-            yield from ctx.sys.getrusage()
+            yield from ctx.sys.getrusage(granularity=granularity, ordering=ordering)
 
         system.run_kernel(kern, 1, 1, name="carry")
-        assert seen  # serviced normally, not shed
-        assert system.genesys.syscalls_shed == 0
-        assert system.genesys.syscalls_completed == 1
+        assert [deadline for _t, deadline in minted] == carried
+        assert [t + 1e9 for t, _deadline in minted] == carried
+        assert genesys.syscalls_shed == 0
+        assert genesys.syscalls_completed == 1
+
+
+class TestExpiry:
+    @pytest.mark.parametrize(
+        "deadline_ns, now_ns, expired",
+        [
+            (None, 1e18, False),
+            (1_000.0, 999.0, False),
+            (1_000.0, 1_000.0, False),
+            (1_000.0, 1_000.5, True),
+        ],
+        ids=["no-deadline", "before", "at", "after"],
+    )
+    def test_expired_only_strictly_past_the_deadline(self, deadline_ns, now_ns, expired):
+        """A call served exactly at its deadline is still on time."""
+        request = SyscallRequest("getrusage", (), True, None, deadline_ns=deadline_ns)
+        assert request.expired(now_ns) is expired
 
 
 class TestShedding:
-    def test_expired_request_shed_with_etime(self):
+    @pytest.mark.parametrize(
+        "granularity, ordering",
+        [
+            (Granularity.WORK_ITEM, Ordering.STRONG),
+            (Granularity.WORK_GROUP, Ordering.STRONG),
+            (Granularity.KERNEL, Ordering.RELAXED),
+        ],
+        ids=["work-item", "work-group", "kernel"],
+    )
+    def test_expired_request_shed_with_etime(self, granularity, ordering):
         """A 1 ns deadline is long past by interrupt time: the request
-        is shed at coalesce admit and the blocking caller sees -ETIME."""
+        is shed at coalesce admit and the blocking caller sees -ETIME,
+        whichever granularity issued it."""
         system = System(config=small_machine())
         system.genesys.qos_deadline_ns = 1.0
         results = {}
 
         def kern(ctx):
-            results[ctx.global_id] = yield from ctx.sys.getrusage()
+            results[ctx.global_id] = yield from ctx.sys.getrusage(
+                granularity=granularity, ordering=ordering
+            )
 
         system.run_kernel(kern, 1, 1, name="shed-coalesce")
-        assert results[0] == -int(EDEADLINE) == -int(Errno.ETIME)
+        assert results[0] == -int(Errno.ETIME)
         stats = system.genesys.stats()
         assert stats["syscalls_shed"] == 1
         assert stats["sheds_by_stage"] == {"coalesce": 1}
@@ -88,20 +140,6 @@ class TestShedding:
         system.run_kernel(kern, 1, 1, name="shed-pickup")
         assert results[0] == -int(Errno.ETIME)
         assert system.genesys.stats()["sheds_by_stage"] == {"pickup": 1}
-        assert check_invariants(system) == []
-
-    def test_priority_floor_sheds_at_dispatch(self):
-        system = System(config=small_machine())
-        system.genesys.qos_priority_floor = 1
-        results = {}
-
-        def kern(ctx):
-            results[ctx.global_id] = yield from ctx.sys.getrusage()
-
-        system.run_kernel(kern, 1, 1, name="shed-priority")
-        assert results[0] == -int(Errno.ETIME)
-        stats = system.genesys.stats()
-        assert stats["sheds_by_stage"] == {"dispatch": 1}
         assert check_invariants(system) == []
 
     def test_bundle_service_sheds_the_next_call_at_dispatch(self):
@@ -136,18 +174,6 @@ class TestShedding:
         assert stats["sheds_by_stage"] == {"dispatch": 1}
         assert stats["syscalls_completed"] == 1
         assert check_invariants(system) == []
-
-    def test_high_priority_survives_the_floor(self):
-        system = System(config=small_machine())
-        system.genesys.qos_priority_floor = 1
-        results = {}
-
-        def kern(ctx):
-            results[ctx.global_id] = yield from ctx.sys.getrusage(priority=1)
-
-        system.run_kernel(kern, 1, 1, name="priority-pass")
-        assert results[0] != -int(Errno.ETIME)  # served, got a real Rusage
-        assert system.genesys.syscalls_shed == 0
 
     def test_shed_fires_qos_shed_tracepoint(self):
         system = System(config=small_machine())
@@ -240,5 +266,3 @@ class TestDormancy:
         stats = system.genesys.stats()
         assert stats["syscalls_shed"] == 0
         assert stats["sheds_by_stage"] == {}
-        assert stats["qos_fast_fails"] == 0
-        assert stats["polled_scans"] == 0

@@ -8,11 +8,13 @@ primitive."""
 
 import pytest
 
+from repro.modelcheck.schedule import GuidedTieBreak
 from repro.sim.engine import (
     AllOf,
     AnyOf,
     Interrupted,
     Simulator,
+    is_live,
 )
 
 
@@ -234,6 +236,78 @@ class TestCancelledCallbacks:
         # The abandoned 3000ns tick was cancelled: it must not stretch
         # the simulation end time.
         assert end == 2500
+
+
+class TestLiveness:
+    """``is_live`` answers "can popping this heap entry change the
+    simulation?" for ``run_within`` and the model checker alike."""
+
+    def test_a_callback_is_live_until_cancelled(self, sim):
+        handle = sim.call_later(10, lambda: None)
+        (entry,) = sim._heap
+        assert is_live(entry)
+        handle.fn = None
+        assert not is_live(entry)
+
+    def test_a_finished_process_leaves_a_dead_resume(self, sim):
+        def sleeper():
+            yield 100
+
+        proc = sim.process(sleeper())
+        sim.run(until=1)
+        (resume,) = sim._heap
+        assert is_live(resume)
+        proc.interrupt()  # uncaught: the process ends at t=1
+        sim.run(until=2)
+        assert proc.finished and sim._heap == [resume]
+        assert not is_live(resume)
+
+    def _leave_entry(self, sim, kind, when):
+        """Leave one heap entry of ``kind`` due at ``when``; return
+        whether popping it could change the simulation."""
+        if kind == "callback":
+            sim.call_at(when, lambda: None)
+            return True
+        if kind == "cancelled":
+            sim.call_at(when, lambda: None).fn = None
+            return False
+
+        def sleeper():
+            yield when
+
+        proc = sim.process(sleeper())
+        sim.run(until=1)
+        if kind == "finished":
+            proc.interrupt()  # uncaught: the process ends, its resume stays
+            sim.run(until=2)
+        assert [entry[0] for entry in sim._heap] == [when]
+        return kind == "sleeping"
+
+    KINDS = ["callback", "cancelled", "sleeping", "finished"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_run_within_waits_past_the_bound_only_for_live_work(self, sim, kind):
+        live = self._leave_entry(sim, kind, 100)
+        assert sim.run_within(50) is (not live)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_tie_is_a_decision_only_between_live_entries(self, sim, kind):
+        """The model checker branches where ``run_within`` would wait."""
+        live = self._leave_entry(sim, kind, 100)
+        policy = GuidedTieBreak()
+        sim.tie_break = policy
+        sim.call_at(100, lambda: None)
+        sim.run()
+        assert len(policy.decisions) == (1 if live else 0)
+
+    def test_run_within_stops_only_at_live_work(self, sim):
+        sim.call_later(10, lambda: None)
+        sim.call_later(100, lambda: None).fn = None
+        assert sim.run_within(50) is True  # a tombstone past the bound
+        assert sim.now == 10
+        sim.call_later(100, lambda: None)
+        assert sim.run_within(50) is False
+        assert sim.now == 10
 
 
 class TestAbsoluteWakeups:

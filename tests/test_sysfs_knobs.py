@@ -57,7 +57,6 @@ KNOBS = {
     "worker_timeout_ns": (lambda s: s.genesys.worker_timeout_ns, b"250000", 250000.0),
     "qos/deadline_ns": (lambda s: s.genesys.qos_deadline_ns, b"250000", 250000.0),
     "qos/admission": (lambda s: s.kernel.net.sojourn_budget_ns, b" 200000\n", 200000.0),
-    "qos/brownout": (lambda s: s.genesys.qos_brownout_enabled, b"0", 0),
 }
 
 ROWS = {row[0]: row for row in SYSFS_KNOBS}
@@ -67,7 +66,9 @@ def bad_writes():
     """(knob, payload) for every write each row must refuse."""
     cases = []
     for name, kind, lo, hi, _ in SYSFS_KNOBS:
-        payloads = [b"not-a-number", b"nan", b"-1", b"%d" % (lo - 1)]
+        # b"" is an empty write (``echo -n > knob``); b"inf" parses as a
+        # float but no knob is unbounded.
+        payloads = [b"not-a-number", b"nan", b"", b"inf", b"-1", b"%d" % (lo - 1)]
         payloads.append(b"1e18" if kind is float else b"%d" % (hi + 1))
         if kind is int:
             payloads.append(b"2.5")
@@ -77,8 +78,8 @@ def bad_writes():
 
 
 class TestKnobTable:
-    def test_table_and_oracle_cover_the_same_nine_knobs(self):
-        assert len(SYSFS_KNOBS) == 9
+    def test_table_and_oracle_cover_the_same_eight_knobs(self):
+        assert len(SYSFS_KNOBS) == 8
         assert set(ROWS) == set(KNOBS)
 
     def test_every_knob_is_a_sysfs_file(self):
@@ -118,7 +119,6 @@ class TestKnobTable:
             ("worker_timeout_ns", b"500000"),
             ("qos/deadline_ns", b"0"),
             ("qos/admission", b"0"),
-            ("qos/brownout", b"1"),
         ],
     )
     def test_defaults_read_back(self, name, default):
@@ -138,7 +138,7 @@ class TestKnobTable:
 class TestKnobSideEffects:
     def test_coalescing_writes_update_the_coalescer_config(self):
         """The coalescer opens each bundle from the config object the
-        knobs write (the window is the ``coalesce.window`` default)."""
+        knobs write."""
         system = make_system()
         write_sysfs(system, "/sys/genesys/coalescing_max_batch", b"16")
         assert system.genesys.coalescer.config.max_batch == 16
@@ -156,14 +156,54 @@ class TestKnobSideEffects:
         assert system.genesys.completion_log_dropped == 3
 
     @pytest.mark.parametrize("payload", [b"0.5", b"1e-9"])
-    def test_brownout_rejects_fractions(self, payload):
-        """A fraction used to truncate to 0 and silently disable the
-        brownout controller."""
+    @pytest.mark.parametrize(
+        "name", [row[0] for row in SYSFS_KNOBS if row[1] is int]
+    )
+    def test_int_knob_rejects_fractions(self, name, payload):
+        """A fraction must not truncate to an integer on its way in."""
         system = make_system()
+        state = KNOBS[name][0]
+        before = state(system)
         with pytest.raises(OsError) as exc:
-            write_sysfs(system, "/sys/genesys/qos/brownout", payload)
+            write_sysfs(system, f"/sys/genesys/{name}", payload)
         assert exc.value.errno == Errno.EINVAL
-        assert system.genesys.qos_brownout_enabled == 1
+        assert state(system) == before
+
+    def test_admission_write_polices_a_bounded_backlog(self):
+        """The knob alone arms sojourn policing: a datagram that waited
+        past the written budget is head-dropped and answered."""
+        system = make_system()
+        net = system.kernel.net
+        write_sysfs(system, "/sys/genesys/qos/admission", b"1000")
+        server = net.socket()
+        net.bind(server, 5000)
+        server.rx_capacity = 8
+        client = net.socket()
+        got = []
+
+        def scenario():
+            yield from net.sendto(client, b"Q" + bytes(8) + b"stale", ("localhost", 5000))
+            yield 5_000.0
+            yield from net.sendto(client, b"Q" + bytes(8) + b"fresh", ("localhost", 5000))
+            payload, _source = yield from net.recvfrom(server, 4096)
+            got.append(payload)
+
+        system.sim.run_process(scenario(), name="knob-policing")
+        assert got == [b"Q" + bytes(8) + b"fresh"]
+        assert net.stats()["drops"]["expired"] == 1
+        assert net.stats()["policy_rejects"] == 1
+
+    def test_deadline_write_sheds_calls_that_miss_it(self):
+        system = make_system()
+        write_sysfs(system, "/sys/genesys/qos/deadline_ns", b"1")
+        results = {}
+
+        def kern(ctx):
+            results[ctx.global_id] = yield from ctx.sys.getrusage()
+
+        system.run_kernel(kern, 2, 2, name="knob-deadline")
+        assert results == {0: -int(Errno.ETIME), 1: -int(Errno.ETIME)}
+        assert system.genesys.syscalls_shed == 2
 
     def test_watchdog_write_while_idle_does_not_arm(self):
         system = make_system()
