@@ -18,7 +18,6 @@ Three acts on the same GPU-pread workload:
 Run:  python examples/faults_demo.py
 """
 
-from repro.probes import policy
 from repro.faults import (
     DrainTimeout,
     FaultInjector,
@@ -94,7 +93,7 @@ def main() -> None:
     print("\n=== 3. guaranteed wedge, watchdog off ===")
     system = build_system()
     system.drain_timeout_ns = 300_000.0
-    system.probes.attach_policy("fault.slot", policy.fixed("wedge"))
+    FaultInjector(FaultPlan(slot_wedge=1.0, watchdog_period_ns=0.0), system)
 
     def wedged_kern(ctx):
         yield from ctx.sys.getrusage(blocking=False)

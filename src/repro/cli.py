@@ -50,9 +50,9 @@ tracepoint does not have is bad input.
 three outputs: the text they print (the span report, every hub's
 final metrics frame, and GSan's violations and event count), one
 Perfetto trace of every attached program's tracks (``--tef PATH``),
-and one JSON document (``--json PATH``, schema 3) holding
+and one JSON document (``--json PATH``, schema 4) holding
 ``experiment``, ``systems`` (one probe snapshot per System: tracepoint
-hits, hook decisions, and each program's snapshot, a metrics hub's
+hits and each program's snapshot, a metrics hub's
 with its windowed ``series``, GSan's with its ``events`` and
 ``violations``), ``spans`` (the span statistics, when ``spans`` is
 attached) and, from ``serve``, the serving ``point``.
@@ -138,6 +138,7 @@ LINT_ROOT = Path(__file__).resolve().parent
 
 Args = argparse.Namespace
 N = TypeVar("N", int, float)
+T = TypeVar("T")
 
 
 class UsageError(argparse.ArgumentTypeError, ValueError):
@@ -190,11 +191,22 @@ def _one_of(what: str, known: Sequence[str]) -> Callable[[str], str]:
     return parse
 
 
+def _unique(values: List[T], text: str) -> List[T]:
+    """``values`` parsed from ``text``, refused if one repeats: a run
+    keyed by it would run twice under one key."""
+    repeated = [value for i, value in enumerate(values) if value in values[:i]]
+    if repeated:
+        names = ", ".join(map(str, dict.fromkeys(repeated)))
+        raise UsageError(f"{names} repeated in {text!r}")
+    return values
+
+
 def _list_of(item: Callable[[str], str]) -> Callable[[str], List[str]]:
-    """A comma-separated list, each entry parsed by ``item``."""
+    """A comma-separated list of distinct entries, each parsed by ``item``."""
 
     def parse(text: str) -> List[str]:
-        return [item(name.strip()) for name in text.split(",") if name.strip()]
+        names = [item(name.strip()) for name in text.split(",") if name.strip()]
+        return _unique(names, text)
 
     return parse
 
@@ -203,7 +215,9 @@ experiment_name = _one_of("experiment", experiments.all_names())
 
 
 def seeds(text: str) -> List[int]:
-    """``1,2,5`` or ``1:6`` (half-open range), or a mix of both."""
+    """``1,2,5`` or ``1:6`` (half-open range), or a mix of both, each
+    seed once.  0 is refused: ``DeterministicRandom(0)`` starts from the
+    state of seed 1, so it would silently rerun seed 1."""
     out: List[int] = []
     try:
         for part in filter(None, map(str.strip, text.split(","))):
@@ -213,7 +227,9 @@ def seeds(text: str) -> List[int]:
         raise UsageError(f"bad seeds {text!r}: expected e.g. 1,2,5 or 1:6") from None
     if not out:
         raise UsageError(f"no seeds in {text!r}")
-    return out
+    if 0 in out:
+        raise UsageError(f"seed 0 in {text!r} reruns seed 1")
+    return _unique(out, text)
 
 
 def _existing(test: Callable[[str], bool], what: str) -> Callable[[str], str]:
@@ -338,7 +354,7 @@ class AttachPlan:
 
 
 #: Schema of the ``--json`` document.
-JSON_SCHEMA = 3
+JSON_SCHEMA = 4
 
 
 def _write(path: str, text: str) -> None:
@@ -405,8 +421,7 @@ def _cmd_list(args: Args) -> int:
             print(f"  {name:<18} {getattr(experiments.load(name), 'TITLE', '')}")
     elif args.target == "tracepoints":
         for name, info in System().probes.catalogue().items():
-            tag = "hook" if info["kind"] == "hook" else "tp  "
-            print(f"{tag} {name:<26} ({', '.join(info['args'])})  {info['doc']}")
+            print(f"{name:<26} ({', '.join(info['args'])})  {info['doc']}")
     elif args.target == "profiles":
         print(f"{'experiment':<12} {'fault classes':<52} recovery")
         print("-" * 100)
@@ -804,7 +819,7 @@ def _reports(p: argparse.ArgumentParser) -> None:
     group.add_argument("--tef", metavar="PATH",
                        help="write a Perfetto trace of every attached program's tracks")
     group.add_argument("--json", metavar="PATH",
-                       help="write the run's JSON document (schema 3): probe "
+                       help="write the run's JSON document (schema 4): probe "
                             "snapshots, metrics series, span statistics and, "
                             "from serve, the point")
 
@@ -911,8 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=seeds, default=[1, 2, 3],
                    help="fault-plan seeds: 1,2,5 or 1:6 (default 1,2,3)")
     p.add_argument("--intensity", type=NON_NEGATIVE, default=1.0,
-                   help="scale every fault rate; a hook whose rates then sum "
-                        "past 1 is scaled down to sum to 1")
+                   help="scale every fault rate; a fault site whose rates "
+                        "then sum past 1 is scaled down to sum to 1")
     p.add_argument("--json", metavar="PATH", help="write the cells and summary here")
 
     p = verb("pytest", _cmd_pytest, "shard the test suite over processes",

@@ -355,7 +355,7 @@ class DeviceApi:
             # Consume the result and free the slot (FINISHED -> FREE).
             yield ops.publish_swap
             result = yield ops.consume
-            if genesys.retry_decision(name, result, attempt):
+            if genesys.retry_decision(result, attempt):
                 attempt += 1
                 genesys.syscall_retries += 1
                 backoff_ns = genesys.retry_backoff_ns(attempt)

@@ -22,7 +22,9 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, List, Optional, Set, Tuple,
+)
 
 from repro.core.coalescing import CoalescingConfig, Coalescer
 from repro.core.device_api import DeviceApi
@@ -40,6 +42,9 @@ from repro.oskernel.workqueue import DrainTimeout
 from repro.probes.tracepoints import ProbeRegistry
 from repro.sim.engine import Event, Simulator, _TimerHandle
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultInjector
+
 #: Sanity ceilings for the sysfs coalescing knobs: a window beyond ten
 #: simulated seconds or a batch beyond the whole syscall area is a typo,
 #: not a tuning choice.
@@ -47,6 +52,9 @@ MAX_WINDOW_NS = 10_000_000_000.0
 MAX_BATCH = 65536
 #: Ceiling for the completion-log ring: far beyond any run's call count.
 MAX_LOG_LIMIT = 1 << 32
+#: The errnos a blocking GPU caller retries (Section V blocking
+#: semantics), and so the only ones a ``FaultPlan`` may inject.
+TRANSIENT_ERRNOS = frozenset({int(Errno.EINTR), int(Errno.EAGAIN)})
 
 #: The sysfs knobs (Section VI: "GENESYS uses Linux's sysfs interface
 #: to communicate coalescing parameters"), one row each:
@@ -71,9 +79,12 @@ def parse_knob(
     name: str, kind: Callable[[bytes], Any], lo: int, hi: float, raw: bytes
 ) -> Any:
     """Parse one sysfs write, failing with EINVAL exactly as a real
-    sysfs store would on malformed or out-of-range input."""
+    sysfs store would on malformed or out-of-range input (Python's digit
+    grouping, ``1_000``, included: ``kstrtoul`` refuses it)."""
     text = raw.strip()
     try:
+        if b"_" in text:
+            raise ValueError(text)
         value = kind(text)
     except (ValueError, UnicodeDecodeError):
         what = "an integer" if kind is int else "a number"
@@ -174,35 +185,19 @@ class Genesys:
             ("scan_id", "hw_ids"),
             "a worker thread began executing a scan task",
         )
-        # Fault-injection decision points (consulted only when a
-        # FaultPlan or test attached a program) and the recovery
-        # tracepoints the watchdog machinery fires.
-        self.hook_fault_errno = self.probes.hook(
-            "fault.errno",
-            ("name", "invocation_id"),
-            "return an Errno to fail this dispatch transiently (before "
-            "the syscall body runs), or None to execute normally",
-        )
+        #: The plan's FaultInjector, asked at the errno and slot fault
+        #: sites of ``_scan_task``; None on a machine with no plan.
+        self.faults: Optional[FaultInjector] = None
+        # The applied faults, and what the recovery machinery does.
         self.tp_fault_errno = self.probes.tracepoint(
             "fault.errno.injected",
             ("name", "errno", "invocation_id"),
             "a transient errno was injected at dispatch",
         )
-        self.hook_fault_slot = self.probes.hook(
-            "fault.slot",
-            ("hw_id", "slot_index", "name"),
-            "return 'wedge' to strand the slot in PROCESSING, 'corrupt' to "
-            "replace the result with -EIO, or None for a clean completion",
-        )
         self.tp_fault_slot = self.probes.tracepoint(
             "fault.slot.injected",
             ("action", "slot_index", "name"),
             "an injected slot fault was applied (wedge or corrupt)",
-        )
-        self.hook_retry = self.probes.hook(
-            "genesys.retry",
-            ("name", "result", "attempt"),
-            "override the GPU-side retry decision for a failed blocking call",
         )
         self.tp_retry = self.probes.tracepoint(
             "syscall.retry",
@@ -260,9 +255,6 @@ class Genesys:
         self.retry_base_ns = 2_000.0
         self.retry_cap_ns = 64_000.0
         self.max_syscall_retries = 6
-        self.retryable_errnos = frozenset(
-            {int(Errno.EINTR), int(Errno.EAGAIN)}
-        )
         self.degraded = 0
         self.slots_reclaimed = 0
         self.watchdog_ticks = 0
@@ -565,38 +557,33 @@ class Genesys:
                     continue
                 request = self._dispatch(slot)
                 yield from cpu.run(self.config.syscall_base_ns)
-                injected_errno: Any = None
-                if self.hook_fault_errno.active:
-                    injected_errno = self.hook_fault_errno.decide(
-                        None, request.name, request.invocation_id
-                    )
-                if injected_errno:
+                faults = self.faults
+                verdict = faults.decide("errno") if faults is not None else None
+                if verdict is not None:
                     # Transient failure injected at dispatch: the syscall
                     # body never runs, so a GPU-side retry of the whole
                     # invocation is side-effect free.
-                    result = -int(injected_errno)
+                    errno = int(verdict[1])
+                    result = -errno
                     if self.tp_fault_errno.enabled:
                         self.tp_fault_errno.fire(
-                            request.name, int(injected_errno), request.invocation_id
+                            request.name, errno, request.invocation_id
                         )
                 else:
                     result = yield from self.linux.execute(
                         request.proc, request.name, request.args
                     )
-                slot_action: Any = None
-                if self.hook_fault_slot.active:
-                    slot_action = self.hook_fault_slot.decide(
-                        None, hw_id, slot.index, request.name
-                    )
-                if slot_action in ("wedge", "corrupt") and self.tp_fault_slot.enabled:
-                    self.tp_fault_slot.fire(slot_action, slot.index, request.name)
-                if slot_action == "wedge":
-                    # The completion write never lands: the slot stays
-                    # PROCESSING until the watchdog reclaims it with
-                    # -ETIMEDOUT and surfaces that to the wavefront.
-                    continue
-                if slot_action == "corrupt":
-                    result = -int(Errno.EIO)
+                verdict = faults.decide("slot") if faults is not None else None
+                if verdict is not None:
+                    action = verdict[0]
+                    if self.tp_fault_slot.enabled:
+                        self.tp_fault_slot.fire(action, slot.index, request.name)
+                    if action == "wedge":
+                        # The completion write never lands: the slot stays
+                        # PROCESSING until the watchdog reclaims it with
+                        # -ETIMEDOUT and surfaces that to the wavefront.
+                        continue
+                    result = -int(Errno.EIO)  # corrupt
                 # Write the result back through the shared memory path.
                 yield from self.memsystem.dram.cpu_access(self.config.cacheline_bytes)
                 if self.area.shares_cacheline(slot):
@@ -704,22 +691,16 @@ class Genesys:
 
     # -- GPU-side retry policy ----------------------------------------------
 
-    def retry_decision(self, name: str, result: Any, attempt: int) -> bool:
+    def retry_decision(self, result: Any, attempt: int) -> bool:
         """Should a blocking call that returned ``result`` be retried?
-
-        Default: yes for the transient errnos (EINTR/EAGAIN) while under
-        the attempt cap.  The ``genesys.retry`` hook may override — e.g.
-        a chaos plan injecting ENOMEM widens the retryable set.
-        """
-        default = (
+        Yes for a transient errno (EINTR, EAGAIN) while under the
+        attempt cap."""
+        return (
             isinstance(result, int)
             and result < 0
-            and -result in self.retryable_errnos
+            and -result in TRANSIENT_ERRNOS
             and attempt < self.max_syscall_retries
         )
-        if self.hook_retry.active:
-            return bool(self.hook_retry.decide(default, name, result, attempt))
-        return default
 
     def retry_backoff_ns(self, attempt: int) -> float:
         """Capped exponential backoff for retry ``attempt`` (1-based)."""

@@ -3,10 +3,10 @@
 The subsystem has two halves:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan` (a seeded, declarative
-  description of faults to inject) and :class:`FaultInjector` (policy
-  programs attached to the stack's ``fault.*`` hooks, all randomness
-  drawn from one ``DeterministicRandom`` so runs replay exactly, plus
-  the plan's recovery knobs written to ``/sys/genesys``).
+  description of faults to inject) and :class:`FaultInjector` (the
+  verdicts the stack's five fault sites ask for, all randomness drawn
+  from one ``DeterministicRandom`` so runs replay exactly, plus the
+  plan's recovery knobs written to ``/sys/genesys``).
 * :mod:`repro.faults.chaos` — per-workload chaos profiles and scenario
   bodies, the runner, and :func:`check_invariants`, the liveness/safety
   postconditions every faulted run must satisfy.  The runner judges

@@ -3,19 +3,20 @@
 A :class:`FaultPlan` is a declarative description of *what can go
 wrong* — per-decision probabilities for each fault class plus the
 recovery knobs (watchdog period, slot/worker timeouts) that should be
-active while the faults fly.  A :class:`FaultInjector` turns the plan
-into policy programs attached to the ``fault.*`` hooks the stack
-declares (see ``repro.probes``):
+active while the faults fly.  A :class:`FaultInjector` applies the plan
+to one machine: the components that own the five fault sites below
+hold it in their ``faults`` attribute (None on a machine with no plan),
+and each site asks it for a verdict per call:
 
-========================  ================================================
-hook                      decision
-========================  ================================================
-``fault.irq``             drop or delay a GPU->CPU doorbell interrupt
-``fault.worker``          kill or stall a workqueue worker at task pickup
-``fault.slot``            wedge or corrupt a syscall-area slot
-``fault.errno``           inject a transient errno instead of executing
-``fault.net``             drop, duplicate, or delay a UDP datagram
-========================  ================================================
+==========  =================================  =================
+site        asked in                           verdicts
+==========  =================================  =================
+``irq``     ``InterruptController.raise_irq``  drop, delay
+``worker``  ``WorkQueue._execute`` (pickup)    kill, stall
+``errno``   ``Genesys._scan_task`` (dispatch)  a transient errno
+``slot``    ``Genesys._scan_task`` (result)    wedge, corrupt
+``net``     ``Network.sendto``                 drop, dup, delay
+==========  =================================  =================
 
 All randomness comes from one :class:`DeterministicRandom` seeded from
 ``plan.seed`` and consumed in simulated-event order, so a given
@@ -31,39 +32,39 @@ machine and arms the machinery that is supposed to survive it.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.genesys import TRANSIENT_ERRNOS
 from repro.oskernel.errors import Errno
 from repro.workloads.base import DeterministicRandom
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
 
-#: Each fault hook's classes, in the order a decision tries them:
+#: Each fault site's classes, in the order a decision tries them:
 #: ``(action, rate field, verdict, delay-range field)``.  One decision
 #: draws one ``random()`` and takes the first class whose running sum of
-#: rates exceeds it; a class with a range field answers ``(verdict, ns)``
-#: and draws one more ``random()`` for the delay.  ``fault.errno`` is
-#: decided by ``FaultInjector._errno``, which also draws the errno.
+#: rates exceeds it.  A class with a range field draws one more
+#: ``random()`` for its delay, and the ``errno`` verdict one ``randint``
+#: for which of the plan's ``errnos`` to inject.
 _Row = Tuple[str, str, str, Optional[str]]
 FAULT_TABLE: Dict[str, Tuple[_Row, ...]] = {
-    "fault.irq": (
+    "irq": (
         ("irq.drop", "irq_drop", "drop", None),
         ("irq.delay", "irq_delay", "delay", "irq_delay_ns"),
     ),
-    "fault.worker": (
+    "worker": (
         ("worker.kill", "worker_kill", "kill", None),
         ("worker.stall", "worker_stall", "stall", "worker_stall_ns"),
     ),
-    "fault.slot": (
+    "slot": (
         ("slot.wedge", "slot_wedge", "wedge", None),
         ("slot.corrupt", "slot_corrupt", "corrupt", None),
     ),
-    "fault.errno": (("errno", "errno_rate", "errno", None),),
-    "fault.net": (
+    "errno": (("errno", "errno_rate", "errno", None),),
+    "net": (
         ("net.drop", "net_drop", "drop", None),
         ("net.dup", "net_dup", "dup", None),
         ("net.delay", "net_delay", "delay", "net_delay_ns"),
@@ -81,19 +82,25 @@ _LIMIT_FIELDS = (
     "watchdog_period_ns",
     "slot_timeout_ns",
     "worker_timeout_ns",
-    "max_retries",
 )
+
+#: What a site gets back from :meth:`FaultInjector.decide` when a fault
+#: fires: ``(verdict, value)``, where ``value`` is the delay or stall in
+#: ns, the errno for ``errno``, and 0.0 for a verdict that takes none.
+Verdict = Tuple[str, float]
 
 
 @dataclass(frozen=True)
 class FaultPlan:
     """One seeded description of faults to inject plus recovery knobs.
 
-    Rates are per-decision probabilities in ``[0, 1]``; within one hook
+    Rates are per-decision probabilities in ``[0, 1]``; within one site
     the alternatives are tried in :data:`FAULT_TABLE` order (e.g. a
     doorbell is first rolled against ``irq_drop``, then ``irq_delay``),
-    so the sum of a hook's rates may not exceed 1.  ``*_ns`` ranges are
-    inclusive ``(lo, hi)`` bounds sampled uniformly.
+    so the sum of a site's rates may not exceed 1.  ``*_ns`` ranges are
+    inclusive ``(lo, hi)`` bounds sampled uniformly.  ``errnos`` are
+    drawn from the errnos a GPU caller retries (EINTR, EAGAIN), so an
+    injected errno is always transient.
     """
 
     seed: int = 1
@@ -122,7 +129,6 @@ class FaultPlan:
     watchdog_period_ns: float = 50_000.0
     slot_timeout_ns: float = 2_000_000.0
     worker_timeout_ns: float = 500_000.0
-    max_retries: int = 6
 
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it.
@@ -147,6 +153,12 @@ class FaultPlan:
                 raise ValueError(f"{field}={value!r} must be finite and >= 0")
         if not self.errnos and self.errno_rate:
             raise ValueError("errno_rate > 0 with an empty errnos tuple")
+        for errno in self.errnos:
+            if errno not in TRANSIENT_ERRNOS:
+                raise ValueError(
+                    f"errnos: {errno!r} is not transient (EINTR {int(Errno.EINTR)}, "
+                    f"EAGAIN {int(Errno.EAGAIN)}), so no caller would retry it"
+                )
 
     # -- conveniences ------------------------------------------------------
 
@@ -155,7 +167,7 @@ class FaultPlan:
 
     def scaled(self, factor: float) -> "FaultPlan":
         """Same plan with every rate multiplied by ``factor`` — chaos
-        intensity dial.  A hook whose scaled rates sum past 1 is scaled
+        intensity dial.  A site whose scaled rates sum past 1 is scaled
         down to sum exactly 1, keeping their proportions."""
         if factor < 0:
             raise ValueError("factor must be >= 0")
@@ -223,40 +235,16 @@ class FaultPlan:
         return " ".join(parts)
 
 
-class _WidenRetry:
-    """Picklable ``genesys.retry`` program treating the plan's injected
-    errnos as transient (see FaultInjector._install)."""
-
-    __slots__ = ("extra", "max_retries")
-
-    def __init__(self, extra: frozenset, max_retries: int) -> None:
-        self.extra = extra
-        self.max_retries = max_retries
-
-    def __call__(
-        self, current: object, name: str, result: object, attempt: int
-    ) -> Optional[bool]:
-        if current:
-            return None
-        if (
-            isinstance(result, int)
-            and result < 0
-            and -result in self.extra
-            and attempt < self.max_retries
-        ):
-            return True
-        return None
-
-
 class FaultInjector:
     """Applies a :class:`FaultPlan` to one built machine.
 
-    The injector writes the plan's recovery knobs and attaches policy
-    programs: the components keep their own ``fault.*.injected``
-    tracepoints and counters, so the injector only *decides*; the layer
-    owning the hook *applies* and records.  ``injected`` counts
-    decisions that returned a fault, ``decisions`` counts every
-    consultation.
+    The injector writes the plan's recovery knobs and sets itself as the
+    ``faults`` of the four components that own a site.  It only
+    *decides*: the component applies the verdict, fires its
+    ``fault.*.injected`` tracepoint and counts it.  ``injected`` counts
+    decisions that returned a fault, ``decisions`` every consultation.
+    A site whose rates are all 0 is never consulted: it draws nothing
+    and counts no decision.
     """
 
     def __init__(self, plan: FaultPlan, system: "System") -> None:
@@ -265,80 +253,46 @@ class FaultInjector:
         self.decisions = 0
         self.injected = 0
         self.by_action: dict = {}
-        self._install(system)
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _budget_left(self) -> bool:
-        return self.plan.max_faults is None or self.injected < self.plan.max_faults
-
-    def _note(self, action: str) -> None:
-        self.injected += 1
-        self.by_action[action] = self.by_action.get(action, 0) + 1
-
-    def _uniform_ns(self, bounds: Tuple[float, float]) -> float:
-        lo, hi = bounds
-        return lo + (hi - lo) * self.rng.random()
-
-    # -- decision programs -------------------------------------------------
-
-    def _decide(
-        self, rows: Tuple[_Row, ...], current: object, *_args: object
-    ) -> object:
-        self.decisions += 1
-        if current is not None or not self._budget_left():
-            return None
-        roll = self.rng.random()
-        plan = self.plan
-        threshold = 0.0
-        for action, field, verdict, delay_field in rows:
-            threshold += getattr(plan, field)
-            if roll < threshold:
-                self._note(action)
-                if delay_field is None:
-                    return verdict
-                return (verdict, self._uniform_ns(getattr(plan, delay_field)))
-        return None
-
-    def _errno(self, current: object, name: str, invocation_id: object) -> Optional[int]:
-        self.decisions += 1
-        if current is not None or not self._budget_left():
-            return None
-        plan = self.plan
-        if self.rng.random() < plan.errno_rate:
-            errno = plan.errnos[self.rng.randint(0, len(plan.errnos) - 1)]
-            self._note("errno")
-            return int(errno)
-        return None
-
-    # -- wiring ------------------------------------------------------------
-
-    def _install(self, system: "System") -> None:
-        plan = self.plan
-        registry = system.probes
-        for hook_name, rows in FAULT_TABLE.items():
-            if any(getattr(plan, row[1]) for row in rows):
-                program: Callable[..., object] = (
-                    self._errno if hook_name == "fault.errno"
-                    else functools.partial(self._decide, rows)
-                )
-                registry.attach_policy(hook_name, program)
-        genesys = system.genesys
+        self._armed = {
+            site: rows
+            for site, rows in FAULT_TABLE.items()
+            if any(getattr(plan, row[1]) for row in rows)
+        }
+        kernel, genesys = system.kernel, system.genesys
+        kernel.interrupts.faults = kernel.workqueue.faults = kernel.net.faults = self
+        genesys.faults = self
         if plan.watchdog_period_ns:
             genesys.set_watchdog_period_ns(float(plan.watchdog_period_ns))
         genesys.slot_timeout_ns = float(plan.slot_timeout_ns)
         genesys.worker_timeout_ns = float(plan.worker_timeout_ns)
-        # Injected errnos outside the default transient set (EINTR,
-        # EAGAIN) must still be retried, or the fault would surface as a
-        # permanent failure the workload never asked for.
-        extra = {int(e) for e in plan.errnos} - {
-            int(Errno.EINTR),
-            int(Errno.EAGAIN),
-        }
-        if plan.errno_rate and extra:
-            registry.attach_policy(
-                "genesys.retry", _WidenRetry(frozenset(extra), plan.max_retries)
-            )
+
+    def decide(self, site: str) -> Optional[Verdict]:
+        """Roll ``site``'s fault classes once: the verdict, or None for
+        no fault (an unarmed site, a spent ``max_faults`` budget, or a
+        roll past every class)."""
+        rows = self._armed.get(site)
+        if rows is None:
+            return None
+        self.decisions += 1
+        plan = self.plan
+        if plan.max_faults is not None and self.injected >= plan.max_faults:
+            return None
+        rng = self.rng
+        roll = rng.random()
+        threshold = 0.0
+        for action, field, verdict, delay_field in rows:
+            threshold += getattr(plan, field)
+            if roll < threshold:
+                self.injected += 1
+                self.by_action[action] = self.by_action.get(action, 0) + 1
+                if verdict == "errno":
+                    errnos = plan.errnos
+                    return verdict, int(errnos[rng.randint(0, len(errnos) - 1)])
+                if delay_field is None:
+                    return verdict, 0.0
+                lo, hi = getattr(plan, delay_field)
+                return verdict, lo + (hi - lo) * rng.random()
+        return None
 
     def summary(self) -> dict:
         return {

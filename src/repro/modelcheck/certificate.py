@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 CERT_FORMAT = "gmc-certificate"
-CERT_VERSION = 1
+CERT_VERSION = 2
 
 Choices = Tuple[Tuple[int, int], ...]
 

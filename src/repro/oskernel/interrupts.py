@@ -15,12 +15,15 @@ tracepoint, mirroring Linux's "irq X: nobody cared" accounting.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.machine import MachineConfig
 from repro.oskernel.cpu import CpuComplex
 from repro.probes.tracepoints import ProbeRegistry
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultInjector
 
 
 class InterruptController:
@@ -53,12 +56,9 @@ class InterruptController:
             ("action", "payload", "delay_ns"),
             "an injected interrupt fault was applied (drop or delay)",
         )
-        self.hook_fault = registry.hook(
-            "fault.irq",
-            ("payload",),
-            "return 'drop' to lose this interrupt, ('delay', ns) to defer "
-            "its top half, or None for normal delivery",
-        )
+        #: The plan's FaultInjector, asked per delivered interrupt
+        #: (drop or delay); None on a machine with no plan.
+        self.faults: Optional[FaultInjector] = None
 
     def register_handler(self, handler: Callable[[Any], None]) -> None:
         """Install the bottom-half callback (runs functionally after the
@@ -79,22 +79,19 @@ class InterruptController:
             if self.tp_unhandled.enabled:
                 self.tp_unhandled.fire(payload)
             return False
-        if self.hook_fault.active:
-            action = self.hook_fault.decide(None, payload)
-            if action == "drop":
-                # The s_sendmsg was lost in flight: no top half ever
-                # runs.  Recovery is the GENESYS watchdog's job.
-                if self.tp_fault.enabled:
-                    self.tp_fault.fire("drop", payload, 0.0)
-                return True
-            if isinstance(action, tuple) and action and action[0] == "delay":
-                delay_ns = float(action[1])
-                if self.tp_fault.enabled:
-                    self.tp_fault.fire("delay", payload, delay_ns)
+        faults = self.faults
+        verdict = faults.decide("irq") if faults is not None else None
+        if verdict is not None:
+            action, delay_ns = verdict
+            if self.tp_fault.enabled:
+                self.tp_fault.fire(action, payload, delay_ns)
+            if action == "delay":
                 self.sim.process(
                     self._delayed_top_half(payload, delay_ns), name="irq-delayed"
                 )
-                return True
+            # A dropped s_sendmsg was lost in flight: no top half ever
+            # runs.  Recovery is the GENESYS watchdog's job.
+            return True
         self.sim.process(self._top_half(payload), name="irq")
         return True
 

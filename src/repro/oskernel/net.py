@@ -10,13 +10,16 @@ real payload bytes.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
 from repro.machine import MachineConfig
 from repro.oskernel.errors import Errno, OsError
 from repro.probes.tracepoints import ProbeRegistry
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthResource, Store
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultInjector
 
 Address = Tuple[str, int]
 
@@ -120,12 +123,9 @@ class Network:
             ("action", "nbytes", "delay_ns"),
             "an injected datagram fault was applied (drop, dup, or delay)",
         )
-        self.hook_fault = registry.hook(
-            "fault.net",
-            ("dest", "nbytes"),
-            "return 'drop' to lose the datagram, 'dup' to deliver it twice, "
-            "('delay', ns) to defer delivery, or None for normal transit",
-        )
+        #: The plan's FaultInjector, asked per datagram that reaches a
+        #: bound socket (drop, dup or delay); None on a machine with no plan.
+        self.faults: Optional[FaultInjector] = None
         # -- Sojourn policing (repro.qos).  Only sockets with a bounded
         # backlog (rx_capacity set) are policed, which naturally exempts
         # client reply sockets and the unbounded shutdown path.
@@ -214,31 +214,27 @@ class Network:
                 self.tp_drop.fire("unbound-dest", None)
             return len(payload)
         datagram = Datagram(payload, (sock.host, sock.port))
-        if self.hook_fault.active:
-            action = self.hook_fault.decide(None, dest, len(payload))
+        faults = self.faults
+        verdict = faults.decide("net") if faults is not None else None
+        if verdict is not None:
+            action, delay_ns = verdict
+            if self.tp_fault.enabled:
+                self.tp_fault.fire(action, len(payload), delay_ns)
             if action == "drop":
                 self.packets_dropped += 1
-                if self.tp_fault.enabled:
-                    self.tp_fault.fire("drop", len(payload), 0.0)
                 return len(payload)
-            if action == "dup":
-                if self.tp_fault.enabled:
-                    self.tp_fault.fire("dup", len(payload), 0.0)
-                # The duplicate copy was never counted in packets_sent,
-                # so losing it must not bump the link-level drop counter
-                # (it still counts in the per-socket/per-reason stats).
-                self._deliver(
-                    target, Datagram(payload, (sock.host, sock.port)), primary=False
-                )
-            elif isinstance(action, tuple) and action and action[0] == "delay":
-                delay_ns = float(action[1])
-                if self.tp_fault.enabled:
-                    self.tp_fault.fire("delay", len(payload), delay_ns)
+            if action == "delay":
                 self.sim.process(
                     self._deliver_later(target, datagram, delay_ns),
                     name="net-delayed",
                 )
                 return len(payload)
+            # A dup: the copy was never counted in packets_sent, so
+            # losing it must not bump the link-level drop counter (it
+            # still counts in the per-socket/per-reason stats).
+            self._deliver(
+                target, Datagram(payload, (sock.host, sock.port)), primary=False
+            )
         self._deliver(target, datagram)
         return len(payload)
 

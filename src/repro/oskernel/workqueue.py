@@ -9,8 +9,8 @@ dispatch delay per task and competing for CPU cores through whatever
 Every task goes to one shared FIFO, and whichever worker is free takes
 it.
 
-Workers can also *misbehave* — deliberately, through the ``fault.worker``
-injection hook (stall for a while at pickup, or die outright) — and the
+Workers can also *misbehave* — deliberately, when a fault plan's
+injector says so at pickup (stall for a while, or die outright) — and the
 queue carries the recovery half: every submission is tracked as a
 :class:`_TaskRecord`, and :meth:`check_stalled` (driven by the GENESYS
 watchdog) requeues records that were picked up but never started and
@@ -22,12 +22,15 @@ time.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Generator, List, Optional
 
 from repro.machine import MachineConfig
 from repro.probes.tracepoints import ProbeRegistry
 from repro.sim.engine import Event, Process, Simulator
 from repro.sim.resources import Store
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultInjector
 
 
 class DrainTimeout(RuntimeError):
@@ -130,12 +133,9 @@ class WorkQueue:
             "queue wait of a task, measured at worker pickup",
         )
         self._busy_workers = 0
-        self.hook_fault = registry.hook(
-            "fault.worker",
-            ("worker_id", "task_index"),
-            "return ('stall', ns) to delay this pickup, 'kill' to terminate "
-            "the worker loop, or None for normal execution",
-        )
+        #: The plan's FaultInjector, asked per task pickup (kill or
+        #: stall); None on a machine with no plan.
+        self.faults: Optional[FaultInjector] = None
         self.tp_fault = registry.tracepoint(
             "fault.worker.injected",
             ("action", "worker_id", "task_index", "stall_ns"),
@@ -220,25 +220,23 @@ class WorkQueue:
         """The fault/forfeit/dispatch/body half of one task execution."""
         if observing:
             picked_at = record.picked_at
-        if self.hook_fault.active:
-            action = self.hook_fault.decide(None, worker_id, record.index)
+        faults = self.faults
+        verdict = faults.decide("worker") if faults is not None else None
+        if verdict is not None:
+            action, stall_ns = verdict
+            if self.tp_fault.enabled:
+                self.tp_fault.fire(action, worker_id, record.index, stall_ns)
             if action == "kill":
                 # The worker dies holding an unstarted task; the GENESYS
                 # watchdog requeues the record and respawns the loop.
                 self.workers_killed += 1
                 self._dead.add(worker_id)
-                if self.tp_fault.enabled:
-                    self.tp_fault.fire("kill", worker_id, record.index, 0.0)
                 return False
-            if isinstance(action, tuple) and action and action[0] == "stall":
-                stall_ns = float(action[1])
-                if self.tp_fault.enabled:
-                    self.tp_fault.fire("stall", worker_id, record.index, stall_ns)
-                yield stall_ns
-                if record.epoch != epoch:
-                    # The watchdog gave up on us and reassigned the task.
-                    self._forfeit(record, worker_id)
-                    return True
+            yield stall_ns
+            if record.epoch != epoch:
+                # The watchdog gave up on us and reassigned the task.
+                self._forfeit(record, worker_id)
+                return True
         yield self.config.workqueue_dispatch_ns
         if record.epoch != epoch:
             self._forfeit(record, worker_id)

@@ -1,14 +1,16 @@
-"""`repro.probes`: eBPF-style tracepoints + policy hooks for the stack.
+"""`repro.probes`: eBPF-style tracepoints for the stack.
 
 The subsystem in one breath: the simulated stack declares static
-**tracepoints** (observe) and **policy hooks** (decide) in a per-System
-:class:`ProbeRegistry`; observers and fixed-value policies attach at
-runtime; an **exporter** turns every attached program's state into a
-JSON snapshot, and ``python -m repro run <experiment> --attach ...``
-does all of it from the command line.  Counters, histograms and rates
-are :class:`~repro.metrics.hub.MetricsHub` catalogs
-(:func:`repro.metrics.collectors.probe_specs`), so every attach kind
-shares one counter, one log2 histogram and one windowing rule.
+**tracepoints** in a per-System :class:`ProbeRegistry`; observers
+attach at runtime; an **exporter** turns every attached program's
+state into a JSON snapshot, and ``python -m repro run <experiment>
+--attach ...`` does all of it from the command line.  Counters,
+histograms and rates are :class:`~repro.metrics.hub.MetricsHub`
+catalogs (:func:`repro.metrics.collectors.probe_specs`), so every
+attach kind shares one counter, one log2 histogram and one windowing
+rule.  Probes only observe: the one component that changes a decision
+per call, a fault plan's injector, is asked directly by the sites it
+faults (:mod:`repro.faults.plan`).
 
 Guarantees (tested):
 
@@ -19,11 +21,10 @@ Guarantees (tested):
   ``with attached(plan_a, plan_b): ...`` applies both, in that order,
   to every System built inside the block.
 
-See the "Probes & policy hooks" section of ``docs/architecture.md``.
+See the "Probes" section of ``docs/architecture.md``.
 """
 
 from repro.probes.exporters import metrics_snapshot
-from repro.probes.policy import PolicyHook, fixed
 from repro.probes.tracepoints import (
     NULL_TRACEPOINT,
     ProbeRegistry,
@@ -36,13 +37,11 @@ from repro.probes.tracepoints import (
 
 __all__ = [
     "NULL_TRACEPOINT",
-    "PolicyHook",
     "ProbeRegistry",
     "Tracepoint",
     "apply_global_plan",
     "attached",
     "clear_global_plan",
-    "fixed",
     "install_global_plan",
     "metrics_snapshot",
 ]

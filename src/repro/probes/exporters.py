@@ -1,9 +1,9 @@
 """Exporter: JSON snapshots of attached probe state.
 
 :func:`metrics_snapshot` is a JSON-ready dict of every tracepoint's hit
-count, every hook's decision/override counts, and every attached
-program's snapshot (a metrics hub's carries each metric's last window,
-lifetime aggregate and closed windows).  ``python -m repro run --json``
+and observer counts and every attached program's snapshot (a metrics
+hub's carries each metric's last window, lifetime aggregate and closed
+windows).  ``python -m repro run --json``
 writes one per System as the document's ``systems``; CI asserts on
 them.  Perfetto tracks come from the programs' own ``trace_tracks()``
 through :mod:`repro.traceviz`.
@@ -24,17 +24,8 @@ def metrics_snapshot(registry: ProbeRegistry) -> dict:
             "observers": tp.observers,
             "args": list(tp.args),
         }
-    hooks = {}
-    for name in sorted(registry.hooks):
-        hook = registry.hooks[name]
-        hooks[name] = {
-            "programs": hook.programs,
-            "decisions": hook.decisions,
-            "overrides": hook.overrides,
-        }
     return {
         "simulated_ns": registry.now(),
         "tracepoints": tracepoints,
-        "hooks": hooks,
         "programs": [program.snapshot() for program in registry.programs],
     }

@@ -1,9 +1,8 @@
 """Static tracepoints and the per-machine probe registry.
 
 The shape follows gpu_ext's eBPF-for-GPUs argument (see PAPERS.md):
-the simulated stack declares *static hook points* — tracepoints for
-observation, policy hooks for decisions — and user programs attach to
-them at runtime.  Two properties are load-bearing:
+the simulated stack declares *static tracepoints* and user programs
+attach to them at runtime.  Two properties are load-bearing:
 
 * **Near-zero detached cost.**  Every instrumentation site is guarded
   by a plain attribute check (``if tp.enabled: tp.fire(...)``), the
@@ -15,9 +14,9 @@ them at runtime.  Two properties are load-bearing:
   simulator handle, cannot yield, and must not mutate simulated state —
   so attaching any number of observer programs leaves every simulated
   timestamp and result byte-identical (enforced by
-  ``tests/test_observer_neutrality.py``).  Policy hooks
-  (:mod:`repro.probes.policy`) are the one sanctioned way to *change*
-  behaviour, and they are separate objects at separate sites.
+  ``tests/test_observer_neutrality.py``).  A probe never changes a
+  decision: the fault sites ask a plan's injector directly
+  (:mod:`repro.faults.plan`).
 
 A :class:`ProbeRegistry` is created per :class:`~repro.system.System`
 and threaded through every layer; components constructed standalone
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
-
-from repro.probes.policy import PolicyHook
 
 Observer = Callable[..., None]
 
@@ -113,18 +110,17 @@ NULL_TRACEPOINT = _NullTracepoint("<null>")
 
 
 class ProbeRegistry:
-    """All tracepoints and policy hooks of one simulated machine.
+    """All tracepoints of one simulated machine.
 
-    Components declare their hook points with :meth:`tracepoint` /
-    :meth:`hook` (idempotent per name); user code looks them up by name
-    and attaches programs.  ``sim`` provides the clock that time-series
+    Components declare their tracepoints with :meth:`tracepoint`
+    (idempotent per name); user code looks them up by name and attaches
+    observers.  ``sim`` provides the clock that time-series
     programs (metrics hubs) sample.
     """
 
     def __init__(self, sim: Any = None):
         self.sim = sim
         self.tracepoints: Dict[str, Tracepoint] = {}
-        self.hooks: Dict[str, PolicyHook] = {}
         #: Observer programs (metrics hubs, span tracers, GSan) that
         #: installed themselves here, in install order — what exporters
         #: snapshot.
@@ -141,15 +137,6 @@ class ProbeRegistry:
         self.tracepoints[name] = tp
         return tp
 
-    def hook(self, name: str, args: Sequence[str] = (), doc: str = "") -> PolicyHook:
-        """Create-or-get the policy hook ``name`` (idempotent)."""
-        existing = self.hooks.get(name)
-        if existing is not None:
-            return existing
-        hook = PolicyHook(name, args, doc)
-        self.hooks[name] = hook
-        return hook
-
     # -- lookup / attach (user side) --------------------------------------
 
     def get(self, name: str) -> Tracepoint:
@@ -158,14 +145,6 @@ class ProbeRegistry:
         except KeyError:
             raise KeyError(
                 f"unknown tracepoint {name!r}; known: {', '.join(sorted(self.tracepoints))}"
-            ) from None
-
-    def get_hook(self, name: str) -> PolicyHook:
-        try:
-            return self.hooks[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown policy hook {name!r}; known: {', '.join(sorted(self.hooks))}"
             ) from None
 
     def match(self, pattern: str) -> List[Tracepoint]:
@@ -186,16 +165,10 @@ class ProbeRegistry:
         """Attach ``observer`` to the tracepoint ``name``."""
         return self.get(name).attach(observer)
 
-    def attach_policy(self, hook_name: str, program: Callable) -> Callable:
-        """Attach a policy program to the hook ``hook_name``."""
-        return self.get_hook(hook_name).attach(program)
-
     def detach_all(self) -> None:
-        """Detach every observer and policy program."""
+        """Detach every observer and forget every program."""
         for tp in self.tracepoints.values():
             tp.detach_all()
-        for hook in self.hooks.values():
-            hook.detach_all()
         self.programs.clear()
 
     # -- services ---------------------------------------------------------
@@ -205,20 +178,16 @@ class ProbeRegistry:
         return self.sim.now if self.sim is not None else 0.0
 
     def catalogue(self) -> Dict[str, dict]:
-        """Name → {args, doc, kind} for every tracepoint and hook."""
-        out: Dict[str, dict] = {}
-        for name in sorted(self.tracepoints):
-            tp = self.tracepoints[name]
-            out[name] = {"kind": "tracepoint", "args": list(tp.args), "doc": tp.doc}
-        for name in sorted(self.hooks):
-            hook = self.hooks[name]
-            out[name] = {"kind": "hook", "args": list(hook.args), "doc": hook.doc}
-        return out
+        """Name → {args, doc} for every tracepoint, sorted by name."""
+        return {
+            name: {"args": list(tp.args), "doc": tp.doc}
+            for name, tp in sorted(self.tracepoints.items())
+        }
 
     def __repr__(self) -> str:
         return (
             f"ProbeRegistry({len(self.tracepoints)} tracepoints, "
-            f"{len(self.hooks)} hooks, {len(self.programs)} programs)"
+            f"{len(self.programs)} programs)"
         )
 
 

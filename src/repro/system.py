@@ -37,7 +37,7 @@ class System:
         self.config = config or MachineConfig()
         self.sim = Simulator()
         #: The machine's probe registry: every layer declares its
-        #: tracepoints and policy hooks here (see repro.probes).
+        #: tracepoints here (see repro.probes).
         self.probes = ProbeRegistry(self.sim)
         self.memsystem = MemorySystem(self.sim, self.config, probes=self.probes)
         self.cpu = CpuComplex(self.sim, self.config)
@@ -68,7 +68,7 @@ class System:
         #: so liveness violations are diagnosable failures, not wedged
         #: event loops.
         self.drain_timeout_ns: Optional[float] = None
-        # Every hook point now exists: apply any CLI/test attach plan.
+        # Every tracepoint now exists: apply any CLI/test attach plan.
         apply_global_plan(self.probes)
 
     # -- conveniences ---------------------------------------------------------

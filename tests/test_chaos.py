@@ -18,6 +18,7 @@ Five layers of assertion:
 
 import dataclasses
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,11 +38,12 @@ from repro.faults import (
 from repro.machine import small_machine
 from repro.modelcheck import Bounds, explore, run_schedule
 from repro.modelcheck.scenarios import build_workload
+from repro.oskernel.errors import Errno
 from repro.oskernel.workqueue import WorkQueue
-from repro.probes import policy
 from repro.probes.tracepoints import StreamRecorder
 from repro.sim.engine import Simulator
 from repro.system import System
+from repro.workloads.base import DeterministicRandom
 
 SEEDS = (1, 2, 3)
 
@@ -116,7 +118,7 @@ class TestDeterminism:
 
 #: Per (profile, seed): faults injected, by action, and the sha256 of the
 #: ``repr`` of the recorded ``fault.*`` / ``recover.*`` stream.  A change
-#: to a hook's decision order or to the injector's random draws moves
+#: to a site's decision order or to the injector's random draws moves
 #: these, and with them every chaos cell and model-checked schedule.
 FAULT_STREAM_PINS = {
     ("fig2", 1): (
@@ -275,14 +277,17 @@ def test_fault_stream_is_pinned(experiment, seed):
 # -- bounded failure (recovery off) ------------------------------------------
 
 
-def _wedge_all_slots(system):
-    system.probes.attach_policy("fault.slot", policy.fixed("wedge"))
+def _wedge_all_slots(system, **recovery):
+    """Wedge every slot; the watchdog stays off unless ``recovery``
+    arms it."""
+    recovery.setdefault("watchdog_period_ns", 0.0)
+    FaultInjector(FaultPlan(slot_wedge=1.0, **recovery), system)
 
 
 class TestDrainTimeout:
     def test_wedged_slot_without_watchdog_raises_diagnostic(self):
         system = System(config=small_machine())
-        _wedge_all_slots(system)  # watchdog stays at its disabled default
+        _wedge_all_slots(system)
         system.drain_timeout_ns = 300_000.0
 
         def kern(ctx):
@@ -299,7 +304,7 @@ class TestDrainTimeout:
         system = System(config=small_machine())
         # Every worker dies at its first pickup; the watchdog that would
         # requeue the task and respawn the worker stays disabled.
-        system.probes.attach_policy("fault.worker", policy.fixed("kill"))
+        FaultInjector(FaultPlan(worker_kill=1.0, watchdog_period_ns=0.0), system)
         system.drain_timeout_ns = 300_000.0
 
         def kern(ctx):
@@ -313,9 +318,9 @@ class TestDrainTimeout:
 
     def test_watchdog_reclaims_wedged_slot_and_drain_completes(self):
         system = System(config=small_machine())
-        _wedge_all_slots(system)
-        system.genesys.watchdog_period_ns = 50_000.0
-        system.genesys.slot_timeout_ns = 100_000.0
+        _wedge_all_slots(
+            system, watchdog_period_ns=50_000.0, slot_timeout_ns=100_000.0
+        )
         system.drain_timeout_ns = 5_000_000.0
 
         def kern(ctx):
@@ -326,12 +331,10 @@ class TestDrainTimeout:
         assert check_invariants(system) == []
 
     def test_blocking_caller_sees_etimedout_status(self):
-        from repro.oskernel.errors import Errno
-
         system = System(config=small_machine())
-        _wedge_all_slots(system)
-        system.genesys.watchdog_period_ns = 50_000.0
-        system.genesys.slot_timeout_ns = 100_000.0
+        _wedge_all_slots(
+            system, watchdog_period_ns=50_000.0, slot_timeout_ns=100_000.0
+        )
         system.drain_timeout_ns = 5_000_000.0
         results = {}
 
@@ -345,15 +348,9 @@ class TestDrainTimeout:
     def test_check_stalled_requeues_and_respawns_after_kill(self):
         sim = Simulator()
         wq = WorkQueue(sim, small_machine(), num_workers=1, name="kworker-test")
-        killed = {"armed": True}
-
-        def kill_once(current, worker_id, task_index):
-            if killed["armed"]:
-                killed["armed"] = False
-                return "kill"
-            return None
-
-        wq.probes.attach_policy("fault.worker", kill_once)
+        # A FaultInjector stand-in whose first verdict kills the worker.
+        verdicts = iter([("kill", 0.0)])
+        wq.faults = SimpleNamespace(decide=lambda site: next(verdicts, None))
         done = []
 
         def task():
@@ -514,7 +511,7 @@ class TestFaultPlan:
         assert plan.irq_drop == 1.0
 
     # The first intensities whose per-field products pass 1 on some
-    # hook, and one whose division alone leaves a sum of 1 + 2**-52.
+    # site, and one whose division alone leaves a sum of 1 + 2**-52.
     @example(profile="udp-echo", factor=2.1)
     @example(profile="udp-echo", factor=2.511)
     @example(profile="fig2", factor=3.4)
@@ -540,6 +537,47 @@ class TestFaultPlan:
                     [product / sum(products) for product in products]
                 )
 
+    def test_injector_is_every_fault_sites_faults(self):
+        system = System(config=small_machine())
+        kernel = system.kernel
+        owners = (kernel.interrupts, kernel.workqueue, kernel.net, system.genesys)
+        assert all(owner.faults is None for owner in owners)
+        injector = FaultInjector(FaultPlan(), system)
+        assert all(owner.faults is injector for owner in owners)
+
+    @pytest.mark.parametrize("site", sorted(FAULT_TABLE))
+    def test_each_class_at_rate_one_answers_one_verdict_shape(self, site):
+        """``(verdict, value)``: the drawn delay, the drawn errno, or 0.0."""
+        ranges = {
+            "irq_delay_ns": (5.0, 5.0),
+            "worker_stall_ns": (6.0, 6.0),
+            "net_delay_ns": (7.0, 7.0),
+        }
+        for action, field, verdict, delay_field in FAULT_TABLE[site]:
+            plan = FaultPlan(errnos=(int(Errno.EAGAIN),), **{field: 1.0}, **ranges)
+            injector = FaultInjector(plan, System(config=small_machine()))
+            value = (
+                int(Errno.EAGAIN) if verdict == "errno"
+                else ranges[delay_field][0] if delay_field else 0.0
+            )
+            assert injector.decide(site) == (verdict, value)
+            assert injector.summary()["by_action"] == {action: 1}
+
+    def test_a_site_the_plan_leaves_at_zero_draws_nothing(self):
+        """Asking an unarmed site neither draws nor counts a decision,
+        so adding a fault class elsewhere leaves a stream's draws alone."""
+        injector = FaultInjector(
+            FaultPlan(seed=5, irq_drop=0.5), System(config=small_machine())
+        )
+        for site in ("worker", "slot", "errno", "net"):
+            assert injector.decide(site) is None
+        assert injector.decisions == 0
+        injector.decide("irq")
+        assert injector.decisions == 1
+        reference = DeterministicRandom(5)
+        reference.random()  # the one irq roll
+        assert injector.rng.random() == reference.random()
+
     def test_injector_respects_budget(self):
         plan = FaultPlan(
             seed=3,
@@ -560,9 +598,9 @@ class TestFaultPlan:
 
     def test_injector_writes_the_recovery_knobs(self):
         """A plan's recovery settings land in the /sys/genesys knobs,
-        and no hook carries them."""
+        and a plan with every rate at 0 consults no site."""
         system = System(config=small_machine())
-        FaultInjector(
+        injector = FaultInjector(
             FaultPlan(
                 watchdog_period_ns=40_000.0,
                 slot_timeout_ns=300_000.0,
@@ -574,7 +612,8 @@ class TestFaultPlan:
         assert read("/sys/genesys/watchdog_period_ns") == b"40000\n"
         assert read("/sys/genesys/slot_timeout_ns") == b"300000\n"
         assert read("/sys/genesys/worker_timeout_ns") == b"120000\n"
-        assert not any(hook.active for hook in system.probes.hooks.values())
+        assert all(injector.decide(site) is None for site in FAULT_TABLE)
+        assert injector.summary()["decisions"] == 0
 
     def test_zero_watchdog_leaves_the_knob(self):
         """A plan with the watchdog off writes no period: whatever the

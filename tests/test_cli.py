@@ -77,6 +77,13 @@ BAD_INPUT = [
     (["explore", "--scenario", "slot-commute", "--profile", "fig2"], "'slot-commute'"),
     (["chaos", "--experiments", "nope"], "'nope'"),
     (["chaos", "--seeds", "1,x"], "'1,x'"),
+    # a repeated cell key, or seed 0 (which replays seed 1's stream)
+    (["chaos", "--experiments", "fig2", "--seeds", "1:3,2", "--workers", "1"],
+     "2 repeated in '1:3,2'"),
+    (["chaos", "--experiments", "fig2,fig2", "--seeds", "1", "--workers", "1"],
+     "fig2 repeated in 'fig2,fig2'"),
+    (["chaos", "--experiments", "fig2", "--seeds", "0", "--workers", "1"],
+     "seed 0 in '0' reruns seed 1"),
     (["run", "fig2", "--attach", "metrics:0"], "'metrics:0'"),
     (["run", "fig2", "--attach", "bogus:thing"], "'bogus:thing'"),
     (["run", "fig2", "--attach", "hist:nope"], "'hist:nope'"),
@@ -87,9 +94,9 @@ BAD_INPUT = [
     (["explore", "--scenario", "fig2", "--no-dpor"], "--no-dpor"),
     (["explore", "--scenario", "fig2", "--no-shrink"], "--no-shrink"),
     (["corpus", "--entries=lost-wakeup"], "--entries"),
-    # a hook decides per call, and a value meant to hold is a knob
+    # no flag pins a decision: a value meant to hold is a knob, and a
+    # fault is a FaultPlan's
     (["run", "fig2", "--policy", "coalesce.window=1"], "--policy"),
-    # nor can a hook that remains be pinned from the command line
     (["run", "fig2", "--policy", "fault.errno=5"], "--policy"),
     # the corpus is too small to farm, with any number of workers
     (["corpus", "--workers", "4"], "--workers"),
@@ -211,7 +218,7 @@ def test_module_entry_point_exits_2_without_traceback():
     [
         ([], ("available experiments", "fig8")),
         (["experiments"], ("table2",)),
-        (["tracepoints"], ("syscall.complete", "genesys.retry")),
+        (["tracepoints"], ("syscall.complete", "fault.irq.injected")),
         (["profiles"], ("memcached",)),
         (["scenarios"], ("slot-commute",)),
     ],
@@ -221,6 +228,14 @@ def test_list(capsys, argv, expected):
     assert code == 0
     for text in expected:
         assert text in out
+
+
+def test_list_tracepoints_names_only_tracepoints(capsys):
+    code, out, _err = run_cli(capsys, "list", "tracepoints")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == sorted(
+        System().probes.tracepoints
+    )
 
 
 def test_run_one(capsys):
@@ -238,10 +253,12 @@ def test_run_writes_probe_snapshot(tmp_path, capsys):
     )
     assert code == 0
     document = json.loads(path.read_text())
-    assert document["schema"] == 3
+    assert document["schema"] == 4
     assert document["experiment"] == "fig2"
     assert "spans" not in document and "point" not in document
     (system,) = document["systems"]
+    # Probes only observe: a snapshot carries no decision counts.
+    assert set(system) == {"simulated_ns", "tracepoints", "programs"}
     assert sum(tp["hits"] for tp in system["tracepoints"].values()) > 0
     hubs = {program["label"]: program for program in system["programs"]}
     assert set(hubs) == {"counter:*", "rate:irq.raised:5000"}
@@ -398,7 +415,7 @@ def test_json_of_a_run_without_a_system(tmp_path, capsys):
     assert "classification of Linux system calls" in out and "metrics —" not in out
     assert "table2 built no System" in err
     assert json.loads(path.read_text()) == {
-        "schema": 3, "experiment": "table2", "systems": [],
+        "schema": 4, "experiment": "table2", "systems": [],
     }
 
 

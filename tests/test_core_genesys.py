@@ -272,3 +272,27 @@ class TestRetirePath:
         assert gsan.finish() == []
         assert gsan.defended_races == 1
 
+
+
+class TestRetryDecision:
+    """A blocking call retries exactly the transient errnos, under the
+    attempt cap."""
+
+    @pytest.mark.parametrize(
+        "result, attempt, retried",
+        [
+            (-int(Errno.EINTR), 0, True),
+            (-int(Errno.EAGAIN), 5, True),
+            (-int(Errno.EAGAIN), 6, False),  # the cap: max_syscall_retries
+            (-int(Errno.ENOMEM), 0, False),
+            (-int(Errno.EIO), 0, False),
+            (-int(Errno.ETIMEDOUT), 0, False),
+            (0, 0, False),
+            (int(Errno.EINTR), 0, False),  # a byte count, not an errno
+            ((b"reply", ("localhost", 1)), 0, False),
+        ],
+    )
+    def test_retries_only_transient_errnos(self, result, attempt, retried):
+        genesys = System(config=small_machine()).genesys
+        assert genesys.max_syscall_retries == 6
+        assert genesys.retry_decision(result, attempt) is retried

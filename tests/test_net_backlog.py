@@ -7,6 +7,7 @@ counted per socket and globally (surfaced via ``Network.stats()`` and
 queue depth after every enqueue.
 """
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.system import System
 
 
@@ -113,11 +114,7 @@ def test_faulted_duplicate_delivery_respects_bound():
     server = net.socket()
     net.bind(server, 5000)
     server.rx_capacity = 1
-
-    def dup_everything(current, dest, nbytes):
-        return "dup"
-
-    net.hook_fault.attach(dup_everything)
+    FaultInjector(FaultPlan(net_dup=1.0), system)
     _spray(system, ("localhost", 5000), 2)
     assert len(server.queue) == 1
     assert server.rx_dropped == 3  # 1 dup + 1 original + 1 dup of it

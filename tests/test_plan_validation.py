@@ -1,5 +1,6 @@
 """Every numeric field of a fault or QoS plan rejects NaN, infinity and
-values below its bound with a ValueError.
+values below its bound with a ValueError, and a fault plan refuses an
+errno no caller retries.
 
 A plan also arrives from outside the program: ``FaultPlan.from_dict``
 reads the certificates ``replay`` loads, and Python's ``json`` parses
@@ -14,6 +15,7 @@ import math
 import pytest
 
 from repro.faults import FaultPlan
+from repro.oskernel.errors import Errno
 from repro.qos import QosPlan
 
 NAN = math.nan
@@ -40,6 +42,8 @@ BAD_PLANS = (
         for field in ("irq_delay_ns", "worker_stall_ns", "net_delay_ns")
         for bad in ((NAN, NAN), (0.0, NAN), (-1.0, 5.0), (0.0, INF))
     ]
+    # Only an errno a GPU caller retries (EINTR, EAGAIN) may be injected.
+    + [(FaultPlan, "errnos", (int(Errno.EINTR), int(Errno.ENOMEM)))]
 )
 
 

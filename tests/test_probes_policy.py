@@ -1,66 +1,18 @@
-"""Tests for policy hooks: the chain contract, the shared-FIFO worker
-choice and LRU eviction that take no program, and the Figure 10
-sensitivity-point reproduction through the coalescing knobs written
-after the machine is built.  The knob table itself is covered by
-test_sysfs_knobs.py."""
+"""Decisions that take no program: the shared-FIFO worker choice and
+LRU eviction, and the Figure 10 sensitivity-point reproduction through
+the coalescing knobs written after the machine is built.  The knob
+table itself is covered by test_sysfs_knobs.py."""
 
 import pytest
 
 from repro.experiments.fig10_coalescing import COALESCE, READ_SIZES, latency_per_byte
 from repro.machine import MachineConfig, small_machine
 from repro.oskernel.workqueue import WorkQueue
-from repro.probes.policy import PolicyHook, fixed
 from repro.sim.engine import Simulator
 from repro.system import System
 
 
-class TestPolicyHook:
-    def test_inactive_by_default(self):
-        hook = PolicyHook("h")
-        assert hook.active is False
-
-    def test_none_keeps_default(self):
-        hook = PolicyHook("h")
-        hook.attach(lambda current: None)
-        assert hook.decide(42) == 42
-        assert hook.decisions == 1
-        assert hook.overrides == 0
-
-    def test_fixed_overrides_and_counts(self):
-        hook = PolicyHook("h")
-        hook.attach(fixed(7))
-        assert hook.decide(42) == 7
-        assert hook.overrides == 1
-
-    def test_chain_later_program_sees_earlier_choice(self):
-        hook = PolicyHook("h")
-        seen = []
-        hook.attach(fixed(10))
-        hook.attach(lambda current: seen.append(current) or current * 2)
-        assert hook.decide(1) == 20
-        assert seen == [10]
-
-    def test_override_to_same_value_not_counted(self):
-        hook = PolicyHook("h")
-        hook.attach(fixed(42))
-        assert hook.decide(42) == 42
-        assert hook.overrides == 0
-
-    def test_detach_last_deactivates(self):
-        hook = PolicyHook("h")
-        program = hook.attach(fixed(1))
-        hook.detach(program)
-        assert hook.active is False
-
-    def test_non_callable_rejected(self):
-        with pytest.raises(TypeError):
-            PolicyHook("h").attach(123)
-
-    def test_fixed_is_introspectable(self):
-        assert fixed(99).policy_value == 99
-
-
-# -- the decisions that are not hooks -------------------------------------
+# -- the fixed decisions -------------------------------------------------
 
 
 class TestFixedDecisions:

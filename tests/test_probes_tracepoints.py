@@ -83,17 +83,11 @@ class TestProbeRegistry:
         assert first is again
         assert again.args == ("x",)  # first declaration wins
 
-    def test_hook_declaration_is_idempotent(self):
-        reg = ProbeRegistry()
-        assert reg.hook("h") is reg.hook("h")
-
     def test_get_unknown_names_known_ones(self):
         reg = ProbeRegistry()
         reg.tracepoint("known.tp")
         with pytest.raises(KeyError, match="known.tp"):
             reg.get("nope")
-        with pytest.raises(KeyError):
-            reg.get_hook("nope")
 
     def test_match_star_prefix_and_exact(self):
         reg = ProbeRegistry()
@@ -120,26 +114,26 @@ class TestProbeRegistry:
         assert reg.programs == [hub]
 
     def test_detach_all_clears_everything(self):
+        from repro.metrics import MetricsHub, probe_specs
+
         reg = ProbeRegistry()
         tp = reg.tracepoint("t")
-        hook = reg.hook("h")
         reg.attach("t", lambda: None)
-        reg.attach_policy("h", lambda current: None)
+        MetricsHub(catalog=probe_specs(reg, "counter", "t")).install(reg)
         reg.detach_all()
         assert tp.enabled is False
-        assert hook.active is False
         assert reg.programs == []
 
     def test_now_without_simulator_is_zero(self):
         assert ProbeRegistry().now() == 0.0
 
-    def test_catalogue_lists_kind_args_doc(self):
+    def test_catalogue_lists_args_and_doc_by_name(self):
         reg = ProbeRegistry()
         reg.tracepoint("t", ("v",), "a tracepoint")
-        reg.hook("h", ("w",), "a hook")
+        reg.tracepoint("a", (), "declared second, listed first")
         cat = reg.catalogue()
-        assert cat["t"] == {"kind": "tracepoint", "args": ["v"], "doc": "a tracepoint"}
-        assert cat["h"] == {"kind": "hook", "args": ["w"], "doc": "a hook"}
+        assert list(cat) == ["a", "t"]
+        assert cat["t"] == {"args": ["v"], "doc": "a tracepoint"}
 
 
 class TestStreamRecorder:
@@ -226,26 +220,14 @@ class TestSystemCatalogue:
         "net.backlog",
         "dram.queue",
     }
-    #: Every hook: each is where some program decides per call.
-    EXPECTED_HOOKS = {
-        "fault.errno",
-        "fault.irq",
-        "fault.net",
-        "fault.slot",
-        "fault.worker",
-        "genesys.retry",
-    }
-
     def test_every_layer_declares_its_points(self):
         system = System(config=small_machine())
         assert self.EXPECTED_TRACEPOINTS <= set(system.probes.tracepoints)
-        assert set(system.probes.hooks) == self.EXPECTED_HOOKS
         assert len(system.probes.tracepoints) >= 15
 
     def test_all_start_detached(self):
         system = System(config=small_machine())
         assert not any(tp.enabled for tp in system.probes.tracepoints.values())
-        assert not any(h.active for h in system.probes.hooks.values())
 
 
 class TestGlobalPlan:
@@ -346,16 +328,14 @@ class TestGlobalPlan:
             clear_global_plan()
 
     def test_partial_plan_attaches_through_the_stack(self):
-        from repro.probes.policy import fixed
-
         plan = functools.partial(
-            ProbeRegistry.attach_policy, hook_name="fault.irq", program=fixed("drop")
+            ProbeRegistry.attach, name="irq.raised", observer=lambda payload: None
         )
         with attached(plan):
-            faulty = System(config=small_machine())
+            observed = System(config=small_machine())
         clean = System(config=small_machine())
-        assert faulty.probes.get_hook("fault.irq").programs == 1
-        assert clean.probes.get_hook("fault.irq").programs == 0
+        assert observed.probes.get("irq.raised").observers == 1
+        assert clean.probes.get("irq.raised").observers == 0
 
     def test_install_returns_plan_and_clear_empties_the_stack(self):
         seen = []

@@ -4,9 +4,9 @@ dup-on-full-backlog counter fix."""
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.oskernel.errors import Errno
 from repro.oskernel.net import Datagram
-from repro.probes import policy
 from repro.system import System
 
 
@@ -261,7 +261,9 @@ class TestSojournBudget:
         net = system.kernel.net
         server, client = self._pair(system)
         net.sojourn_budget_ns = 1_000.0
-        system.probes.attach_policy("fault.net", policy.fixed(("delay", 50_000.0)))
+        FaultInjector(
+            FaultPlan(net_delay=1.0, net_delay_ns=(50_000.0, 50_000.0)), system
+        )
         waits, got = [], []
         system.probes.attach(
             "net.sojourn", lambda sojourn_ns, sock_id: waits.append(sojourn_ns)
@@ -310,7 +312,7 @@ class TestDropAccounting:
         server = net.socket()
         net.bind(server, 5000)
         server.rx_capacity = 0  # everything drops at capacity
-        system.probes.attach_policy("fault.net", policy.fixed("dup"))
+        FaultInjector(FaultPlan(net_dup=1.0), system)
         _send(system, net.socket(), ("localhost", 5000), [_frame(0)])
         stats = net.stats()
         # Primary + duplicate both hit the full queue...

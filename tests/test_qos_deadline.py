@@ -7,10 +7,9 @@ import pytest
 
 from repro.core.coalescing import CoalescingConfig
 from repro.core.invocation import Granularity, Ordering, SyscallRequest
-from repro.faults.chaos import check_invariants
+from repro.faults import FaultInjector, FaultPlan, check_invariants
 from repro.machine import small_machine
 from repro.oskernel.errors import Errno
-from repro.probes import policy
 from repro.sanitizers.gsan import GSan
 from repro.system import System
 
@@ -210,8 +209,9 @@ class TestWatchdogDeadline:
 
     def _wedged_system(self):
         system = System(config=small_machine())
-        system.probes.attach_policy("fault.slot", policy.fixed("wedge"))
-        system.genesys.watchdog_period_ns = 50_000.0
+        FaultInjector(
+            FaultPlan(slot_wedge=1.0, watchdog_period_ns=50_000.0), system
+        )
         system.drain_timeout_ns = 5_000_000.0
         return system
 

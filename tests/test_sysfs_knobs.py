@@ -11,10 +11,10 @@ import pytest
 
 from repro.core.coalescing import CoalescingConfig
 from repro.core.genesys import SYSFS_KNOBS
+from repro.faults import FaultInjector, FaultPlan
 from repro.machine import small_machine
 from repro.oskernel.errors import Errno, OsError
 from repro.oskernel.fs import O_RDWR
-from repro.probes import policy
 from repro.system import System
 
 
@@ -67,8 +67,11 @@ def bad_writes():
     cases = []
     for name, kind, lo, hi, _ in SYSFS_KNOBS:
         # b"" is an empty write (``echo -n > knob``); b"inf" parses as a
-        # float but no knob is unbounded.
-        payloads = [b"not-a-number", b"nan", b"", b"inf", b"-1", b"%d" % (lo - 1)]
+        # float but no knob is unbounded; b"1_000" parses in Python but
+        # not in a kernel store (``kstrtoul``).
+        payloads = [
+            b"not-a-number", b"nan", b"", b"inf", b"1_000", b"-1", b"%d" % (lo - 1)
+        ]
         payloads.append(b"1e18" if kind is float else b"%d" % (hi + 1))
         if kind is int:
             payloads.append(b"2.5")
@@ -217,7 +220,7 @@ class TestKnobSideEffects:
         timeout then reclaims the slot."""
         system = make_system()
         genesys = system.genesys
-        system.probes.attach_policy("fault.slot", policy.fixed("wedge"))
+        FaultInjector(FaultPlan(slot_wedge=1.0, watchdog_period_ns=0.0), system)
         write_sysfs(system, "/sys/genesys/slot_timeout_ns", b"100000")
         results = {}
         armed = []
