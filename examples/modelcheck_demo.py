@@ -34,7 +34,8 @@ def main():
     assert BUG.expected_rule not in fifo["rules"]
     print(
         f"{BUG.name}: FIFO run finished with {fifo['events']} events, "
-        f"{fifo['pops']} pops, 0 violations — single-schedule GSan is blind"
+        f"{len(fifo['decisions'])} contested pops, 0 violations — "
+        f"single-schedule GSan is blind"
     )
 
     print()

@@ -906,7 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, type=_one_of("scenario", scenario_names()))
     p.add_argument("--profile", type=_one_of("fault profile", list(PROFILES)),
                    help="chaos fault profile")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=POSITIVE_INT, default=1,
+                   help="fault-plan seed (0 would rerun seed 1)")
     p.add_argument("--schedules", type=POSITIVE_INT, default=256, help="run budget")
     p.add_argument("--depth", type=NON_NEGATIVE_INT, default=12,
                    help="branchable decisions")

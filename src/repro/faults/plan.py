@@ -134,6 +134,9 @@ class FaultPlan:
         # Each check is written so that NaN fails it.
         if not isinstance(self.seed, int):
             raise ValueError(f"seed={self.seed!r} is not an integer")
+        if self.seed < 1:
+            # DeterministicRandom(0) starts from seed 1's state.
+            raise ValueError(f"seed={self.seed!r} must be at least 1")
         for field in _RATE_FIELDS:
             rate = getattr(self, field)
             if not 0.0 <= rate <= 1.0:

@@ -9,7 +9,9 @@ that gap with stateless model checking in the Verisoft/CHESS style:
 
 * the engine's :attr:`~repro.sim.engine.Simulator.tie_break` hook makes
   the schedule controllable without perturbing the default (FIFO stays
-  bit-identical across the whole experiment suite);
+  bit-identical across the whole experiment suite), and a guided run
+  hands the rest of its pops back to the plain path once its policy has
+  nothing left to choose, record or enforce;
 * the explorer (:mod:`repro.modelcheck.explore`) enumerates tie-break
   choices up to depth/preemption bounds, pruning commuting reorderings
   with sleep-set DPOR driven by GSan's own happens-before scope

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.modelcheck.explore import run_schedule
 from repro.modelcheck.scenarios import build_scenario, scenario_names
+from repro.modelcheck.schedule import ScheduleError
 
 __all__ = [
     "CERT_FORMAT",
@@ -58,7 +59,7 @@ def make_certificate(
     choices: Iterable[Sequence[int]],
     plan: Optional[dict] = None,
     profile: Optional[str] = None,
-    seed: int = 0,
+    seed: int = 1,
     rules: Optional[Dict[str, int]] = None,
     violations: Optional[List[str]] = None,
 ) -> dict:
@@ -113,7 +114,7 @@ def load_certificate(path: str) -> dict:
         )
     if plan is not None and not isinstance(plan, dict):
         raise ValueError(f"{path}: plan must be a FaultPlan document, not {plan!r}")
-    if type(cert.get("seed", 0)) is not int:
+    if type(cert.get("seed", 1)) is not int:
         raise ValueError(f"{path}: seed must be an integer, not {cert['seed']!r}")
     try:
         build_scenario(scenario, plan=plan)
@@ -129,7 +130,9 @@ def replay(cert: Union[dict, str]) -> dict:
     by the choice map (no sleep sets), so two replays of one
     certificate produce byte-identical tracepoint streams — the
     determinism contract ``tests/test_modelcheck_determinism.py``
-    asserts.
+    asserts.  A choice the run never offers (a rank out of range, or a
+    decision that never comes) raises
+    :class:`~repro.modelcheck.schedule.ScheduleError`.
     """
     if isinstance(cert, str):
         cert = load_certificate(cert)
@@ -137,7 +140,7 @@ def replay(cert: Union[dict, str]) -> dict:
         cert["scenario"],
         densify(cert["choices"]),
         plan=cert.get("plan"),
-        seed=int(cert.get("seed", 0)),
+        seed=int(cert.get("seed", 1)),
     )
 
 
@@ -146,21 +149,29 @@ def shrink(
     choices: Iterable[Sequence[int]],
     must_hit: Iterable[str],
     plan: Optional[dict] = None,
-    seed: int = 0,
+    seed: int = 1,
 ) -> Tuple[Choices, int]:
     """Greedy 1-minimal shrink: drop choices while the bug reproduces.
 
     A candidate reproduces when a fresh guided run still hits at least
-    one of the ``must_hit`` GSan rules.  Returns the shrunk choice map
-    (1-minimal: removing any single remaining choice loses the bug)
-    and the number of reduction runs spent.
+    one of the ``must_hit`` GSan rules.  Dropping a choice can shift the
+    decisions after it, so a candidate whose remaining choices no longer
+    fit the run (:class:`~repro.modelcheck.schedule.ScheduleError`)
+    does not reproduce.  Returns the shrunk choice map (1-minimal:
+    removing any single remaining choice loses the bug) and the number
+    of reduction runs spent.
     """
     target = set(must_hit)
     if not target:
         raise ValueError("shrink needs at least one rule to preserve")
 
     def reproduces(candidate: Choices) -> bool:
-        result = run_schedule(scenario, candidate, plan=plan, seed=seed)
+        try:
+            result = run_schedule(
+                scenario, candidate, plan=plan, seed=seed, record_limit=0
+            )
+        except ScheduleError:
+            return False
         return not result["blocked"] and any(
             rule in result["rules"] for rule in target
         )
@@ -191,7 +202,7 @@ def certify(
     must_hit: Iterable[str],
     plan: Optional[dict] = None,
     profile: Optional[str] = None,
-    seed: int = 0,
+    seed: int = 1,
 ) -> Tuple[dict, int]:
     """Certify one find: shrink it, replay it, record the replay.
 
@@ -205,7 +216,7 @@ def certify(
     target = set(must_hit)
     if current and target:
         current, attempts = shrink(scenario, current, target, plan=plan, seed=seed)
-    replayed = run_schedule(scenario, current, plan=plan, seed=seed)
+    replayed = run_schedule(scenario, current, plan=plan, seed=seed, record_limit=0)
     cert = make_certificate(
         scenario,
         current,

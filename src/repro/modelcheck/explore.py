@@ -35,7 +35,13 @@ Every schedule is judged by the one checked-run cell
 (``liveness:``, ``safety:`` or ``crash:``), GSan's verdict and the
 scenario audit (chaos invariants / deadlock checks), the same oracle a
 chaos cell and a corpus entry get.  A choice map that does not fit its
-run raises :class:`~repro.modelcheck.schedule.ScheduleError`.
+run (a rank out of range, or a decision the run never reaches) raises
+:class:`~repro.modelcheck.schedule.ScheduleError`.
+
+A run records only the decisions its caller reads: ``explore`` the
+first ``max_depth``, the ones it may branch on.  Past its last guided
+choice and its last record, with an empty sleep set, the policy steps
+aside and the run finishes on the engine's own pop path.
 """
 
 from __future__ import annotations
@@ -114,15 +120,15 @@ def run_schedule(
     sleep: Optional[SleepWire] = None,
     profile: Optional[str] = None,
     plan: Union[FaultPlan, dict, None] = None,
-    seed: int = 0,
+    seed: int = 1,
     record_limit: int = 64,
 ) -> dict:
     """One guided run of ``scenario``; returns a plain (picklable) dict.
 
     The result carries the cell's verdict (``violations``, ``rules``,
-    ``ok``) and the recorded ``decisions`` the explorer branches on.
-    ``blocked`` runs were pruned by a sleep set: their oracle is
-    skipped (the schedule is redundant, not buggy).
+    ``ok``) and the first ``record_limit`` ``decisions``, which the
+    explorer branches on.  ``blocked`` runs were pruned by a sleep set:
+    their oracle is skipped (the schedule is redundant, not buggy).
     """
     built = build_scenario(scenario, profile=profile, plan=plan, seed=seed).build()
     collector = EffectCollector().install(built.registry)
@@ -138,7 +144,7 @@ def run_schedule(
         record_limit=record_limit,
     )
     verdict = run_cell(built, tie_break=policy)
-    policy.finalize()
+    policy.finalize(blocked=verdict.blocked)
     return {
         "choices": tuple((int(d), int(r)) for d, r in choices),
         "blocked": verdict.blocked,
@@ -146,7 +152,6 @@ def run_schedule(
         "violations": verdict.violations,
         "rules": verdict.rules,
         "events": verdict.sanitizer.events,
-        "pops": policy.pops,
         "decisions": [
             {
                 "index": decision.index,
@@ -197,10 +202,9 @@ def explore(
     scenario: str,
     profile: Optional[str] = None,
     plan: Union[FaultPlan, dict, None] = None,
-    seed: int = 0,
+    seed: int = 1,
     bounds: Bounds = Bounds(),
     workers: int = 1,
-    record_limit: int = 64,
 ) -> ExploreReport:
     """Walk the schedule space of ``scenario`` within ``bounds``."""
     if isinstance(plan, FaultPlan):
@@ -210,7 +214,7 @@ def explore(
         "profile": profile,
         "plan": plan,
         "seed": seed,
-        "record_limit": record_limit,
+        "record_limit": bounds.max_depth,
     }
     pruned_children = [0]
 
@@ -224,8 +228,6 @@ def explore(
             index = record["index"]
             if index <= guided_max:
                 continue  # an ancestor already branched here
-            if index >= bounds.max_depth:
-                break
             sleep_at = {
                 seq: wire for seq, wire in record["sleep_at"]
             }

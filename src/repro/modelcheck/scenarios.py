@@ -190,7 +190,7 @@ def slot_rig() -> Tuple[Simulator, ProbeRegistry, SyscallArea]:
 def resolve_plan(
     profile: Optional[str] = None,
     plan: Union[FaultPlan, dict, None] = None,
-    seed: int = 0,
+    seed: int = 1,
 ) -> Optional[FaultPlan]:
     """The fault plan a scenario runs under, if any.
 
@@ -294,7 +294,7 @@ def build_scenario(
     name: str,
     profile: Optional[str] = None,
     plan: Union[FaultPlan, dict, None] = None,
-    seed: int = 0,
+    seed: int = 1,
 ) -> Scenario:
     """Resolve a scenario by name: a chaos workload, a corpus bug, or a
     micro structure scenario."""

@@ -40,13 +40,23 @@ Sleep sets ride on this: a sleeping entry (one whose schedule was
 already covered by a sibling branch) is woken when a dependent step
 executes; a run asked to *execute* a sleeping entry is redundant by
 construction and aborts with :class:`SleepBlocked`.
+
+Stepping aside
+--------------
+A guided policy with nothing left to do (no guided choice ahead, every
+decision its caller asked for recorded and its footprint closed, an
+empty sleep set) would pop the first live entry at every remaining tie:
+FIFO order up to inert entries, which the engine's plain ``heappop``
+gives at no cost.  So it uninstalls itself (``sim.tie_break = None``)
+and detaches its :class:`EffectCollector`'s taps, and the rest of the
+run pays nothing for exploration.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from repro.probes.tracepoints import ProbeRegistry
+from repro.probes.tracepoints import ProbeRegistry, Tracepoint
 from repro.sanitizers.gsan import SCOPE_NEUTRAL, event_scopes
 from repro.sim.engine import HeapEntry, Simulator, is_live
 
@@ -168,19 +178,30 @@ class EffectCollector:
     """Accumulates the protocol-scope footprint of the current step.
 
     Attach to every tracepoint of a registry; the tie-break policy
-    drains it at each pop boundary to classify the step that just ran.
-    Attaching is a pure observation — same guarantee as GSan.
+    drains it at each pop boundary to classify the step that just ran,
+    and detaches it once no footprint is wanted.  Attaching is a pure
+    observation — same guarantee as GSan.
     """
 
     def __init__(self) -> None:
         self._scopes: set = set()
         self._unscoped = False
         self._step_fired = False
+        self._taps: List[Tuple[Tracepoint, _EffectTap]] = []
 
     def install(self, registry: ProbeRegistry) -> "EffectCollector":
-        for name in registry.tracepoints:
-            registry.attach(name, _EffectTap(self, name))
+        for name, tp in registry.tracepoints.items():
+            tap = _EffectTap(self, name)
+            tp.attach(tap)
+            self._taps.append((tp, tap))
         return self
+
+    def detach(self) -> None:
+        """Remove this collector's taps, and only them: every other
+        observer keeps its place and its events."""
+        for tp, tap in self._taps:
+            tp.detach(tap)
+        self._taps.clear()
 
     def note(self, name: str, values: Tuple) -> None:
         self._step_fired = True
@@ -243,6 +264,10 @@ class GuidedTieBreak:
     been put to sleep; enforcing (or waking) them during the prefix
     would be wrong in both directions, so the set lies dormant until
     the branch decision has been taken.
+
+    The first ``record_limit`` decisions are recorded.  Once the policy
+    is past its last guided choice and its last record, and its sleep
+    set is empty, it steps aside (see the module docstring).
     """
 
     def __init__(
@@ -257,9 +282,11 @@ class GuidedTieBreak:
         self.sleep: Dict[int, Effects] = dict(sleep or {})
         self.decisions: List[Decision] = []
         self.record_limit = record_limit
-        self.pops = 0
         self._collector = collector
         self._index = 0
+        #: The decision index from which nothing is left to choose or
+        #: record: the policy steps aside there once the sleep set is empty.
+        self._done_at = max(record_limit, max(self.choices, default=-1) + 1)
         self._sleep_active = sleep_from is None
         self._sleep_from = sleep_from
         self._last_inert: Optional[bool] = None  # kind of the running step
@@ -297,15 +324,33 @@ class GuidedTieBreak:
                 ]:
                     del self.sleep[seq]
 
-    def finalize(self) -> None:
-        """Account for the final step once the run has drained."""
+    def finalize(self, blocked: bool = False) -> None:
+        """Account for the final step once the run has ended.
+
+        A run that a sleep set did not cut short must have reached every
+        guided choice; one it never reached is a choice map that does
+        not fit the run, so it raises :class:`ScheduleError`.
+        """
         self._close_step()
+        ahead = [index for index in self.choices if index >= self._index]
+        if ahead and not blocked:
+            raise ScheduleError(
+                f"decision {min(ahead)} never came: the run had "
+                f"{self._index} contested pops"
+            )
 
     # -- the policy ------------------------------------------------------
 
     def __call__(self, sim: Simulator, ready: List[HeapEntry]) -> int:
         self._close_step()
-        self.pops += 1
+        if self._index >= self._done_at and not self.sleep:
+            # Nothing left to choose, record or enforce: the first entry
+            # is FIFO order up to inert entries, and so is every pop of
+            # the engine's own path from here on.
+            sim.tie_break = None
+            if self._collector is not None:
+                self._collector.detach()
+            return 0
         actionable = [
             index for index, entry in enumerate(ready) if is_live(entry)
         ]

@@ -361,11 +361,16 @@ class GSan:
             if agent not in self.clocks:
                 agent = "cpu"
         self.clocks[agent] += 1
-        entry = (t, name, self._fmt_args(values), agent, False)
-        for scope in self._scopes(name, values):
-            self._timelines.setdefault(
-                scope, deque(maxlen=self.max_timeline)
-            ).append(entry)
+        # Every fired value is immutable, so keeping the raw arguments
+        # and formatting them only when a violation is flagged renders
+        # exactly what formatting them now would.
+        entry = (t, name, values, agent)
+        timelines = self._timelines
+        for scope in event_scopes(name, values):
+            timeline = timelines.get(scope)
+            if timeline is None:
+                timeline = timelines[scope] = deque(maxlen=self.max_timeline)
+            timeline.append(entry)
         handler = self._handlers.get(name)
         if handler is not None:
             handler(t, agent, values)
@@ -380,13 +385,13 @@ class GSan:
             parts.append(text)
         return ", ".join(parts)
 
-    @staticmethod
-    def _scopes(name: str, values: Tuple) -> List[str]:
-        return event_scopes(name, values)
-
     def _flag(self, rule: str, scope: str, t: float, message: str) -> None:
-        """Record one violation, marking the newest scoped event."""
-        timeline = list(self._timelines.get(scope, ()))
+        """Record one violation, rendering the scope's timeline with the
+        newest event marked as the offender."""
+        timeline = [
+            (t_ev, name, self._fmt_args(values), agent, False)
+            for t_ev, name, values, agent in self._timelines.get(scope, ())
+        ]
         if timeline:
             t_ev, name, args, agent, _ = timeline[-1]
             timeline[-1] = (t_ev, name, args, agent, True)

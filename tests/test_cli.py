@@ -75,6 +75,8 @@ BAD_INPUT = [
     (["explore", "--scenario", "nope"], "'nope'"),
     (["explore", "--scenario", "fig2", "--schedules", "0"], "'0'"),
     (["explore", "--scenario", "slot-commute", "--profile", "fig2"], "'slot-commute'"),
+    # seed 0 would explore seed 1's fault plan under another name
+    (["explore", "--scenario", "fig2", "--profile", "fig2", "--seed", "0"], "'0'"),
     (["chaos", "--experiments", "nope"], "'nope'"),
     (["chaos", "--seeds", "1,x"], "'1,x'"),
     # a repeated cell key, or seed 0 (which replays seed 1's stream)
@@ -168,6 +170,9 @@ BAD_CERTIFICATES = [
     ({"scenario": "fig2", "plan": {"irq_drop": 5.0}}, "irq_drop=5.0"),
     ({"plan": {"seed": 1}}, "takes no fault plan"),
     ({"seed": "1"}, "seed must be an integer"),
+    ({"scenario": "fig2", "plan": {"seed": 0}}, "seed=0"),
+    # a choice the run never reaches is a misfit, not a clean replay
+    ({"choices": [[5000, 1]]}, "decision 5000 never came"),
 ]
 
 

@@ -1,18 +1,21 @@
 """repro.modelcheck: the controllable scheduler and the explorer.
 
-Four contracts: (1) the engine's tie-break hook is neutral by default
+Five contracts: (1) the engine's tie-break hook is neutral by default
 and fully controllable when driven; (2) the guided policy counts
-decisions only at real choice points and replays choice maps exactly;
-(3) the explorer's DPOR pruning is sound (same violations as
-exhaustive, never more runs) and its coverage is worker-count- and
-budget-order-independent; (4) certificates round-trip, replay, and
-shrink to 1-minimal counterexamples.
+decisions only at real choice points, replays choice maps exactly and
+refuses one that does not fit its run; (3) it steps aside once it has
+nothing left to choose, record or enforce, taking only its own
+collector's taps with it; (4) the explorer's DPOR pruning is sound
+(same violations as exhaustive, never more runs) and its coverage is
+worker-count- and budget-order-independent; (5) certificates
+round-trip, replay, and shrink to 1-minimal counterexamples.
 """
 
 import json
 
 import pytest
 
+from repro.modelcheck import certificate
 from repro.modelcheck.certificate import (
     densify,
     load_certificate,
@@ -33,6 +36,7 @@ from repro.modelcheck.schedule import (
     effects_to_wire,
     independent,
 )
+from repro.probes.tracepoints import StreamRecorder
 from repro.sim.engine import SimulationError, Simulator
 
 CORPUS_SCENARIOS = (
@@ -96,6 +100,21 @@ class TestGuidedPolicy:
         with pytest.raises(ScheduleError, match="decision 0"):
             tied_run(GuidedTieBreak(choices={0: 7}))
 
+    def test_unreached_choice_raises_schedule_error(self):
+        policy = GuidedTieBreak(choices={2: 1})
+        tied_run(policy)
+        with pytest.raises(
+            ScheduleError, match="decision 2 never came: the run had 2 contested pops"
+        ):
+            policy.finalize()
+        with pytest.raises(ScheduleError, match="decision 5000 never came"):
+            run_schedule("fig2", ((5000, 1),))
+
+    def test_a_sleep_blocked_run_may_stop_before_its_choices(self):
+        policy = GuidedTieBreak(choices={2: 1})
+        tied_run(policy)
+        policy.finalize(blocked=True)  # pruned, not a misfit
+
     def test_decisions_counted_only_at_contested_pops(self):
         policy = GuidedTieBreak()
         tied_run(policy)
@@ -115,6 +134,74 @@ class TestGuidedPolicy:
         sim.run()
         assert order == ["live"]
         assert policy.decisions == []
+
+
+def installed_at_each_step(policy):
+    """``tied_run``'s heap under ``policy``: the order the callbacks ran
+    in, whether the policy was installed as each ran, and the final
+    ``sim.tie_break``."""
+    sim = Simulator()
+    sim.tie_break = policy
+    order, installed = [], []
+
+    def step(tag):
+        order.append(tag)
+        installed.append(sim.tie_break is policy)
+
+    for tag in "abc":
+        sim.call_later(10, lambda tag=tag: step(tag))
+    sim.call_later(20, lambda: step("late"))
+    sim.run()
+    return order, installed, sim.tie_break
+
+
+class TestSteppingAside:
+    def test_steps_aside_once_nothing_is_left(self):
+        order, installed, after = installed_at_each_step(
+            GuidedTieBreak(record_limit=0)
+        )
+        assert order == ["a", "b", "c", "late"]
+        assert installed == [False] * 4
+        assert after is None
+
+    def test_stays_installed_while_a_choice_lies_ahead(self):
+        policy = GuidedTieBreak(choices={1: 1}, record_limit=0)
+        order, installed, after = installed_at_each_step(policy)
+        # Decisions 0 and 1 are the 3-way and 2-way ties; the rest of
+        # the run is FIFO on the engine's own path.
+        assert order == ["a", "c", "b", "late"]
+        assert installed == [True, True, False, False]
+        assert after is None
+
+    def test_stays_installed_while_records_are_wanted(self):
+        policy = GuidedTieBreak(record_limit=1)
+        _order, installed, after = installed_at_each_step(policy)
+        assert installed == [True, False, False, False]
+        assert after is None and len(policy.decisions) == 1
+
+    def test_stays_installed_while_the_sleep_set_is_not_empty(self):
+        policy = GuidedTieBreak(sleep={999: PURE}, record_limit=0)
+        _order, installed, after = installed_at_each_step(policy)
+        assert installed == [True] * 4
+        assert after is policy
+
+    def test_detach_takes_only_the_collectors_taps(self):
+        built = build_scenario("fig2", profile="fig2", seed=3).build()
+        recorder = StreamRecorder(built.registry).attach("*")
+        tracepoints = built.registry.tracepoints.values()
+        alone = [tp.observers for tp in tracepoints]
+        collector = EffectCollector().install(built.registry)
+        built.sim.tie_break = GuidedTieBreak(collector=collector, record_limit=0)
+        built.body()
+        assert built.sim.tie_break is None
+        assert [tp.observers for tp in tracepoints] == alone
+        # The recorder, attached first, kept every event after the
+        # collector left (at the first pop): the run is the bare one.
+        bare = build_scenario("fig2", profile="fig2", seed=3).build()
+        bare_recorder = StreamRecorder(bare.registry).attach("*")
+        bare.body()
+        assert recorder.events == bare_recorder.events
+        assert recorder.events, "the recorder saw nothing"
 
 
 class TestEffects:
@@ -272,6 +359,26 @@ class TestCertificates:
             assert "protocol-error" not in result["rules"], (
                 f"shrink left a removable choice at {index}"
             )
+
+    def test_shrink_skips_a_candidate_whose_choices_no_longer_fit(
+        self, monkeypatch
+    ):
+        # Dropping an earlier choice can shift later decisions until a
+        # remaining rank no longer fits: that candidate does not
+        # reproduce, and shrinking goes on.
+        choices = densify(self.violating_choices())
+        guided = certificate.run_schedule
+
+        def misfit_without_choices(scenario, candidate, **kwargs):
+            if not candidate:
+                raise ScheduleError("decision 0: choice map wants rank 1")
+            return guided(scenario, candidate, **kwargs)
+
+        monkeypatch.setattr(certificate, "run_schedule", misfit_without_choices)
+        shrunk, _attempts = shrink(
+            "ready-publish-race", choices, {"protocol-error"}
+        )
+        assert shrunk
 
     def test_shrink_refuses_non_reproducing_schedules(self):
         with pytest.raises(ValueError, match="does not reproduce"):

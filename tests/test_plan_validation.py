@@ -33,9 +33,11 @@ BAD_PLANS = (
         (plan, field, bad)
         for plan in (FaultPlan, QosPlan)
         for field in numeric_fields(plan)
-        # Any integer is a seed, a negative one included.
-        for bad in ((NAN, INF) if field == "seed" else (NAN, -1, INF))
+        for bad in (NAN, -1, INF)
     ]
+    # DeterministicRandom(0) starts from seed 1's state: a fault plan's
+    # seed is at least 1.
+    + [(FaultPlan, "seed", 0)]
     + [(FaultPlan, "max_faults", bad) for bad in (NAN, -1, INF)]
     + [
         (FaultPlan, field, bad)

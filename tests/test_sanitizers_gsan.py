@@ -4,12 +4,26 @@ Covers the three contracts separately: (1) attached to a live system
 it sees the protocol and stays clean (suite-wide byte-identity and zero
 violations are rows of ``tests/test_observer_neutrality.py``); (2) fed replayed streams it flags each protocol/ordering
 bug class; (3) its reporting surface (timelines, snapshot, plan
-aggregation) holds its shape.
+aggregation) holds its shape.  Timelines keep each event's raw
+arguments and format them only when a violation is flagged, which
+renders what formatting them at once would because every value fired
+to GSan is immutable; that condition is checked on every scenario.
 """
+
+import enum
+
+import pytest
 
 from repro import experiments
 from repro.core.invocation import Granularity
 from repro.machine import small_machine
+from repro.modelcheck.corpus import CORPUS
+from repro.modelcheck.scenarios import (
+    EXPERIMENTS,
+    build_scenario,
+    run_cell,
+    scenario_names,
+)
 from repro.probes.tracepoints import attached
 from repro.sanitizers.gsan import (
     AGENTS,
@@ -177,6 +191,26 @@ class TestReportingSurface:
         assert "timeline (slot:0)" in text
         assert "clocks:" in text
 
+    def test_corpus_row_renders_its_timeline(self):
+        # The args column is rendered at flag time: reprs, each cut to
+        # 48 characters, exactly as when it was rendered per event.
+        (bug,) = [bug for bug in CORPUS if bug.name == "wrong-agent"]
+        verdict = run_cell(bug.build())
+        assert verdict.violations[1] == "\n".join([
+            "GSan violation [wrong-agent] at t=0ns (slot:0): slot 0: "
+            "transition ready -> processing belongs to the CPU, not GPU "
+            "(op=start_processing, actor=gpu)",
+            "  clocks: gpu=3 cpu=0 watchdog=0",
+            "  timeline (slot:0):",
+            "     t=0            slot.transition(0, 'free', 'populating', "
+            "'gpu') [gpu]",
+            "     t=0            slot.transition(0, 'populating', 'ready', "
+            "'gpu') [gpu]",
+            "  -> t=0            slot.protocol_error(0, 'start_processing', "
+            "'gpu', 'slot 0: transition ready -> processing belon...) [gpu]"
+            "   << VIOLATION",
+        ])
+
     def test_report_clean_and_dirty_forms(self):
         clean = GSan()
         assert "0 violations" in clean.report()
@@ -205,3 +239,30 @@ class TestReportingSurface:
         assert len(plan.sanitizers) >= 1
         assert plan.events == sum(s.events for s in plan.sanitizers)
         assert plan.finish() == []
+
+
+def _immutable(value):
+    if value is None or isinstance(value, (bool, int, float, str, enum.Enum)):
+        return True
+    return isinstance(value, tuple) and all(_immutable(item) for item in value)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_value_fired_to_gsan_is_immutable(monkeypatch, name):
+    """Chaos workloads under their own profile, micro scenarios and
+    corpus rows: GSan may keep the values it is fed and render them
+    later only if none of them can change in between."""
+    fed = []
+    feed = GSan.feed
+
+    def checked(self, tracepoint, t, *values):
+        fed.extend((tracepoint, value) for value in values)
+        return feed(self, tracepoint, t, *values)
+
+    monkeypatch.setattr(GSan, "feed", checked)
+    profile = name if name in EXPERIMENTS else None
+    run_cell(build_scenario(name, profile=profile).build())
+    mutable = [(tracepoint, value) for tracepoint, value in fed if not _immutable(value)]
+    assert not mutable, mutable[:5]
+    if name != "udp-echo":  # no GPU syscall path, so nothing to feed
+        assert fed, f"{name}: GSan was fed nothing"
