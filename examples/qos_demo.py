@@ -78,7 +78,7 @@ def act2_overload():
     describe("qos", planned)
     qos = planned["qos"]
     print(f"qos summary: net drops {qos['net_drops']}, "
-          f"fast-fail rejects {qos['policy_rejects']}")
+          f"fast-fail rejects {qos['reject_frames']}")
     if planned["achieved_rps"] > bare["achieved_rps"]:
         gain = planned["achieved_rps"] / max(bare["achieved_rps"], 1.0)
         print(f"-> the plan holds {gain:.1f}x the bare goodput at 2x the knee")

@@ -270,14 +270,6 @@ def fraction(category: Category) -> float:
     return count_by_category()[category] / total_syscalls()
 
 
-def by_group(category: Optional[Category] = None) -> Dict[Group, List[SyscallClass]]:
-    out: Dict[Group, List[SyscallClass]] = {group: [] for group in Group}
-    for entry in SYSCALL_TABLE:
-        if category is None or entry.category is category:
-            out[entry.group].append(entry)
-    return out
-
-
 def table2_rows() -> List[Dict[str, Optional[str]]]:
     """The paper's Table II: example non-implementable calls + reasons."""
     rows: List[Dict[str, Optional[str]]] = []

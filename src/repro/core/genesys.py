@@ -109,6 +109,11 @@ class OrderingError(GenesysError):
     """
 
 
+def _closed(*_args: Any) -> None:
+    """What :meth:`Genesys.close` leaves in each hook it had filled."""
+    raise GenesysError("GENESYS was called on a closed machine")
+
+
 class Genesys:
     def __init__(
         self,
@@ -269,6 +274,20 @@ class Genesys:
         gpu.workitem_binder = self._bind_workitem
         linux.interrupts.register_handler(self._bottom_half)
         self._register_sysfs()
+
+    def close(self) -> None:
+        """Unhook the runtime from the components it hooked into: the
+        GPU's work-item binder, the interrupt handler, the coalescer's
+        flush and every slot's callbacks each hold a bound method of the
+        runtime or its area, so each is a reference cycle through it.
+
+        Counters and :meth:`stats` stay readable; a closed runtime
+        refuses work (:meth:`repro.system.System.close` calls this).
+        """
+        self.gpu.workitem_binder = _closed
+        self.linux.interrupts.register_handler(_closed)
+        self.coalescer.flush_fn = _closed
+        self.area.close()
 
     def _register_sysfs(self) -> None:
         """Bind every :data:`SYSFS_KNOBS` row as a readable, writable

@@ -327,16 +327,17 @@ class SyscallArea:
         if self.tp_occupancy.enabled:
             self.tp_occupancy.fire(self.occupied, self.num_slots)
 
+    def close(self) -> None:
+        """Drop every slot's callbacks into this area, each a reference
+        cycle through it; the counters stay readable."""
+        for _index, slot in self._materialized:
+            slot.on_occupancy = slot.on_protocol_error = None
+
     def materialized(self) -> List[Slot]:
         """Slots that have ever been touched, in index order
         (never-materialised ones are indistinguishable from FREE, so
         watchdog sweeps and invariant checks need only these)."""
         return [slot for _index, slot in self._materialized]
-
-    @property
-    def total_bytes(self) -> int:
-        """Reserved footprint (the paper reports 1.25 MB for its GPU)."""
-        return self.num_slots * SLOT_BYTES
 
     def slot_for(self, hw_wavefront_id: int, lane: int) -> Slot:
         """One work-item's slot, built on first use."""

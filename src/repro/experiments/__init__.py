@@ -9,10 +9,11 @@ prints the paper-style tables.
 
 from __future__ import annotations
 
-import gc
 import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
+
+from repro.workloads.base import holding_inputs
 
 
 @dataclass
@@ -90,14 +91,14 @@ def load(name: str):
 def run(name: str) -> ExperimentResult:
     """Run one experiment by registry name.
 
-    An experiment's machines become cyclic garbage when it returns.
-    Collecting here, at the experiment boundary, frees them before the
-    next experiment allocates, so peak memory does not depend on when
-    the cyclic collector happens to run.
+    Each variant closes the machine it built (``with System(...)``), so
+    a machine is freed where its run ends, not when the cyclic
+    collector gets round to it.  The workload inputs the variants build
+    (:func:`repro.workloads.base.shared_input`) are held until the
+    experiment returns, so every variant shares one build of each.
     """
-    result = load(name).run()
-    gc.collect()
-    return result
+    with holding_inputs():
+        return load(name).run()
 
 
 def all_names() -> List[str]:

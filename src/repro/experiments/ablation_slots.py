@@ -16,17 +16,17 @@ TITLE = "Ablation: syscall-area slot layout"
 def syscall_storm(stride: int) -> Tuple[float, int]:
     """Many per-work-item calls against a given slot layout; returns
     (elapsed ns, GPU DRAM accesses)."""
-    system = System(config=small_machine(), slot_stride_bytes=stride)
-    system.kernel.fs.create_file("/tmp/f", b"s" * 4096)
-    bufs = [system.memsystem.alloc_buffer(16) for _ in range(16)]
+    with System(config=small_machine(), slot_stride_bytes=stride) as system:
+        system.kernel.fs.create_file("/tmp/f", b"s" * 4096)
+        bufs = [system.memsystem.alloc_buffer(16) for _ in range(16)]
 
-    def kern(ctx):
-        fd = yield from ctx.sys.open("/tmp/f", granularity=Granularity.WORK_GROUP)
-        for round_no in range(4):
-            yield from ctx.sys.pread(fd, bufs[ctx.global_id], 16, 16 * round_no)
+        def kern(ctx):
+            fd = yield from ctx.sys.open("/tmp/f", granularity=Granularity.WORK_GROUP)
+            for round_no in range(4):
+                yield from ctx.sys.pread(fd, bufs[ctx.global_id], 16, 16 * round_no)
 
-    elapsed = system.run_kernel(kern, 16, 8, name="slot-ablation")
-    return elapsed, system.memsystem.dram.gpu_accesses
+        elapsed = system.run_kernel(kern, 16, 8, name="slot-ablation")
+        return elapsed, system.memsystem.dram.gpu_accesses
 
 
 def run_both() -> Dict[str, Tuple[float, int]]:

@@ -33,9 +33,9 @@ WC_PARAMS = dict(num_files=24, file_bytes=65536)
 
 
 def wordcount_time(config: MachineConfig) -> float:
-    system = System(config=config)
-    workload = WordcountWorkload(system, **WC_PARAMS)
-    return workload.run_genesys().runtime_ns
+    with System(config=config) as system:
+        workload = WordcountWorkload(system, **WC_PARAMS)
+        return workload.run_genesys().runtime_ns
 
 
 def sweep_cpu_cores() -> Dict[int, float]:

@@ -36,23 +36,23 @@ WORKER_COUNTS = (2, 8, 32)
 def burst_time(config: MachineConfig, wait: WaitMode) -> float:
     """64 concurrent work-group preads of 16 KiB from tmpfs
     (servicing-bound)."""
-    system = System(config=config)
-    total = READ_BYTES * NUM_GROUPS
-    system.kernel.fs.create_file("/tmp/data", b"\x77" * total)
-    bufs = [system.memsystem.alloc_buffer(READ_BYTES) for _ in range(NUM_GROUPS)]
+    with System(config=config) as system:
+        total = READ_BYTES * NUM_GROUPS
+        system.kernel.fs.create_file("/tmp/data", b"\x77" * total)
+        bufs = [system.memsystem.alloc_buffer(READ_BYTES) for _ in range(NUM_GROUPS)]
 
-    def kern(ctx):
-        fd = yield from ctx.sys.open(
-            "/tmp/data", granularity=Granularity.WORK_GROUP,
-            ordering=Ordering.RELAXED, wait=wait,
-        )
-        yield from ctx.sys.pread(
-            fd, bufs[ctx.group_id], READ_BYTES, READ_BYTES * ctx.group_id,
-            granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
-            wait=wait,
-        )
+        def kern(ctx):
+            fd = yield from ctx.sys.open(
+                "/tmp/data", granularity=Granularity.WORK_GROUP,
+                ordering=Ordering.RELAXED, wait=wait,
+            )
+            yield from ctx.sys.pread(
+                fd, bufs[ctx.group_id], READ_BYTES, READ_BYTES * ctx.group_id,
+                granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
+                wait=wait,
+            )
 
-    return system.run_kernel(kern, NUM_GROUPS * WG_SIZE, WG_SIZE, name="burst")
+        return system.run_kernel(kern, NUM_GROUPS * WG_SIZE, WG_SIZE, name="burst")
 
 
 def sweep_poll_interval() -> Dict[float, float]:

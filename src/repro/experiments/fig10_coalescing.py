@@ -29,26 +29,26 @@ def latency_per_byte(
     seam the probes tests use to attach observers, or to write the
     coalescing knobs on the built machine.
     """
-    system = System(config=MachineConfig(), coalescing=coalescing)
-    if setup is not None:
-        setup(system)
-    total = read_bytes * NUM_WORKITEMS
-    system.kernel.fs.create_file("/tmp/data", b"\xcd" * total)
-    bufs = [system.memsystem.alloc_buffer(read_bytes) for _ in range(NUM_WORKITEMS)]
+    with System(config=MachineConfig(), coalescing=coalescing) as system:
+        if setup is not None:
+            setup(system)
+        total = read_bytes * NUM_WORKITEMS
+        system.kernel.fs.create_file("/tmp/data", b"\xcd" * total)
+        bufs = [system.memsystem.alloc_buffer(read_bytes) for _ in range(NUM_WORKITEMS)]
 
-    def host_open():
-        fd = yield from system.kernel.call(system.host, "open", "/tmp/data")
-        return fd
+        def host_open():
+            fd = yield from system.kernel.call(system.host, "open", "/tmp/data")
+            return fd
 
-    fd = system.sim.run_process(host_open())
+        fd = system.sim.run_process(host_open())
 
-    def kern(ctx):
-        yield from ctx.sys.pread(
-            fd, bufs[ctx.group_id], read_bytes, read_bytes * ctx.group_id
-        )
+        def kern(ctx):
+            yield from ctx.sys.pread(
+                fd, bufs[ctx.group_id], read_bytes, read_bytes * ctx.group_id
+            )
 
-    elapsed = system.run_kernel(kern, NUM_WORKITEMS, 1, name="fig10")
-    return elapsed / read_bytes
+        elapsed = system.run_kernel(kern, NUM_WORKITEMS, 1, name="fig10")
+        return elapsed / read_bytes
 
 
 def run_sweep() -> Dict[int, Dict[str, float]]:

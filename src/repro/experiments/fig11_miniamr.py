@@ -18,16 +18,18 @@ WM_HIGH = int(2.2 * 1024 * 1024)  # the paper's "rss-4gb" analogue
 WM_LOW = int(1.6 * 1024 * 1024)   # the paper's "rss-3gb" analogue
 
 
-def fresh_workload() -> MiniAmrWorkload:
+def run_variant(**options) -> WorkloadResult:
+    """One miniAMR run with ``options`` on its own machine."""
     config = MachineConfig(phys_mem_bytes=PHYS_MEM, gpu_timeout_faults=48)
-    return MiniAmrWorkload(System(config=config))
+    with System(config=config) as system:
+        return MiniAmrWorkload(system).run(**options)
 
 
 def run_variants() -> Dict[str, WorkloadResult]:
     return {
-        "baseline": fresh_workload().run(use_madvise=False),
-        "rss-high": fresh_workload().run(rss_watermark_bytes=WM_HIGH),
-        "rss-low": fresh_workload().run(rss_watermark_bytes=WM_LOW),
+        "baseline": run_variant(use_madvise=False),
+        "rss-high": run_variant(rss_watermark_bytes=WM_HIGH),
+        "rss-low": run_variant(rss_watermark_bytes=WM_LOW),
     }
 
 

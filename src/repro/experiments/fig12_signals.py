@@ -14,8 +14,10 @@ TITLE = "Figure 12: CPU-GPU map-reduce runtime"
 
 
 def run_pair() -> Tuple[WorkloadResult, WorkloadResult]:
-    baseline = SignalSearchWorkload(System()).run_baseline()
-    genesys = SignalSearchWorkload(System()).run_genesys()
+    with System() as system:
+        baseline = SignalSearchWorkload(system).run_baseline()
+    with System() as system:
+        genesys = SignalSearchWorkload(system).run_genesys()
     return baseline, genesys
 
 

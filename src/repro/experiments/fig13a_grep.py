@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict
 
 from repro.core.invocation import Granularity, WaitMode
 from repro.experiments import ExperimentResult
@@ -17,28 +17,25 @@ TITLE = "Figure 13a: grep -F -l runtime"
 PARAMS = dict(num_files=64, file_bytes=262144, chunk_bytes=131072)
 
 
-def grep_workload(**overrides) -> GrepWorkload:
-    """The GPU L2 is scaled with the corpus (see EXPERIMENTS.md)."""
-    params = dict(PARAMS)
-    params.update(overrides)
-    system = System(config=MachineConfig(gpu_l2_lines=256))
-    return GrepWorkload(system, **params)
+#: Each variant: how it runs on a fresh workload.
+VARIANTS: Dict[str, Callable[[GrepWorkload], WorkloadResult]] = {
+    "cpu": lambda w: w.run_cpu(threads=1),
+    "openmp": lambda w: w.run_cpu(threads=4),
+    "wg": lambda w: w.run_genesys(Granularity.WORK_GROUP, WaitMode.POLL),
+    "wi-poll": lambda w: w.run_genesys(Granularity.WORK_ITEM, WaitMode.POLL),
+    "wi-halt": lambda w: w.run_genesys(Granularity.WORK_ITEM, WaitMode.HALT_RESUME),
+}
+
+
+def run_variant(variant: str, **overrides) -> WorkloadResult:
+    """One variant on its own machine, whose GPU L2 is scaled with the
+    corpus (see EXPERIMENTS.md)."""
+    with System(config=MachineConfig(gpu_l2_lines=256)) as system:
+        return VARIANTS[variant](GrepWorkload(system, **{**PARAMS, **overrides}))
 
 
 def run_variants(**overrides) -> Dict[str, WorkloadResult]:
-    return {
-        "cpu": grep_workload(**overrides).run_cpu(threads=1),
-        "openmp": grep_workload(**overrides).run_cpu(threads=4),
-        "wg": grep_workload(**overrides).run_genesys(
-            Granularity.WORK_GROUP, WaitMode.POLL
-        ),
-        "wi-poll": grep_workload(**overrides).run_genesys(
-            Granularity.WORK_ITEM, WaitMode.POLL
-        ),
-        "wi-halt": grep_workload(**overrides).run_genesys(
-            Granularity.WORK_ITEM, WaitMode.HALT_RESUME
-        ),
-    }
+    return {variant: run_variant(variant, **overrides) for variant in VARIANTS}
 
 
 def run() -> ExperimentResult:

@@ -24,9 +24,8 @@ def run_variants(**overrides) -> Dict[str, Tuple[System, WorkloadResult]]:
         ("gpu-nosyscall", lambda w: w.run_gpu_nosyscall()),
         ("genesys", lambda w: w.run_genesys()),
     ):
-        system = System()
-        workload = WordcountWorkload(system, **params)
-        out[name] = (system, runner(workload))
+        with System() as system:
+            out[name] = (system, runner(WordcountWorkload(system, **params)))
     return out
 
 

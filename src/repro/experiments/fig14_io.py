@@ -17,10 +17,10 @@ TRACE_BINS = 8
 
 
 def run_variant(name: str) -> Tuple[System, WorkloadResult]:
-    system = System()
-    workload = WordcountWorkload(system, **PARAMS)
-    result = workload.run_cpu(4) if name == "cpu" else workload.run_genesys()
-    return system, result
+    with System() as system:
+        workload = WordcountWorkload(system, **PARAMS)
+        result = workload.run_cpu(4) if name == "cpu" else workload.run_genesys()
+        return system, result
 
 
 def run_both() -> Dict[str, Tuple[System, WorkloadResult]]:

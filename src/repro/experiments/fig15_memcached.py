@@ -19,8 +19,9 @@ SWEEP_OCCUPANCY = (64, 1024)
 def run_variant(method: str, **overrides) -> WorkloadResult:
     params = dict(PARAMS)
     params.update(overrides)
-    workload = MemcachedWorkload(System(), **params)
-    result = getattr(workload, method)()
+    with System() as system:
+        workload = MemcachedWorkload(system, **params)
+        result = getattr(workload, method)()
     if not workload.verify(result.metrics["replies"]):
         raise AssertionError("memcached served wrong values")
     return result

@@ -14,10 +14,10 @@ TITLE = "Figure 16: GPU blit to /dev/fb0"
 
 
 def run_display(width: int = 64, height: int = 64) -> Tuple[System, BmpDisplayWorkload, WorkloadResult]:
-    system = System()
-    workload = BmpDisplayWorkload(system, width=width, height=height)
-    result = workload.run()
-    return system, workload, result
+    with System() as system:
+        workload = BmpDisplayWorkload(system, width=width, height=height)
+        result = workload.run()
+        return system, workload, result
 
 
 def run() -> ExperimentResult:

@@ -39,62 +39,62 @@ def _populate(system: System) -> None:
 
 def run_conventional() -> float:
     """One kernel launch per chunk; the CPU loads data between launches."""
-    system = System(config=MachineConfig())
-    _populate(system)
-    kernel = system.kernel
-    proc = system.host
-    staged = {}
+    with System(config=MachineConfig()) as system:
+        _populate(system)
+        kernel = system.kernel
+        proc = system.host
+        staged = {}
 
-    def process_kernel(ctx) -> Generator:
-        data = staged["chunk"]
-        per_item = len(data) // ctx.group.size
-        yield Compute(per_item * PROCESS_CYCLES_PER_BYTE)
+        def process_kernel(ctx) -> Generator:
+            data = staged["chunk"]
+            per_item = len(data) // ctx.group.size
+            yield Compute(per_item * PROCESS_CYCLES_PER_BYTE)
 
-    def main() -> Generator:
-        fd = yield from kernel.call(proc, "open", "/tmp/stream", O_RDONLY)
-        buf = system.memsystem.alloc_buffer(CHUNK_BYTES)
-        for chunk_no in range(NUM_CHUNKS):
-            # load_data(buf): the CPU must fetch the chunk...
-            n = yield from kernel.call(
-                proc, "pread", fd, buf, CHUNK_BYTES, chunk_no * CHUNK_BYTES
-            )
-            staged["chunk"] = bytes(buf.data[:n])
-            # ...then launch a fresh kernel to process it, and wait.
-            yield system.launch(process_kernel, WG_SIZE, WG_SIZE, name="conv")
-        yield from kernel.call(proc, "close", fd)
+        def main() -> Generator:
+            fd = yield from kernel.call(proc, "open", "/tmp/stream", O_RDONLY)
+            buf = system.memsystem.alloc_buffer(CHUNK_BYTES)
+            for chunk_no in range(NUM_CHUNKS):
+                # load_data(buf): the CPU must fetch the chunk...
+                n = yield from kernel.call(
+                    proc, "pread", fd, buf, CHUNK_BYTES, chunk_no * CHUNK_BYTES
+                )
+                staged["chunk"] = bytes(buf.data[:n])
+                # ...then launch a fresh kernel to process it, and wait.
+                yield system.launch(process_kernel, WG_SIZE, WG_SIZE, name="conv")
+            yield from kernel.call(proc, "close", fd)
 
-    start = system.now
-    system.run_to_completion(main(), name="fig1-conventional")
-    return system.now - start
+        start = system.now
+        system.run_to_completion(main(), name="fig1-conventional")
+        return system.now - start
 
 
 def run_genesys() -> float:
     """A single kernel; each work-group preads and processes its chunk."""
-    system = System(config=MachineConfig())
-    _populate(system)
-    bufs = {}
+    with System(config=MachineConfig()) as system:
+        _populate(system)
+        bufs = {}
 
-    def kern(ctx) -> Generator:
-        fd = yield from ctx.sys.open(
-            "/tmp/stream", O_RDONLY,
-            granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
-        )
-        if ctx.group_id not in bufs:
-            bufs[ctx.group_id] = system.memsystem.alloc_buffer(CHUNK_BYTES)
-        buf = bufs[ctx.group_id]
-        yield from ctx.sys.pread(
-            fd, buf, CHUNK_BYTES, ctx.group_id * CHUNK_BYTES,
-            granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
-        )
-        yield Compute(CHUNK_BYTES // WG_SIZE * PROCESS_CYCLES_PER_BYTE)
-        yield from ctx.sys.close(
-            fd, granularity=Granularity.WORK_GROUP,
-            ordering=Ordering.RELAXED, blocking=False,
-        )
+        def kern(ctx) -> Generator:
+            fd = yield from ctx.sys.open(
+                "/tmp/stream", O_RDONLY,
+                granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
+            )
+            if ctx.group_id not in bufs:
+                bufs[ctx.group_id] = system.memsystem.alloc_buffer(CHUNK_BYTES)
+            buf = bufs[ctx.group_id]
+            yield from ctx.sys.pread(
+                fd, buf, CHUNK_BYTES, ctx.group_id * CHUNK_BYTES,
+                granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
+            )
+            yield Compute(CHUNK_BYTES // WG_SIZE * PROCESS_CYCLES_PER_BYTE)
+            yield from ctx.sys.close(
+                fd, granularity=Granularity.WORK_GROUP,
+                ordering=Ordering.RELAXED, blocking=False,
+            )
 
-    start = system.now
-    system.run_kernel(kern, NUM_CHUNKS * WG_SIZE, WG_SIZE, name="fig1-genesys")
-    return system.now - start, system.gpu.kernels_launched
+        start = system.now
+        system.run_kernel(kern, NUM_CHUNKS * WG_SIZE, WG_SIZE, name="fig1-genesys")
+        return system.now - start, system.gpu.kernels_launched
 
 
 def run() -> ExperimentResult:

@@ -21,28 +21,32 @@ TITLE = "Figures 2/6: one system call, step by step"
 
 def run_walkthrough() -> Tuple[List[tuple], float, int]:
     """Returns (transition log, total latency ns, bytes read)."""
-    system = System(config=MachineConfig())
-    system.kernel.fs.create_file("/tmp/one", b"W" * 4096)
-    buf = system.memsystem.alloc_buffer(4096)
-    log: List[tuple] = []
-    got = {}
+    with System(config=MachineConfig()) as system:
+        system.kernel.fs.create_file("/tmp/one", b"W" * 4096)
+        buf = system.memsystem.alloc_buffer(4096)
+        log: List[tuple] = []
+        got = {}
 
-    def recorder(slot_index, old, new, actor):
-        log.append((system.now, old, new, actor))
+        sim = system.sim
 
-    system.probes.attach("slot.transition", recorder)
+        def recorder(slot_index, old, new, actor):
+            # Reads the clock from the simulator, which refers to no
+            # tracepoint: closing over the machine would make it a cycle.
+            log.append((sim.now, old, new, actor))
 
-    def kern(ctx):
-        fd = yield from ctx.sys.open("/tmp/one")
-        n = yield from ctx.sys.pread(fd, buf, 4096, 0)
-        got["n"] = n
+        system.probes.attach("slot.transition", recorder)
 
-    def body():
-        yield system.launch(kern, 1, 1)
+        def kern(ctx):
+            fd = yield from ctx.sys.open("/tmp/one")
+            n = yield from ctx.sys.pread(fd, buf, 4096, 0)
+            got["n"] = n
 
-    start = system.now
-    system.run_to_completion(body())
-    return log, system.now - start, got["n"]
+        def body():
+            yield system.launch(kern, 1, 1)
+
+        start = system.now
+        system.run_to_completion(body())
+        return log, system.now - start, got["n"]
 
 
 def run() -> ExperimentResult:

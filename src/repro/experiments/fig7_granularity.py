@@ -26,35 +26,36 @@ def pread_time(
     total_workitems: int = TOTAL_WORKITEMS,
 ) -> float:
     """Simulated time to read a whole tmpfs file at one granularity."""
-    system = System(config=MachineConfig())
-    system.kernel.fs.create_file("/tmp/data", b"\xab" * file_bytes)
-    num_groups = total_workitems // wg_size
-    mem = system.memsystem
-    bufs: Dict = {}
+    with System(config=MachineConfig()) as system:
+        system.kernel.fs.create_file("/tmp/data", b"\xab" * file_bytes)
+        num_groups = total_workitems // wg_size
+        mem = system.memsystem
+        bufs: Dict = {}
 
-    def kern(ctx):
-        fd = yield from ctx.sys.open(
-            "/tmp/data", granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED
-        )
-        if granularity is Granularity.WORK_ITEM:
-            share = file_bytes // total_workitems
-            buf = bufs.setdefault(ctx.global_id, mem.alloc_buffer(share))
-            yield from ctx.sys.pread(fd, buf, share, share * ctx.global_id)
-        elif granularity is Granularity.WORK_GROUP:
-            share = file_bytes // num_groups
-            buf = bufs.setdefault(("wg", ctx.group_id), mem.alloc_buffer(share))
-            yield from ctx.sys.pread(
-                fd, buf, share, share * ctx.group_id,
+        def kern(ctx):
+            fd = yield from ctx.sys.open(
+                "/tmp/data",
                 granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
             )
-        else:
-            buf = bufs.setdefault("kernel", mem.alloc_buffer(file_bytes))
-            yield from ctx.sys.pread(
-                fd, buf, file_bytes, 0,
-                granularity=Granularity.KERNEL, ordering=Ordering.RELAXED,
-            )
+            if granularity is Granularity.WORK_ITEM:
+                share = file_bytes // total_workitems
+                buf = bufs.setdefault(ctx.global_id, mem.alloc_buffer(share))
+                yield from ctx.sys.pread(fd, buf, share, share * ctx.global_id)
+            elif granularity is Granularity.WORK_GROUP:
+                share = file_bytes // num_groups
+                buf = bufs.setdefault(("wg", ctx.group_id), mem.alloc_buffer(share))
+                yield from ctx.sys.pread(
+                    fd, buf, share, share * ctx.group_id,
+                    granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
+                )
+            else:
+                buf = bufs.setdefault("kernel", mem.alloc_buffer(file_bytes))
+                yield from ctx.sys.pread(
+                    fd, buf, file_bytes, 0,
+                    granularity=Granularity.KERNEL, ordering=Ordering.RELAXED,
+                )
 
-    return system.run_kernel(kern, total_workitems, wg_size, name="fig7")
+        return system.run_kernel(kern, total_workitems, wg_size, name="fig7")
 
 
 def run_left() -> Dict[int, Dict[str, float]]:

@@ -39,27 +39,27 @@ def fig8_machine() -> MachineConfig:
 
 def permute_time(iterations: int, ordering: Ordering, blocking: bool) -> float:
     """Time per permutation iteration for one configuration (ns)."""
-    system = System(config=fig8_machine())
-    system.kernel.fs.create_file("/tmp/out", b"")
-    buf = system.memsystem.alloc_buffer(BLOCK_BYTES)
+    with System(config=fig8_machine()) as system:
+        system.kernel.fs.create_file("/tmp/out", b"")
+        buf = system.memsystem.alloc_buffer(BLOCK_BYTES)
 
-    def kern(ctx):
-        fd = ctx.kernel.shared.get("fd")
-        if fd is None:
-            fd = yield from ctx.sys.open(
-                "/tmp/out", O_RDWR,
-                granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
+        def kern(ctx):
+            fd = ctx.kernel.shared.get("fd")
+            if fd is None:
+                fd = yield from ctx.sys.open(
+                    "/tmp/out", O_RDWR,
+                    granularity=Granularity.WORK_GROUP, ordering=Ordering.RELAXED,
+                )
+                ctx.kernel.shared["fd"] = fd
+            yield Compute(PERMUTE_CYCLES_PER_ITER * iterations)
+            yield from ctx.sys.pwrite(
+                fd, buf, BLOCK_BYTES, BLOCK_BYTES * ctx.group_id,
+                granularity=Granularity.WORK_GROUP,
+                ordering=ordering, blocking=blocking,
             )
-            ctx.kernel.shared["fd"] = fd
-        yield Compute(PERMUTE_CYCLES_PER_ITER * iterations)
-        yield from ctx.sys.pwrite(
-            fd, buf, BLOCK_BYTES, BLOCK_BYTES * ctx.group_id,
-            granularity=Granularity.WORK_GROUP,
-            ordering=ordering, blocking=blocking,
-        )
 
-    elapsed = system.run_kernel(kern, NUM_BLOCKS * WG_SIZE, WG_SIZE, name="fig8")
-    return elapsed / iterations
+        elapsed = system.run_kernel(kern, NUM_BLOCKS * WG_SIZE, WG_SIZE, name="fig8")
+        return elapsed / iterations
 
 
 def run_sweep() -> Dict[str, Dict[int, float]]:

@@ -34,40 +34,40 @@ def run_all() -> Dict[str, Set[str]]:
     each one's system observed."""
     used: Dict[str, Set[str]] = {}
 
-    amr_system = System(
+    with System(
         config=MachineConfig(
             phys_mem_bytes=int(2.5 * 1024 * 1024), gpu_timeout_faults=48
         )
-    )
-    MiniAmrWorkload(amr_system, timesteps=12).run(
-        rss_watermark_bytes=int(1.6 * 1024 * 1024)
-    )
-    used["miniamr"] = set(amr_system.kernel.syscall_counts)
+    ) as system:
+        MiniAmrWorkload(system, timesteps=12).run(
+            rss_watermark_bytes=int(1.6 * 1024 * 1024)
+        )
+        used["miniamr"] = set(system.kernel.syscall_counts)
 
-    sig_system = System()
-    SignalSearchWorkload(sig_system, num_blocks=8, block_bytes=8192).run_genesys()
-    used["signal-search"] = set(sig_system.kernel.syscall_counts)
+    with System() as system:
+        SignalSearchWorkload(system, num_blocks=8, block_bytes=8192).run_genesys()
+        used["signal-search"] = set(system.kernel.syscall_counts)
 
-    grep_system = System(config=MachineConfig(gpu_l2_lines=256))
-    grep = GrepWorkload(grep_system, num_files=8, file_bytes=16384)
-    grep.run_genesys(Granularity.WORK_ITEM, WaitMode.POLL)
-    used["grep"] = set(grep_system.kernel.syscall_counts)
+    with System(config=MachineConfig(gpu_l2_lines=256)) as system:
+        grep = GrepWorkload(system, num_files=8, file_bytes=16384)
+        grep.run_genesys(Granularity.WORK_ITEM, WaitMode.POLL)
+        used["grep"] = set(system.kernel.syscall_counts)
 
-    fb_system = System()
-    BmpDisplayWorkload(fb_system, width=64, height=64).run()
-    used["bmp-display"] = set(fb_system.kernel.syscall_counts)
+    with System() as system:
+        BmpDisplayWorkload(system, width=64, height=64).run()
+        used["bmp-display"] = set(system.kernel.syscall_counts)
 
-    wc_system = System()
-    WordcountWorkload(wc_system, num_files=8, file_bytes=16384).run_genesys()
-    used["wordsearch"] = set(wc_system.kernel.syscall_counts)
+    with System() as system:
+        WordcountWorkload(system, num_files=8, file_bytes=16384).run_genesys()
+        used["wordsearch"] = set(system.kernel.syscall_counts)
 
-    mc_system = System()
-    workload = MemcachedWorkload(
-        mc_system, num_buckets=4, elems_per_bucket=64, value_bytes=128,
-        num_requests=16, concurrency=4,
-    )
-    workload.run_genesys(num_workgroups=4)
-    used["memcached"] = set(mc_system.kernel.syscall_counts)
+    with System() as system:
+        workload = MemcachedWorkload(
+            system, num_buckets=4, elems_per_bucket=64, value_bytes=128,
+            num_requests=16, concurrency=4,
+        )
+        workload.run_genesys(num_workgroups=4)
+        used["memcached"] = set(system.kernel.syscall_counts)
     return used
 
 

@@ -141,7 +141,7 @@ class Gpu:
         )
         kernel.start_time = self.sim.now
         self.kernels_launched += 1
-        for group in kernel.groups:
+        for group in kernel.make_groups():
             self._pending.append((kernel, group))
         self._kick_dispatcher()
         yield kernel.completion

@@ -84,7 +84,6 @@ class WorkGroup:
         self.finished_items = 0
         self.finished_wavefronts = 0
         self.num_wavefronts = 0  # set by the dispatcher
-        self.completion = sim.event(name=f"wg{group_id}-done")
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
         self._barrier_generation = 0
@@ -125,7 +124,6 @@ class WorkGroup:
         self.finished_wavefronts += 1
         if self.finished_wavefronts == self.num_wavefronts:
             self.end_time = self.sim.now
-            self.completion.succeed(self)
 
     def __repr__(self) -> str:
         return f"WorkGroup({self.group_id}, size={self.size}, cu={self.cu_id})"
@@ -133,7 +131,12 @@ class WorkGroup:
 
 class KernelInstance:
     """One launched kernel: its work-groups plus kernel-wide scratch.
-    ``kernel_id`` is numbered by the :class:`Gpu` that launches it."""
+    ``kernel_id`` is numbered by the :class:`Gpu` that launches it.
+
+    Each work-group points at its kernel, so the kernel keeps only their
+    count: :meth:`make_groups` hands the groups to the dispatcher, and a
+    finished kernel and its groups are freed by reference counting.
+    """
 
     def __init__(
         self,
@@ -162,25 +165,22 @@ class KernelInstance:
         self.completion = sim.event(name=f"kernel{self.kernel_id}-done")
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
-        self.groups: List[WorkGroup] = []
-        gid = 0
-        group_id = 0
-        while gid < global_size:
-            size = min(workgroup_size, global_size - gid)
-            self.groups.append(WorkGroup(sim, self, group_id, size))
-            gid += size
-            group_id += 1
+        self.num_groups = -(-global_size // workgroup_size)
         self._finished_groups = 0
 
-    @property
-    def num_groups(self) -> int:
-        return len(self.groups)
+    def make_groups(self) -> List[WorkGroup]:
+        """The kernel's work-groups in id order; the last may be short."""
+        size = self.workgroup_size
+        return [
+            WorkGroup(self.sim, self, group_id, min(size, self.global_size - first))
+            for group_id, first in enumerate(range(0, self.global_size, size))
+        ]
 
     def group_finished(self) -> None:
         self._finished_groups += 1
         if self._finished_groups == self.num_groups:
             self.end_time = self.sim.now
-            self.completion.succeed(self)
+            self.completion.succeed()
 
     def make_ctx(self, group: WorkGroup, local_id: int) -> WorkItemCtx:
         global_id = group.group_id * self.workgroup_size + local_id

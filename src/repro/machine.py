@@ -131,10 +131,6 @@ class MachineConfig:
         return 1.0 / self.gpu_freq_ghz
 
     @property
-    def cpu_cycle_ns(self) -> float:
-        return 1.0 / self.cpu_freq_ghz
-
-    @property
     def max_active_wavefronts(self) -> int:
         return self.num_cus * self.wavefront_slots_per_cu
 

@@ -82,7 +82,7 @@ def _faulted(plan: FaultPlan) -> ScenarioRun:
         )
 
     body = partial(system.run_kernel, kern, 1, 1, name="corpus")
-    return ScenarioRun(system.sim, system.probes, body)
+    return ScenarioRun(system.sim, system.probes, body, close=system.close)
 
 
 def _wedged_slot() -> ScenarioRun:
@@ -151,7 +151,7 @@ def _replay(events: Tuple[Tuple[Any, ...], ...]) -> ScenarioRun:
     for name, t, *values in events:
         tracepoint = system.probes.tracepoints[name]
         system.sim.call_at(t, partial(tracepoint.fire, *values))
-    return ScenarioRun(system.sim, system.probes, system.sim.run)
+    return ScenarioRun(system.sim, system.probes, system.sim.run, close=system.close)
 
 
 # A reordered stream in which the CPU reads a slot payload the GPU

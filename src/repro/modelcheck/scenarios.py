@@ -85,12 +85,18 @@ __all__ = [
 
 
 class ScenarioRun(NamedTuple):
-    """One built scenario instance, ready for :func:`run_cell`."""
+    """One built scenario instance, ready for :func:`run_cell`.
+
+    ``close`` ends the machine the builder made (a built
+    :class:`~repro.system.System`'s ``close``); a micro fixture with no
+    machine leaves it None.
+    """
 
     sim: Simulator
     registry: ProbeRegistry
     body: Callable[[], object]
     audit: Optional[Callable[[], List[str]]] = None
+    close: Optional[Callable[[], None]] = None
 
 
 class Scenario(NamedTuple):
@@ -128,8 +134,24 @@ class Verdict:
 
 def run_cell(built: ScenarioRun, tie_break: Optional[TieBreak] = None) -> Verdict:
     """Run ``built`` under a fresh GSan and judge it (see the module
-    docstring for the vocabulary)."""
+    docstring for the vocabulary).
+
+    Once the run is judged, whatever its outcome, the cell removes its
+    GSan (the verdict keeps it) and calls ``built.close``: the machine
+    ends here, and only the counters a caller reads from it survive.
+    """
     sanitizer = GSan().install(built.registry)
+    try:
+        return _judge(built, sanitizer, tie_break)
+    finally:
+        sanitizer.remove()
+        if built.close is not None:
+            built.close()
+
+
+def _judge(
+    built: ScenarioRun, sanitizer: GSan, tie_break: Optional[TieBreak]
+) -> Verdict:
     if tie_break is not None:
         built.sim.tie_break = tie_break
     violations: List[str] = []
@@ -229,6 +251,7 @@ def build_workload(
         system.probes,
         partial(SCENARIOS[name], system),
         partial(check_invariants, system),
+        system.close,
     )
     return built, system, injector
 

@@ -325,13 +325,16 @@ class GuidedTieBreak:
                     del self.sleep[seq]
 
     def finalize(self, blocked: bool = False) -> None:
-        """Account for the final step once the run has ended.
+        """Account for the final step once the run has ended, and
+        detach the collector.
 
         A run that a sleep set did not cut short must have reached every
         guided choice; one it never reached is a choice map that does
         not fit the run, so it raises :class:`ScheduleError`.
         """
         self._close_step()
+        if self._collector is not None:
+            self._collector.detach()
         ahead = [index for index in self.choices if index >= self._index]
         if ahead and not blocked:
             raise ScheduleError(

@@ -37,7 +37,3 @@ class CpuComplex:
         finally:
             self.utilization.idle()
             self.cores.release()
-
-    def run_cycles(self, cycles: float) -> Generator:
-        """Process body: occupy one core for ``cycles`` CPU cycles."""
-        yield from self.run(cycles * self.config.cpu_cycle_ns)

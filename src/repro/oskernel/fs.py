@@ -297,10 +297,6 @@ class FileSystem:
             if key in self._page_lru:
                 self._page_lru.move_to_end(key)
 
-    @property
-    def page_cache_resident(self) -> int:
-        return len(self._page_lru)
-
     # -- path operations (functional, host-side helpers) -------------------
 
     @staticmethod

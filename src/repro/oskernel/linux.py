@@ -73,14 +73,6 @@ class Stat:
         self.st_mode = st_mode
         self.st_size = st_size
 
-    @property
-    def is_regular(self) -> bool:
-        return bool(self.st_mode & S_IFREG)
-
-    @property
-    def is_dir(self) -> bool:
-        return bool(self.st_mode & S_IFDIR)
-
 
 class Uname:
     """The uname(2) fields."""
@@ -159,6 +151,16 @@ class LinuxKernel:
         self.fs.add_device("/dev/console", self.terminal)
         self.fs.add_device("/dev/fb0", self.framebuffer)
         self.fs.add_dynamic_file("/proc/meminfo", self._meminfo)
+
+    def close(self) -> None:
+        """Unmount /proc and /sys, whose files read kernel and runtime
+        state through callbacks into them, free the physical pages and
+        drop unfinished workqueue tasks (see
+        :meth:`repro.system.System.close`); counters stay readable."""
+        for mount in ("proc", "sys"):
+            self.fs.root.entries.pop(mount, None)
+        self.physmem.close()
+        self.workqueue.close()
 
     def _meminfo(self) -> bytes:
         total_kb = self.config.phys_mem_bytes // 1024

@@ -71,6 +71,11 @@ class PhysicalMemory:
     def release(self, aspace: "AddressSpace", vpage: int) -> None:
         self._lru.pop((aspace, vpage), None)
 
+    def close(self) -> None:
+        """Forget every resident page: each LRU key holds its address
+        space, which points back at this pool."""
+        self._lru.clear()
+
 
 class Vma:
     """One mapped region, in pages."""

@@ -141,7 +141,7 @@ class Network:
         #: Datagrams head-dropped at dequeue past the sojourn budget.
         self.expired_drops = 0
         #: Fast-fail reply frames synthesised for policed datagrams.
-        self.policy_rejects = 0
+        self.reject_frames = 0
 
     def socket(self, host: str = "localhost") -> UdpSocket:
         return UdpSocket(self, host, next(self._sock_ids))
@@ -158,7 +158,7 @@ class Network:
                 "policy": 0,  # a constant, kept: perfbench and the sweep JSON read it
                 "expired": self.expired_drops,
             },
-            "policy_rejects": self.policy_rejects,
+            "reject_frames": self.reject_frames,
         }
 
     def bind(self, sock: UdpSocket, port: int) -> None:
@@ -299,7 +299,7 @@ class Network:
             (target.host, target.port if target.port is not None else 0),
         )
         if self._deliver(source, frame, primary=False):
-            self.policy_rejects += 1
+            self.reject_frames += 1
 
     def recvfrom(self, sock: UdpSocket, bufsize: int) -> Generator:
         """Process body: blocking receive; returns (payload, source).

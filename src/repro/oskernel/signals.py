@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.oskernel.errors import Errno, OsError
-from repro.sim.engine import AnyOf, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import Store
 
 SIGRTMIN = 34
@@ -62,21 +62,3 @@ class SignalQueue:
         info = yield self._store.get()
         self.consumed += 1
         return info
-
-    def sigtimedwait(self, timeout_ns: float) -> Generator:
-        """Process body: wait up to ``timeout_ns``; returns SigInfo or None."""
-        get_event = self._store.get()
-        if get_event.triggered:
-            self.consumed += 1
-            return get_event.value
-        idx, value = yield AnyOf([get_event, self.sim.timeout(timeout_ns)])
-        if idx == 0:
-            self.consumed += 1
-            return value
-        # Timed out: if a signal raced in, take it next time (the get
-        # event stays armed in the store; emulate cancel by re-queueing).
-        if get_event.triggered:
-            self.consumed += 1
-            return get_event.value
-        self._store.cancel_get(get_event)
-        return None

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Generator, List, Optional
 
 from repro.machine import MachineConfig
 from repro.probes.tracepoints import ProbeRegistry
-from repro.sim.engine import Event, Process, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -156,10 +156,8 @@ class WorkQueue:
             ("task_index", "worker_id"),
             "a stalled worker woke to find its task reassigned and forfeited",
         )
-        self._workers: List[Process] = [
+        for i in range(self.num_workers):
             sim.process(self._worker_loop(i), name=f"{name}/{i}")
-            for i in range(self.num_workers)
-        ]
 
     @property
     def backlog(self) -> int:
@@ -292,13 +290,19 @@ class WorkQueue:
                         self.tp_requeue.fire(record.index, stale_worker)
         for worker_id in sorted(self._dead):
             self._dead.discard(worker_id)
-            self._workers[worker_id] = self.sim.process(
+            self.sim.process(
                 self._worker_loop(worker_id), name=f"{self.name}/{worker_id}"
             )
             self.workers_respawned += 1
             if self.tp_respawn.enabled:
                 self.tp_respawn.fire(worker_id)
         return requeued
+
+    def close(self) -> None:
+        """Drop every unfinished task: its factory closes over whoever
+        submitted it, which holds this queue.  Counters stay readable."""
+        self._inflight.clear()
+        self._tasks._items.clear()
 
     def stuck_report(self) -> List[str]:
         """Descriptions of every unfinished task, for DrainTimeout."""

@@ -88,7 +88,7 @@ class QosController:
             "syscalls_shed": genesys.syscalls_shed,
             "sheds_by_stage": dict(sorted(genesys.sheds_by_stage.items())),
             "net_drops": dict(net.stats()["drops"]),
-            "policy_rejects": net.policy_rejects,
+            "reject_frames": net.reject_frames,
         }
 
     def __repr__(self) -> str:

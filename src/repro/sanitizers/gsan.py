@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.probes.tracepoints import ProbeRegistry
+from repro.probes.tracepoints import ProbeRegistry, Tracepoint
 
 #: Schema version of :meth:`GSan.snapshot`.
 GSAN_SNAPSHOT_SCHEMA = 1
@@ -301,6 +301,7 @@ class GSan:
 
     def __init__(self, max_timeline: int = 64) -> None:
         self.registry: Optional[ProbeRegistry] = None
+        self._taps: List[Tuple[Tracepoint, Callable]] = []
         self.max_timeline = max_timeline
         self.clocks: Dict[str, int] = {agent: 0 for agent in AGENTS}
         self.events = 0
@@ -313,25 +314,6 @@ class GSan:
         self._scans: Dict[int, bool] = {}  # scan_id -> started
         self._halted: Dict[int, bool] = {}  # hw_id -> wavefront asleep
         self._finished = False
-        self._handlers: Dict[str, Callable] = {
-            "slot.transition": self._on_slot_transition,
-            "slot.protocol_error": self._on_protocol_error,
-            "syscall.claim": self._on_claim,
-            "syscall.submit": self._on_submit,
-            "syscall.dispatch": self._on_dispatch,
-            "syscall.complete": self._on_complete,
-            "syscall.resume": self._on_resume,
-            "recover.slot_reclaim": self._on_reclaim,
-            "wq.enqueue": self._on_wq_enqueue,
-            "wq.dequeue": self._on_wq_dequeue,
-            "wq.complete": self._on_wq_complete,
-            "recover.requeue": self._on_requeue,
-            "recover.forfeit": self._on_forfeit,
-            "scan.enqueue": self._on_scan_enqueue,
-            "scan.start": self._on_scan_start,
-            "wavefront.halt": self._on_wf_halt,
-            "wavefront.resume": self._on_wf_resume,
-        }
 
     # -- attachment --------------------------------------------------------
 
@@ -339,11 +321,24 @@ class GSan:
         """Attach pure observers for every tracepoint GSan understands."""
         self.registry = registry
         for name in _EVENT_AGENT:
-            if name not in registry.tracepoints:
+            tp = registry.tracepoints.get(name)
+            if tp is None:
                 continue
-            registry.attach(name, self._make_observer(name))
+            self._taps.append((tp, tp.attach(self._make_observer(name))))
         registry.programs.append(self)
         return self
+
+    def remove(self) -> None:
+        """Undo :meth:`install`: detach this sanitizer's observers, and
+        only them, and take it off the registry's programs.  What it
+        found stays readable."""
+        if self.registry is None:
+            return
+        for tp, observer in self._taps:
+            tp.detach(observer)
+        self._taps.clear()
+        self.registry.programs.remove(self)
+        self.registry = None
 
     def _make_observer(self, name: str) -> Callable:
         return _GsanObserver(self, name)
@@ -371,9 +366,9 @@ class GSan:
             if timeline is None:
                 timeline = timelines[scope] = deque(maxlen=self.max_timeline)
             timeline.append(entry)
-        handler = self._handlers.get(name)
+        handler = self._HANDLERS.get(name)
         if handler is not None:
-            handler(t, agent, values)
+            handler(self, t, agent, values)
 
     @staticmethod
     def _fmt_args(values: Tuple) -> str:
@@ -822,6 +817,29 @@ class GSan:
             "defended_races": self.defended_races,
             "clocks": dict(self.clocks),
         }
+
+    #: Tracepoint name -> handler, called as ``handler(self, t, agent,
+    #: values)``: a class table of plain functions, since bound methods
+    #: kept on the instance would make every sanitizer a reference cycle.
+    _HANDLERS: Dict[str, Callable[..., None]] = {
+        "slot.transition": _on_slot_transition,
+        "slot.protocol_error": _on_protocol_error,
+        "syscall.claim": _on_claim,
+        "syscall.submit": _on_submit,
+        "syscall.dispatch": _on_dispatch,
+        "syscall.complete": _on_complete,
+        "syscall.resume": _on_resume,
+        "recover.slot_reclaim": _on_reclaim,
+        "wq.enqueue": _on_wq_enqueue,
+        "wq.dequeue": _on_wq_dequeue,
+        "wq.complete": _on_wq_complete,
+        "recover.requeue": _on_requeue,
+        "recover.forfeit": _on_forfeit,
+        "scan.enqueue": _on_scan_enqueue,
+        "scan.start": _on_scan_start,
+        "wavefront.halt": _on_wf_halt,
+        "wavefront.resume": _on_wf_resume,
+    }
 
 
 class GSanPlan:

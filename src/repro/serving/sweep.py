@@ -121,9 +121,11 @@ class ServingConfig:
 def build_target(config: ServingConfig, system: Optional[System] = None):
     """Fresh (or caller-provided) machine plus a warm serving workload.
 
-    A fresh machine is built only after a full collection: the previous
-    point's machine is cyclic garbage by now, and freeing it here keeps
-    peak memory flat however many points one process runs.
+    The callers keep the machine past the point and never close it (see
+    :meth:`repro.system.System.close`), so the previous point's machine
+    is cyclic garbage by now.  A fresh machine is built only after a
+    full collection, which frees it and keeps peak memory flat however
+    many points one process runs.
     """
     if system is None:
         gc.collect()

@@ -30,7 +30,7 @@ simulation driver.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "AllOf",
@@ -242,6 +242,7 @@ class Process:
         self._completion = Event(sim, name=f"done:{self.name}")
         self._waiting_on: Optional[Event] = None
         self._wait_index = -1
+        sim._live[self] = None
 
     @property
     def completion(self) -> Event:
@@ -345,12 +346,15 @@ def is_live(entry: HeapEntry) -> bool:
 class Simulator:
     """The discrete-event simulator: clock + event heap + process driver."""
 
-    __slots__ = ("now", "_heap", "_seq", "tie_break")
+    __slots__ = ("now", "_heap", "_seq", "tie_break", "_live")
 
     def __init__(self) -> None:
         self.now: float = 0
         self._heap: List[HeapEntry] = []
         self._seq = 0
+        #: Every process that has not finished, in spawn order: what
+        #: :meth:`close` ends.
+        self._live: Dict[Process, None] = {}
         #: Controllable-scheduler hook (``repro.modelcheck``).  When
         #: ``None`` — always, outside model checking — ``_step`` pops the
         #: heap directly and behaviour is bit-identical to the historical
@@ -490,6 +494,7 @@ class Simulator:
         return entry
 
     def _finish(self, proc: Process, result: Any) -> None:
+        del self._live[proc]
         proc.finished = True
         proc.result = result
         if not proc._completion.triggered:
@@ -565,3 +570,29 @@ class Simulator:
         if not proc.finished:
             raise SimulationError(f"process {proc.name!r} deadlocked")
         return proc.result
+
+    def close(self) -> None:
+        """End the run for good: close every unfinished process's
+        generator, cancel every pending timer and empty the heap.
+
+        A process parked on an event and the event form a reference
+        cycle, and so does a timer kept by the callback it runs; after
+        ``close`` neither holds anything.  Closing a generator runs its
+        ``finally`` blocks, which may wake waiters or spawn processes:
+        those are closed too.  The clock does not move.
+        """
+        live = self._live
+        while live:
+            procs = list(live)
+            live.clear()
+            for proc in procs:
+                waiting = proc._waiting_on
+                if waiting is not None:
+                    waiting._discard_waiter(proc)
+                    proc._waiting_on = None
+                proc.generator.close()
+        heap = self._heap
+        for _when, _seq, proc, value, _exc in heap:
+            if proc is None:
+                value.fn = None
+        heap.clear()

@@ -118,16 +118,6 @@ class Store:
             self._getters.append(event)
         return event
 
-    def cancel_get(self, event: Event) -> None:
-        """Withdraw a pending ``get`` event (no-op if already triggered
-        or unknown).  Needed by consumers that race gets on several
-        stores: the losers must be withdrawn or a later ``put`` would
-        feed an abandoned event and lose the item."""
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass
-
 
 class BandwidthResource:
     """A serialising transfer channel with a fixed byte rate.

@@ -5,9 +5,9 @@ Linux substrate, GPU, and the GENESYS runtime together with a host
 process, mirroring the paper's Table III platform.  Most examples,
 tests, and benchmarks start with::
 
-    system = System()
-    ...define a kernel...
-    result = system.run_to_completion(main())
+    with System() as system:  # leaving the block closes the machine
+        ...define a kernel...
+        result = system.run_to_completion(main())
 """
 
 from __future__ import annotations
@@ -121,3 +121,37 @@ class System:
 
         self.run_to_completion(body(), name=f"run:{name or func.__name__}")
         return self.sim.now - start
+
+    # -- lifetime ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """End the machine where its run ends.
+
+        Its parked processes and the components that call back into
+        each other are reference cycles, so a machine dropped without
+        this waits for the cyclic collector.  ``close`` closes every
+        unfinished process and empties the event heap, silently: a
+        ``finally`` it runs fires no tracepoint.  Then it unhooks the
+        runtime and unmounts /proc and /sys, so the machine is freed as
+        soon as its last holder lets go.
+
+        Every value read after a run stays as it was: ``sim.now``, the
+        component counters, tracepoint hits and observers, and
+        ``probes.programs``.  The machine cannot run again.
+        """
+        tracepoints = self.probes.tracepoints.values()
+        for tp in tracepoints:
+            tp.enabled = False
+        try:
+            self.sim.close()
+        finally:
+            for tp in tracepoints:
+                tp.enabled = bool(tp.observers)
+        self.genesys.close()
+        self.kernel.close()
+
+    def __enter__(self) -> "System":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -4,8 +4,9 @@ data generation."""
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Iterator, Optional
 
 
 @dataclass
@@ -41,6 +42,31 @@ _INPUTS: "weakref.WeakValueDictionary[tuple, SharedInput]" = (
     weakref.WeakValueDictionary()
 )
 
+#: The holders an open :func:`holding_inputs` block keeps alive, or
+#: None outside one.
+_HELD: Optional[Dict[tuple, SharedInput]] = None
+
+
+@contextmanager
+def holding_inputs() -> Iterator[None]:
+    """Keep every input asked for inside the block alive until it ends.
+
+    Outside such a block the memo is weak: an input dies with the last
+    workload holding it, and a variant built after that builds it
+    again.  :func:`repro.experiments.run` runs each experiment inside
+    one block, so all its variants share one build of each input.  A
+    nested block adds nothing: the outer one holds.
+    """
+    global _HELD
+    if _HELD is not None:
+        yield
+        return
+    _HELD = {}
+    try:
+        yield
+    finally:
+        _HELD = None
+
 
 def shared_input(build: Callable[..., Any], *args: Any) -> SharedInput:
     """The holder of ``build(*args)``, built only when no live holder
@@ -50,7 +76,8 @@ def shared_input(build: Callable[..., Any], *args: Any) -> SharedInput:
     built while another still holds that input reuses it.  The caller
     keeps the holder as an attribute; the memo keeps only a weak
     reference, so the input lives exactly as long as some workload
-    holds it and goes with the last machine that does.
+    holds it and goes with the last machine that does, or, inside
+    :func:`holding_inputs`, until the block ends.
 
     This is module state, safe only under two rules:
 
@@ -64,6 +91,8 @@ def shared_input(build: Callable[..., Any], *args: Any) -> SharedInput:
     holder = _INPUTS.get(key)
     if holder is None:
         holder = _INPUTS[key] = SharedInput(build(*args))
+    if _HELD is not None:
+        _HELD[key] = holder
     return holder
 
 

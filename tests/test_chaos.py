@@ -385,7 +385,7 @@ def test_qos_cell_polices_and_answers_the_stale_backlog(seed):
     qos = report.detail["qos"]
     assert qos["net_drops"]["expired"] > 0
     assert report.detail["rejected"] == qos["net_drops"]["expired"]
-    assert qos["policy_rejects"] == qos["net_drops"]["expired"]
+    assert qos["reject_frames"] == qos["net_drops"]["expired"]
 
 
 class TestScenarioBound:

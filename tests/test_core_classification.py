@@ -8,7 +8,6 @@ from repro.core.classification import (
     Group,
     IMPLEMENTED_IN_GENESYS,
     SYSCALL_TABLE,
-    by_group,
     classify,
     count_by_category,
     fraction,
@@ -117,15 +116,13 @@ class TestTable2:
         examples = {row["example"] for row in table2_rows()}
         for name in ("capget", "setns", "set_mempolicy", "sched_yield", "ioperm"):
             assert name in examples
+        assert not [
+            entry for entry in SYSCALL_TABLE
+            if entry.group is Group.SCHEDULING and entry.category is Category.READY
+        ]
 
     def test_rows_have_reasons(self):
         assert all(row["reason"] for row in table2_rows())
-
-    def test_by_group_filters(self):
-        sched = by_group(Category.HW_CHANGES)[Group.SCHEDULING]
-        assert any(entry.name == "sched_yield" for entry in sched)
-        ready_sched = by_group(Category.READY)[Group.SCHEDULING]
-        assert not ready_sched
 
     def test_summary_keys(self):
         info = summary()

@@ -168,9 +168,6 @@ class TestAddressing:
         assert [slot.index for slot in got] == sorted(slot.index for slot in got)
         assert len(got) == area.width + 2
 
-    def test_total_bytes_reports_full_slots(self, area):
-        assert area.total_bytes == area.num_slots * 64
-
 
 class TestSyscallRequest:
     def test_arg_limit_is_six(self, sim):

@@ -14,6 +14,7 @@ from repro.experiments import (
     load,
     run,
 )
+from tests.test_machine_lifetime import collector_off  # noqa: F401 - a fixture
 
 
 class TestRegistry:
@@ -91,9 +92,8 @@ class TestFastExperiments:
         assert result.data["bytes"] == 4096
         assert len(result.data["log"]) == 10
 
-    def test_run_leaves_no_cyclic_garbage(self):
-        # An experiment's machines are reference cycles; run() collects
-        # them at the boundary, so peak memory does not depend on when
-        # the cyclic collector next happens to run.
+    def test_run_leaves_no_cyclic_garbage(self, collector_off):
+        # Each variant closes its machine, so an experiment's machines
+        # are freed by reference counting where their runs end.
         run("fig2")
         assert gc.collect() == 0

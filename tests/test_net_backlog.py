@@ -103,7 +103,7 @@ def test_genesys_stats_surface_net_counters():
         "rx_queue_drops": 0,
         "rx_backlog_peak": 0,
         "drops": {"capacity": 0, "policy": 0, "expired": 0},
-        "policy_rejects": 0,
+        "reject_frames": 0,
     }
 
 

@@ -15,6 +15,7 @@ registries)`` is a count that is above zero once the plan observed a run.
 """
 
 import functools
+import gc
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.metrics import MetricsHubPlan, metrics_hubs
 from repro.modelcheck.schedule import FifoSchedulePlan
 from repro.probes.tracepoints import attached
 from repro.tracing.spans import SpanTracer, install_tracer
+from tests.test_machine_lifetime import collector_paused
 
 
 def probe_spec(text):
@@ -78,7 +80,13 @@ NEUTRAL_PLANS = (
 
 @functools.lru_cache(maxsize=None)
 def bare_render(name):
-    return experiments.run(name).render()
+    """The bare run's text.  The run must leave nothing for the cyclic
+    collector: every machine it built was closed where its run ended."""
+    with collector_paused():
+        text = experiments.run(name).render()
+        leftover = gc.collect()
+    assert leftover == 0, f"{name} left {leftover} objects in reference cycles"
+    return text
 
 
 def render_attached(name, *plans):

@@ -63,15 +63,6 @@ class TestCpuComplex:
         with pytest.raises(ValueError):
             sim.run_process(body())
 
-    def test_run_cycles(self, sim, config):
-        cpu = CpuComplex(sim, config)
-
-        def body():
-            yield from cpu.run_cycles(2700)
-
-        sim.run_process(body())
-        assert sim.now == pytest.approx(1000.0)  # 2700 cycles @ 2.7 GHz
-
 
 class TestBlockDevice:
     def test_single_request_time(self, sim, config):

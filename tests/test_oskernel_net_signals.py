@@ -191,56 +191,6 @@ class TestSignals:
             queue.queue(SigInfo(SIGRTMIN, 2, 0))
         assert exc.value.errno is Errno.EAGAIN
 
-    def test_sigtimedwait_timeout(self, sim):
-        queue = SignalQueue(sim, pid=1)
-
-        def body():
-            info = yield from queue.sigtimedwait(1000)
-            return info, sim.now
-
-        info, when = sim.run_process(body())
-        assert info is None
-        assert when == 1000
-
-    def test_sigtimedwait_receives(self, sim):
-        queue = SignalQueue(sim, pid=1)
-
-        def body():
-            info = yield from queue.sigtimedwait(10_000)
-            return info
-
-        def sender():
-            yield 50
-            queue.queue(SigInfo(SIGRTMIN, 5, 0))
-
-        proc = sim.process(body())
-        sim.process(sender())
-        sim.run()
-        assert proc.result.value == 5
-
-    def test_sigtimedwait_takes_a_pending_signal_at_once(self, sim):
-        queue = SignalQueue(sim, pid=1)
-        queue.queue(SigInfo(SIGRTMIN, 3, 0))
-
-        def body():
-            info = yield from queue.sigtimedwait(10_000)
-            return info.value, sim.now
-
-        assert sim.run_process(body()) == (3, 0)
-        assert queue.consumed == 1
-
-    def test_sigtimedwait_timeout_does_not_eat_later_signal(self, sim):
-        queue = SignalQueue(sim, pid=1)
-
-        def body():
-            first = yield from queue.sigtimedwait(10)
-            assert first is None
-            queue.queue(SigInfo(SIGRTMIN, 8, 0))
-            second = yield from queue.sigwaitinfo()
-            return second.value
-
-        assert sim.run_process(body()) == 8
-
     def test_counters(self, sim):
         queue = SignalQueue(sim, pid=1)
         queue.queue(SigInfo(SIGRTMIN, 0, 0))

@@ -47,7 +47,7 @@ class TestBoundedPageCache:
             yield from kernel.fs.read_timed(open_file, 0, 16 * PAGE)
 
         sim.run_process(body())
-        assert kernel.fs.page_cache_resident <= 4
+        assert len(kernel.fs._page_lru) <= 4
         assert kernel.fs.page_cache_evictions >= 12
 
     def test_evicted_pages_reread_from_disk(self):

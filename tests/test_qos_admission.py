@@ -42,7 +42,7 @@ class TestAdmissionIntegration:
         server, _ = self._serving_pair(system)
         stale = Datagram(_frame(3), ("localhost", 9999))  # source never bound
         net._reject(server, stale, int(Errno.EBUSY))
-        assert net.stats()["policy_rejects"] == 0
+        assert net.stats()["reject_frames"] == 0
 
     def test_sojourn_budget_head_drops_stale_datagrams(self):
         system = System()
@@ -63,7 +63,7 @@ class TestAdmissionIntegration:
         assert got == [_frame(8)]
         stats = net.stats()
         assert stats["drops"]["expired"] == 1
-        assert stats["policy_rejects"] == 1
+        assert stats["reject_frames"] == 1
         reject = client.queue._items[0].payload
         assert reject[0] == ord("E")
         assert int.from_bytes(reject[1:9], "little") == 7
@@ -175,7 +175,7 @@ class TestSojournBudget:
         assert got == [_frame(100)]
         stats = net.stats()
         assert stats["drops"] == {"capacity": 0, "policy": 0, "expired": stale}
-        assert stats["policy_rejects"] == stale
+        assert stats["reject_frames"] == stale
         assert server.rx_dropped == stale
         # Reject frames are synthesised in the kernel, not sent on the link.
         assert stats["packets_sent"] == stale + 1
@@ -221,7 +221,7 @@ class TestSojournBudget:
         self._stale_recv(system, client, _frame(5), before_recv=lambda: net.close(client))
         stats = net.stats()
         assert stats["drops"]["expired"] == 1
-        assert stats["policy_rejects"] == 0
+        assert stats["reject_frames"] == 0
         assert len(client.queue) == 0
 
     def test_reject_into_a_full_reply_backlog_is_a_capacity_drop(self):
@@ -234,7 +234,7 @@ class TestSojournBudget:
         self._stale_recv(system, client, _frame(5))
         stats = net.stats()
         assert stats["drops"] == {"capacity": 1, "policy": 0, "expired": 1}
-        assert stats["policy_rejects"] == 0
+        assert stats["reject_frames"] == 0
         assert client.rx_dropped == 1
         assert stats["packets_dropped"] == 0
 
@@ -354,5 +354,5 @@ class TestDropAccounting:
         system.sim.run_process(scenario(), name="no-recursion")
         stats = net.stats()
         assert stats["drops"]["expired"] == 2
-        assert stats["policy_rejects"] == 1
+        assert stats["reject_frames"] == 1
         assert len(server.queue) == 0

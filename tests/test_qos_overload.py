@@ -226,7 +226,7 @@ class TestQosController:
         assert system.kernel.net.sojourn_budget_ns == 200_000.0
         assert system.kernel.fs.read_whole("/sys/genesys/qos/admission") == b"200000\n"
         assert set(controller.summary()) == {
-            "syscalls_shed", "sheds_by_stage", "net_drops", "policy_rejects"
+            "syscalls_shed", "sheds_by_stage", "net_drops", "reject_frames"
         }
         controller.remove()
 
@@ -290,7 +290,7 @@ class TestQosController:
             "syscalls_shed": 0,
             "sheds_by_stage": {},
             "net_drops": {"capacity": 0, "policy": 0, "expired": 1},
-            "policy_rejects": 1,
+            "reject_frames": 1,
         }
 
     def test_summary_counts_deadline_sheds(self):
@@ -305,7 +305,7 @@ class TestQosController:
         summary = controller.summary()
         assert summary["syscalls_shed"] == 4
         assert summary["sheds_by_stage"] == {"coalesce": 4}
-        assert summary["policy_rejects"] == 0
+        assert summary["reject_frames"] == 0
 
 
 class TestOverloadCurve:
@@ -464,7 +464,7 @@ class TestPolicingUnderLoad:
         # Every client socket is still bound, so each head-drop reaches
         # its sender as an ETIME frame and classifies as rejected.
         assert lifecycle["rejected"] == qos["net_drops"]["expired"]
-        assert qos["policy_rejects"] == qos["net_drops"]["expired"]
+        assert qos["reject_frames"] == qos["net_drops"]["expired"]
         assert qos["syscalls_shed"] == 0
         # 60k rps is inside this small server's capacity; 240k is past it.
         assert (lifecycle["rejected"] > 0) is (rps > 60_000)

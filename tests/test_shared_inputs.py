@@ -12,6 +12,7 @@ import weakref
 
 import pytest
 
+from repro import experiments
 from repro.oskernel.fs import O_RDWR, O_TRUNC
 from repro.system import System
 from repro.workloads import base
@@ -221,3 +222,47 @@ def test_a_build_runs_only_while_no_holder_lives():
     gc.collect()
     assert base.shared_input(build, 3).value == (3,)
     assert builds == [3, 4, 3]
+
+
+def test_a_scope_holds_its_inputs_until_it_ends():
+    builds = []
+
+    def build(n):
+        builds.append(n)
+        return (n,)
+
+    with base.holding_inputs():
+        holder = weakref.ref(base.shared_input(build, 5))
+        assert holder() is not None
+        assert base.shared_input(build, 5) is holder()
+    assert builds == [5]
+    assert holder() is None
+
+
+@pytest.mark.parametrize(
+    "name,builds,machines",
+    [("fig13a", 1, 5), ("fig15", 2, 7), ("fig12", 1, 2), ("fig14", 1, 2)],
+)
+def test_an_experiment_builds_each_input_once(name, builds, machines, monkeypatch):
+    """Every variant of an experiment shares one build of each input,
+    however its workloads and machines die between variants."""
+    built, systems = [], []
+
+    class CountedInput(base.SharedInput):
+        __slots__ = ()
+
+        def __init__(self, value):
+            built.append(value)
+            super().__init__(value)
+
+    init = System.__init__
+
+    def counted_init(system, *args, **kwargs):
+        systems.append(None)
+        init(system, *args, **kwargs)
+
+    monkeypatch.setattr(base, "SharedInput", CountedInput)
+    monkeypatch.setattr(System, "__init__", counted_init)
+    gc.collect()
+    experiments.run(name)
+    assert (len(built), len(systems)) == (builds, machines)

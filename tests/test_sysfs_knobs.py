@@ -194,7 +194,7 @@ class TestKnobSideEffects:
         system.sim.run_process(scenario(), name="knob-policing")
         assert got == [b"Q" + bytes(8) + b"fresh"]
         assert net.stats()["drops"]["expired"] == 1
-        assert net.stats()["policy_rejects"] == 1
+        assert net.stats()["reject_frames"] == 1
 
     def test_deadline_write_sheds_calls_that_miss_it(self):
         system = make_system()

@@ -11,7 +11,6 @@ retires.
 
 import gc
 
-import pytest
 
 from repro.core.device_api import DeviceApi, _SlotOps
 from repro.core.invocation import Granularity, Ordering, WaitMode
@@ -20,6 +19,7 @@ from repro.gpu.wavefront import Wavefront, _Lane
 from repro.machine import small_machine
 from repro.oskernel.fs import O_RDWR
 from repro.system import System
+from tests.test_machine_lifetime import collector_off  # noqa: F401 - a fixture
 
 PER_WORK_ITEM = (WorkItemCtx, _Lane, DeviceApi, _SlotOps, Wavefront)
 
@@ -30,23 +30,6 @@ def census(objects):
         if type(obj) in PER_WORK_ITEM:
             counts[type(obj).__name__] += 1
     return counts
-
-
-@pytest.fixture
-def collector_off():
-    """The cyclic collector paused, and anything it would free saved in
-    ``gc.garbage`` instead, so a cycle shows up rather than vanishing."""
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        yield
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
 
 
 def every_kind_of_call(buf):
